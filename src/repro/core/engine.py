@@ -51,26 +51,34 @@ class EngineStats:
     num_matches: int
     state_documents: int
     costs: dict[str, float] = field(default_factory=dict)
+    #: Column-store sync counters of the join state and ``RT`` relations
+    #: (``rebuilds``, ``rows_encoded``, ``prefix_drops``, ``swap_deletes``,
+    #: ``group_builds``); the brokers report them as ``stats()["columnar"]``.
+    columnar: dict[str, int] = field(default_factory=dict)
 
 
 def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> EngineStats:
     """Merge per-engine statistics into one aggregate :class:`EngineStats`.
 
     Query and match counts are summed (shards own disjoint query sets), and
-    the per-phase costs are accumulated.  With ``fanout=True`` (the sharded
-    runtime's fan-out model, where every engine processes every document)
-    ``num_documents_processed`` and ``state_documents`` take the maximum
-    across engines instead of the sum, so they keep counting *documents*
-    rather than (document, shard) pairs.
+    the per-phase costs and column-store counters are accumulated.  With
+    ``fanout=True`` (the sharded runtime's fan-out model, where every
+    engine processes every document) ``num_documents_processed`` and
+    ``state_documents`` take the maximum across engines instead of the
+    sum, so they keep counting *documents* rather than (document, shard)
+    pairs.
     """
     if not stats:
         return EngineStats(0, None, 0, 0, 0, {})
     doc_agg = max if fanout else sum
     templates = [s.num_templates for s in stats if s.num_templates is not None]
     costs: dict[str, float] = {}
+    columnar: dict[str, int] = {}
     for s in stats:
         for phase, ms in s.costs.items():
             costs[phase] = round(costs.get(phase, 0.0) + ms, 3)
+        for counter, count in s.columnar.items():
+            columnar[counter] = columnar.get(counter, 0) + count
     return EngineStats(
         num_queries=sum(s.num_queries for s in stats),
         num_templates=sum(templates) if templates else None,
@@ -78,6 +86,7 @@ def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> Eng
         num_matches=sum(s.num_matches for s in stats),
         state_documents=doc_agg(s.state_documents for s in stats),
         costs=costs,
+        columnar=columnar,
     )
 
 
@@ -709,6 +718,7 @@ class _BaseEngine:
             num_matches=self.num_matches,
             state_documents=self._processor().state.num_documents,
             costs=self.costs.as_milliseconds(),
+            columnar=self._processor().env.columnar_counters(),
         )
 
 

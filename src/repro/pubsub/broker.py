@@ -503,6 +503,7 @@ class Broker:
     def stats(self) -> dict:
         """Broker-level statistics: per-stream counts alongside engine stats."""
         stream_counts = self.streams.stats()
+        engine_stats = self.engine.stats()
         return {
             "engine": self.engine_name,
             "indexing": self.engine.indexing,
@@ -514,7 +515,8 @@ class Broker:
                 1 for s in self._subscriptions.values() if s.cancelled
             ),
             "num_documents_published": sum(stream_counts.values()),
-            "engine_stats": self.engine.stats().__dict__,
+            "columnar": engine_stats.columnar,
+            "engine_stats": engine_stats.__dict__,
             "metrics": self.metrics_snapshot(),
         }
 

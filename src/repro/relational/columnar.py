@@ -10,16 +10,23 @@ sidecar* that the ``columnar`` runtime knob switches on:
   value join becomes an integer comparison and cross-relation joins stay in
   one id space.
 * :class:`ColumnStore` mirrors a relation's rows as per-column
-  ``array('q')`` id vectors.  It is synchronized *lazily* against the
-  relation's mutation stamp ``(version, len(rows), deletes)``: appends since
-  the last sync are encoded incrementally, anything else (deletes, clears,
-  wholesale row replacement) triggers a rebuild.  Non-columnar
-  configurations never pay a cent — the sidecar is only touched by columnar
-  fast paths.
+  ``array('q')`` id vectors.  It is validated *lazily* against the
+  relation's mutation stamp ``(version, len(rows), deletes)`` and follows
+  the three mutations the engine performs in steady state at a cost
+  proportional to the rows that changed: appends (the new suffix is
+  encoded on the next sync), window pruning (a dropped row prefix is
+  sliced off) and ``swap_delete_at`` (the last id moves into the hole).
+  Every other mutation — predicate deletes, clears, wholesale row
+  replacement, a drop that is not a row prefix — moves the delete counter
+  without telling the store, and the next sync re-encodes every row.
+  Non-columnar configurations never pay a cent — the sidecar is only
+  touched by columnar fast paths.
 * :class:`GroupIndex` groups a store's rows by a packed multi-column key
   (stable order) for batch hash-probe joins: probing N keys is one
   ``searchsorted`` instead of N dict lookups, and the matched row positions
-  expand via ``repeat``/``cumsum`` arithmetic.
+  expand via ``repeat``/``cumsum`` arithmetic.  An index outlives appends
+  and prefix drops (an unindexed suffix is scanned, a dead prefix masked)
+  until the two together outgrow a quarter of it.
 
 ``numpy`` is an *optional* accelerator (the ``repro[fast]`` extra).  When it
 is missing — or ``REPRO_NO_NUMPY=1`` forces the fallback at import time —
@@ -116,7 +123,15 @@ class GroupIndex:
     rows in exactly the order the row-path hash probe would.
     """
 
-    __slots__ = ("bases", "unique_keys", "starts", "counts", "positions", "built_n")
+    __slots__ = (
+        "bases",
+        "unique_keys",
+        "starts",
+        "counts",
+        "positions",
+        "built_n",
+        "dropped",
+    )
 
     def __init__(self, bases, unique_keys, starts, counts, positions):
         self.bases = bases
@@ -124,9 +139,13 @@ class GroupIndex:
         self.starts = starts
         self.counts = counts
         self.positions = positions
-        #: Number of store rows this index covers; rows appended since the
-        #: build are probed separately (see :meth:`ColumnStore.probe`).
+        #: Number of leading store rows this index covers; rows appended
+        #: since the build are probed separately (:meth:`ColumnStore.probe`).
         self.built_n = 0
+        #: Rows dropped from the front of the store since the build.
+        #: ``positions`` stay in build-time coordinates: :meth:`expand`
+        #: shifts them down by this much and masks what falls below zero.
+        self.dropped = 0
 
     def pack_probe(self, probe_cols):
         """Pack probe-side id columns with the build-side bases.
@@ -174,6 +193,10 @@ class GroupIndex:
         offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
         intra = _np.arange(total, dtype=_np.int64) - offsets
         row_pos = self.positions[_np.repeat(starts, counts) + intra]
+        if self.dropped:
+            row_pos -= self.dropped
+            live = row_pos >= 0
+            return probe_idx[live], row_pos[live]
         return probe_idx, row_pos
 
 
@@ -210,12 +233,41 @@ class ColumnStore:
     """Columnar sidecar of one relation: per-column interned id vectors.
 
     The relation's ``rows`` list stays canonical; the store mirrors it as
-    ``array('q')`` vectors over a shared :class:`ValueDictionary` and is
-    brought up to date by :meth:`sync` against the relation's mutation stamp
-    (append-only growth encodes only the new suffix).  A store whose rows
-    contain unhashable values marks itself ``disabled`` — callers fall back
-    to the row path for that relation.
+    ``array('q')`` vectors over a shared :class:`ValueDictionary`, valid
+    while its ``stamp`` equals the relation's ``(version, len(rows),
+    deletes)``.  It keeps up with the relation in time proportional to the
+    rows that changed for exactly three mutations:
+
+    * **appends** — :meth:`sync` encodes only the new suffix;
+    * **a dropped row prefix** (window pruning, reported by
+      :meth:`PartitionedRelation.drop_partitions
+      <repro.relational.relation.PartitionedRelation.drop_partitions>`) —
+      :meth:`drop_prefix` slices it off each column;
+    * **a swap-delete** (:meth:`Relation.swap_delete_at
+      <repro.relational.relation.Relation.swap_delete_at>`) —
+      :meth:`swap_delete` moves the last id into the hole.
+
+    Any other mutation (``delete_rows``/``delete_row``, ``clear``, ``rows``
+    assignment, a drop that is not a row prefix) moves the relation's
+    delete counter without telling the store, and the next :meth:`sync`
+    falls back to re-encoding every row — the one fallback, also taken when
+    a mirrored mutation finds the store already out of sync.  The counters
+    ``rebuilds`` / ``rows_encoded`` / ``prefix_drops`` / ``swap_deletes`` /
+    ``group_builds`` say which of these happened; the brokers report them
+    summed as ``stats()["columnar"]``.
+
+    A store whose rows contain unhashable values marks itself ``disabled``
+    — callers fall back to the row path for that relation.
     """
+
+    #: Names of the counter attributes (the keys of ``stats()["columnar"]``).
+    COUNTERS = (
+        "rebuilds",
+        "rows_encoded",
+        "prefix_drops",
+        "swap_deletes",
+        "group_builds",
+    )
 
     __slots__ = (
         "dictionary",
@@ -225,7 +277,7 @@ class ColumnStore:
         "_n",
         "_views",
         "_groups",
-    )
+    ) + COUNTERS
 
     def __init__(self, num_columns: int, dictionary: ValueDictionary):
         self.dictionary = dictionary
@@ -235,6 +287,11 @@ class ColumnStore:
         self._n = 0
         self._views = None
         self._groups: dict = {}
+        self.rebuilds = 0  # syncs that re-encoded a previously synced store
+        self.rows_encoded = 0  # rows interned by sync (suffixes and rebuilds)
+        self.prefix_drops = 0
+        self.swap_deletes = 0
+        self.group_builds = 0  # argsorts: first builds and quarter-rule rebuilds
 
     @classmethod
     def from_columns(cls, cols: Sequence, dictionary: ValueDictionary, stamp):
@@ -249,15 +306,25 @@ class ColumnStore:
     def __len__(self) -> int:
         return self._n
 
+    def _only_appended(self, n: int, stamp) -> bool:
+        """Whether ``stamp`` differs from the synced one by appends alone."""
+        old = self.stamp
+        return (
+            old is not None
+            and stamp[2] == old[2]
+            and n >= self._n
+            and stamp[0] >= old[0]
+        )
+
     def sync(self, rows: Sequence[tuple], stamp) -> bool:
         """Bring the id columns up to date with ``rows``; False = disabled.
 
         ``stamp`` is the relation's ``(version, num_rows, deletes)``: a
         grown row count with the delete counter unchanged is an append-only
-        delta (encode the suffix), anything else rebuilds from scratch.
+        delta (encode the suffix).  Anything else is a mutation nobody
+        mirrored into the store, and rebuilds from scratch.
         """
-        old = self.stamp
-        if stamp == old:
+        if stamp == self.stamp:
             return True
         if self._cols is None:  # frozen store: its relation must not mutate
             self.disabled = True
@@ -268,9 +335,11 @@ class ColumnStore:
         # prefix and probe the suffix separately) but not a rebuild.
         self._views = None
         n = len(rows)
-        if old is not None and stamp[2] == old[2] and n >= self._n and stamp[0] >= old[0]:
+        if self._only_appended(n, stamp):
             new_rows = rows[self._n:] if n > self._n else ()
         else:
+            if self.stamp is not None:
+                self.rebuilds += 1
             self._groups.clear()
             for c, col in enumerate(self._cols):
                 try:
@@ -299,8 +368,67 @@ class ColumnStore:
                     fresh.extend(ids)
                     self._cols[c] = fresh
             self._n = n
+            self.rows_encoded += len(new_rows)
         self.stamp = stamp
         return True
+
+    def catch_up(self, rows: Sequence[tuple], stamp) -> bool:
+        """Encode pending appends ahead of a mirrored delete; False = cannot.
+
+        The relation calls this with its *pre-delete* rows and stamp.  True
+        means the columns now equal ``rows`` and :meth:`drop_prefix` /
+        :meth:`swap_delete` may follow.  False — never synced (nothing to
+        keep current; stay lazy), frozen, disabled, or already behind an
+        unmirrored delete — leaves the store untouched for the next
+        :meth:`sync` to rebuild.
+        """
+        if self.disabled or self._cols is None:
+            return False
+        return stamp == self.stamp or (
+            self._only_appended(len(rows), stamp) and self.sync(rows, stamp)
+        )
+
+    def drop_prefix(self, k: int, stamp) -> None:
+        """Mirror the deletion of the first ``k`` rows (window pruning).
+
+        One ``memmove`` per column; ``stamp`` is the relation's stamp after
+        the drop.  Group indexes are kept: their positions shift by ``k``
+        (see :attr:`GroupIndex.dropped`) and :meth:`group` decides when the
+        dead prefix is worth an argsort.
+        """
+        self._views = None
+        for c, col in enumerate(self._cols):
+            try:
+                del col[:k]
+            except BufferError:  # a caller retained a view: new buffer
+                self._cols[c] = col[k:]
+        self._n -= k
+        for gi in self._groups.values():
+            if gi is not None:
+                gi.dropped += k
+                gi.built_n = max(0, gi.built_n - k)
+        self.prefix_drops += 1
+        self.stamp = stamp
+
+    def swap_delete(self, position: int, stamp) -> None:
+        """Mirror :meth:`Relation.swap_delete_at`: last id into ``position``.
+
+        Row positions moved, so the group indexes are dropped (one argsort
+        each on the next probe); nothing is re-interned.
+        """
+        self._views = None
+        self._groups.clear()
+        for c, col in enumerate(self._cols):
+            try:
+                last = col.pop()
+            except BufferError:  # a caller retained a view: new buffer
+                last = col[-1]
+                col = self._cols[c] = col[:-1]
+            if position < len(col):
+                col[position] = last
+        self._n -= 1
+        self.swap_deletes += 1
+        self.stamp = stamp
 
     def columns(self):
         """Per-column id vectors: numpy int64 views (zero-copy) or arrays.
@@ -327,11 +455,14 @@ class ColumnStore:
     def group(self, key_cols: tuple) -> Optional[GroupIndex]:
         """The (memoized) group index over ``key_cols``; None = unavailable.
 
-        A cached index stays valid across append-only growth: it covers the
-        first ``built_n`` rows and :meth:`probe` scans the appended suffix
-        separately, so steady-state ingestion never pays the O(n log n)
-        rebuild per document.  Once the suffix outgrows a quarter of the
-        indexed prefix (min 64 rows) the index is rebuilt over all rows.
+        A cached index stays valid across appends and prefix drops: it
+        covers the first ``built_n`` rows, :meth:`probe` scans the appended
+        suffix separately and :meth:`GroupIndex.expand` masks the dropped
+        prefix.  Once dead prefix plus unindexed suffix outgrow a quarter of
+        the rows it was built over (min 64 rows) the index is rebuilt over
+        all rows, so a sliding window pays one O(n log n) argsort per
+        quarter window, not per document.  A swap-delete or a store rebuild
+        discards it.
         """
         if _np is None:
             return None
@@ -339,14 +470,18 @@ class ColumnStore:
         if cached is not False:
             if cached is None:
                 return None  # packed key overflowed at last build
-            suffix = self._n - cached.built_n
-            if suffix <= max(64, cached.built_n >> 2):
+            stale = cached.dropped + self._n - cached.built_n
+            if stale <= max(64, (cached.built_n + cached.dropped) >> 2):
                 return cached
+        return self._build_group(key_cols)
+
+    def _build_group(self, key_cols: tuple) -> Optional[GroupIndex]:
         cols = self.columns()
         gi = _build_group([cols[c] for c in key_cols])
         if gi is not None:
             gi.built_n = self._n
         self._groups[key_cols] = gi
+        self.group_builds += 1
         return gi
 
     def probe(self, key_cols: tuple, probe_cols):
@@ -365,12 +500,9 @@ class ColumnStore:
         if suffix and len(probe_cols[0]) * suffix > (1 << 23):
             # A huge probe batch against a stale index: rebuild instead of
             # materializing a probes × suffix comparison matrix.
-            cols = self.columns()
-            gi = _build_group([cols[c] for c in key_cols])
+            gi = self._build_group(key_cols)
             if gi is None:
                 return None
-            gi.built_n = self._n
-            self._groups[key_cols] = gi
             built, suffix = self._n, 0
         probe_idx, row_pos = gi.probe(probe_cols)
         if suffix:

@@ -201,6 +201,25 @@ class IndexedDatabase:
         """
         return name in self._stable
 
+    def columnar_counters(self) -> dict[str, int]:
+        """Column-store sync counters summed over the stable relations.
+
+        What keeping the long-lived state and ``RT`` sidecars current has
+        cost (:attr:`ColumnStore.COUNTERS
+        <repro.relational.columnar.ColumnStore.COUNTERS>`); all zero with
+        ``columnar`` off.  Per-document ephemeral relations are encoded
+        once and discarded, so they are not counted.
+        """
+        from repro.relational.columnar import ColumnStore
+
+        totals = dict.fromkeys(ColumnStore.COUNTERS, 0)
+        for name in self._stable:
+            store = self._relations[name]._colstore
+            if store is not None:
+                for counter in totals:
+                    totals[counter] += getattr(store, counter)
+        return totals
+
     # ------------------------------------------------------------------ #
     # index resolution
     # ------------------------------------------------------------------ #

@@ -24,6 +24,7 @@ Two features support the incremental join pipeline:
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -236,10 +237,13 @@ class Relation:
         Returns the removed row; afterwards the previously-last row — if
         any remains — occupies ``position``, so the caller must update its
         position map for that row.  Row *order* is not preserved.
-        Bookkeeping matches :meth:`delete_rows`.
+        Bookkeeping matches :meth:`delete_rows`, except that a columnar
+        sidecar in sync up to appends mirrors the swap in O(1) per column
+        instead of being left to rebuild.
         """
         rows = self.rows
         t = rows[position]
+        store = self._mirroring_store()
         last = rows.pop()
         if position < len(rows):
             rows[position] = last
@@ -252,6 +256,8 @@ class Relation:
                 if index.version == previous:
                     index.remove_row(t)
                     index.version = self._version
+        if store is not None:
+            store.swap_delete(position, self._stamp())
         return t
 
     def _row_added(self, t: tuple) -> None:
@@ -308,9 +314,13 @@ class Relation:
         """Attach a columnar sidecar interning through ``dictionary``.
 
         Idempotent per dictionary; binding the same relation into a
-        different columnar environment re-homes the sidecar.  The sidecar
-        is synchronized lazily by :meth:`column_store` — enabling it costs
-        nothing until a columnar fast path asks for the columns.
+        different columnar environment re-homes the sidecar.  Enabling it
+        costs nothing until a columnar fast path asks :meth:`column_store`
+        for the columns; from that first sync on, appends are encoded
+        lazily (suffix only) and :meth:`swap_delete_at` /
+        :meth:`PartitionedRelation.drop_partitions` of a row prefix are
+        mirrored into the sidecar as they happen.  Every other delete
+        leaves it to re-encode all rows on its next use.
         """
         from repro.relational.columnar import ColumnStore
 
@@ -325,7 +335,9 @@ class Relation:
         environments) or when it disabled itself (unhashable row values).
         The validity stamp is ``(version, len(rows), deletes)`` — the same
         trick the NDV cache uses to also catch direct ``rows``
-        manipulation by legacy callers.
+        manipulation by legacy callers.  A stamp that moved by appends
+        alone costs the new suffix; a delete counter the sidecar was not
+        told about (see :meth:`enable_columnar`) costs a full re-encode.
         """
         store = self._colstore
         if store is None or store.disabled:
@@ -335,6 +347,19 @@ class Relation:
         if store.stamp != stamp and not store.sync(rows, stamp):
             return None
         return store
+
+    def _mirroring_store(self):
+        """The sidecar, if it can mirror the delete about to be applied.
+
+        Called *before* the rows change: a sidecar that has been synced and
+        has only appends pending is brought up to date and returned, so the
+        caller can report the delete to it afterwards; otherwise ``None``
+        (the sidecar, if any, rebuilds on its next use).
+        """
+        store = self._colstore
+        if store is not None and store.catch_up(self.rows, self._stamp()):
+            return store
+        return None
 
     def _attach_store(self, store) -> None:
         """Adopt a precomputed (frozen) sidecar — derived-relation path."""
@@ -445,10 +470,10 @@ class PartitionedRelation(Relation):
     previously processed document form one partition, so window pruning can
     drop entire documents in one dictionary pop per document
     (:meth:`drop_partitions`) instead of filtering every row.  The flat
-    ``rows`` list is kept in sync incrementally on inserts and re-stitched
-    lazily from the surviving partitions after a drop, so steady-state
-    processing (which reads the state through the live indexes) never pays
-    for pruned rows again.
+    ``rows`` list is kept in sync incrementally on inserts and on drops of
+    a row prefix (the oldest documents, i.e. every in-order window prune),
+    and re-stitched lazily from the surviving partitions after any other
+    deletion.
 
     Per-column distinct-value counters back :meth:`distinct_count` in O(1)
     once a column has been asked about, surviving any interleaving of
@@ -650,23 +675,40 @@ class PartitionedRelation(Relation):
 
         The cost is proportional to the rows *dropped* (plus, for eagerly
         maintained indexes, their bucket updates); surviving rows are not
-        touched.  The flat ``rows`` view is re-stitched lazily on its next
-        access.
+        touched.  When the dropped rows are exactly the leading rows of the
+        flat view — the oldest documents, as in every in-order window prune
+        — the view is sliced in place and an attached columnar sidecar
+        drops the same prefix.  Otherwise the view is re-stitched lazily on
+        its next access and the sidecar re-encodes on its next use.
         """
         dropped: list[list[tuple]] = []
+        gone: set[object] = set()
         removed = 0
         for key in keys:
             part = self._partitions.pop(key, None)
             if part:
                 dropped.append(part)
+                gone.add(key)
                 removed += len(part)
         if not removed:
             return 0
+        # ``removed`` rows carry a dropped key, so they are the flat view's
+        # prefix iff its first ``removed`` rows all do.
+        pcol = self._pcol
+        leading = not self._flat_dirty and all(
+            row[pcol] in gone for row in itertools.islice(self._flat, removed)
+        )
+        store = self._mirroring_store() if leading else None
         self._size -= removed
-        self._flat_dirty = True
+        if leading:
+            del self._flat[:removed]
+        else:
+            self._flat_dirty = True
         previous = self._version
         self._version += 1
         self._deletes += 1
+        if store is not None:
+            store.drop_prefix(removed, self._stamp())
         if self._ndv_counters:
             for part in dropped:
                 for row in part:

@@ -662,6 +662,8 @@ class ShardedBroker:
 
     def stats(self) -> dict:
         """Broker statistics: streams, subscriptions, routing, merged + per-shard engines."""
+        per_shard = [shard.stats() for shard in self.shards]
+        merged = merge_engine_stats(per_shard)
         return {
             "engine": self.engine_name,
             "indexing": self.indexing,
@@ -678,10 +680,11 @@ class ShardedBroker:
             "num_documents_published": self._num_published,
             "routing": self._router.stats() if self._router is not None else None,
             "transport": self.transport_stats(),
-            "engine_stats": self.merged_engine_stats().__dict__,
+            "columnar": merged.columnar,
+            "engine_stats": merged.__dict__,
             "per_shard": [
-                {"shard": shard.shard_id, **shard.stats().__dict__}
-                for shard in self.shards
+                {"shard": shard.shard_id, **stats.__dict__}
+                for shard, stats in zip(self.shards, per_shard)
             ],
             "partition": self._partitioner.stats(),
             "metrics": self.metrics_snapshot(),

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+import repro.relational.columnar as columnar
 from repro.xmlmodel import XmlDocument, element
 
 #: Window symbols for the paper's Table 2 queries.
@@ -87,3 +90,27 @@ def paper_queries() -> list[tuple[str, str]]:
 def paper_windows() -> dict[str, float]:
     """Window symbol bindings used by the Table 2 queries."""
     return dict(PAPER_WINDOWS)
+
+
+#: The two columnar kernels a test can run on in one process.
+COLUMNAR_KERNELS = ("numpy", "array")
+
+
+@contextlib.contextmanager
+def columnar_kernel(name: str):
+    """Run on the numpy kernels or force the stdlib-``array`` fallback.
+
+    ``REPRO_NO_NUMPY`` is read once at import, so both kernels in one run
+    means patching the module (forked shard workers inherit the patch).  A
+    context manager, not a fixture: hypothesis tests cannot take
+    function-scoped fixtures.
+    """
+    if name == "numpy" and not columnar.HAVE_NUMPY:
+        pytest.skip("numpy unavailable in this environment")
+    saved = columnar._np, columnar.HAVE_NUMPY
+    if name == "array":
+        columnar._np, columnar.HAVE_NUMPY = None, False
+    try:
+        yield
+    finally:
+        columnar._np, columnar.HAVE_NUMPY = saved
