@@ -55,13 +55,19 @@ class EngineStats:
     #: (``rebuilds``, ``rows_encoded``, ``prefix_drops``, ``swap_deletes``,
     #: ``group_builds``); the brokers report them as ``stats()["columnar"]``.
     columnar: dict[str, int] = field(default_factory=dict)
+    #: The processor's delta-reduction counters (``documents`` plus
+    #: :attr:`DeltaContext.COUNTERS
+    #: <repro.relational.conjunctive.DeltaContext.COUNTERS>`); the brokers
+    #: report them as ``stats()["delta"]``.
+    delta: dict[str, int] = field(default_factory=dict)
 
 
 def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> EngineStats:
     """Merge per-engine statistics into one aggregate :class:`EngineStats`.
 
     Query and match counts are summed (shards own disjoint query sets), and
-    the per-phase costs and column-store counters are accumulated.  With
+    the per-phase costs, column-store and delta-reduction counters are
+    accumulated (``delta["documents"]`` counts evaluations, so it sums).  With
     ``fanout=True`` (the sharded runtime's fan-out model, where every
     engine processes every document) ``num_documents_processed`` and
     ``state_documents`` take the maximum across engines instead of the
@@ -74,11 +80,14 @@ def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> Eng
     templates = [s.num_templates for s in stats if s.num_templates is not None]
     costs: dict[str, float] = {}
     columnar: dict[str, int] = {}
+    delta: dict[str, int] = {}
     for s in stats:
         for phase, ms in s.costs.items():
             costs[phase] = round(costs.get(phase, 0.0) + ms, 3)
         for counter, count in s.columnar.items():
             columnar[counter] = columnar.get(counter, 0) + count
+        for counter, count in s.delta.items():
+            delta[counter] = delta.get(counter, 0) + count
     return EngineStats(
         num_queries=sum(s.num_queries for s in stats),
         num_templates=sum(templates) if templates else None,
@@ -87,6 +96,7 @@ def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> Eng
         state_documents=doc_agg(s.state_documents for s in stats),
         costs=costs,
         columnar=columnar,
+        delta=delta,
     )
 
 
@@ -549,11 +559,17 @@ class _BaseEngine:
         return self._processor().prune_state(min_timestamp)
 
     def _normalize_matches(self, matches: list[Match]) -> list[Match]:
-        """Strip the internal swap suffix and de-duplicate symmetric JOIN matches."""
+        """Strip the internal swap suffix and de-duplicate symmetric JOIN matches.
+
+        The processor returns matches already distinct by :meth:`Match.key`;
+        only un-swapping a mirrored registration's match can make it equal
+        another one, so a list without any is returned as it came.
+        """
         out: list[Match] = []
-        seen: set[tuple] = set()
+        swapped = False
         for match in matches:
             if match.qid.endswith(_SWAP_SUFFIX):
+                swapped = True
                 match = Match(
                     qid=match.qid[: -len(_SWAP_SUFFIX)],
                     lhs_docid=match.rhs_docid,
@@ -564,10 +580,13 @@ class _BaseEngine:
                     rhs_bindings=match.lhs_bindings,
                     window=match.window,
                 )
-            if match.key() not in seen:
-                seen.add(match.key())
-                out.append(match)
-        return out
+            out.append(match)
+        if not swapped:
+            return out
+        distinct: dict[tuple, Match] = {}
+        for match in out:
+            distinct.setdefault(match.key(), match)
+        return list(distinct.values())
 
     # ------------------------------------------------------------------ #
     # durable storage
@@ -719,6 +738,7 @@ class _BaseEngine:
             state_documents=self._processor().state.num_documents,
             costs=self.costs.as_milliseconds(),
             columnar=self._processor().env.columnar_counters(),
+            delta=self.delta_stats,
         )
 
 

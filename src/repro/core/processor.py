@@ -26,7 +26,9 @@ work (all default on; off reproduces the previous behavior for ablation):
   rows reachable from the current document's witnesses before the main
   join runs (:class:`~repro.relational.conjunctive.DeltaProgram`), with
   one :class:`~repro.relational.conjunctive.DeltaContext` per document so
-  reductions are shared across templates.
+  reductions are shared across templates — and a template whose reduction
+  meets an empty relation or join-variable domain ends there, without a
+  main join.
 """
 
 from __future__ import annotations
@@ -144,13 +146,7 @@ def _resolve_knobs(
 
 def _empty_delta_stats() -> dict[str, int]:
     """Zeroed per-processor counters of the delta-reduction pass."""
-    return {
-        "documents": 0,
-        "reductions_computed": 0,
-        "reductions_reused": 0,
-        "rows_scanned": 0,
-        "rows_kept": 0,
-    }
+    return {"documents": 0, **dict.fromkeys(DeltaContext.COUNTERS, 0)}
 
 
 class _DeltaBatchMixin:
@@ -395,9 +391,11 @@ class MMQJPJoinProcessor(_DeltaBatchMixin):
                     if match_filter is not None and not match_filter(row[qid_pos]):
                         continue  # undeliverable: never build the Match
                     match = self._row_to_match(template, positions, row, witnesses)
-                    if match is not None and match.key() not in seen:
-                        seen.add(match.key())
-                        matches.append(match)
+                    if match is not None:
+                        key = match.key()
+                        if key not in seen:
+                            seen.add(key)
+                            matches.append(match)
         self._fold_delta_stats(delta)
         return matches
 
@@ -709,9 +707,11 @@ class SequentialJoinProcessor(_DeltaBatchMixin):
                 positions = self._positions_of(qid, reduced, rout)
                 for row in rout.rows:
                     match = self._row_to_match(qid, query, positions, row, witnesses)
-                    if match is not None and match.key() not in seen:
-                        seen.add(match.key())
-                        matches.append(match)
+                    if match is not None:
+                        key = match.key()
+                        if key not in seen:
+                            seen.add(key)
+                            matches.append(match)
         self._fold_delta_stats(delta)
         return matches
 

@@ -516,6 +516,7 @@ class Broker:
             ),
             "num_documents_published": sum(stream_counts.values()),
             "columnar": engine_stats.columnar,
+            "delta": engine_stats.delta,
             "engine_stats": engine_stats.__dict__,
             "metrics": self.metrics_snapshot(),
         }

@@ -66,6 +66,10 @@ HAVE_NUMPY = _np is not None
 #: Packed multi-column keys must stay well inside int64.
 _PACK_LIMIT = 1 << 62
 
+#: Up to this many ids, a domain is matched by one equality pass per id:
+#: ``np.isin``'s fixed overhead costs more than a few of those.
+_SMALL_DOMAIN = 8
+
 
 class ValueDictionary:
     """Bidirectional value ↔ dense-int interning shared by an environment.
@@ -533,11 +537,14 @@ def domain_array(domain: frozenset):
     return out
 
 
-def _isin(col, domain: frozenset, domain_arr):
+def _isin(col, domain: frozenset, domain_arr=None):
     """Membership mask of ``col`` in an id domain (numpy mode)."""
-    if len(domain) == 1:
-        return col == next(iter(domain))
-    return _np.isin(col, domain_arr if domain_arr is not None else domain_array(domain))
+    if len(domain) > _SMALL_DOMAIN:
+        return _np.isin(col, domain_arr if domain_arr is not None else domain_array(domain))
+    mask = _np.zeros(len(col), dtype=bool)
+    for value in domain:
+        mask |= col == value
+    return mask
 
 
 def select_positions(columns, num_rows: int, constraints, domain_arrays=None):

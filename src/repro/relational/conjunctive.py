@@ -14,8 +14,10 @@ as a Datalog rule over the witness relations and the template relation
   (semi-join reduction) evaluation pass: before the main join runs, every
   *stable* (state/``RT``) atom's relation is restricted to the rows
   reachable from the current document's witness relations via the query's
-  join keys, so join cost is proportional to the delta-connected state
-  rather than the total state.
+  join variables, so join cost is proportional to the delta-connected
+  state rather than the total state — and the pass ends with
+  :data:`EMPTY_DELTA` at the first empty relation or domain, which is how
+  a query that cannot match the current document costs next to nothing.
 
 The evaluator treats repeated variables within and across atoms as equality
 constraints, exactly like Datalog.
@@ -220,7 +222,19 @@ class DeltaContext:
     and memo-served reductions, ``rows_scanned`` counts state rows (plus
     index probes) examined while reducing, and ``rows_kept`` counts the rows
     that survived — the delta-connected state the main joins then run over.
+    ``short_circuits`` counts reduction passes ended by an empty relation or
+    domain, ``executions_skipped`` the main joins their callers then never
+    ran.
     """
+
+    COUNTERS = (
+        "reductions_computed",
+        "reductions_reused",
+        "rows_scanned",
+        "rows_kept",
+        "short_circuits",
+        "executions_skipped",
+    )
 
     __slots__ = (
         "_values",
@@ -228,11 +242,7 @@ class DeltaContext:
         "_meets",
         "_domain_arrays",
         "_pins",
-        "reductions_computed",
-        "reductions_reused",
-        "rows_scanned",
-        "rows_kept",
-    )
+    ) + COUNTERS
 
     def __init__(self) -> None:
         self._values: dict[tuple, frozenset] = {}
@@ -246,6 +256,8 @@ class DeltaContext:
         self.reductions_reused = 0
         self.rows_scanned = 0
         self.rows_kept = 0
+        self.short_circuits = 0
+        self.executions_skipped = 0
 
     # ------------------------------------------------------------------ #
     # domains
@@ -308,8 +320,8 @@ class DeltaContext:
 
     def _domain_arr(self, domain: frozenset):
         """Memoized sorted-array form of an id domain (numpy mode only)."""
-        if not columnar.HAVE_NUMPY or len(domain) <= 1:
-            return None
+        if not columnar.HAVE_NUMPY or len(domain) <= columnar._SMALL_DOMAIN:
+            return None  # matched id by id: no array form needed
         arr = self._domain_arrays.get(id(domain))
         if arr is None:
             arr = columnar.domain_array(domain)
@@ -344,6 +356,16 @@ class DeltaContext:
     # ------------------------------------------------------------------ #
     # reductions
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _signature(base: Relation, const_checks: tuple, constraints: tuple, dictionary) -> tuple:
+        """Memo key of one reduction: relation and domain *identities*."""
+        return (
+            dictionary is not None,
+            id(base),
+            const_checks,
+            tuple((c, id(d)) for c, d in constraints),
+        )
+
     def reduce(
         self,
         name: str,
@@ -370,13 +392,8 @@ class DeltaContext:
         """
         if not const_checks and not constraints:
             return None
+        sig = self._signature(base, const_checks, constraints, dictionary)
         try:
-            sig = (
-                dictionary is not None,
-                id(base),
-                const_checks,
-                tuple((c, id(d)) for c, d in constraints),
-            )
             cached = self._reductions.get(sig)
         except TypeError:  # unhashable constant: compute without memoizing
             sig, cached = None, None
@@ -395,6 +412,19 @@ class DeltaContext:
             self._pins.append(base)
             self._pins.extend(d for _c, d in constraints)
         return out
+
+    def holds(self, base: Relation, const_checks: tuple, constraints: tuple, dictionary) -> bool:
+        """Whether :meth:`reduce` would serve these arguments from its memo.
+
+        True only after another query of the same document asked for the
+        same reduction (same relation and domain objects).
+        """
+        if not self._reductions:
+            return False
+        try:
+            return self._signature(base, const_checks, constraints, dictionary) in self._reductions
+        except TypeError:  # unhashable constant: never memoized
+            return False
 
     def _reduce_rows(
         self, name: str, base: Relation, const_checks: tuple, constraints: tuple, index_for
@@ -466,19 +496,12 @@ class DeltaContext:
                         row_pos = hit[1]
                         rest = list(id_constraints)
                         rest.remove((probe_col, probe_dom))
-                        if len(row_pos) and rest:
-                            mask = None
-                            for c, dom in rest:
-                                vals = cols[c][row_pos]
-                                if len(dom) == 1:
-                                    m = vals == next(iter(dom))
-                                else:
-                                    d_arr = self._domain_arr(dom)
-                                    if d_arr is None:
-                                        d_arr = columnar.domain_array(dom)
-                                    m = np_mod.isin(vals, d_arr)
-                                mask = m if mask is None else (mask & m)
-                            row_pos = row_pos[mask]
+                        for c, dom in rest:
+                            if not len(row_pos):
+                                break
+                            row_pos = row_pos[
+                                columnar._isin(cols[c][row_pos], dom, self._domain_arr(dom))
+                            ]
                         positions = np_mod.sort(row_pos)
                         self.rows_scanned += len(positions) + len(probe_dom)
             if positions is None:
@@ -517,32 +540,46 @@ class DeltaContext:
 
     def stats(self) -> dict[str, int]:
         """The reduction counters as a dict (folded into processor stats)."""
-        return {
-            "reductions_computed": self.reductions_computed,
-            "reductions_reused": self.reductions_reused,
-            "rows_scanned": self.rows_scanned,
-            "rows_kept": self.rows_kept,
-        }
+        return {counter: getattr(self, counter) for counter in self.COUNTERS}
+
+
+class _EmptyDelta:
+    """Type of :data:`EMPTY_DELTA` (a singleton; compare with ``is``)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "EMPTY_DELTA"
+
+
+#: Outcome of a reduction pass that met an empty relation or join-variable
+#: domain: the query's result is empty, whatever the atoms not yet reduced
+#: hold, so the caller returns the empty head relation without joining.
+EMPTY_DELTA = _EmptyDelta()
 
 
 class _DeltaAtom:
-    """Reduction metadata of one body atom (frozen at program build time)."""
+    """Reduction metadata of one body atom (frozen at program build time).
 
-    __slots__ = ("position", "name", "stable", "const_checks", "var_cols")
+    ``join_cols`` pairs a column with its variable for the query's *join
+    variables* only — a variable confined to this atom (``qid`` and ``wl``
+    of ``RT``) restricts no other atom, so no domain is kept for it.
+    """
 
-    def __init__(self, position: int, atom: Atom, stable: bool):
+    __slots__ = ("position", "name", "stable", "const_checks", "join_cols")
+
+    def __init__(self, position: int, atom: Atom, stable: bool, join_vars: set[str]):
         self.position = position
         self.name = atom.relation
         self.stable = stable
-        consts: list[tuple[int, object]] = []
-        var_cols: list[tuple[int, str]] = []
-        for col, t in enumerate(atom.terms):
-            if isinstance(t, Const):
-                consts.append((col, t.value))
-            else:
-                var_cols.append((col, t.name))
-        self.const_checks = tuple(consts)
-        self.var_cols = tuple(var_cols)
+        self.const_checks = tuple(
+            (col, t.value) for col, t in enumerate(atom.terms) if isinstance(t, Const)
+        )
+        self.join_cols = tuple(
+            (col, t.name)
+            for col, t in enumerate(atom.terms)
+            if isinstance(t, Var) and t.name in join_vars
+        )
 
 
 class DeltaProgram:
@@ -550,21 +587,52 @@ class DeltaProgram:
 
     Built once per query (by :func:`build_delta_program`, or by the plan
     compiler) and executed once per document per query through
-    :meth:`reduce`: variable domains are seeded from the delta (ephemeral
-    witness) atoms, then every stable atom is restricted to the rows whose
-    join-key values fall inside those domains — most selective atom first,
-    with two propagation passes so a reduction discovered late (e.g. the
-    structural ``Rbin`` rows surviving the template's variable names)
-    tightens the atoms reduced before it (e.g. ``Rdoc``'s value-matched
-    rows shrink to the structurally alive documents).
+    :meth:`reduce`.  Domains are kept for the *join variables* — those
+    occurring in two or more atoms, decided here — and seeded from the
+    delta (ephemeral witness) atoms; then every stable atom is restricted
+    to the rows whose join-variable values fall inside those domains —
+    most selective atom first, with two propagation passes so a reduction
+    discovered late (e.g. the structural ``Rbin`` rows surviving the
+    template's variable names) tightens the atoms reduced before it (e.g.
+    ``Rdoc``'s value-matched rows shrink to the structurally alive
+    documents).  A reduction the document's context already holds, because
+    another query asked for it, is free and taken first.  An empty atom
+    bounds the output at zero, so the first relation or domain that comes
+    back empty ends the pass with :data:`EMPTY_DELTA`.
     """
 
-    __slots__ = ("num_atoms", "_delta", "_stable")
+    __slots__ = ("num_atoms", "_delta", "_stable", "_watchers", "_peers")
 
-    def __init__(self, atoms: Sequence[_DeltaAtom]):
+    def __init__(self, body: Sequence[Atom], is_stable):
+        occurrences: dict[str, int] = {}
+        for atom in body:
+            for name in {v.name for v in atom.variables}:
+                occurrences[name] = occurrences.get(name, 0) + 1
+        join_vars = {name for name, count in occurrences.items() if count > 1}
+        atoms = [
+            _DeltaAtom(position, atom, bool(is_stable(atom.relation)), join_vars)
+            for position, atom in enumerate(body)
+        ]
         self.num_atoms = len(atoms)
         self._delta = tuple(a for a in atoms if not a.stable)
         self._stable = tuple(a for a in atoms if a.stable)
+        # join variable -> positions of the stable atoms whose estimate
+        # reads its domain (and goes stale when that domain narrows).
+        watchers: dict[str, list[int]] = {}
+        for atom in self._stable:
+            for _col, var in atom.join_cols:
+                watchers.setdefault(var, []).append(atom.position)
+        self._watchers = {var: tuple(ps) for var, ps in watchers.items()}
+        # position -> the other stable atoms over the same relation: what one
+        # of them adds to the context's memo, the others may then find there.
+        self._peers = {
+            atom.position: tuple(
+                other.position
+                for other in self._stable
+                if other.name == atom.name and other is not atom
+            )
+            for atom in self._stable
+        }
 
     @property
     def reducible(self) -> bool:
@@ -572,110 +640,133 @@ class DeltaProgram:
         return bool(self._delta) and bool(self._stable)
 
     @staticmethod
-    def _estimate(atom: _DeltaAtom, base: Relation, domains: Mapping[str, frozenset]):
+    def _estimate(atom: _DeltaAtom, base: Relation, constraints: tuple):
         """Estimated reduced cardinality (``None`` when unconstrained)."""
+        if not atom.const_checks and not constraints:
+            return None
         est = float(len(base))
-        constrained = False
         for col, _value in atom.const_checks:
-            constrained = True
             est /= max(1, base.distinct_count(col))
-        for col, var in atom.var_cols:
-            dom = domains.get(var)
-            if dom is None:
-                continue
-            constrained = True
+        for col, dom in constraints:
             est *= min(1.0, len(dom) / max(1, base.distinct_count(col)))
-        return est if constrained else None
+        return est
 
     def reduce(
         self, relations: Mapping[str, Relation], ctx: DeltaContext
-    ) -> Optional[list[Optional[Relation]]]:
-        """Reduced relations by body position (``None`` entries = unreduced)."""
-        if not self.reducible:
-            return None
+    ) -> list[Optional[Relation]] | _EmptyDelta | None:
+        """Reduced relations by body position (``None`` entries = unreduced).
+
+        Returns ``None`` when nothing was reduced, and :data:`EMPTY_DELTA`
+        as soon as a body relation, a reduction or a join-variable domain
+        is empty (counted in ``ctx.short_circuits``).
+        """
+        out = self._reduce(relations, ctx) if self.reducible else None
+        if out is EMPTY_DELTA:
+            ctx.short_circuits += 1
+        return out
+
+    def _reduce(self, relations: Mapping[str, Relation], ctx: DeltaContext):
         lookup = relations.get if hasattr(relations, "get") else relations.__getitem__
         index_for = getattr(relations, "index_for", None)
 
-        delta_rels: list[tuple[_DeltaAtom, Relation]] = []
-        for atom in self._delta:
-            relation = lookup(atom.name)
-            if relation is None:
-                return None  # the evaluator raises the proper error
-            delta_rels.append((atom, relation))
-
-        originals: dict[int, Relation] = {}
-        for atom in self._stable:
-            relation = lookup(atom.name)
-            if relation is None:
-                return None
-            originals[atom.position] = relation
+        delta_rels = [(atom, lookup(atom.name)) for atom in self._delta]
+        # stable atoms: the bound relation, then what it was last reduced to
+        bases = {atom.position: lookup(atom.name) for atom in self._stable}
+        bound = [relation for _atom, relation in delta_rels] + list(bases.values())
+        if any(relation is None for relation in bound):
+            return None  # the evaluator raises the proper error
+        if not all(len(relation) for relation in bound):
+            return EMPTY_DELTA
 
         # Columnar (id-space) mode is all-or-nothing per run: every atom's
         # relation must expose a live sidecar over the environment's shared
         # dictionary, otherwise the whole pass runs in value space.  Mixing
         # would compare ids against raw values and silently drop rows.
         dictionary = getattr(relations, "columnar_dictionary", None)
-        if dictionary is not None:
-            all_stored = all(
-                rel.column_store() is not None for _a, rel in delta_rels
-            ) and all(rel.column_store() is not None for rel in originals.values())
-            if not all_stored:
-                dictionary = None
+        if dictionary is not None and not all(
+            relation.column_store() is not None for relation in bound
+        ):
+            dictionary = None
         if dictionary is not None:
             index_for = None  # id-space probes never touch the hash indexes
 
-        domains: dict[str, Optional[frozenset]] = {}
+        domains: dict[str, frozenset] = {}
         for atom, relation in delta_rels:
-            for col, var in atom.var_cols:
-                domains[var] = ctx.meet(
+            for col, var in atom.join_cols:
+                dom = ctx.meet(
                     domains.get(var),
                     ctx.column_values(
                         relation, col, atom.const_checks, dictionary=dictionary
                     ),
                 )
+                if not dom:
+                    return EMPTY_DELTA
+                domains[var] = dom
 
         reduced: dict[int, Relation] = {}
         sigs: dict[int, tuple] = {}
+        # position -> (estimate, constraints).  An entry is dropped when the
+        # atom's base, one of its domains or what the memo may hold for it
+        # changes, so the greedy pick re-estimates only those atoms and
+        # still sees what a full re-estimation would.
+        estimates: dict[int, tuple] = {}
         for _pass in range(2):
             remaining = list(self._stable)
             while remaining:
-                best = None
-                best_est = None
+                best = best_est = None
+                best_constraints: tuple = ()
                 for atom in remaining:
-                    base = reduced.get(atom.position, originals[atom.position])
-                    est = self._estimate(atom, base, domains)
+                    pos = atom.position
+                    entry = estimates.get(pos)
+                    if entry is None:
+                        constraints = tuple(
+                            (col, domains[var])
+                            for col, var in atom.join_cols
+                            if var in domains
+                        )
+                        if ctx.holds(bases[pos], atom.const_checks, constraints, dictionary):
+                            est = -1.0  # another query of this document paid for it
+                        else:
+                            est = self._estimate(atom, bases[pos], constraints)
+                        entry = estimates[pos] = (est, constraints)
+                    est = entry[0]
                     if est is not None and (best_est is None or est < best_est):
-                        best, best_est = atom, est
+                        best, best_est, best_constraints = atom, est, entry[1]
                 if best is None:
                     break  # every remaining atom is unconstrained (this pass)
                 remaining.remove(best)
                 pos = best.position
-                base = reduced.get(pos, originals[pos])
-                constraints = tuple(
-                    (col, domains[var])
-                    for col, var in best.var_cols
-                    if domains.get(var) is not None
-                )
-                sig = tuple((c, id(d)) for c, d in constraints)
-                if sigs.get(pos) == sig:
+                if sigs.get(pos) == tuple(id(d) for _c, d in best_constraints):
                     continue  # nothing tightened since this atom's last reduction
-                sigs[pos] = sig
                 out = ctx.reduce(
                     best.name,
-                    base,
+                    bases[pos],
                     best.const_checks,
-                    constraints,
+                    best_constraints,
                     index_for if pos not in reduced else None,
                     dictionary=dictionary,
                 )
                 if out is None:
                     continue
-                reduced[pos] = out
-                for col, var in best.var_cols:
-                    domains[var] = ctx.meet(
-                        domains.get(var),
-                        ctx.column_values(out, col, dictionary=dictionary),
-                    )
+                if not len(out):
+                    return EMPTY_DELTA
+                bases[pos] = reduced[pos] = out
+                del estimates[pos]
+                for peer in self._peers[pos]:
+                    estimates.pop(peer, None)
+                for col, var in best.join_cols:
+                    old = domains.get(var)
+                    dom = ctx.meet(old, ctx.column_values(out, col, dictionary=dictionary))
+                    if dom is old:
+                        continue
+                    if not dom:
+                        return EMPTY_DELTA
+                    domains[var] = dom
+                    for watcher in self._watchers[var]:
+                        estimates.pop(watcher, None)
+                # The survivors satisfy the domains they just narrowed: only
+                # another atom's narrowing makes this one worth reducing again.
+                sigs[pos] = tuple(id(domains[var]) for _c, var in best.join_cols)
         if not reduced:
             return None
         return [reduced.get(i) for i in range(self.num_atoms)]
@@ -694,12 +785,7 @@ def build_delta_program(
     is_stable = getattr(relations, "is_stable", None)
     if is_stable is None:
         return None
-    program = DeltaProgram(
-        [
-            _DeltaAtom(position, atom, bool(is_stable(atom.relation)))
-            for position, atom in enumerate(body)
-        ]
-    )
+    program = DeltaProgram(body, is_stable)
     return program if program.reducible else None
 
 
@@ -804,9 +890,10 @@ def evaluate_conjunctive(
         A :class:`DeltaContext` enables delta-driven evaluation: the stable
         (state/``RT``) atoms' relations are first semi-join-reduced to the
         rows reachable from the ephemeral (witness) atoms, and the main
-        join probes those reduced relations.  The result set is identical
-        — reduction only removes rows that cannot participate in any
-        solution — which the equivalence tests assert.
+        join probes those reduced relations — or is skipped, when the
+        reduction meets an empty relation or domain.  The result set is
+        identical — reduction only removes rows that cannot participate in
+        any solution — which the equivalence tests assert.
 
     When ``relations`` is an
     :class:`~repro.relational.database.IndexedDatabase`, atoms over its
@@ -825,39 +912,44 @@ def evaluate_conjunctive(
 
     rel_map = {atom.relation: rel_of(atom) for atom in query.body}
 
-    atom_overrides: dict[int, Relation] = {}
-    if delta is not None:
-        program = build_delta_program(query.body, relations)
-        if program is not None:
-            reduced = program.reduce(relations, delta)
-            if reduced:
-                atom_overrides = {
-                    id(atom): rel
-                    for atom, rel in zip(query.body, reduced)
-                    if rel is not None
-                }
-
-    # The greedy order should see the statistics the join will actually
-    # run over: substitute each name's smallest reduced relation.
-    order_map = rel_map
-    if atom_overrides:
-        order_map = dict(rel_map)
-        for atom in query.body:
-            override = atom_overrides.get(id(atom))
-            if override is not None and len(override) < len(order_map[atom.relation]):
-                order_map[atom.relation] = override
-
-    if isinstance(order, str):
-        if order == "greedy":
-            ordered = _choose_order(query.body, order_map)
-        elif order == "given":
-            ordered = list(query.body)
-        else:
-            raise ValueError(f"unknown join order strategy {order!r}")
-    else:
+    # Settle what ``order`` asks for before the reduction pass can end the
+    # evaluation early: a bad order is an error whatever the relations hold.
+    ordered: Optional[list[Atom]] = None
+    if not isinstance(order, str):
         ordered = list(order)
         if sorted(map(id, ordered)) != sorted(map(id, query.body)):
             raise ValueError("explicit order must be a permutation of the query body")
+    elif order == "given":
+        ordered = list(query.body)
+    elif order != "greedy":
+        raise ValueError(f"unknown join order strategy {order!r}")
+
+    out = Relation(RelationSchema(query.head_schema), name=query.head_name)
+    atom_overrides: dict[int, Relation] = {}
+    if delta is not None:
+        program = build_delta_program(query.body, relations)
+        reduced = program.reduce(relations, delta) if program is not None else None
+        if reduced is EMPTY_DELTA:
+            delta.executions_skipped += 1
+            return out
+        if reduced:
+            atom_overrides = {
+                id(atom): rel
+                for atom, rel in zip(query.body, reduced)
+                if rel is not None
+            }
+
+    if ordered is None:
+        # The greedy order should see the statistics the join will actually
+        # run over: substitute each name's smallest reduced relation.
+        order_map = rel_map
+        if atom_overrides:
+            order_map = dict(rel_map)
+            for atom in query.body:
+                override = atom_overrides.get(id(atom))
+                if override is not None and len(override) < len(order_map[atom.relation]):
+                    order_map[atom.relation] = override
+        ordered = _choose_order(query.body, order_map)
 
     solutions: list[tuple] = []
     var_order: list[str] = []
@@ -876,7 +968,6 @@ def evaluate_conjunctive(
 
     # Project the head.
     var_pos = {v: i for i, v in enumerate(var_order)}
-    out = Relation(RelationSchema(query.head_schema), name=query.head_name)
     if not ordered:
         # Empty body: the head is a single row of constants (if all terms are consts).
         if all(isinstance(t, Const) for t in query.head_terms):

@@ -120,6 +120,9 @@ class IndexedDatabase:
         self._relations: dict[str, Relation] = {}
         self._indexed: set[str] = set()
         self._stable: set[str] = set()
+        #: Compiled-plan executions that left the vectorized path for the
+        #: row path (a sidecar or a packed probe key was unavailable).
+        self.execute_fallbacks = 0
 
     @property
     def columnar(self) -> bool:
@@ -206,9 +209,10 @@ class IndexedDatabase:
 
         What keeping the long-lived state and ``RT`` sidecars current has
         cost (:attr:`ColumnStore.COUNTERS
-        <repro.relational.columnar.ColumnStore.COUNTERS>`); all zero with
-        ``columnar`` off.  Per-document ephemeral relations are encoded
-        once and discarded, so they are not counted.
+        <repro.relational.columnar.ColumnStore.COUNTERS>`), plus this
+        environment's ``execute_fallbacks``; all zero with ``columnar``
+        off.  Per-document ephemeral relations are encoded once and
+        discarded, so they are not counted.
         """
         from repro.relational.columnar import ColumnStore
 
@@ -218,6 +222,7 @@ class IndexedDatabase:
             if store is not None:
                 for counter in totals:
                     totals[counter] += getattr(store, counter)
+        totals["execute_fallbacks"] = self.execute_fallbacks
         return totals
 
     # ------------------------------------------------------------------ #

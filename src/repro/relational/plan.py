@@ -42,12 +42,14 @@ from typing import Mapping, Optional, Sequence
 
 from repro.relational import columnar
 from repro.relational.conjunctive import (
+    EMPTY_DELTA,
     Atom,
     ConjunctiveQuery,
     DeltaContext,
     _analyze_atom,
     _atom_matches,
     _choose_order,
+    _EmptyDelta,
     build_delta_program,
 )
 from repro.relational.relation import Relation
@@ -212,21 +214,27 @@ class CompiledPlan:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
+    def empty_head(self) -> Relation:
+        """A fresh, empty head relation (what :meth:`execute` fills)."""
+        return Relation(self.head_schema, name=self.head_name)
+
     def reduced_step_relations(
         self, relations: Mapping[str, Relation], delta: DeltaContext
-    ) -> Optional[list]:
+    ) -> list[Optional[Relation]] | _EmptyDelta | None:
         """Per-step reduced relations from the semi-join pass, or ``None``.
 
         Runs the precompiled :class:`~repro.relational.conjunctive.DeltaProgram`
         against the current environment and remaps its body-ordered output
         onto this plan's frozen step order, ready to be passed to
-        :meth:`execute` as ``step_relations``.
+        :meth:`execute` as ``step_relations``.  A pass that proved the
+        result empty returns :data:`~repro.relational.conjunctive.EMPTY_DELTA`
+        instead: there is nothing to execute.
         """
         if self.delta_program is None:
             return None
         reduced = self.delta_program.reduce(relations, delta)
-        if not reduced:
-            return None
+        if reduced is None or reduced is EMPTY_DELTA:
+            return reduced
         step_relations: list = [None] * len(self.steps)
         for position, relation in enumerate(reduced):
             if relation is not None:
@@ -252,7 +260,7 @@ class CompiledPlan:
         the ad-hoc path — the reduced relation is delta-sized, so hashing it
         per call costs what one index probe pass would.
         """
-        out = Relation(self.head_schema, name=self.head_name)
+        out = self.empty_head()
         if not self.steps:
             if self.const_row is not None:
                 out.rows.append(self.const_row)
@@ -265,6 +273,7 @@ class CompiledPlan:
             )
             if result is not None:
                 return result
+            relations.execute_fallbacks += 1
 
         lookup = _lookup_of(relations)
         index_for = getattr(relations, "index_for", None)
@@ -386,9 +395,9 @@ class CompiledPlan:
         relation's id columns and the matches expand through
         ``repeat``/``cumsum`` arithmetic instead of a per-solution Python
         loop.  Returns ``None`` when any step lacks a usable sidecar or a
-        packed probe key cannot be formed — the caller falls back to the
-        row path *before* ``out`` is touched, so a fallback never leaks a
-        partial result.  The same growth budget applies as on the row path
+        packed probe key cannot be formed — both are settled for every step
+        before the first probe, so the row path the caller falls back to
+        repeats no work.  The same growth budget applies as on the row path
         (totals are checked per step, so a breach can trigger at slightly
         different points; :class:`PlanCache` re-plans either way).
         """
@@ -406,6 +415,14 @@ class CompiledPlan:
                 )
             store = relation.column_store()
             if store is None or store.dictionary is not dictionary:
+                return None
+            # Ids stay below len(dictionary): only a key of enough columns
+            # can pack past int64, and only those groups are built up front.
+            if (
+                step.join_positions
+                and len(dictionary) ** len(step.key_cols) > columnar._PACK_LIMIT
+                and store.group(step.key_cols) is None
+            ):
                 return None
             resolved.append(store)
 
@@ -641,13 +658,17 @@ class PlanCache:
 
         With a :class:`~repro.relational.conjunctive.DeltaContext` the
         plan's precompiled semi-join reduction runs first and the join
-        probes the reduced state relations (delta-driven evaluation); the
-        result set is identical either way.
+        probes the reduced state relations (delta-driven evaluation) — or
+        does not run at all when the reduction proved the result empty;
+        the result set is identical either way.
         """
         plan, cached = self._current_plan(query, relations)
         step_relations = (
             plan.reduced_step_relations(relations, delta) if delta is not None else None
         )
+        if step_relations is EMPTY_DELTA:
+            delta.executions_skipped += 1
+            return plan.empty_head()
         if cached:
             try:
                 return plan.execute(

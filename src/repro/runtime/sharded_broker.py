@@ -681,6 +681,7 @@ class ShardedBroker:
             "routing": self._router.stats() if self._router is not None else None,
             "transport": self.transport_stats(),
             "columnar": merged.columnar,
+            "delta": merged.delta,
             "engine_stats": merged.__dict__,
             "per_shard": [
                 {"shard": shard.shard_id, **stats.__dict__}

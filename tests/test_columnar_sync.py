@@ -60,7 +60,8 @@ def _blog(i: int) -> str:
 def _columnar(broker) -> dict:
     stats = broker.stats()
     block = stats["columnar"]
-    assert tuple(block) == ColumnStore.COUNTERS  # one schema everywhere
+    # one schema everywhere: the stores' counters, then the environment's
+    assert tuple(block) == ColumnStore.COUNTERS + ("execute_fallbacks",)
     assert stats["engine_stats"]["columnar"] == block
     if "per_shard" in stats:
         assert all(shard["num_queries"] for shard in stats["per_shard"])

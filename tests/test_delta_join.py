@@ -198,13 +198,7 @@ def test_engines_expose_delta_join_knob():
         )
         assert on.delta_join is True
         assert off.delta_join is False
-        assert set(on.delta_stats) == {
-            "documents",
-            "reductions_computed",
-            "reductions_reused",
-            "rows_scanned",
-            "rows_kept",
-        }
+        assert set(on.delta_stats) == {"documents", *DeltaContext.COUNTERS}
 
 
 def test_processor_accepts_explicit_delta_join_knob():

@@ -144,18 +144,13 @@ def _assert_delta_stats_consistent(engine, delta_join: bool, num_docs: int) -> N
     """The skipped/reduced-state-row counters must add up either way."""
     stats = engine.delta_stats
     if not delta_join:
-        assert stats == {
-            "documents": 0,
-            "reductions_computed": 0,
-            "reductions_reused": 0,
-            "rows_scanned": 0,
-            "rows_kept": 0,
-        }
+        assert stats and not any(stats.values())
         return
     assert stats["documents"] == num_docs
     assert 0 <= stats["rows_kept"] <= stats["rows_scanned"]
     assert stats["reductions_computed"] >= 0
     assert stats["reductions_reused"] >= 0
+    assert stats["executions_skipped"] == stats["short_circuits"] >= 0
 
 
 @given(query_specs, doc_specs)
