@@ -28,7 +28,11 @@ Asserted acceptance criteria (CI gates):
 
 Results are also written to ``BENCH_parallel_scaling.json`` (repo root, or
 ``$REPRO_BENCH_JSON_DIR``) through :func:`repro.bench.reporting.rows_to_json`,
-with ``meta.cpus`` recording the machine the numbers came from.
+with ``meta.cpus`` recording the machine the numbers came from.  There is one
+broker class, and with ``shards=1`` and an in-process executor it *is* what
+used to be the separate unsharded broker (no partitioner, no router), so the
+file's 1-shard serial/threads rows are the unsharded baseline: ROADMAP's "add
+an unsharded row beside the 1-shard row" has nothing left to add.
 
 Set ``REPRO_BENCH_TINY=1`` to run the whole file at smoke scale (CI).
 """

@@ -11,8 +11,8 @@ generated subscriptions watch for correlated items:
   paper's throughput experiment.
 
 The subscriptions are partitioned template-cohesively across four engine
-shards — ``repro.open_broker`` with a sharded :class:`repro.RuntimeConfig`
-routes to :class:`repro.runtime.ShardedBroker` — and the stream is ingested
+shards — ``repro.open_broker`` with ``RuntimeConfig(shards=4)`` returns the
+same :class:`repro.Broker` as ever, driving four shards — and the stream is ingested
 in batches through ``publish_many``.  At the end, the generated
 subscriptions are *cancelled*, showing that retraction actually shrinks the
 per-shard query counts and join state.

@@ -19,10 +19,11 @@ The package is organised around the paper's two-stage architecture:
 User-facing entry points:
 
 * :func:`repro.open_broker` + :class:`repro.RuntimeConfig` — the session
-  API: one config object for every knob, one factory that routes to the
-  unsharded or sharded runtime.
-* :class:`repro.pubsub.Broker` / :class:`repro.runtime.ShardedBroker` — the
-  broker implementations behind the façade (still constructible directly).
+  API: one config object for every knob, one factory.
+* :class:`repro.pubsub.Broker` — the one broker behind the façade, driving
+  one engine shard or many, in process or in worker processes (also
+  constructible directly from a config; ``ShardedBroker`` is its
+  import-compatible second name).
 * Delivery sinks (:mod:`repro.pubsub.sinks`) — pluggable destinations for
   subscription results: callbacks, bounded collections, queues, batches.
 * :class:`repro.core.MMQJPEngine` / :class:`repro.core.SequentialEngine` —
@@ -67,7 +68,7 @@ __all__ = [
     "RuntimeConfig",
     "open_broker",
     "ENGINES",
-    # brokers and subscriptions
+    # the broker and subscriptions
     "Broker",
     "ShardedBroker",
     "Subscription",

@@ -19,7 +19,7 @@ from repro.core.engine import make_engine
 from repro.core.materialize import ViewCache
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from repro.core.state import JoinState
-from repro.runtime.sharded_broker import ShardedBroker
+from repro.pubsub.broker import Broker
 from repro.templates.registry import TemplateRegistry
 from repro.workloads.synthetic import (
     DeltaScalingData,
@@ -448,7 +448,7 @@ def run_delta_scaling(
 # --------------------------------------------------------------------------- #
 # the sharded-runtime throughput benchmark
 # --------------------------------------------------------------------------- #
-def _routing_extra(broker: ShardedBroker) -> dict:
+def _routing_extra(broker: Broker) -> dict:
     """Routing counters of one finished run, flattened for reporting.
 
     ``pct_shards_skipped`` is the fraction of (document, candidate shard)
@@ -461,7 +461,7 @@ def _routing_extra(broker: ShardedBroker) -> dict:
     extra: dict = {
         "route_dispatch": routing is not None,
         "workers": stats.get("workers") or 0,
-        "num_active_shards": sum(1 for shard in broker.shards if shard.qids),
+        "num_active_shards": sum(1 for shard in broker.shards if shard.num_queries),
     }
     if routing is not None:
         considered = routing["shards_dispatched"] + routing["shards_skipped"]
@@ -485,7 +485,7 @@ def run_sharded_rss_throughput(
     view_cache_size: Optional[int] = 4096,
     indexing: str = "eager",
 ) -> ApproachResult:
-    """Stream feed items through a :class:`~repro.runtime.ShardedBroker`.
+    """Stream feed items through a multi-shard :class:`~repro.pubsub.Broker`.
 
     Subscription registration is excluded from the timing; the streaming
     phase uses batched ingestion (``publish_many``), dispatching the stream
@@ -495,7 +495,7 @@ def run_sharded_rss_throughput(
     routing configuration is reported in ``extra``.
     """
     documents = list(documents)
-    broker = ShardedBroker(
+    broker = Broker(
         RuntimeConfig(
             engine=approach,
             view_cache_size=view_cache_size,
@@ -579,7 +579,7 @@ def run_parallel_topic_throughput(
     the routing counters (``pct_shards_skipped``).
     """
     documents = list(documents)
-    broker = ShardedBroker(
+    broker = Broker(
         RuntimeConfig(
             engine=approach,
             construct_outputs=False,

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.config import ENGINES, RuntimeConfig, coerce_config, metrics_enabled, resolve_ingest
+from repro.config import ENGINES, RuntimeConfig, as_config, metrics_enabled, resolve_ingest
 from repro.core.costs import CostBreakdown
 from repro.core.materialize import ViewCache
 from repro.metrics import MetricsRegistry
@@ -53,12 +53,12 @@ class EngineStats:
     costs: dict[str, float] = field(default_factory=dict)
     #: Column-store sync counters of the join state and ``RT`` relations
     #: (``rebuilds``, ``rows_encoded``, ``prefix_drops``, ``swap_deletes``,
-    #: ``group_builds``); the brokers report them as ``stats()["columnar"]``.
+    #: ``group_builds``); the broker reports them as ``stats()["columnar"]``.
     columnar: dict[str, int] = field(default_factory=dict)
     #: The processor's delta-reduction counters (``documents`` plus
     #: :attr:`DeltaContext.COUNTERS
-    #: <repro.relational.conjunctive.DeltaContext.COUNTERS>`); the brokers
-    #: report them as ``stats()["delta"]``.
+    #: <repro.relational.conjunctive.DeltaContext.COUNTERS>`); the broker
+    #: reports them as ``stats()["delta"]``.
     delta: dict[str, int] = field(default_factory=dict)
 
 
@@ -722,7 +722,7 @@ class _BaseEngine:
     def metrics_snapshot(self) -> Optional[dict]:
         """Snapshot of this engine's metrics registry (``None`` when disabled).
 
-        The brokers merge these with their own registries (and, in the
+        The broker merges these with its own registry (and, in the
         process runtime, with snapshots fetched from the workers) into
         ``broker.stats()["metrics"]``.
         """
@@ -770,9 +770,7 @@ class MMQJPEngine(_BaseEngine):
     config:
         A :class:`~repro.config.RuntimeConfig` carrying every knob
         (``indexing``, ``plan_cache``, ``prune_dispatch``, ``auto_prune``,
-        ``auto_timestamp``, ``store_documents``, ``view_cache_size``).  The
-        historical per-knob keywords are still accepted but emit a
-        :class:`DeprecationWarning`.
+        ``auto_timestamp``, ``store_documents``, ``view_cache_size``).
     use_view_materialization:
         Evaluate the per-template conjunctive queries over the materialized
         views ``RL`` / ``RR`` (Section 5) instead of the raw witness
@@ -784,9 +782,8 @@ class MMQJPEngine(_BaseEngine):
         self,
         config: Optional[RuntimeConfig] = None,
         use_view_materialization: Optional[bool] = None,
-        **legacy,
     ):
-        config = coerce_config(config, legacy, owner="MMQJPEngine")
+        config = as_config(config, "MMQJPEngine")
         if use_view_materialization is None:
             use_view_materialization = (
                 config.engine == "mmqjp-vm" or config.view_cache_size is not None
@@ -825,12 +822,12 @@ class MMQJPEngine(_BaseEngine):
 class SequentialEngine(_BaseEngine):
     """The baseline: per-query join evaluation behind the same interface.
 
-    Accepts a :class:`~repro.config.RuntimeConfig` (or the legacy knob
-    keywords, which warn) exactly like :class:`MMQJPEngine`.
+    Accepts a :class:`~repro.config.RuntimeConfig` exactly like
+    :class:`MMQJPEngine`.
     """
 
-    def __init__(self, config: Optional[RuntimeConfig] = None, **legacy):
-        config = coerce_config(config, legacy, owner="SequentialEngine")
+    def __init__(self, config: Optional[RuntimeConfig] = None):
+        config = as_config(config, "SequentialEngine")
         super().__init__(config)
         self.processor = SequentialJoinProcessor(
             state=JoinState(indexing=config.indexing),
@@ -854,7 +851,6 @@ def make_engine(
     engine: "str | RuntimeConfig | None" = None,
     config: Optional[RuntimeConfig] = None,
     store=None,
-    **legacy,
 ) -> _BaseEngine:
     """Construct an engine from a :class:`~repro.config.RuntimeConfig`.
 
@@ -862,14 +858,12 @@ def make_engine(
     ``make_engine("mmqjp-vm", config)`` to override the selection keyword —
     see :data:`ENGINES`): ``"mmqjp"`` is the paper's system, ``"mmqjp-vm"``
     adds the Section 5 view materialization (with an optional ``RL``-slice
-    cache), and ``"sequential"`` is the one-query-at-a-time baseline.  The
-    historical per-knob keywords (``indexing=``, ``plan_cache=``, ...) are
-    still accepted but emit a :class:`DeprecationWarning`.  This is the
-    single factory used by :class:`repro.pubsub.Broker` and by every shard
-    of :class:`repro.runtime.ShardedBroker`.
+    cache), and ``"sequential"`` is the one-query-at-a-time baseline.  This
+    is the single factory behind every shard of :class:`repro.pubsub.Broker`,
+    in process or in a worker.
 
     ``store`` optionally attaches a :class:`~repro.storage.StateStore` (the
-    brokers open one per engine when ``config.storage == "sqlite"``; each
+    broker opens one per engine when ``config.storage == "sqlite"``; each
     shard persists to its own database file, so the store cannot be derived
     from the shared config and is injected here instead).
     """
@@ -877,7 +871,7 @@ def make_engine(
         if config is not None:
             raise TypeError("pass either a RuntimeConfig or an engine name first, not two configs")
         config, engine = engine, None
-    config = coerce_config(config, legacy, owner="make_engine")
+    config = as_config(config, "make_engine")
     if engine is not None:
         config = config.replace(engine=engine)
     if config.engine == "mmqjp":

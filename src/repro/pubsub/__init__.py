@@ -3,10 +3,9 @@
 This is the user-facing face of the system: publishers push XML documents
 into named streams, subscribers register XSCL queries (simple single-block
 filters or inter-document join queries) and receive matches through
-callbacks.  Internally the broker delegates join queries to one of the Stage
-2 engines (:class:`~repro.core.engine.MMQJPEngine` by default); constructed
-with ``shards=N`` (N > 1) it transparently becomes a
-:class:`repro.runtime.ShardedBroker` running N engine shards in parallel.
+callbacks and sinks.  Internally the broker delegates join queries to one or
+more shards of a Stage 2 engine (:class:`~repro.core.engine.MMQJPEngine` by
+default), as ``RuntimeConfig(shards=N, executor=...)`` says.
 """
 
 from repro.pubsub.subscription import DEFAULT_RESULT_LIMIT, Subscription, SubscriptionResult

@@ -1,35 +1,70 @@
-"""The XML publish/subscribe broker.
+"""The XML publish/subscribe broker: one session class for every topology.
 
 The broker is the message-broker front end the paper's introduction
 motivates: it accepts subscriptions (XSCL queries) and incoming XML
 documents, and delivers matches to subscribers.
 
-* Join (inter-document) subscriptions are delegated to one of the Stage 2
-  engines — MMQJP by default, MMQJP with view materialization, or the
-  sequential baseline — selected through
-  :class:`~repro.config.RuntimeConfig`.
-* Simple single-block subscriptions (``SELECT * FROM blog`` or a lone query
-  block) are evaluated directly by the shared Stage 1 evaluator, like a
-  classic XPath pub/sub system.
+* **Join (inter-document) subscriptions** go to the Stage 2 engines — MMQJP
+  by default, MMQJP with view materialization, or the sequential baseline —
+  selected through :class:`~repro.config.RuntimeConfig`.  The broker drives
+  ``config.shards`` engine shards (:class:`~repro.runtime.shard.EngineShard`
+  in process, :class:`~repro.runtime.process.ProcessShardHandle` for
+  ``executor="processes"``) through a
+  :class:`~repro.runtime.executor.ShardExecutor`.
+* **Filter (single-block) subscriptions** (``SELECT * FROM blog`` or a lone
+  query block) are evaluated once, centrally, by the shared Stage 1
+  evaluator of :class:`~repro.pubsub.filters.FilterFrontEnd`, like a classic
+  XPath pub/sub system.
 
-The blessed construction path is :func:`repro.open_broker`, which routes to
-the sharded runtime when ``config.shards > 1``; constructing ``Broker``
-directly still works (and still reroutes on ``shards=N``, with a
-:class:`DeprecationWarning`).
+What differs by topology is derived from the config:
+
+* With **one in-process shard** there is nothing to place or route: no
+  partitioner, no router, no subscription → shard map; ``broker.engine`` is
+  that shard's engine, and a text publish can go straight into
+  ``engine.process_text`` without building a node tree (see
+  :meth:`Broker._text_fast_path`).
+* With **several shards**, subscriptions are placed by a
+  :class:`~repro.runtime.partition.Partitioner` that keeps all queries of
+  one template (same CQT) on the same shard, so the paper's template sharing
+  survives inside every shard; by default a
+  :class:`~repro.runtime.router.ShardRouter` dispatches each document only
+  to the shards hosting templates it can bind (``route_dispatch=False``
+  replicates to every shard; the match set is identical either way); and the
+  ``REPRO_EXECUTOR`` replay override applies.
+* With **process shards** each published document or batch is encoded once
+  and the same bytes go to every routed shard; matches return as compact
+  tuples re-materialized here, so callbacks and delivery sinks always fire
+  in the parent process.
+
+Whatever the topology, the broker stamps documents from one central clock
+before the fan-out (shard engines never auto-stamp, so every shard sees the
+same timestamps), and results are merged in shard order: matches are unioned
+(shards own disjoint query ids), statistics via
+:func:`repro.core.engine.merge_engine_stats`.
+
+The blessed construction path is :func:`repro.open_broker`.
 """
 
 from __future__ import annotations
 
-import warnings
+import pickle
+from itertools import chain
 from time import perf_counter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from repro.config import RuntimeConfig, coerce_config, metrics_enabled, resolve_ingest
-from repro.core.engine import ENGINES, make_engine
+from repro.config import RuntimeConfig, as_config, metrics_enabled, resolve_ingest
+from repro.core.engine import ENGINES, EngineStats, make_engine, merge_engine_stats
+from repro.core.results import Match
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.pubsub.filters import FilterFrontEnd, deliver_filter_matches
 from repro.pubsub.stream import StreamRegistry
 from repro.pubsub.subscription import Callback, Subscription, SubscriptionResult
+from repro.runtime.executor import executor_env_override, make_executor
+from repro.runtime.partition import make_partitioner
+from repro.runtime.process import ProcessShardHandle, ShardWorkerGroup
+from repro.runtime.router import ShardRouter
+from repro.runtime.shard import EngineShard
+from repro.runtime.wire import WireBuffer, encode_document_batch
 from repro.storage import SubscriptionRecord, open_member_store, resolve_storage
 from repro.storage.recovery import config_snapshot
 from repro.xmlmodel.document import XmlDocument
@@ -41,21 +76,6 @@ from repro.xscl.render import render_query
 __all__ = ["Broker", "ENGINES", "deliver_filter_matches"]
 
 
-def _peek_config(config, legacy: dict) -> Optional[RuntimeConfig]:
-    """Resolve the would-be config of a ``Broker(...)`` call.
-
-    Used by ``Broker.__new__`` to decide whether to reroute to the sharded
-    runtime; any legacy-kwarg :class:`DeprecationWarning` fires here (once)
-    and ``__init__`` reuses the resolved config.  Returns ``None`` when the
-    arguments are invalid — the real constructor raises the proper error.
-    """
-    try:
-        # stacklevel: coerce_config -> _peek_config -> __new__ -> caller
-        return coerce_config(config, legacy, owner="Broker", stacklevel=4)
-    except (TypeError, ValueError):
-        return None
-
-
 class Broker:
     """An XML publish/subscribe broker supporting inter-document join queries.
 
@@ -63,88 +83,147 @@ class Broker:
     ----------
     config:
         A :class:`~repro.config.RuntimeConfig` (or an engine-name string as
-        shorthand for ``RuntimeConfig(engine=...)``).  The historical
-        per-knob keyword arguments (``engine=``, ``indexing=``,
-        ``construct_outputs=``, ...) are still accepted and construct
-        identical behavior, but emit a :class:`DeprecationWarning`.
-
-    Constructing ``Broker`` with ``shards > 1`` (via config or the legacy
-    keyword) returns a :class:`repro.runtime.ShardedBroker` instead, with a
-    :class:`DeprecationWarning` — use :func:`repro.open_broker`, which makes
-    the broker flavor an implementation detail.
+        shorthand for ``RuntimeConfig(engine=...)``).  ``shards``,
+        ``partitioner``, ``executor``, ``max_workers`` and ``route_dispatch``
+        select the runtime topology; the remaining fields configure every
+        shard engine identically.
     """
 
-    def __new__(cls, config: Union[RuntimeConfig, str, None] = None, **legacy):
-        if cls is Broker:
-            resolved = _peek_config(config, legacy)
-            if resolved is not None:
-                if resolved.shards > 1:
-                    warnings.warn(
-                        "Broker(shards=N) is deprecated; use repro.open_broker("
-                        "RuntimeConfig(shards=N)) — the façade routes to the "
-                        "sharded runtime explicitly",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                    from repro.runtime.sharded_broker import ShardedBroker
-
-                    return ShardedBroker(resolved)
-                instance = super().__new__(cls)
-                instance._resolved_config = resolved
-                return instance
-        return super().__new__(cls)
-
-    def __init__(self, config: Union[RuntimeConfig, str, None] = None, **legacy):
-        resolved = self.__dict__.pop("_resolved_config", None)
-        config = (
-            resolved
-            if resolved is not None
-            else coerce_config(config, legacy, owner="Broker")
-        )
-        if config.shards > 1:
-            # Only reachable when __new__ did not reroute to the sharded
-            # runtime (i.e. from a Broker subclass): refuse rather than
-            # silently running everything on one engine.
-            raise ValueError(
-                f"{type(self).__name__} cannot honor shards={config.shards}; construct "
-                "repro.runtime.ShardedBroker (or use repro.open_broker) instead"
-            )
+    def __init__(self, config: Union[RuntimeConfig, str, None] = None):
+        config = as_config(config, "Broker")
         config.validate_outputs()
         self.config = config
         self.engine_name = config.engine
-        # Durable storage: "memory" attaches nothing anywhere; "sqlite"
-        # opens one registry store for the broker and one state store for
-        # the engine (the single "shard" of the unsharded topology, so the
-        # on-disk layout matches ShardedBroker's and recovery is uniform).
+        self.construct_outputs = config.construct_outputs
+        self.auto_timestamp = config.auto_timestamp
+        self._ingest = resolve_ingest(config)
+        # The broker stamps documents centrally (one clock for all shards)
+        # so that every shard sees identical timestamps; per-engine
+        # auto-stamping would let shard clocks drift on streams mixing
+        # stamped and unstamped documents.
+        shard_config = config.replace(
+            auto_timestamp=False, store_documents=config.resolve_store_documents()
+        )
+        # Durable storage: one registry store for the broker plus one state
+        # store per shard ("memory" attaches nothing anywhere).
         self.storage, self.storage_path = resolve_storage(config)
         self._store = open_member_store(
             self.storage, self.storage_path, "broker", config.durability
         )
-        self.engine = make_engine(
-            config=config,
-            store=open_member_store(
-                self.storage, self.storage_path, "shard-0", config.durability
-            ),
+        sharded = config.is_sharded
+        self._executor = make_executor(
+            executor_env_override(config.executor) if sharded else config.executor,
+            max_workers=config.max_workers,
+            num_shards=config.shards,
         )
-        self.construct_outputs = config.construct_outputs
-        self._ingest = resolve_ingest(config)
+        self._worker_groups: list[ShardWorkerGroup] = []
+        # Encode-once transport (process runtime only): each published
+        # document/batch is serialized exactly once into the reusable wire
+        # buffer and the same bytes go to every routed shard, so transport
+        # cost is O(bytes), not O(shards x pickle).
+        self._wire_enabled = self._executor.name == "processes"
+        self._wire_buffer = WireBuffer()
+        self._transport = {
+            "encodes": 0,
+            "documents_encoded": 0,
+            "encode_ms": 0.0,
+            "wire_bytes": 0,
+            "shard_sends": 0,
+            "shipped_bytes": 0,
+        }
+        if self._wire_enabled:
+            self.shards = self._spawn_process_shards(shard_config)
+        else:
+            self.shards = [
+                EngineShard(
+                    shard_id,
+                    make_engine(
+                        shard_config,
+                        store=open_member_store(
+                            self.storage,
+                            self.storage_path,
+                            f"shard-{shard_id}",
+                            config.durability,
+                        ),
+                    ),
+                )
+                for shard_id in range(config.shards)
+            ]
+            # Lazy match materialization: a join match whose subscription
+            # is missing, cancelled or paused is dropped by _deliver_matches
+            # anyway, so the processors skip building the Match object at
+            # all (such matches never count toward num_matches).
+            for shard in self.shards:
+                shard.engine.set_match_filter(self._match_deliverable)
+        #: The engine of the one in-process shard; ``None`` in any other topology.
+        self.engine = None if sharded or self._wire_enabled else self.shards[0].engine
+        self._partitioner = (
+            make_partitioner(config.partitioner, config.shards) if sharded else None
+        )
+        self._router = ShardRouter() if sharded and config.route_dispatch else None
+        self._shard_of: Optional[dict[str, Union[EngineShard, ProcessShardHandle]]] = (
+            {} if sharded else None
+        )
         self.streams = StreamRegistry(history_size=config.stream_history)
         self._subscriptions: dict[str, Subscription] = {}
-        # Lazy match materialization: a join match whose subscription is
-        # missing, cancelled or paused is dropped by _deliver_matches
-        # anyway, so the processor skips building the Match object at all
-        # (such matches consequently never count toward num_matches).
-        self.engine.set_match_filter(self._match_deliverable)
         self._filters = FilterFrontEnd()
         self._sub_counter = 1
         self._reg_seq = 0
+        self._clock_value = 0
+        self._num_published = 0
         self._closed = False
         # Observability (RuntimeConfig.metrics / REPRO_METRICS): the broker
-        # registry holds publish latency and delivery lag; the engine keeps
-        # its own per-stage registry and both merge in stats()["metrics"].
+        # registry holds publish latency and delivery lag; each shard engine
+        # keeps its own per-stage registry (in its worker process, for the
+        # "processes" runtime) and all of them merge in stats()["metrics"].
         self.metrics = MetricsRegistry() if metrics_enabled(config) else None
         if self._store is not None:
             self._store.set_meta("config", config_snapshot(config))
+
+    def _spawn_process_shards(self, shard_config: RuntimeConfig) -> list[ProcessShardHandle]:
+        """Start the worker processes and return one handle per shard.
+
+        The worker engines are built from the pickled shard config
+        (executor and partitioner are broker-level concerns, so they are
+        normalized to plain keywords first); shards are assigned to
+        ``min(shards, max_workers)`` workers round-robin.
+        """
+        worker_config = shard_config.replace(executor="serial", partitioner="hash")
+        try:
+            config_bytes = pickle.dumps(worker_config)
+        except Exception as exc:
+            raise ValueError(
+                "executor='processes' builds the shard engines in worker "
+                "processes, which requires a picklable RuntimeConfig; "
+                f"this one does not pickle: {exc}"
+            ) from exc
+        num_shards = shard_config.shards
+        num_workers = min(num_shards, shard_config.max_workers or num_shards)
+        assignments = [
+            [s for s in range(num_shards) if s % num_workers == w]
+            for w in range(num_workers)
+        ]
+        group_of: dict[int, ShardWorkerGroup] = {}
+        try:
+            for shard_ids in assignments:
+                group = ShardWorkerGroup(
+                    config_bytes,
+                    shard_ids,
+                    self.storage,
+                    self.storage_path,
+                    shard_config.durability,
+                )
+                self._worker_groups.append(group)
+                for shard_id in shard_ids:
+                    group_of[shard_id] = group
+        except BaseException:
+            for group in self._worker_groups:
+                group.close()
+            raise
+        return [
+            ProcessShardHandle(shard_id, group_of[shard_id])
+            for shard_id in range(num_shards)
+        ]
 
     def _match_deliverable(self, qid: str) -> bool:
         """Whether matches of ``qid`` could currently be delivered."""
@@ -164,15 +243,61 @@ class Broker:
     ) -> Subscription:
         """Register a subscription and return its :class:`Subscription` handle.
 
-        ``sink`` attaches a :class:`~repro.pubsub.sinks.DeliverySink`
-        receiving every result (in addition to the legacy bounded
-        ``results`` collection and the optional ``callback``).
+        Join subscriptions are placed on one engine shard (by the
+        partitioner, and indexed by the fan-out router, when there is more
+        than one); filter subscriptions stay on the broker's shared
+        front-end evaluator.  ``sink`` attaches a
+        :class:`~repro.pubsub.sinks.DeliverySink` receiving every result (in
+        addition to the legacy bounded ``results`` collection and the
+        optional ``callback``).
         """
         if isinstance(query, str):
             query = parse_query(query, window_symbols=window_symbols)
-        sid = subscription_id if subscription_id is not None else self._next_sid()
-        if sid in self._subscriptions:
-            raise ValueError(f"subscription id {sid!r} already exists")
+        if subscription_id is None:
+            subscription_id = f"sub{self._sub_counter}"
+            self._sub_counter += 1
+        if subscription_id in self._subscriptions:
+            raise ValueError(f"subscription id {subscription_id!r} already exists")
+        subscription = self._register(subscription_id, query, callback, sink)
+        if self._store is not None:
+            # The query is persisted as rendered text (windows numeric, so
+            # no window-symbol table is needed to replay it); ``seq``
+            # preserves the registration order recovery replays in.
+            self._reg_seq += 1
+            self._store.save_subscription(
+                SubscriptionRecord(
+                    seq=self._reg_seq,
+                    subscription_id=subscription_id,
+                    query_text=render_query(query),
+                    kind="join" if query.is_join_query else "filter",
+                    shard=self.shard_of(subscription_id),
+                )
+            )
+            self._store.set_meta("sub_counter", self._sub_counter)
+        return subscription
+
+    def _register(
+        self,
+        sid: str,
+        query: XsclQuery,
+        callback: Optional[Callback] = None,
+        sink=None,
+        recorded_shard: Optional[int] = None,
+    ) -> Subscription:
+        """Create one subscription and register it where it is evaluated.
+
+        The one registration path of live ``subscribe`` and of recovery
+        replay, so engine templates, Stage 1 registrations, plans,
+        relevance postings and the router rebuild exactly as they were
+        built.  Replay passes the ``recorded_shard``: each shard's persisted
+        join state reflects the queries it owned, so a join subscription
+        must return to its recorded placement rather than re-run the
+        partitioner (a load-sensitive strategy could choose differently
+        after churn); the partitioner's template map and load accounting
+        are restored alongside, so later placements stay cohesive.
+        Callbacks and sinks are process-local and cannot be recovered;
+        subscribers re-attach via ``broker.subscription(sid)``.
+        """
         subscription = Subscription(
             subscription_id=sid,
             query=query,
@@ -180,71 +305,35 @@ class Broker:
             sink=sink,
             result_limit=self.config.result_limit,
         )
-
-        if query.is_join_query:
-            self.engine.register_query(query, qid=sid)
-        else:
+        if not query.is_join_query:
             self._filters.register(sid, subscription)
-        self._subscriptions[sid] = subscription
-        subscription._retract = self.cancel
-        if self._store is not None:
-            self._persist_subscription(sid, query)
-        return subscription
-
-    def _next_sid(self) -> str:
-        sid = f"sub{self._sub_counter}"
-        self._sub_counter += 1
-        return sid
-
-    def _persist_subscription(self, sid: str, query: XsclQuery) -> None:
-        """Record one registration in the durable registry.
-
-        The query is persisted as rendered text (windows numeric, so no
-        window-symbol table is needed to replay it); ``seq`` preserves the
-        broker-wide registration order recovery replays in.
-        """
-        self._reg_seq += 1
-        self._store.save_subscription(
-            SubscriptionRecord(
-                seq=self._reg_seq,
-                subscription_id=sid,
-                query_text=render_query(query),
-                kind="join" if query.is_join_query else "filter",
-                shard=None,
-            )
-        )
-        self._store.set_meta("sub_counter", self._sub_counter)
-
-    def _restore_subscription(self, record: SubscriptionRecord, query: XsclQuery) -> Subscription:
-        """Re-register one persisted subscription (recovery replay path).
-
-        Runs the live registration code path — engine templates, Stage 1
-        registrations, plans and relevance postings rebuild exactly as they
-        would on a fresh ``subscribe`` — but skips re-persisting the record.
-        Callbacks and sinks are process-local and cannot be recovered;
-        subscribers re-attach via ``broker.subscription(sid)``.
-        """
-        subscription = Subscription(
-            subscription_id=record.subscription_id,
-            query=query,
-            result_limit=self.config.result_limit,
-        )
-        if query.is_join_query:
-            self.engine.register_query(query, qid=record.subscription_id)
+        elif self._partitioner is None:
+            self.shards[0].register(sid, query)
         else:
-            self._filters.register(record.subscription_id, subscription)
-        self._subscriptions[record.subscription_id] = subscription
+            if recorded_shard is None:
+                shard_id = self._partitioner.shard_for(query)
+            else:
+                self._partitioner.restore_assignment(query, recorded_shard)
+                shard_id = recorded_shard
+            shard = self.shards[shard_id]
+            shard.register(sid, query)
+            self._shard_of[sid] = shard
+            if self._router is not None:
+                self._router.register(sid, query, shard_id)
+        self._subscriptions[sid] = subscription
         subscription._retract = self.cancel
         return subscription
 
     def cancel(self, subscription_id: str) -> bool:
         """Retract a subscription: deregister its query and reclaim state.
 
-        Join subscriptions are deregistered from the engine (template
-        ``RT`` tuple, relevance postings, compiled plans and reclaimable
-        join-state rows included — see
-        :meth:`repro.core.engine._BaseEngine.deregister_query`); filter
-        subscriptions release their pattern registrations.  The
+        Join subscriptions are deregistered from the owning shard's engine
+        (template ``RT`` tuple, relevance postings, compiled plans and
+        reclaimable join-state rows included — see
+        :meth:`repro.core.engine._BaseEngine.deregister_query`), the
+        router's postings disappear (so retracted templates stop attracting
+        documents) and the partitioner's load accounting is released;
+        filter subscriptions release their pattern registrations.  The
         subscription handle is kept (cancelled) so its id is never silently
         reused; its sinks are flushed and closed.  Returns ``True`` if this
         call performed the cancellation.
@@ -253,7 +342,14 @@ class Broker:
         if subscription is None or subscription.cancelled:
             return False
         if not self._filters.cancel(subscription_id):
-            self.engine.deregister_query(subscription_id)
+            if self._partitioner is None:
+                self.shards[0].deregister(subscription_id)
+            else:
+                shard = self._shard_of.pop(subscription_id)
+                shard.deregister(subscription_id)
+                self._partitioner.release(shard.shard_id)
+                if self._router is not None:
+                    self._router.cancel(subscription_id)
         subscription._mark_cancelled()
         if self._store is not None:
             self._store.remove_subscription(subscription_id)
@@ -283,16 +379,42 @@ class Broker:
         """All subscriptions (cancelled ones included), in registration order."""
         return list(self._subscriptions.values())
 
+    @property
+    def num_shards(self) -> int:
+        """Number of engine shards."""
+        return len(self.shards)
+
+    def shard_of(self, subscription_id: str) -> Optional[int]:
+        """The shard id owning a live join subscription (``None`` otherwise)."""
+        if self._shard_of is not None:
+            shard = self._shard_of.get(subscription_id)
+            return shard.shard_id if shard is not None else None
+        subscription = self._subscriptions.get(subscription_id)
+        live_join = (
+            subscription is not None
+            and not subscription.cancelled
+            and subscription.is_join_subscription
+        )
+        return 0 if live_join else None
+
     # ------------------------------------------------------------------ #
     # publishing
     # ------------------------------------------------------------------ #
+    def _stamp(self, timestamp: float) -> float:
+        """Count one published document; draw on the central clock if unstamped."""
+        self._num_published += 1
+        if self.auto_timestamp and timestamp == 0.0:
+            self._clock_value += 1
+            return float(self._clock_value)
+        return timestamp
+
     def _prepare(
         self,
         document: Union[str, XmlDocument],
         timestamp: Optional[float],
         stream: Optional[str],
     ) -> XmlDocument:
-        """Parse one incoming document and record it on its stream."""
+        """Parse and stamp one incoming document and record it on its stream."""
         if isinstance(document, str):
             document = parse_document(document)
         if self.metrics is not None:
@@ -301,12 +423,96 @@ class Broker:
             document.stream = stream
         if timestamp is not None:
             document.timestamp = float(timestamp)
+        document.timestamp = self._stamp(document.timestamp)
         self.streams.get_or_create(document.stream).record(document)
         return document
 
+    def _persist_clock(self) -> None:
+        """Persist the central clock: one meta write per publish call.
+
+        Stamps must keep increasing across a restart — a recovered clock
+        behind the persisted state would assign duplicate timestamps and
+        break window semantics.
+        """
+        if self._store is not None:
+            self._store.set_meta("clock", [self._clock_value, self._num_published])
+
+    def _dispatch_targets(self, document: XmlDocument, candidates: list) -> list:
+        """The shards one document must reach (routing, when enabled).
+
+        ``candidates`` are the shards with at least one subscription (an
+        empty shard skips processing regardless — Stage 1 witnesses are
+        computed at arrival time, so a document processed before a query
+        registers can never join with it, and would only accumulate dead
+        ``RdocTS`` state).
+        """
+        if self._router is None:
+            return candidates
+        relevant = self._router.route(document)
+        targets = [shard for shard in candidates if shard.shard_id in relevant]
+        self._router.account(len(targets), len(candidates))
+        return targets
+
+    def _dispatch(self, assignments: list, batch: Sequence[XmlDocument], method: str) -> list:
+        """Run ``process_one`` / ``process_batch`` once per assigned shard.
+
+        ``assignments`` pairs each target shard with its document selection
+        (indices into ``batch``, or ``None`` for all); results come back in
+        assignment order.  Process shards get the batch as one encoded
+        payload: encoded once, the same bytes fanned out to every shard,
+        through a view into the reusable wire buffer that is released once
+        every send has been written.
+        """
+        if not assignments:
+            return []
+        if not self._wire_enabled:
+            if method == "process_one":
+                calls = [(shard, method, (batch[0],)) for shard, _ in assignments]
+            else:
+                calls = [
+                    (shard, method, (batch if indices is None else [batch[i] for i in indices],))
+                    for shard, indices in assignments
+                ]
+            return self._executor.invoke(calls)
+        method = "wire_one" if method == "process_one" else "wire_batch"
+        transport = self._transport
+        start = perf_counter()
+        payload = self._wire_buffer.pack(encode_document_batch(batch))
+        transport["encodes"] += 1
+        transport["documents_encoded"] += len(batch)
+        transport["encode_ms"] += (perf_counter() - start) * 1000.0
+        transport["wire_bytes"] += len(payload)
+        transport["shard_sends"] += len(assignments)
+        transport["shipped_bytes"] += len(payload) * len(assignments)
+        try:
+            return self._executor.invoke(
+                [(shard, method, (indices, payload)) for shard, indices in assignments]
+            )
+        finally:
+            payload.release()
+
+    def _deliver_document(
+        self,
+        document: XmlDocument,
+        matches: Iterable[Match],
+        deliveries: list[SubscriptionResult],
+        subscription_of: dict,
+    ) -> None:
+        """Deliver one document's filter results, then its join matches."""
+        filter_results = self._filters.deliver(document)
+        deliveries.extend(filter_results)
+        stamp = None
+        if self.metrics is not None:
+            stamp = document.publish_stamp
+            if filter_results:
+                now = perf_counter()
+                for result in filter_results:
+                    self.metrics.record_delivery_lag(result.subscription_id, now - stamp)
+        self._deliver_matches(matches, deliveries, subscription_of, stamp)
+
     def _deliver_matches(
         self,
-        matches,
+        matches: Iterable[Match],
         deliveries: list[SubscriptionResult],
         subscription_of: dict,
         publish_stamp: Optional[float] = None,
@@ -318,8 +524,9 @@ class Broker:
         without re-consulting the registry.  Activity is still checked per
         match — a delivery callback may pause or cancel mid-batch.
         ``publish_stamp`` (metrics mode) is the triggering document's
-        publish timestamp; delivery lag is recorded against it after each
-        sink delivery.
+        publish timestamp; matches decoded from a worker process carry the
+        stamp the parent put on the outbound document instead.  Delivery
+        lag is recorded against it after each sink delivery.
         """
         metrics = self.metrics
         for match in matches:
@@ -334,9 +541,7 @@ class Broker:
                     continue
             if not subscription.active:
                 continue
-            output = None
-            if self.construct_outputs:
-                output = self.engine.output_document(match)
+            output = self.output_document(match) if self.construct_outputs else None
             result = SubscriptionResult(
                 subscription_id=qid, match=match, output=output
             )
@@ -347,28 +552,24 @@ class Broker:
                 if stamp is not None:
                     metrics.record_delivery_lag(qid, perf_counter() - stamp)
 
-    def _record_filter_lag(self, results: list[SubscriptionResult], stamp) -> None:
-        """Record delivery lag for one document's filter-path deliveries."""
-        if stamp is None or not results:
-            return
-        now = perf_counter()
-        for result in results:
-            self.metrics.record_delivery_lag(result.subscription_id, now - stamp)
-
     def _text_fast_path(self) -> bool:
         """Whether a text publish can skip tree construction end to end.
 
-        Beyond the engine-side conditions (``ingest="stream"``, no stored
-        documents, no durable store) the broker itself must not need the
-        document object: no single-block filter subscriptions to match
-        against the tree, and no stream history to append it to.
+        Only one in-process shard can take raw text (there is no fan-out to
+        route or encode a document for).  Beyond the engine-side conditions
+        (``ingest="stream"``, no stored documents, no durable store) the
+        broker itself must not need the document object: no single-block
+        filter subscriptions to match against the tree, and no stream
+        history to append it to.
         """
+        engine = self.engine
         return (
-            self._ingest == "stream"
+            engine is not None
+            and self._ingest == "stream"
             and self._filters.num_subscriptions == 0
             and self.config.stream_history == 0
-            and self.engine.store is None
-            and not self.engine.store_documents
+            and engine.store is None
+            and not engine.store_documents
         )
 
     def _publish_text(
@@ -377,26 +578,18 @@ class Broker:
         timestamp: Optional[float],
         stream: Optional[str],
     ) -> list[SubscriptionResult]:
-        """The streaming twin of :meth:`publish` for raw-text documents.
-
-        Stream stats are recorded with the pre-engine timestamp (0.0 when
-        none was given, exactly what :meth:`_prepare` leaves on a fresh
-        parse), and the engine applies its usual auto-timestamping.
-        """
+        """The streaming twin of :meth:`publish` for raw-text documents."""
         name = stream if stream is not None else "S"
         metrics = self.metrics
-        stamp = perf_counter() if metrics is not None else None
-        pre_ts = float(timestamp) if timestamp is not None else 0.0
-        self.streams.get_or_create(name).record_stamp(pre_ts)
-        matches = self.engine.process_text(
-            text, timestamp=(pre_ts if pre_ts != 0.0 else None), stream=name
-        )
+        publish_stamp = perf_counter() if metrics is not None else None
+        stamped = self._stamp(float(timestamp) if timestamp is not None else 0.0)
+        self.streams.get_or_create(name).record_stamp(stamped)
         deliveries: list[SubscriptionResult] = []
-        if metrics is None:
-            self._deliver_matches(matches, deliveries, {})
-        else:
-            self._deliver_matches(matches, deliveries, {}, stamp)
-            metrics.histogram("publish_latency").record(perf_counter() - stamp)
+        if self.shards[0].num_queries:
+            matches = self.engine.process_text(text, timestamp=stamped, stream=name)
+            self._deliver_matches(matches, deliveries, {}, publish_stamp)
+        if metrics is not None:
+            metrics.histogram("publish_latency").record(perf_counter() - publish_stamp)
             metrics.counter("documents_published").inc()
             metrics.counter("results_delivered").inc(len(deliveries))
         return deliveries
@@ -409,24 +602,29 @@ class Broker:
     ) -> list[SubscriptionResult]:
         """Publish one document and deliver all resulting matches.
 
-        Returns the deliveries made for this document (also pushed to the
-        subscriber sinks).
+        The direct single-document path: one ``process_one`` task per
+        routed shard, skipping the batch assembly, per-batch hooks and
+        per-document result nesting that :meth:`publish_many` pays — the
+        latency path for interactive publishes, while high-rate streams
+        should batch through :meth:`publish_many`.  Returns the deliveries
+        made for this document (also pushed to the subscriber sinks).
         """
         if isinstance(document, str) and self._text_fast_path():
             return self._publish_text(document, timestamp, stream)
         document = self._prepare(document, timestamp, stream)
+        self._persist_clock()
+        candidates = [shard for shard in self.shards if shard.num_queries]
+        targets = self._dispatch_targets(document, candidates)
+        per_shard = self._dispatch(
+            [(shard, None) for shard in targets], [document], "process_one"
+        )
         deliveries: list[SubscriptionResult] = []
-        filter_results = self._filters.deliver(document)
-        deliveries.extend(filter_results)
-        matches = self.engine.process_document(document)
+        self._deliver_document(document, chain.from_iterable(per_shard), deliveries, {})
         metrics = self.metrics
-        if metrics is None:
-            self._deliver_matches(matches, deliveries, {})
-        else:
-            stamp = document.publish_stamp
-            self._record_filter_lag(filter_results, stamp)
-            self._deliver_matches(matches, deliveries, {}, stamp)
-            metrics.histogram("publish_latency").record(perf_counter() - stamp)
+        if metrics is not None:
+            metrics.histogram("publish_latency").record(
+                perf_counter() - document.publish_stamp
+            )
             metrics.counter("documents_published").inc()
             metrics.counter("results_delivered").inc(len(deliveries))
         return deliveries
@@ -453,17 +651,20 @@ class Broker:
         timestamp: Optional[float] = None,
         stream: Optional[str] = None,
     ) -> list[SubscriptionResult]:
-        """Publish a batch of documents; returns all deliveries.
+        """Publish a batch of documents with one fan-out per shard.
 
-        The batched ingestion fast path: the whole batch is parsed, stamped
-        and stream-recorded up front, the engine processes it through
+        The batched ingestion fast path: the whole batch is prepared
+        (parsed, stamped, recorded on its streams) up front and routed per
+        document into per-shard sub-batches; each shard then processes its
+        sub-batch in one task through
         :meth:`~repro.core.engine._BaseEngine.process_batch` (which hoists
-        the relevance-index sync and docid interning out of the per-document
-        loop), and deliveries reuse one qid → subscription cache for the
-        whole batch.  Deliveries fire once the whole batch has been
-        processed, grouped per document in arrival order (a document's
-        filter deliveries, then its join matches) — and every result still
-        flows through the subscription's sinks, so a
+        the relevance-index sync and docid interning out of the
+        per-document loop), so the per-document dispatch overhead is paid
+        once per batch per shard.  Deliveries fire once the whole batch has
+        been processed, grouped per document in arrival order (a document's
+        filter deliveries, then its join matches in shard order), and reuse
+        one qid → subscription cache for the whole batch — every result
+        still flows through the subscription's sinks, so a
         :class:`~repro.pubsub.sinks.BatchingSink` naturally fills and
         flushes across the batch.  Use :meth:`publish_stream` when
         per-document interleaving of processing and delivery matters.
@@ -471,20 +672,38 @@ class Broker:
         batch = [self._prepare(document, timestamp, stream) for document in documents]
         if not batch:
             return []
-        per_document = self.engine.process_batch(batch)
+        self._persist_clock()
+
+        candidates = [shard for shard in self.shards if shard.num_queries]
+        if self._router is None:
+            assignments = [(shard, None) for shard in candidates]
+        else:
+            indices: dict[int, list[int]] = {
+                shard.shard_id: [] for shard in candidates
+            }
+            for index, document in enumerate(batch):
+                for shard in self._dispatch_targets(document, candidates):
+                    indices[shard.shard_id].append(index)
+            assignments = [
+                (shard, None if len(routed) == len(batch) else routed)
+                for shard in candidates
+                if (routed := indices[shard.shard_id])
+            ]
+        per_call = self._dispatch(assignments, batch, "process_batch")
+
+        # Scatter the per-sub-batch results back to per-document, keeping
+        # shard order within each document (``assignments`` iterates
+        # ``candidates``, which preserves shard order).
+        matches_by_doc: list[list[Match]] = [[] for _ in batch]
+        for (shard, routed), rows in zip(assignments, per_call):
+            for index, matches in zip(range(len(batch)) if routed is None else routed, rows):
+                matches_by_doc[index].extend(matches)
+
         deliveries: list[SubscriptionResult] = []
         subscription_of: dict = {}
+        for document, matches in zip(batch, matches_by_doc):
+            self._deliver_document(document, matches, deliveries, subscription_of)
         metrics = self.metrics
-        for document, matches in zip(batch, per_document):
-            filter_results = self._filters.deliver(document)
-            deliveries.extend(filter_results)
-            if metrics is None:
-                self._deliver_matches(matches, deliveries, subscription_of)
-            else:
-                self._record_filter_lag(filter_results, document.publish_stamp)
-                self._deliver_matches(
-                    matches, deliveries, subscription_of, document.publish_stamp
-                )
         if metrics is not None:
             metrics.histogram("publish_batch_latency").record(
                 perf_counter() - batch[0].publish_stamp
@@ -493,59 +712,126 @@ class Broker:
             metrics.counter("results_delivered").inc(len(deliveries))
         return deliveries
 
+    def output_document(self, match: Match) -> XmlDocument:
+        """Construct the output XML document of a match (on its owning shard)."""
+        if self._shard_of is None:
+            return self.shards[0].output_document(match)
+        shard = self._shard_of.get(match.qid)
+        if shard is None:
+            raise KeyError(f"no shard owns query id {match.qid!r}")
+        return shard.output_document(match)
+
     # ------------------------------------------------------------------ #
     # state management and stats
     # ------------------------------------------------------------------ #
     def prune(self, min_timestamp: float) -> int:
-        """Prune join state older than ``min_timestamp``; returns documents removed."""
-        return self.engine.prune(min_timestamp)
+        """Prune every shard's join state; returns total documents removed.
+
+        (Per shard, not distinct documents: a document surviving on one
+        shard and removed on another counts once.)
+        """
+        return sum(shard.prune(min_timestamp) for shard in self.shards)
+
+    def merged_engine_stats(self) -> EngineStats:
+        """All shards' engine statistics merged into one."""
+        return merge_engine_stats([shard.stats() for shard in self.shards])
+
+    def transport_stats(self) -> dict:
+        """Encode-once transport counters (broker side + merged workers).
+
+        Broker side: ``encodes`` / ``documents_encoded`` / ``encode_ms``
+        count each batch's single serialization, ``wire_bytes`` the encoded
+        payload bytes, and ``shard_sends`` / ``shipped_bytes`` the fan-out
+        (same bytes written once per routed shard).  Worker side (summed
+        across workers, like ``stats()["routing"]``): ``payload_loads`` /
+        ``payload_bytes`` count received frames and ``decodes`` /
+        ``decode_ms`` the actual decodes — fewer than the loads whenever
+        co-hosted shards shared one payload.  All zero outside the process
+        runtime.
+        """
+        merged = dict(self._transport)
+        merged.update(
+            {"decodes": 0, "decode_ms": 0.0, "payload_loads": 0, "payload_bytes": 0}
+        )
+        for group in self._worker_groups:
+            worker = group.call(group.shard_ids[0], "transport")
+            for key, value in worker.items():
+                merged[key] += value
+        merged["encode_ms"] = round(merged["encode_ms"], 3)
+        merged["decode_ms"] = round(merged["decode_ms"], 3)
+        return merged
 
     def stats(self) -> dict:
-        """Broker-level statistics: per-stream counts alongside engine stats."""
-        stream_counts = self.streams.stats()
-        engine_stats = self.engine.stats()
+        """Broker statistics: one key set whatever the topology.
+
+        Streams, subscriptions, routing, transport, merged and per-shard
+        engine statistics.  With one shard ``routing`` and ``partition``
+        are ``None`` (nothing is routed or placed) and ``per_shard`` has
+        one entry; outside the process runtime ``workers`` is ``None`` and
+        ``transport`` is all zero.  ``engine_stats["num_matches"]`` counts
+        materialized matches: in-process shards never build a match for a
+        paused or cancelled subscription, while process shards still
+        materialize it and the parent drops it (the deliverability callable
+        cannot cross the pipe).
+        """
+        per_shard = [shard.stats() for shard in self.shards]
+        merged = merge_engine_stats(per_shard)
         return {
             "engine": self.engine_name,
-            "indexing": self.engine.indexing,
+            "indexing": self.config.indexing,
             "storage": self.storage,
-            "streams": stream_counts,
+            "shards": self.num_shards,
+            "executor": self._executor.name,
+            "workers": len(self._worker_groups) or None,
+            "streams": self.streams.stats(),
             "num_subscriptions": len(self._subscriptions),
             "num_filter_subscriptions": self._filters.num_subscriptions,
             "num_cancelled_subscriptions": sum(
                 1 for s in self._subscriptions.values() if s.cancelled
             ),
-            "num_documents_published": sum(stream_counts.values()),
-            "columnar": engine_stats.columnar,
-            "delta": engine_stats.delta,
-            "engine_stats": engine_stats.__dict__,
+            "num_documents_published": self._num_published,
+            "routing": self._router.stats() if self._router is not None else None,
+            "transport": self.transport_stats(),
+            "columnar": merged.columnar,
+            "delta": merged.delta,
+            "engine_stats": merged.__dict__,
+            "per_shard": [
+                {"shard": shard.shard_id, **stats.__dict__}
+                for shard, stats in zip(self.shards, per_shard)
+            ],
+            "partition": (
+                self._partitioner.stats() if self._partitioner is not None else None
+            ),
             "metrics": self.metrics_snapshot(),
         }
 
     def metrics_snapshot(self) -> Optional[dict]:
-        """Merged metrics snapshot (broker + engine), or ``None`` when disabled.
+        """Merged metrics snapshot (broker + every shard), or ``None`` when off.
 
         Broker-side series: ``publish_latency`` / ``publish_batch_latency``
         histograms (publish-call wall time), the ``delivery_lag`` histogram
         plus per-subscription lag tracking, and the ``documents_published``
         / ``results_delivered`` counters.  Engine-side series: ``stage:*``
-        histograms (one per measured pipeline stage).
+        histograms (one per measured pipeline stage); in the
+        ``"processes"`` runtime each shard's snapshot is fetched from its
+        worker over the control pipe.
         """
         if self.metrics is None:
             return None
-        return merge_snapshots(
-            [self.metrics.snapshot(), self.engine.metrics_snapshot()]
-        )
+        snapshots = [self.metrics.snapshot()]
+        snapshots.extend(shard.metrics_snapshot() for shard in self.shards)
+        return merge_snapshots(snapshots)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """End the session (idempotent): close sinks, flush and close the stores.
+        """End the session (idempotent): sinks, shards, workers, registry, executor.
 
-        Every subscription's sinks are flushed and closed — a
+        Every subscription's sinks are flushed and closed (a
         :class:`~repro.pubsub.sinks.BatchingSink` holding a partial batch
-        delivers it here.  One sink raising does not prevent the remaining
-        subscriptions, the engine or the stores from closing; the first
+        delivers it here); one sink raising does not prevent the remaining
+        subscriptions, shards, workers or stores from closing — the first
         error is re-raised once cleanup completes.
         """
         if self._closed:
@@ -558,9 +844,13 @@ class Broker:
             except BaseException as exc:  # noqa: BLE001 - must keep closing
                 if first_error is None:
                     first_error = exc
-        self.engine.close()
+        for shard in self.shards:
+            shard.close()
+        for group in self._worker_groups:
+            group.close()
         if self._store is not None:
             self._store.close()
+        self._executor.close()
         if first_error is not None:
             raise first_error
 
@@ -572,6 +862,7 @@ class Broker:
 
     def __repr__(self) -> str:
         return (
-            f"<Broker engine={self.engine_name!r} "
+            f"<Broker engine={self.engine_name!r} shards={self.num_shards} "
+            f"executor={self._executor.name!r} "
             f"subscriptions={len(self._subscriptions)}>"
         )

@@ -1,8 +1,8 @@
-"""The brokers' shared front end for single-block filter subscriptions.
+"""The broker's front end for single-block filter subscriptions.
 
-Both :class:`repro.pubsub.Broker` and :class:`repro.runtime.ShardedBroker`
-evaluate simple (non-join) subscriptions once, centrally, against a shared
-Stage 1 evaluator — only join subscriptions go to the engines/shards.  This
+:class:`repro.pubsub.Broker` evaluates simple (non-join) subscriptions
+once, centrally, against a shared Stage 1 evaluator — only join
+subscriptions go to the engine shards.  This
 module owns that front end, including *retraction*: a cancelled filter
 subscription's pattern variables are reference-counted and withdrawn from
 the evaluator when their last subscription is gone, mirroring the engines'

@@ -1,15 +1,15 @@
-"""The sharded parallel runtime: scale-out of the broker across engine shards.
+"""The parallel runtime: what :class:`repro.pubsub.Broker` drives its shards with.
 
-The paper's engine is a single shared pipeline; this package is the layer
-that takes it from one core to many.  It partitions join subscriptions
-across N independent :class:`~repro.runtime.shard.EngineShard` instances
-(template-cohesively, so the CQT sharing of Section 4 survives inside every
-shard), fans each published document out to all shards through a pluggable
-executor, and merges matches, statistics and cost breakdowns back into one
-broker-level view.
+The paper's engine is a single shared pipeline; this package holds the
+pieces that take it from one core to many.  The broker partitions join
+subscriptions across N independent :class:`~repro.runtime.shard.EngineShard`
+instances (template-cohesively, so the CQT sharing of Section 4 survives
+inside every shard), fans each published document out to the shards that
+can bind it through a pluggable executor, and merges matches, statistics
+and cost breakdowns back into one broker-level view.
 
-* :class:`~repro.runtime.sharded_broker.ShardedBroker` — the drop-in broker
-  (also reachable as ``repro.pubsub.Broker(..., shards=N)``).
+* :mod:`~repro.runtime.shard` — one engine shard: the seam between the
+  broker and an engine, in process or (same surface) in a worker.
 * :mod:`~repro.runtime.partition` — hash-by-template and least-loaded
   placement strategies.
 * :mod:`~repro.runtime.executor` — serial (deterministic), thread-pool and
@@ -18,6 +18,8 @@ broker-level view.
   long-lived worker processes behind pipe-command shard handles.
 * :mod:`~repro.runtime.router` — relevance-aware fan-out routing: documents
   are dispatched only to the shards hosting templates they can bind.
+* ``ShardedBroker`` — import-compatible second name of the one broker
+  (:mod:`~repro.runtime.sharded_broker`).
 """
 
 from repro.runtime.executor import (
@@ -40,7 +42,6 @@ from repro.runtime.partition import (
     template_key,
 )
 from repro.runtime.shard import EngineShard
-from repro.runtime.sharded_broker import ShardedBroker
 
 __all__ = [
     "ShardedBroker",
@@ -63,3 +64,14 @@ __all__ = [
     "ShardWorkerError",
     "ShardRouter",
 ]
+
+
+def __getattr__(name: str):
+    # ShardedBroker subclasses repro.pubsub.Broker, which imports this
+    # package's modules: resolving the name on first access (PEP 562), not
+    # at import, keeps that dependency one-way.
+    if name == "ShardedBroker":
+        from repro.runtime.sharded_broker import ShardedBroker
+
+        return ShardedBroker
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,6 @@
 """Shard executors: how per-shard work is scheduled.
 
-The sharded broker expresses every publish as *one task per (dispatched)
+The broker expresses every publish as *one task per (dispatched)
 shard* and hands the task list to a :class:`ShardExecutor`.  Executors
 differ only in how the tasks run; all of them return the results in task
 order, so downstream merging is deterministic regardless of scheduling.

@@ -63,18 +63,18 @@ class Partitioner:
         self.loads[shard] += 1
         return shard
 
-    def release(self, query: XsclQuery) -> None:
-        """Account for one retracted subscription of ``query``'s template.
+    def release(self, shard: int) -> None:
+        """Account for one retracted subscription that lived on ``shard``.
 
-        Decrements the owning shard's load so load-balancing strategies see
-        the true population under subscribe/cancel churn.  The template →
-        shard assignment itself is kept: template cohesion must hold across
-        a cancel → resubscribe cycle, and a revived template returns to its
-        original shard.
+        Decrements that shard's load so load-balancing strategies see the
+        true population under subscribe/cancel churn.  Takes the shard, which
+        the broker already remembers per subscription, rather than the
+        query: re-deriving the template key would reduce the join graph
+        again on every cancel.  The template → shard assignment itself is
+        kept: template cohesion must hold across a cancel → resubscribe
+        cycle, and a revived template returns to its original shard.
         """
-        key = template_key(query)
-        shard = self._assigned.get(key)
-        if shard is not None and self.loads[shard] > 0:
+        if self.loads[shard] > 0:
             self.loads[shard] -= 1
 
     def restore_assignment(self, query: XsclQuery, shard: int) -> None:

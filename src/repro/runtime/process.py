@@ -1,7 +1,7 @@
 """Process-resident shards: each engine lives in a long-lived worker process.
 
 The process runtime (``RuntimeConfig(executor="processes")``) keeps the
-sharded broker's architecture — subscriptions partitioned, documents fanned
+broker's sharded architecture — subscriptions partitioned, documents fanned
 out, results merged in shard order — but moves every
 :class:`~repro.core.engine._BaseEngine` out of the broker process:
 
@@ -475,17 +475,17 @@ class ProcessShardHandle:
     def __init__(self, shard_id: int, group: ShardWorkerGroup):
         self.shard_id = shard_id
         self.channel = group
-        self.qids: list[str] = []
+        self.num_queries = 0
         self._pending: list[str] = []
 
     # -- control plane -------------------------------------------------- #
     def register(self, qid: str, query) -> None:
         self.channel.call(self.shard_id, "register", qid, query)
-        self.qids.append(qid)
+        self.num_queries += 1
 
     def deregister(self, qid: str) -> None:
         self.channel.call(self.shard_id, "deregister", qid)
-        self.qids.remove(qid)
+        self.num_queries -= 1
 
     def prune(self, min_timestamp: float) -> int:
         return self.channel.call(self.shard_id, "prune", min_timestamp)
@@ -529,20 +529,16 @@ class ProcessShardHandle:
         return payload
 
     def process_one(self, document) -> list[Match]:
-        if not self.qids:
+        if not self.num_queries:
             return []
         self.submit("process_one", (document,))
         return self.collect()
 
     def process_batch(self, documents) -> list[list[Match]]:
-        if not self.qids:
+        if not self.num_queries:
             return [[] for _ in documents]
         self.submit("process_batch", (documents,))
         return self.collect()
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.qids)
 
     def close(self) -> None:
         """Nothing to do per shard; the broker closes the worker groups."""

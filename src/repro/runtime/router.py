@@ -1,6 +1,6 @@
 """Relevance-aware fan-out routing: which shards need this document at all.
 
-The sharded broker replicates documents because *some* subscription might
+A broker with several shards replicates documents because *some* subscription might
 pair the current document with an earlier one — but a document that cannot
 bind any variable of any query on a shard can neither match there now (its
 right-block witness atoms would be empty) nor contribute left-block state

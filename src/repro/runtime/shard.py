@@ -18,22 +18,24 @@ from typing import Sequence, Union
 
 from repro.core.engine import EngineStats, _BaseEngine
 from repro.core.results import Match
+from repro.storage import recovery
 from repro.xmlmodel.document import XmlDocument
 from repro.xscl.ast import XsclQuery
 
 
 class EngineShard:
-    """A shard id, its engine, and the subscription ids it owns."""
+    """A shard id, its engine, and how many subscriptions it owns."""
 
     def __init__(self, shard_id: int, engine: _BaseEngine):
         self.shard_id = shard_id
         self.engine = engine
-        self.qids: list[str] = []
+        #: Number of subscriptions owned by this shard.
+        self.num_queries = 0
 
     def register(self, qid: str, query: Union[str, XsclQuery]) -> None:
         """Register one join subscription with this shard's engine."""
         self.engine.register_query(query, qid=qid)
-        self.qids.append(qid)
+        self.num_queries += 1
 
     def deregister(self, qid: str) -> None:
         """Retract one join subscription from this shard's engine.
@@ -43,7 +45,7 @@ class EngineShard:
         reclaimable join state shrink with the retraction.
         """
         self.engine.deregister_query(qid)
-        self.qids.remove(qid)
+        self.num_queries -= 1
 
     def process_batch(self, documents: Sequence[XmlDocument]) -> list[list[Match]]:
         """Process a batch of documents in order; one match list per document.
@@ -60,7 +62,7 @@ class EngineShard:
         processed before a query registers can never join with it — an empty
         shard would only accumulate dead ``RdocTS`` state.
         """
-        if not self.qids:
+        if not self.num_queries:
             return [[] for _ in documents]
         return self.engine.process_batch(documents)
 
@@ -70,7 +72,7 @@ class EngineShard:
         Skips batch assembly and the per-batch hooks entirely; an empty
         shard short-circuits like :meth:`process_batch`.
         """
-        if not self.qids:
+        if not self.num_queries:
             return []
         return self.engine.process_document(document)
 
@@ -82,10 +84,19 @@ class EngineShard:
         """Construct the output XML document of one of this shard's matches."""
         return self.engine.output_document(match)
 
-    @property
-    def num_queries(self) -> int:
-        """Number of subscriptions owned by this shard."""
-        return len(self.qids)
+    # -- recovery plane (see repro.storage.recovery) ---------------------- #
+    def recover_catalog(self):
+        """Pin the persisted variable catalog; returns the expected refcounts."""
+        return recovery.recover_engine_catalog(self.engine)
+
+    def registry_refcounts(self):
+        """The live template-refcount multiset (``None`` without a registry)."""
+        return recovery.engine_registry_refcounts(self.engine)
+
+    def recover_state(self) -> int:
+        """Load persisted join state and counters; returns the docid floor."""
+        recovery.restore_engine_state(self.engine)
+        return recovery.docid_floor(self.engine)
 
     def stats(self) -> EngineStats:
         """This shard's engine statistics."""

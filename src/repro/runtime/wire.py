@@ -3,7 +3,7 @@
 The naive process fan-out pickles each published document once *per
 routed shard*: the dominant cost of a wide topology is N identical
 serializations of the same tree.  This module provides the columnar wire
-format and the reusable buffer behind the sharded broker's encode-once
+format and the reusable buffer behind the broker's encode-once
 path:
 
 * :func:`encode_document_batch` flattens a batch of

@@ -2,11 +2,9 @@
 
 :func:`open_broker` is the blessed way to start a publish/subscribe
 session.  It takes a :class:`~repro.config.RuntimeConfig` (or field
-overrides, or nothing) and returns a context-managed broker — the unsharded
-:class:`~repro.pubsub.Broker` or the sharded
-:class:`~repro.runtime.ShardedBroker`, depending on ``config.shards`` —
-making the broker flavor an implementation detail instead of a
-``Broker.__new__`` trick:
+overrides, or nothing) and returns a context-managed
+:class:`~repro.pubsub.Broker` — the same class for every ``shards`` /
+``executor``; the topology is the broker's business, not the caller's:
 
 .. code-block:: python
 
@@ -22,7 +20,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.config import RuntimeConfig
+from repro.config import RuntimeConfig, as_config
+from repro.pubsub.broker import Broker
 
 __all__ = ["open_broker"]
 
@@ -31,13 +30,12 @@ def open_broker(
     config: Union[RuntimeConfig, str, None] = None,
     resume_from: Optional[str] = None,
     **overrides,
-):
+) -> Broker:
     """Open a publish/subscribe session for ``config``.
 
     ``config`` may be a :class:`~repro.config.RuntimeConfig`, an engine
     name string (shorthand for ``RuntimeConfig(engine=...)``), or ``None``
-    for the defaults.  Keyword ``overrides`` are first-class (no
-    deprecation involved) and are applied on top via
+    for the defaults.  Keyword ``overrides`` are applied on top via
     :meth:`RuntimeConfig.replace` — ``open_broker(shards=4)`` is the
     concise spelling of ``open_broker(RuntimeConfig(shards=4))``.
 
@@ -51,31 +49,16 @@ def open_broker(
     callbacks and sinks are process-local and must be re-attached via
     ``broker.subscription(sid)``.
 
-    Returns a :class:`repro.pubsub.Broker` for ``shards == 1`` and a
-    :class:`repro.runtime.ShardedBroker` otherwise; both support the
+    Returns a :class:`repro.pubsub.Broker`, which supports the
     context-manager protocol (``close()`` flushes every subscription's
-    delivery sinks, flushes and closes the state stores, and shuts down
-    any shard executor).
+    delivery sinks, flushes and closes the state stores, and shuts down the
+    shard executor and any worker processes).
     """
     if resume_from is not None:
         from repro.storage.recovery import resume_broker
 
         return resume_broker(config, resume_from, overrides)
-    if config is None:
-        config = RuntimeConfig()
-    elif isinstance(config, str):
-        config = RuntimeConfig(engine=config)
-    elif not isinstance(config, RuntimeConfig):
-        raise TypeError(
-            f"open_broker expects a RuntimeConfig or an engine name, "
-            f"got {type(config).__name__}"
-        )
+    config = as_config(config, "open_broker")
     if overrides:
         config = config.replace(**overrides)
-    if config.shards > 1:
-        from repro.runtime.sharded_broker import ShardedBroker
-
-        return ShardedBroker(config)
-    from repro.pubsub.broker import Broker
-
     return Broker(config)

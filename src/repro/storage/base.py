@@ -69,7 +69,7 @@ class SubscriptionRecord:
     ``seq`` is the broker-wide registration order (recovery replays in this
     order so per-engine canonicalization and template matching repeat
     deterministically); ``shard`` is the owning shard id for join
-    subscriptions of a sharded broker (``None`` otherwise).
+    subscriptions (``None`` for filter subscriptions).
     """
 
     seq: int

@@ -16,7 +16,7 @@ restarted:
 2. **Replay registrations** in their original sequence.  This rebuilds the
    derived structures — templates, ``RT`` tuples, Stage 1 registrations,
    compiled plans, relevance-index postings — through the exact same code
-   path as a live ``subscribe``; on a sharded broker each join subscription
+   path as a live ``subscribe``; with several shards each join subscription
    is forced onto its recorded shard (document replication makes per-shard
    state placement-dependent).
 3. **Load state rows and documents** straight into each engine's
@@ -121,14 +121,9 @@ def resume_broker(
             f"shards={config.shards}; join-state placement is per shard"
         )
 
-    if config.shards > 1:
-        from repro.runtime.sharded_broker import ShardedBroker
+    from repro.pubsub.broker import Broker  # imports this module for config_snapshot
 
-        broker = ShardedBroker(config)
-    else:
-        from repro.pubsub.broker import Broker
-
-        broker = Broker(config)
+    broker = Broker(config)
     try:
         _restore(broker)
     except BaseException:
@@ -137,44 +132,12 @@ def resume_broker(
     return broker
 
 
-class _EngineMember:
-    """Recovery adapter over an in-process engine (unsharded broker or
-    :class:`~repro.runtime.shard.EngineShard`).
-
-    :class:`~repro.runtime.process.ProcessShardHandle` exposes the same
-    three methods as worker commands, so recovery drives every topology —
-    in-process or process-parallel — through one member interface, and the
-    worker-side implementations are these very helpers.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def recover_catalog(self):
-        return recover_engine_catalog(self.engine)
-
-    def registry_refcounts(self):
-        return engine_registry_refcounts(self.engine)
-
-    def recover_state(self):
-        restore_engine_state(self.engine)
-        return docid_floor(self.engine)
-
-
-def _members(broker) -> list:
-    shards = getattr(broker, "shards", None)
-    if isinstance(shards, list):
-        return [
-            _EngineMember(shard.engine) if hasattr(shard, "engine") else shard
-            for shard in shards
-        ]
-    return [_EngineMember(broker.engine)]
-
-
 def _restore(broker) -> None:
     from repro.xscl.parser import parse_query
 
-    members = _members(broker)
+    # In-process shards and process-shard handles expose the same three
+    # recovery methods, so every topology is driven through one interface.
+    members = broker.shards
 
     # 1. Pin canonical variable names before any registration replays; the
     # same round-trip captures the integrity expectations, because the
@@ -186,7 +149,7 @@ def _restore(broker) -> None:
     records = broker._store.subscriptions()
     for record in records:
         query = parse_query(record.query_text)
-        broker._restore_subscription(record, query)
+        broker._register(record.subscription_id, query, recorded_shard=record.shard)
 
     for member, expected in zip(members, expected_refcounts):
         if expected is None:
@@ -272,7 +235,4 @@ def _restore_broker_counters(broker, records) -> None:
     store = broker._store
     broker._sub_counter = int(store.get_meta("sub_counter", broker._sub_counter))
     broker._reg_seq = max((record.seq for record in records), default=0)
-    if hasattr(broker, "_clock_value"):
-        broker._clock_value = int(store.get_meta("clock", 0))
-    if hasattr(broker, "_num_published"):
-        broker._num_published = int(store.get_meta("num_published", 0))
+    broker._clock_value, broker._num_published = store.get_meta("clock", (0, 0))

@@ -151,11 +151,3 @@ def test_subscription_lifecycle_surface():
     """The Subscription handle exposes the full lifecycle contract."""
     for method in ("pause", "resume", "cancel", "deliver", "attach_sink", "flush"):
         assert callable(getattr(repro.Subscription, method, None)), method
-
-
-def test_broker_session_surface():
-    """Both broker flavors honor the session contract behind open_broker."""
-    for cls in (repro.Broker, repro.ShardedBroker):
-        for method in ("subscribe", "cancel", "unsubscribe", "mute", "publish",
-                       "publish_many", "prune", "stats", "close", "__enter__", "__exit__"):
-            assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"

@@ -1,25 +1,18 @@
-"""RuntimeConfig: validation, presets, façade routing, and legacy-kwarg shims."""
+"""RuntimeConfig: validation, presets, and what the constructors accept."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Broker, RuntimeConfig, ShardedBroker, open_broker
+from repro import Broker, MMQJPEngine, RuntimeConfig, SequentialEngine, open_broker
 from repro.config import (
     ENGINES,
     EXECUTORS,
     INDEXING_MODES,
     PARTITIONERS,
-    coerce_config,
+    as_config,
 )
 from repro.core.engine import make_engine
-from tests.conftest import PAPER_WINDOWS, make_blog_article, make_book_announcement
-
-CROSS = (
-    "S//book->x1[.//author->x2] "
-    "FOLLOWED BY{x2=x5, 100} "
-    "S//blog->x4[.//author->x5]"
-)
 
 
 # --------------------------------------------------------------------------- #
@@ -30,7 +23,6 @@ def test_config_defaults_are_valid():
     assert config.engine == "mmqjp"
     assert not config.is_sharded
     assert config.resolve_store_documents() is True
-    assert config.resolve_store_documents(follow_construct_outputs=True) is True
 
 
 @pytest.mark.parametrize(
@@ -67,12 +59,11 @@ def test_config_keyword_tuples_match_canonical_definitions():
     assert set(PARTITIONERS) == set(PART_NAMES)
 
 
-def test_store_documents_resolution_rules():
-    throughput = RuntimeConfig(construct_outputs=False)
-    assert throughput.resolve_store_documents() is True  # engines / Broker
-    assert throughput.resolve_store_documents(follow_construct_outputs=True) is False
+def test_store_documents_resolution_rule():
+    # one rule for every consumer: unset follows construct_outputs
+    assert RuntimeConfig(construct_outputs=False).resolve_store_documents() is False
     explicit = RuntimeConfig(construct_outputs=False, store_documents=True)
-    assert explicit.resolve_store_documents(follow_construct_outputs=True) is True
+    assert explicit.resolve_store_documents() is True
     with pytest.raises(ValueError):
         RuntimeConfig(store_documents=False).validate_outputs()
 
@@ -97,116 +88,28 @@ def test_replace_revalidates():
 
 
 # --------------------------------------------------------------------------- #
-# coerce_config: the deprecation shim
+# as_config: what every constructor accepts
 # --------------------------------------------------------------------------- #
-def test_coerce_config_warns_on_legacy_kwargs():
-    with pytest.warns(DeprecationWarning, match="RuntimeConfig"):
-        config = coerce_config(None, {"engine": "sequential", "indexing": "lazy"})
-    assert config.engine == "sequential" and config.indexing == "lazy"
+def test_as_config_accepts_config_engine_name_or_nothing():
+    config = RuntimeConfig(indexing="lazy")
+    assert as_config(config, "Broker") is config
+    assert as_config("mmqjp-vm", "Broker").engine == "mmqjp-vm"
+    assert as_config(None, "Broker") == RuntimeConfig()
+    with pytest.raises(TypeError, match="Broker expects a RuntimeConfig"):
+        as_config(42, "Broker")
 
 
-def test_coerce_config_accepts_engine_string_positionally():
-    config = coerce_config("mmqjp-vm", {}, warn=False)
-    assert config.engine == "mmqjp-vm"
-
-
-def test_coerce_config_rejects_unknown_kwargs():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        coerce_config(None, {"warp_speed": True})
-
-
-def test_coerce_config_none_values_mean_unset():
-    config = coerce_config(None, {"view_cache_size": None, "shards": None}, warn=False)
-    assert config == RuntimeConfig()
-
-
-# --------------------------------------------------------------------------- #
-# the façade
-# --------------------------------------------------------------------------- #
-def test_open_broker_routes_by_shards():
-    with open_broker() as broker:
-        assert isinstance(broker, Broker)
-    with open_broker(RuntimeConfig(shards=3)) as broker:
-        assert isinstance(broker, ShardedBroker)
-        assert broker.num_shards == 3
-    with open_broker("sequential", shards=2) as broker:
-        assert isinstance(broker, ShardedBroker)
-        assert broker.engine_name == "sequential"
+@pytest.mark.parametrize("constructor", [Broker, MMQJPEngine, SequentialEngine, make_engine])
+def test_constructors_take_no_per_knob_keywords(constructor):
     with pytest.raises(TypeError):
-        open_broker(42)
+        constructor(indexing="off")
 
 
-def test_open_broker_overrides_are_first_class():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        with open_broker(construct_outputs=False, shards=2) as broker:
-            assert isinstance(broker, ShardedBroker)
-            assert not broker.construct_outputs
-
-
-# --------------------------------------------------------------------------- #
-# legacy construction: warns, but behaves identically
-# --------------------------------------------------------------------------- #
-def _run_workload(broker):
-    keys = []
-    broker.subscribe(CROSS, subscription_id="q")
-    for ts in (1.0, 2.0):
-        for d in broker.publish(
-            make_book_announcement(docid=f"bk{ts}", timestamp=ts * 10)
-        ):
-            pass
-        for d in broker.publish(
-            make_blog_article(docid=f"bl{ts}", timestamp=ts * 10 + 1)
-        ):
-            if d.match is not None:
-                keys.append(d.match.key())
-    broker.close()
-    return sorted(keys)
-
-
-@pytest.mark.parametrize("engine", ["mmqjp", "sequential"])
-def test_legacy_broker_kwargs_equivalent_to_config(engine):
-    with pytest.warns(DeprecationWarning):
-        legacy = Broker(
-            engine=engine, construct_outputs=False, indexing="lazy", auto_timestamp=False
-        )
-    config_broker = open_broker(
-        RuntimeConfig(
-            engine=engine, construct_outputs=False, indexing="lazy", auto_timestamp=False
-        )
-    )
-    legacy_keys = _run_workload(legacy)
-    assert legacy_keys == _run_workload(config_broker)
-    assert legacy_keys, "the equivalence workload must produce matches"
-
-
-def test_legacy_sharded_kwargs_equivalent_to_config():
-    with pytest.warns(DeprecationWarning):
-        legacy = ShardedBroker(engine="mmqjp", construct_outputs=False, shards=2)
-    config_broker = open_broker(RuntimeConfig(construct_outputs=False, shards=2))
-    assert _run_workload(legacy) == _run_workload(config_broker)
-
-
-def test_broker_shards_escape_hatch_warns_and_reroutes():
-    with pytest.warns(DeprecationWarning, match="open_broker"):
-        broker = Broker(RuntimeConfig(shards=2))
-    assert isinstance(broker, ShardedBroker)
-    broker.close()
-    with pytest.warns(DeprecationWarning):
-        broker = Broker(shards=2)
-    assert isinstance(broker, ShardedBroker)
-    broker.close()
-
-
-def test_make_engine_accepts_config_and_legacy():
+def test_make_engine_accepts_config_and_selection_keyword():
     config = RuntimeConfig(engine="sequential", indexing="off")
     engine = make_engine(config)
     assert engine.indexing == "off"
-    with pytest.warns(DeprecationWarning):
-        legacy = make_engine("sequential", indexing="off")
-    assert legacy.indexing == "off"
+    assert make_engine("sequential", RuntimeConfig(indexing="off")).indexing == "off"
     # the selection keyword overrides the config's engine field
     assert make_engine("mmqjp-vm", RuntimeConfig()).processor.use_view_materialization
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import RuntimeConfig
 from repro.core import MMQJPEngine, SequentialEngine
 from repro.xmlmodel import XmlDocument, element
 from tests.conftest import make_blog_article, make_book_announcement, PAPER_Q1, PAPER_WINDOWS
@@ -140,7 +141,7 @@ def test_followed_by_does_not_match_backwards():
 
 
 def test_output_document_requires_stored_documents():
-    engine = MMQJPEngine(store_documents=False)
+    engine = MMQJPEngine(RuntimeConfig(store_documents=False))
     engine.register_query(CROSS_POST)
     engine.process_document(_blog("a", 1))
     matches = engine.process_document(_blog("b", 2))

@@ -262,7 +262,7 @@ def test_publish_many_matches_publish_loop():
 
 
 def test_sharded_publish_single_document_path():
-    """ShardedBroker.publish (direct path) ≡ publish_many([doc])."""
+    """At two shards, publish (direct path) ≡ publish_many([doc])."""
     direct = open_broker(RuntimeConfig(shards=2))
     batched = open_broker(RuntimeConfig(shards=2))
     try:

@@ -12,11 +12,14 @@ import random
 
 import pytest
 
+from repro import RuntimeConfig
 from repro.core import MMQJPEngine, SequentialEngine
 from repro.workloads.querygen import QueryWorkloadConfig, generate_queries
 from repro.workloads.rss import RssStreamConfig, generate_rss_queries, generate_rss_stream
 from repro.workloads.synthetic import build_document
 from repro.xmlmodel.schema import three_level_schema, two_level_schema
+
+NO_DOCUMENTS = RuntimeConfig(store_documents=False)
 
 
 def _random_documents(schema, num_docs: int, value_pool: int, seed: int):
@@ -49,10 +52,10 @@ def test_equivalence_on_flat_schema_stream(seed):
         QueryWorkloadConfig(schema=schema, num_queries=40, zipf_theta=0.8, window=3.0, seed=seed)
     )
     mmqjp_keys = _match_keys(
-        MMQJPEngine(store_documents=False), queries, _random_documents(schema, 8, 3, seed)
+        MMQJPEngine(NO_DOCUMENTS), queries, _random_documents(schema, 8, 3, seed)
     )
     seq_keys = _match_keys(
-        SequentialEngine(store_documents=False), queries, _random_documents(schema, 8, 3, seed)
+        SequentialEngine(NO_DOCUMENTS), queries, _random_documents(schema, 8, 3, seed)
     )
     assert mmqjp_keys == seq_keys
     assert mmqjp_keys  # the workload is dense enough that something matches
@@ -67,8 +70,10 @@ def test_equivalence_on_complex_schema_stream(seed):
         )
     )
     documents = _random_documents(schema, 6, 2, seed)
-    mmqjp_keys = _match_keys(MMQJPEngine(store_documents=False), queries, _random_documents(schema, 6, 2, seed))
-    seq_keys = _match_keys(SequentialEngine(store_documents=False), queries, documents)
+    mmqjp_keys = _match_keys(
+        MMQJPEngine(NO_DOCUMENTS), queries, _random_documents(schema, 6, 2, seed)
+    )
+    seq_keys = _match_keys(SequentialEngine(NO_DOCUMENTS), queries, documents)
     assert mmqjp_keys == seq_keys
 
 
@@ -78,15 +83,15 @@ def test_equivalence_of_view_materialization_variants():
         QueryWorkloadConfig(schema=schema, num_queries=30, zipf_theta=0.4, window=4.0, seed=9)
     )
     plain = _match_keys(
-        MMQJPEngine(store_documents=False), queries, _random_documents(schema, 8, 3, 9)
+        MMQJPEngine(NO_DOCUMENTS), queries, _random_documents(schema, 8, 3, 9)
     )
     vm = _match_keys(
-        MMQJPEngine(use_view_materialization=True, store_documents=False),
+        MMQJPEngine(NO_DOCUMENTS, use_view_materialization=True),
         queries,
         _random_documents(schema, 8, 3, 9),
     )
     vm_cached = _match_keys(
-        MMQJPEngine(view_cache_size=32, store_documents=False),
+        MMQJPEngine(RuntimeConfig(view_cache_size=32, store_documents=False)),
         queries,
         _random_documents(schema, 8, 3, 9),
     )
@@ -111,8 +116,9 @@ def test_equivalence_on_rss_stream():
             keys.update(m.key() for m in engine.process_document(doc))
         return keys
 
-    mmqjp = run(MMQJPEngine(store_documents=False, auto_timestamp=False))
-    vm = run(MMQJPEngine(use_view_materialization=True, store_documents=False, auto_timestamp=False))
-    seq = run(SequentialEngine(store_documents=False, auto_timestamp=False))
+    config = RuntimeConfig(store_documents=False, auto_timestamp=False)
+    mmqjp = run(MMQJPEngine(config))
+    vm = run(MMQJPEngine(config, use_view_materialization=True))
+    seq = run(SequentialEngine(config))
     assert mmqjp == vm == seq
     assert mmqjp  # channel_url collisions guarantee matches

@@ -1,7 +1,7 @@
 """Lazy match materialization: suppressed subscriptions build no Match objects.
 
-The broker installs a match filter on its engine so that rows whose
-subscription is missing, cancelled or paused are dropped *before*
+The broker installs a match filter on every in-process shard engine so that
+rows whose subscription is missing, cancelled or paused are dropped *before*
 ``_row_to_match`` runs — no Match object, no window check, no binding dicts.
 These tests count actual ``_row_to_match`` invocations to prove the work is
 skipped, and check that delivery contents and callback ordering are
@@ -14,7 +14,6 @@ import pytest
 
 from repro import RuntimeConfig, open_broker
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
-from repro.runtime import ShardedBroker
 from tests.conftest import (
     PAPER_Q1,
     PAPER_WINDOWS,
@@ -160,18 +159,23 @@ def test_match_counts_exclude_suppressed_matches(engine):
         paused.close()
 
 
-def test_sharded_broker_installs_no_filter(monkeypatch):
-    """Shard workers deliver to the coordinator, which filters post-hoc;
-    their engines keep building Match objects (no broker-side filter)."""
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_every_in_process_shard_gets_the_filter(monkeypatch, executor):
+    """With several in-process shards a paused subscription still costs no
+    Match construction (process shards are covered in test_session_contract:
+    the callable cannot cross the pipe, so the parent drops post-hoc)."""
+    from repro.runtime import SerialExecutor
+
     counter = _count_materializations(monkeypatch)
-    broker = ShardedBroker(
-        RuntimeConfig(shards=2, construct_outputs=False)
-    )
+    # an instance pins the serial leg under the REPRO_EXECUTOR replay
+    spec = SerialExecutor() if executor == "serial" else executor
+    broker = _open("mmqjp", shards=2, executor=spec)
     try:
         sub = broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)
         sub.pause()
         deliveries = broker.publish_many(_paper_pair())
         assert all(d.match is None for d in deliveries)
-        assert counter["calls"] > 0  # still materialized inside the shards
+        assert counter["calls"] == 0
+        assert broker.stats()["engine_stats"]["num_matches"] == 0
     finally:
         broker.close()

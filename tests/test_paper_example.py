@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import RuntimeConfig
 from repro.core import MMQJPEngine, SequentialEngine
 from repro.xmlmodel import to_xml
 from tests.conftest import (
@@ -20,8 +21,8 @@ from tests.conftest import (
 )
 
 
-def _engine_with_paper_queries(engine_cls, **kwargs):
-    engine = engine_cls(**kwargs)
+def _engine_with_paper_queries(engine_cls, config=None, **kwargs):
+    engine = engine_cls(config, **kwargs)
     from tests.conftest import PAPER_Q1, PAPER_Q2, PAPER_Q3
 
     for qid, text in (("Q1", PAPER_Q1), ("Q2", PAPER_Q2), ("Q3", PAPER_Q3)):
@@ -46,7 +47,7 @@ def test_running_example_matches(engine_cls):
     [
         {},
         {"use_view_materialization": True},
-        {"view_cache_size": 64},
+        {"config": RuntimeConfig(view_cache_size=64)},
     ],
 )
 def test_running_example_mmqjp_variants(engine_kwargs):

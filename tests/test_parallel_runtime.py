@@ -28,7 +28,6 @@ from repro.runtime import (
     SerialExecutor,
     ShardRouter,
     ShardWorkerError,
-    ShardedBroker,
     ThreadedExecutor,
     executor_env_override,
 )
@@ -91,7 +90,7 @@ def _run(config, queries, documents, batched=False):
             deliveries = broker.publish_many(documents)
         else:
             deliveries = [d for doc in documents for d in broker.publish(doc)]
-        stats = broker.stats() if isinstance(broker, ShardedBroker) else None
+        stats = broker.stats()
     return _keys(deliveries), stats
 
 
@@ -124,7 +123,7 @@ def test_executor_equivalence(executor, shards, topic_workload, topic_baseline):
     )
     keys, stats = _run(config, queries, documents)
     assert keys == topic_baseline
-    if executor == "processes" and shards > 1:  # shards=1 is a plain Broker
+    if executor == "processes":
         assert stats["executor"] == "processes"
         assert stats["workers"] == min(shards, 2 if shards > 2 else shards)
 
@@ -230,7 +229,7 @@ def test_outputs_callbacks_and_sinks_fire_in_parent():
 
     received = []
     sink = CollectingSink()
-    with ShardedBroker(RuntimeConfig(shards=2, executor="processes")) as broker:
+    with Broker(RuntimeConfig(shards=2, executor="processes")) as broker:
         broker.subscribe(
             PAPER_Q1,
             callback=received.append,
@@ -272,7 +271,7 @@ def test_worker_death_raises_cleanly_and_close_does_not_hang(topic_workload):
         executor="processes",
         route_dispatch=False,
     )
-    broker = ShardedBroker(config)
+    broker = Broker(config)
     try:
         _subscribe_all(broker, queries)
         broker.publish(documents[0])
@@ -295,7 +294,7 @@ def test_unpicklable_config_rejected_with_clear_error():
 
     config = RuntimeConfig(shards=2, executor="processes", engine=Unpicklable("mmqjp"))
     with pytest.raises(ValueError, match="picklable"):
-        ShardedBroker(config)
+        Broker(config)
 
 
 # --------------------------------------------------------------------------- #
@@ -322,7 +321,7 @@ def test_restart_equivalence_under_processes(tmp_path, topic_workload):
     broker.close()
 
     resumed = open_broker(resume_from=str(tmp_path))
-    assert isinstance(resumed, ShardedBroker)
+    assert resumed.num_shards == 2
     assert resumed.stats()["executor"] == "processes"
     out.extend(d for doc in documents[half:] for d in resumed.publish(doc))
     resumed.close()
@@ -355,7 +354,7 @@ def test_repro_executor_env_override(monkeypatch):
     # explicit instances are never overridden (fault-injection opt-out)
     inst = SerialExecutor()
     assert executor_env_override(inst) is inst
-    with ShardedBroker(RuntimeConfig(shards=2, construct_outputs=False)) as broker:
+    with Broker(RuntimeConfig(shards=2, construct_outputs=False)) as broker:
         assert broker.stats()["executor"] == "processes"
         assert broker.stats()["workers"] == 2
     monkeypatch.setenv("REPRO_EXECUTOR", "fibers")

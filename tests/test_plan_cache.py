@@ -12,9 +12,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro import RuntimeConfig
 from repro.core import MMQJPEngine, SequentialEngine, make_engine
 from repro.pubsub import Broker
-from repro.runtime import ShardedBroker
 from repro.workloads.querygen import generate_query, generate_topic_queries
 from repro.workloads.synthetic import build_document, topic_schemas
 from repro.xmlmodel.schema import two_level_schema
@@ -80,11 +80,11 @@ def _interleaved_run(engine, queries, d_specs):
 def test_plan_cache_equivalent_to_plan_per_call(q_specs, d_specs):
     queries = _make_queries(q_specs)
     cached = _interleaved_run(
-        MMQJPEngine(store_documents=False, plan_cache=True, prune_dispatch=False),
+        MMQJPEngine(RuntimeConfig(store_documents=False, plan_cache=True, prune_dispatch=False)),
         queries, d_specs,
     )
     baseline = _interleaved_run(
-        MMQJPEngine(store_documents=False, plan_cache=False, prune_dispatch=False),
+        MMQJPEngine(RuntimeConfig(store_documents=False, plan_cache=False, prune_dispatch=False)),
         queries, d_specs,
     )
     assert cached == baseline
@@ -95,11 +95,11 @@ def test_plan_cache_equivalent_to_plan_per_call(q_specs, d_specs):
 def test_prune_dispatch_equivalent_to_full_dispatch(q_specs, d_specs):
     queries = _make_queries(q_specs)
     pruned = _interleaved_run(
-        MMQJPEngine(store_documents=False, plan_cache=True, prune_dispatch=True),
+        MMQJPEngine(RuntimeConfig(store_documents=False, plan_cache=True, prune_dispatch=True)),
         queries, d_specs,
     )
     baseline = _interleaved_run(
-        MMQJPEngine(store_documents=False, plan_cache=False, prune_dispatch=False),
+        MMQJPEngine(RuntimeConfig(store_documents=False, plan_cache=False, prune_dispatch=False)),
         queries, d_specs,
     )
     assert pruned == baseline
@@ -110,11 +110,15 @@ def test_prune_dispatch_equivalent_to_full_dispatch(q_specs, d_specs):
 def test_sequential_knobs_equivalent(q_specs, d_specs):
     queries = _make_queries(q_specs)
     full = _interleaved_run(
-        SequentialEngine(store_documents=False, plan_cache=True, prune_dispatch=True),
+        SequentialEngine(
+            RuntimeConfig(store_documents=False, plan_cache=True, prune_dispatch=True)
+        ),
         queries, d_specs,
     )
     baseline = _interleaved_run(
-        SequentialEngine(store_documents=False, plan_cache=False, prune_dispatch=False),
+        SequentialEngine(
+            RuntimeConfig(store_documents=False, plan_cache=False, prune_dispatch=False)
+        ),
         queries, d_specs,
     )
     assert full == baseline
@@ -122,12 +126,14 @@ def test_sequential_knobs_equivalent(q_specs, d_specs):
 
 def test_plan_replanned_after_ndv_epoch_drift():
     """Growing the state across power-of-two buckets re-optimizes the plans."""
-    engine = MMQJPEngine(store_documents=False, prune_dispatch=False)
+    engine = MMQJPEngine(RuntimeConfig(store_documents=False, prune_dispatch=False))
     queries = _make_queries([(2, 1), (3, 2)], window=float("inf"))
     for i, query in enumerate(queries):
         engine.register_query(query, qid=f"q{i}")
     rng = random.Random(5)
-    baseline = MMQJPEngine(store_documents=False, plan_cache=False, prune_dispatch=False)
+    baseline = MMQJPEngine(
+        RuntimeConfig(store_documents=False, plan_cache=False, prune_dispatch=False)
+    )
     for i, query in enumerate(queries):
         baseline.register_query(query, qid=f"q{i}")
     for i in range(40):
@@ -159,7 +165,7 @@ def test_plan_replanned_after_ndv_epoch_drift():
 def test_relevance_pruning_skips_foreign_topics():
     schemas = topic_schemas(3)
     queries = generate_topic_queries(schemas, 9, window=float("inf"), seed=1)
-    engine = MMQJPEngine(store_documents=False)
+    engine = MMQJPEngine(RuntimeConfig(store_documents=False))
     for i, query in enumerate(queries):
         engine.register_query(query, qid=f"q{i}")
     # A topic-0 document binds no other topic's variables.
@@ -174,7 +180,7 @@ def test_relevance_pruning_skips_foreign_topics():
 def test_prune_state_clears_interleaved_with_processing():
     """register/process/prune interleavings stay consistent across knobs."""
     engines = [
-        make_engine("mmqjp", store_documents=False, plan_cache=pc, prune_dispatch=pd)
+        make_engine("mmqjp", RuntimeConfig(store_documents=False, plan_cache=pc, prune_dispatch=pd))
         for pc in (True, False) for pd in (True, False)
     ]
     queries = _make_queries([(1, 3), (2, 4)], window=3.0)
@@ -189,16 +195,19 @@ def test_prune_state_clears_interleaved_with_processing():
 
 
 def test_knobs_thread_through_brokers():
-    broker = Broker("mmqjp", construct_outputs=False, plan_cache=False, prune_dispatch=False)
+    broker = Broker(
+        RuntimeConfig(construct_outputs=False, plan_cache=False, prune_dispatch=False)
+    )
     assert broker.engine.plan_cache is None
     assert broker.engine.prune_dispatch is False
-    broker = Broker("mmqjp", construct_outputs=False)
+    broker = Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False))
     assert broker.engine.plan_cache is not None
     assert broker.engine.prune_dispatch is True
 
-    sharded = ShardedBroker(
-        "mmqjp", construct_outputs=False, shards=2,
-        plan_cache=False, prune_dispatch=False, store_documents=False,
+    sharded = Broker(
+        RuntimeConfig(
+            construct_outputs=False, shards=2, plan_cache=False, prune_dispatch=False
+        )
     )
     try:
         for shard in sharded.shards:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import RuntimeConfig
 from repro.pubsub import Broker
 from repro.pubsub.stream import Stream, StreamRegistry
 from repro.pubsub.subscription import Subscription, SubscriptionResult
@@ -56,7 +57,7 @@ def test_subscription_delivery_and_deactivation():
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("engine", ["mmqjp", "mmqjp-vm", "sequential"])
 def test_broker_join_subscription_delivers_matches(engine):
-    broker = Broker(engine=engine, construct_outputs=(engine == "mmqjp"))
+    broker = Broker(RuntimeConfig(engine=engine, construct_outputs=engine == "mmqjp"))
     received = []
     broker.subscribe(PAPER_Q1, callback=received.append, window_symbols=PAPER_WINDOWS)
     assert broker.publish(make_book_announcement()) == []
@@ -70,7 +71,7 @@ def test_broker_join_subscription_delivers_matches(engine):
 
 def test_broker_unknown_engine_rejected():
     with pytest.raises(ValueError):
-        Broker(engine="turbo")
+        Broker(RuntimeConfig(engine="turbo"))
 
 
 def test_broker_filter_subscription():
@@ -109,7 +110,7 @@ def test_broker_results_collected_without_callback():
 
 
 def test_broker_publish_stream_and_stats():
-    broker = Broker(stream_history=5)
+    broker = Broker(RuntimeConfig(stream_history=5))
     broker.subscribe(CROSS_POST)
     broker.publish_stream(
         [make_blog_article(docid=f"b{i}", timestamp=float(i + 1)) for i in range(3)]

@@ -15,7 +15,6 @@ import pytest
 
 from repro import RecoveryError, RuntimeConfig, open_broker, to_xml
 from repro.pubsub import Broker
-from repro.runtime import ShardedBroker
 from tests.conftest import make_blog_article, make_book_announcement
 
 Q_AUTHOR = (
@@ -86,7 +85,7 @@ def test_restart_equivalence(engine, shards, base, tmp_path):
     first.close()
 
     resumed = open_broker(resume_from=str(tmp_path))
-    assert type(resumed) is (ShardedBroker if shards > 1 else Broker)
+    assert type(resumed) is Broker and resumed.num_shards == shards
     out.extend(_publish_all(resumed, documents[4:]))
     resumed.close()
 
@@ -398,15 +397,11 @@ def test_close_is_idempotent_and_releases_stores(shards, tmp_path):
     broker.close()
     broker.close()
     assert broker._store.closed
-    engines = (
-        # process shard handles have no parent-side engine; their stores
-        # live (and are closed) in the worker process
-        [s.engine for s in broker.shards if hasattr(s, "engine")]
-        if isinstance(broker, ShardedBroker)
-        else [broker.engine]
-    )
-    for engine in engines:
-        assert engine.store.closed
+    # process shard handles have no parent-side engine; their stores live
+    # (and are closed) in the worker process
+    for shard in broker.shards:
+        if hasattr(shard, "engine"):
+            assert shard.engine.store.closed
     # a closed store set is immediately resumable (everything was flushed)
     resumed = open_broker(resume_from=str(tmp_path))
     resumed.close()

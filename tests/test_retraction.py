@@ -18,7 +18,6 @@ import pytest
 
 from repro import RuntimeConfig, open_broker
 from repro.pubsub import Broker
-from repro.runtime import ShardedBroker
 from tests.conftest import (
     PAPER_WINDOWS,
     make_blog_article,
@@ -52,16 +51,12 @@ def _engines(broker):
     here; those shards are skipped, and state assertions over the returned
     list become vacuous — the equivalence suites cover that runtime instead.
     """
-    if isinstance(broker, ShardedBroker):
-        return [shard.engine for shard in broker.shards if hasattr(shard, "engine")]
-    return [broker.engine]
+    return [shard.engine for shard in broker.shards if hasattr(shard, "engine")]
 
 
 def _total_queries(broker):
     """Registered join-query count, summed over shards (both shard flavors)."""
-    if isinstance(broker, ShardedBroker):
-        return sum(shard.num_queries for shard in broker.shards)
-    return broker.engine.num_queries
+    return sum(shard.num_queries for shard in broker.shards)
 
 
 def _publish_pair(broker, base_ts, suffix=""):
@@ -248,7 +243,7 @@ def test_cancelled_subscription_cannot_resume():
 
 
 def test_sharded_cancel_releases_partitioner_load():
-    with ShardedBroker(RuntimeConfig(shards=2, construct_outputs=False)) as broker:
+    with Broker(RuntimeConfig(shards=2, construct_outputs=False)) as broker:
         sub = broker.subscribe(Q_AUTHOR, subscription_id="qa")
         shard_id = broker.shard_of("qa")
         assert shard_id is not None

@@ -1,4 +1,4 @@
-"""Tests for the sharded parallel runtime (`repro.runtime`).
+"""Tests for the parallel runtime (`repro.runtime`) under the broker.
 
 The central property mirrors the engine-equivalence suite: partitioning the
 subscription workload across shards — any shard count, any partitioner, any
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import RuntimeConfig
 from repro.core import EngineStats, CostBreakdown, SequentialEngine, merge_engine_stats
 from repro.pubsub import Broker
 from repro.runtime import (
@@ -16,7 +17,6 @@ from repro.runtime import (
     HashTemplatePartitioner,
     LeastLoadedPartitioner,
     SerialExecutor,
-    ShardedBroker,
     ThreadedExecutor,
     make_executor,
     make_partitioner,
@@ -26,7 +26,7 @@ from repro.workloads.querygen import QueryWorkloadConfig, generate_queries
 from repro.workloads.rss import RssStreamConfig, generate_rss_queries, generate_rss_stream
 from repro.xmlmodel.schema import two_level_schema
 from repro.xscl import parse_query
-from tests.conftest import make_blog_article, PAPER_Q1, PAPER_WINDOWS
+from tests.conftest import make_blog_article
 
 CROSS_POST = (
     "S//blog->b[.//author->a][.//title->t] "
@@ -118,6 +118,19 @@ def test_least_loaded_partitioner_balances():
     assert partitioner.loads == [1, 1, 1]
 
 
+def test_partitioner_release_takes_the_shard_not_the_query():
+    partitioner = LeastLoadedPartitioner(2)
+    query = parse_query(CROSS_POST)
+    shard = partitioner.shard_for(query)
+    assert partitioner.loads[shard] == 1
+    partitioner.release(shard)
+    assert partitioner.loads == [0, 0]
+    partitioner.release(shard)  # never below zero
+    assert partitioner.loads == [0, 0]
+    # the template keeps its placement across a cancel -> resubscribe cycle
+    assert partitioner.shard_for(query) == shard
+
+
 def test_make_partitioner_validation():
     with pytest.raises(ValueError):
         make_partitioner("round-robin", 2)
@@ -161,7 +174,7 @@ def test_make_executor_validation():
 def rss_baseline(rss_workload):
     queries, documents = rss_workload
     keys = _broker_match_keys(
-        Broker(engine="mmqjp", construct_outputs=False), queries, documents
+        Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False)), queries, documents
     )
     assert keys  # the workload is dense enough that something matches
     return keys
@@ -172,20 +185,21 @@ def rss_baseline(rss_workload):
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_equivalence_on_rss(shards, partitioner, executor, rss_workload, rss_baseline):
     queries, documents = rss_workload
-    with ShardedBroker(
+    config = RuntimeConfig(
         engine="mmqjp",
         construct_outputs=False,
         shards=shards,
         partitioner=partitioner,
         executor=executor,
-    ) as broker:
+    )
+    with Broker(config) as broker:
         keys = _broker_match_keys(broker, queries, documents)
     assert keys == rss_baseline
 
 
 def test_sharded_equivalence_vs_sequential_on_rss(rss_workload, rss_baseline):
     queries, documents = rss_workload
-    engine = SequentialEngine(store_documents=False, auto_timestamp=False)
+    engine = SequentialEngine(RuntimeConfig(store_documents=False, auto_timestamp=False))
     for i, query in enumerate(queries):
         engine.register_query(query, qid=f"q{i}")
     keys = sorted(
@@ -202,11 +216,12 @@ def test_sharded_equivalence_vs_sequential_on_rss(rss_workload, rss_baseline):
 def test_sharded_equivalence_on_synthetic(shards, engine, synthetic_workload):
     queries, make_documents = synthetic_workload
     baseline = _broker_match_keys(
-        Broker(engine=engine, construct_outputs=False), queries, make_documents()
+        Broker(RuntimeConfig(engine=engine, construct_outputs=False)), queries, make_documents()
     )
-    with ShardedBroker(
+    config = RuntimeConfig(
         engine=engine, construct_outputs=False, shards=shards, executor="threads"
-    ) as broker:
+    )
+    with Broker(config) as broker:
         keys = _broker_match_keys(broker, queries, make_documents())
     assert keys == baseline
     assert keys
@@ -214,92 +229,14 @@ def test_sharded_equivalence_on_synthetic(shards, engine, synthetic_workload):
 
 def test_publish_many_equals_publish_loop(rss_workload):
     queries, documents = rss_workload
-    batched = ShardedBroker(engine="mmqjp", construct_outputs=False, shards=3)
-    looped = ShardedBroker(engine="mmqjp", construct_outputs=False, shards=3)
+    batched = Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=3))
+    looped = Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=3))
     for i, query in enumerate(queries):
         batched.subscribe(query, subscription_id=f"q{i}")
         looped.subscribe(query, subscription_id=f"q{i}")
     many = [r.match.key() for r in batched.publish_many(documents)]
     one_by_one = [r.match.key() for d in documents for r in looped.publish(d)]
     assert many == one_by_one
-
-
-# --------------------------------------------------------------------------- #
-# broker behaviour: escape hatch, outputs, filters, timestamps
-# --------------------------------------------------------------------------- #
-def test_broker_shards_escape_hatch():
-    broker = Broker(engine="mmqjp", shards=3, executor="serial")
-    assert isinstance(broker, ShardedBroker)
-    assert broker.num_shards == 3
-    assert broker.engine_name == "mmqjp"
-    # shards=1 (or omitted) stays a plain Broker
-    assert isinstance(Broker(shards=1), Broker)
-    assert isinstance(Broker(), Broker)
-    with pytest.raises(ValueError):
-        Broker(shards=0)
-
-    # Subclasses don't get rerouted by __new__; they must fail loudly rather
-    # than silently dropping shards=N onto a single engine.
-    class MyBroker(Broker):
-        pass
-
-    with pytest.raises(ValueError):
-        MyBroker(shards=4)
-
-
-def test_sharded_broker_constructs_outputs():
-    with ShardedBroker(shards=2) as broker:
-        broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS, subscription_id="q1")
-        from tests.conftest import make_book_announcement
-
-        assert broker.publish(make_book_announcement()) == []
-        deliveries = broker.publish(make_blog_article())
-        assert len(deliveries) == 1
-        assert deliveries[0].output is not None
-        assert deliveries[0].output.root.tag == "result"
-
-
-def test_sharded_broker_filter_subscriptions():
-    with ShardedBroker(shards=2) as broker:
-        hits = []
-        broker.subscribe("S//blog->b[.//author->a]", callback=hits.append)
-        broker.subscribe(CROSS_POST, subscription_id="join")
-        broker.publish(make_blog_article(docid="b1", timestamp=1.0))
-        assert len(hits) == 1
-        assert broker.shard_of("join") is not None
-        assert broker.shard_of(hits[0].subscription_id) is None
-
-
-def test_sharded_broker_unsubscribe_and_lookup():
-    with ShardedBroker(shards=2) as broker:
-        sub = broker.subscribe(CROSS_POST)
-        assert broker.subscription(sub.subscription_id) is sub
-        assert broker.subscriptions == [sub]
-        broker.publish(make_blog_article(docid="b1", timestamp=1.0))
-        broker.unsubscribe(sub.subscription_id)
-        broker.publish(make_blog_article(docid="b2", timestamp=2.0))
-        assert sub.num_results == 0
-        with pytest.raises(ValueError):
-            broker.subscribe(CROSS_POST, subscription_id=sub.subscription_id)
-
-
-def test_sharded_broker_central_auto_timestamping():
-    with ShardedBroker(shards=2) as broker:
-        broker.subscribe(CROSS_POST)
-        broker.publish("<blog><author>A</author><title>T</title></blog>")
-        deliveries = broker.publish("<blog><author>A</author><title>T</title></blog>")
-        assert len(deliveries) == 1
-        match = deliveries[0].match
-        assert (match.lhs_timestamp, match.rhs_timestamp) == (1.0, 2.0)
-
-
-def test_sharded_broker_validation():
-    with pytest.raises(ValueError):
-        ShardedBroker(shards=0)
-    with pytest.raises(ValueError):
-        ShardedBroker(construct_outputs=True, store_documents=False)
-    with pytest.raises(ValueError):
-        ShardedBroker(engine="turbo")
 
 
 # --------------------------------------------------------------------------- #
@@ -312,14 +249,14 @@ def _publish_windowed_stream(broker, n=30):
 
 
 def test_broker_auto_prunes_finite_window_state():
-    broker = Broker(engine="mmqjp", construct_outputs=False)
+    broker = Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False))
     _publish_windowed_stream(broker)
     # Horizon is 10 time units; the state must not retain all 30 documents.
     assert broker.stats()["engine_stats"]["state_documents"] <= 12
 
 
 def test_broker_auto_prune_opt_out_and_manual_prune():
-    broker = Broker(engine="mmqjp", construct_outputs=False, auto_prune=False)
+    broker = Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False, auto_prune=False))
     _publish_windowed_stream(broker)
     assert broker.stats()["engine_stats"]["state_documents"] == 30
     removed = broker.prune(min_timestamp=21.0)
@@ -328,13 +265,13 @@ def test_broker_auto_prune_opt_out_and_manual_prune():
 
 
 def test_sharded_broker_prunes_like_unsharded():
-    with ShardedBroker(engine="mmqjp", construct_outputs=False, shards=2) as broker:
+    with Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=2)) as broker:
         _publish_windowed_stream(broker)
         merged = broker.merged_engine_stats()
         assert merged.state_documents <= 12
 
-    with ShardedBroker(
-        engine="mmqjp", construct_outputs=False, shards=2, auto_prune=False
+    with Broker(
+        RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=2, auto_prune=False)
     ) as broker:
         _publish_windowed_stream(broker)
         assert broker.merged_engine_stats().state_documents == 30
@@ -369,7 +306,7 @@ def test_cost_breakdown_combined():
 
 def test_sharded_broker_stats_shape(rss_workload):
     queries, documents = rss_workload
-    with ShardedBroker(engine="mmqjp", construct_outputs=False, shards=4) as broker:
+    with Broker(RuntimeConfig(engine="mmqjp", construct_outputs=False, shards=4)) as broker:
         for i, query in enumerate(queries):
             broker.subscribe(query, subscription_id=f"q{i}")
         broker.publish_many(documents)
@@ -396,7 +333,7 @@ def test_sharded_broker_stats_shape(rss_workload):
 def test_engine_shard_repr_and_counts():
     from repro.core import MMQJPEngine
 
-    shard = EngineShard(1, MMQJPEngine(store_documents=False))
+    shard = EngineShard(1, MMQJPEngine(RuntimeConfig(store_documents=False)))
     shard.register("q0", parse_query(CROSS_POST))
     assert shard.num_queries == 1
     assert "queries=1" in repr(shard)
