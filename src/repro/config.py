@@ -41,6 +41,7 @@ __all__ = [
     "RuntimeConfig",
     "as_config",
     "metrics_enabled",
+    "resolve_columnar",
     "resolve_ingest",
 ]
 
@@ -117,7 +118,9 @@ class RuntimeConfig:
         id vectors (vectorized with ``numpy`` when installed — the
         ``repro[fast]`` extra — pure-``array`` kernels otherwise).
         ``False`` keeps the row-at-a-time path; match sets are identical
-        either way.
+        either way.  ``REPRO_COLUMNAR=0`` in the environment turns it off
+        for every config, explicit or defaulted (the CI replay override;
+        see :func:`resolve_columnar`).
     auto_prune:
         Prune join state by window horizon on the publish path (effective
         while every registered window is finite).
@@ -385,6 +388,18 @@ def resolve_ingest(config: "RuntimeConfig") -> str:
             )
         return override
     return config.ingest
+
+
+def resolve_columnar(config: "RuntimeConfig") -> bool:
+    """Whether ``config`` evaluates columnar, honoring ``REPRO_COLUMNAR=0``.
+
+    Like ``REPRO_INGEST`` the replay override wins over the config:
+    ``REPRO_COLUMNAR=0`` forces the row path on every processor — also one
+    whose config sets ``columnar=True`` explicitly — so existing suites
+    replay without column stores.  It only ever turns the knob off, and
+    the row path never changes match sets, so overriding is safe.
+    """
+    return config.columnar and os.environ.get("REPRO_COLUMNAR") != "0"
 
 
 def as_config(spec: Union[RuntimeConfig, str, None], owner: str) -> RuntimeConfig:

@@ -1,12 +1,15 @@
-"""Two-stage query-processing engines over XML documents.
+"""The two-stage query-processing engine over XML documents.
 
-:class:`MMQJPEngine` wires together Stage 1 (the shared
-:class:`~repro.xpath.evaluator.XPathEvaluator`) and Stage 2 (the
-:class:`~repro.core.processor.MMQJPJoinProcessor`), maintains the join state
-and (optionally) the original documents so that output XML documents can be
-constructed.  :class:`SequentialEngine` offers the identical interface on
-top of the one-query-at-a-time baseline, so the two can be compared — and
-checked for result equivalence — on any workload.
+One engine body (:class:`_BaseEngine`) wires together Stage 1 (the shared
+:class:`~repro.xpath.evaluator.XPathEvaluator`) and Stage 2 (a join
+processor of :mod:`repro.core.processor`, chosen from ``config.engine``),
+maintains the join state and (optionally) the original documents so that
+output XML documents can be constructed.  Every input — a tree document,
+raw text, one at a time or in a batch, with or without a durable store —
+takes the same document path (:meth:`_BaseEngine._process_one`).
+:class:`MMQJPEngine` and :class:`SequentialEngine` name the two Stage-2
+strategies behind that one interface, so they can be compared — and checked
+for result equivalence — on any workload.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.core.materialize import ViewCache
 from repro.metrics import MetricsRegistry
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from repro.core.results import Match, build_output_document
-from repro.core.state import JoinState
 from repro.core.witnesses import WitnessRelations
 from repro.templates.registry import TemplateRegistry
 from repro.xmlmodel.document import XmlDocument, _next_docid
@@ -101,7 +103,7 @@ def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> Eng
 
 
 class _BaseEngine:
-    """Shared machinery of the MMQJP and Sequential engines."""
+    """The engine: shared Stage 1, the Stage 2 strategy ``config.engine`` names."""
 
     def __init__(self, config: RuntimeConfig):
         self.config = config
@@ -140,9 +142,25 @@ class _BaseEngine:
         # Observability (RuntimeConfig.metrics / REPRO_METRICS): engine-side
         # per-stage latency histograms.  None — the default — keeps the hot
         # path at a single attribute check per document.  The processor's
-        # CostBreakdown mirrors its measured phases in (the subclasses
-        # attach it once the processor exists).
+        # CostBreakdown mirrors its measured phases in.
         self.metrics = MetricsRegistry() if metrics_enabled(config) else None
+        # Stage 2: config.engine selects the strategy; everything the
+        # engine does with the processor goes through the shared skeleton.
+        if config.engine == "sequential":
+            self.processor = SequentialJoinProcessor(config=config)
+        else:
+            materialize = config.engine == "mmqjp-vm"
+            view_cache = None
+            if materialize and config.view_cache_size is not None:
+                view_cache = ViewCache(max_entries=config.view_cache_size)
+            self.processor = MMQJPJoinProcessor(
+                TemplateRegistry(),
+                use_view_materialization=materialize,
+                view_cache=view_cache,
+                config=config,
+            )
+        if self.metrics is not None:
+            self.processor.costs.attach_metrics(self.metrics)
 
     # ------------------------------------------------------------------ #
     # registration
@@ -185,17 +203,15 @@ class _BaseEngine:
         """Register many queries; returns their query ids."""
         return [self.register_query(q) for q in queries]
 
-    def _register_with_processor(self, qid: str, query: XsclQuery) -> None:
-        raise NotImplementedError
-
-    def _register_stage1(self, key: str, query: XsclQuery, reduced) -> None:
-        """Register the reduced graph's variables and edges with the XPath Evaluator.
+    def _register_with_processor(self, key: str, query: XsclQuery) -> None:
+        """Register one query with Stage 2, and its reduced graph with Stage 1.
 
         ``key`` is the processor-registration key (the qid, or its
         ``::swap`` twin for symmetric JOINs); the variables and edges
         registered under it are recorded and reference-counted so
         :meth:`deregister_query` can withdraw exactly this registration.
         """
+        reduced = self.processor.add_query(key, query)
         patterns = {Side.LEFT: query.left.pattern, Side.RIGHT: query.right.pattern}
         variables: list[str] = []
         edges: list[tuple[str, str]] = []
@@ -240,7 +256,7 @@ class _BaseEngine:
         dead_vars: set[str] = set()
         dead_edges: set[tuple[str, str]] = set()
         for key in keys:
-            self._deregister_with_processor(key)
+            self.processor.remove_query(key)
             key_vars, key_edges = self._stage1.withdraw(key)
             dead_vars |= key_vars
             dead_edges |= key_edges
@@ -249,19 +265,16 @@ class _BaseEngine:
 
         self._release_window(canonical.join.window)
         if not self._registered:
-            self._processor().clear_state()
+            self.processor.clear_state()
             self.documents.clear()
             if self.store is not None:
                 self.store.clear_state()
         elif dead_vars:
-            self._processor().drop_variables(dead_vars)
+            self.processor.drop_variables(dead_vars)
             if self.store is not None:
                 self.store.delete_variables(dead_vars)
         if self.store is not None:
             self._persist_registration()
-
-    def _deregister_with_processor(self, qid: str) -> None:
-        raise NotImplementedError
 
     def _track_window(self, window: float) -> None:
         """Fold one registered query's window into the auto-prune horizon."""
@@ -292,108 +305,6 @@ class _BaseEngine:
     # ------------------------------------------------------------------ #
     # document processing
     # ------------------------------------------------------------------ #
-    def _prepare_document(
-        self,
-        document: Union[str, XmlDocument],
-        timestamp: Optional[float],
-    ) -> XmlDocument:
-        """Parse and stamp one incoming document (shared by both entry points)."""
-        if isinstance(document, str):
-            document = parse_document(document)
-        if timestamp is not None:
-            document.timestamp = float(timestamp)
-        elif self.auto_timestamp and document.timestamp == 0.0:
-            self._clock_value += 1
-            document.timestamp = float(self._clock_value)
-        return document
-
-    def _process_prepared(self, document: XmlDocument) -> list[Match]:
-        """Run both stages on an already-prepared document."""
-        if self.store is not None:
-            return self._process_prepared_durable(document)
-        metrics = self.metrics
-        if metrics is None:
-            witnesses = self.evaluator.evaluate(document)
-            relations = WitnessRelations.from_witnesses(witnesses)
-        else:
-            with metrics.timer("stage:stage1"):
-                witnesses = self.evaluator.evaluate(document)
-                relations = WitnessRelations.from_witnesses(witnesses)
-        raw_matches = self._processor().process(relations)
-        self._processor().maintain_state(relations)
-        self._after_state_maintenance(document.timestamp)
-
-        if self.store_documents:
-            self.documents[document.docid] = document
-
-        matches = self._normalize_matches(raw_matches)
-        self.num_documents_processed += 1
-        self.num_matches += len(matches)
-        return matches
-
-    def _process_prepared_durable(self, document: XmlDocument) -> list[Match]:
-        """The storage-backed twin of :meth:`_process_prepared`.
-
-        Identical processing, wrapped in one store *epoch* per document: the
-        merged state partitions, any in-epoch pruning, the serialized source
-        document and the engine counters all land in a single atomic commit,
-        so a crash at any point leaves either the whole document or none of
-        it.  On failure the epoch is aborted — the in-memory state may then
-        be ahead of the store, which is exactly the situation recovery
-        resolves by rebuilding from the store alone.
-        """
-        store = self.store
-        metrics = self.metrics
-        if metrics is None:
-            witnesses = self.evaluator.evaluate(document)
-            relations = WitnessRelations.from_witnesses(witnesses)
-        else:
-            with metrics.timer("stage:stage1"):
-                witnesses = self.evaluator.evaluate(document)
-                relations = WitnessRelations.from_witnesses(witnesses)
-        raw_matches = self._processor().process(relations)
-        docid = document.docid
-        store.begin_epoch(docid)
-        try:
-            self._processor().maintain_state(relations)
-            store.upsert_rows(
-                "Rbin", docid, [(docid,) + row for row in relations.rbinw.rows]
-            )
-            store.upsert_rows(
-                "Rdoc", docid, [(docid,) + row for row in relations.rdocw.rows]
-            )
-            store.upsert_rows(
-                "Rvar", docid, [(docid,) + row for row in relations.rvarw.rows]
-            )
-            store.upsert_rows("RdocTS", docid, list(relations.rdoctsw.rows))
-            self._after_state_maintenance(document.timestamp)
-            if self.store_documents:
-                self.documents[docid] = document
-                store.put_document(
-                    docid, document.timestamp, document.stream,
-                    to_xml(document, pretty=False),
-                )
-            matches = self._normalize_matches(raw_matches)
-            self.num_documents_processed += 1
-            self.num_matches += len(matches)
-            store.set_meta(
-                "engine_counters",
-                {
-                    "documents": self.num_documents_processed,
-                    "matches": self.num_matches,
-                    "clock": self._clock_value,
-                },
-            )
-            if metrics is None:
-                store.commit_epoch()
-            else:
-                with metrics.timer("stage:storage_commit"):
-                    store.commit_epoch()
-        except BaseException:
-            store.abort_epoch()
-            raise
-        return matches
-
     def _stream_eligible(self) -> bool:
         """Whether text input can skip tree construction entirely.
 
@@ -404,33 +315,113 @@ class _BaseEngine:
         """
         return self.ingest == "stream" and self.store is None and not self.store_documents
 
-    def _stamp_timestamp(self, timestamp: Optional[float]) -> float:
-        """Timestamp for a freshly-parsed text document (no carried stamp)."""
+    def _stamp(self, timestamp: Optional[float], carried: float = 0.0) -> float:
+        """The timestamp one input is processed under.
+
+        An explicit ``timestamp`` wins; otherwise the stamp the document
+        carries, with an unstamped one (0.0 — always the case for text)
+        drawing from the auto clock when ``auto_timestamp`` is on.
+        """
         if timestamp is not None:
             return float(timestamp)
-        if self.auto_timestamp:
+        if self.auto_timestamp and carried == 0.0:
             self._clock_value += 1
             return float(self._clock_value)
-        return 0.0
+        return carried
 
-    def _process_streamed(
-        self, text: str, docid: str, timestamp: float, stream: str
-    ) -> list[Match]:
-        """Run both stages on raw text via the single-pass witness scan."""
+    def _prepare(
+        self,
+        document: Union[str, XmlDocument],
+        timestamp: Optional[float],
+        stream: str = "S",
+    ) -> Union[XmlDocument, tuple[str, str, float, str]]:
+        """Stamp one input and give it the form :meth:`_process_one` takes.
+
+        Text stays text — ``(text, docid, timestamp, stream)`` — whenever
+        the engine may skip tree construction (:meth:`_stream_eligible`);
+        otherwise it is parsed.  Docids recur in every witness row, state
+        partition key and match: interning them here makes the hot-path
+        hashing and equality checks pointer comparisons.
+        """
+        if isinstance(document, str):
+            if self._stream_eligible():
+                return (document, sys.intern(_next_docid()), self._stamp(timestamp), stream)
+            document = parse_document(document, stream=stream)
+        document.timestamp = self._stamp(timestamp, document.timestamp)
+        if isinstance(document.docid, str):
+            document.docid = sys.intern(document.docid)
+        return document
+
+    def _witnesses(self, item: Union[XmlDocument, tuple]) -> WitnessRelations:
+        """Stage 1 on one prepared input; raw text is scanned without building a tree."""
+        if type(item) is tuple:
+            witnesses = self.evaluator.evaluate_text(*item)
+        else:
+            witnesses = self.evaluator.evaluate(item)
+        return WitnessRelations.from_witnesses(witnesses)
+
+    def _process_one(self, item: Union[XmlDocument, tuple]) -> list[Match]:
+        """The document path: run both stages on one prepared input.
+
+        Stage 1, ``process``, ``maintain_state``, auto-prune, match
+        normalisation and the counters, in that order, for every input.
+        With a store attached the steps after ``process`` form one store
+        *epoch*: the merged state partitions, any in-epoch pruning, the
+        serialized source document and the engine counters all land in a
+        single atomic commit, so a crash at any point leaves either the
+        whole document or none of it.  On failure the epoch is aborted —
+        the in-memory state may then be ahead of the store, which is
+        exactly the situation recovery resolves by rebuilding from the
+        store alone.
+        """
         metrics = self.metrics
         if metrics is None:
-            witnesses = self.evaluator.evaluate_text(text, docid, timestamp, stream)
-            relations = WitnessRelations.from_witnesses(witnesses)
+            relations = self._witnesses(item)
         else:
             with metrics.timer("stage:stage1"):
-                witnesses = self.evaluator.evaluate_text(text, docid, timestamp, stream)
-                relations = WitnessRelations.from_witnesses(witnesses)
-        raw_matches = self._processor().process(relations)
-        self._processor().maintain_state(relations)
-        self._after_state_maintenance(timestamp)
-        matches = self._normalize_matches(raw_matches)
-        self.num_documents_processed += 1
-        self.num_matches += len(matches)
+                relations = self._witnesses(item)
+        processor = self.processor
+        raw_matches = processor.process(relations)
+        docid = relations.docid
+        store = self.store
+        if store is not None:
+            store.begin_epoch(docid)
+        try:
+            processor.maintain_state(relations)
+            if store is not None:
+                store.upsert_rows("Rbin", docid, [(docid,) + row for row in relations.rbinw.rows])
+                store.upsert_rows("Rdoc", docid, [(docid,) + row for row in relations.rdocw.rows])
+                store.upsert_rows("Rvar", docid, [(docid,) + row for row in relations.rvarw.rows])
+                store.upsert_rows("RdocTS", docid, list(relations.rdoctsw.rows))
+            self._auto_prune(relations.timestamp)
+            if self.store_documents:
+                # Never raw text: storing documents rules the text path out.
+                self.documents[docid] = item
+                if store is not None:
+                    store.put_document(
+                        docid, item.timestamp, item.stream, to_xml(item, pretty=False)
+                    )
+            matches = self._normalize_matches(raw_matches)
+            self.num_documents_processed += 1
+            self.num_matches += len(matches)
+            if store is not None:
+                store.set_meta(
+                    "engine_counters",
+                    {
+                        "documents": self.num_documents_processed,
+                        "matches": self.num_matches,
+                        "clock": self._clock_value,
+                    },
+                )
+                if metrics is None:
+                    store.commit_epoch()
+                else:
+                    with metrics.timer("stage:storage_commit"):
+                        store.commit_epoch()
+        except BaseException:
+            if store is not None:
+                store.abort_epoch()
+            raise
         return matches
 
     def process_text(
@@ -447,12 +438,7 @@ class _BaseEngine:
         exactly ``process_document(parse_document(text, stream=...))``.
         Matches are identical either way.
         """
-        if not self._stream_eligible():
-            document = parse_document(text, stream=stream)
-            return self._process_prepared(self._prepare_document(document, timestamp))
-        return self._process_streamed(
-            text, _next_docid(), self._stamp_timestamp(timestamp), stream
-        )
+        return self._process_one(self._prepare(text, timestamp, stream))
 
     def process_document(
         self,
@@ -460,7 +446,7 @@ class _BaseEngine:
         timestamp: Optional[float] = None,
     ) -> list[Match]:
         """Run both stages on one incoming document and return its matches."""
-        return self._process_prepared(self._prepare_document(document, timestamp))
+        return self._process_one(self._prepare(document, timestamp))
 
     def process_batch(
         self,
@@ -469,46 +455,15 @@ class _BaseEngine:
     ) -> list[list[Match]]:
         """Process a batch of documents; one match list per document.
 
-        The batched ingestion fast path: the whole batch is parsed, stamped
-        and docid-interned up front, and the processor's per-batch hooks
-        (:meth:`~repro.core.processor.MMQJPJoinProcessor.begin_batch`)
-        hoist fixed per-document costs — e.g. the relevance-index sync,
-        which cannot change between a batch's documents — out of the loop.
-        Documents are still evaluated and folded into the join state in
+        The whole batch is stamped (and, where text cannot stay text,
+        parsed) up front, so docid and auto-timestamp assignment follow
+        arrival order whatever mix of text and trees the batch holds.
+        Documents are then evaluated and folded into the join state in
         arrival order, so the matches are exactly those of a
         :meth:`process_document` loop.
         """
-        streaming = self._stream_eligible()
-        # Text entries on the streaming path stay unparsed until processing;
-        # stamping docids and timestamps up front keeps assignment order (and
-        # hence auto-timestamps) identical to the all-tree batch.
-        prepared: list[Union[XmlDocument, tuple[str, str, float]]] = []
-        for document in documents:
-            if streaming and isinstance(document, str):
-                prepared.append(
-                    (document, sys.intern(_next_docid()), self._stamp_timestamp(timestamp))
-                )
-                continue
-            document = self._prepare_document(document, timestamp)
-            if isinstance(document.docid, str):
-                # Docids recur in every witness row, state partition key
-                # and match: interning once per batch makes the hot-path
-                # hashing and equality checks pointer comparisons.
-                document.docid = sys.intern(document.docid)
-            prepared.append(document)
-        if not prepared:
-            return []
-        processor = self._processor()
-        processor.begin_batch()
-        try:
-            return [
-                self._process_streamed(item[0], item[1], item[2], "S")
-                if type(item) is tuple
-                else self._process_prepared(item)
-                for item in prepared
-            ]
-        finally:
-            processor.end_batch()
+        prepared = [self._prepare(document, timestamp) for document in documents]
+        return [self._process_one(item) for item in prepared]
 
     def process_stream(self, documents: Iterable[Union[str, XmlDocument]]) -> list[Match]:
         """Process a sequence of documents; returns all matches in arrival order.
@@ -524,9 +479,10 @@ class _BaseEngine:
         return out
 
     def _processor(self):
-        raise NotImplementedError
+        """The Stage 2 processor, as a call (what ``perf/layers.py`` probes)."""
+        return self.processor
 
-    def _after_state_maintenance(self, timestamp: float) -> None:
+    def _auto_prune(self, timestamp: float) -> None:
         """Window-based pruning of state (only when every window is finite)."""
         if not self.auto_prune:
             return
@@ -542,21 +498,15 @@ class _BaseEngine:
         can prune on demand (e.g. with ``auto_prune=False``).  Returns the
         number of documents removed from the join state.
         """
-        stale: set[str] = set()
-        if self.store is not None:
-            stale = self._processor().state.stale_docids(min_timestamp)
-        removed = self._prune(min_timestamp)
-        if removed and self.store_documents:
-            alive = self._processor().state.document_ids()
-            self.documents = {d: doc for d, doc in self.documents.items() if d in alive}
-        if stale:
-            # Inside a document epoch this joins the epoch's transaction,
-            # keeping the merge and its window-pruning atomic.
-            self.store.delete_documents(stale)
-        return removed
-
-    def _prune(self, min_timestamp: float) -> int:
-        return self._processor().prune_state(min_timestamp)
+        dropped = self.processor.prune_state(min_timestamp)
+        if dropped:
+            for docid in dropped:
+                self.documents.pop(docid, None)
+            if self.store is not None:
+                # Inside a document epoch this joins the epoch's transaction,
+                # keeping the merge and its window-pruning atomic.
+                self.store.delete_documents(dropped)
+        return len(dropped)
 
     def _normalize_matches(self, matches: list[Match]) -> list[Match]:
         """Strip the internal swap suffix and de-duplicate symmetric JOIN matches.
@@ -619,7 +569,7 @@ class _BaseEngine:
         cross-checks the replayed registry against this multiset.
         """
         self._persist_catalog()
-        registry = getattr(self, "registry", None)
+        registry = self.processor.registry
         if registry is not None:
             self.store.set_meta(
                 "template_refcounts", sorted(registry.template_sizes().values())
@@ -664,34 +614,44 @@ class _BaseEngine:
         return len(self._registered)
 
     @property
+    def registry(self) -> Optional[TemplateRegistry]:
+        """The template registry (``None`` under ``"sequential"``, which keeps none)."""
+        return self.processor.registry
+
+    @property
+    def num_templates(self) -> Optional[int]:
+        """Number of live query templates (``None`` under ``"sequential"``)."""
+        return self.processor.num_templates
+
+    @property
     def costs(self) -> CostBreakdown:
         """The processor's accumulated cost breakdown."""
-        return self._processor().costs
+        return self.processor.costs
 
     @property
     def indexing(self) -> str:
         """The join-state indexing mode (``"eager"`` / ``"lazy"`` / ``"off"``)."""
-        return self._processor().indexing
+        return self.processor.indexing
 
     @property
     def plan_cache(self):
         """The processor's compiled-plan cache (``None`` when disabled)."""
-        return self._processor().plan_cache
+        return self.processor.plan_cache
 
     @property
     def prune_dispatch(self) -> bool:
         """Whether relevance-pruned dispatch is enabled."""
-        return self._processor().relevance is not None
+        return self.processor.relevance is not None
 
     @property
     def delta_join(self) -> bool:
         """Whether delta-driven (semi-join reduced) evaluation is enabled."""
-        return self._processor().delta_join
+        return self.processor.delta_join
 
     @property
     def columnar(self) -> bool:
         """Whether columnar (interned-id vector) evaluation is enabled."""
-        return self._processor().columnar
+        return self.processor.columnar
 
     def set_match_filter(self, match_filter) -> None:
         """Install a query-id match filter on the processor (or clear with None).
@@ -704,7 +664,7 @@ class _BaseEngine:
         reason about public query ids only.
         """
         if match_filter is None:
-            self._processor().set_match_filter(None)
+            self.processor.set_match_filter(None)
             return
 
         def filter_with_swap(qid: str) -> bool:
@@ -712,12 +672,12 @@ class _BaseEngine:
                 qid = qid[: -len(_SWAP_SUFFIX)]
             return match_filter(qid)
 
-        self._processor().set_match_filter(filter_with_swap)
+        self.processor.set_match_filter(filter_with_swap)
 
     @property
     def delta_stats(self) -> dict[str, int]:
         """The processor's delta-reduction counters (all zero when off)."""
-        return dict(self._processor().delta_stats)
+        return dict(self.processor.delta_stats)
 
     def metrics_snapshot(self) -> Optional[dict]:
         """Snapshot of this engine's metrics registry (``None`` when disabled).
@@ -732,12 +692,12 @@ class _BaseEngine:
         """Summary statistics for dashboards, examples and tests."""
         return EngineStats(
             num_queries=self.num_queries,
-            num_templates=getattr(self, "num_templates", None),
+            num_templates=self.num_templates,
             num_documents_processed=self.num_documents_processed,
             num_matches=self.num_matches,
-            state_documents=self._processor().state.num_documents,
+            state_documents=self.processor.state.num_documents,
             costs=self.costs.as_milliseconds(),
-            columnar=self._processor().env.columnar_counters(),
+            columnar=self.processor.env.columnar_counters(),
             delta=self.delta_stats,
         )
 
@@ -788,35 +748,9 @@ class MMQJPEngine(_BaseEngine):
             use_view_materialization = (
                 config.engine == "mmqjp-vm" or config.view_cache_size is not None
             )
-        super().__init__(config)
-        self.registry = TemplateRegistry()
-        view_cache = None
-        if use_view_materialization and config.view_cache_size is not None:
-            view_cache = ViewCache(max_entries=config.view_cache_size)
-        self.processor = MMQJPJoinProcessor(
-            registry=self.registry,
-            state=JoinState(indexing=config.indexing),
-            use_view_materialization=use_view_materialization,
-            view_cache=view_cache,
-            config=config,
+        super().__init__(
+            config.replace(engine="mmqjp-vm" if use_view_materialization else "mmqjp")
         )
-        if self.metrics is not None:
-            self.processor.costs.attach_metrics(self.metrics)
-
-    def _processor(self) -> MMQJPJoinProcessor:
-        return self.processor
-
-    def _register_with_processor(self, qid: str, query: XsclQuery) -> None:
-        record = self.registry.add_query(qid, query)
-        self._register_stage1(qid, query, record.reduced)
-
-    def _deregister_with_processor(self, qid: str) -> None:
-        self.processor.remove_query(qid)
-
-    @property
-    def num_templates(self) -> int:
-        """Number of distinct query templates currently registered."""
-        return self.registry.num_templates
 
 
 class SequentialEngine(_BaseEngine):
@@ -827,24 +761,7 @@ class SequentialEngine(_BaseEngine):
     """
 
     def __init__(self, config: Optional[RuntimeConfig] = None):
-        config = as_config(config, "SequentialEngine")
-        super().__init__(config)
-        self.processor = SequentialJoinProcessor(
-            state=JoinState(indexing=config.indexing),
-            config=config,
-        )
-        if self.metrics is not None:
-            self.processor.costs.attach_metrics(self.metrics)
-
-    def _processor(self) -> SequentialJoinProcessor:
-        return self.processor
-
-    def _register_with_processor(self, qid: str, query: XsclQuery) -> None:
-        self.processor.add_query(qid, query)
-        self._register_stage1(qid, query, self.processor.reduced_graph(qid))
-
-    def _deregister_with_processor(self, qid: str) -> None:
-        self.processor.remove_query(qid)
+        super().__init__(as_config(config, "SequentialEngine").replace(engine="sequential"))
 
 
 def make_engine(
@@ -874,15 +791,12 @@ def make_engine(
     config = as_config(config, "make_engine")
     if engine is not None:
         config = config.replace(engine=engine)
-    if config.engine == "mmqjp":
-        # The selection keyword decides view materialization: a plain
-        # "mmqjp" ignores any view_cache_size (matching the historical
-        # factory), "mmqjp-vm" enables it.
-        built = MMQJPEngine(config, use_view_materialization=False)
-    elif config.engine == "mmqjp-vm":
-        built = MMQJPEngine(config, use_view_materialization=True)
-    else:
+    if config.engine == "sequential":
         built = SequentialEngine(config)
+    else:
+        # The selection keyword decides view materialization: a plain
+        # "mmqjp" ignores any view_cache_size, "mmqjp-vm" enables it.
+        built = MMQJPEngine(config, use_view_materialization=config.engine == "mmqjp-vm")
     if store is not None:
         built.attach_store(store)
     return built

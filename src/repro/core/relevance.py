@@ -80,9 +80,7 @@ class RelevanceIndex:
     def remove(self, member: Hashable) -> bool:
         """Remove one member's postings (subscription retraction path).
 
-        Returns ``True`` when the member was present.  Unknown members are
-        tolerated: a query cancelled before the processor's incremental
-        sync ever indexed it simply has nothing to remove.
+        Returns ``True`` when the member was present.
         """
         if member in self._always:
             del self._always[member]

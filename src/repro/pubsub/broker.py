@@ -657,10 +657,8 @@ class Broker:
         (parsed, stamped, recorded on its streams) up front and routed per
         document into per-shard sub-batches; each shard then processes its
         sub-batch in one task through
-        :meth:`~repro.core.engine._BaseEngine.process_batch` (which hoists
-        the relevance-index sync and docid interning out of the
-        per-document loop), so the per-document dispatch overhead is paid
-        once per batch per shard.  Deliveries fire once the whole batch has
+        :meth:`~repro.core.engine._BaseEngine.process_batch`, so the
+        per-document dispatch overhead is paid once per batch per shard.  Deliveries fire once the whole batch has
         been processed, grouped per document in arrival order (a document's
         filter deliveries, then its join matches in shard order), and reuse
         one qid → subscription cache for the whole batch — every result

@@ -52,10 +52,9 @@ class EngineShard:
 
         This is the unit of work the executors schedule: batching amortizes
         one dispatch (and, for pool executors, one task handoff) over the
-        whole batch, and the engine's batched pipeline
-        (:meth:`~repro.core.engine._BaseEngine.process_batch`) additionally
-        hoists the per-document fixed costs — relevance-index sync, docid
-        interning — out of the loop.
+        whole batch, which the engine
+        (:meth:`~repro.core.engine._BaseEngine.process_batch`) stamps up
+        front and then runs document by document.
 
         A shard without subscriptions skips processing outright.  This is
         safe: Stage 1 witnesses are computed at arrival time, so a document

@@ -189,10 +189,9 @@ def recover_engine_catalog(engine):
 
 def engine_registry_refcounts(engine):
     """One engine's live template-refcount multiset (``None`` without registry)."""
-    registry = getattr(engine, "registry", None)
-    if registry is None:
+    if engine.registry is None:
         return None
-    return sorted(registry.template_sizes().values())
+    return sorted(engine.registry.template_sizes().values())
 
 
 def docid_floor(engine) -> int:
@@ -217,7 +216,7 @@ def restore_engine_state(engine) -> None:
     from repro.xmlmodel.parser import parse_document
 
     store = engine.store
-    state = engine._processor().state
+    state = engine.processor.state
     for relation in STABLE_RELATIONS:
         state.restore_rows(relation, store.state_rows(relation))
     if engine.store_documents:

@@ -9,8 +9,6 @@ forms), which is everything the Join Processor needs.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,24 +56,23 @@ def _graph_key(reduced: ReducedJoinGraph) -> tuple:
 
 @dataclass
 class RegisteredQuery:
-    """Bookkeeping for one registered query.
-
-    ``seq`` is the registry-wide monotonic registration number; incremental
-    consumers (the relevance index) sync by it, so removals never shift the
-    positions they remember.
-    """
+    """Bookkeeping for one registered query."""
 
     qid: str
     query: XsclQuery
     assignment: TemplateAssignment
     reduced: ReducedJoinGraph
     window: float
-    seq: int = -1
 
     @property
     def template(self) -> QueryTemplate:
         """The template this query belongs to."""
         return self.assignment.template
+
+    @property
+    def names(self) -> dict[str, str]:
+        """Meta-variable -> this query's variable name (what its ``RT`` tuple stores)."""
+        return self.assignment.assignment
 
 
 @dataclass
@@ -110,8 +107,6 @@ class TemplateRegistry:
         self._entries: list[_TemplateEntry] = []
         self._by_signature: dict[tuple, list[_TemplateEntry]] = {}
         self._queries: dict[str, RegisteredQuery] = {}
-        self._ordered: list[RegisteredQuery] = []
-        self._seq = itertools.count()
         # Exact reduced-graph -> assignment memo: re-registering a shape the
         # registry has seen (common under churn, where the same queries
         # cancel and resubscribe) skips the isomorphism test entirely.
@@ -145,10 +140,8 @@ class TemplateRegistry:
             assignment=assignment,
             reduced=reduced,
             window=window,
-            seq=next(self._seq),
         )
         self._queries[qid] = record
-        self._ordered.append(record)
         return record
 
     def remove_query(self, qid: str) -> RegisteredQuery:
@@ -162,10 +155,6 @@ class TemplateRegistry:
         Raises :class:`KeyError` for unknown query ids.
         """
         record = self._queries.pop(qid)
-        # _ordered is sorted by seq, so the record's position is a binary
-        # search away; list.remove would compare whole dataclasses linearly.
-        index = bisect.bisect_left(self._ordered, record.seq, key=lambda r: r.seq)
-        del self._ordered[index]
         entry = self._entries[record.template.template_id]
         del entry.query_ids[qid]
         # O(1) RT removal: swap-delete at the tracked position, then repoint
@@ -236,27 +225,6 @@ class TemplateRegistry:
     def queries(self) -> list[RegisteredQuery]:
         """All registered query records."""
         return list(self._queries.values())
-
-    def records(self, start: int = 0) -> list[RegisteredQuery]:
-        """Registered query records in registration order, from index ``start``.
-
-        Positional access over the *current* records; under retraction the
-        positions shift, so incremental consumers should use
-        :meth:`records_since` (sync by the stable ``seq`` stamp) instead.
-        """
-        return self._ordered[start:]
-
-    def records_since(self, seq: int) -> list[RegisteredQuery]:
-        """Records with registration number strictly greater than ``seq``.
-
-        ``_ordered`` is sorted by ``seq`` (appends are monotonic, removals
-        preserve order), so this is a binary search plus the tail slice.
-        Incremental consumers (the Join Processor's relevance index)
-        remember the last ``seq`` they consumed; records removed before
-        being consumed simply never show up.
-        """
-        start = bisect.bisect_right(self._ordered, seq, key=lambda r: r.seq)
-        return self._ordered[start:]
 
     def query(self, qid: str) -> RegisteredQuery:
         """The record of one registered query."""

@@ -553,14 +553,12 @@ def test_config_columnar_knob_and_ablation():
 
 
 def test_processor_and_engine_thread_the_knob(monkeypatch):
-    # Config-carried knobs have no explicitness bit, so REPRO_COLUMNAR=0
-    # (tested separately) would downgrade them; pin the env here.
     monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
     from repro.templates.registry import TemplateRegistry
 
-    proc = MMQJPJoinProcessor(TemplateRegistry(), columnar=True)
+    proc = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=True))
     assert proc.columnar is True and proc.env.columnar is True
-    proc_off = MMQJPJoinProcessor(TemplateRegistry(), columnar=False)
+    proc_off = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=False))
     assert proc_off.columnar is False and proc_off.env.columnar is False
     seq = SequentialJoinProcessor(config=RuntimeConfig(columnar=False))
     assert seq.columnar is False
@@ -569,15 +567,23 @@ def test_processor_and_engine_thread_the_knob(monkeypatch):
     engine.close()
 
 
-def test_repro_columnar_env_downgrades_default_only(monkeypatch):
+def test_repro_columnar_env_overrides_every_config(monkeypatch):
+    """``REPRO_COLUMNAR=0`` wins over the config, explicit or defaulted."""
+    from repro.config import resolve_columnar
     from repro.templates.registry import TemplateRegistry
 
     monkeypatch.setenv("REPRO_COLUMNAR", "0")
-    defaulted = MMQJPJoinProcessor(TemplateRegistry())
-    assert defaulted.columnar is False  # default resolution downgraded
-    explicit = MMQJPJoinProcessor(TemplateRegistry(), columnar=True)
-    assert explicit.columnar is True  # explicit knob always wins
+    assert MMQJPJoinProcessor(TemplateRegistry()).columnar is False
+    explicit = RuntimeConfig(columnar=True)
+    assert resolve_columnar(explicit) is False
+    assert SequentialJoinProcessor(config=explicit).columnar is False
+    with open_broker(explicit) as broker:
+        assert broker.engine.columnar is False
+    # The override only ever turns the knob off.
+    monkeypatch.setenv("REPRO_COLUMNAR", "1")
+    assert resolve_columnar(RuntimeConfig(columnar=False)) is False
     monkeypatch.delenv("REPRO_COLUMNAR")
+    assert resolve_columnar(explicit) is True
     assert MMQJPJoinProcessor(TemplateRegistry()).columnar is True
 
 

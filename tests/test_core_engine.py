@@ -166,3 +166,69 @@ def test_costs_accumulate():
     engine.process_document(_blog("a", 1))
     engine.process_document(_blog("b", 2))
     assert engine.costs.get("conjunctive_query") > 0.0
+
+
+@pytest.mark.parametrize("engine_name", ["mmqjp", "mmqjp-vm", "sequential"])
+def test_every_input_takes_one_document_path(monkeypatch, engine_name):
+    """Text, tree, batch and store-attached runs: same matches, counters and clock."""
+    import repro.core.engine as engine_module
+    from repro.core.engine import make_engine
+    from repro.storage import MemoryStore
+    from repro.xmlmodel.parser import parse_document
+
+    def text(author, title):
+        return f"<blog><author>{author}</author><title>{title}</title></blog>"
+
+    texts = [text("Ada", "Streams"), text("Ada", "Streams"), text("Bob", "Joins"),
+             text("Ada", "Streams")]
+    parsed = []
+
+    def counted_parse(*args, **kwargs):
+        parsed.append(args[0])
+        return parse_document(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "parse_document", counted_parse)
+
+    def run(feed, store=None):
+        engine = make_engine(RuntimeConfig(engine=engine_name, store_documents=False), store=store)
+        engine.register_query(CROSS_POST)
+        observed = [
+            sorted(
+                (m.qid, m.lhs_timestamp, m.rhs_timestamp,
+                 sorted(m.lhs_bindings.items()), sorted(m.rhs_bindings.items()))
+                for m in matches
+            )
+            for matches in feed(engine)
+        ]
+        return engine, (
+            observed, engine.num_documents_processed, engine.num_matches,
+            engine._clock_value, engine.processor.state.num_documents,
+        )
+
+    _, by_text = run(lambda e: [e.process_text(t) for t in texts])
+    _, by_batch = run(lambda e: e.process_batch(texts))
+    assert parsed == []  # nothing keeps documents: text never becomes a tree
+    _, by_document = run(lambda e: [e.process_document(parse_document(t)) for t in texts])
+    store = MemoryStore()
+    engine, durable = run(lambda e: [e.process_text(t) for t in texts], store=store)
+    assert parsed == texts  # the store persists the serialized source
+    assert by_text == by_batch == by_document == durable
+    assert [len(matches) for matches in by_text[0]] == [0, 1, 0, 2]
+    assert by_text[1:] == (4, 3, 4, 4)
+    assert store.get_meta("engine_counters") == {"documents": 4, "matches": 3, "clock": 4}
+    assert len(store.state_docids()) == 4
+
+    class Crash(RuntimeError):
+        pass
+
+    def hook(point):
+        if point == "commit_epoch":
+            raise Crash
+
+    store.fault_hook = hook
+    with pytest.raises(Crash):
+        engine.process_text(texts[0])
+    store.fault_hook = None
+    assert len(store.state_docids()) == 4  # the faulted epoch left nothing behind
+    engine.process_text(texts[2])  # ... and is not left open
+    assert len(store.state_docids()) == 5

@@ -1,39 +1,17 @@
-"""Unit tests for the Stage 2 join processors (MMQJP and Sequential)."""
+"""Unit tests for what is particular to one Stage 2 strategy or to neither.
+
+The behaviour every strategy shares is checked once, parametrised, in
+``tests/test_processor_contract.py``.
+"""
 
 import pytest
 
-from repro.core import MMQJPJoinProcessor, SequentialJoinProcessor
-from repro.core.materialize import ViewCache
+from repro.core import MMQJPJoinProcessor
 from repro.core.processor import build_per_query_cq, window_satisfied
 from repro.templates import JoinGraph, TemplateRegistry, reduce_join_graph
-from repro.workloads.synthetic import build_technical_benchmark_data, leaf_variable
-from repro.workloads.querygen import generate_query
-from repro.xmlmodel.schema import two_level_schema
-from repro.xscl import parse_query
+from repro.workloads.synthetic import build_technical_benchmark_data
 from repro.xscl.ast import JoinOperator
-from tests.conftest import PAPER_WINDOWS
-
-SCHEMA = two_level_schema(4)
-
-
-def _matching_query(window: float = float("inf")):
-    """A query joining leaf0=leaf0 and leaf1=leaf1 — always matches the benchmark docs."""
-    v0, v1 = leaf_variable(SCHEMA, 0), leaf_variable(SCHEMA, 1)
-    text = (
-        f"S//item->v_item[.//leaf0->{v0}][.//leaf1->{v1}] "
-        f"FOLLOWED BY{{{v0}={v0} AND {v1}={v1}, {window if window != float('inf') else 'INF'}}} "
-        f"S//item->v_item[.//leaf0->{v0}][.//leaf1->{v1}]"
-    )
-    return parse_query(text)
-
-
-def _non_matching_query():
-    """leaf0 = leaf1 never matches (benchmark leaf values differ per position)."""
-    v0, v1 = leaf_variable(SCHEMA, 0), leaf_variable(SCHEMA, 1)
-    return parse_query(
-        f"S//item->v_item[.//leaf0->{v0}] FOLLOWED BY{{{v0}={v1}, INF}} "
-        f"S//item->v_item[.//leaf1->{v1}]"
-    )
+from tests.test_processor_contract import SCHEMA, matching_query
 
 
 @pytest.fixture
@@ -52,70 +30,9 @@ def test_window_satisfied_join_allows_simultaneous_events():
     assert not window_satisfied(JoinOperator.JOIN, 11.0, 10.0)
 
 
-def test_mmqjp_finds_matching_query(data):
-    registry = TemplateRegistry()
-    registry.add_query("hit", _matching_query())
-    registry.add_query("miss", _non_matching_query())
-    processor = MMQJPJoinProcessor(registry, state=data.fresh_state())
-    matches = processor.process(data.witness)
-    assert [m.qid for m in matches] == ["hit"]
-    match = matches[0]
-    assert match.lhs_docid == "d1" and match.rhs_docid == "d2"
-    assert match.lhs_bindings[leaf_variable(SCHEMA, 0)] == 1
-    assert match.rhs_bindings[leaf_variable(SCHEMA, 0)] == 1
-
-
-def test_mmqjp_window_filtering(data):
-    registry = TemplateRegistry()
-    registry.add_query("tight", _matching_query(window=0.5))  # delta is 1.0 -> excluded
-    registry.add_query("loose", _matching_query(window=5.0))
-    processor = MMQJPJoinProcessor(registry, state=data.fresh_state())
-    matches = processor.process(data.witness)
-    assert [m.qid for m in matches] == ["loose"]
-
-
-def test_mmqjp_with_view_materialization_agrees(data):
-    registry = TemplateRegistry()
-    registry.add_query("hit", _matching_query())
-    plain = MMQJPJoinProcessor(registry, state=data.fresh_state())
-    materialized = MMQJPJoinProcessor(
-        registry, state=data.fresh_state(), use_view_materialization=True
-    )
-    cached = MMQJPJoinProcessor(
-        registry,
-        state=data.fresh_state(),
-        use_view_materialization=True,
-        view_cache=ViewCache(max_entries=8),
-    )
-    keys = [{m.key() for m in p.process(data.witness)} for p in (plain, materialized, cached)]
-    assert keys[0] == keys[1] == keys[2]
-    assert keys[0]
-
-
-def test_mmqjp_maintain_state_merges_current_document(data):
-    registry = TemplateRegistry()
-    registry.add_query("hit", _matching_query())
-    processor = MMQJPJoinProcessor(registry, state=data.fresh_state())
-    processor.process(data.witness)
-    processor.maintain_state(data.witness)
-    assert processor.state.num_documents == 2
-
-
-def test_mmqjp_prune_state(data):
-    registry = TemplateRegistry()
-    registry.add_query("hit", _matching_query())
-    processor = MMQJPJoinProcessor(
-        registry, state=data.fresh_state(), use_view_materialization=True, view_cache=ViewCache()
-    )
-    processor.process(data.witness)
-    removed = processor.prune_state(min_timestamp=1.5)
-    assert removed == 1
-    assert processor.state.num_documents == 0
-
-
 def test_mmqjp_costs_recorded(data):
     registry = TemplateRegistry()
-    registry.add_query("hit", _matching_query())
+    registry.add_query("hit", matching_query())
     processor = MMQJPJoinProcessor(
         registry, state=data.fresh_state(), use_view_materialization=True
     )
@@ -125,24 +42,8 @@ def test_mmqjp_costs_recorded(data):
     assert processor.costs.total > 0.0
 
 
-def test_sequential_matches_same_results(data):
-    sequential = SequentialJoinProcessor(state=data.fresh_state())
-    sequential.add_query("hit", _matching_query())
-    sequential.add_query("miss", _non_matching_query())
-    matches = sequential.process(data.witness)
-    assert [m.qid for m in matches] == ["hit"]
-    assert sequential.num_queries == 2
-
-
-def test_sequential_duplicate_qid_rejected(data):
-    sequential = SequentialJoinProcessor(state=data.fresh_state())
-    sequential.add_query("q", _matching_query())
-    with pytest.raises(ValueError):
-        sequential.add_query("q", _matching_query())
-
-
 def test_per_query_cq_uses_constants_for_variable_names():
-    query = _matching_query()
+    query = matching_query()
     reduced = reduce_join_graph(JoinGraph.from_query(query))
     cq = build_per_query_cq("q7", query, reduced)
     # The head carries the query id and window as constants.
@@ -150,19 +51,3 @@ def test_per_query_cq_uses_constants_for_variable_names():
     assert cq.head_terms[-1].value == float("inf")
     rt_atoms = [a for a in cq.body if a.relation.startswith("RT")]
     assert rt_atoms == []
-
-
-def test_random_generated_query_agrees_between_processors(data):
-    import random
-
-    rng = random.Random(42)
-    queries = [generate_query(SCHEMA, k, rng) for k in (1, 2, 3) for _ in range(5)]
-    registry = TemplateRegistry()
-    sequential = SequentialJoinProcessor(state=data.fresh_state())
-    for i, query in enumerate(queries):
-        registry.add_query(f"q{i}", query)
-        sequential.add_query(f"q{i}", query)
-    mmqjp = MMQJPJoinProcessor(registry, state=data.fresh_state())
-    assert {m.key() for m in mmqjp.process(data.witness)} == {
-        m.key() for m in sequential.process(data.witness)
-    }

@@ -201,16 +201,14 @@ def test_engines_expose_delta_join_knob():
         assert set(on.delta_stats) == {"documents", *DeltaContext.COUNTERS}
 
 
-def test_processor_accepts_explicit_delta_join_knob():
+def test_processor_takes_delta_join_from_config():
     from repro.templates.registry import TemplateRegistry
 
-    processor = MMQJPJoinProcessor(TemplateRegistry(), delta_join=False)
-    assert processor.delta_join is False
-    sequential = SequentialJoinProcessor(delta_join=False)
-    assert sequential.delta_join is False
-    # Config fills the knob when it is not given explicitly.
-    configured = SequentialJoinProcessor(config=RuntimeConfig(delta_join=False))
-    assert configured.delta_join is False
+    off = RuntimeConfig(delta_join=False)
+    assert MMQJPJoinProcessor(TemplateRegistry(), config=off).delta_join is False
+    assert SequentialJoinProcessor(config=off).delta_join is False
+    assert MMQJPJoinProcessor(TemplateRegistry()).delta_join is True
+    assert SequentialJoinProcessor().delta_join is True
 
 
 def test_engine_delta_stats_track_documents():
@@ -299,21 +297,6 @@ def test_sharded_publish_skips_empty_shards():
                 assert row["num_documents_processed"] == 0
     finally:
         broker.close()
-
-
-def test_relevance_sync_hoisted_across_batch():
-    """begin_batch syncs the relevance index once for the whole batch."""
-    engine = make_engine(config=RuntimeConfig(store_documents=False))
-    engine.register_query(CROSS, window_symbols=PAPER_WINDOWS)
-    processor = engine.processor
-    processor.begin_batch()
-    try:
-        assert processor._in_batch is True
-        assert processor.relevance is not None
-        assert processor.relevance.num_members > 0
-    finally:
-        processor.end_batch()
-    assert processor._in_batch is False
 
 
 def test_delta_join_off_reproduces_default_results_end_to_end():
