@@ -16,26 +16,19 @@ from repro.bench.harness import (
     ApproachResult,
     run_technical_benchmark,
     run_rss_throughput,
-    run_plan_scaling,
-    run_parallel_topic_throughput,
-    run_sharded_rss_throughput,
     register_mmqjp,
     register_sequential,
 )
 from repro.bench import experiments
-from repro.bench.reporting import format_table, rows_to_csv, rows_to_json
+from repro.bench.reporting import format_table, rows_to_csv
 
 __all__ = [
     "ApproachResult",
     "run_technical_benchmark",
     "run_rss_throughput",
-    "run_plan_scaling",
-    "run_parallel_topic_throughput",
-    "run_sharded_rss_throughput",
     "register_mmqjp",
     "register_sequential",
     "experiments",
     "format_table",
     "rows_to_csv",
-    "rows_to_json",
 ]

@@ -18,11 +18,7 @@ from repro.bench.harness import (
     APPROACH_MMQJP,
     APPROACH_MMQJP_VM,
     APPROACH_SEQUENTIAL,
-    register_mmqjp,
-    run_plan_scaling,
     run_rss_throughput,
-    run_sharded_rss_throughput,
-    run_state_scaling,
     run_technical_benchmark,
 )
 from repro.core.processor import MMQJPJoinProcessor
@@ -31,10 +27,7 @@ from repro.templates.join_graph import JoinGraph
 from repro.templates.registry import TemplateRegistry
 from repro.workloads.querygen import QueryWorkloadConfig, generate_queries
 from repro.workloads.rss import RssStreamConfig, generate_rss_queries, generate_rss_stream
-from repro.workloads.synthetic import (
-    build_state_scaling_data,
-    build_technical_benchmark_data,
-)
+from repro.workloads.synthetic import build_technical_benchmark_data
 from repro.xmlmodel.schema import three_level_schema, two_level_schema
 
 # Default parameter values of Table 5.
@@ -254,253 +247,6 @@ def fig16(
 
 
 # --------------------------------------------------------------------------- #
-# Sharded runtime: throughput vs. shard count (beyond the paper)
-# --------------------------------------------------------------------------- #
-def sharded_throughput(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    executors: Sequence[str] = ("serial", "threads"),
-    partitioner: str = "hash",
-    num_queries: int = 400,
-    num_items: int = 150,
-    zipf: float = DEFAULT_ZIPF,
-) -> list[dict]:
-    """RSS-stream throughput of the sharded runtime vs. shard count.
-
-    The first row is the unsharded MMQJP engine as the baseline; the
-    remaining rows sweep shard counts for each executor.  Every
-    configuration must (and does — the equivalence tests enforce it) report
-    the same number of matches.
-    """
-    documents = list(generate_rss_stream(RssStreamConfig(num_items=num_items)))
-    queries = generate_rss_queries(num_queries, zipf_theta=zipf)
-
-    rows = []
-    baseline = run_rss_throughput(queries, documents, APPROACH_MMQJP)
-    row = baseline.as_row()
-    row["figure"] = "sharded_throughput"
-    rows.append(row)
-
-    for executor in executors:
-        for shards in shard_counts:
-            result = run_sharded_rss_throughput(
-                queries,
-                documents,
-                shards=shards,
-                approach=APPROACH_MMQJP,
-                partitioner=partitioner,
-                executor=executor,
-            )
-            row = result.as_row()
-            row["figure"] = "sharded_throughput"
-            rows.append(row)
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# State scaling: incremental indexed join state (beyond the paper)
-# --------------------------------------------------------------------------- #
-def state_scaling(
-    state_sizes: Sequence[int] = (100, 300, 1000),
-    num_queries_list: Sequence[int] = (50, 200),
-    indexing_modes: Sequence[str] = ("eager", "lazy", "off"),
-    num_probe_docs: int = 5,
-    max_value_joins: int = 4,
-    zipf: float = DEFAULT_ZIPF,
-) -> list[dict]:
-    """Per-document join throughput vs. retained state size and indexing mode.
-
-    With ``indexing="off"`` (the snapshot-rehashing baseline) the
-    per-document cost grows with templates × total state; the eager and
-    lazy incremental-index modes keep it proportional to the matching
-    witnesses.  Every configuration is checked for exact match-set
-    equivalence against the ``off`` baseline; a mismatch raises.
-    """
-    schema = three_level_schema(branching=4)
-    rows = []
-    for num_queries in num_queries_list:
-        queries = generate_queries(
-            QueryWorkloadConfig(
-                schema=schema,
-                num_queries=num_queries,
-                zipf_theta=zipf,
-                max_value_joins=max_value_joins,
-                window=float("inf"),
-                seed=7,
-            )
-        )
-        for num_state_docs in state_sizes:
-            data = build_state_scaling_data(
-                schema, num_state_docs, num_probe_docs=num_probe_docs
-            )
-            off_result, baseline_keys = run_state_scaling(queries, data, indexing="off")
-            baseline_dps = off_result.extra["docs_per_second"]
-            for indexing in indexing_modes:
-                if indexing == "off":
-                    result, keys = off_result, baseline_keys
-                else:
-                    result, keys = run_state_scaling(queries, data, indexing=indexing)
-                if keys != baseline_keys:
-                    raise AssertionError(
-                        f"match-set mismatch: indexing={indexing!r} disagrees with "
-                        f"'off' at {num_state_docs} state docs / {num_queries} queries"
-                    )
-                row = result.as_row()
-                row["figure"] = "state_scaling"
-                if baseline_dps:
-                    row["speedup_vs_off"] = round(
-                        result.extra["docs_per_second"] / baseline_dps, 2
-                    )
-                rows.append(row)
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Plan scaling: compiled plans + relevance-pruned dispatch (beyond the paper)
-# --------------------------------------------------------------------------- #
-def plan_scaling(
-    num_queries_list: Sequence[int] = (250, 1000),
-    num_topics_list: Sequence[int] = (4, 10),
-    num_state_docs: int = 200,
-    num_probe_docs: int = 5,
-    json_path: Optional[str] = None,
-) -> list[dict]:
-    """Per-document join throughput vs. registry size and relevance fraction.
-
-    The workload is topic-sharded (each document is relevant to
-    ``1 / num_topics`` of the templates); the four knob combinations of
-    ``plan_cache`` × ``prune_dispatch`` are timed, with ``False/False``
-    reproducing the pre-compiled-plan (PR-2) behavior as the baseline.
-    Every configuration is checked for exact match-set equivalence against
-    that baseline; a mismatch raises.  With ``json_path`` the rows are also
-    written through :func:`repro.bench.reporting.rows_to_json`.
-    """
-    from repro.bench.reporting import rows_to_json
-    from repro.workloads.querygen import generate_topic_queries
-    from repro.workloads.synthetic import build_plan_scaling_data, topic_schemas
-
-    rows = []
-    for num_topics in num_topics_list:
-        schemas = topic_schemas(num_topics)
-        data = build_plan_scaling_data(
-            schemas, num_state_docs, num_probe_docs=num_probe_docs
-        )
-        for num_queries in num_queries_list:
-            queries = generate_topic_queries(
-                schemas, num_queries, window=float("inf"), seed=7
-            )
-            registry = register_mmqjp(queries)
-            baseline, baseline_keys = run_plan_scaling(
-                queries, data, plan_cache=False, prune_dispatch=False,
-                registry=registry,
-            )
-            baseline_dps = baseline.extra["docs_per_second"]
-            for plan_cache, prune_dispatch in (
-                (False, False), (True, False), (False, True), (True, True)
-            ):
-                if not plan_cache and not prune_dispatch:
-                    result, keys = baseline, baseline_keys
-                else:
-                    result, keys = run_plan_scaling(
-                        queries, data, plan_cache=plan_cache,
-                        prune_dispatch=prune_dispatch, registry=registry,
-                    )
-                if keys != baseline_keys:
-                    raise AssertionError(
-                        f"match-set mismatch: plan_cache={plan_cache} "
-                        f"prune_dispatch={prune_dispatch} disagrees with the "
-                        f"baseline at {num_queries} queries / {num_topics} topics"
-                    )
-                row = result.as_row()
-                row["figure"] = "plan_scaling"
-                row["relevance_fraction"] = round(1.0 / num_topics, 3)
-                if baseline_dps:
-                    row["speedup_vs_baseline"] = round(
-                        result.extra["docs_per_second"] / baseline_dps, 2
-                    )
-                rows.append(row)
-    if json_path is not None:
-        rows_to_json(rows, path=json_path, meta={"experiment": "plan_scaling"})
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Delta scaling: delta-driven Stage-2 joins (beyond the paper)
-# --------------------------------------------------------------------------- #
-def delta_scaling(
-    state_sizes: Sequence[int] = (100, 400, 1600),
-    num_queries: int = 120,
-    num_alive_docs: int = 16,
-    num_probe_docs: int = 8,
-    value_pool: int = 16,
-    json_path: Optional[str] = None,
-) -> list[dict]:
-    """Per-document join throughput vs. state size at a fixed delta size.
-
-    The workload grows the retained state while holding the delta-connected
-    slice (alive documents) constant: the dead tail value-matches every
-    probe but fails the structural joins.  ``delta_join=False`` (the PR-4
-    full-state path) pays per-document cost proportional to the
-    value-matching state; ``delta_join=True`` semi-join-reduces the state
-    relations outward from the witness delta first, so its cost tracks the
-    alive slice.  Every configuration is checked for exact match-set
-    equivalence against the ``delta_join=False`` baseline; a mismatch
-    raises.  With ``json_path`` the rows are also written through
-    :func:`repro.bench.reporting.rows_to_json`.
-    """
-    import random
-
-    from repro.bench.harness import run_delta_scaling
-    from repro.bench.reporting import rows_to_json
-    from repro.workloads.querygen import generate_query
-    from repro.workloads.synthetic import build_delta_scaling_data
-    from repro.xmlmodel.schema import two_level_schema
-
-    schema = two_level_schema(6)
-    rng = random.Random(7)
-    queries = [
-        generate_query(schema, (i % 2) + 1, rng, window=float("inf"))
-        for i in range(num_queries)
-    ]
-    registry = register_mmqjp(queries)
-
-    rows = []
-    for num_state_docs in state_sizes:
-        data = build_delta_scaling_data(
-            schema,
-            num_state_docs,
-            num_alive_docs=num_alive_docs,
-            num_probe_docs=num_probe_docs,
-            value_pool=value_pool,
-        )
-        baseline, baseline_keys = run_delta_scaling(
-            queries, data, delta_join=False, registry=registry
-        )
-        baseline_dps = baseline.extra["docs_per_second"]
-        for delta_join in (False, True):
-            if delta_join:
-                result, keys = run_delta_scaling(
-                    queries, data, delta_join=True, registry=registry
-                )
-                if keys != baseline_keys:
-                    raise AssertionError(
-                        f"match-set mismatch: delta_join=True disagrees with "
-                        f"the full-state baseline at {num_state_docs} state docs"
-                    )
-            else:
-                result = baseline
-            row = result.as_row()
-            row["figure"] = "delta_scaling"
-            if baseline_dps:
-                row["speedup_vs_full_state"] = round(
-                    result.extra["docs_per_second"] / baseline_dps, 2
-                )
-            rows.append(row)
-    if json_path is not None:
-        rows_to_json(rows, path=json_path, meta={"experiment": "delta_scaling"})
-    return rows
-
-
-# --------------------------------------------------------------------------- #
 # Ablation studies (DESIGN.md Section 5)
 # --------------------------------------------------------------------------- #
 def ablation_graph_minor(
@@ -630,10 +376,6 @@ ALL_EXPERIMENTS = {
     "fig14": fig14,
     "fig15": fig15,
     "fig16": fig16,
-    "sharded_throughput": sharded_throughput,
-    "state_scaling": state_scaling,
-    "plan_scaling": plan_scaling,
-    "delta_scaling": delta_scaling,
     "ablation_graph_minor": ablation_graph_minor,
     "ablation_view_cache": ablation_view_cache,
     "ablation_witness_representation": ablation_witness_representation,

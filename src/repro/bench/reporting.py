@@ -1,11 +1,10 @@
-"""Plain-text, CSV and JSON rendering of experiment rows."""
+"""Plain-text and CSV rendering of experiment rows."""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def _columns(rows: Sequence[dict]) -> list[str]:
@@ -35,36 +34,6 @@ def format_table(rows: Sequence[dict], title: str = "") -> str:
     lines.append(render_line(["-" * w for w in widths]))
     lines.extend(render_line(line) for line in cells)
     return "\n".join(lines)
-
-
-def rows_to_json(
-    rows: Sequence[dict],
-    path: str | None = None,
-    meta: Optional[dict] = None,
-) -> str:
-    """Render rows as a JSON document; optionally also write it to ``path``.
-
-    The document is ``{"meta": {...}, "rows": [...]}`` — ``meta`` carries
-    run-level context (experiment name, scale, commit) so benchmark result
-    files like ``BENCH_plan_scaling.json`` are self-describing and the perf
-    trajectory can be tracked across PRs.  Non-finite floats are rendered as
-    strings (``"inf"``) so the output is strict JSON.
-    """
-
-    def _jsonable(value):
-        if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
-            return repr(value)
-        return value
-
-    document = {
-        "meta": dict(meta) if meta else {},
-        "rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
-    }
-    text = json.dumps(document, indent=2, sort_keys=False) + "\n"
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
 
 
 def rows_to_csv(rows: Sequence[dict], path: str | None = None) -> str:

@@ -20,7 +20,7 @@ string as shorthand for ``RuntimeConfig(engine=...)``, resolved by
 Presets capture the two configurations the evaluation section uses
 constantly: :meth:`RuntimeConfig.throughput` (sharded, thread-pooled, no
 output construction) and :meth:`RuntimeConfig.ablation` (every acceleration
-knob off — the plan-per-call, visit-every-template, unindexed baseline).
+knob off — the plan-per-call, visit-every-template, full-state baseline).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Any, Optional, Union
 
 __all__ = [
     "ENGINES",
-    "INDEXING_MODES",
     "PARTITIONERS",
     "EXECUTORS",
     "STORAGE_BACKENDS",
@@ -48,10 +47,6 @@ __all__ = [
 #: Engine selection keywords (canonical definition; re-exported by
 #: :mod:`repro.core.engine` for backward compatibility).
 ENGINES = ("mmqjp", "mmqjp-vm", "sequential")
-
-#: Join-state index-maintenance modes (must match
-#: :data:`repro.relational.database.INDEXING_MODES`; asserted by the tests).
-INDEXING_MODES = ("eager", "lazy", "off")
 
 #: Built-in partitioner keywords (must match
 #: :data:`repro.runtime.partition.PARTITIONERS`).
@@ -95,9 +90,6 @@ class RuntimeConfig:
     engine:
         ``"mmqjp"`` (default), ``"mmqjp-vm"`` (Section 5 view
         materialization) or ``"sequential"`` (the baseline).
-    indexing:
-        Join-state index maintenance: ``"eager"`` (default), ``"lazy"``, or
-        ``"off"`` (per-call hashing, the ablation baseline).
     plan_cache:
         Evaluate conjunctive queries through compiled, cached plans
         (default).  ``False`` re-plans per call.
@@ -196,7 +188,6 @@ class RuntimeConfig:
     """
 
     engine: str = "mmqjp"
-    indexing: str = "eager"
     plan_cache: bool = True
     prune_dispatch: bool = True
     delta_join: bool = True
@@ -225,10 +216,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose one of {ENGINES}")
-        if self.indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"unknown indexing mode {self.indexing!r}; choose one of {INDEXING_MODES}"
-            )
         if self.shards < 1:
             raise ValueError(f"need at least one shard, got {self.shards}")
         if self.view_cache_size is not None and self.view_cache_size < 1:
@@ -338,13 +325,12 @@ class RuntimeConfig:
     def ablation(cls, **overrides) -> "RuntimeConfig":
         """The all-knobs-off ablation baseline.
 
-        Unindexed join state, plan-per-call evaluation, full-state joins,
-        visit-every-template dispatch and replicate-to-every-shard fan-out
-        — the behavior of the seed system, kept for equivalence and
-        ablation runs.
+        Plan-per-call evaluation, full-state row-at-a-time joins,
+        visit-every-template dispatch, replicate-to-every-shard fan-out and
+        tree ingest — kept for equivalence and ablation runs.  The join
+        state keeps its live indexes: they have no switch.
         """
         base: dict = dict(
-            indexing="off",
             plan_cache=False,
             prune_dispatch=False,
             delta_join=False,

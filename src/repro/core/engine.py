@@ -629,11 +629,6 @@ class _BaseEngine:
         return self.processor.costs
 
     @property
-    def indexing(self) -> str:
-        """The join-state indexing mode (``"eager"`` / ``"lazy"`` / ``"off"``)."""
-        return self.processor.indexing
-
-    @property
     def plan_cache(self):
         """The processor's compiled-plan cache (``None`` when disabled)."""
         return self.processor.plan_cache
@@ -729,7 +724,7 @@ class MMQJPEngine(_BaseEngine):
     ----------
     config:
         A :class:`~repro.config.RuntimeConfig` carrying every knob
-        (``indexing``, ``plan_cache``, ``prune_dispatch``, ``auto_prune``,
+        (``plan_cache``, ``prune_dispatch``, ``auto_prune``,
         ``auto_timestamp``, ``store_documents``, ``view_cache_size``).
     use_view_materialization:
         Evaluate the per-template conjunctive queries over the materialized

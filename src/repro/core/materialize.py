@@ -150,18 +150,13 @@ def compute_materialized_views(
         for node, value in witnesses.rdocw.rows:
             current_by_value[value].append(node)
         previous_by_value: dict[str, list[tuple[str, int]]] = defaultdict(list)
+        # Persistent index: only the current document's values are probed,
+        # so the semi-join never scans the full Rdoc state.
         rdoc_index = state.index_on("Rdoc", ("strVal",))
-        if rdoc_index is not None:
-            # Persistent index: only the current document's values are probed,
-            # so the semi-join never scans the full Rdoc state.
-            common_values = {v for v in current_by_value if v in rdoc_index}
-            for value in common_values:
-                for docid, node, _ in rdoc_index.lookup(value):
-                    previous_by_value[value].append((docid, node))
-        else:
-            for docid, node, value in state.rdoc.rows:
+        common_values = {v for v in current_by_value if v in rdoc_index}
+        for value in common_values:
+            for docid, node, _ in rdoc_index.lookup(value):
                 previous_by_value[value].append((docid, node))
-            common_values = set(current_by_value) & set(previous_by_value)
         for value in common_values:
             for docid, prev_node in previous_by_value[value]:
                 for cur_node in current_by_value[value]:
@@ -207,25 +202,13 @@ def compute_materialized_views(
 
 
 def _rbin_leaf_lookup(state: JoinState):
-    """Rbin rows by (docid, leaf node): shared live index, or a per-call hash."""
-    index = state.index_on("Rbin", ("docid", "node2"))
-    if index is not None:
-        return index.lookup
-    by_leaf: dict[tuple[str, int], list[tuple]] = defaultdict(list)
-    for row in state.rbin.rows:
-        by_leaf[(row[0], row[4])].append(row)
-    return lambda docid, node: by_leaf.get((docid, node), ())
+    """Rbin rows by (docid, leaf node), from the state's shared live index."""
+    return state.index_on("Rbin", ("docid", "node2")).lookup
 
 
 def _rvar_node_lookup(state: JoinState):
-    """Rvar rows by (docid, node): shared live index, or a per-call hash."""
-    index = state.index_on("Rvar", ("docid", "node"))
-    if index is not None:
-        return index.lookup
-    by_node: dict[tuple[str, int], list[tuple]] = defaultdict(list)
-    for row in state.rvar.rows:
-        by_node[(row[0], row[2])].append(row)
-    return lambda docid, node: by_node.get((docid, node), ())
+    """Rvar rows by (docid, node), from the state's shared live index."""
+    return state.index_on("Rvar", ("docid", "node")).lookup
 
 
 def _compute_rl_direct(

@@ -136,12 +136,11 @@ class _JoinProcessor:
     ----------
     config:
         The :class:`~repro.config.RuntimeConfig` (or engine-name shorthand)
-        carrying ``indexing``, ``plan_cache``, ``prune_dispatch``,
-        ``delta_join`` and ``columnar``; ``None`` means the defaults.
+        carrying ``plan_cache``, ``prune_dispatch``, ``delta_join`` and
+        ``columnar``; ``None`` means the defaults.
     state:
         A preloaded :class:`~repro.core.state.JoinState` to evaluate
-        against; its own ``indexing`` mode then decides how the shared
-        evaluation environment resolves join keys.
+        against.
     plan_cache:
         A preconfigured :class:`~repro.relational.plan.PlanCache` (e.g.
         with a growth budget) to use instead of a fresh one.
@@ -157,14 +156,14 @@ class _JoinProcessor:
         plan_cache: Optional[PlanCache],
     ):
         config = as_config(config, type(self).__name__)
-        self.state = state if state is not None else JoinState(indexing=config.indexing)
+        self.state = state if state is not None else JoinState()
         self.costs = CostBreakdown()
         self.columnar = resolve_columnar(config)
         # The state relations are bound as *indexed* — their join keys
-        # resolve against live, incrementally maintained hash indexes
-        # (unless the indexing mode is "off"); the per-document witness and
-        # view relations are rebound ephemerally each document.
-        self.env = IndexedDatabase(indexing=self.state.indexing, columnar=self.columnar)
+        # resolve against live, incrementally maintained hash indexes; the
+        # per-document witness and view relations are rebound ephemerally
+        # each document.
+        self.env = IndexedDatabase(columnar=self.columnar)
         for name, relation in self.state.relations().items():
             self.env.bind(name, relation, indexed=True)
         if plan_cache is None and config.plan_cache:
@@ -176,11 +175,6 @@ class _JoinProcessor:
         self.delta_join = config.delta_join
         self.delta_stats = {"documents": 0, **dict.fromkeys(DeltaContext.COUNTERS, 0)}
         self.match_filter: Optional[Callable[[str], bool]] = None
-
-    @property
-    def indexing(self) -> str:
-        """The indexing mode of the join state / evaluation environment."""
-        return self.state.indexing
 
     @property
     def num_templates(self) -> Optional[int]:

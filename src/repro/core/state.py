@@ -10,22 +10,13 @@ The state relations are :class:`~repro.relational.relation.PartitionedRelation`
 instances partitioned on ``docid``, so :meth:`JoinState.prune` drops whole
 documents in one dictionary pop per document instead of rewriting every row
 list, and they carry live hash indexes (see
-:meth:`~repro.relational.relation.Relation.index_on`) maintained according
-to the state's ``indexing`` mode:
-
-* ``"eager"`` (default) — indexes are updated inline on every merge/prune,
-* ``"lazy"`` — indexes go stale on mutation and are rebuilt on first use,
-* ``"off"`` — no persistent indexes; every consumer falls back to
-  per-call hashing (the pre-incremental behavior, kept for ablation and
-  equivalence testing).
+:meth:`~repro.relational.relation.Relation.index_on`), updated inline on
+every merge and prune.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.witnesses import WitnessRelations
-from repro.relational.database import INDEXING_MODES
 from repro.relational.index import HashIndex
 from repro.relational.relation import PartitionedRelation, Relation
 from repro.templates.cqt import RELATION_SCHEMAS
@@ -34,20 +25,10 @@ from repro.templates.cqt import RELATION_SCHEMAS
 class JoinState:
     """Witness relations of all previously processed documents."""
 
-    def __init__(self, indexing: str = "eager") -> None:
-        if indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"unknown indexing mode {indexing!r}; choose one of {INDEXING_MODES}"
-            )
-        self.indexing = indexing
-        maintenance = "lazy" if indexing == "lazy" else "eager"
-
+    def __init__(self) -> None:
         def _relation(name: str) -> PartitionedRelation:
             return PartitionedRelation(
-                RELATION_SCHEMAS[name],
-                name=name,
-                partition_attribute="docid",
-                index_maintenance=maintenance,
+                RELATION_SCHEMAS[name], name=name, partition_attribute="docid"
             )
 
         self.rbin = _relation("Rbin")
@@ -184,15 +165,12 @@ class JoinState:
             "RdocTS": self.rdocts,
         }
 
-    def index_on(self, relation_name: str, columns) -> Optional[HashIndex]:
-        """A live index on a state relation, or ``None`` with indexing ``"off"``.
+    def index_on(self, relation_name: str, columns) -> HashIndex:
+        """The live index on ``columns`` of one state relation.
 
         Consumers outside the conjunctive evaluator (e.g. the Section 5 view
-        materialization) use this to share the state's persistent indexes,
-        falling back to their own per-call hashing when it returns ``None``.
+        materialization) use this to share the state's persistent indexes.
         """
-        if self.indexing == "off":
-            return None
         return self.relations()[relation_name].index_on(columns)
 
     def clear(self) -> None:
@@ -206,6 +184,5 @@ class JoinState:
     def __repr__(self) -> str:
         return (
             f"<JoinState docs={self.num_documents} |Rbin|={len(self.rbin)} "
-            f"|Rdoc|={len(self.rdoc)} |Rvar|={len(self.rvar)} "
-            f"indexing={self.indexing!r}>"
+            f"|Rdoc|={len(self.rdoc)} |Rvar|={len(self.rvar)}>"
         )

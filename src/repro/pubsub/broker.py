@@ -776,7 +776,6 @@ class Broker:
         merged = merge_engine_stats(per_shard)
         return {
             "engine": self.engine_name,
-            "indexing": self.config.indexing,
             "storage": self.storage,
             "shards": self.num_shards,
             "executor": self._executor.name,

@@ -35,7 +35,7 @@ replacement with exactly the pieces the paper needs:
 from repro.relational.schema import RelationSchema, SchemaError
 from repro.relational.relation import Relation, PartitionedRelation
 from repro.relational.index import HashIndex
-from repro.relational.database import Database, IndexedDatabase, INDEXING_MODES
+from repro.relational.database import Database, IndexedDatabase
 from repro.relational.terms import Var, Const, term
 from repro.relational.conjunctive import Atom, ConjunctiveQuery, evaluate_conjunctive
 from repro.relational.plan import CompiledPlan, PlanCache, compile_plan
@@ -50,7 +50,6 @@ __all__ = [
     "HashIndex",
     "Database",
     "IndexedDatabase",
-    "INDEXING_MODES",
     "Var",
     "Const",
     "term",

@@ -16,10 +16,6 @@ from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema, SchemaError
 
-#: Indexing modes of :class:`IndexedDatabase` (and everything layered on it:
-#: the join state, the engines, the brokers).
-INDEXING_MODES = ("eager", "lazy", "off")
-
 
 class Database:
     """A named collection of relations."""
@@ -78,16 +74,11 @@ class IndexedDatabase:
     * Relations bound as **indexed** (the long-lived join state and the
       per-template ``RT`` relations) answer with a live
       :class:`~repro.relational.index.HashIndex`, built and memoized once
-      per (relation, key columns) and maintained incrementally under
-      inserts and prunes.
+      per (relation, key columns) and updated inline on every insert and
+      prune.
     * Relations bound as **ephemeral** (the current document's witnesses and
       the per-document materialized views) answer ``None``, making the
       evaluator fall back to its per-call hashing.
-
-    ``indexing="off"`` answers ``None`` for everything, reproducing the
-    snapshot-rehashing behavior exactly (the ablation/equivalence baseline);
-    ``"eager"`` updates indexes inline on every mutation; ``"lazy"`` lets
-    them go stale and rebuilds on first use after a mutation.
 
     With ``columnar=True`` the environment owns one shared
     :class:`~repro.relational.columnar.ValueDictionary` and every bound
@@ -98,17 +89,7 @@ class IndexedDatabase:
     path wherever a sidecar is unavailable.
     """
 
-    def __init__(
-        self,
-        indexing: str = "eager",
-        columnar: bool = False,
-        dictionary=None,
-    ):
-        if indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"unknown indexing mode {indexing!r}; choose one of {INDEXING_MODES}"
-            )
-        self.indexing = indexing
+    def __init__(self, columnar: bool = False, dictionary=None):
         if columnar:
             from repro.relational.columnar import ValueDictionary
 
@@ -118,7 +99,6 @@ class IndexedDatabase:
         else:
             self.columnar_dictionary = None
         self._relations: dict[str, Relation] = {}
-        self._indexed: set[str] = set()
         self._stable: set[str] = set()
         #: Compiled-plan executions that left the vectorized path for the
         #: row path (a sidecar or a packed probe key was unavailable).
@@ -135,13 +115,11 @@ class IndexedDatabase:
     def bind(self, name: str, relation: Relation, indexed: bool = False) -> Relation:
         """Bind ``relation`` under ``name`` (replacing any previous binding).
 
-        With ``indexed=True`` (and indexing not ``"off"``) the relation's
-        join keys are served from persistent indexes and its maintenance
-        mode is aligned with this environment's indexing mode.  Relations
-        requested as indexed are additionally remembered as **stable**
-        (regardless of the indexing mode): they are long-lived and mutate
-        incrementally, so compiled query plans may key their stats epoch on
-        them — as opposed to the ephemeral per-document bindings.
+        With ``indexed=True`` the relation's join keys are served from
+        persistent indexes and it is remembered as **stable**: long-lived
+        and mutating incrementally, so compiled query plans may key their
+        stats epoch on it — as opposed to the ephemeral per-document
+        bindings.
         """
         self._relations[name] = relation
         if self.columnar_dictionary is not None:
@@ -150,11 +128,6 @@ class IndexedDatabase:
             self._stable.add(name)
         else:
             self._stable.discard(name)
-        if indexed and self.indexing != "off":
-            self._indexed.add(name)
-            relation.index_maintenance = "lazy" if self.indexing == "lazy" else "eager"
-        else:
-            self._indexed.discard(name)
         return relation
 
     def bind_all(self, relations: Mapping[str, Relation], indexed: bool = False) -> None:
@@ -165,7 +138,6 @@ class IndexedDatabase:
     def unbind(self, name: str) -> None:
         """Remove a binding if present."""
         self._relations.pop(name, None)
-        self._indexed.discard(name)
         self._stable.discard(name)
 
     # ------------------------------------------------------------------ #
@@ -191,12 +163,8 @@ class IndexedDatabase:
         """All bound relation names."""
         return list(self._relations)
 
-    def is_indexed(self, name: str) -> bool:
-        """Whether ``name`` is served from persistent indexes."""
-        return name in self._indexed
-
     def is_stable(self, name: str) -> bool:
-        """Whether ``name`` is a long-lived (state/``RT``) binding.
+        """Whether ``name`` is a long-lived (state/``RT``) binding, served from indexes.
 
         Compiled plans track their stats epoch over stable relations only;
         ephemeral per-document bindings (witnesses, materialized views) must
@@ -231,9 +199,9 @@ class IndexedDatabase:
     def index_for(self, name: str, key_columns: Sequence) -> Optional[HashIndex]:
         """A live index on ``key_columns`` of relation ``name``, or ``None``.
 
-        ``None`` (unknown/ephemeral relation, or indexing ``"off"``) tells
-        the evaluator to hash the relation per call instead.
+        ``None`` (unknown or ephemeral relation) tells the evaluator to
+        hash the relation per call instead.
         """
-        if name not in self._indexed:
+        if name not in self._stable:
             return None
         return self._relations[name].index_on(key_columns)

@@ -6,10 +6,9 @@ equality lookup on one or more attributes; :class:`HashIndex` provides that.
 
 Indexes are **live** when obtained through
 :meth:`~repro.relational.relation.Relation.index_on`: the owning relation
-registers them and keeps them current under inserts, partition drops and
-clears — inline under ``"eager"`` maintenance, or by calling
-:meth:`rebuild` on the next use under ``"lazy"`` maintenance.  The
-``version`` attribute records the relation mutation counter the index was
+registers them and keeps them current inline under inserts, partition
+drops and clears, and calls :meth:`rebuild` on the next use after a
+wholesale ``rows`` assignment.  The ``version`` attribute records the relation mutation counter the index was
 last synchronized with; the relation uses it to decide whether a rebuild is
 needed.
 
@@ -116,7 +115,7 @@ class HashIndex:
         self._buckets.clear()
 
     def rebuild(self, rows: Iterable[Sequence]) -> None:
-        """Re-index from scratch (lazy maintenance catching up after mutations)."""
+        """Re-index from scratch (catching up after a wholesale ``rows`` assignment)."""
         buckets: dict[tuple, list[tuple]] = defaultdict(list)
         for row in rows:
             buckets[self._key(row)].append(tuple(row))

@@ -9,10 +9,9 @@ Two features support the incremental join pipeline:
 
 * Every relation carries a **mutation counter** and an attached registry of
   :class:`~repro.relational.index.HashIndex` objects (:meth:`Relation.index_on`).
-  Indexes are built once per key-column set and then maintained under
-  mutations — eagerly (updated inline on every insert/drop) or lazily
-  (rebuilt on first use after a mutation), per the relation's
-  ``index_maintenance`` mode.
+  Indexes are built once per key-column set and then updated inline on
+  every insert and drop.  Wholesale assignment to ``rows`` still leaves
+  them stale until their next :meth:`Relation.index_on`, which rebuilds.
 * :class:`PartitionedRelation` additionally groups its rows by one
   partition attribute (``docid`` for the join-state relations), so that
   window pruning can drop all rows of a document in one dictionary pop
@@ -30,9 +29,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.relational.schema import RelationSchema, SchemaError
 
-#: Index-maintenance modes accepted by :class:`Relation`.
-INDEX_MAINTENANCE_MODES = ("eager", "lazy")
-
 
 class Relation:
     """A named relation: a :class:`RelationSchema` and a bag of tuples.
@@ -48,17 +44,12 @@ class Relation:
         Optional initial rows.  Each row must have the schema's arity.
     name:
         Optional relation name used in error messages and SQL rendering.
-    index_maintenance:
-        ``"eager"`` (default) keeps attached indexes up to date on every
-        mutation; ``"lazy"`` lets them go stale and rebuilds them on the
-        next :meth:`index_on` call.
     """
 
     __slots__ = (
         "schema",
         "rows",
         "name",
-        "index_maintenance",
         "_ndv_cache",
         "_version",
         "_deletes",
@@ -71,18 +62,11 @@ class Relation:
         schema: RelationSchema | Sequence[str],
         rows: Iterable[Sequence] = (),
         name: str = "",
-        index_maintenance: str = "eager",
     ):
         if not isinstance(schema, RelationSchema):
             schema = RelationSchema(schema)
-        if index_maintenance not in INDEX_MAINTENANCE_MODES:
-            raise ValueError(
-                f"unknown index maintenance mode {index_maintenance!r}; "
-                f"choose one of {INDEX_MAINTENANCE_MODES}"
-            )
         self.schema = schema
         self.name = name
-        self.index_maintenance = index_maintenance
         self._ndv_cache: dict[int, tuple[tuple[int, int], int]] = {}
         self._version = 0
         self._deletes = 0
@@ -178,11 +162,10 @@ class Relation:
     def delete_rows(self, predicate: Callable[[tuple], bool]) -> int:
         """Delete every row for which ``predicate`` (on the raw tuple) is true.
 
-        Returns the number of rows removed.  Eagerly maintained indexes
-        that were in sync before the deletion are updated inline (bucket
-        removals proportional to the rows deleted); stale or lazily
-        maintained indexes keep relying on the version bump to rebuild on
-        next use.  A deletion that removes nothing leaves the version (and
+        Returns the number of rows removed.  Indexes that were in sync
+        before the deletion are updated inline (bucket removals
+        proportional to the rows deleted); a stale one keeps relying on the
+        version bump to rebuild on next use.  A deletion that removes nothing leaves the version (and
         every derived artifact) untouched.
         """
         kept: list[tuple] = []
@@ -196,7 +179,7 @@ class Relation:
         previous = self._version
         self._version += 1
         self._deletes += 1
-        if self._indexes and self.index_maintenance == "eager":
+        if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
                     index.remove_rows(gone)
@@ -222,7 +205,7 @@ class Relation:
         previous = self._version
         self._version += 1
         self._deletes += 1
-        if self._indexes and self.index_maintenance == "eager":
+        if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
                     index.remove_rows([t])
@@ -251,7 +234,7 @@ class Relation:
         previous = self._version
         self._version += 1
         self._deletes += 1
-        if self._indexes and self.index_maintenance == "eager":
+        if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
                     index.remove_row(t)
@@ -263,12 +246,11 @@ class Relation:
     def _row_added(self, t: tuple) -> None:
         previous = self._version
         self._version += 1
-        if self._indexes and self.index_maintenance == "eager":
+        if self._indexes:
             for index in self._indexes.values():
                 # Only indexes that were in sync before this mutation are
-                # updated inline; an already-stale index (e.g. after a
-                # wholesale ``rows`` assignment, or built under lazy
-                # maintenance) stays stale so index_on() rebuilds it.
+                # updated inline; an already-stale index (after a wholesale
+                # ``rows`` assignment) stays stale so index_on() rebuilds it.
                 if index.version == previous:
                     index.add_row(t)
                     index.version = self._version
@@ -285,9 +267,8 @@ class Relation:
         """Return the live hash index on ``columns`` (names or positions).
 
         The index is built on first use, memoized per key-column set, and
-        maintained under subsequent mutations: inline under ``"eager"``
-        maintenance, or by rebuilding here once the relation has changed
-        under ``"lazy"`` maintenance.
+        updated inline by subsequent mutations; one left stale by a
+        wholesale ``rows`` assignment is rebuilt here.
         """
         from repro.relational.index import HashIndex
 
@@ -496,7 +477,6 @@ class PartitionedRelation(Relation):
         rows: Iterable[Sequence] = (),
         name: str = "",
         partition_attribute: str = "docid",
-        index_maintenance: str = "eager",
     ):
         if not isinstance(schema, RelationSchema):
             schema = RelationSchema(schema)
@@ -507,7 +487,7 @@ class PartitionedRelation(Relation):
         self._flat_dirty = False
         self._size = 0
         self._ndv_counters: dict[int, dict[object, int]] = {}
-        super().__init__(schema, rows, name, index_maintenance=index_maintenance)
+        super().__init__(schema, rows, name)
 
     # ------------------------------------------------------------------ #
     # the flat row view
@@ -585,7 +565,7 @@ class PartitionedRelation(Relation):
         partitions emptied by the deletion are dropped and the flat view is
         re-stitched lazily.  NDV counters are decremented per deleted row
         (O(removed), like :meth:`drop_partitions`) instead of being thrown
-        away, and eagerly maintained in-sync indexes are updated inline —
+        away, and in-sync indexes are updated inline —
         a probe right after a retraction no longer pays a full rebuild.
         """
         removed = 0
@@ -619,7 +599,7 @@ class PartitionedRelation(Relation):
                         counter[v] = left
                     else:
                         del counter[v]
-        if self._indexes and self.index_maintenance == "eager":
+        if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
                     index.remove_rows(gone)
@@ -663,7 +643,7 @@ class PartitionedRelation(Relation):
                 counter[v] = left
             else:
                 del counter[v]
-        if self._indexes and self.index_maintenance == "eager":
+        if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
                     index.remove_rows([t])
@@ -673,8 +653,8 @@ class PartitionedRelation(Relation):
     def drop_partitions(self, keys: Iterable[object]) -> int:
         """Drop every row of the given partitions; returns rows removed.
 
-        The cost is proportional to the rows *dropped* (plus, for eagerly
-        maintained indexes, their bucket updates); surviving rows are not
+        The cost is proportional to the rows *dropped* (plus their index
+        bucket updates); surviving rows are not
         touched.  When the dropped rows are exactly the leading rows of the
         flat view — the oldest documents, as in every in-order window prune
         — the view is sliced in place and an attached columnar sidecar
@@ -719,7 +699,7 @@ class PartitionedRelation(Relation):
                             counter[v] = left
                         else:
                             del counter[v]
-        if self._indexes and self.index_maintenance == "eager":
+        if self._indexes:
             for index in self._indexes.values():
                 if index.version != previous:
                     continue  # stale already; index_on() will rebuild it

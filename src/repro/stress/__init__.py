@@ -3,8 +3,6 @@
 :func:`run_stress` ramps a broker to 10⁵–10⁶ live subscriptions over the
 DBLP-style workload (:mod:`repro.workloads.dblp`) and reports p50/p95/p99
 publish latency and delivery lag per phase (ramp, steady, burst, churn).
-``benchmarks/bench_million_user.py`` wraps it as the committed
-``BENCH_million_user.json`` experiment.
 """
 
 from repro.stress.harness import StressConfig, run_stress

@@ -47,9 +47,9 @@ class StressConfig:
     """Parameters of one stress run.
 
     The defaults are the headline configuration: 10⁵ subscriptions with
-    every phase exercised.  CI smoke runs shrink every knob (see
-    ``benchmarks/bench_million_user.py``); scaling ``subscriptions`` to
-    10⁶ is a matter of patience, not code.
+    every phase exercised.  Smoke runs shrink every knob (see
+    ``tests/test_stress.py``); scaling ``subscriptions`` to 10⁶ is a
+    matter of patience, not code.
     """
 
     subscriptions: int = 100_000

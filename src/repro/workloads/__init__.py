@@ -16,12 +16,9 @@
 
 from repro.workloads.zipf import ZipfSampler
 from repro.workloads.synthetic import (
-    PlanScalingData,
     TechnicalBenchmarkData,
     build_document,
-    build_plan_scaling_data,
     build_technical_benchmark_data,
-    build_topic_documents,
     leaf_variable,
     group_variable,
     root_variable,
@@ -41,12 +38,9 @@ from repro.workloads.dblp import (
 
 __all__ = [
     "ZipfSampler",
-    "PlanScalingData",
     "TechnicalBenchmarkData",
     "build_document",
-    "build_plan_scaling_data",
     "build_technical_benchmark_data",
-    "build_topic_documents",
     "leaf_variable",
     "group_variable",
     "root_variable",

@@ -187,99 +187,18 @@ def _var_rows(schema: DocumentSchema) -> list[tuple[str, int]]:
 
 @dataclass
 class StateScalingData:
-    """Workload of the state-scaling benchmark: a large retained state plus probes.
+    """A retained join state plus probe documents (see :class:`DeltaScalingData`).
 
     ``state_docs`` holds one entry per previously processed document —
     ``(docid, timestamp, rbin_rows, rdoc_rows, rvar_rows)``, rows without the
     ``docid`` column — ready for
     :meth:`~repro.core.state.JoinState.insert_document_rows`.  ``probes`` are
-    the current documents whose per-document join cost the benchmark times.
-    Leaf values are drawn from a shared pool so that a controlled fraction of
-    the retained state joins with every probe.
+    the current documents processed against that state.
     """
 
     schema: DocumentSchema
     state_docs: list[tuple[str, float, list[tuple], list[tuple], list[tuple]]]
     probes: list[WitnessRelations]
-
-    def load_state(self, state: JoinState) -> None:
-        """Load every retained document into a join state."""
-        for docid, timestamp, rbin_rows, rdoc_rows, rvar_rows in self.state_docs:
-            state.insert_document_rows(
-                docid, timestamp, rbin_rows=rbin_rows, rdoc_rows=rdoc_rows, rvar_rows=rvar_rows
-            )
-
-
-def build_state_scaling_data(
-    schema: DocumentSchema,
-    num_state_docs: int,
-    num_probe_docs: int = 5,
-    value_pool: int = 400,
-    seed: int = 13,
-) -> StateScalingData:
-    """Construct the retained-state workload for the state-scaling benchmark.
-
-    Every document carries the schema's full witness structure (like the
-    technical benchmark), but leaf values are drawn randomly from a pool of
-    ``value_pool`` strings, so value joins hit a bounded number of witnesses
-    regardless of how many documents the state retains — exactly the regime
-    in which indexed join state pays off.
-    """
-    import random
-
-    rng = random.Random(seed)
-    root_id, group_ids, leaf_ids = node_ids(schema)
-    edges = _edge_rows(schema)
-    var_rows = _var_rows(schema)
-
-    def value_rows(tag: str) -> list[tuple[int, str]]:
-        rows = [(root_id, f"{tag}-root")]
-        for g, gid in enumerate(group_ids):
-            rows.append((gid, f"{tag}-group{g}"))
-        for i in range(schema.num_leaves):
-            rows.append((leaf_ids[i], f"val{rng.randrange(value_pool)}"))
-        return rows
-
-    state_docs = [
-        (f"s{i}", float(i + 1), edges, value_rows(f"s{i}"), var_rows)
-        for i in range(num_state_docs)
-    ]
-    probes = [
-        WitnessRelations.from_rows(
-            docid=f"p{j}",
-            timestamp=float(num_state_docs + j + 1),
-            rbinw_rows=edges,
-            rdocw_rows=value_rows(f"p{j}"),
-            rvarw_rows=var_rows,
-        )
-        for j in range(num_probe_docs)
-    ]
-    return StateScalingData(schema=schema, state_docs=state_docs, probes=probes)
-
-
-@dataclass
-class PlanScalingData:
-    """Workload of the plan-scaling benchmark: topic-sharded state plus probes.
-
-    The registry is split into *topics* with disjoint variable namespaces
-    and distinct template shapes (topic ``t`` uses ``t + 1`` value joins
-    over its own tag set), so each template belongs to exactly one topic.
-    Every retained document and every probe carries the witnesses of one
-    topic only — a probe is *relevant* to roughly ``1 / num_topics`` of the
-    templates, which is the regime relevance-pruned dispatch targets.
-
-    ``probe_topics[j]`` records which topic probe ``j`` belongs to.
-    """
-
-    schemas: list[DocumentSchema]
-    state_docs: list[tuple[str, float, list[tuple], list[tuple], list[tuple]]]
-    probes: list[WitnessRelations]
-    probe_topics: list[int]
-
-    @property
-    def num_topics(self) -> int:
-        """Number of topics (≈ 1 / relevance fraction)."""
-        return len(self.schemas)
 
     def load_state(self, state: JoinState) -> None:
         """Load every retained document into a join state."""
@@ -307,117 +226,9 @@ def topic_schemas(num_topics: int) -> list[DocumentSchema]:
     ]
 
 
-def build_plan_scaling_data(
-    schemas: list[DocumentSchema],
-    num_state_docs: int,
-    num_probe_docs: int = 5,
-    value_pool: int = 20,
-    seed: int = 13,
-) -> PlanScalingData:
-    """Construct the topic-sharded workload for the plan-scaling benchmark.
-
-    Documents are assigned to topics round-robin.  All leaves of one
-    document share a single value drawn from a per-topic pool of
-    ``value_pool`` strings, so a probe satisfies *every* value join of a
-    same-topic query against ≈ ``1 / value_pool`` of its topic's retained
-    documents (and never joins across topics) — matches fire at a
-    controlled rate regardless of how many value joins a topic's queries
-    carry.
-    """
-    import random
-
-    rng = random.Random(seed)
-    num_topics = len(schemas)
-    per_topic = [
-        (_edge_rows(schema), _var_rows(schema), node_ids(schema))
-        for schema in schemas
-    ]
-
-    def value_rows(topic: int, tag: str) -> list[tuple[int, str]]:
-        schema = schemas[topic]
-        root_id, group_ids, leaf_ids = per_topic[topic][2]
-        rows = [(root_id, f"{tag}-root")]
-        for g, gid in enumerate(group_ids):
-            rows.append((gid, f"{tag}-group{g}"))
-        shared = f"t{topic}val{rng.randrange(value_pool)}"
-        for i in range(schema.num_leaves):
-            rows.append((leaf_ids[i], shared))
-        return rows
-
-    state_docs = []
-    for i in range(num_state_docs):
-        topic = i % num_topics
-        edges, var_rows, _ = per_topic[topic]
-        state_docs.append(
-            (f"s{i}", float(i + 1), edges, value_rows(topic, f"s{i}"), var_rows)
-        )
-
-    probes = []
-    probe_topics = []
-    for j in range(num_probe_docs):
-        topic = j % num_topics
-        edges, var_rows, _ = per_topic[topic]
-        probe_topics.append(topic)
-        probes.append(
-            WitnessRelations.from_rows(
-                docid=f"p{j}",
-                timestamp=float(num_state_docs + j + 1),
-                rbinw_rows=edges,
-                rdocw_rows=value_rows(topic, f"p{j}"),
-                rvarw_rows=var_rows,
-            )
-        )
-    return PlanScalingData(
-        schemas=list(schemas),
-        state_docs=state_docs,
-        probes=probes,
-        probe_topics=probe_topics,
-    )
-
-
-def build_topic_documents(
-    schemas: list[DocumentSchema],
-    num_documents: int,
-    value_pool: int = 8,
-    seed: int = 13,
-) -> list[XmlDocument]:
-    """An XML document stream over topic-sharded schemas (round-robin).
-
-    The end-to-end twin of :func:`build_plan_scaling_data`'s probes: actual
-    parseable documents, published through a broker instead of loaded as
-    witness rows.  All leaves of one document share a single value from a
-    per-topic pool of ``value_pool`` strings, so any two same-topic
-    documents join with probability ≈ ``1 / value_pool`` per side — and
-    never across topics (disjoint tag namespaces).  Because topics alternate
-    in the stream, every document also plays *both* query-block roles: it
-    probes the retained same-topic documents and becomes retained state for
-    the following ones.  Docids and timestamps are explicit, so repeated
-    runs produce identical match keys.
-    """
-    import random
-
-    rng = random.Random(seed)
-    num_topics = len(schemas)
-    documents = []
-    for i in range(num_documents):
-        topic = i % num_topics
-        schema = schemas[topic]
-        shared = f"t{topic}val{rng.randrange(value_pool)}"
-        documents.append(
-            build_document(
-                schema,
-                docid=f"td{i}",
-                timestamp=float(i + 1),
-                leaf_values=[shared] * schema.num_leaves,
-                internal_marker=f"td{i}",
-            )
-        )
-    return documents
-
-
 @dataclass
 class DeltaScalingData(StateScalingData):
-    """Workload of the delta-scaling benchmark: growing state, fixed delta.
+    """A growing retained state around a fixed delta-connected slice.
 
     Same layout as :class:`StateScalingData`, but the retained state mixes a
     *fixed* number of **alive** documents (canonical variable names, so they

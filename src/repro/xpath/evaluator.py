@@ -133,7 +133,8 @@ class XPathEvaluator:
         # (ancestor var, descendant var) -> relative path between them
         self._edges: dict[tuple[str, str], LocationPath] = {}
         # stream -> compiled streaming matcher (None = no registrations);
-        # invalidated whenever variables or edges change
+        # an entry is dropped when a variable of its stream, or an edge from
+        # one, is added or removed
         self._stream_matchers: dict[str, Optional[StreamMatcher]] = {}
 
     # ------------------------------------------------------------------ #
@@ -143,7 +144,6 @@ class XPathEvaluator:
         """Register a variable with its defining absolute path on ``stream``."""
         if not absolute_path.absolute:
             raise ValueError(f"variable {variable!r} needs an absolute defining path")
-        self._stream_matchers.clear()
         existing = self._variables.get(variable)
         if existing is not None:
             if existing[0] != stream or str(existing[1]) != str(absolute_path):
@@ -153,8 +153,8 @@ class XPathEvaluator:
                 )
             return
         self._variables[variable] = (stream, absolute_path)
-        nfa = self._nfas.setdefault(stream, PathNFA())
-        nfa.add_path(variable, absolute_path)
+        self._nfas.setdefault(stream, PathNFA()).add_path(variable, absolute_path)
+        self._stream_matchers.pop(stream, None)
 
     def register_edge(
         self, ancestor_var: str, descendant_var: str, relative_path: LocationPath
@@ -162,14 +162,16 @@ class XPathEvaluator:
         """Request (ancestor, descendant) edge witnesses for a variable pair."""
         if relative_path.absolute:
             raise ValueError("edge paths must be relative (from the ancestor's node)")
-        self._stream_matchers.clear()
         key = (ancestor_var, descendant_var)
         existing = self._edges.get(key)
-        if existing is not None and str(existing) != str(relative_path):
-            raise VariableConflictError(
-                f"edge {key} already registered with path {existing} (new: {relative_path})"
-            )
+        if existing is not None:
+            if str(existing) != str(relative_path):
+                raise VariableConflictError(
+                    f"edge {key} already registered with path {existing} (new: {relative_path})"
+                )
+            return
         self._edges[key] = relative_path
+        self._invalidate_edge_owner(ancestor_var)
 
     def register_pattern(
         self,
@@ -210,16 +212,18 @@ class XPathEvaluator:
         query is gone.  Each affected stream's NFA is rebuilt once from the
         surviving variables (unknown names are tolerated); a stream with no
         remaining variables drops its NFA entirely, so future documents on
-        it short-circuit in :meth:`evaluate`.
+        it short-circuit in :meth:`evaluate`.  Only the streams touched
+        lose their compiled streaming matchers.
         """
-        self._stream_matchers.clear()
         for key in edges:
-            self._edges.pop(tuple(key), None)
+            if self._edges.pop(tuple(key), None) is not None:
+                self._invalidate_edge_owner(key[0])
         streams: set[str] = set()
         for variable in variables:
             entry = self._variables.pop(variable, None)
             if entry is not None:
                 streams.add(entry[0])
+                self._stream_matchers.pop(entry[0], None)
         for stream in streams:
             nfa = PathNFA()
             remaining = False
@@ -231,6 +235,16 @@ class XPathEvaluator:
                 self._nfas[stream] = nfa
             else:
                 self._nfas.pop(stream, None)
+
+    def _invalidate_edge_owner(self, ancestor_var: str) -> None:
+        """Drop the matcher of the stream an edge from ``ancestor_var`` belongs to.
+
+        A stream's matcher compiles the edges whose ancestor is one of its
+        variables; an edge from an unregistered variable is in none yet.
+        """
+        owner = self._variables.get(ancestor_var)
+        if owner is not None:
+            self._stream_matchers.pop(owner[0], None)
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -56,7 +56,8 @@ class StreamMatcher:
     """The compiled streaming form of one stream's Stage-1 registrations.
 
     Built (and cached) by :meth:`XPathEvaluator.evaluate_text`; rebuilt
-    whenever variables or edges change.
+    after a variable of the stream, or an edge from one, is added or
+    removed.
     """
 
     __slots__ = ("transitions", "accepting", "has_desc", "edges_by_anc")

@@ -2,12 +2,9 @@
 
 import pytest
 
-import json
-
 from repro.bench import (
     format_table,
     rows_to_csv,
-    rows_to_json,
     run_rss_throughput,
     run_technical_benchmark,
 )
@@ -108,45 +105,6 @@ def test_experiment_fig16_tiny():
     assert all(row["events_per_second"] > 0 for row in rows)
 
 
-def test_experiment_sharded_throughput_tiny():
-    rows = experiments.sharded_throughput(
-        shard_counts=(1, 2), executors=("serial",), num_queries=30, num_items=20
-    )
-    assert [row["approach"] for row in rows] == [
-        "mmqjp",
-        "mmqjp-sharded1-serial",
-        "mmqjp-sharded2-serial",
-    ]
-    # Sharding must not change the match set (the acceptance criterion).
-    assert len({row["num_matches"] for row in rows}) == 1
-    assert all(row["events_per_second"] > 0 for row in rows)
-
-
-def test_run_parallel_topic_throughput_tiny():
-    from repro.bench import run_parallel_topic_throughput
-    from repro.workloads.querygen import generate_topic_queries
-    from repro.workloads.synthetic import build_topic_documents, topic_schemas
-
-    schemas = topic_schemas(4)
-    queries = generate_topic_queries(schemas, 8, window=1000.0)
-    documents = build_topic_documents(schemas, 24)
-
-    result, routed_keys = run_parallel_topic_throughput(
-        queries, documents, shards=4, executor="serial", route_dispatch=True
-    )
-    _, replicated_keys = run_parallel_topic_throughput(
-        queries, documents, shards=4, executor="serial", route_dispatch=False
-    )
-    # Routing changes which shards see a document, never the match set.
-    assert routed_keys == replicated_keys
-    assert routed_keys
-    assert result.approach == "mmqjp-parallel4-serial"
-    assert result.extra["ms_per_doc"] > 0
-    assert result.extra["route_dispatch"] is True
-    if result.extra["num_active_shards"] > 1:
-        assert result.extra["pct_shards_skipped"] > 0
-
-
 def test_experiment_ablation_graph_minor_tiny():
     rows = experiments.ablation_graph_minor(num_queries=40)
     by_flag = {row["graph_minor"]: row for row in rows}
@@ -166,30 +124,6 @@ def test_experiment_ablation_view_cache_tiny():
     assert {row["cache_size"] for row in rows} == {0, 8}
 
 
-def test_experiment_plan_scaling_tiny(tmp_path):
-    path = tmp_path / "BENCH_plan_scaling.json"
-    rows = experiments.plan_scaling(
-        num_queries_list=(20,),
-        num_topics_list=(3,),
-        num_state_docs=12,
-        num_probe_docs=3,
-        json_path=str(path),
-    )
-    assert len(rows) == 4  # the plan_cache x prune_dispatch knob matrix
-    assert {(row["plan_cache"], row["prune_dispatch"]) for row in rows} == {
-        (False, False), (True, False), (False, True), (True, True)
-    }
-    # Equivalence is asserted inside the experiment; the baseline row is 1x.
-    baseline = next(
-        row for row in rows if not row["plan_cache"] and not row["prune_dispatch"]
-    )
-    assert baseline["speedup_vs_baseline"] == 1.0
-    assert len({row["num_matches"] for row in rows}) == 1
-    document = json.loads(path.read_text())
-    assert document["meta"]["experiment"] == "plan_scaling"
-    assert len(document["rows"]) == 4
-
-
 def test_run_all_selected_subset():
     out = experiments.run_all(["table3"])
     assert set(out) == {"table3"}
@@ -206,14 +140,3 @@ def test_reporting_format_table_and_csv(tmp_path):
     csv_text = rows_to_csv(rows, str(path))
     assert path.read_text() == csv_text
     assert csv_text.splitlines()[0] == "a,b,c"
-
-
-def test_reporting_rows_to_json(tmp_path):
-    rows = [{"a": 1, "window": float("inf")}, {"a": 2, "window": 5.0}]
-    path = tmp_path / "rows.json"
-    text = rows_to_json(rows, str(path), meta={"experiment": "demo"})
-    assert path.read_text() == text
-    document = json.loads(text)  # strict JSON: inf rendered as a string
-    assert document["meta"] == {"experiment": "demo"}
-    assert document["rows"][0]["window"] == "inf"
-    assert document["rows"][1]["window"] == 5.0

@@ -466,7 +466,7 @@ def test_column_value_set_columnar_matches_row_path():
 # the vectorized plan executor
 # --------------------------------------------------------------------------- #
 def _plan_env(columnar_on: bool) -> IndexedDatabase:
-    env = IndexedDatabase(indexing="eager", columnar=columnar_on)
+    env = IndexedDatabase(columnar=columnar_on)
     r = Relation(["a", "b"], rows=[(i % 4, i % 6) for i in range(24)])
     s = Relation(["b", "c"], rows=[(i % 6, f"c{i % 5}") for i in range(18)])
     t = Relation(["c", "k"], rows=[(f"c{i % 5}", "k") for i in range(10)])

@@ -8,7 +8,6 @@ from repro import Broker, MMQJPEngine, RuntimeConfig, SequentialEngine, open_bro
 from repro.config import (
     ENGINES,
     EXECUTORS,
-    INDEXING_MODES,
     PARTITIONERS,
     as_config,
 )
@@ -29,7 +28,7 @@ def test_config_defaults_are_valid():
     "kwargs",
     [
         {"engine": "turbo"},
-        {"indexing": "sometimes"},
+        {"durability": "sometimes"},
         {"shards": 0},
         {"view_cache_size": 0},
         {"stream_history": -1},
@@ -47,12 +46,10 @@ def test_config_validation_rejects_bad_values(kwargs):
 
 def test_config_keyword_tuples_match_canonical_definitions():
     from repro.core.engine import ENGINES as ENGINE_NAMES
-    from repro.relational.database import INDEXING_MODES as DB_MODES
     from repro.runtime.executor import EXECUTORS as EXEC_NAMES
     from repro.runtime.partition import PARTITIONERS as PART_NAMES
 
     assert tuple(ENGINES) == tuple(ENGINE_NAMES)
-    assert tuple(INDEXING_MODES) == tuple(DB_MODES)
     assert tuple(EXECUTORS) == tuple(sorted(EXEC_NAMES, key=list(EXECUTORS).index)) or set(
         EXECUTORS
     ) == set(EXEC_NAMES)
@@ -73,11 +70,11 @@ def test_presets():
     assert t.is_sharded and t.executor == "threads"
     assert not t.construct_outputs and t.store_documents is False
     a = RuntimeConfig.ablation()
-    assert a.indexing == "off" and not a.plan_cache and not a.prune_dispatch
+    assert not a.plan_cache and not a.prune_dispatch
     # overrides re-validate
     assert RuntimeConfig.throughput(shards=8).shards == 8
     with pytest.raises(ValueError):
-        RuntimeConfig.ablation(indexing="broken")
+        RuntimeConfig.ablation(ingest="broken")
 
 
 def test_replace_revalidates():
@@ -91,7 +88,7 @@ def test_replace_revalidates():
 # as_config: what every constructor accepts
 # --------------------------------------------------------------------------- #
 def test_as_config_accepts_config_engine_name_or_nothing():
-    config = RuntimeConfig(indexing="lazy")
+    config = RuntimeConfig(plan_cache=False)
     assert as_config(config, "Broker") is config
     assert as_config("mmqjp-vm", "Broker").engine == "mmqjp-vm"
     assert as_config(None, "Broker") == RuntimeConfig()
@@ -102,19 +99,19 @@ def test_as_config_accepts_config_engine_name_or_nothing():
 @pytest.mark.parametrize("constructor", [Broker, MMQJPEngine, SequentialEngine, make_engine])
 def test_constructors_take_no_per_knob_keywords(constructor):
     with pytest.raises(TypeError):
-        constructor(indexing="off")
+        constructor(plan_cache=False)
 
 
 def test_make_engine_accepts_config_and_selection_keyword():
-    config = RuntimeConfig(engine="sequential", indexing="off")
+    config = RuntimeConfig(engine="sequential", plan_cache=False)
     engine = make_engine(config)
-    assert engine.indexing == "off"
-    assert make_engine("sequential", RuntimeConfig(indexing="off")).indexing == "off"
+    assert engine.plan_cache is None
+    assert make_engine("sequential", RuntimeConfig(plan_cache=False)).plan_cache is None
     # the selection keyword overrides the config's engine field
     assert make_engine("mmqjp-vm", RuntimeConfig()).processor.use_view_materialization
 
 
 def test_engines_carry_their_config():
-    with open_broker(RuntimeConfig(indexing="lazy", construct_outputs=False)) as broker:
-        assert broker.engine.config.indexing == "lazy"
-        assert broker.engine.indexing == "lazy"
+    with open_broker(RuntimeConfig(delta_join=False, construct_outputs=False)) as broker:
+        assert broker.engine.config.delta_join is False
+        assert broker.engine.delta_join is False

@@ -71,8 +71,8 @@ def test_column_value_set_with_const_checks():
 # --------------------------------------------------------------------------- #
 # a small state + witness environment shared by the reduction tests
 # --------------------------------------------------------------------------- #
-def _environment(indexing: str = "eager", num_docs: int = 40, alive: int = 4):
-    env = IndexedDatabase(indexing=indexing)
+def _environment(num_docs: int = 40, alive: int = 4):
+    env = IndexedDatabase()
     rdoc = PartitionedRelation(RELATION_SCHEMAS["Rdoc"], name="Rdoc")
     rbin = PartitionedRelation(RELATION_SCHEMAS["Rbin"], name="Rbin")
     for d in range(num_docs):
@@ -137,14 +137,13 @@ def test_delta_reduction_prunes_dead_state_rows():
 
 def test_delta_evaluation_equivalence_across_paths_and_indexing():
     cq = _query()
-    for indexing in ("eager", "lazy", "off"):
-        env = _environment(indexing=indexing)
-        baseline = evaluate_conjunctive(cq, env)
-        assert len(baseline.rows) > 0
-        assert evaluate_conjunctive(cq, env, delta=DeltaContext()) == baseline
-        cache = PlanCache()
-        assert cache.evaluate(cq, env, delta=DeltaContext()) == baseline
-        assert cache.evaluate(cq, env) == baseline
+    env = _environment()
+    baseline = evaluate_conjunctive(cq, env)
+    assert len(baseline.rows) > 0
+    assert evaluate_conjunctive(cq, env, delta=DeltaContext()) == baseline
+    cache = PlanCache()
+    assert cache.evaluate(cq, env, delta=DeltaContext()) == baseline
+    assert cache.evaluate(cq, env) == baseline
 
 
 def test_delta_context_memoizes_across_templates():

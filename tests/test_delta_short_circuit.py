@@ -66,7 +66,7 @@ def _template_query() -> ConjunctiveQuery:
 
 
 def _environment(columnar_on: bool, rdoc=(), rbin=(), rt=(), rdocw=(), rbinw=()):
-    env = IndexedDatabase(indexing="eager", columnar=columnar_on)
+    env = IndexedDatabase(columnar=columnar_on)
     state_doc = PartitionedRelation(RELATION_SCHEMAS["Rdoc"], name="Rdoc")
     state_bin = PartitionedRelation(RELATION_SCHEMAS["Rbin"], name="Rbin")
     for row in rdoc:
@@ -258,7 +258,7 @@ def _delta_scaling_orders(monkeypatch, full_reestimation: bool):
             # Every reduction drops every cached estimate: each pick that
             # follows one re-estimates all the remaining atoms.
             patch.setattr(DeltaProgram, "__init__", everyone_is_a_peer)
-        state = JoinState(indexing="eager")
+        state = JoinState()
         data.load_state(state)
         processor = MMQJPJoinProcessor(register_mmqjp(queries), state=state)
         keys = set()

@@ -1,17 +1,16 @@
 """The incremental indexed join pipeline.
 
-Covers the three layers the indexing refactor touches:
+Covers the three layers the live indexes touch:
 
 * relational — live :class:`HashIndex` maintenance under inserts, partition
-  drops and lazy rebuilds; :class:`PartitionedRelation` semantics; the
-  mutation-counter NDV cache (a prune followed by equal-size inserts must
-  not serve stale estimates).
+  drops and rebuilds after a wholesale ``rows`` assignment;
+  :class:`PartitionedRelation` semantics; the mutation-counter NDV cache (a
+  prune followed by equal-size inserts must not serve stale estimates).
 * evaluator — :class:`IndexedDatabase` environments produce exactly the
   same results as plain per-call hashing.
 * engine/runtime — any interleaving of ``register_query`` /
-  ``process_document`` / ``prune`` yields identical matches across
-  ``indexing="eager"``, ``"lazy"``, ``"off"``, both engines, and the
-  sharded broker with 1/2/4 shards (property-based).
+  ``process_document`` / ``prune`` yields identical matches across both
+  engines and the sharded broker with 1/2/4 shards (property-based).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import RuntimeConfig
-from repro.core import JoinState, MMQJPEngine, SequentialEngine
+from repro.core import MMQJPEngine, SequentialEngine
 from repro.pubsub import Broker
 from repro.relational import (
     ConjunctiveQuery,
@@ -50,19 +49,6 @@ def test_index_on_is_memoized_and_live_under_inserts():
     rel.insert(("d2", "b", 3))
     assert index.lookup("a") == [("d1", "a", 1), ("d2", "a", 2)]
     assert index.lookup("b") == [("d2", "b", 3)]
-
-
-def test_lazy_maintenance_rebuilds_on_next_use():
-    rel = Relation(["x", "y"], name="lazy", index_maintenance="lazy")
-    rel.insert((1, "a"))
-    index = rel.index_on((0,))
-    assert index.lookup(1) == [(1, "a")]
-    rel.insert((1, "b"))
-    # Stale until the next index_on call (lazy mode does not update inline)...
-    assert index.lookup(1) == [(1, "a")]
-    refreshed = rel.index_on((0,))
-    assert refreshed is index
-    assert index.lookup(1) == [(1, "a"), (1, "b")]
 
 
 def test_wholesale_rows_assignment_leaves_index_stale_until_next_use():
@@ -133,14 +119,6 @@ def test_partitioned_drop_updates_live_indexes():
     assert index.lookup("x") == [("d2", "x"), ("d3", "x")]
 
 
-def test_partitioned_drop_with_lazy_indexes():
-    rel = PartitionedRelation(["docid", "v"], name="p", index_maintenance="lazy")
-    rel.insert_many([("d1", "x"), ("d2", "x")])
-    rel.index_on(("v",))
-    rel.drop_partitions({"d1"})
-    assert rel.index_on(("v",)).lookup("x") == [("d2", "x")]
-
-
 def test_ndv_cache_keyed_on_mutation_counter():
     # The historical bug: a prune followed by equal-size inserts left the
     # row count unchanged, so a count-keyed cache served stale NDV values.
@@ -177,8 +155,7 @@ def _random_env(rng: random.Random):
     return edges, probe
 
 
-@pytest.mark.parametrize("indexing", ["eager", "lazy", "off"])
-def test_indexed_evaluation_matches_plain(indexing):
+def test_indexed_evaluation_matches_plain():
     rng = random.Random(42)
     cq = ConjunctiveQuery("out", ["d", "x", "z"], [Var("d"), Var("x"), Var("z")])
     cq.add_atom("probe", [Var("y")])
@@ -188,13 +165,11 @@ def test_indexed_evaluation_matches_plain(indexing):
     for _ in range(25):
         edges, probe = _random_env(rng)
         plain = evaluate_conjunctive(cq, {"edge": edges, "probe": probe})
-        env = IndexedDatabase(indexing=indexing)
+        env = IndexedDatabase()
         env.bind("edge", edges, indexed=True)
         env.bind("probe", probe)
         indexed = evaluate_conjunctive(cq, env)
         assert sorted(indexed.rows) == sorted(plain.rows)
-        if indexing == "off":
-            assert edges.num_indexes == 0
 
 
 def test_indexed_database_mapping_protocol():
@@ -204,22 +179,10 @@ def test_indexed_database_mapping_protocol():
     assert env["r"] is rel and env.get("r") is rel
     assert env.get("missing") is None
     assert "r" in env and list(env) == ["r"] and len(env) == 1
-    assert env.is_indexed("r")
+    assert env.is_stable("r")
     env.bind("r", rel, indexed=False)  # rebinding ephemerally clears the flag
-    assert not env.is_indexed("r")
+    assert not env.is_stable("r")
     assert env.index_for("r", (0,)) is None
-    with pytest.raises(ValueError):
-        IndexedDatabase(indexing="sometimes")
-
-
-def test_join_state_index_on_respects_off_mode():
-    assert JoinState(indexing="off").index_on("Rdoc", ("strVal",)) is None
-    state = JoinState(indexing="eager")
-    index = state.index_on("Rdoc", ("strVal",))
-    state.rdoc.insert(("d1", 3, "v"))
-    assert index.lookup("v") == [("d1", 3, "v")]
-    with pytest.raises(ValueError):
-        JoinState(indexing="sometimes")
 
 
 # --------------------------------------------------------------------------- #
@@ -300,19 +263,9 @@ def _replay_broker(broker, ops):
 @given(_ops)
 @settings(max_examples=12, deadline=None)
 def test_interleavings_equal_across_modes_and_engines(ops):
-    reference = _replay_engine(
-        MMQJPEngine(RuntimeConfig(store_documents=False, auto_prune=False, indexing="off")), ops
-    )
-    for indexing in ("eager", "lazy"):
-        for engine_cls in (MMQJPEngine, SequentialEngine):
-            engine = engine_cls(
-                RuntimeConfig(store_documents=False, auto_prune=False, indexing=indexing)
-            )
-            assert _replay_engine(engine, ops) == reference
-    sequential_off = SequentialEngine(
-        RuntimeConfig(store_documents=False, auto_prune=False, indexing="off")
-    )
-    assert _replay_engine(sequential_off, ops) == reference
+    config = RuntimeConfig(store_documents=False, auto_prune=False)
+    reference = _replay_engine(MMQJPEngine(config), ops)
+    assert _replay_engine(SequentialEngine(config), ops) == reference
 
 
 @given(_ops)
@@ -325,16 +278,13 @@ def test_interleavings_equal_under_sharded_broker(ops):
     # captured them) — that is a property of sharding, not of indexing.
     ops = sorted(ops, key=lambda op: op[0] != "query")
     reference = _replay_broker(
-        Broker(RuntimeConfig(construct_outputs=False, auto_prune=False, indexing="off")), ops
+        Broker(RuntimeConfig(construct_outputs=False, auto_prune=False)), ops
     )
     for shards in (2, 4):
-        for indexing in ("eager", "lazy", "off"):
-            broker = Broker(
-                RuntimeConfig(
-                    construct_outputs=False, auto_prune=False, shards=shards, indexing=indexing
-                )
-            )
-            assert _replay_broker(broker, ops) == reference
+        broker = Broker(
+            RuntimeConfig(construct_outputs=False, auto_prune=False, shards=shards)
+        )
+        assert _replay_broker(broker, ops) == reference
 
 
 def test_auto_prune_equivalence_across_modes():
@@ -353,14 +303,14 @@ def test_auto_prune_equivalence_across_modes():
     ]
 
     results = {}
-    for indexing in ("eager", "lazy", "off"):
-        engine = MMQJPEngine(RuntimeConfig(store_documents=False, indexing=indexing))
+    for engine_cls in (MMQJPEngine, SequentialEngine):
+        engine = engine_cls(RuntimeConfig(store_documents=False))
         for i, q in enumerate(queries):
             engine.register_query(q, qid=f"q{i}")
         keys = set()
         for doc in docs:
             keys.update(m.key() for m in engine.process_document(doc))
-        results[indexing] = keys
+        results[engine_cls] = keys
         # auto-pruning kept only the window horizon in state
         assert engine.processor.state.num_documents <= 4
-    assert results["eager"] == results["lazy"] == results["off"]
+    assert results[MMQJPEngine] == results[SequentialEngine]

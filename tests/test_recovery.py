@@ -3,7 +3,7 @@
 The oracle throughout is *restart equivalence*: a broker that publishes,
 closes (or crashes), and resumes must produce exactly the same match set on
 the remaining documents as a broker that never restarted — across engines,
-shard counts, and the default/ablation knob matrix.  The PR-4 retraction
+shard counts, the default/ablation knob matrix and relaxed durability.  The PR-4 retraction
 machinery supplies the adversarial case: cancel-before-crash leaves a
 registry whose naive replay would re-derive *different* canonical variable
 names than the persisted state rows use.
@@ -33,6 +33,8 @@ Q_FILTER = "S//book->x1[.//publisher->x9]"
 CONFIG_MATRIX = [
     RuntimeConfig(construct_outputs=False, auto_timestamp=False),
     RuntimeConfig.ablation(construct_outputs=False, auto_timestamp=False, shards=1),
+    # write-behind commits: the durable run must still match the memory one
+    RuntimeConfig(construct_outputs=False, auto_timestamp=False, durability="relaxed"),
 ]
 
 
@@ -70,7 +72,7 @@ def _reference_run(config, documents, queries):
 
 @pytest.mark.parametrize("engine", ["mmqjp", "mmqjp-vm", "sequential"])
 @pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("base", CONFIG_MATRIX, ids=["default", "ablation"])
+@pytest.mark.parametrize("base", CONFIG_MATRIX, ids=["default", "ablation", "relaxed"])
 def test_restart_equivalence(engine, shards, base, tmp_path):
     config = base.replace(engine=engine, shards=shards)
     queries = [("qa", Q_AUTHOR), ("qc", Q_CAT)]

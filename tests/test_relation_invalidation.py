@@ -3,8 +3,7 @@
 Satellite regression suite for the delete-path bookkeeping: the NDV
 (distinct-count) caches, live :class:`HashIndex` instances and the columnar
 sidecar must all stay consistent with ``rows`` across arbitrary interleavings
-of ``insert_many`` / ``delete_rows`` / probes, in both eager and lazy
-indexing modes.  The second property drives the column store through every
+of ``insert_many`` / ``delete_rows`` / probes.  The second property drives the column store through every
 mutation it mirrors (appends, prefix drops, swap-deletes) and every one it
 does not (predicate deletes, clears, non-leading drops) in random order, on
 both kernels.
@@ -41,9 +40,8 @@ def _check_ndv(relation: Relation) -> None:
 # --------------------------------------------------------------------------- #
 # deterministic regressions
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("indexing", ("eager", "lazy"))
-def test_delete_rows_keeps_live_index_consistent(indexing):
-    env = IndexedDatabase(indexing=indexing)
+def test_delete_rows_keeps_live_index_consistent():
+    env = IndexedDatabase()
     rel = Relation(["a", "b"], rows=[(i % 3, i) for i in range(12)])
     env.bind("R", rel, indexed=True)
     index = env.index_for("R", ["a"])
@@ -101,12 +99,9 @@ _op = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(
     ops=st.lists(_op, max_size=14),
-    indexing=st.sampled_from(["eager", "lazy"]),
     partitioned=st.booleans(),
 )
-def test_interleaved_mutation_keeps_all_caches_consistent(
-    ops, indexing, partitioned
-):
+def test_interleaved_mutation_keeps_all_caches_consistent(ops, partitioned):
     model: list[tuple] = [(i % 3, i % 2) for i in range(6)]
     if partitioned:
         rel = PartitionedRelation(
@@ -115,7 +110,7 @@ def test_interleaved_mutation_keeps_all_caches_consistent(
     else:
         rel = Relation(["a", "b"], rows=list(model))
     rel.enable_columnar(ValueDictionary())
-    env = IndexedDatabase(indexing=indexing)
+    env = IndexedDatabase()
     env.bind("R", rel, indexed=True)
     env.index_for("R", ["a"])  # force a live index before the interleaving
 

@@ -137,7 +137,7 @@ def test_unknown_relation_raises_at_compile_time():
 # indexed environments
 # --------------------------------------------------------------------------- #
 def test_compiled_plan_uses_persistent_indexes():
-    env = IndexedDatabase(indexing="eager")
+    env = IndexedDatabase()
     state = _rel(["a", "b"], [(1, 10), (2, 20)])
     env.bind("R", state, indexed=True)
     env.bind("W", _rel(["b", "c"], [(10, "x"), (20, "y")]))
@@ -161,7 +161,7 @@ def test_compiled_plan_uses_persistent_indexes():
 # the plan cache and its stats epoch
 # --------------------------------------------------------------------------- #
 def _cache_env(num_rows):
-    env = IndexedDatabase(indexing="eager")
+    env = IndexedDatabase()
     env.bind("R", _rel(["a", "b"], [(i, i * 10) for i in range(num_rows)]), indexed=True)
     env.bind("W", _rel(["b"], [(10,)]))
     return env

@@ -41,7 +41,7 @@ TOPOLOGIES = [
 topologies = pytest.mark.parametrize("shards, executor", TOPOLOGIES)
 
 STATS_KEYS = {
-    "engine", "indexing", "storage", "shards", "executor", "workers", "streams",
+    "engine", "storage", "shards", "executor", "workers", "streams",
     "num_subscriptions", "num_filter_subscriptions", "num_cancelled_subscriptions",
     "num_documents_published", "routing", "transport", "columnar", "delta",
     "engine_stats", "per_shard", "partition", "metrics",

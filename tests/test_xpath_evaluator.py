@@ -118,3 +118,43 @@ def test_num_nfa_states_reflects_sharing():
     before = ev.num_nfa_states()
     ev.register_variable("b", "S", parse_path("//item//author"))
     assert ev.num_nfa_states() == before + 1
+
+
+def test_stream_matchers_rebuild_only_for_new_registrations_on_their_stream(
+    evaluator, monkeypatch
+):
+    from repro.xpath import evaluator as module
+
+    built = []
+
+    class Counting(module.StreamMatcher):
+        def __init__(self, nfa, edges, stream_variables):
+            built.append(frozenset(stream_variables))
+            super().__init__(nfa, edges, stream_variables)
+
+    monkeypatch.setattr(module, "StreamMatcher", Counting)
+    evaluator.register_variable("y1", "T", parse_path("//blog"))
+
+    def publish_on_both():
+        book = evaluator.evaluate_text("<book><author>Ada</author></book>", "b", 1.0)
+        blog = evaluator.evaluate_text("<blog><author>Ada</author></blog>", "g", 2.0, stream="T")
+        assert book.var_nodes["x2"] == {1}
+        return blog
+
+    publish_on_both()
+    assert len(built) == 2
+    # a known variable and a known edge: every compiled matcher survives
+    evaluator.register_pattern(simple_pattern("S", "x1", "//book", {"x2": ".//author"}))
+    evaluator.register_variable("y1", "T", parse_path("//blog"))
+    publish_on_both()
+    assert len(built) == 2
+    # a new variable, then a new edge, on T: only T's matcher is rebuilt
+    evaluator.register_variable("y2", "T", parse_path("//blog//author"))
+    assert publish_on_both().var_nodes["y2"] == {1}
+    evaluator.register_edge("y1", "y2", parse_path(".//author"))
+    assert publish_on_both().edge_pairs[("y1", "y2")] == {(0, 1)}
+    assert built[2:] == [frozenset({"y1", "y2"})] * 2
+    # retracting them touches T alone as well
+    evaluator.deregister(variables=["y2"], edges=[("y1", "y2")])
+    assert "y2" not in publish_on_both().var_nodes
+    assert built[4:] == [frozenset({"y1"})]
