@@ -26,7 +26,6 @@ knob off — the plan-per-call, visit-every-template, full-state baseline).
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -36,12 +35,8 @@ __all__ = [
     "EXECUTORS",
     "STORAGE_BACKENDS",
     "DURABILITY_MODES",
-    "INGEST_MODES",
     "RuntimeConfig",
     "as_config",
-    "metrics_enabled",
-    "resolve_columnar",
-    "resolve_ingest",
 ]
 
 #: Engine selection keywords (canonical definition; re-exported by
@@ -58,14 +53,6 @@ PARTITIONERS = ("hash", "least-loaded")
 #: the pure-Python engines); the shard engines are then constructed
 #: in-worker from the pickled config, so the config must be picklable.
 EXECUTORS = ("serial", "threads", "processes")
-
-#: Document-ingest modes. ``"stream"`` (default) parses published XML text
-#: in a single event-driven pass and — when the engine keeps no document
-#: state — feeds Stage 1 directly from the scan without building a node
-#: tree.  ``"tree"`` always materializes the full :class:`XmlNode` tree
-#: first (the pre-fast-path behavior, kept for ablation).  Match sets are
-#: identical either way.
-INGEST_MODES = ("stream", "tree")
 
 #: State-storage backends (canonical definition; re-exported by
 #: :mod:`repro.storage`).  ``"memory"`` keeps all state in process —
@@ -110,9 +97,7 @@ class RuntimeConfig:
         id vectors (vectorized with ``numpy`` when installed — the
         ``repro[fast]`` extra — pure-``array`` kernels otherwise).
         ``False`` keeps the row-at-a-time path; match sets are identical
-        either way.  ``REPRO_COLUMNAR=0`` in the environment turns it off
-        for every config, explicit or defaulted (the CI replay override;
-        see :func:`resolve_columnar`).
+        either way.
     auto_prune:
         Prune join state by window horizon on the publish path (effective
         while every registered window is finite).
@@ -150,14 +135,6 @@ class RuntimeConfig:
         dispatches a document to shards hosting templates it can bind.
         ``False`` replicates every document to every shard (the pre-routing
         behavior, kept for ablation and equivalence testing).
-    ingest:
-        Document-ingest mode for text publishes: ``"stream"`` (default)
-        scans the XML text in one event-driven pass — assigning node ids
-        while building, and skipping tree construction entirely when the
-        engine keeps no document state — while ``"tree"`` always builds the
-        node tree first (the pre-fast-path behavior, kept for ablation).
-        Match sets are identical either way; the ``REPRO_INGEST`` environment
-        variable overrides both directions (see :func:`resolve_ingest`).
     result_limit:
         Bound on each subscription's legacy ``results`` collection
         (``None`` keeps it unbounded — the pre-sink behavior).
@@ -181,10 +158,7 @@ class RuntimeConfig:
         plus per-subscription delivery lag into
         :class:`repro.metrics.MetricsRegistry` objects, surfaced merged
         under ``broker.stats()["metrics"]``.  Disabled, the hot path pays
-        one attribute check.  Match sets are identical either way.  The
-        ``REPRO_METRICS=1`` environment variable force-enables it (replay
-        override for running existing suites with metrics on; see
-        :func:`metrics_enabled`).
+        one attribute check.  Match sets are identical either way.
     """
 
     engine: str = "mmqjp"
@@ -203,7 +177,6 @@ class RuntimeConfig:
     executor: Union[str, Any] = "serial"
     max_workers: Optional[int] = None
     route_dispatch: bool = True
-    ingest: str = "stream"
     result_limit: Optional[int] = 1024
     storage: str = "memory"
     durability: str = "epoch"
@@ -237,10 +210,6 @@ class RuntimeConfig:
         if isinstance(self.executor, str) and self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose one of {EXECUTORS}"
-            )
-        if self.ingest not in INGEST_MODES:
-            raise ValueError(
-                f"unknown ingest mode {self.ingest!r}; choose one of {INGEST_MODES}"
             )
         if not isinstance(self.route_dispatch, bool):
             raise ValueError(
@@ -326,9 +295,9 @@ class RuntimeConfig:
         """The all-knobs-off ablation baseline.
 
         Plan-per-call evaluation, full-state row-at-a-time joins,
-        visit-every-template dispatch, replicate-to-every-shard fan-out and
-        tree ingest — kept for equivalence and ablation runs.  The join
-        state keeps its live indexes: they have no switch.
+        visit-every-template dispatch and replicate-to-every-shard fan-out —
+        kept for equivalence and ablation runs.  The join state keeps its
+        live indexes: they have no switch.
         """
         base: dict = dict(
             plan_cache=False,
@@ -336,56 +305,9 @@ class RuntimeConfig:
             delta_join=False,
             columnar=False,
             route_dispatch=False,
-            ingest="tree",
         )
         base.update(overrides)
         return cls(**base)
-
-
-def metrics_enabled(config: "RuntimeConfig") -> bool:
-    """Whether ``config`` asks for runtime metrics, honoring ``REPRO_METRICS``.
-
-    Mirrors the ``REPRO_EXECUTOR`` / ``REPRO_STORAGE`` replay overrides:
-    setting ``REPRO_METRICS=1`` (or ``true`` / ``on``) in the environment
-    turns metrics on for every broker and engine without touching call
-    sites, so existing suites and benchmarks replay with observability
-    enabled.  Metrics never change match sets, so force-enabling is safe.
-    """
-    if config.metrics:
-        return True
-    return os.environ.get("REPRO_METRICS", "").strip().lower() in ("1", "true", "on")
-
-
-def resolve_ingest(config: "RuntimeConfig") -> str:
-    """The effective ingest mode, honoring the ``REPRO_INGEST`` override.
-
-    Mirrors :func:`metrics_enabled`: setting ``REPRO_INGEST=stream`` (or
-    ``tree``) in the environment overrides every config — including the
-    ablation preset — so existing suites replay under either ingest path
-    without touching call sites.  Ingest never changes match sets, so
-    overriding in both directions is safe.
-    """
-    override = os.environ.get("REPRO_INGEST", "").strip().lower()
-    if override:
-        if override not in INGEST_MODES:
-            raise ValueError(
-                f"REPRO_INGEST={override!r} is not a valid ingest mode; "
-                f"choose one of {INGEST_MODES}"
-            )
-        return override
-    return config.ingest
-
-
-def resolve_columnar(config: "RuntimeConfig") -> bool:
-    """Whether ``config`` evaluates columnar, honoring ``REPRO_COLUMNAR=0``.
-
-    Like ``REPRO_INGEST`` the replay override wins over the config:
-    ``REPRO_COLUMNAR=0`` forces the row path on every processor — also one
-    whose config sets ``columnar=True`` explicitly — so existing suites
-    replay without column stores.  It only ever turns the knob off, and
-    the row path never changes match sets, so overriding is safe.
-    """
-    return config.columnar and os.environ.get("REPRO_COLUMNAR") != "0"
 
 
 def as_config(spec: Union[RuntimeConfig, str, None], owner: str) -> RuntimeConfig:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.config import ENGINES, RuntimeConfig, as_config, metrics_enabled, resolve_ingest
+from repro.config import ENGINES, RuntimeConfig, as_config
 from repro.core.costs import CostBreakdown
 from repro.core.materialize import ViewCache
 from repro.metrics import MetricsRegistry
@@ -110,7 +110,6 @@ class _BaseEngine:
         self.evaluator = XPathEvaluator()
         self.catalog = VariableCatalog()
         self.store_documents = config.resolve_store_documents()
-        self.ingest = resolve_ingest(config)
         self.auto_timestamp = config.auto_timestamp
         self.auto_prune = config.auto_prune
         self.documents: dict[str, XmlDocument] = {}
@@ -139,11 +138,11 @@ class _BaseEngine:
         self._stage1 = Stage1Registrations()
         self.num_documents_processed = 0
         self.num_matches = 0
-        # Observability (RuntimeConfig.metrics / REPRO_METRICS): engine-side
+        # Observability (RuntimeConfig.metrics): engine-side
         # per-stage latency histograms.  None — the default — keeps the hot
         # path at a single attribute check per document.  The processor's
         # CostBreakdown mirrors its measured phases in.
-        self.metrics = MetricsRegistry() if metrics_enabled(config) else None
+        self.metrics = MetricsRegistry() if config.metrics else None
         # Stage 2: config.engine selects the strategy; everything the
         # engine does with the processor goes through the shared skeleton.
         if config.engine == "sequential":
@@ -313,7 +312,7 @@ class _BaseEngine:
         no stored documents (output construction) and no durable store
         (which persists the serialized source inside the epoch).
         """
-        return self.ingest == "stream" and self.store is None and not self.store_documents
+        return self.store is None and not self.store_documents
 
     def _stamp(self, timestamp: Optional[float], carried: float = 0.0) -> float:
         """The timestamp one input is processed under.
@@ -432,9 +431,9 @@ class _BaseEngine:
     ) -> list[Match]:
         """Process one document given as raw XML text.
 
-        With ``ingest="stream"`` (and no document state to keep — see
-        :meth:`_stream_eligible`) Stage 1 witnesses are produced in a single
-        pass over the text without building a node tree; otherwise this is
+        With no document state to keep (see :meth:`_stream_eligible`)
+        Stage 1 witnesses are produced in a single pass over the text
+        without building a node tree; otherwise this is
         exactly ``process_document(parse_document(text, stream=...))``.
         Matches are identical either way.
         """

@@ -44,14 +44,14 @@ on; off reproduces the previous behavior for ablation):
 * ``columnar`` — the evaluation environment owns a shared value dictionary,
   every bound relation carries a columnar sidecar, and the compiled-plan
   executor and delta-reduction passes run batch kernels over packed id
-  vectors wherever possible (see :func:`~repro.config.resolve_columnar`).
+  vectors wherever possible.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from repro.config import RuntimeConfig, as_config, resolve_columnar
+from repro.config import RuntimeConfig, as_config
 from repro.core.costs import CostBreakdown
 from repro.core.materialize import (
     MaterializedViews,
@@ -158,7 +158,7 @@ class _JoinProcessor:
         config = as_config(config, type(self).__name__)
         self.state = state if state is not None else JoinState()
         self.costs = CostBreakdown()
-        self.columnar = resolve_columnar(config)
+        self.columnar = config.columnar
         # The state relations are bound as *indexed* — their join keys
         # resolve against live, incrementally maintained hash indexes; the
         # per-document witness and view relations are rebound ephemerally

@@ -1,7 +1,7 @@
 """Observability layer: counters, gauges, latency histograms, delivery lag.
 
-Enabled with ``RuntimeConfig(metrics=True)`` (or the ``REPRO_METRICS=1``
-replay override); disabled, the hot path pays a single attribute check.
+Enabled with ``RuntimeConfig(metrics=True)``; disabled, the hot path pays
+a single attribute check.
 See :mod:`repro.metrics.registry` for the primitives and
 ``broker.stats()["metrics"]`` for the merged runtime snapshot.
 """

@@ -29,8 +29,7 @@ What differs by topology is derived from the config:
   survives inside every shard; by default a
   :class:`~repro.runtime.router.ShardRouter` dispatches each document only
   to the shards hosting templates it can bind (``route_dispatch=False``
-  replicates to every shard; the match set is identical either way); and the
-  ``REPRO_EXECUTOR`` replay override applies.
+  replicates to every shard; the match set is identical either way).
 * With **process shards** each published document or batch is encoded once
   and the same bytes go to every routed shard; matches return as compact
   tuples re-materialized here, so callbacks and delivery sinks always fire
@@ -52,14 +51,14 @@ from itertools import chain
 from time import perf_counter
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.config import RuntimeConfig, as_config, metrics_enabled, resolve_ingest
+from repro.config import RuntimeConfig, as_config
 from repro.core.engine import ENGINES, EngineStats, make_engine, merge_engine_stats
 from repro.core.results import Match
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.pubsub.filters import FilterFrontEnd, deliver_filter_matches
 from repro.pubsub.stream import StreamRegistry
 from repro.pubsub.subscription import Callback, Subscription, SubscriptionResult
-from repro.runtime.executor import executor_env_override, make_executor
+from repro.runtime.executor import make_executor
 from repro.runtime.partition import make_partitioner
 from repro.runtime.process import ProcessShardHandle, ShardWorkerGroup
 from repro.runtime.router import ShardRouter
@@ -96,7 +95,6 @@ class Broker:
         self.engine_name = config.engine
         self.construct_outputs = config.construct_outputs
         self.auto_timestamp = config.auto_timestamp
-        self._ingest = resolve_ingest(config)
         # The broker stamps documents centrally (one clock for all shards)
         # so that every shard sees identical timestamps; per-engine
         # auto-stamping would let shard clocks drift on streams mixing
@@ -112,9 +110,7 @@ class Broker:
         )
         sharded = config.is_sharded
         self._executor = make_executor(
-            executor_env_override(config.executor) if sharded else config.executor,
-            max_workers=config.max_workers,
-            num_shards=config.shards,
+            config.executor, max_workers=config.max_workers, num_shards=config.shards
         )
         self._worker_groups: list[ShardWorkerGroup] = []
         # Encode-once transport (process runtime only): each published
@@ -172,11 +168,11 @@ class Broker:
         self._clock_value = 0
         self._num_published = 0
         self._closed = False
-        # Observability (RuntimeConfig.metrics / REPRO_METRICS): the broker
+        # Observability (RuntimeConfig.metrics): the broker
         # registry holds publish latency and delivery lag; each shard engine
         # keeps its own per-stage registry (in its worker process, for the
         # "processes" runtime) and all of them merge in stats()["metrics"].
-        self.metrics = MetricsRegistry() if metrics_enabled(config) else None
+        self.metrics = MetricsRegistry() if config.metrics else None
         if self._store is not None:
             self._store.set_meta("config", config_snapshot(config))
 
@@ -557,7 +553,7 @@ class Broker:
 
         Only one in-process shard can take raw text (there is no fan-out to
         route or encode a document for).  Beyond the engine-side conditions
-        (``ingest="stream"``, no stored documents, no durable store) the
+        (no stored documents, no durable store) the
         broker itself must not need the document object: no single-block
         filter subscriptions to match against the tree, and no stream
         history to append it to.
@@ -565,7 +561,6 @@ class Broker:
         engine = self.engine
         return (
             engine is not None
-            and self._ingest == "stream"
             and self._filters.num_subscriptions == 0
             and self.config.stream_history == 0
             and engine.store is None

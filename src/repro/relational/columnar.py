@@ -29,8 +29,7 @@ sidecar* that the ``columnar`` runtime knob switches on:
   until the two together outgrow a quarter of it.
 
 ``numpy`` is an *optional* accelerator (the ``repro[fast]`` extra).  When it
-is missing — or ``REPRO_NO_NUMPY=1`` forces the fallback at import time —
-columns stay pure-``array`` vectors: the selection kernels
+is missing, columns stay pure-``array`` vectors: the selection kernels
 (:func:`select_positions`, :func:`distinct_ids`) run as tight loops over
 machine ints, and the fully vectorized join kernels report unavailable so
 callers fall back to the row path.  Either way the match sets are identical;
@@ -39,7 +38,6 @@ only the constant factor changes.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Iterable, Optional, Sequence
 
@@ -53,13 +51,10 @@ __all__ = [
     "domain_array",
 ]
 
-if os.environ.get("REPRO_NO_NUMPY") == "1":
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI replay
     _np = None
-else:  # pragma: no branch
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY leg
-        _np = None
 
 HAVE_NUMPY = _np is not None
 

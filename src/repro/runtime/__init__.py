@@ -28,7 +28,6 @@ from repro.runtime.executor import (
     SerialExecutor,
     ShardExecutor,
     ThreadedExecutor,
-    executor_env_override,
     make_executor,
 )
 from repro.runtime.process import ProcessShardHandle, ShardWorkerError, ShardWorkerGroup
@@ -58,7 +57,6 @@ __all__ = [
     "ProcessExecutor",
     "EXECUTORS",
     "make_executor",
-    "executor_env_override",
     "ProcessShardHandle",
     "ShardWorkerGroup",
     "ShardWorkerError",

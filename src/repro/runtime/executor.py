@@ -19,17 +19,10 @@ order, so downstream merging is deterministic regardless of scheduling.
   every worker's request is written before any response is read, with at
   most one request in flight per worker channel (so a pipe cannot fill in
   both directions and deadlock).
-
-The ``REPRO_EXECUTOR`` environment variable overrides the *default*
-executor keyword, mirroring the ``REPRO_STORAGE`` hook: it lets CI replay
-whole test suites on another executor without touching the tests, while
-configs that select an executor explicitly (a non-default keyword or an
-instance) are never overridden.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -187,27 +180,6 @@ EXECUTORS = {
     ThreadedExecutor.name: ThreadedExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
-
-
-def executor_env_override(spec: Union[str, ShardExecutor]) -> Union[str, ShardExecutor]:
-    """Apply the ``REPRO_EXECUTOR`` environment override to an executor spec.
-
-    Only the *default* keyword (``"serial"``) is overridden — mirroring the
-    ``REPRO_STORAGE`` rule that explicitly-selected backends are never
-    swapped out from under a test.  Executor instances and non-default
-    keywords pass through untouched, so a test that needs in-process
-    engines (e.g. for fault injection) opts out by passing
-    ``executor=SerialExecutor()``.
-    """
-    override = os.environ.get("REPRO_EXECUTOR")
-    if not override or spec != SerialExecutor.name:
-        return spec
-    if override not in EXECUTORS:
-        raise ValueError(
-            f"REPRO_EXECUTOR={override!r} is not a known executor; "
-            f"choose one of {sorted(EXECUTORS)}"
-        )
-    return override
 
 
 def make_executor(

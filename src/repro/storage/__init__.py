@@ -35,7 +35,6 @@ from repro.storage.base import (
     StateStore,
     StoredDocument,
     SubscriptionRecord,
-    storage_env_overrides,
 )
 from repro.storage.sqlite import SQLiteStore
 
@@ -48,7 +47,6 @@ __all__ = [
     "SQLiteStore",
     "StoredDocument",
     "SubscriptionRecord",
-    "storage_env_overrides",
     "resolve_storage",
     "open_member_store",
 ]
@@ -57,14 +55,11 @@ __all__ = [
 def resolve_storage(config) -> tuple[str, Optional[str]]:
     """Resolve a config's effective ``(storage, storage_path)`` pair.
 
-    Applies the ``REPRO_STORAGE`` / ``REPRO_STORAGE_DIR`` environment
-    overrides (the CI storage-matrix hook — see
-    :func:`~repro.storage.base.storage_env_overrides`) and materializes a
-    fresh temporary directory when ``storage="sqlite"`` is selected without
-    an explicit path.  Called once per broker, so every member store of one
-    session lands in the same directory.
+    Materializes a fresh temporary directory when ``storage="sqlite"`` is
+    selected without an explicit path.  Called once per broker, so every
+    member store of one session lands in the same directory.
     """
-    storage, path = storage_env_overrides(config.storage, config.storage_path)
+    storage, path = config.storage, config.storage_path
     if storage == "sqlite" and path is None:
         path = tempfile.mkdtemp(prefix="repro-storage-")
     return storage, path

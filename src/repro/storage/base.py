@@ -39,8 +39,6 @@ mid-epoch, which is how the torn-state tests drive recovery.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -54,7 +52,6 @@ __all__ = [
     "StoredDocument",
     "StateStore",
     "MemoryStore",
-    "storage_env_overrides",
 ]
 
 #: The stable join-state relations a store persists (the per-document witness
@@ -435,30 +432,3 @@ class MemoryStore(StateStore):
         if self._epoch_docid is not None:
             self.abort_epoch()
         self.closed = True
-
-
-def storage_env_overrides(storage: str, path: Optional[str]) -> tuple[str, Optional[str]]:
-    """Apply the ``REPRO_STORAGE`` / ``REPRO_STORAGE_DIR`` environment overrides.
-
-    The hook behind the CI storage matrix: with ``REPRO_STORAGE=sqlite`` any
-    broker constructed with the default ``storage="memory"`` transparently
-    runs on a :class:`~repro.storage.sqlite.SQLiteStore` instead (each
-    broker in its own fresh directory under ``REPRO_STORAGE_DIR``, or the
-    system temp dir), so whole test suites can be replayed against the
-    durable backend without touching their code.  Configs that select a
-    backend explicitly are never overridden.
-    """
-    env = os.environ.get("REPRO_STORAGE")
-    if not env or storage != "memory":
-        return storage, path
-    if env not in STORAGE_BACKENDS:
-        raise ValueError(
-            f"REPRO_STORAGE={env!r} is not a storage backend; "
-            f"choose one of {STORAGE_BACKENDS}"
-        )
-    if env == "memory":
-        return storage, path
-    base = os.environ.get("REPRO_STORAGE_DIR")
-    if base:
-        os.makedirs(base, exist_ok=True)
-    return env, tempfile.mkdtemp(prefix="repro-storage-", dir=base or None)

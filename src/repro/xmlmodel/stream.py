@@ -104,8 +104,9 @@ class XmlScanner:
 
         The loop body keeps the cursor in a local and dispatches on the
         character *after* a ``<`` (name start / ``/`` / ``!``): this is the
-        per-event hot path of every ingest mode, so it avoids attribute
-        round trips and prefix probes that a profile shows dominating.
+        per-event hot path of tree building and text scanning alike, so it
+        avoids attribute round trips and prefix probes that a profile shows
+        dominating.
         ``self.pos`` is synced back before every raise so error positions
         match the reference parser exactly.
         """

@@ -1,13 +1,71 @@
-"""Shared fixtures: the paper's running example and small workloads."""
+"""Shared fixtures: the paper's running example and small workloads.
+
+Also the ``--replay FIELD=VALUE`` option (repeatable): it replaces
+:class:`~repro.config.RuntimeConfig` defaults for the whole session before
+collection, so existing suites rerun under another configuration — e.g.
+``pytest --replay storage=sqlite tests/test_recovery.py``.  A field a test
+sets explicitly keeps its value.
+"""
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import dataclasses
+from typing import Iterable
 
 import pytest
 
 import repro.relational.columnar as columnar
+from repro.config import RuntimeConfig
 from repro.xmlmodel import XmlDocument, element
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--replay",
+        action="append",
+        default=[],
+        metavar="FIELD=VALUE",
+        help="replace a RuntimeConfig default for the session (repeatable); "
+        "values a test sets explicitly win",
+    )
+
+
+def pytest_configure(config):
+    # Before collection, so module-level configs see the replayed defaults.
+    replay_defaults(config.getoption("--replay"))
+
+
+def replay_defaults(specs: Iterable[str]) -> None:
+    """Make ``FIELD=VALUE`` specs the defaults of ``RuntimeConfig()``.
+
+    Values are Python literals (``False``, ``2``, ``None``) or bare strings
+    (``sqlite``).  An unknown field, or a value the config rejects, is a
+    :class:`pytest.UsageError` and changes nothing.
+    """
+    names = [field.name for field in dataclasses.fields(RuntimeConfig)]
+    changes = {}
+    for spec in specs:
+        name, sep, text = spec.partition("=")
+        if not sep or name not in names:
+            raise pytest.UsageError(
+                f"--replay {spec!r}: expected FIELD=VALUE with FIELD one of {names}"
+            )
+        try:
+            changes[name] = ast.literal_eval(text)
+        except (ValueError, SyntaxError):
+            changes[name] = text
+    try:
+        RuntimeConfig(**changes)
+    except (TypeError, ValueError) as exc:
+        raise pytest.UsageError(f"--replay: {exc}") from None
+    init = RuntimeConfig.__init__
+    # Every field has a default, so the defaults line up with the fields.
+    init.__defaults__ = tuple(
+        changes.get(name, default) for name, default in zip(names, init.__defaults__)
+    )
+
 
 #: Window symbols for the paper's Table 2 queries.
 PAPER_WINDOWS = {"T1": 10.0, "T2": 10.0, "T3": 10.0}
@@ -100,7 +158,7 @@ COLUMNAR_KERNELS = ("numpy", "array")
 def columnar_kernel(name: str):
     """Run on the numpy kernels or force the stdlib-``array`` fallback.
 
-    ``REPRO_NO_NUMPY`` is read once at import, so both kernels in one run
+    ``HAVE_NUMPY`` is decided once at import, so both kernels in one run
     means patching the module (forked shard workers inherit the patch).  A
     context manager, not a fixture: hypothesis tests cannot take
     function-scoped fixtures.

@@ -42,7 +42,7 @@ def runs(docs: list) -> list:
 
 
 def test_flips_apply_only_where_the_spec_config_lets_them_act():
-    universal = ["plan_cache", "prune_dispatch", "delta_join", "columnar", "ingest", "metrics"]
+    universal = ["plan_cache", "prune_dispatch", "delta_join", "columnar", "metrics"]
     for name, spec in inputs.SPECS.items():
         applied = {flip[0] for flip in ablation.FLIPS if ablation.applies(flip, spec.config)}
         expected = set(universal)
@@ -54,8 +54,8 @@ def test_flips_apply_only_where_the_spec_config_lets_them_act():
     assert ablation.applies(("executor", "threads"), (("shards", 2),))
     assert not ablation.applies(("executor", "threads"), (("shards", 1),))
     assert ablation.parse_flip("plan_cache=False") == ("plan_cache", False)
-    assert ablation.parse_flip("ingest=tree") == ("ingest", "tree")
-    assert ablation.label(("ingest", "tree")) == "ingest=tree"
+    assert ablation.parse_flip("executor=threads") == ("executor", "threads")
+    assert ablation.label(("executor", "threads")) == "executor=threads"
 
 
 def test_verdicts_and_ranking_from_fabricated_records():

@@ -12,9 +12,11 @@ import os
 import pytest
 
 import repro
+import repro.config
 import repro.core
 import repro.pubsub
 import repro.runtime
+import repro.storage
 
 REPRO_ALL = {
     # session API
@@ -85,11 +87,34 @@ RUNTIME_ALL = {
     "ProcessExecutor",
     "EXECUTORS",
     "make_executor",
-    "executor_env_override",
     "ProcessShardHandle",
     "ShardWorkerGroup",
     "ShardWorkerError",
     "ShardRouter",
+}
+
+#: The config names no environment variable: no resolver helpers.
+CONFIG_ALL = {
+    "ENGINES",
+    "PARTITIONERS",
+    "EXECUTORS",
+    "STORAGE_BACKENDS",
+    "DURABILITY_MODES",
+    "RuntimeConfig",
+    "as_config",
+}
+
+STORAGE_ALL = {
+    "STORAGE_BACKENDS",
+    "DURABILITY_MODES",
+    "STABLE_RELATIONS",
+    "StateStore",
+    "MemoryStore",
+    "SQLiteStore",
+    "StoredDocument",
+    "SubscriptionRecord",
+    "resolve_storage",
+    "open_member_store",
 }
 
 CORE_ALL = {
@@ -119,8 +144,10 @@ CORE_ALL = {
         (repro.pubsub, PUBSUB_ALL),
         (repro.runtime, RUNTIME_ALL),
         (repro.core, set(CORE_ALL)),
+        (repro.config, CONFIG_ALL),
+        (repro.storage, STORAGE_ALL),
     ],
-    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core"],
+    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core", "repro.config", "repro.storage"],
 )
 def test_public_symbol_inventory(module, expected):
     actual = set(module.__all__)
@@ -134,8 +161,8 @@ def test_public_symbol_inventory(module, expected):
 
 @pytest.mark.parametrize(
     "module",
-    [repro, repro.pubsub, repro.runtime, repro.core],
-    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core"],
+    [repro, repro.pubsub, repro.runtime, repro.core, repro.config, repro.storage],
+    ids=["repro", "repro.pubsub", "repro.runtime", "repro.core", "repro.config", "repro.storage"],
 )
 def test_every_public_symbol_resolves(module):
     for name in module.__all__:

@@ -3,13 +3,10 @@
 Covers the :mod:`repro.relational.columnar` building blocks (dictionary,
 sidecar sync, group index), the columnar fast paths in the operators and the
 plan executor (always against their row-path results), and the ``columnar``
-knob's route through the config, the processors, the engines and the
-``REPRO_COLUMNAR`` environment override.
+knob's route through the config, the processors and the engines.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -545,15 +542,14 @@ def test_delta_context_reduce_attaches_derived_store():
 # knob threading
 # --------------------------------------------------------------------------- #
 def test_config_columnar_knob_and_ablation():
-    assert RuntimeConfig().columnar is True
+    assert RuntimeConfig.__dataclass_fields__["columnar"].default is True
     assert RuntimeConfig(columnar=False).columnar is False
     assert RuntimeConfig.ablation().columnar is False
     with pytest.raises(ValueError):
         RuntimeConfig(columnar="yes")
 
 
-def test_processor_and_engine_thread_the_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
+def test_processor_and_engine_thread_the_knob():
     from repro.templates.registry import TemplateRegistry
 
     proc = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=True))
@@ -565,26 +561,6 @@ def test_processor_and_engine_thread_the_knob(monkeypatch):
     engine = make_engine(config=RuntimeConfig(columnar=True))
     assert engine.columnar is True
     engine.close()
-
-
-def test_repro_columnar_env_overrides_every_config(monkeypatch):
-    """``REPRO_COLUMNAR=0`` wins over the config, explicit or defaulted."""
-    from repro.config import resolve_columnar
-    from repro.templates.registry import TemplateRegistry
-
-    monkeypatch.setenv("REPRO_COLUMNAR", "0")
-    assert MMQJPJoinProcessor(TemplateRegistry()).columnar is False
-    explicit = RuntimeConfig(columnar=True)
-    assert resolve_columnar(explicit) is False
-    assert SequentialJoinProcessor(config=explicit).columnar is False
-    with open_broker(explicit) as broker:
-        assert broker.engine.columnar is False
-    # The override only ever turns the knob off.
-    monkeypatch.setenv("REPRO_COLUMNAR", "1")
-    assert resolve_columnar(RuntimeConfig(columnar=False)) is False
-    monkeypatch.delenv("REPRO_COLUMNAR")
-    assert resolve_columnar(explicit) is True
-    assert MMQJPJoinProcessor(TemplateRegistry()).columnar is True
 
 
 # --------------------------------------------------------------------------- #
@@ -663,8 +639,8 @@ def test_broker_matches_identical_in_order_while_the_window_slides():
     for keys, _filled, _final in sessions.values():
         assert keys == reference  # same matches, same delivery order
     assert not any(sessions[False, True][2].values())  # row path: nothing to sync
-    if os.environ.get("REPRO_COLUMNAR") == "0" or not columnar.HAVE_NUMPY:
-        return  # downgraded to the row path / array kernels: no group indexes
+    if not columnar.HAVE_NUMPY:
+        return  # the array kernels build no group indexes
     for delta_join in (True, False):
         _keys, filled, final = sessions[True, delta_join]
         slid = final["prefix_drops"] - filled["prefix_drops"]

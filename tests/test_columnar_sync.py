@@ -10,18 +10,11 @@ block has the same keys on every broker, executor and kernel.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import RuntimeConfig, open_broker
 from repro.relational.columnar import ColumnStore
 from tests.conftest import COLUMNAR_KERNELS, columnar_kernel
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_COLUMNAR") == "0",
-    reason="the row-path replay leg attaches no column stores to count",
-)
 
 WINDOW = 6
 ONE_JOIN = (
@@ -41,13 +34,14 @@ def kernel(request):
         yield request.param
 
 
-def _open(shards: int, executor: str, **knobs):
+def _open(shards: int, executor: str, columnar: bool = True, **knobs):
     return open_broker(
         RuntimeConfig(
             shards=shards,
             executor=executor,
             partitioner="least-loaded",  # two templates -> one per shard
             construct_outputs=False,
+            columnar=columnar,
             **knobs,
         )
     )

@@ -74,7 +74,7 @@ def test_presets():
     # overrides re-validate
     assert RuntimeConfig.throughput(shards=8).shards == 8
     with pytest.raises(ValueError):
-        RuntimeConfig.ablation(ingest="broken")
+        RuntimeConfig.ablation(executor="fibers")
 
 
 def test_replace_revalidates():

@@ -1,4 +1,4 @@
-"""Property tests for the streaming ingest fast path.
+"""Property tests for the text fast path: a tree is built only when needed.
 
 Three equivalences pin the fast path to the tree-building baseline:
 
@@ -7,9 +7,9 @@ Three equivalences pin the fast path to the tree-building baseline:
   with attributes, entities, comments, PIs and CDATA sections;
 * malformed input fails identically — same :class:`XmlParseError`
   message from either parser;
-* a broker in ``ingest="stream"`` throughput mode delivers the exact
-  same match sets as an ``ingest="tree"`` broker, for ``publish`` and
-  ``publish_many`` alike.
+* a throughput-mode broker fed raw text (scanned without building a tree)
+  delivers the exact same match sets as the same broker fed the parsed
+  documents, for ``publish`` and ``publish_many`` alike.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import RuntimeConfig
-from repro.config import resolve_ingest
 from repro.pubsub.broker import Broker
 from repro.xmlmodel import XmlDocument, to_xml
-from repro.xmlmodel.parser import XmlParseError, _parse_node_reference
+from repro.xmlmodel.parser import XmlParseError, _parse_node_reference, parse_document
 from repro.xmlmodel.stream import parse_node_streaming
 
 from tests.conftest import (
@@ -30,13 +29,6 @@ from tests.conftest import (
     make_blog_article,
     make_book_announcement,
 )
-
-@pytest.fixture(autouse=True)
-def _no_ingest_override(monkeypatch):
-    """These tests pin config-level ingest semantics; a suite-wide
-    REPRO_INGEST replay (the ingest-stream CI job) must not leak in."""
-    monkeypatch.delenv("REPRO_INGEST", raising=False)
-
 
 # --------------------------------------------------------------------- #
 # document generator
@@ -149,10 +141,18 @@ _AUTHORS = ["Danny Ayers", "Andrew Watt", "Grace Hopper"]
 _TITLES = ["Beginning RSS and Atom Programming", "Streams & Joins"]
 
 
-def _throughput_config(ingest: str) -> RuntimeConfig:
+#: What a broker is fed: the raw text, or the document parsed beforehand.
+INPUTS = ("text", "tree")
+
+
+def _throughput_config() -> RuntimeConfig:
     return RuntimeConfig(
-        ingest=ingest, store_documents=False, construct_outputs=False
+        store_documents=False, construct_outputs=False, storage="memory", executor="serial"
     )
+
+
+def _as_input(text: str, kind: str):
+    return text if kind == "text" else parse_document(text)
 
 
 def _match_keys(deliveries):
@@ -203,15 +203,15 @@ doc_specs = st.lists(
 def test_stream_broker_matches_tree_broker(specs):
     workload = _workload(specs)
     keys = {}
-    for ingest in ("stream", "tree"):
-        broker = Broker(_throughput_config(ingest))
+    for kind in INPUTS:
+        broker = Broker(_throughput_config())
         broker.subscribe(PAPER_Q1.replace("T1", "100"))
         broker.subscribe(PAPER_Q2.replace("T2", "100"))
         deliveries = []
         for text, timestamp in workload:
-            deliveries.extend(broker.publish(text, timestamp=timestamp))
-        keys[ingest] = _match_keys(deliveries)
-    assert keys["stream"] == keys["tree"]
+            deliveries.extend(broker.publish(_as_input(text, kind), timestamp=timestamp))
+        keys[kind] = _match_keys(deliveries)
+    assert keys["text"] == keys["tree"]
 
 
 @settings(max_examples=15, deadline=None)
@@ -219,15 +219,15 @@ def test_stream_broker_matches_tree_broker(specs):
 def test_stream_broker_publish_many_matches_tree(specs):
     workload = [text for text, _ in _workload(specs)]
     keys = {}
-    for ingest in ("stream", "tree"):
-        broker = Broker(_throughput_config(ingest))
+    for kind in INPUTS:
+        broker = Broker(_throughput_config())
         broker.subscribe(PAPER_Q1.replace("T1", "100"))
-        keys[ingest] = _match_keys(broker.publish_many(workload))
-    assert keys["stream"] == keys["tree"]
+        keys[kind] = _match_keys(broker.publish_many([_as_input(t, kind) for t in workload]))
+    assert keys["text"] == keys["tree"]
 
 
 def test_join_fires_on_stream_fast_path():
-    broker = Broker(_throughput_config("stream"))
+    broker = Broker(_throughput_config())
     sub = broker.subscribe(PAPER_Q1.replace("T1", "100"))
     book = to_xml(make_book_announcement(), pretty=False)
     blog = to_xml(make_blog_article(), pretty=False)
@@ -250,7 +250,7 @@ def test_fast_path_skips_tree_construction(monkeypatch):
 
     monkeypatch.setattr("repro.pubsub.broker.parse_document", boom)
     monkeypatch.setattr("repro.core.engine.parse_document", boom)
-    broker = Broker(_throughput_config("stream"))
+    broker = Broker(_throughput_config())
     broker.subscribe(PAPER_Q1.replace("T1", "100"))
     broker.publish(to_xml(make_book_announcement(), pretty=False), timestamp=1.0)
     deliveries = broker.publish(
@@ -260,8 +260,8 @@ def test_fast_path_skips_tree_construction(monkeypatch):
 
 
 def test_default_broker_keeps_tree_path():
-    # The default config stores documents, so the fast path must not engage
-    # even with ingest="stream" — outputs need the stored trees.
+    # The default config stores documents, so the fast path must not engage:
+    # outputs need the stored trees.
     broker = Broker()
     assert not broker._text_fast_path()
     broker.subscribe(PAPER_Q1.replace("T1", "100"))
@@ -276,12 +276,12 @@ def test_default_broker_keeps_tree_path():
 @pytest.mark.parametrize(
     "changes",
     [
-        {"ingest": "tree"},
+        {"store_documents": True},
         {"stream_history": 4},
     ],
 )
 def test_fast_path_eligibility_fallbacks(changes):
-    config = _throughput_config("stream").replace(**changes)
+    config = _throughput_config().replace(**changes)
     broker = Broker(config)
     assert not broker._text_fast_path()
     broker.subscribe(PAPER_Q1.replace("T1", "100"))
@@ -290,7 +290,7 @@ def test_fast_path_eligibility_fallbacks(changes):
 
 
 def test_filter_subscription_disables_fast_path():
-    broker = Broker(_throughput_config("stream"))
+    broker = Broker(_throughput_config())
     assert broker._text_fast_path()
     broker.subscribe("S//book->b")
     assert not broker._text_fast_path()
@@ -300,36 +300,18 @@ def test_filter_subscription_disables_fast_path():
     assert deliveries[0].document is not None
 
 
-def test_repro_ingest_overrides_config(monkeypatch):
-    monkeypatch.setenv("REPRO_INGEST", "tree")
-    assert resolve_ingest(RuntimeConfig(ingest="stream")) == "tree"
-    assert not Broker(_throughput_config("stream"))._text_fast_path()
-    monkeypatch.setenv("REPRO_INGEST", "stream")
-    assert resolve_ingest(RuntimeConfig(ingest="tree")) == "stream"
-    assert Broker(_throughput_config("tree"))._text_fast_path()
-    monkeypatch.setenv("REPRO_INGEST", "turbo")
-    with pytest.raises(ValueError, match="REPRO_INGEST"):
-        resolve_ingest(RuntimeConfig())
-
-
-def test_ablation_preset_pins_tree_ingest():
-    assert RuntimeConfig.ablation().ingest == "tree"
-    assert RuntimeConfig().ingest == "stream"
-
-
 def test_timestamp_semantics_match_tree_path():
     # Explicit stamps, the 0.0 auto-stamp asymmetry and default auto
-    # timestamps must all agree between the two ingest paths.
+    # timestamps must all agree between text and tree input.
     for stamps in ([0.0, 0.0], [7.5, 9.25], [None, None]):
         keys = {}
-        for ingest in ("stream", "tree"):
-            broker = Broker(_throughput_config(ingest))
+        for kind in INPUTS:
+            broker = Broker(_throughput_config())
             broker.subscribe(PAPER_Q1.replace("T1", "100"))
             deliveries = []
             docs = [make_book_announcement(), make_blog_article()]
             for doc, ts in zip(docs, stamps):
-                deliveries.extend(
-                    broker.publish(to_xml(doc, pretty=False), timestamp=ts)
-                )
-            keys[ingest] = _match_keys(deliveries)
-        assert keys["stream"] == keys["tree"], stamps
+                text = to_xml(doc, pretty=False)
+                deliveries.extend(broker.publish(_as_input(text, kind), timestamp=ts))
+            keys[kind] = _match_keys(deliveries)
+        assert keys["text"] == keys["tree"], stamps

@@ -164,12 +164,8 @@ def test_every_in_process_shard_gets_the_filter(monkeypatch, executor):
     """With several in-process shards a paused subscription still costs no
     Match construction (process shards are covered in test_session_contract:
     the callable cannot cross the pipe, so the parent drops post-hoc)."""
-    from repro.runtime import SerialExecutor
-
     counter = _count_materializations(monkeypatch)
-    # an instance pins the serial leg under the REPRO_EXECUTOR replay
-    spec = SerialExecutor() if executor == "serial" else executor
-    broker = _open("mmqjp", shards=2, executor=spec)
+    broker = _open("mmqjp", shards=2, executor=executor)
     try:
         sub = broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)
         sub.pause()

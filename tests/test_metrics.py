@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import RuntimeConfig, open_broker
-from repro.config import metrics_enabled
 from repro.metrics import (
     DEFAULT_LATENCY_BOUNDS,
     Histogram,
@@ -170,16 +169,14 @@ def test_snapshot_delta_without_previous_is_identity():
 
 
 # --------------------------------------------------------------------------- #
-# config knob and env override
+# config knob
 # --------------------------------------------------------------------------- #
-def test_metrics_enabled_follows_config_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_METRICS", raising=False)
-    assert not metrics_enabled(RuntimeConfig())
-    assert metrics_enabled(RuntimeConfig(metrics=True))
-    monkeypatch.setenv("REPRO_METRICS", "1")
-    assert metrics_enabled(RuntimeConfig())
-    monkeypatch.setenv("REPRO_METRICS", "off")
-    assert not metrics_enabled(RuntimeConfig())
+def test_metrics_follow_the_config():
+    assert RuntimeConfig.__dataclass_fields__["metrics"].default is False
+    for metrics in (False, True):
+        with open_broker(RuntimeConfig(metrics=metrics, executor="serial")) as broker:
+            assert (broker.metrics is not None) is metrics
+            assert (broker.engine.metrics is not None) is metrics
 
 
 # --------------------------------------------------------------------------- #
@@ -263,13 +260,3 @@ def test_metrics_do_not_change_match_sets(engine, shards):
             return [(d.subscription_id, d.match.key()) for d in out if d.match]
 
     assert keys(False) == keys(True)
-
-
-def test_metrics_env_override_enables_a_default_broker(monkeypatch):
-    monkeypatch.setenv("REPRO_METRICS", "1")
-    with open_broker(RuntimeConfig()) as broker:
-        broker.subscribe(CROSS, subscription_id="cross")
-        broker.publish(make_book_announcement("b1", 1.0))
-        snapshot = broker.metrics_snapshot()
-    assert snapshot is not None
-    assert snapshot["counters"]["documents_published"] == 1

@@ -18,19 +18,11 @@ compared runs.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import RuntimeConfig, open_broker
 from repro.pubsub import Broker
-from repro.runtime import (
-    SerialExecutor,
-    ShardRouter,
-    ShardWorkerError,
-    ThreadedExecutor,
-    executor_env_override,
-)
+from repro.runtime import ShardRouter, ShardWorkerError, ThreadedExecutor
 from repro.workloads.querygen import generate_topic_queries
 from repro.workloads.synthetic import build_document, topic_schemas
 from tests.conftest import (
@@ -42,16 +34,6 @@ from tests.conftest import (
 
 NUM_TOPICS = 4
 WINDOW = 200.0
-
-
-def _executor(spec):
-    """Resolve an executor parameter, pinning "serial" to an instance.
-
-    ``REPRO_EXECUTOR`` overrides the *default keyword* ``"serial"``; the
-    runs here compare executors against each other, so the serial leg must
-    stay serial even when the whole suite replays under another executor.
-    """
-    return SerialExecutor() if spec == "serial" else spec
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +99,7 @@ def test_executor_equivalence(executor, shards, topic_workload, topic_baseline):
         construct_outputs=False,
         auto_timestamp=False,
         shards=shards,
-        executor=_executor(executor),
+        executor=executor,
         # two workers co-locate shards, exercising the grouped channels
         max_workers=2 if executor == "processes" and shards > 2 else None,
     )
@@ -157,7 +139,7 @@ def test_routing_equivalence(
         construct_outputs=False,
         auto_timestamp=False,
         shards=4,
-        executor=_executor(executor),
+        executor=executor,
         route_dispatch=route,
     )
     keys, stats = _run(config, queries, documents, batched=batched)
@@ -183,7 +165,7 @@ def test_cancel_unroutes_retracted_templates(executor, topic_workload):
     base = RuntimeConfig(construct_outputs=False, auto_timestamp=False, shards=4)
     cancelled = [f"q{i}" for i, q in enumerate(queries) if i % NUM_TOPICS == 0]
 
-    with open_broker(base.replace(executor=_executor(executor))) as broker:
+    with open_broker(base.replace(executor=executor)) as broker:
         _subscribe_all(broker, queries)
         for doc in documents[:half]:
             broker.publish(doc)
@@ -346,22 +328,6 @@ def test_threaded_pool_sizes_from_configured_shard_count():
     with ThreadedExecutor() as executor:
         executor.map(len, [(), ()])  # unconfigured: size from the task list
         assert executor._pool._max_workers == 2
-
-
-def test_repro_executor_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "processes")
-    assert executor_env_override("serial") == "processes"
-    # explicit instances are never overridden (fault-injection opt-out)
-    inst = SerialExecutor()
-    assert executor_env_override(inst) is inst
-    with Broker(RuntimeConfig(shards=2, construct_outputs=False)) as broker:
-        assert broker.stats()["executor"] == "processes"
-        assert broker.stats()["workers"] == 2
-    monkeypatch.setenv("REPRO_EXECUTOR", "fibers")
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-        executor_env_override("serial")
-    monkeypatch.delenv("REPRO_EXECUTOR")
-    assert executor_env_override("serial") == "serial"
 
 
 def test_config_knobs():

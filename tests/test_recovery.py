@@ -306,6 +306,7 @@ def test_crash_mid_batch_leaves_no_torn_state(tmp_path):
     from repro.storage import SQLiteStore
 
     config = RuntimeConfig(
+        executor="serial",  # the crash is injected into the in-process engine's store
         storage="sqlite",
         storage_path=str(tmp_path),
         construct_outputs=False,
@@ -347,13 +348,10 @@ def test_crash_mid_batch_leaves_no_torn_state(tmp_path):
 
 def test_crash_on_one_shard_recovers(tmp_path):
     # fault injection pokes shard.engine.store directly, which only exists
-    # with in-process shards: pin a SerialExecutor *instance* so a
-    # REPRO_EXECUTOR=processes replay leaves this test in-process
-    from repro.runtime import SerialExecutor
-
+    # with in-process shards
     config = RuntimeConfig(
         shards=2,
-        executor=SerialExecutor(),
+        executor="serial",
         storage="sqlite",
         storage_path=str(tmp_path),
         construct_outputs=False,
@@ -381,6 +379,32 @@ def test_crash_on_one_shard_recovers(tmp_path):
     resumed = open_broker(resume_from=str(tmp_path))
     out.extend(_publish_all(resumed, documents[3:]))
     resumed.close()
+    assert _keys(out) == reference
+
+
+def test_resume_drops_a_snapshot_field_the_config_no_longer_has(tmp_path):
+    # A store written when RuntimeConfig still had an ``ingest`` field.
+    from repro.storage.sqlite import SQLiteStore
+
+    config = RuntimeConfig(
+        storage="sqlite", storage_path=str(tmp_path), construct_outputs=False,
+        auto_timestamp=False,
+    )
+    queries = [("qa", Q_AUTHOR), ("qc", Q_CAT)]
+    documents = _docs(4)
+    reference = _reference_run(
+        config.replace(storage="memory", storage_path=None), documents, queries
+    )
+    with open_broker(config) as broker:
+        for sid, query in queries:
+            broker.subscribe(query, subscription_id=sid)
+        out = _publish_all(broker, documents[:4])
+    with SQLiteStore(str(tmp_path / "broker.sqlite3")) as store:
+        store.set_meta("config", dict(store.get_meta("config"), ingest="tree"))
+
+    with open_broker(resume_from=str(tmp_path)) as resumed:
+        assert not hasattr(resumed.config, "ingest")
+        out.extend(_publish_all(resumed, documents[4:]))
     assert _keys(out) == reference
 
 

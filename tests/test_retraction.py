@@ -46,7 +46,7 @@ CONFIG_MATRIX = [
 def _engines(broker):
     """In-process engines reachable for deep state inspection.
 
-    Under the ``"processes"`` runtime (e.g. ``REPRO_EXECUTOR=processes``)
+    Under the ``"processes"`` runtime (e.g. ``--replay executor=processes``)
     shard engines live in worker processes and cannot be introspected from
     here; those shards are skipped, and state assertions over the returned
     list become vacuous — the equivalence suites cover that runtime instead.
@@ -143,7 +143,7 @@ def test_cancel_then_resubscribe_matches_fresh_broker(engine, shards, base):
 @pytest.mark.parametrize("engine", ["mmqjp", "sequential"])
 def test_partial_cancel_drops_only_dead_variable_rows(engine):
     config = RuntimeConfig(
-        engine=engine, construct_outputs=False, auto_timestamp=False
+        engine=engine, construct_outputs=False, auto_timestamp=False, executor="serial"
     )
     with open_broker(config) as broker:
         broker.subscribe(Q_AUTHOR, subscription_id="qa")
@@ -170,7 +170,7 @@ def test_partial_cancel_drops_only_dead_variable_rows(engine):
 
 
 def test_deregister_unknown_query_raises():
-    config = RuntimeConfig(construct_outputs=False)
+    config = RuntimeConfig(construct_outputs=False, executor="serial")
     with open_broker(config) as broker:
         with pytest.raises(KeyError):
             broker.engine.deregister_query("ghost")
@@ -256,7 +256,8 @@ def test_sharded_cancel_releases_partitioner_load():
 
 def test_template_revival_after_full_cancel():
     """A retired template is revived in place when an equivalent query returns."""
-    with open_broker(RuntimeConfig(engine="mmqjp", construct_outputs=False)) as broker:
+    config = RuntimeConfig(engine="mmqjp", construct_outputs=False, executor="serial")
+    with open_broker(config) as broker:
         broker.subscribe(Q_AUTHOR, subscription_id="a1")
         registry = broker.engine.registry
         assert registry.num_templates == 1

@@ -117,13 +117,13 @@ def test_open_broker_returns_the_one_class(shards, executor):
     assert (stats["partition"] is None) == (shards == 1)
     if executor == "processes":
         assert stats["executor"] == "processes" and stats["workers"] == shards
-    if stats["executor"] != "processes":  # REPRO_EXECUTOR may replace a two-shard "serial"
+    else:
         assert stats["workers"] is None
         assert not any(stats["transport"].values())
 
 
 def test_open_broker_accepts_engine_names_and_overrides():
-    with open_broker() as broker:
+    with open_broker(executor="serial") as broker:
         assert broker.num_shards == 1 and broker.engine is not None
     with open_broker("sequential", shards=2) as broker:
         assert broker.num_shards == 2 and broker.engine_name == "sequential"
@@ -276,8 +276,6 @@ def test_central_auto_timestamping(shards, executor):
 @pytest.fixture
 def parses(monkeypatch):
     """Count ``parse_document`` calls made by the broker and by the engines."""
-    monkeypatch.delenv("REPRO_INGEST", raising=False)
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
     import repro.core.engine as engine_module
     import repro.pubsub.broker as broker_module
 
@@ -295,7 +293,8 @@ def parses(monkeypatch):
 
 @topologies
 def test_text_publish_parses_only_where_the_topology_needs_a_document(shards, executor, parses):
-    with open_broker(_config(shards, executor, construct_outputs=False)) as broker:
+    config = _config(shards, executor, construct_outputs=False, storage="memory")
+    with open_broker(config) as broker:
         broker.subscribe(CROSS_POST)
         broker.publish(BLOG_TEXT)
         assert len(broker.publish(BLOG_TEXT)) == 1
@@ -312,16 +311,17 @@ def test_text_publish_parses_only_where_the_topology_needs_a_document(shards, ex
         ({"stream_history": 2}, False),
         ({"storage": "sqlite"}, False),
         ({"construct_outputs": True}, False),
-        ({"ingest": "tree"}, False),
+        ({"store_documents": True}, False),
     ],
-    ids=["filter-subscription", "stream-history", "sqlite", "outputs", "tree-ingest"],
+    ids=["filter-subscription", "stream-history", "sqlite", "outputs", "stored-documents"],
 )
 def test_one_shard_fast_path_turns_off_when_the_document_is_needed(
     fields, subscribe_filter, parses, tmp_path
 ):
     if fields.get("storage") == "sqlite":
         fields = dict(fields, storage_path=str(tmp_path))
-    with open_broker(RuntimeConfig(**{"construct_outputs": False, **fields})) as broker:
+    base = {"construct_outputs": False, "executor": "serial", "storage": "memory"}
+    with open_broker(RuntimeConfig(**{**base, **fields})) as broker:
         broker.subscribe(CROSS_POST)
         if subscribe_filter:
             filter_sub = broker.subscribe("S//blog->b")

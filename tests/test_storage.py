@@ -22,7 +22,6 @@ from repro.storage import (
     SubscriptionRecord,
     open_member_store,
     resolve_storage,
-    storage_env_overrides,
 )
 from repro.storage.sqlite import RELAXED_COMMIT_EVERY, sql_type_of
 from repro.templates.cqt import RELATION_SCHEMAS
@@ -304,33 +303,15 @@ def test_closed_store_rejects_writes(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# resolution / env overrides
+# resolution
 # --------------------------------------------------------------------- #
-def test_resolve_storage_memory_has_no_path(monkeypatch):
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
-    assert resolve_storage(RuntimeConfig()) == ("memory", None)
+def test_resolve_storage_memory_has_no_path():
+    assert resolve_storage(RuntimeConfig(storage="memory")) == ("memory", None)
 
 
-def test_resolve_storage_sqlite_materializes_tempdir(monkeypatch):
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
+def test_resolve_storage_sqlite_materializes_tempdir():
     storage, path = resolve_storage(RuntimeConfig(storage="sqlite"))
     assert storage == "sqlite" and path is not None and os.path.isdir(path)
-
-
-def test_env_override_promotes_memory_to_sqlite(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_STORAGE", "sqlite")
-    monkeypatch.setenv("REPRO_STORAGE_DIR", str(tmp_path))
-    storage, path = storage_env_overrides("memory", None)
-    assert storage == "sqlite"
-    assert path is not None and path.startswith(str(tmp_path))
-    # explicit backends are never overridden
-    assert storage_env_overrides("sqlite", "/elsewhere") == ("sqlite", "/elsewhere")
-
-
-def test_env_override_rejects_unknown_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_STORAGE", "etcd")
-    with pytest.raises(ValueError, match="REPRO_STORAGE"):
-        storage_env_overrides("memory", None)
 
 
 def test_open_member_store(tmp_path):
@@ -357,4 +338,4 @@ def test_config_rejects_unknown_storage():
     with pytest.raises(ValueError, match="durability"):
         RuntimeConfig(durability="eventually")
     with pytest.raises(ValueError, match="storage_path"):
-        RuntimeConfig(storage_path="/tmp/x")  # requires storage="sqlite"
+        RuntimeConfig(storage="memory", storage_path="/tmp/x")  # requires storage="sqlite"
