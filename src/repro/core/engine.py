@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro.config import ENGINES, RuntimeConfig, as_config
 from repro.core.costs import CostBreakdown
@@ -26,18 +26,42 @@ from repro.metrics import MetricsRegistry
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from repro.core.results import Match, build_output_document
 from repro.core.witnesses import WitnessRelations
-from repro.templates.registry import TemplateRegistry
+from repro.templates.registry import QueryShape, TemplateRegistry
 from repro.xmlmodel.document import XmlDocument, _next_docid
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serialize import to_xml
 from repro.xpath.evaluator import Stage1Registrations, XPathEvaluator
 from repro.xscl.ast import INFINITE_WINDOW, JoinOperator, JoinSpec, ValueJoinPredicate, XsclQuery
 from repro.xscl.normalize import VariableCatalog, canonicalize_query
+from repro.xscl.memo import TextMemo
 from repro.xscl.parser import parse_query
 from repro.templates.join_graph import Side
 
 #: Suffix used internally for the mirrored registration of symmetric JOIN queries.
 _SWAP_SUFFIX = "::swap"
+
+
+class _DerivedKey(NamedTuple):
+    """One processor-registration key's share of a :class:`_DerivedText`."""
+
+    suffix: str  # "" for the qid itself, ``::swap`` for a JOIN's mirror
+    query: XsclQuery  # the canonical form, or its mirror
+    shape: QueryShape
+    variables: tuple[str, ...]  # its Stage 1 variables
+    edges: tuple[tuple[str, str], ...]  # its Stage 1 (parent, child) edges
+
+
+class _DerivedText(NamedTuple):
+    """What registering one query text derives — the same for every subscriber.
+
+    Shared, never mutated: every registration of the text gets the same
+    canonical query object.
+    """
+
+    query: XsclQuery  # the query the rest was derived from
+    canonical: XsclQuery
+    keys: tuple[_DerivedKey, ...]
+
 
 # ENGINES is canonically defined in repro.config (imported above) and
 # re-exported here for backward compatibility.
@@ -136,6 +160,10 @@ class _BaseEngine:
         # equivalent queries, so a registration is only withdrawn from the
         # evaluator when its last user is gone.
         self._stage1 = Stage1Registrations()
+        # What registering a text derives, held by its live registrations
+        # (qid -> the text it holds); see register_query.
+        self.texts: TextMemo[_DerivedText] = TextMemo()
+        self._text_of: dict[str, str] = {}
         self.num_documents_processed = 0
         self.num_matches = 0
         # Observability (RuntimeConfig.metrics): engine-side
@@ -170,7 +198,18 @@ class _BaseEngine:
         qid: Optional[str] = None,
         window_symbols: Optional[dict[str, float]] = None,
     ) -> str:
-        """Register an XSCL query (text or AST) and return its query id."""
+        """Register an XSCL query (text or AST) and return its query id.
+
+        Everything a registration derives from the query itself — the
+        canonical form, the ``::swap`` twin of a symmetric JOIN, each
+        registration key's :class:`~repro.templates.registry.QueryShape` and
+        Stage 1 variables and edges — is kept in :attr:`texts` under the query's text
+        while a registration of it is live, so a later registration of an
+        equal query is an ``RT`` append, a relevance posting and Stage 1
+        refcounts.  Queries without text (built programmatically), or equal
+        in text but not in structure to the held one (different window
+        symbols), derive their own and share nothing.
+        """
         if isinstance(query, str):
             query = parse_query(query, window_symbols=window_symbols)
         if not query.is_join_query:
@@ -182,18 +221,33 @@ class _BaseEngine:
         if qid in self._registered:
             raise ValueError(f"query id {qid!r} is already registered")
 
-        canonical = canonicalize_query(query, self.catalog)
+        text = query.text
+        derived = None if text is None else self.texts.get(text)
+        if derived is not None and derived.query is not query and derived.query != query:
+            derived = text = None  # an unequal query holds this text
+        if derived is None:
+            canonical = canonicalize_query(query, self.catalog)
+            forms = [("", canonical)]
+            if canonical.join.operator is JoinOperator.JOIN:
+                forms.append((_SWAP_SUFFIX, _swap_query(canonical)))
+            derived = _DerivedText(
+                query,
+                canonical,
+                tuple(self._register_with_processor(qid, suffix, form) for suffix, form in forms),
+            )
+        else:
+            for key in derived.keys:
+                self._register_with_processor(qid, key.suffix, key.query, key)
+        canonical = derived.canonical
         self._registered[qid] = canonical
         self._root_vars[qid] = (
             canonical.left.root_variable,
             canonical.right.root_variable if canonical.right else None,
         )
-
         self._track_window(canonical.join.window)
-
-        self._register_with_processor(qid, canonical)
-        if canonical.join.operator is JoinOperator.JOIN:
-            self._register_with_processor(qid + _SWAP_SUFFIX, _swap_query(canonical))
+        if text is not None:
+            self.texts.hold(text, derived)
+            self._text_of[qid] = text
         if self.store is not None:
             self._persist_registration()
         return qid
@@ -202,29 +256,48 @@ class _BaseEngine:
         """Register many queries; returns their query ids."""
         return [self.register_query(q) for q in queries]
 
-    def _register_with_processor(self, key: str, query: XsclQuery) -> None:
+    def _register_with_processor(
+        self,
+        qid: str,
+        suffix: str,
+        query: XsclQuery,
+        derived: Optional[_DerivedKey] = None,
+    ) -> _DerivedKey:
         """Register one query with Stage 2, and its reduced graph with Stage 1.
 
-        ``key`` is the processor-registration key (the qid, or its
+        The processor-registration key is ``qid + suffix`` (the qid, or its
         ``::swap`` twin for symmetric JOINs); the variables and edges
         registered under it are recorded and reference-counted so
         :meth:`deregister_query` can withdraw exactly this registration.
+        ``derived`` is what an earlier, still live registration of the same
+        text returned: its variables and edges are then in the evaluator
+        already, held there by that registration's refcounts, so only the
+        refcounts are taken.
         """
-        reduced = self.processor.add_query(key, query)
-        patterns = {Side.LEFT: query.left.pattern, Side.RIGHT: query.right.pattern}
-        variables: list[str] = []
-        edges: list[tuple[str, str]] = []
-        for side, var in reduced.nodes:
-            pattern = patterns[side]
-            self.evaluator.register_variable(var, pattern.stream, pattern.absolute_path_of(var))
-            variables.append(var)
-        for (p_side, p_var), (c_side, c_var) in reduced.structural_edges:
-            pattern = patterns[p_side]
-            self.evaluator.register_edge(
-                p_var, c_var, pattern.relative_path_between(p_var, c_var)
+        key = qid + suffix
+        if derived is not None:
+            self.processor.add_query(key, query, derived.shape)
+        else:
+            shape = self.processor.add_query(key, query)
+            patterns = {Side.LEFT: query.left.pattern, Side.RIGHT: query.right.pattern}
+            for side, var in shape.reduced.nodes:
+                pattern = patterns[side]
+                self.evaluator.register_variable(
+                    var, pattern.stream, pattern.absolute_path_of(var)
+                )
+            for (p_side, p_var), (_, c_var) in shape.reduced.structural_edges:
+                self.evaluator.register_edge(
+                    p_var, c_var, patterns[p_side].relative_path_between(p_var, c_var)
+                )
+            derived = _DerivedKey(
+                suffix,
+                query,
+                shape,
+                tuple(var for _, var in shape.reduced.nodes),
+                tuple((p_var, c_var) for (_, p_var), (_, c_var) in shape.reduced.structural_edges),
             )
-            edges.append((p_var, c_var))
-        self._stage1.record(key, variables, edges)
+        self._stage1.record(key, derived.variables, derived.edges)
+        return derived
 
     # ------------------------------------------------------------------ #
     # retraction
@@ -248,6 +321,9 @@ class _BaseEngine:
             raise KeyError(f"query id {qid!r} is not registered")
         del self._registered[qid]
         self._root_vars.pop(qid, None)
+        text = self._text_of.pop(qid, None)
+        if text is not None:
+            self.texts.release(text)
 
         keys = [qid]
         if canonical.join.operator is JoinOperator.JOIN:

@@ -73,7 +73,7 @@ from repro.relational.plan import PlanCache
 from repro.relational.terms import Const, Var
 from repro.templates.join_graph import JoinGraph, Side
 from repro.templates.minor import ReducedJoinGraph, reduce_join_graph
-from repro.templates.registry import RegisteredQuery, TemplateRegistry
+from repro.templates.registry import QueryShape, RegisteredQuery, TemplateRegistry
 from repro.xscl.ast import JoinOperator, XsclQuery
 
 
@@ -197,11 +197,16 @@ class _JoinProcessor:
     # ------------------------------------------------------------------ #
     # what a strategy supplies
     # ------------------------------------------------------------------ #
-    def add_query(self, qid: str, query: XsclQuery) -> ReducedJoinGraph:
-        """Register one (canonicalized) join query; returns its reduced join graph.
+    def add_query(
+        self, qid: str, query: XsclQuery, shape: Optional[QueryShape] = None
+    ) -> QueryShape:
+        """Register one (canonicalized) join query; returns its :class:`QueryShape`.
 
-        The graph's variables and edges are what the engine registers with
-        Stage 1.  Raises :class:`ValueError` for an already-registered id.
+        The shape's reduced join graph holds the variables and edges the
+        engine registers with Stage 1.  ``shape`` is what an earlier
+        ``add_query`` of an equal query returned; passing it back skips
+        re-deriving the graph (and, under MMQJP, the template match).
+        Raises :class:`ValueError` for an already-registered id.
         """
         raise NotImplementedError
 
@@ -372,10 +377,12 @@ class MMQJPJoinProcessor(_JoinProcessor):
     # ------------------------------------------------------------------ #
     # registration and retraction
     # ------------------------------------------------------------------ #
-    def add_query(self, qid: str, query: XsclQuery) -> ReducedJoinGraph:
-        record = self.registry.add_query(qid, query)
+    def add_query(
+        self, qid: str, query: XsclQuery, shape: Optional[QueryShape] = None
+    ) -> QueryShape:
+        record = self.registry.add_query(qid, query, shape)
         self._index(record)
-        return record.reduced
+        return record.shape
 
     def _index(self, record: RegisteredQuery) -> None:
         """Post one registry record: its template's unit and its relevance entry."""
@@ -552,10 +559,14 @@ class SequentialJoinProcessor(_JoinProcessor):
         super().__init__(config, state, plan_cache)
         self._queries: dict[str, _PerQuery] = {}
 
-    def add_query(self, qid: str, query: XsclQuery) -> ReducedJoinGraph:
+    def add_query(
+        self, qid: str, query: XsclQuery, shape: Optional[QueryShape] = None
+    ) -> QueryShape:
         if qid in self._queries:
             raise ValueError(f"query id {qid!r} is already registered")
-        reduced = reduce_join_graph(JoinGraph.from_query(query))
+        if shape is None:
+            shape = QueryShape(reduce_join_graph(JoinGraph.from_query(query)))
+        reduced = shape.reduced
         unit = _make_unit(
             build_per_query_cq(qid, query, reduced),
             qid,
@@ -569,7 +580,7 @@ class SequentialJoinProcessor(_JoinProcessor):
                 (var for side, var in reduced.nodes if side is Side.RIGHT),
                 member=qid,
             )
-        return reduced
+        return shape
 
     def remove_query(self, qid: str) -> None:
         try:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import pickle
 from itertools import chain
 from time import perf_counter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro.config import RuntimeConfig, as_config
 from repro.core.engine import ENGINES, EngineStats, make_engine, merge_engine_stats
@@ -69,10 +69,19 @@ from repro.storage.recovery import config_snapshot
 from repro.xmlmodel.document import XmlDocument
 from repro.xmlmodel.parser import parse_document
 from repro.xscl.ast import XsclQuery
+from repro.xscl.memo import TextMemo
 from repro.xscl.parser import parse_query
 from repro.xscl.render import render_query
 
 __all__ = ["Broker", "ENGINES", "deliver_filter_matches"]
+
+
+class _ParsedText(NamedTuple):
+    """One subscription text parsed; shared by its live subscriptions, never mutated."""
+
+    key: Optional[Hashable]  # its key in Broker.texts (None: an AST was subscribed)
+    query: XsclQuery
+    rendered: Optional[str]  # what the store persists (None without a store)
 
 
 class Broker:
@@ -162,6 +171,10 @@ class Broker:
         )
         self.streams = StreamRegistry(history_size=config.stream_history)
         self._subscriptions: dict[str, Subscription] = {}
+        # Parsed subscription texts, held by their live subscriptions
+        # (sid -> the key it holds); see _parse.
+        self.texts: TextMemo[_ParsedText] = TextMemo()
+        self._text_of: dict[str, Hashable] = {}
         self._filters = FilterFrontEnd()
         self._sub_counter = 1
         self._reg_seq = 0
@@ -248,23 +261,24 @@ class Broker:
         optional ``callback``).
         """
         if isinstance(query, str):
-            query = parse_query(query, window_symbols=window_symbols)
+            parsed = self._parse(query, window_symbols)
+        else:
+            parsed = self._parsed(None, query)
+        query = parsed.query
         if subscription_id is None:
             subscription_id = f"sub{self._sub_counter}"
             self._sub_counter += 1
         if subscription_id in self._subscriptions:
             raise ValueError(f"subscription id {subscription_id!r} already exists")
-        subscription = self._register(subscription_id, query, callback, sink)
+        subscription = self._register(subscription_id, parsed, callback, sink)
         if self._store is not None:
-            # The query is persisted as rendered text (windows numeric, so
-            # no window-symbol table is needed to replay it); ``seq``
-            # preserves the registration order recovery replays in.
+            # ``seq`` preserves the registration order recovery replays in.
             self._reg_seq += 1
             self._store.save_subscription(
                 SubscriptionRecord(
                     seq=self._reg_seq,
                     subscription_id=subscription_id,
-                    query_text=render_query(query),
+                    query_text=parsed.rendered,
                     kind="join" if query.is_join_query else "filter",
                     shard=self.shard_of(subscription_id),
                 )
@@ -272,10 +286,30 @@ class Broker:
             self._store.set_meta("sub_counter", self._sub_counter)
         return subscription
 
+    def _parse(
+        self, text: str, window_symbols: Optional[dict[str, float]] = None
+    ) -> _ParsedText:
+        """A subscription text parsed — from :attr:`texts` while a live subscription holds it.
+
+        The key is the text, with the window-symbol table when one is given
+        (the same text can then parse to different windows).
+        """
+        key = text if not window_symbols else (text, frozenset(window_symbols.items()))
+        parsed = self.texts.get(key)
+        if parsed is None:
+            parsed = self._parsed(key, parse_query(text, window_symbols=window_symbols))
+        return parsed
+
+    def _parsed(self, key: Optional[Hashable], query: XsclQuery) -> _ParsedText:
+        # The query is persisted as rendered text (windows numeric, so no
+        # window-symbol table is needed to replay it).
+        rendered = None if self._store is None else render_query(query)
+        return _ParsedText(key, query, rendered)
+
     def _register(
         self,
         sid: str,
-        query: XsclQuery,
+        parsed: _ParsedText,
         callback: Optional[Callback] = None,
         sink=None,
         recorded_shard: Optional[int] = None,
@@ -292,8 +326,11 @@ class Broker:
         after churn); the partitioner's template map and load accounting
         are restored alongside, so later placements stay cohesive.
         Callbacks and sinks are process-local and cannot be recovered;
-        subscribers re-attach via ``broker.subscription(sid)``.
+        subscribers re-attach via ``broker.subscription(sid)``.  A parsed
+        text is held in :attr:`texts` by the subscription until it is
+        cancelled.
         """
+        query = parsed.query
         subscription = Subscription(
             subscription_id=sid,
             query=query,
@@ -318,6 +355,9 @@ class Broker:
                 self._router.register(sid, query, shard_id)
         self._subscriptions[sid] = subscription
         subscription._retract = self.cancel
+        if parsed.key is not None:
+            self.texts.hold(parsed.key, parsed)
+            self._text_of[sid] = parsed.key
         return subscription
 
     def cancel(self, subscription_id: str) -> bool:
@@ -347,6 +387,9 @@ class Broker:
                 if self._router is not None:
                     self._router.cancel(subscription_id)
         subscription._mark_cancelled()
+        key = self._text_of.pop(subscription_id, None)
+        if key is not None:
+            self.texts.release(key)
         if self._store is not None:
             self._store.remove_subscription(subscription_id)
         return True

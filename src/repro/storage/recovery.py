@@ -133,8 +133,6 @@ def resume_broker(
 
 
 def _restore(broker) -> None:
-    from repro.xscl.parser import parse_query
-
     # In-process shards and process-shard handles expose the same three
     # recovery methods, so every topology is driven through one interface.
     members = broker.shards
@@ -145,11 +143,15 @@ def _restore(broker) -> None:
     # path.
     expected_refcounts = [member.recover_catalog() for member in members]
 
-    # 2. Replay the surviving registrations in their original order.
+    # 2. Replay the surviving registrations in their original order (texts
+    # subscribed many times are parsed and derived once, as when live).
     records = broker._store.subscriptions()
     for record in records:
-        query = parse_query(record.query_text)
-        broker._register(record.subscription_id, query, recorded_shard=record.shard)
+        broker._register(
+            record.subscription_id,
+            broker._parse(record.query_text),
+            recorded_shard=record.shard,
+        )
 
     for member, expected in zip(members, expected_refcounts):
         if expected is None:

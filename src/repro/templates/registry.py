@@ -2,15 +2,17 @@
 
 ``TemplateRegistry.add_query`` computes a query's join graph, reduces it
 (graph minor), and either matches it against an existing template or mints a
-new one.  It also maintains, per template, the relation ``RT`` (one tuple
-per query) and the compiled conjunctive queries (base and materialized
-forms), which is everything the Join Processor needs.
+new one; the two results form the query's :class:`QueryShape`, which a
+caller may pass back to register an equal query without recomputing either.
+It also maintains, per template, the relation ``RT`` (one tuple per query)
+and the compiled conjunctive queries (base and materialized forms), which is
+everything the Join Processor needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.relational.conjunctive import ConjunctiveQuery
 from repro.relational.relation import Relation
@@ -54,6 +56,20 @@ def _graph_key(reduced: ReducedJoinGraph) -> tuple:
     )
 
 
+class QueryShape(NamedTuple):
+    """What registering a canonical query derives from the query alone.
+
+    The reduced join graph and, under a template registry, the template
+    assignment (``None`` for the sequential strategy, which keeps no
+    templates).  Both are pure functions of the canonical query, so a shape
+    computed for one registration is valid for every later registration of
+    an equal query.
+    """
+
+    reduced: ReducedJoinGraph
+    assignment: Optional[TemplateAssignment] = None
+
+
 @dataclass
 class RegisteredQuery:
     """Bookkeeping for one registered query."""
@@ -73,6 +89,11 @@ class RegisteredQuery:
     def names(self) -> dict[str, str]:
         """Meta-variable -> this query's variable name (what its ``RT`` tuple stores)."""
         return self.assignment.assignment
+
+    @property
+    def shape(self) -> QueryShape:
+        """The reduced graph and template assignment, reusable for an equal query."""
+        return QueryShape(self.reduced, self.assignment)
 
 
 @dataclass
@@ -107,27 +128,40 @@ class TemplateRegistry:
         self._entries: list[_TemplateEntry] = []
         self._by_signature: dict[tuple, list[_TemplateEntry]] = {}
         self._queries: dict[str, RegisteredQuery] = {}
-        # Exact reduced-graph -> assignment memo: re-registering a shape the
-        # registry has seen (common under churn, where the same queries
-        # cancel and resubscribe) skips the isomorphism test entirely.
-        # Entries are never invalidated — templates are retired in place,
-        # not deleted, so a cached assignment stays correct forever.
+        # Exact reduced-graph -> assignment memo, the layer under the
+        # engines' text memo (repro.xscl.memo): a live text's later
+        # subscribers pass their shape in and never get here; this serves
+        # the first subscriber of a text whose reduced graph the registry
+        # has seen — a text resubscribed after its last cancel dropped it,
+        # or a different text reducing to the same graph — and skips the
+        # isomorphism test.  Entries are never invalidated — templates are
+        # retired in place, not deleted, so a cached assignment stays
+        # correct forever.
         self._assignment_memo: dict[tuple, TemplateAssignment] = {}
 
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
-    def add_query(self, qid: str, query: XsclQuery) -> RegisteredQuery:
-        """Register a (canonicalized) join query and return its bookkeeping record."""
+    def add_query(
+        self, qid: str, query: XsclQuery, shape: Optional[QueryShape] = None
+    ) -> RegisteredQuery:
+        """Register a (canonicalized) join query and return its bookkeeping record.
+
+        ``shape`` is the :attr:`RegisteredQuery.shape` of an earlier
+        registration of an equal query; passing it skips the join graph,
+        its reduction and the template match.
+        """
         if qid in self._queries:
             raise ValueError(f"query id {qid!r} is already registered")
-        join_graph = JoinGraph.from_query(query)
-        if self.use_graph_minor:
-            reduced = reduce_join_graph(join_graph)
+        if shape is None:
+            join_graph = JoinGraph.from_query(query)
+            if self.use_graph_minor:
+                reduced = reduce_join_graph(join_graph)
+            else:
+                reduced = _full_graph_as_reduced(join_graph)
+            assignment = self._match_or_create(reduced)
         else:
-            reduced = _full_graph_as_reduced(join_graph)
-
-        assignment = self._match_or_create(reduced)
+            reduced, assignment = shape
         entry = self._entry_of(assignment.template)
         window = query.join.window
         entry.rt_pos[qid] = len(entry.rt.rows)

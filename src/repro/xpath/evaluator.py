@@ -146,7 +146,7 @@ class XPathEvaluator:
             raise ValueError(f"variable {variable!r} needs an absolute defining path")
         existing = self._variables.get(variable)
         if existing is not None:
-            if existing[0] != stream or str(existing[1]) != str(absolute_path):
+            if existing[0] != stream or existing[1] != absolute_path:
                 raise VariableConflictError(
                     f"variable {variable!r} already registered with definition "
                     f"{existing[0]}:{existing[1]} (new: {stream}:{absolute_path})"
@@ -165,7 +165,7 @@ class XPathEvaluator:
         key = (ancestor_var, descendant_var)
         existing = self._edges.get(key)
         if existing is not None:
-            if str(existing) != str(relative_path):
+            if existing != relative_path:
                 raise VariableConflictError(
                     f"edge {key} already registered with path {existing} (new: {relative_path})"
                 )

@@ -193,11 +193,15 @@ def test_retract_and_reregister_equals_a_fresh_processor(strategy, data):
 # --------------------------------------------------------------------------- #
 def test_add_query_returns_the_reduced_graph(strategy, data):
     processor = STRATEGIES[strategy](data.fresh_state())
-    reduced = processor.add_query("hit", matching_query())
+    shape = processor.add_query("hit", matching_query())
+    reduced = shape.reduced
     assert {var for _, var in reduced.nodes} >= {
         leaf_variable(SCHEMA, 0), leaf_variable(SCHEMA, 1)
     }
     assert reduced.value_edges
+    # Passing the shape back registers an equal query without re-deriving it.
+    assert processor.add_query("again", matching_query(), shape).reduced is reduced
+    assert {m.qid for m in processor.process(data.witness)} == {"hit", "again"}
 
 
 def test_duplicate_add_and_unknown_remove_are_rejected(strategy, data):
