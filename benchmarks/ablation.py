@@ -31,8 +31,7 @@ sys.path.insert(0, str(ROOT))
 
 from perf import compare, inputs  # noqa: E402  (read-only; perf.run only in a child)
 
-FLIPS = (("plan_cache", False), ("prune_dispatch", False), ("delta_join", False),
-         ("columnar", False), ("metrics", True), ("route_dispatch", False),
+FLIPS = (("columnar", False), ("metrics", True), ("route_dispatch", False),
          ("executor", "threads"), ("durability", "relaxed"))
 QUIET = 0.05  # deletion candidates move docs_per_s and publish_p50_ms by at most this
 
@@ -50,7 +49,7 @@ def label(flip) -> str:
 
 
 def parse_flip(text: str) -> tuple:
-    """``"plan_cache=False"`` -> ``("plan_cache", False)``, ``"executor=threads"`` -> ``("executor", "threads")``."""
+    """``"columnar=False"`` -> ``("columnar", False)``, ``"executor=threads"`` -> ``("executor", "threads")``."""
     knob, _, value = text.partition("=")
     return knob, {"True": True, "False": False}.get(value, value)
 

@@ -19,8 +19,9 @@ string as shorthand for ``RuntimeConfig(engine=...)``, resolved by
 
 Presets capture the two configurations the evaluation section uses
 constantly: :meth:`RuntimeConfig.throughput` (sharded, thread-pooled, no
-output construction) and :meth:`RuntimeConfig.ablation` (every acceleration
-knob off — the plan-per-call, visit-every-template, full-state baseline).
+output construction) and :meth:`RuntimeConfig.ablation` (``columnar`` and
+``route_dispatch`` off: row-at-a-time joins, replicate-to-every-shard
+fan-out).
 """
 
 from __future__ import annotations
@@ -67,29 +68,28 @@ STORAGE_BACKENDS = ("memory", "sqlite")
 #: never tears one.
 DURABILITY_MODES = ("epoch", "relaxed")
 
+#: The fields that are plain switches (validated as ``bool`` in one loop).
+_BOOL_FIELDS = (
+    "columnar", "auto_prune", "auto_timestamp", "construct_outputs", "route_dispatch", "metrics"
+)
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Every runtime knob of the system, validated in one place.
+
+    Stage 2 has no switch for how it evaluates: every processor runs its
+    conjunctive queries through compiled, cached plans, skips every unit
+    whose right-hand variables the document does not all bind, and
+    semi-join-reduces the state outward from the document's witnesses.
+    What turning each of those off used to cost is recorded under
+    ``deleted`` in ``BENCH_ablation.json``.
 
     Attributes
     ----------
     engine:
         ``"mmqjp"`` (default), ``"mmqjp-vm"`` (Section 5 view
         materialization) or ``"sequential"`` (the baseline).
-    plan_cache:
-        Evaluate conjunctive queries through compiled, cached plans
-        (default).  ``False`` re-plans per call.
-    prune_dispatch:
-        Skip templates/queries irrelevant to the published document
-        (default).  ``False`` visits every registered template/query.
-    delta_join:
-        Delta-driven Stage-2 evaluation (default): before each conjunctive
-        query runs, the state relations are semi-join-reduced to the rows
-        reachable from the current document's witness delta, so join cost
-        is proportional to delta-connected state rather than total state.
-        ``False`` probes the full state relations (the pre-delta behavior,
-        kept for ablation and equivalence testing).
     columnar:
         Columnar evaluation (default): the join state carries interned-id
         column vectors behind the row API, and the compiled-plan executor
@@ -162,9 +162,6 @@ class RuntimeConfig:
     """
 
     engine: str = "mmqjp"
-    plan_cache: bool = True
-    prune_dispatch: bool = True
-    delta_join: bool = True
     columnar: bool = True
     auto_prune: bool = True
     auto_timestamp: bool = True
@@ -211,17 +208,13 @@ class RuntimeConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose one of {EXECUTORS}"
             )
-        if not isinstance(self.route_dispatch, bool):
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
+        if self.store_documents is not None and not isinstance(self.store_documents, bool):
             raise ValueError(
-                f"route_dispatch must be True or False, got {self.route_dispatch!r}"
-            )
-        if not isinstance(self.columnar, bool):
-            raise ValueError(
-                f"columnar must be True or False, got {self.columnar!r}"
-            )
-        if not isinstance(self.metrics, bool):
-            raise ValueError(
-                f"metrics must be True or False, got {self.metrics!r}"
+                f"store_documents must be True, False or None, got {self.store_documents!r}"
             )
         if self.storage not in STORAGE_BACKENDS:
             raise ValueError(
@@ -292,20 +285,13 @@ class RuntimeConfig:
 
     @classmethod
     def ablation(cls, **overrides) -> "RuntimeConfig":
-        """The all-knobs-off ablation baseline.
+        """The switches-off baseline: row-at-a-time joins, replicated fan-out.
 
-        Plan-per-call evaluation, full-state row-at-a-time joins,
-        visit-every-template dispatch and replicate-to-every-shard fan-out —
-        kept for equivalence and ablation runs.  The join state keeps its
-        live indexes: they have no switch.
+        ``columnar=False`` and ``route_dispatch=False``, the two switches
+        with an off side.  Plans, relevance-pruned dispatch, delta
+        reduction and the join state's live indexes have none.
         """
-        base: dict = dict(
-            plan_cache=False,
-            prune_dispatch=False,
-            delta_join=False,
-            columnar=False,
-            route_dispatch=False,
-        )
+        base: dict = dict(columnar=False, route_dispatch=False)
         base.update(overrides)
         return cls(**base)
 

@@ -705,18 +705,8 @@ class _BaseEngine:
 
     @property
     def plan_cache(self):
-        """The processor's compiled-plan cache (``None`` when disabled)."""
+        """The processor's compiled-plan cache."""
         return self.processor.plan_cache
-
-    @property
-    def prune_dispatch(self) -> bool:
-        """Whether relevance-pruned dispatch is enabled."""
-        return self.processor.relevance is not None
-
-    @property
-    def delta_join(self) -> bool:
-        """Whether delta-driven (semi-join reduced) evaluation is enabled."""
-        return self.processor.delta_join
 
     @property
     def columnar(self) -> bool:
@@ -746,7 +736,7 @@ class _BaseEngine:
 
     @property
     def delta_stats(self) -> dict[str, int]:
-        """The processor's delta-reduction counters (all zero when off)."""
+        """The processor's delta-reduction counters."""
         return dict(self.processor.delta_stats)
 
     def metrics_snapshot(self) -> Optional[dict]:
@@ -799,8 +789,8 @@ class MMQJPEngine(_BaseEngine):
     ----------
     config:
         A :class:`~repro.config.RuntimeConfig` carrying every knob
-        (``plan_cache``, ``prune_dispatch``, ``auto_prune``,
-        ``auto_timestamp``, ``store_documents``, ``view_cache_size``).
+        (``columnar``, ``auto_prune``, ``auto_timestamp``,
+        ``store_documents``, ``view_cache_size``).
     use_view_materialization:
         Evaluate the per-template conjunctive queries over the materialized
         views ``RL`` / ``RR`` (Section 5) instead of the raw witness

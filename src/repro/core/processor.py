@@ -19,32 +19,32 @@ evaluate for a set of relevant ids; everything else — state and evaluation
 environment, match filter, delta context, the ``process`` loop, the
 row → :class:`~repro.core.results.Match` conversion, state maintenance and
 pruning — is the skeleton's.  Both consume the same inputs and produce the
-same matches, which is what the equivalence tests in ``tests/`` check.
+same matches.
 
 Registration goes through the processor, which updates the relevance index
 at the point of change; a processor handed an already-populated registry
 indexes its records once, at construction.
 
-Every knob comes from a :class:`~repro.config.RuntimeConfig` (all default
-on; off reproduces the previous behavior for ablation):
+Every document is evaluated the same way, whatever the configuration:
 
-* ``plan_cache`` — conjunctive queries are evaluated through compiled,
-  cached plans (:mod:`repro.relational.plan`) instead of being re-planned
-  on every call;
-* ``prune_dispatch`` — units whose right-hand-side variables the current
-  document did not bind are skipped outright via an inverted index
+* units whose right-hand-side variables the current document did not all
+  bind are skipped outright via an inverted index
   (:mod:`repro.core.relevance`);
-* ``delta_join`` — each conjunctive query is evaluated *outward from the
-  delta*: a semi-join reduction pass restricts every state relation to the
-  rows reachable from the current document's witnesses before the main
-  join runs (:class:`~repro.relational.conjunctive.DeltaProgram`), with
-  one :class:`~repro.relational.conjunctive.DeltaContext` per document so
+* each remaining unit's conjunctive query runs through a compiled, cached
+  plan (:mod:`repro.relational.plan`), *outward from the delta*: a
+  semi-join reduction pass restricts every state relation to the rows
+  reachable from the current document's witnesses before the main join
+  runs (:class:`~repro.relational.conjunctive.DeltaProgram`), with one
+  :class:`~repro.relational.conjunctive.DeltaContext` per document so
   reductions are shared across units — and a unit whose reduction meets an
-  empty relation or join-variable domain ends there, without a main join;
-* ``columnar`` — the evaluation environment owns a shared value dictionary,
-  every bound relation carries a columnar sidecar, and the compiled-plan
-  executor and delta-reduction passes run batch kernels over packed id
-  vectors wherever possible.
+  empty relation or join-variable domain ends there, without a main join.
+
+The one Stage 2 switch of :class:`~repro.config.RuntimeConfig` is
+``columnar``: the evaluation environment owns a shared value dictionary,
+every bound relation carries a columnar sidecar, and the plan executor and
+the reduction passes run batch kernels over packed id vectors wherever
+possible (``False``: row at a time).  ``tests/oracle.py`` states what every
+strategy and configuration must deliver.
 """
 
 from __future__ import annotations
@@ -63,11 +63,7 @@ from repro.core.relevance import RelevanceIndex
 from repro.core.results import Match
 from repro.core.state import JoinState
 from repro.core.witnesses import WitnessRelations
-from repro.relational.conjunctive import (
-    ConjunctiveQuery,
-    DeltaContext,
-    evaluate_conjunctive,
-)
+from repro.relational.conjunctive import ConjunctiveQuery, DeltaContext
 from repro.relational.database import IndexedDatabase
 from repro.relational.plan import PlanCache
 from repro.relational.terms import Const, Var
@@ -136,8 +132,7 @@ class _JoinProcessor:
     ----------
     config:
         The :class:`~repro.config.RuntimeConfig` (or engine-name shorthand)
-        carrying ``plan_cache``, ``prune_dispatch``, ``delta_join`` and
-        ``columnar``; ``None`` means the defaults.
+        carrying ``columnar``; ``None`` means the defaults.
     state:
         A preloaded :class:`~repro.core.state.JoinState` to evaluate
         against.
@@ -166,13 +161,8 @@ class _JoinProcessor:
         self.env = IndexedDatabase(columnar=self.columnar)
         for name, relation in self.state.relations().items():
             self.env.bind(name, relation, indexed=True)
-        if plan_cache is None and config.plan_cache:
-            plan_cache = PlanCache()
-        self.plan_cache: Optional[PlanCache] = plan_cache
-        self.relevance: Optional[RelevanceIndex] = (
-            RelevanceIndex() if config.prune_dispatch else None
-        )
-        self.delta_join = config.delta_join
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        self.relevance = RelevanceIndex()
         self.delta_stats = {"documents": 0, **dict.fromkeys(DeltaContext.COUNTERS, 0)}
         self.match_filter: Optional[Callable[[str], bool]] = None
 
@@ -217,17 +207,16 @@ class _JoinProcessor:
         """
         raise NotImplementedError
 
-    def _units(self, relevant: Optional[set]) -> Iterable[_Unit]:
-        """The units to evaluate, in registration order (``None``: all of them)."""
+    def _units(self, relevant: set) -> Iterable[_Unit]:
+        """The units of the ``relevant`` groups, in registration order."""
         raise NotImplementedError
 
-    def _before_units(self, witnesses: WitnessRelations, relevant: Optional[set]) -> None:
+    def _before_units(self, witnesses: WitnessRelations, relevant: set) -> None:
         """Per-document work ahead of the unit loop (MMQJP: the Section 5 views)."""
 
     def _retire(self, unit: _Unit) -> None:
         """Drop what was compiled for a unit nothing can reach any more."""
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate(unit.cq)
+        self.plan_cache.invalidate(unit.cq)
 
     # ------------------------------------------------------------------ #
     # Algorithm 1 / Algorithm 4
@@ -236,18 +225,11 @@ class _JoinProcessor:
         """Evaluate all registered queries against the current document's witnesses."""
         env = self.env
         env.bind_all(witnesses.relations())
-        relevant: Optional[set] = None
-        if self.relevance is not None:
-            relevant = self.relevance.relevant(witnesses.bound_variables())
-        delta: Optional[DeltaContext] = None
-        if self.delta_join:
-            self.delta_stats["documents"] += 1
-            delta = DeltaContext()
+        relevant = self.relevance.relevant(witnesses.bound_variables())
+        delta = DeltaContext()
         self._before_units(witnesses, relevant)
 
-        evaluate = evaluate_conjunctive
-        if self.plan_cache is not None:
-            evaluate = self.plan_cache.evaluate
+        evaluate = self.plan_cache.evaluate
         measure = self.costs.measure
         match_filter = self.match_filter
         row_to_match = self._row_to_match
@@ -274,10 +256,10 @@ class _JoinProcessor:
                         if key not in seen:
                             seen.add(key)
                             matches.append(match)
-        if delta is not None:
-            stats = self.delta_stats
-            for counter, value in delta.stats().items():
-                stats[counter] += value
+        stats = self.delta_stats
+        stats["documents"] += 1
+        for counter, value in delta.stats().items():
+            stats[counter] += value
         return matches
 
     def _row_to_match(
@@ -395,13 +377,12 @@ class MMQJPJoinProcessor(_JoinProcessor):
                 self.registry.query,
                 ((meta, f"node_{meta}", sides[meta]) for meta in template.meta_order),
             )
-        if self.relevance is not None:
-            names = record.names
-            self.relevance.add(
-                template.template_id,
-                (names[meta] for meta in template.meta_order if sides[meta] is Side.RIGHT),
-                member=record.qid,
-            )
+        names = record.names
+        self.relevance.add(
+            template.template_id,
+            (names[meta] for meta in template.meta_order if sides[meta] is Side.RIGHT),
+            member=record.qid,
+        )
 
     def remove_query(self, qid: str) -> None:
         """Retract one registered query (engine-level ``deregister_query`` path).
@@ -412,16 +393,15 @@ class MMQJPJoinProcessor(_JoinProcessor):
         in place and revived on re-registration).
         """
         record = self.registry.remove_query(qid)
-        if self.relevance is not None:
-            self.relevance.remove(qid)
+        self.relevance.remove(qid)
         if not self.registry.has_queries(record.template):
             self._retire(self._template_units.pop(record.template.template_id))
 
-    def _units(self, relevant: Optional[set]) -> list[_Unit]:
+    def _units(self, relevant: set) -> list[_Unit]:
         registry, env, units = self.registry, self.env, self._template_units
         out = []
         for template in registry.templates:
-            if relevant is not None and template.template_id not in relevant:
+            if template.template_id not in relevant:
                 self.templates_skipped += 1
                 continue
             # Bound per document, not once: processors sharing a registry
@@ -434,10 +414,8 @@ class MMQJPJoinProcessor(_JoinProcessor):
     # ------------------------------------------------------------------ #
     # Section 5: materialized views and their cache
     # ------------------------------------------------------------------ #
-    def _before_units(self, witnesses: WitnessRelations, relevant: Optional[set]) -> None:
-        if self.use_view_materialization and (
-            relevant is None or relevant or self.view_cache is not None
-        ):
+    def _before_units(self, witnesses: WitnessRelations, relevant: set) -> None:
+        if self.use_view_materialization and (relevant or self.view_cache is not None):
             # With a view cache the views must be computed even when no
             # template is relevant: Algorithm 5 folds the current document's
             # RR slices into cached RL slices, and skipping that would leave
@@ -542,11 +520,12 @@ class _PerQuery(NamedTuple):
 class SequentialJoinProcessor(_JoinProcessor):
     """The paper's baseline: evaluate every query's join operator separately.
 
-    The knobs apply at per-query granularity: each query's conjunctive
-    query is compiled once, queries whose RHS variables the current
-    document did not bind are skipped entirely, and the per-query joins run
-    over delta-reduced state relations (shared across the document's
-    queries through one :class:`~repro.relational.conjunctive.DeltaContext`).
+    The skeleton's machinery applies at per-query granularity: each query's
+    conjunctive query is compiled once, queries whose RHS variables the
+    current document did not bind are skipped entirely, and the per-query
+    joins run over delta-reduced state relations (shared across the
+    document's queries through one
+    :class:`~repro.relational.conjunctive.DeltaContext`).
     Touches no template registry, ``RT`` relation or ``CQT``.
     """
 
@@ -574,12 +553,9 @@ class SequentialJoinProcessor(_JoinProcessor):
             ((var, f"node_{side.value}_{var}", side) for side, var in reduced.nodes),
         )
         self._queries[qid] = _PerQuery(query, {var: var for _, var in reduced.nodes}, unit)
-        if self.relevance is not None:
-            self.relevance.add(
-                qid,
-                (var for side, var in reduced.nodes if side is Side.RIGHT),
-                member=qid,
-            )
+        self.relevance.add(
+            qid, (var for side, var in reduced.nodes if side is Side.RIGHT), member=qid
+        )
         return shape
 
     def remove_query(self, qid: str) -> None:
@@ -587,13 +563,8 @@ class SequentialJoinProcessor(_JoinProcessor):
             entry = self._queries.pop(qid)
         except KeyError:
             raise KeyError(f"query id {qid!r} is not registered") from None
-        if self.relevance is not None:
-            self.relevance.remove(qid)
+        self.relevance.remove(qid)
         self._retire(entry.unit)
 
-    def _units(self, relevant: Optional[set]) -> list[_Unit]:
-        return [
-            entry.unit
-            for qid, entry in self._queries.items()
-            if relevant is None or qid in relevant
-        ]
+    def _units(self, relevant: set) -> list[_Unit]:
+        return [entry.unit for qid, entry in self._queries.items() if qid in relevant]

@@ -9,9 +9,13 @@ as a Datalog rule over the witness relations and the template relation
   :class:`~repro.relational.terms.Const`.
 * :class:`ConjunctiveQuery` — a head atom plus a body (a list of atoms).
 * :func:`evaluate_conjunctive` — a hash-join based evaluator with a simple
-  size-driven greedy join order (or the caller-provided order).
+  size-driven greedy join order (or the caller-provided order), planning
+  on every call: the plain reference the compiled plans of
+  :mod:`repro.relational.plan` are checked against.
 * :class:`DeltaProgram` / :class:`DeltaContext` — the delta-driven
-  (semi-join reduction) evaluation pass: before the main join runs, every
+  (semi-join reduction) evaluation pass the compiled plans run
+  (:meth:`~repro.relational.plan.PlanCache.evaluate` with ``delta=``):
+  before the main join runs, every
   *stable* (state/``RT``) atom's relation is restricted to the rows
   reachable from the current document's witness relations via the query's
   join variables, so join cost is proportional to the delta-connected
@@ -871,7 +875,6 @@ def evaluate_conjunctive(
     query: ConjunctiveQuery,
     relations: Mapping[str, Relation],
     order: str | Sequence[Atom] = "greedy",
-    delta: Optional[DeltaContext] = None,
 ) -> Relation:
     """Evaluate ``query`` against ``relations`` and return the head relation.
 
@@ -886,14 +889,6 @@ def evaluate_conjunctive(
         ``"greedy"`` (default) for the built-in size-driven greedy join
         order, ``"given"`` to join atoms in the order they appear in the
         body, or an explicit sequence of the body's atoms.
-    delta:
-        A :class:`DeltaContext` enables delta-driven evaluation: the stable
-        (state/``RT``) atoms' relations are first semi-join-reduced to the
-        rows reachable from the ephemeral (witness) atoms, and the main
-        join probes those reduced relations — or is skipped, when the
-        reduction meets an empty relation or domain.  The result set is
-        identical — reduction only removes rows that cannot participate in
-        any solution — which the equivalence tests assert.
 
     When ``relations`` is an
     :class:`~repro.relational.database.IndexedDatabase`, atoms over its
@@ -911,57 +906,23 @@ def evaluate_conjunctive(
         return rel
 
     rel_map = {atom.relation: rel_of(atom) for atom in query.body}
-
-    # Settle what ``order`` asks for before the reduction pass can end the
-    # evaluation early: a bad order is an error whatever the relations hold.
-    ordered: Optional[list[Atom]] = None
     if not isinstance(order, str):
         ordered = list(order)
         if sorted(map(id, ordered)) != sorted(map(id, query.body)):
             raise ValueError("explicit order must be a permutation of the query body")
     elif order == "given":
         ordered = list(query.body)
-    elif order != "greedy":
+    elif order == "greedy":
+        ordered = _choose_order(query.body, rel_map)
+    else:
         raise ValueError(f"unknown join order strategy {order!r}")
 
     out = Relation(RelationSchema(query.head_schema), name=query.head_name)
-    atom_overrides: dict[int, Relation] = {}
-    if delta is not None:
-        program = build_delta_program(query.body, relations)
-        reduced = program.reduce(relations, delta) if program is not None else None
-        if reduced is EMPTY_DELTA:
-            delta.executions_skipped += 1
-            return out
-        if reduced:
-            atom_overrides = {
-                id(atom): rel
-                for atom, rel in zip(query.body, reduced)
-                if rel is not None
-            }
-
-    if ordered is None:
-        # The greedy order should see the statistics the join will actually
-        # run over: substitute each name's smallest reduced relation.
-        order_map = rel_map
-        if atom_overrides:
-            order_map = dict(rel_map)
-            for atom in query.body:
-                override = atom_overrides.get(id(atom))
-                if override is not None and len(override) < len(order_map[atom.relation]):
-                    order_map[atom.relation] = override
-        ordered = _choose_order(query.body, order_map)
-
     solutions: list[tuple] = []
     var_order: list[str] = []
     for atom in ordered:
-        override = atom_overrides.get(id(atom))
-        relation = override if override is not None else rel_map[atom.relation]
         solutions, var_order = _join_atom(
-            solutions,
-            var_order,
-            atom,
-            relation,
-            None if override is not None else index_for,
+            solutions, var_order, atom, rel_map[atom.relation], index_for
         )
         if not solutions:
             break

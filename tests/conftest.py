@@ -12,13 +12,18 @@ from __future__ import annotations
 import ast
 import contextlib
 import dataclasses
+import random
 from typing import Iterable
 
 import pytest
+from hypothesis import strategies as st
 
 import repro.relational.columnar as columnar
 from repro.config import RuntimeConfig
+from repro.workloads.querygen import generate_query
+from repro.workloads.synthetic import build_document
 from repro.xmlmodel import XmlDocument, element
+from repro.xmlmodel.schema import two_level_schema
 
 
 def pytest_addoption(parser):
@@ -139,15 +144,30 @@ def blog_document() -> XmlDocument:
 
 
 @pytest.fixture
-def paper_queries() -> list[tuple[str, str]]:
-    """The (qid, query text) pairs of Table 2."""
-    return [("Q1", PAPER_Q1), ("Q2", PAPER_Q2), ("Q3", PAPER_Q3)]
-
-
-@pytest.fixture
 def paper_windows() -> dict[str, float]:
     """Window symbol bindings used by the Table 2 queries."""
     return dict(PAPER_WINDOWS)
+
+
+#: The small workload of the property tests: random queries over a root with
+#: four leaves — per query (value joins, seed) — and documents whose leaf
+#: values come from a pool of three, so that joins actually fire.
+SMALL_SCHEMA = two_level_schema(4)
+query_specs = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 10_000)), min_size=1, max_size=6)
+doc_specs = st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=2, max_size=5)
+
+
+def make_queries(specs, window: float = 10.0) -> list:
+    return [generate_query(SMALL_SCHEMA, k, random.Random(seed), window=window) for k, seed in specs]
+
+
+def make_document(i: int, values) -> XmlDocument:
+    leaves = [f"v{x}" for x in values]
+    return build_document(SMALL_SCHEMA, docid=f"doc{i}", timestamp=float(i + 1), leaf_values=leaves)
+
+
+def make_documents(specs) -> list[XmlDocument]:
+    return [make_document(i, values) for i, values in enumerate(specs)]
 
 
 #: The two columnar kernels a test can run on in one process.

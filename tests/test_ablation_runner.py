@@ -42,7 +42,7 @@ def runs(docs: list) -> list:
 
 
 def test_flips_apply_only_where_the_spec_config_lets_them_act():
-    universal = ["plan_cache", "prune_dispatch", "delta_join", "columnar", "metrics"]
+    universal = ["columnar", "metrics"]
     for name, spec in inputs.SPECS.items():
         applied = {flip[0] for flip in ablation.FLIPS if ablation.applies(flip, spec.config)}
         expected = set(universal)
@@ -53,18 +53,18 @@ def test_flips_apply_only_where_the_spec_config_lets_them_act():
         assert applied == expected, name
     assert ablation.applies(("executor", "threads"), (("shards", 2),))
     assert not ablation.applies(("executor", "threads"), (("shards", 1),))
-    assert ablation.parse_flip("plan_cache=False") == ("plan_cache", False)
+    assert ablation.parse_flip("columnar=False") == ("columnar", False)
     assert ablation.parse_flip("executor=threads") == ("executor", "threads")
     assert ablation.label(("executor", "threads")) == "executor=threads"
 
 
 def test_verdicts_and_ranking_from_fabricated_records():
-    flips = [("plan_cache", False), ("columnar", False), ("metrics", True), ("durability", "relaxed")]
+    flips = [("route_dispatch", False), ("columnar", False), ("metrics", True), ("durability", "relaxed")]
     records = {}
     for workload in ("w1", "w2"):
         records[(workload, "default")] = runs(BASE_DOCS)
         # the default pays for itself on w1 only
-        records[(workload, "plan_cache=False")] = runs(
+        records[(workload, "route_dispatch=False")] = runs(
             [d / 2 for d in BASE_DOCS] if workload == "w1" else BASE_DOCS[::-1]
         )
         # a harmful default: turning it off wins every pair on w1
@@ -81,15 +81,15 @@ def test_verdicts_and_ranking_from_fabricated_records():
     assert cells[("w1", "durability=relaxed")] == {
         "workload": "w1", "flip": "durability=relaxed", "verdict": "n/a"
     }
-    slow = cells[("w1", "plan_cache=False")]["metrics"]
+    slow = cells[("w1", "route_dispatch=False")]["metrics"]
     assert slow["docs_per_s"]["verdict"] == "regressed"
     assert slow["docs_per_s"]["ratio"] == 0.5
     assert slow["publish_p50_ms"]["verdict"] == "regressed"
-    assert cells[("w2", "plan_cache=False")]["metrics"]["docs_per_s"]["verdict"] == "unchanged"
+    assert cells[("w2", "route_dispatch=False")]["metrics"]["docs_per_s"]["verdict"] == "unchanged"
 
     ranking = ablation.ranking(rows)
-    assert list(ranking["worst_docs_per_s_ratio"]) == ["plan_cache", "columnar", "metrics"]
-    assert ranking["worst_docs_per_s_ratio"]["plan_cache"] == 0.5
+    assert list(ranking["worst_docs_per_s_ratio"]) == ["route_dispatch", "columnar", "metrics"]
+    assert ranking["worst_docs_per_s_ratio"]["route_dispatch"] == 0.5
     assert ranking["harmful_defaults"] == [
         {"flip": "columnar=False", "workload": "w1", "improved": ["docs_per_s", "publish_p50_ms"]}
     ]
@@ -104,14 +104,14 @@ def test_a_failed_or_incorrect_child_fails_its_cell_and_the_run(broken, monkeypa
     monkeypatch.setattr(ablation, "launch", launch)
     out = tmp_path / "ablation.json"
     argv = ["--rounds", "2", "--workloads", "ingest_cites",
-            "--flip", "plan_cache=False", "--flip", "columnar=False", "--out", str(out)]
+            "--flip", "metrics=True", "--flip", "columnar=False", "--out", str(out)]
     assert ablation.main(argv) == 1
     written = json.loads(out.read_text())
     verdicts = {row["flip"]: row.get("verdict") for row in written["rows"]}
-    assert verdicts == {"plan_cache=False": None, "columnar=False": "failed"}
+    assert verdicts == {"metrics=True": None, "columnar=False": "failed"}
     assert written["meta"]["rounds"] == 2
     assert "failed: ingest_cites columnar=False" in capsys.readouterr().out
-    assert ablation.main(argv[:-4] + ["--out", str(out)]) == 0  # plan_cache alone
+    assert ablation.main(argv[:-4] + ["--out", str(out)]) == 0  # metrics alone
     assert "deleted" not in json.loads(out.read_text())
 
 
@@ -120,6 +120,6 @@ def test_a_rewrite_keeps_the_deleted_knobs_rows(monkeypatch, tmp_path):
     out = tmp_path / "ablation.json"
     old = {"meta": {"commit": "parent"}, "rows": [], "ranking": {}}
     out.write_text(json.dumps({"rows": [], "deleted": [old]}))
-    argv = ["--rounds", "1", "--workloads", "dblp_steady", "--flip", "delta_join=False", "--out", str(out)]
+    argv = ["--rounds", "1", "--workloads", "dblp_steady", "--flip", "columnar=False", "--out", str(out)]
     assert ablation.main(argv) == 0
     assert json.loads(out.read_text())["deleted"] == [old]

@@ -27,14 +27,6 @@ from repro.relational.operators import column_value_set, semijoin_in
 from repro.relational.plan import compile_plan
 from repro.relational.relation import PartitionedRelation, Relation
 from repro.relational.terms import Const, Var
-from tests.conftest import (
-    PAPER_Q1,
-    PAPER_Q2,
-    PAPER_Q3,
-    PAPER_WINDOWS,
-    make_blog_article,
-    make_book_announcement,
-)
 
 numpy_only = pytest.mark.skipif(
     not columnar.HAVE_NUMPY, reason="numpy unavailable in this environment"
@@ -564,52 +556,15 @@ def test_processor_and_engine_thread_the_knob():
 
 
 # --------------------------------------------------------------------------- #
-# end-to-end equivalence
+# end to end (what every engine delivers on and off: test_oracle_agreement.py)
 # --------------------------------------------------------------------------- #
-def _broker_match_keys(config: RuntimeConfig) -> tuple[set, int]:
-    broker = open_broker(config)
-    try:
-        for qid, text in (("Q1", PAPER_Q1), ("Q2", PAPER_Q2), ("Q3", PAPER_Q3)):
-            broker.subscribe(
-                text, subscription_id=qid, window_symbols=PAPER_WINDOWS
-            )
-        keys = set()
-        documents = [
-            make_book_announcement("d1", 1.0),
-            make_blog_article("d2", 2.0),
-            make_book_announcement("d3", 3.0),
-            make_blog_article("d4", 4.0, author="Someone Else", title="Other"),
-        ]
-        for delivery in broker.publish_many(documents):
-            if delivery.match is not None:
-                keys.add(delivery.match.key())
-        return keys, len(keys)
-    finally:
-        broker.close()
-
-
-@pytest.mark.parametrize("engine", ("mmqjp", "sequential"))
-def test_broker_matches_identical_columnar_on_off(engine):
-    on, n_on = _broker_match_keys(
-        RuntimeConfig(engine=engine, columnar=True, construct_outputs=False)
-    )
-    off, n_off = _broker_match_keys(
-        RuntimeConfig(engine=engine, columnar=False, construct_outputs=False)
-    )
-    assert on == off and n_on > 0
-
-
-def _sliding_session(columnar_on: bool, delta_join: bool) -> tuple[list, dict, dict]:
+def _sliding_session(columnar_on: bool) -> tuple[list, dict, dict]:
     """A run whose window slides many quarter-windows; ordered keys + counters."""
     query = (
         "S//blog->b[.//author->a][.//title->t] FOLLOWED BY{{a=a AND t=t, {w}}} "
         "S//blog->b[.//author->a][.//title->t]"
     )
-    broker = open_broker(
-        RuntimeConfig(
-            columnar=columnar_on, delta_join=delta_join, construct_outputs=False
-        )
-    )
+    broker = open_broker(RuntimeConfig(columnar=columnar_on, construct_outputs=False))
     try:
         for i, window in enumerate((40, 25, 40)):
             broker.subscribe(query.format(w=window), subscription_id=f"q{i}")
@@ -629,23 +584,16 @@ def _sliding_session(columnar_on: bool, delta_join: bool) -> tuple[list, dict, d
 
 
 def test_broker_matches_identical_in_order_while_the_window_slides():
-    sessions = {
-        (columnar_on, delta_join): _sliding_session(columnar_on, delta_join)
-        for columnar_on in (True, False)
-        for delta_join in (True, False)
-    }
-    reference = sessions[False, False][0]
+    reference, _filled, row_counters = _sliding_session(False)
     assert len(reference) > 500
-    for keys, _filled, _final in sessions.values():
-        assert keys == reference  # same matches, same delivery order
-    assert not any(sessions[False, True][2].values())  # row path: nothing to sync
+    assert not any(row_counters.values())  # row path: nothing to sync
+    keys, filled, final = _sliding_session(True)
+    assert keys == reference  # same matches, same delivery order
     if not columnar.HAVE_NUMPY:
         return  # the array kernels build no group indexes
-    for delta_join in (True, False):
-        _keys, filled, final = sessions[True, delta_join]
-        slid = final["prefix_drops"] - filled["prefix_drops"]
-        argsorts = final["group_builds"] - filled["group_builds"]
-        assert final["rebuilds"] == 0 and slid > 150
-        # The quarter rule fired several times (the rebuild path ran), yet
-        # most publishes probed an index with a masked dead prefix.
-        assert 4 <= argsorts < slid // 4
+    slid = final["prefix_drops"] - filled["prefix_drops"]
+    argsorts = final["group_builds"] - filled["group_builds"]
+    assert final["rebuilds"] == 0 and slid > 150
+    # The quarter rule fired several times (the rebuild path ran), yet
+    # most publishes probed an index with a masked dead prefix.
+    assert 4 <= argsorts < slid // 4

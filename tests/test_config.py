@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import Broker, MMQJPEngine, RuntimeConfig, SequentialEngine, open_broker
@@ -37,11 +39,26 @@ def test_config_defaults_are_valid():
         {"partitioner": "round-robin"},
         {"executor": "fibers"},
         {"route_dispatch": 1},
+        # every switch is type-checked, store_documents included
+        {"construct_outputs": "no"},
+        {"auto_prune": 0},
+        {"auto_timestamp": None},
+        {"columnar": "yes"},
+        {"metrics": 1},
+        {"store_documents": "no"},
+        {"store_documents": 1},
     ],
 )
 def test_config_validation_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         RuntimeConfig(**kwargs)
+
+
+def test_stage_two_has_no_switch_for_how_it_evaluates():
+    assert len(dataclasses.fields(RuntimeConfig)) == 18
+    for removed in ("plan_cache", "prune_dispatch", "delta_join"):
+        with pytest.raises(TypeError):
+            RuntimeConfig(**{removed: False})
 
 
 def test_config_keyword_tuples_match_canonical_definitions():
@@ -70,7 +87,7 @@ def test_presets():
     assert t.is_sharded and t.executor == "threads"
     assert not t.construct_outputs and t.store_documents is False
     a = RuntimeConfig.ablation()
-    assert not a.plan_cache and not a.prune_dispatch
+    assert not a.columnar and not a.route_dispatch
     # overrides re-validate
     assert RuntimeConfig.throughput(shards=8).shards == 8
     with pytest.raises(ValueError):
@@ -88,7 +105,7 @@ def test_replace_revalidates():
 # as_config: what every constructor accepts
 # --------------------------------------------------------------------------- #
 def test_as_config_accepts_config_engine_name_or_nothing():
-    config = RuntimeConfig(plan_cache=False)
+    config = RuntimeConfig(columnar=False)
     assert as_config(config, "Broker") is config
     assert as_config("mmqjp-vm", "Broker").engine == "mmqjp-vm"
     assert as_config(None, "Broker") == RuntimeConfig()
@@ -99,19 +116,20 @@ def test_as_config_accepts_config_engine_name_or_nothing():
 @pytest.mark.parametrize("constructor", [Broker, MMQJPEngine, SequentialEngine, make_engine])
 def test_constructors_take_no_per_knob_keywords(constructor):
     with pytest.raises(TypeError):
-        constructor(plan_cache=False)
+        constructor(columnar=False)
 
 
 def test_make_engine_accepts_config_and_selection_keyword():
-    config = RuntimeConfig(engine="sequential", plan_cache=False)
+    config = RuntimeConfig(engine="sequential", columnar=False)
     engine = make_engine(config)
-    assert engine.plan_cache is None
-    assert make_engine("sequential", RuntimeConfig(plan_cache=False)).plan_cache is None
+    assert engine.config == config and engine.columnar is False
+    assert make_engine("sequential", RuntimeConfig(columnar=False)).registry is None
     # the selection keyword overrides the config's engine field
     assert make_engine("mmqjp-vm", RuntimeConfig()).processor.use_view_materialization
 
 
 def test_engines_carry_their_config():
-    with open_broker(RuntimeConfig(delta_join=False, construct_outputs=False)) as broker:
-        assert broker.engine.config.delta_join is False
-        assert broker.engine.delta_join is False
+    config = RuntimeConfig(columnar=False, construct_outputs=False, executor="serial")
+    with open_broker(config) as broker:
+        assert broker.engine.config.columnar is False
+        assert broker.engine.columnar is False

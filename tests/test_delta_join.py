@@ -1,20 +1,17 @@
-"""Delta-driven evaluation: reduction operators, programs, knob threading.
+"""Delta-driven evaluation: reduction operators, programs, counters, brokers.
 
-The equivalence of delta-driven and full-state evaluation at the engine
-level is covered property-style in ``test_properties_engine.py``; this file
+That the engines deliver what ``tests/oracle.py`` says is checked in
+``test_oracle_agreement.py`` and ``test_properties_engine.py``; this file
 unit-tests the machinery underneath — the semi-join primitives, the
 per-document :class:`~repro.relational.conjunctive.DeltaContext` memoization,
-the plan integration, and the ``delta_join`` knob's path through the config,
-the processors, the engines and the brokers.
+the plan integration, the engine counters and the brokers' batched and
+sharded paths.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import Broker, RuntimeConfig, open_broker
 from repro.core.engine import make_engine
-from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from repro.relational.conjunctive import (
     ConjunctiveQuery,
     DeltaContext,
@@ -140,7 +137,6 @@ def test_delta_evaluation_equivalence_across_paths_and_indexing():
     env = _environment()
     baseline = evaluate_conjunctive(cq, env)
     assert len(baseline.rows) > 0
-    assert evaluate_conjunctive(cq, env, delta=DeltaContext()) == baseline
     cache = PlanCache()
     assert cache.evaluate(cq, env, delta=DeltaContext()) == baseline
     assert cache.evaluate(cq, env) == baseline
@@ -181,35 +177,8 @@ def test_compiled_plan_carries_delta_program():
 
 
 # --------------------------------------------------------------------------- #
-# knob threading: config -> engines -> processors -> brokers
+# engine counters
 # --------------------------------------------------------------------------- #
-def test_config_delta_join_defaults_and_ablation():
-    assert RuntimeConfig().delta_join is True
-    assert RuntimeConfig.ablation().delta_join is False
-    assert RuntimeConfig.throughput().delta_join is True
-
-
-def test_engines_expose_delta_join_knob():
-    for engine_name in ("mmqjp", "sequential"):
-        on = make_engine(config=RuntimeConfig(engine=engine_name))
-        off = make_engine(
-            config=RuntimeConfig(engine=engine_name, delta_join=False)
-        )
-        assert on.delta_join is True
-        assert off.delta_join is False
-        assert set(on.delta_stats) == {"documents", *DeltaContext.COUNTERS}
-
-
-def test_processor_takes_delta_join_from_config():
-    from repro.templates.registry import TemplateRegistry
-
-    off = RuntimeConfig(delta_join=False)
-    assert MMQJPJoinProcessor(TemplateRegistry(), config=off).delta_join is False
-    assert SequentialJoinProcessor(config=off).delta_join is False
-    assert MMQJPJoinProcessor(TemplateRegistry()).delta_join is True
-    assert SequentialJoinProcessor().delta_join is True
-
-
 def test_engine_delta_stats_track_documents():
     engine = make_engine(config=RuntimeConfig(store_documents=False))
     engine.register_query(CROSS, window_symbols=PAPER_WINDOWS)
@@ -219,10 +188,11 @@ def test_engine_delta_stats_track_documents():
     assert stats["documents"] == 2
     assert stats["rows_kept"] <= stats["rows_scanned"]
 
+    # Delta reduction has no off switch: the ablation preset reduces too.
     ablated = make_engine(config=RuntimeConfig.ablation(store_documents=False))
     ablated.register_query(CROSS, window_symbols=PAPER_WINDOWS)
     ablated.process_document(make_book_announcement("b1", 1.0))
-    assert ablated.delta_stats["documents"] == 0
+    assert ablated.delta_stats["documents"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -296,15 +266,3 @@ def test_sharded_publish_skips_empty_shards():
                 assert row["num_documents_processed"] == 0
     finally:
         broker.close()
-
-
-def test_delta_join_off_reproduces_default_results_end_to_end():
-    keys = {}
-    for delta_join in (True, False):
-        broker = Broker(RuntimeConfig(delta_join=delta_join))
-        broker.subscribe(CROSS, window_symbols=PAPER_WINDOWS, subscription_id="q")
-        deliveries = broker.publish_many(_paper_documents())
-        keys[delta_join] = _delivery_keys(deliveries)
-        broker.close()
-    assert keys[True] == keys[False]
-    assert keys[True]

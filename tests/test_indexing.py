@@ -8,21 +8,20 @@ Covers the three layers the live indexes touch:
   prune followed by equal-size inserts must not serve stale estimates).
 * evaluator — :class:`IndexedDatabase` environments produce exactly the
   same results as plain per-call hashing.
-* engine/runtime — any interleaving of ``register_query`` /
-  ``process_document`` / ``prune`` yields identical matches across both
-  engines and the sharded broker with 1/2/4 shards (property-based).
+* engine/runtime — any interleaving of ``subscribe`` / ``publish`` /
+  ``prune`` yields identical matches across both engines, and a
+  register-first one what ``tests/oracle.py`` says on 1/2/4 shards
+  (property-based).
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import RuntimeConfig
-from repro.core import MMQJPEngine, SequentialEngine
-from repro.pubsub import Broker
+from repro import RuntimeConfig, open_broker
 from repro.relational import (
     ConjunctiveQuery,
     IndexedDatabase,
@@ -31,9 +30,9 @@ from repro.relational import (
     Var,
     evaluate_conjunctive,
 )
-from repro.workloads.querygen import generate_query
-from repro.workloads.synthetic import build_document
-from repro.xmlmodel.schema import two_level_schema
+from tests import oracle
+from tests.conftest import make_document, make_queries
+from tests.test_oracle_agreement import deliveries, run_script
 
 # --------------------------------------------------------------------------- #
 # live indexes on relations
@@ -188,8 +187,6 @@ def test_indexed_database_mapping_protocol():
 # --------------------------------------------------------------------------- #
 # interleavings of register / process / prune across all configurations
 # --------------------------------------------------------------------------- #
-SCHEMA = two_level_schema(4)
-
 # An operation stream: queries register mid-stream, documents arrive with
 # increasing timestamps, prunes drop everything older than a random horizon.
 _ops = st.lists(
@@ -206,66 +203,27 @@ _ops = st.lists(
 )
 
 
-def _replay_engine(engine, ops):
-    """Replay an operation stream against a two-stage engine; match keys."""
-    keys = set()
-    qid = 0
-    ts = 0.0
+def _script(ops):
+    """The operation stream as a :func:`~tests.test_oracle_agreement.run_script` script."""
+    steps, docs = [], 0
     for op in ops:
         if op[0] == "query":
-            query = generate_query(SCHEMA, op[1], random.Random(op[2]), window=6.0)
-            engine.register_query(query, qid=f"q{qid}")
-            qid += 1
+            query = make_queries([op[1:]], window=6.0)[0]
+            steps.append(("subscribe", f"q{len(steps)}", query, None))
         elif op[0] == "doc":
-            ts += 1.0
-            doc = build_document(
-                SCHEMA,
-                docid=f"doc{int(ts)}",
-                timestamp=ts,
-                leaf_values=[f"v{x}" for x in op[1]],
-            )
-            keys.update(m.key() for m in engine.process_document(doc))
-        else:
-            engine.prune(ts - float(op[1]))
-    return keys
-
-
-def _replay_broker(broker, ops):
-    """Replay the same stream through a broker; delivered join-match keys."""
-    keys = set()
-    qid = 0
-    ts = 0.0
-    try:
-        for op in ops:
-            if op[0] == "query":
-                query = generate_query(SCHEMA, op[1], random.Random(op[2]), window=6.0)
-                broker.subscribe(query, subscription_id=f"q{qid}")
-                qid += 1
-            elif op[0] == "doc":
-                ts += 1.0
-                doc = build_document(
-                    SCHEMA,
-                    docid=f"doc{int(ts)}",
-                    timestamp=ts,
-                    leaf_values=[f"v{x}" for x in op[1]],
-                )
-                for result in broker.publish(doc, timestamp=ts):
-                    if result.match is not None:
-                        keys.add(result.match.key())
-            else:
-                broker.prune(ts - float(op[1]))
-    finally:
-        if hasattr(broker, "close"):
-            broker.close()
-    return keys
+            steps.append(("publish", partial(make_document, docs, op[1])))
+            docs += 1
+        else:  # the last document is stamped ``docs``
+            steps.append(("prune", docs - float(op[1])))
+    return steps
 
 
 @given(_ops)
 @settings(max_examples=12, deadline=None)
 def test_interleavings_equal_across_modes_and_engines(ops):
-    config = RuntimeConfig(store_documents=False, auto_prune=False)
-    reference = _replay_engine(MMQJPEngine(config), ops)
-    assert _replay_engine(SequentialEngine(config), ops) == reference
+    config = RuntimeConfig(construct_outputs=False, auto_prune=False)
+    reference = deliveries(config, _script(ops))
+    assert deliveries(config.replace(engine="sequential"), _script(ops)) == reference
 
 
 @given(_ops)
@@ -275,42 +233,27 @@ def test_interleavings_equal_under_sharded_broker(ops):
     # about *mid-stream* registration (a late query cannot retroactively see
     # witnesses of documents that arrived before it reached its shard, while
     # on one engine an earlier query with overlapping variables may have
-    # captured them) — that is a property of sharding, not of indexing.
-    ops = sorted(ops, key=lambda op: op[0] != "query")
-    reference = _replay_broker(
-        Broker(RuntimeConfig(construct_outputs=False, auto_prune=False)), ops
-    )
-    for shards in (2, 4):
-        broker = Broker(
-            RuntimeConfig(construct_outputs=False, auto_prune=False, shards=shards)
-        )
-        assert _replay_broker(broker, ops) == reference
+    # captured them) — and so does the oracle.
+    script = _script(sorted(ops, key=lambda op: op[0] != "query"))
+    expected = run_script(oracle.Oracle(), script)
+    for shards in (1, 2, 4):
+        config = RuntimeConfig(construct_outputs=False, auto_prune=False, shards=shards)
+        assert deliveries(config, script) == expected
 
 
 def test_auto_prune_equivalence_across_modes():
     """A deterministic stream with automatic window pruning enabled."""
     rng = random.Random(5)
-    queries = [generate_query(SCHEMA, k, random.Random(s), window=3.0)
-               for k, s in [(1, 11), (2, 22), (3, 33), (2, 44)]]
-    docs = [
-        build_document(
-            SCHEMA,
-            docid=f"doc{i}",
-            timestamp=float(i + 1),
-            leaf_values=[f"v{rng.randrange(3)}" for _ in range(SCHEMA.num_leaves)],
-        )
-        for i in range(10)
+    queries = make_queries([(1, 11), (2, 22), (3, 33), (2, 44)], window=3.0)
+    values = [[rng.randrange(3) for _ in range(4)] for _ in range(10)]
+    script = [("subscribe", f"q{i}", q, None) for i, q in enumerate(queries)] + [
+        ("publish", partial(make_document, i, v)) for i, v in enumerate(values)
     ]
-
-    results = {}
-    for engine_cls in (MMQJPEngine, SequentialEngine):
-        engine = engine_cls(RuntimeConfig(store_documents=False))
-        for i, q in enumerate(queries):
-            engine.register_query(q, qid=f"q{i}")
-        keys = set()
-        for doc in docs:
-            keys.update(m.key() for m in engine.process_document(doc))
-        results[engine_cls] = keys
-        # auto-pruning kept only the window horizon in state
-        assert engine.processor.state.num_documents <= 4
-    assert results[MMQJPEngine] == results[SequentialEngine]
+    expected = run_script(oracle.Oracle(), script)
+    assert any(expected)
+    for engine in ("mmqjp", "sequential"):
+        config = RuntimeConfig(engine=engine, construct_outputs=False, executor="serial")
+        with open_broker(config) as broker:
+            assert run_script(broker, script) == expected
+            # auto-pruning kept only the window horizon in state
+            assert broker.engine.processor.state.num_documents <= 4

@@ -133,13 +133,3 @@ def test_output_document_contains_both_subtrees():
     text = to_xml(output)
     assert "Danny Ayers" in text
     assert "Beginning RSS and Atom Programming" in text
-
-
-def test_engines_agree_on_example(blog_document, book_document):
-    mmqjp = _engine_with_paper_queries(MMQJPEngine)
-    sequential = _engine_with_paper_queries(SequentialEngine)
-    for engine in (mmqjp, sequential):
-        engine.process_document(make_book_announcement())
-    keys_mmqjp = {m.key() for m in mmqjp.process_document(make_blog_article())}
-    keys_seq = {m.key() for m in sequential.process_document(make_blog_article())}
-    assert keys_mmqjp == keys_seq

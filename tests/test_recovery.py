@@ -383,29 +383,32 @@ def test_crash_on_one_shard_recovers(tmp_path):
 
 
 def test_resume_drops_a_snapshot_field_the_config_no_longer_has(tmp_path):
-    # A store written when RuntimeConfig still had an ``ingest`` field.
+    # Stores written when RuntimeConfig still had an ``ingest`` field, or
+    # the ``plan_cache`` / ``prune_dispatch`` / ``delta_join`` switches.
     from repro.storage.sqlite import SQLiteStore
 
-    config = RuntimeConfig(
-        storage="sqlite", storage_path=str(tmp_path), construct_outputs=False,
-        auto_timestamp=False,
-    )
+    memory = RuntimeConfig(storage="memory", construct_outputs=False, auto_timestamp=False)
     queries = [("qa", Q_AUTHOR), ("qc", Q_CAT)]
     documents = _docs(4)
-    reference = _reference_run(
-        config.replace(storage="memory", storage_path=None), documents, queries
-    )
-    with open_broker(config) as broker:
-        for sid, query in queries:
-            broker.subscribe(query, subscription_id=sid)
-        out = _publish_all(broker, documents[:4])
-    with SQLiteStore(str(tmp_path / "broker.sqlite3")) as store:
-        store.set_meta("config", dict(store.get_meta("config"), ingest="tree"))
+    reference = _reference_run(memory, documents, queries)
+    stale_fields = [
+        {"ingest": "tree"},
+        {"plan_cache": False, "prune_dispatch": False, "delta_join": False},
+    ]
+    for index, stale in enumerate(stale_fields):
+        path = tmp_path / f"store{index}"
+        config = memory.replace(storage="sqlite", storage_path=str(path))
+        with open_broker(config) as broker:
+            for sid, query in queries:
+                broker.subscribe(query, subscription_id=sid)
+            out = _publish_all(broker, documents[:4])
+        with SQLiteStore(str(path / "broker.sqlite3")) as store:
+            store.set_meta("config", dict(store.get_meta("config"), **stale))
 
-    with open_broker(resume_from=str(tmp_path)) as resumed:
-        assert not hasattr(resumed.config, "ingest")
-        out.extend(_publish_all(resumed, documents[4:]))
-    assert _keys(out) == reference
+        with open_broker(resume_from=str(path)) as resumed:
+            assert not any(hasattr(resumed.config, field) for field in stale)
+            out.extend(_publish_all(resumed, documents[4:]))
+        assert _keys(out) == reference
 
 
 # --------------------------------------------------------------------- #

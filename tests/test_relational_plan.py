@@ -273,7 +273,6 @@ def test_plan_for_shares_cache_with_evaluate():
 
 
 def test_processors_accept_preconfigured_plan_cache():
-    from repro.config import RuntimeConfig
     from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
     from repro.templates.registry import TemplateRegistry
 
@@ -282,6 +281,4 @@ def test_processors_accept_preconfigured_plan_cache():
     assert processor.plan_cache is cache
     sequential = SequentialJoinProcessor(plan_cache=cache)
     assert sequential.plan_cache is cache
-    off = RuntimeConfig(plan_cache=False)
-    assert MMQJPJoinProcessor(TemplateRegistry(), config=off).plan_cache is None
-    assert SequentialJoinProcessor(config=off).plan_cache is None
+    assert MMQJPJoinProcessor(TemplateRegistry()).plan_cache is not cache

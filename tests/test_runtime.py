@@ -27,6 +27,7 @@ from repro.workloads.rss import RssStreamConfig, generate_rss_queries, generate_
 from repro.xmlmodel.schema import two_level_schema
 from repro.xscl import parse_query
 from tests.conftest import make_blog_article
+from tests.test_oracle_agreement import generated_script
 
 CROSS_POST = (
     "S//blog->b[.//author->a][.//title->t] "
@@ -52,12 +53,9 @@ def rss_workload():
 @pytest.fixture(scope="module")
 def synthetic_workload():
     schema = two_level_schema(4)
-    queries = generate_queries(
-        QueryWorkloadConfig(schema=schema, num_queries=40, zipf_theta=0.8, window=6.0, seed=3)
-    )
-    from tests.test_engine_equivalence import _random_documents
-
-    return queries, lambda: _random_documents(schema, 10, 3, seed=3)
+    workload = QueryWorkloadConfig(schema=schema, num_queries=40, zipf_theta=0.8, window=6.0, seed=3)
+    script = generated_script(schema, workload, num_docs=10, pool=3)
+    return generate_queries(workload), lambda: [step[1]() for step in script if step[0] == "publish"]
 
 
 def _broker_match_keys(broker, queries, documents):
