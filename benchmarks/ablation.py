@@ -31,8 +31,8 @@ sys.path.insert(0, str(ROOT))
 
 from perf import compare, inputs  # noqa: E402  (read-only; perf.run only in a child)
 
-FLIPS = (("columnar", False), ("metrics", True), ("route_dispatch", False),
-         ("executor", "threads"), ("durability", "relaxed"))
+FLIPS = (("metrics", True), ("route_dispatch", False), ("executor", "threads"),
+         ("durability", "relaxed"))
 QUIET = 0.05  # deletion candidates move docs_per_s and publish_p50_ms by at most this
 
 
@@ -49,7 +49,7 @@ def label(flip) -> str:
 
 
 def parse_flip(text: str) -> tuple:
-    """``"columnar=False"`` -> ``("columnar", False)``, ``"executor=threads"`` -> ``("executor", "threads")``."""
+    """``"metrics=True"`` -> ``("metrics", True)``, ``"executor=threads"`` -> ``("executor", "threads")``."""
     knob, _, value = text.partition("=")
     return knob, {"True": True, "False": False}.get(value, value)
 

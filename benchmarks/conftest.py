@@ -1,7 +1,9 @@
 """Shared fixtures and helpers for the paper-reproduction benchmarks.
 
 Every ``bench_*`` file regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md for the experiment index).  The benchmarks
+evaluation section: the experiment index is the README's *Benchmarks*
+section, and each experiment's docstring in :mod:`repro.bench.experiments`
+says what it measures.  The benchmarks
 run at a laptop-friendly scale by default; set the environment variable
 ``REPRO_BENCH_SCALE=paper`` to use query counts closer to the paper's
 (substantially slower under the pure-Python engine).

@@ -4,12 +4,13 @@
   with each approach (MMQJP, MMQJP + view materialization, Sequential) and
   time its join processing.
 * :mod:`~repro.bench.experiments` — one function per paper table/figure
-  (``table3``, ``fig08`` ... ``fig16``) plus the ablation studies listed in
-  DESIGN.md.  Each returns a list of row dictionaries.
+  (``table3``, ``fig08`` ... ``fig16``) plus the ablation studies, each
+  documented in its docstring (the README's *Benchmarks* section lists
+  them).  Each returns a list of row dictionaries.
 * :mod:`~repro.bench.reporting` — plain-text/CSV rendering of those rows.
 
 ``python -m repro.bench`` runs the full suite at a laptop-friendly scale and
-prints every table (used to fill EXPERIMENTS.md).
+prints every table.
 """
 
 from repro.bench.harness import (

@@ -6,7 +6,8 @@ are scaled so that the whole suite completes in minutes on a laptop with the
 pure-Python engine; pass larger values (e.g. ``num_queries_list`` up to
 100000) to approach the paper's original scale.  The *shapes* the paper
 reports — who wins, by roughly what factor, where curves flatten — are
-preserved at the default scale; see EXPERIMENTS.md.
+meant to hold at the default scale; each function's docstring states its
+shape.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def fig16(
 
 
 # --------------------------------------------------------------------------- #
-# Ablation studies (DESIGN.md Section 5)
+# Ablation studies (what each paper mechanism buys; see each docstring)
 # --------------------------------------------------------------------------- #
 def ablation_graph_minor(
     num_queries: int = 2000, max_value_joins: int = 4, zipf: float = DEFAULT_ZIPF

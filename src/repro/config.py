@@ -19,9 +19,8 @@ string as shorthand for ``RuntimeConfig(engine=...)``, resolved by
 
 Presets capture the two configurations the evaluation section uses
 constantly: :meth:`RuntimeConfig.throughput` (sharded, thread-pooled, no
-output construction) and :meth:`RuntimeConfig.ablation` (``columnar`` and
-``route_dispatch`` off: row-at-a-time joins, replicate-to-every-shard
-fan-out).
+output construction) and :meth:`RuntimeConfig.ablation` (``route_dispatch``
+off: replicate-to-every-shard fan-out).
 """
 
 from __future__ import annotations
@@ -69,9 +68,7 @@ STORAGE_BACKENDS = ("memory", "sqlite")
 DURABILITY_MODES = ("epoch", "relaxed")
 
 #: The fields that are plain switches (validated as ``bool`` in one loop).
-_BOOL_FIELDS = (
-    "columnar", "auto_prune", "auto_timestamp", "construct_outputs", "route_dispatch", "metrics"
-)
+_BOOL_FIELDS = ("auto_prune", "auto_timestamp", "construct_outputs", "route_dispatch", "metrics")
 
 
 @dataclass(frozen=True)
@@ -79,25 +76,18 @@ class RuntimeConfig:
     """Every runtime knob of the system, validated in one place.
 
     Stage 2 has no switch for how it evaluates: every processor runs its
-    conjunctive queries through compiled, cached plans, skips every unit
-    whose right-hand variables the document does not all bind, and
-    semi-join-reduces the state outward from the document's witnesses.
-    What turning each of those off used to cost is recorded under
-    ``deleted`` in ``BENCH_ablation.json``.
+    conjunctive queries through compiled, cached plans over interned id
+    columns, skips every unit whose right-hand variables the document does
+    not all bind, and semi-join-reduces the state outward from the
+    document's witnesses.  What turning each of those off used to cost —
+    the row-at-a-time kernel included — is recorded under ``deleted`` in
+    ``BENCH_ablation.json``.
 
     Attributes
     ----------
     engine:
         ``"mmqjp"`` (default), ``"mmqjp-vm"`` (Section 5 view
         materialization) or ``"sequential"`` (the baseline).
-    columnar:
-        Columnar evaluation (default): the join state carries interned-id
-        column vectors behind the row API, and the compiled-plan executor
-        plus the delta-reduction passes run as batch kernels over packed
-        id vectors (vectorized with ``numpy`` when installed — the
-        ``repro[fast]`` extra — pure-``array`` kernels otherwise).
-        ``False`` keeps the row-at-a-time path; match sets are identical
-        either way.
     auto_prune:
         Prune join state by window horizon on the publish path (effective
         while every registered window is finite).
@@ -162,7 +152,6 @@ class RuntimeConfig:
     """
 
     engine: str = "mmqjp"
-    columnar: bool = True
     auto_prune: bool = True
     auto_timestamp: bool = True
     store_documents: Optional[bool] = None
@@ -285,13 +274,13 @@ class RuntimeConfig:
 
     @classmethod
     def ablation(cls, **overrides) -> "RuntimeConfig":
-        """The switches-off baseline: row-at-a-time joins, replicated fan-out.
+        """The switches-off baseline: replicated fan-out.
 
-        ``columnar=False`` and ``route_dispatch=False``, the two switches
-        with an off side.  Plans, relevance-pruned dispatch, delta
-        reduction and the join state's live indexes have none.
+        ``route_dispatch=False``, the one switch with an off side.  Plans,
+        the id-column join kernel, relevance-pruned dispatch and delta
+        reduction have none.
         """
-        base: dict = dict(columnar=False, route_dispatch=False)
+        base: dict = dict(route_dispatch=False)
         base.update(overrides)
         return cls(**base)
 

@@ -174,7 +174,7 @@ class _BaseEngine:
         # Stage 2: config.engine selects the strategy; everything the
         # engine does with the processor goes through the shared skeleton.
         if config.engine == "sequential":
-            self.processor = SequentialJoinProcessor(config=config)
+            self.processor = SequentialJoinProcessor()
         else:
             materialize = config.engine == "mmqjp-vm"
             view_cache = None
@@ -184,7 +184,6 @@ class _BaseEngine:
                 TemplateRegistry(),
                 use_view_materialization=materialize,
                 view_cache=view_cache,
-                config=config,
             )
         if self.metrics is not None:
             self.processor.costs.attach_metrics(self.metrics)
@@ -708,11 +707,6 @@ class _BaseEngine:
         """The processor's compiled-plan cache."""
         return self.processor.plan_cache
 
-    @property
-    def columnar(self) -> bool:
-        """Whether columnar (interned-id vector) evaluation is enabled."""
-        return self.processor.columnar
-
     def set_match_filter(self, match_filter) -> None:
         """Install a query-id match filter on the processor (or clear with None).
 
@@ -789,8 +783,8 @@ class MMQJPEngine(_BaseEngine):
     ----------
     config:
         A :class:`~repro.config.RuntimeConfig` carrying every knob
-        (``columnar``, ``auto_prune``, ``auto_timestamp``,
-        ``store_documents``, ``view_cache_size``).
+        (``auto_prune``, ``auto_timestamp``, ``store_documents``,
+        ``view_cache_size``).
     use_view_materialization:
         Evaluate the per-template conjunctive queries over the materialized
         views ``RL`` / ``RR`` (Section 5) instead of the raw witness

@@ -39,19 +39,17 @@ Every document is evaluated the same way, whatever the configuration:
   reductions are shared across units — and a unit whose reduction meets an
   empty relation or join-variable domain ends there, without a main join.
 
-The one Stage 2 switch of :class:`~repro.config.RuntimeConfig` is
-``columnar``: the evaluation environment owns a shared value dictionary,
-every bound relation carries a columnar sidecar, and the plan executor and
-the reduction passes run batch kernels over packed id vectors wherever
-possible (``False``: row at a time).  ``tests/oracle.py`` states what every
-strategy and configuration must deliver.
+Stage 2 has no switch: the evaluation environment owns a shared value
+dictionary, every bound relation carries interned id columns, and the plan
+executor and the reduction pass run batch kernels over them.
+``tests/oracle.py`` states what every strategy and configuration must
+deliver.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from repro.config import RuntimeConfig, as_config
 from repro.core.costs import CostBreakdown
 from repro.core.materialize import (
     MaterializedViews,
@@ -130,9 +128,6 @@ class _JoinProcessor:
 
     Parameters
     ----------
-    config:
-        The :class:`~repro.config.RuntimeConfig` (or engine-name shorthand)
-        carrying ``columnar``; ``None`` means the defaults.
     state:
         A preloaded :class:`~repro.core.state.JoinState` to evaluate
         against.
@@ -144,21 +139,14 @@ class _JoinProcessor:
     #: The template registry of the strategy (``None``: it keeps none).
     registry: Optional[TemplateRegistry] = None
 
-    def __init__(
-        self,
-        config: "RuntimeConfig | str | None",
-        state: Optional[JoinState],
-        plan_cache: Optional[PlanCache],
-    ):
-        config = as_config(config, type(self).__name__)
+    def __init__(self, state: Optional[JoinState], plan_cache: Optional[PlanCache]):
         self.state = state if state is not None else JoinState()
         self.costs = CostBreakdown()
-        self.columnar = config.columnar
-        # The state relations are bound as *indexed* — their join keys
-        # resolve against live, incrementally maintained hash indexes; the
+        # The state relations are bound as *indexed* (stable): their id
+        # columns and group indexes follow them incrementally; the
         # per-document witness and view relations are rebound ephemerally
         # each document.
-        self.env = IndexedDatabase(columnar=self.columnar)
+        self.env = IndexedDatabase()
         for name, relation in self.state.relations().items():
             self.env.bind(name, relation, indexed=True)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -333,7 +321,7 @@ class MMQJPJoinProcessor(_JoinProcessor):
     use_view_materialization / view_cache:
         Evaluate over the Section 5 views ``RL`` / ``RR``, optionally
         caching ``RL`` slices in a :class:`~repro.core.materialize.ViewCache`.
-    state / plan_cache / config:
+    state / plan_cache:
         As for :class:`_JoinProcessor`.
     """
 
@@ -344,9 +332,8 @@ class MMQJPJoinProcessor(_JoinProcessor):
         use_view_materialization: Optional[bool] = None,
         view_cache: Optional[ViewCache] = None,
         plan_cache: Optional[PlanCache] = None,
-        config: "RuntimeConfig | str | None" = None,
     ):
-        super().__init__(config, state, plan_cache)
+        super().__init__(state, plan_cache)
         self.registry = registry
         self.use_view_materialization = bool(use_view_materialization)
         self.view_cache = view_cache
@@ -533,9 +520,8 @@ class SequentialJoinProcessor(_JoinProcessor):
         self,
         state: Optional[JoinState] = None,
         plan_cache: Optional[PlanCache] = None,
-        config: "RuntimeConfig | str | None" = None,
     ):
-        super().__init__(config, state, plan_cache)
+        super().__init__(state, plan_cache)
         self._queries: dict[str, _PerQuery] = {}
 
     def add_query(

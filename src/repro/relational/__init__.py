@@ -12,14 +12,16 @@ replacement with exactly the pieces the paper needs:
   equi hash joins, semi/anti joins, set operations.
 * :class:`~repro.relational.index.HashIndex` — live hash indexes on
   attribute subsets, maintained incrementally by their owning relation;
-  used by the join pipeline, witness lookup and the view cache.
+  used by the Section 5 view materialization and its cache.
+* :mod:`~repro.relational.columnar` — the interned id columns and group
+  indexes every Stage 2 join runs over.
 * :class:`~repro.relational.relation.PartitionedRelation` — a relation
   whose rows are grouped by a partition attribute (``docid`` for the join
   state) so pruning drops whole documents at once.
 * :class:`~repro.relational.database.Database` — a tiny catalog of named
   relations (the join state lives here) — and
-  :class:`~repro.relational.database.IndexedDatabase`, the index-aware
-  evaluation environment of the incremental join pipeline.
+  :class:`~repro.relational.database.IndexedDatabase`, the evaluation
+  environment of the incremental join pipeline (one value dictionary).
 * :mod:`~repro.relational.conjunctive` — Datalog-style conjunctive queries
   and their evaluator; the per-template queries ``CQT`` of Section 4.4 are
   instances of :class:`~repro.relational.conjunctive.ConjunctiveQuery`.

@@ -1,48 +1,44 @@
-"""Columnar relation storage: interned value ids + packed column vectors.
+"""The join state's layout: interned value ids in packed column vectors.
 
-The row-oriented :class:`~repro.relational.relation.Relation` keeps
-``list[tuple]`` as its canonical storage — every probe walks Python tuples
-and pays per-object interpreter tax.  This module provides the *columnar
-sidecar* that the ``columnar`` runtime knob switches on:
+A :class:`~repro.relational.relation.Relation` keeps its rows as
+``list[tuple]`` for the row API; every relation bound into an evaluation
+environment (:class:`~repro.relational.database.IndexedDatabase`) also
+carries a :class:`ColumnStore`, and the compiled-plan executor and the
+delta-reduction pass touch state only through it:
 
-* :class:`ValueDictionary` interns arbitrary (hashable) values to dense
-  integer ids shared by every relation of one evaluation environment, so a
-  value join becomes an integer comparison and cross-relation joins stay in
-  one id space.
+* :class:`ValueDictionary` interns (hashable) values to dense integer ids
+  shared by every relation of one evaluation environment, so a value join
+  becomes an integer comparison and cross-relation joins stay in one id
+  space.
 * :class:`ColumnStore` mirrors a relation's rows as per-column
-  ``array('q')`` id vectors.  It is validated *lazily* against the
-  relation's mutation stamp ``(version, len(rows), deletes)`` and follows
-  the three mutations the engine performs in steady state at a cost
-  proportional to the rows that changed: appends (the new suffix is
-  encoded on the next sync), window pruning (a dropped row prefix is
-  sliced off) and ``swap_delete_at`` (the last id moves into the hole).
-  Every other mutation — predicate deletes, clears, wholesale row
-  replacement, a drop that is not a row prefix — moves the delete counter
-  without telling the store, and the next sync re-encodes every row.
-  Non-columnar configurations never pay a cent — the sidecar is only
-  touched by columnar fast paths.
+  ``array('q')`` id buffers, exposed as zero-copy numpy ``int64`` views.  It
+  is validated *lazily* against the relation's mutation stamp
+  ``(version, len(rows), deletes)`` and follows the three mutations the
+  engine performs in steady state at a cost proportional to the rows that
+  changed: appends (the new suffix is encoded on the next sync), window
+  pruning (a dropped row prefix is sliced off) and ``swap_delete_at`` (the
+  last id moves into the hole).  Every other mutation — predicate deletes,
+  clears, wholesale row replacement, a drop that is not a row prefix —
+  moves the delete counter without telling the store, and the next sync
+  re-encodes every row.  A value that cannot be interned (unhashable) is a
+  :class:`TypeError`.
 * :class:`GroupIndex` groups a store's rows by a packed multi-column key
   (stable order) for batch hash-probe joins: probing N keys is one
   ``searchsorted`` instead of N dict lookups, and the matched row positions
   expand via ``repeat``/``cumsum`` arithmetic.  An index outlives appends
   and prefix drops (an unindexed suffix is scanned, a dead prefix masked)
   until the two together outgrow a quarter of it.
-
-``numpy`` is an *optional* accelerator (the ``repro[fast]`` extra).  When it
-is missing, columns stay pure-``array`` vectors: the selection kernels
-(:func:`select_positions`, :func:`distinct_ids`) run as tight loops over
-machine ints, and the fully vectorized join kernels report unavailable so
-callers fall back to the row path.  Either way the match sets are identical;
-only the constant factor changes.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
     "ValueDictionary",
     "ColumnStore",
     "GroupIndex",
@@ -51,19 +47,16 @@ __all__ = [
     "domain_array",
 ]
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI replay
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
 #: Packed multi-column keys must stay well inside int64.
 _PACK_LIMIT = 1 << 62
 
 #: Up to this many ids, a domain is matched by one equality pass per id:
 #: ``np.isin``'s fixed overhead costs more than a few of those.
 _SMALL_DOMAIN = 8
+
+
+def _empty():
+    return np.empty(0, dtype=np.int64)
 
 
 class ValueDictionary:
@@ -92,10 +85,14 @@ class ValueDictionary:
         return i
 
     def get_id(self, value) -> Optional[int]:
-        """The id of ``value`` if already interned, else ``None``."""
+        """The id of ``value`` if already interned, else ``None``.
+
+        An unhashable query constant is never interned, so it is ``None``
+        too: it equals no stored (hence hashable) value.
+        """
         try:
             return self._ids.get(value)
-        except TypeError:  # unhashable query constant
+        except TypeError:
             return None
 
     def value_of(self, i: int):
@@ -114,16 +111,38 @@ class ValueDictionary:
         return f"<ValueDictionary {len(self._values)} values>"
 
 
+def _pack(cols, bases):
+    """Mixed-radix packing of equal-length code columns into one int64 key."""
+    packed = cols[0]
+    for col, base in zip(cols[1:], bases[1:]):
+        packed = packed * base + col
+    return packed
+
+
 class GroupIndex:
-    """Rows of a :class:`ColumnStore` grouped by a packed key (numpy only).
+    """Rows of a :class:`ColumnStore` grouped by a packed key.
 
     ``positions`` lists row positions sorted by key with the *original row
     order preserved within each key* (stable sort), so batch probes yield
-    rows in exactly the order the row-path hash probe would.
+    rows probe-major and in store order.
+
+    A row's key packs its id columns into one int64 code, the first of three
+    ways that stays inside ``_PACK_LIMIT``:
+
+    * the ids themselves, in mixed radix over ``max id + 1`` per column;
+    * each id's rank among its column's distinct ids (``ranks`` holds the
+      sorted distinct ids per column);
+    * the rank of the whole key among the distinct keys (``tuples`` holds
+      them, sorted).
+
+    A probe key is coded the same way; one the build side never saw is
+    masked invalid.
     """
 
     __slots__ = (
         "bases",
+        "ranks",
+        "tuples",
         "unique_keys",
         "starts",
         "counts",
@@ -132,8 +151,10 @@ class GroupIndex:
         "dropped",
     )
 
-    def __init__(self, bases, unique_keys, starts, counts, positions):
+    def __init__(self, bases, unique_keys, starts, counts, positions, ranks=None, tuples=None):
         self.bases = bases
+        self.ranks = ranks
+        self.tuples = tuples
         self.unique_keys = unique_keys
         self.starts = starts
         self.counts = counts
@@ -147,51 +168,66 @@ class GroupIndex:
         self.dropped = 0
 
     def pack_probe(self, probe_cols):
-        """Pack probe-side id columns with the build-side bases.
+        """Code probe-side id columns like the build side: ``(packed, valid)``.
 
-        Returns ``(packed, valid)``: probe values outside a build-side
-        column's id range cannot match any row, so they are masked invalid
-        and packed as 0 (keeping the packing inside the build-side range —
-        no overflow regardless of how the dictionary grew since build).
+        Probe values the build side cannot hold are masked invalid and
+        coded as 0, keeping the packing inside the build-side range however
+        the dictionary grew since the build.
         """
-        packed = None
+        if self.tuples is not None:
+            known = len(self.tuples)
+            both, inverse = np.unique(
+                np.concatenate([self.tuples, np.stack(probe_cols, 1)]),
+                axis=0,
+                return_inverse=True,
+            )
+            inverse = inverse.reshape(-1)
+            code_of = np.full(len(both), -1, dtype=np.int64)
+            code_of[inverse[:known]] = np.arange(known)
+            codes = code_of[inverse[known:]]
+            valid = codes >= 0
+            return np.where(valid, codes, 0), valid
+        coded = []
         valid = None
-        for col, base in zip(probe_cols, self.bases):
-            inside = col < base
-            col = _np.where(inside, col, 0)
+        for c, col in enumerate(probe_cols):
+            if self.ranks is not None:
+                distinct = self.ranks[c]
+                rank = np.minimum(np.searchsorted(distinct, col), len(distinct) - 1)
+                inside = distinct[rank] == col
+                col = rank
+            else:
+                inside = col < self.bases[c]
+            coded.append(np.where(inside, col, 0))
             valid = inside if valid is None else (valid & inside)
-            packed = col if packed is None else packed * base + col
-        return packed, valid
+        return _pack(coded, self.bases), valid
 
     def probe(self, probe_cols):
-        """Batch hash-probe: one packed key per probe row.
+        """Batch hash-probe: one key per probe row.
 
         Returns ``(probe_idx, row_pos)`` — parallel arrays pairing each
         probing row index with each matched store row position, probe-major
-        with store rows in original order (the row-path loop order).
+        with store rows in original order.
         """
-        packed, valid = self.pack_probe(probe_cols)
         uniques = self.unique_keys
-        if len(uniques) == 0 or len(packed) == 0:
-            empty = _np.empty(0, dtype=_np.int64)
-            return empty, empty
-        slot = _np.searchsorted(uniques, packed)
+        if len(uniques) == 0 or len(probe_cols[0]) == 0:
+            return _empty(), _empty()
+        packed, valid = self.pack_probe(probe_cols)
+        slot = np.searchsorted(uniques, packed)
         slot[slot == len(uniques)] = 0
         hit = valid & (uniques[slot] == packed)
-        counts = _np.where(hit, self.counts[slot], 0)
-        starts = _np.where(hit, self.starts[slot], 0)
+        counts = np.where(hit, self.counts[slot], 0)
+        starts = np.where(hit, self.starts[slot], 0)
         return self.expand(starts, counts)
 
     def expand(self, starts, counts):
         """Expand per-probe ``(start, count)`` runs into match pairs."""
         total = int(counts.sum())
         if total == 0:
-            empty = _np.empty(0, dtype=_np.int64)
-            return empty, empty
-        probe_idx = _np.repeat(_np.arange(len(counts), dtype=_np.int64), counts)
-        offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
-        intra = _np.arange(total, dtype=_np.int64) - offsets
-        row_pos = self.positions[_np.repeat(starts, counts) + intra]
+            return _empty(), _empty()
+        probe_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        offsets = np.repeat(np.cumsum(counts) - counts, counts)
+        intra = np.arange(total, dtype=np.int64) - offsets
+        row_pos = self.positions[np.repeat(starts, counts) + intra]
         if self.dropped:
             row_pos -= self.dropped
             live = row_pos >= 0
@@ -199,43 +235,42 @@ class GroupIndex:
         return probe_idx, row_pos
 
 
-def _build_group(cols) -> Optional[GroupIndex]:
-    """Group row positions by the packed key over ``cols`` (numpy arrays)."""
-    if not cols:
-        return None
-    bases = []
-    span = 1
-    for col in cols:
-        base = int(col.max()) + 1 if len(col) else 1
-        bases.append(base)
-        span *= base
-        if span > _PACK_LIMIT:
-            return None  # packed key would overflow int64 — use the row path
-    packed = None
-    for col, base in zip(cols, bases):
-        packed = col if packed is None else packed * base + col
-    order = _np.argsort(packed, kind="stable")
+def _build_group(cols) -> GroupIndex:
+    """Group row positions by the packed key over ``cols`` (id arrays)."""
+    bases = [int(col.max()) + 1 if len(col) else 1 for col in cols]
+    ranks = tuples = None
+    if math.prod(bases) <= _PACK_LIMIT:
+        packed = _pack(cols, bases)
+    else:
+        ranks, codes = zip(*(np.unique(col, return_inverse=True) for col in cols))
+        bases = [len(distinct) for distinct in ranks]
+        if math.prod(bases) <= _PACK_LIMIT:
+            packed = _pack(codes, bases)
+        else:
+            ranks = None
+            tuples, packed = np.unique(np.stack(cols, 1), axis=0, return_inverse=True)
+            packed = packed.reshape(-1)
+    order = np.argsort(packed, kind="stable")
     sorted_keys = packed[order]
     n = len(sorted_keys)
     if n == 0:
-        empty = _np.empty(0, dtype=_np.int64)
-        return GroupIndex(bases, empty, empty, empty, empty)
-    head = _np.empty(n, dtype=bool)
+        return GroupIndex(bases, _empty(), _empty(), _empty(), _empty())
+    head = np.empty(n, dtype=bool)
     head[0] = True
-    _np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-    starts = _np.flatnonzero(head)
-    counts = _np.diff(_np.append(starts, n))
-    return GroupIndex(bases, sorted_keys[starts], starts, counts, order)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.diff(np.append(starts, n))
+    return GroupIndex(bases, sorted_keys[starts], starts, counts, order, ranks, tuples)
 
 
 class ColumnStore:
-    """Columnar sidecar of one relation: per-column interned id vectors.
+    """The id columns of one relation over a shared :class:`ValueDictionary`.
 
-    The relation's ``rows`` list stays canonical; the store mirrors it as
-    ``array('q')`` vectors over a shared :class:`ValueDictionary`, valid
-    while its ``stamp`` equals the relation's ``(version, len(rows),
-    deletes)``.  It keeps up with the relation in time proportional to the
-    rows that changed for exactly three mutations:
+    The relation's ``rows`` list stays canonical for the row API; the store
+    mirrors it as ``array('q')`` buffers, valid while its ``stamp`` equals
+    the relation's ``(version, len(rows), deletes)``.  It keeps up with the
+    relation in time proportional to the rows that changed for exactly
+    three mutations:
 
     * **appends** — :meth:`sync` encodes only the new suffix;
     * **a dropped row prefix** (window pruning, reported by
@@ -249,14 +284,11 @@ class ColumnStore:
     Any other mutation (``delete_rows``/``delete_row``, ``clear``, ``rows``
     assignment, a drop that is not a row prefix) moves the relation's
     delete counter without telling the store, and the next :meth:`sync`
-    falls back to re-encoding every row — the one fallback, also taken when
-    a mirrored mutation finds the store already out of sync.  The counters
-    ``rebuilds`` / ``rows_encoded`` / ``prefix_drops`` / ``swap_deletes`` /
+    re-encodes every row — also what happens when a mirrored mutation
+    finds the store already out of sync.  The counters ``rebuilds`` /
+    ``rows_encoded`` / ``prefix_drops`` / ``swap_deletes`` /
     ``group_builds`` say which of these happened; the brokers report them
     summed as ``stats()["columnar"]``.
-
-    A store whose rows contain unhashable values marks itself ``disabled``
-    — callers fall back to the row path for that relation.
     """
 
     #: Names of the counter attributes (the keys of ``stats()["columnar"]``).
@@ -271,7 +303,6 @@ class ColumnStore:
     __slots__ = (
         "dictionary",
         "stamp",
-        "disabled",
         "_cols",
         "_n",
         "_views",
@@ -281,7 +312,6 @@ class ColumnStore:
     def __init__(self, num_columns: int, dictionary: ValueDictionary):
         self.dictionary = dictionary
         self.stamp = None
-        self.disabled = False
         self._cols = [array("q") for _ in range(num_columns)]
         self._n = 0
         self._views = None
@@ -296,7 +326,7 @@ class ColumnStore:
     def from_columns(cls, cols: Sequence, dictionary: ValueDictionary, stamp):
         """A frozen store over precomputed id columns (reduced relations)."""
         store = cls(0, dictionary)
-        store._cols = None  # frozen: no backing buffers, no resync
+        store._cols = None  # frozen: no backing buffers until its relation mutates
         store._views = list(cols)
         store._n = len(cols[0]) if cols else 0
         store.stamp = stamp
@@ -315,28 +345,31 @@ class ColumnStore:
             and stamp[0] >= old[0]
         )
 
-    def sync(self, rows: Sequence[tuple], stamp) -> bool:
-        """Bring the id columns up to date with ``rows``; False = disabled.
+    def sync(self, rows: Sequence[tuple], stamp) -> None:
+        """Bring the id columns up to date with ``rows``.
 
         ``stamp`` is the relation's ``(version, num_rows, deletes)``: a
         grown row count with the delete counter unchanged is an append-only
         delta (encode the suffix).  Anything else is a mutation nobody
-        mirrored into the store, and rebuilds from scratch.
+        mirrored into the store, and rebuilds from scratch.  An unhashable
+        value raises :class:`TypeError` and leaves the columns as they were.
         """
         if stamp == self.stamp:
-            return True
-        if self._cols is None:  # frozen store: its relation must not mutate
-            self.disabled = True
-            return False
+            return
+        if self._cols is None:  # a frozen store whose relation mutated after all
+            self._cols = [array("q") for _ in self._views]
+            self.stamp = None
         # Drop our own numpy views first: they alias the ``array`` buffers
         # and would otherwise pin them against the mutations below.  Group
         # indexes survive append-only growth (they are built over a row
         # prefix and probe the suffix separately) but not a rebuild.
         self._views = None
         n = len(rows)
-        if self._only_appended(n, stamp):
-            new_rows = rows[self._n:] if n > self._n else ()
-        else:
+        appended = self._only_appended(n, stamp)
+        new_rows = rows[self._n:] if appended else rows
+        id_of = self.dictionary.id_of
+        encoded = [[id_of(row[c]) for row in new_rows] for c in range(len(self._cols))]
+        if not appended:
             if self.stamp is not None:
                 self.rebuilds += 1
             self._groups.clear()
@@ -345,31 +378,16 @@ class ColumnStore:
                     del col[:]
                 except BufferError:  # a caller retained a view: new buffer
                     self._cols[c] = array("q")
-            self._n = 0
-            new_rows = rows
-        if new_rows:
-            id_of = self.dictionary.id_of
+        for c, ids in enumerate(encoded):
             try:
-                # Encode before touching the columns, so a TypeError cannot
-                # leave them partially extended.
-                encoded = [
-                    [id_of(row[c]) for row in new_rows]
-                    for c in range(len(self._cols))
-                ]
-            except TypeError:  # unhashable row value: cannot intern
-                self.disabled = True
-                return False
-            for c, ids in enumerate(encoded):
-                try:
-                    self._cols[c].extend(ids)
-                except BufferError:  # a caller retained a view: copy + extend
-                    fresh = array("q", self._cols[c])
-                    fresh.extend(ids)
-                    self._cols[c] = fresh
-            self._n = n
-            self.rows_encoded += len(new_rows)
+                self._cols[c].extend(ids)
+            except BufferError:  # a caller retained a view: copy + extend
+                fresh = array("q", self._cols[c])
+                fresh.extend(ids)
+                self._cols[c] = fresh
+        self._n = n
+        self.rows_encoded += len(new_rows)
         self.stamp = stamp
-        return True
 
     def catch_up(self, rows: Sequence[tuple], stamp) -> bool:
         """Encode pending appends ahead of a mirrored delete; False = cannot.
@@ -377,15 +395,16 @@ class ColumnStore:
         The relation calls this with its *pre-delete* rows and stamp.  True
         means the columns now equal ``rows`` and :meth:`drop_prefix` /
         :meth:`swap_delete` may follow.  False — never synced (nothing to
-        keep current; stay lazy), frozen, disabled, or already behind an
-        unmirrored delete — leaves the store untouched for the next
-        :meth:`sync` to rebuild.
+        keep current; stay lazy), frozen, or already behind an unmirrored
+        delete — leaves the store untouched for the next :meth:`sync` to
+        rebuild.
         """
-        if self.disabled or self._cols is None:
+        if stamp == self.stamp:
+            return True
+        if self._cols is None or not self._only_appended(len(rows), stamp):
             return False
-        return stamp == self.stamp or (
-            self._only_appended(len(rows), stamp) and self.sync(rows, stamp)
-        )
+        self.sync(rows, stamp)
+        return True
 
     def drop_prefix(self, k: int, stamp) -> None:
         """Mirror the deletion of the first ``k`` rows (window pruning).
@@ -403,9 +422,8 @@ class ColumnStore:
                 self._cols[c] = col[k:]
         self._n -= k
         for gi in self._groups.values():
-            if gi is not None:
-                gi.dropped += k
-                gi.built_n = max(0, gi.built_n - k)
+            gi.dropped += k
+            gi.built_n = max(0, gi.built_n - k)
         self.prefix_drops += 1
         self.stamp = stamp
 
@@ -430,29 +448,22 @@ class ColumnStore:
         self.stamp = stamp
 
     def columns(self):
-        """Per-column id vectors: numpy int64 views (zero-copy) or arrays.
+        """Per-column id vectors as numpy ``int64`` arrays.
 
-        The numpy views alias the backing ``array('q')`` buffers and are
-        invalidated by the next sync — use within one evaluation, never
+        The arrays alias the backing ``array('q')`` buffers (zero-copy) and
+        are invalidated by the next sync — use within one evaluation, never
         retain across documents.
         """
         views = self._views
-        if views is not None:
-            return views
-        if _np is None:
-            self._views = self._cols
-            return self._cols
-        views = [
-            _np.frombuffer(col, dtype=_np.int64)
-            if len(col)
-            else _np.empty(0, dtype=_np.int64)
-            for col in self._cols
-        ]
-        self._views = views
+        if views is None:
+            views = self._views = [
+                np.frombuffer(col, dtype=np.int64) if len(col) else _empty()
+                for col in self._cols
+            ]
         return views
 
-    def group(self, key_cols: tuple) -> Optional[GroupIndex]:
-        """The (memoized) group index over ``key_cols``; None = unavailable.
+    def group(self, key_cols: tuple) -> GroupIndex:
+        """The (memoized) group index over ``key_cols``.
 
         A cached index stays valid across appends and prefix drops: it
         covers the first ``built_n`` rows, :meth:`probe` scans the appended
@@ -463,45 +474,36 @@ class ColumnStore:
         quarter window, not per document.  A swap-delete or a store rebuild
         discards it.
         """
-        if _np is None:
-            return None
-        cached = self._groups.get(key_cols, False)
-        if cached is not False:
-            if cached is None:
-                return None  # packed key overflowed at last build
+        cached = self._groups.get(key_cols)
+        if cached is not None:
             stale = cached.dropped + self._n - cached.built_n
             if stale <= max(64, (cached.built_n + cached.dropped) >> 2):
                 return cached
         return self._build_group(key_cols)
 
-    def _build_group(self, key_cols: tuple) -> Optional[GroupIndex]:
+    def _build_group(self, key_cols: tuple) -> GroupIndex:
         cols = self.columns()
         gi = _build_group([cols[c] for c in key_cols])
-        if gi is not None:
-            gi.built_n = self._n
+        gi.built_n = self._n
         self._groups[key_cols] = gi
         self.group_builds += 1
         return gi
 
     def probe(self, key_cols: tuple, probe_cols):
-        """Batch-probe rows keyed on ``key_cols``; ``None`` = unavailable.
+        """Batch-probe rows keyed on ``key_cols``: ``(probe_idx, row_pos)``.
 
         Combines the memoized :class:`GroupIndex` probe over the indexed
         prefix with a vectorized equality scan of the appended suffix, and
-        restores the row-path match order (probe-major, store rows in
-        original position order) with one stable sort.
+        keeps the match order probe-major with store rows in position order
+        (one stable sort).
         """
         gi = self.group(key_cols)
-        if gi is None:
-            return None
         built = gi.built_n
         suffix = self._n - built
         if suffix and len(probe_cols[0]) * suffix > (1 << 23):
             # A huge probe batch against a stale index: rebuild instead of
             # materializing a probes × suffix comparison matrix.
             gi = self._build_group(key_cols)
-            if gi is None:
-                return None
             built, suffix = self._n, 0
         probe_idx, row_pos = gi.probe(probe_cols)
         if suffix:
@@ -510,33 +512,31 @@ class ColumnStore:
             for c, pc in zip(key_cols, probe_cols):
                 m = pc[:, None] == cols[c][built:][None, :]
                 mask = m if mask is None else (mask & m)
-            extra_probe, extra_pos = _np.nonzero(mask)
+            extra_probe, extra_pos = np.nonzero(mask)
             if len(extra_probe):
-                probe_idx = _np.concatenate([probe_idx, extra_probe])
-                row_pos = _np.concatenate([row_pos, extra_pos + built])
-                order = _np.argsort(probe_idx, kind="stable")
+                probe_idx = np.concatenate([probe_idx, extra_probe])
+                row_pos = np.concatenate([row_pos, extra_pos + built])
+                order = np.argsort(probe_idx, kind="stable")
                 probe_idx = probe_idx[order]
                 row_pos = row_pos[order]
         return probe_idx, row_pos
 
 
 # --------------------------------------------------------------------------- #
-# selection kernels (numpy-vectorized with pure-``array`` fallbacks)
+# selection kernels
 # --------------------------------------------------------------------------- #
 def domain_array(domain: frozenset):
-    """A sorted int64 array of an id domain (numpy mode; callers memoize)."""
-    if _np is None:
-        return None
-    out = _np.fromiter(domain, dtype=_np.int64, count=len(domain))
+    """A sorted int64 array of an id domain (callers memoize)."""
+    out = np.fromiter(domain, dtype=np.int64, count=len(domain))
     out.sort()
     return out
 
 
 def _isin(col, domain: frozenset, domain_arr=None):
-    """Membership mask of ``col`` in an id domain (numpy mode)."""
+    """Membership mask of ``col`` in an id domain."""
     if len(domain) > _SMALL_DOMAIN:
-        return _np.isin(col, domain_arr if domain_arr is not None else domain_array(domain))
-    mask = _np.zeros(len(col), dtype=bool)
+        return np.isin(col, domain_arr if domain_arr is not None else domain_array(domain))
+    mask = np.zeros(len(col), dtype=bool)
     for value in domain:
         mask |= col == value
     return mask
@@ -546,39 +546,24 @@ def select_positions(columns, num_rows: int, constraints, domain_arrays=None):
     """Positions of rows satisfying every ``(column, id-domain)`` constraint.
 
     ``columns`` are the store's id vectors; ``constraints`` pairs column
-    indices with frozensets of admissible ids.  Returns a list of ints (the
-    row-path order — ascending positions).  ``domain_arrays`` optionally
-    maps ``id(domain)`` → presorted int64 array (a per-document memo).
+    indices with frozensets of admissible ids.  Returns the ascending row
+    positions as an int64 array.  ``domain_arrays`` optionally maps
+    ``id(domain)`` → presorted int64 array (a per-document memo).
     """
     if not constraints:
-        return range(num_rows)
-    if _np is not None:
-        mask = None
-        for col_index, domain in constraints:
-            arr = domain_arrays.get(id(domain)) if domain_arrays else None
-            m = _isin(columns[col_index], domain, arr)
-            mask = m if mask is None else (mask & m)
-        return _np.flatnonzero(mask)
-    # pure-``array`` fallback: tight loop over machine ints
-    checks = [(columns[c], domain) for c, domain in constraints]
-    out = []
-    for i in range(num_rows):
-        for col, domain in checks:
-            if col[i] not in domain:
-                break
-        else:
-            out.append(i)
-    return out
+        return np.arange(num_rows, dtype=np.int64)
+    mask = None
+    for col_index, domain in constraints:
+        arr = domain_arrays.get(id(domain)) if domain_arrays else None
+        m = _isin(columns[col_index], domain, arr)
+        mask = m if mask is None else (mask & m)
+    return np.flatnonzero(mask)
 
 
 def distinct_ids(column, positions=None) -> frozenset:
     """The distinct ids of ``column`` (restricted to ``positions`` if given)."""
-    if _np is not None and not isinstance(column, array):
-        if positions is not None:
-            column = column[positions]
-        if len(column) <= 128:  # small columns: set-build beats np.unique
-            return frozenset(column.tolist())
-        return frozenset(_np.unique(column).tolist())
-    if positions is None:
-        return frozenset(column)
-    return frozenset(column[i] for i in positions)
+    if positions is not None:
+        column = column[positions]
+    if len(column) <= 128:  # small columns: set-build beats np.unique
+        return frozenset(column.tolist())
+    return frozenset(np.unique(column).tolist())

@@ -32,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.relational import columnar
-from repro.relational.operators import column_value_set, semijoin_in
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema, SchemaError
 from repro.relational.terms import Const, Var, term
@@ -267,64 +268,38 @@ class DeltaContext:
     # domains
     # ------------------------------------------------------------------ #
     def column_values(
-        self,
-        relation: Relation,
-        column: int,
-        const_checks: tuple = (),
-        dictionary=None,
+        self, relation: Relation, column: int, const_checks: tuple = ()
     ) -> frozenset:
-        """Memoized distinct values of one column (under constant checks).
-
-        With ``dictionary`` (columnar mode) the domain is a frozenset of
-        interned *ids* instead of raw values; id-space and value-space
-        entries are memoized under distinct keys, so a program that falls
-        back to the row path never observes an id-space domain (and vice
-        versa).
-        """
+        """Memoized distinct interned ids of one column (under constant checks)."""
         try:
-            key = (dictionary is not None, id(relation), column, const_checks)
+            key = (id(relation), column, const_checks)
             cached = self._values.get(key)
         except TypeError:  # unhashable constant: compute without memoizing
-            if dictionary is not None:
-                return self._column_ids(relation, column, const_checks, dictionary)
-            return column_value_set(relation, column, const_checks)
+            return self._column_ids(relation, column, const_checks)
         if cached is None:
-            if dictionary is not None:
-                cached = self._column_ids(relation, column, const_checks, dictionary)
-            else:
-                cached = column_value_set(relation, column, const_checks)
-            self._values[key] = cached
+            cached = self._values[key] = self._column_ids(relation, column, const_checks)
             self._pins.append(relation)
         return cached
 
-    def _column_ids(
-        self, relation: Relation, column: int, const_checks: tuple, dictionary
-    ) -> frozenset:
-        """Distinct interned ids of one column (columnar mode)."""
+    def _column_ids(self, relation: Relation, column: int, const_checks: tuple) -> frozenset:
         store = relation.column_store()
-        if store is not None:
-            constraints = []
-            for col, value in const_checks:
-                vid = dictionary.get_id(value)
-                if vid is None:
-                    return frozenset()  # the constant never occurs anywhere
-                constraints.append((col, frozenset((vid,))))
-            cols = store.columns()
-            if constraints:
-                positions = columnar.select_positions(
-                    cols, len(store), constraints, self._domain_arrays
-                )
-                return columnar.distinct_ids(cols[column], positions)
-            return columnar.distinct_ids(cols[column])
-        # Defensive row fallback (a sidecar vanished mid-run): still id-space.
-        id_of = dictionary.id_of
-        return frozenset(
-            id_of(v) for v in column_value_set(relation, column, const_checks)
-        )
+        constraints = []
+        for col, value in const_checks:
+            vid = store.dictionary.get_id(value)
+            if vid is None:
+                return frozenset()  # the constant never occurs anywhere
+            constraints.append((col, frozenset((vid,))))
+        cols = store.columns()
+        if constraints:
+            positions = columnar.select_positions(
+                cols, len(store), constraints, self._domain_arrays
+            )
+            return columnar.distinct_ids(cols[column], positions)
+        return columnar.distinct_ids(cols[column])
 
     def _domain_arr(self, domain: frozenset):
-        """Memoized sorted-array form of an id domain (numpy mode only)."""
-        if not columnar.HAVE_NUMPY or len(domain) <= columnar._SMALL_DOMAIN:
+        """Memoized sorted-array form of an id domain (``None`` when small)."""
+        if len(domain) <= columnar._SMALL_DOMAIN:
             return None  # matched id by id: no array form needed
         arr = self._domain_arrays.get(id(domain))
         if arr is None:
@@ -361,42 +336,28 @@ class DeltaContext:
     # reductions
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _signature(base: Relation, const_checks: tuple, constraints: tuple, dictionary) -> tuple:
+    def _signature(base: Relation, const_checks: tuple, constraints: tuple) -> tuple:
         """Memo key of one reduction: relation and domain *identities*."""
-        return (
-            dictionary is not None,
-            id(base),
-            const_checks,
-            tuple((c, id(d)) for c, d in constraints),
-        )
+        return (id(base), const_checks, tuple((c, id(d)) for c, d in constraints))
 
     def reduce(
-        self,
-        name: str,
-        base: Relation,
-        const_checks: tuple,
-        constraints: tuple,
-        index_for=None,
-        dictionary=None,
+        self, name: str, base: Relation, const_checks: tuple, constraints: tuple
     ) -> Optional[Relation]:
         """Restrict ``base`` to the rows satisfying every constraint.
 
-        ``constraints`` is a tuple of ``(column, domain frozenset)``
+        ``constraints`` is a tuple of ``(column, id-domain frozenset)``
         membership constraints; ``const_checks`` contributes singleton
         domains.  Returns ``None`` when there is nothing to restrict by.
-        The probe runs over the most selective column — through a
-        persistent single-column index when ``index_for`` provides one —
-        so the cost is proportional to the matching rows, not ``|base|``.
-
-        With ``dictionary`` (columnar mode) the domains are id-space and
-        the restriction runs as batch mask/selection kernels over the
-        base's packed id columns; the output relation carries a derived
-        columnar sidecar so later passes (and the plan executor) stay in
-        id space without re-interning.
+        The restriction runs as batch kernels over the base's id columns —
+        a group-index probe over the most selective domain when it is small
+        against the base, so the cost is proportional to the matching rows,
+        else one masked scan — and the output relation carries a derived
+        column store, so later passes (and the plan executor) stay in id
+        space without re-interning.
         """
         if not const_checks and not constraints:
             return None
-        sig = self._signature(base, const_checks, constraints, dictionary)
+        sig = self._signature(base, const_checks, constraints)
         try:
             cached = self._reductions.get(sig)
         except TypeError:  # unhashable constant: compute without memoizing
@@ -404,20 +365,14 @@ class DeltaContext:
         if cached is not None:
             self.reductions_reused += 1
             return cached
-
-        if dictionary is not None:
-            out = self._reduce_columnar(name, base, const_checks, constraints, dictionary)
-        else:
-            out = self._reduce_rows(name, base, const_checks, constraints, index_for)
-        if out is None:
-            return None
+        out = self._reduce(name, base, const_checks, constraints)
         if sig is not None:
             self._reductions[sig] = out
             self._pins.append(base)
             self._pins.extend(d for _c, d in constraints)
         return out
 
-    def holds(self, base: Relation, const_checks: tuple, constraints: tuple, dictionary) -> bool:
+    def holds(self, base: Relation, const_checks: tuple, constraints: tuple) -> bool:
         """Whether :meth:`reduce` would serve these arguments from its memo.
 
         True only after another query of the same document asked for the
@@ -426,119 +381,56 @@ class DeltaContext:
         if not self._reductions:
             return False
         try:
-            return self._signature(base, const_checks, constraints, dictionary) in self._reductions
+            return self._signature(base, const_checks, constraints) in self._reductions
         except TypeError:  # unhashable constant: never memoized
             return False
 
-    def _reduce_rows(
-        self, name: str, base: Relation, const_checks: tuple, constraints: tuple, index_for
-    ) -> Optional[Relation]:
-        """The row-path restriction (PR-5 behavior, columnar off)."""
-        try:
-            candidates = [(col, frozenset((value,))) for col, value in const_checks]
-        except TypeError:
-            # An unhashable constant cannot participate in set-membership
-            # semi-joins; leave the atom unreduced (the main join still
-            # applies the constant check by equality).
-            return None
-        candidates.extend(constraints)
-        candidates.sort(key=lambda cv: len(cv[1]))
-        probe_col, probe_dom = candidates[0]
-        extra = tuple(candidates[1:])
-        index = None
-        if index_for is not None and len(probe_dom) < max(8, len(base)):
-            index = index_for(name, (probe_col,))
-        out = semijoin_in(base, probe_col, probe_dom, extra=extra, index=index, name=name)
-        self.reductions_computed += 1
-        if index is not None:
-            self.rows_scanned += len(out) + len(probe_dom)
-        else:
-            self.rows_scanned += len(base)
-        self.rows_kept += len(out)
-        return out
-
-    def _reduce_columnar(
-        self, name: str, base: Relation, const_checks: tuple, constraints: tuple, dictionary
+    def _reduce(
+        self, name: str, base: Relation, const_checks: tuple, constraints: tuple
     ) -> Relation:
-        """Batch restriction over packed id columns (columnar mode)."""
         out = Relation(base.schema, name=name)
-        id_constraints: Optional[list] = []
-        for col, value in const_checks:
-            vid = dictionary.get_id(value)
-            if vid is None:
-                id_constraints = None  # constant unseen anywhere: empty result
-                break
-            id_constraints.append((col, frozenset((vid,))))
+        store = base.column_store()
         self.reductions_computed += 1
-        if id_constraints is None:
-            self.rows_scanned += len(base)
-            return out
+        id_constraints = []
+        for col, value in const_checks:
+            vid = store.dictionary.get_id(value)
+            if vid is None:  # the constant occurs nowhere: empty result
+                self.rows_scanned += len(base)
+                return out
+            id_constraints.append((col, frozenset((vid,))))
         for _col, dom in constraints:
             self._domain_arr(dom)  # pre-register the sorted-array forms
         id_constraints.extend(constraints)
-        store = base.column_store()
-        if store is not None:
-            cols = store.columns()
-            n = len(store)
-            positions = None
-            np_mod = columnar._np
-            if np_mod is not None and id_constraints:
-                # Indexed probe over the most selective domain (the same
-                # strategy the row path uses through HashIndex): cost is
-                # proportional to the matching rows, not |base|.
-                probe_col, probe_dom = min(
-                    id_constraints, key=lambda cv: len(cv[1])
-                )
-                if not probe_dom:
-                    positions = np_mod.empty(0, dtype=np_mod.int64)
-                elif len(probe_dom) < max(8, n >> 3):
-                    arr = self._domain_arr(probe_dom)
-                    if arr is None:
-                        arr = columnar.domain_array(probe_dom)
-                    hit = store.probe((probe_col,), [arr])
-                    if hit is not None:
-                        row_pos = hit[1]
-                        rest = list(id_constraints)
-                        rest.remove((probe_col, probe_dom))
-                        for c, dom in rest:
-                            if not len(row_pos):
-                                break
-                            row_pos = row_pos[
-                                columnar._isin(cols[c][row_pos], dom, self._domain_arr(dom))
-                            ]
-                        positions = np_mod.sort(row_pos)
-                        self.rows_scanned += len(positions) + len(probe_dom)
-            if positions is None:
-                positions = columnar.select_positions(
-                    cols, n, id_constraints, self._domain_arrays
-                )
-                self.rows_scanned += n
-            pos_list = positions.tolist() if hasattr(positions, "tolist") else positions
-            base_rows = base.rows
-            out.rows = [base_rows[i] for i in pos_list]
-            if columnar.HAVE_NUMPY:
-                derived = [c[positions] for c in cols]
-            else:
-                derived = [
-                    columnar.array("q", (c[i] for i in pos_list)) for c in cols
-                ]
-            out._attach_store(
-                columnar.ColumnStore.from_columns(derived, dictionary, out._stamp())
-            )
+        cols = store.columns()
+        n = len(store)
+        probe_col, probe_dom = min(id_constraints, key=lambda cv: len(cv[1]))
+        if not probe_dom:
+            positions = np.empty(0, dtype=np.int64)
+        elif len(probe_dom) < max(8, n >> 3):
+            # An indexed probe over the most selective domain: cost is
+            # proportional to the matching rows, not |base|.
+            arr = self._domain_arr(probe_dom)
+            if arr is None:
+                arr = columnar.domain_array(probe_dom)
+            row_pos = store.probe((probe_col,), [arr])[1]
+            rest = list(id_constraints)
+            rest.remove((probe_col, probe_dom))
+            for c, dom in rest:
+                if not len(row_pos):
+                    break
+                row_pos = row_pos[columnar._isin(cols[c][row_pos], dom, self._domain_arr(dom))]
+            positions = np.sort(row_pos)
+            self.rows_scanned += len(positions) + len(probe_dom)
         else:
-            # Defensive row fallback (sidecar vanished mid-run): id-space
-            # membership via the dictionary, row at a time.
-            get_id = dictionary.get_id
-            rows = []
-            for row in base.rows:
-                for col, dom in id_constraints:
-                    rid = get_id(row[col])
-                    if rid is None or rid not in dom:
-                        break
-                else:
-                    rows.append(row)
-            out.rows = rows
-            self.rows_scanned += len(base)
+            positions = columnar.select_positions(cols, n, id_constraints, self._domain_arrays)
+            self.rows_scanned += n
+        base_rows = base.rows
+        out.rows = [base_rows[i] for i in positions.tolist()]
+        out._attach_store(
+            columnar.ColumnStore.from_columns(
+                [c[positions] for c in cols], store.dictionary, out._stamp()
+            )
+        )
         self.rows_kept += len(out.rows)
         return out
 
@@ -671,8 +563,6 @@ class DeltaProgram:
 
     def _reduce(self, relations: Mapping[str, Relation], ctx: DeltaContext):
         lookup = relations.get if hasattr(relations, "get") else relations.__getitem__
-        index_for = getattr(relations, "index_for", None)
-
         delta_rels = [(atom, lookup(atom.name)) for atom in self._delta]
         # stable atoms: the bound relation, then what it was last reduced to
         bases = {atom.position: lookup(atom.name) for atom in self._stable}
@@ -682,26 +572,11 @@ class DeltaProgram:
         if not all(len(relation) for relation in bound):
             return EMPTY_DELTA
 
-        # Columnar (id-space) mode is all-or-nothing per run: every atom's
-        # relation must expose a live sidecar over the environment's shared
-        # dictionary, otherwise the whole pass runs in value space.  Mixing
-        # would compare ids against raw values and silently drop rows.
-        dictionary = getattr(relations, "columnar_dictionary", None)
-        if dictionary is not None and not all(
-            relation.column_store() is not None for relation in bound
-        ):
-            dictionary = None
-        if dictionary is not None:
-            index_for = None  # id-space probes never touch the hash indexes
-
         domains: dict[str, frozenset] = {}
         for atom, relation in delta_rels:
             for col, var in atom.join_cols:
                 dom = ctx.meet(
-                    domains.get(var),
-                    ctx.column_values(
-                        relation, col, atom.const_checks, dictionary=dictionary
-                    ),
+                    domains.get(var), ctx.column_values(relation, col, atom.const_checks)
                 )
                 if not dom:
                     return EMPTY_DELTA
@@ -728,7 +603,7 @@ class DeltaProgram:
                             for col, var in atom.join_cols
                             if var in domains
                         )
-                        if ctx.holds(bases[pos], atom.const_checks, constraints, dictionary):
+                        if ctx.holds(bases[pos], atom.const_checks, constraints):
                             est = -1.0  # another query of this document paid for it
                         else:
                             est = self._estimate(atom, bases[pos], constraints)
@@ -742,16 +617,7 @@ class DeltaProgram:
                 pos = best.position
                 if sigs.get(pos) == tuple(id(d) for _c, d in best_constraints):
                     continue  # nothing tightened since this atom's last reduction
-                out = ctx.reduce(
-                    best.name,
-                    bases[pos],
-                    best.const_checks,
-                    best_constraints,
-                    index_for if pos not in reduced else None,
-                    dictionary=dictionary,
-                )
-                if out is None:
-                    continue
+                out = ctx.reduce(best.name, bases[pos], best.const_checks, best_constraints)
                 if not len(out):
                     return EMPTY_DELTA
                 bases[pos] = reduced[pos] = out
@@ -760,7 +626,7 @@ class DeltaProgram:
                     estimates.pop(peer, None)
                 for col, var in best.join_cols:
                     old = domains.get(var)
-                    dom = ctx.meet(old, ctx.column_values(out, col, dictionary=dictionary))
+                    dom = ctx.meet(old, ctx.column_values(out, col))
                     if dom is old:
                         continue
                     if not dom:
@@ -798,18 +664,8 @@ def _join_atom(
     var_order: list[str],
     atom: Atom,
     relation: Relation,
-    index_for=None,
 ) -> tuple[list[tuple], list[str]]:
-    """Join the current solution set with one atom (hash join).
-
-    ``index_for(relation_name, key_columns)`` — when provided, e.g. by an
-    :class:`~repro.relational.database.IndexedDatabase` — may return a
-    persistent, incrementally maintained hash index on the atom's key
-    columns (join columns plus constant columns).  With an index, each
-    partial solution probes the prebuilt buckets directly, so per-call work
-    scales with the *matching* rows; without one, the relation is hashed
-    per call (ad-hoc relations such as the current document's witnesses).
-    """
+    """Join the current solution set with one atom (hash join per call)."""
     var_pos = {v: i for i, v in enumerate(var_order)}
     const_checks, join_cols, new_vars, within_atom_eq = _analyze_atom(atom, var_pos)
 
@@ -817,34 +673,6 @@ def _join_atom(
     new_solutions: list[tuple] = []
     new_var_cols = tuple(c for c, _ in new_vars)
 
-    # Persistent-index path: probe a live index keyed on the join columns
-    # followed by the constant columns; only the within-atom equality of
-    # repeated fresh variables still needs a per-row check.
-    key_cols = tuple(c for c, _ in join_cols) + tuple(c for c, _ in const_checks)
-    index = index_for(atom.relation, key_cols) if (index_for and key_cols) else None
-    if index is not None:
-        const_suffix = tuple(v for _, v in const_checks)
-        if not var_order and not join_cols:
-            # First atom: one lookup on the constant key serves every base.
-            rows = index.lookup_key(const_suffix)
-            if within_atom_eq:
-                rows = [r for r in rows if all(r[c] == r[c2] for c, c2 in within_atom_eq)]
-            base = solutions if solutions else [()]
-            for sol in base:
-                for row in rows:
-                    new_solutions.append(sol + tuple(row[c] for c in new_var_cols))
-            return new_solutions, new_var_order
-        for sol in solutions:
-            key = tuple(sol[pos] for _, pos in join_cols) + const_suffix
-            for row in index.lookup_key(key):
-                if within_atom_eq and not all(
-                    row[c] == row[c2] for c, c2 in within_atom_eq
-                ):
-                    continue
-                new_solutions.append(sol + tuple(row[c] for c in new_var_cols))
-        return new_solutions, new_var_order
-
-    # Ad-hoc path: hash the relation rows by the join-key columns.
     buckets: dict[tuple, list[tuple]] = {}
     for row in relation.rows:
         ok = all(row[c] == v for c, v in const_checks)
@@ -890,13 +718,11 @@ def evaluate_conjunctive(
         order, ``"given"`` to join atoms in the order they appear in the
         body, or an explicit sequence of the body's atoms.
 
-    When ``relations`` is an
-    :class:`~repro.relational.database.IndexedDatabase`, atoms over its
-    indexed relations are joined by probing persistent hash indexes instead
-    of rehashing the relation per call.
+    Every atom's relation is hashed per call over its Python rows: this is
+    the plain row reference the compiled plans' id-column kernel is checked
+    against.
     """
     lookup = relations.get if hasattr(relations, "get") else relations.__getitem__
-    index_for = getattr(relations, "index_for", None)
 
     def rel_of(atom: Atom) -> Relation:
         rel = lookup(atom.relation)
@@ -921,9 +747,7 @@ def evaluate_conjunctive(
     solutions: list[tuple] = []
     var_order: list[str] = []
     for atom in ordered:
-        solutions, var_order = _join_atom(
-            solutions, var_order, atom, rel_map[atom.relation], index_for
-        )
+        solutions, var_order = _join_atom(solutions, var_order, atom, rel_map[atom.relation])
         if not solutions:
             break
 

@@ -4,15 +4,14 @@ The MMQJP join state (``Rbin``, ``Rdoc``, ``RdocTS``) and the per-template
 relations (``RT``) live in a :class:`Database`, mirroring how the paper keeps
 them as SQL Server tables.  :class:`IndexedDatabase` is the evaluation
 environment of the incremental join pipeline: a mapping from relation names
-to relations that additionally resolves an atom's join-key columns against
-persistent, incrementally maintained hash indexes.
+to relations whose values it interns into one id space.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping, Optional, Sequence
 
-from repro.relational.index import HashIndex
+from repro.relational.columnar import ColumnStore, ValueDictionary
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema, SchemaError
 
@@ -64,50 +63,28 @@ class Database:
 
 
 class IndexedDatabase:
-    """An evaluation environment with persistent per-relation hash indexes.
+    """The evaluation environment of the compiled plans and the delta pass.
 
     Looks like a mapping from relation names to :class:`Relation` (so
     :func:`~repro.relational.conjunctive.evaluate_conjunctive` accepts it
-    directly) and additionally answers :meth:`index_for`, which the
-    evaluator calls to resolve an atom's join-key columns:
+    directly).  The environment owns one
+    :class:`~repro.relational.columnar.ValueDictionary`, and every bound
+    relation gets a column store interning through it — one id space, so
+    cross-relation joins compare ids directly.  The plan executor and the
+    delta-reduction pass read relations only through those id columns.
 
     * Relations bound as **indexed** (the long-lived join state and the
-      per-template ``RT`` relations) answer with a live
-      :class:`~repro.relational.index.HashIndex`, built and memoized once
-      per (relation, key columns) and updated inline on every insert and
-      prune.
+      per-template ``RT`` relations) are *stable*: their stores follow the
+      relation incrementally and keep their memoized group indexes across
+      documents, and compiled plans key their stats epoch on them.
     * Relations bound as **ephemeral** (the current document's witnesses and
-      the per-document materialized views) answer ``None``, making the
-      evaluator fall back to its per-call hashing.
-
-    With ``columnar=True`` the environment owns one shared
-    :class:`~repro.relational.columnar.ValueDictionary` and every bound
-    relation gets a columnar sidecar interning through it (one id space, so
-    cross-relation joins compare ids directly); the vectorized fast paths
-    in the plan executor and the delta-reduction passes detect the
-    dictionary via :attr:`columnar_dictionary` and fall back to the row
-    path wherever a sidecar is unavailable.
+      the per-document materialized views) are encoded once per document.
     """
 
-    def __init__(self, columnar: bool = False, dictionary=None):
-        if columnar:
-            from repro.relational.columnar import ValueDictionary
-
-            self.columnar_dictionary = (
-                dictionary if dictionary is not None else ValueDictionary()
-            )
-        else:
-            self.columnar_dictionary = None
+    def __init__(self) -> None:
+        self.dictionary = ValueDictionary()
         self._relations: dict[str, Relation] = {}
         self._stable: set[str] = set()
-        #: Compiled-plan executions that left the vectorized path for the
-        #: row path (a sidecar or a packed probe key was unavailable).
-        self.execute_fallbacks = 0
-
-    @property
-    def columnar(self) -> bool:
-        """Whether this environment interns values for columnar evaluation."""
-        return self.columnar_dictionary is not None
 
     # ------------------------------------------------------------------ #
     # binding
@@ -115,15 +92,13 @@ class IndexedDatabase:
     def bind(self, name: str, relation: Relation, indexed: bool = False) -> Relation:
         """Bind ``relation`` under ``name`` (replacing any previous binding).
 
-        With ``indexed=True`` the relation's join keys are served from
-        persistent indexes and it is remembered as **stable**: long-lived
+        With ``indexed=True`` it is remembered as **stable**: long-lived
         and mutating incrementally, so compiled query plans may key their
         stats epoch on it — as opposed to the ephemeral per-document
         bindings.
         """
         self._relations[name] = relation
-        if self.columnar_dictionary is not None:
-            relation.enable_columnar(self.columnar_dictionary)
+        relation.enable_columnar(self.dictionary)
         if indexed:
             self._stable.add(name)
         else:
@@ -164,7 +139,7 @@ class IndexedDatabase:
         return list(self._relations)
 
     def is_stable(self, name: str) -> bool:
-        """Whether ``name`` is a long-lived (state/``RT``) binding, served from indexes.
+        """Whether ``name`` is a long-lived (state/``RT``) binding.
 
         Compiled plans track their stats epoch over stable relations only;
         ephemeral per-document bindings (witnesses, materialized views) must
@@ -175,33 +150,15 @@ class IndexedDatabase:
     def columnar_counters(self) -> dict[str, int]:
         """Column-store sync counters summed over the stable relations.
 
-        What keeping the long-lived state and ``RT`` sidecars current has
-        cost (:attr:`ColumnStore.COUNTERS
-        <repro.relational.columnar.ColumnStore.COUNTERS>`), plus this
-        environment's ``execute_fallbacks``; all zero with ``columnar``
-        off.  Per-document ephemeral relations are encoded once and
-        discarded, so they are not counted.
+        What keeping the long-lived state and ``RT`` column stores current
+        has cost (:attr:`ColumnStore.COUNTERS
+        <repro.relational.columnar.ColumnStore.COUNTERS>`).  Per-document
+        ephemeral relations are encoded once and discarded, so they are not
+        counted.
         """
-        from repro.relational.columnar import ColumnStore
-
         totals = dict.fromkeys(ColumnStore.COUNTERS, 0)
         for name in self._stable:
             store = self._relations[name]._colstore
-            if store is not None:
-                for counter in totals:
-                    totals[counter] += getattr(store, counter)
-        totals["execute_fallbacks"] = self.execute_fallbacks
+            for counter in totals:
+                totals[counter] += getattr(store, counter)
         return totals
-
-    # ------------------------------------------------------------------ #
-    # index resolution
-    # ------------------------------------------------------------------ #
-    def index_for(self, name: str, key_columns: Sequence) -> Optional[HashIndex]:
-        """A live index on ``key_columns`` of relation ``name``, or ``None``.
-
-        ``None`` (unknown or ephemeral relation) tells the evaluator to
-        hash the relation per call instead.
-        """
-        if name not in self._stable:
-            return None
-        return self._relations[name].index_on(key_columns)

@@ -1,8 +1,10 @@
 """Hash indexes over relations.
 
-The view cache of Section 5 (slices of ``RL`` keyed on string value), the
-witness lookup paths, and the incremental join pipeline all need fast
-equality lookup on one or more attributes; :class:`HashIndex` provides that.
+The view materialization of Section 5 (``RL`` slices keyed on string value,
+and the witness lookups that build them) needs fast equality lookup on one
+or more attributes of the join state; :class:`HashIndex` provides that.
+Stage 2's compiled plans probe id columns instead
+(:mod:`repro.relational.columnar`).
 
 Indexes are **live** when obtained through
 :meth:`~repro.relational.relation.Relation.index_on`: the owning relation

@@ -8,33 +8,10 @@ SQL engine would produce without DISTINCT).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from repro.relational import columnar
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema, SchemaError
-
-
-def _id_domain(values, dictionary) -> Optional[frozenset]:
-    """Translate a value set to an id domain; ``None`` = use the row path.
-
-    Values the dictionary has never interned cannot occur in any synced
-    column and are simply dropped; an *unhashable* value defeats interning
-    altogether (and could still compare equal to a row value), so the
-    caller must fall back to value-space comparison.
-    """
-    out = set()
-    get_id = dictionary.get_id
-    for v in values:
-        vid = get_id(v)
-        if vid is None:
-            try:
-                hash(v)
-            except TypeError:
-                return None
-            continue
-        out.add(vid)
-    return frozenset(out)
 
 
 # --------------------------------------------------------------------------- #
@@ -197,113 +174,6 @@ def natural_join(left: Relation, right: Relation, name: str = "") -> Relation:
         for rrow in table.get(key, ()):
             out.rows.append(lrow + tuple(rrow[i] for i in right_rest_idx))
     return out
-
-
-def semijoin_in(
-    relation: Relation,
-    column: int,
-    values,
-    extra: Sequence[tuple[int, object]] = (),
-    index=None,
-    name: str | None = None,
-) -> Relation:
-    """Restrict ``relation`` to rows whose ``column`` value is in ``values``.
-
-    The delta-reduction primitive of the semi-join pass: ``values`` is a
-    (small) set of values reachable from the current document's witness
-    relations, and ``extra`` is a sequence of further ``(column, value set)``
-    membership constraints applied to every candidate row.
-
-    With ``index`` (a :class:`~repro.relational.index.HashIndex` keyed on
-    exactly ``(column,)``), candidate rows are gathered by probing one
-    bucket per value, so the cost is proportional to the *matching* rows
-    plus ``len(values)`` — never to ``len(relation)``.  Without an index the
-    relation is scanned once.  Duplicate rows keep their multiplicity (bag
-    semantics), so joining against the reduced relation yields exactly the
-    rows the full relation would have contributed.
-    """
-    out = Relation(relation.schema, name=name if name is not None else relation.name)
-    rows = out.rows
-    if index is None and columnar.HAVE_NUMPY:
-        store = relation.column_store()
-        if store is not None:
-            constraints = [(column, _id_domain(values, store.dictionary))]
-            for c, allowed in extra:
-                constraints.append((c, _id_domain(allowed, store.dictionary)))
-            if all(dom is not None for _c, dom in constraints):
-                if all(dom for _c, dom in constraints):
-                    positions = columnar.select_positions(
-                        store.columns(), len(store), constraints
-                    )
-                    base_rows = relation.rows
-                    rows.extend(base_rows[i] for i in positions.tolist())
-                return out
-    if index is not None:
-        lookup_key = index.lookup_key
-        if extra:
-            for value in values:
-                for row in lookup_key((value,)):
-                    if all(row[c] in allowed for c, allowed in extra):
-                        rows.append(row)
-        else:
-            for value in values:
-                rows.extend(lookup_key((value,)))
-        return out
-    if extra:
-        for row in relation.rows:
-            if row[column] in values and all(
-                row[c] in allowed for c, allowed in extra
-            ):
-                rows.append(row)
-    else:
-        for row in relation.rows:
-            if row[column] in values:
-                rows.append(row)
-    return out
-
-
-def column_value_set(
-    relation: Relation,
-    column: int,
-    const_checks: Sequence[tuple[int, object]] = (),
-) -> frozenset:
-    """The distinct values of one column, optionally under constant checks.
-
-    Seeds the variable domains of the semi-join reduction pass: for a delta
-    (witness) atom, the values its variable can take are exactly the
-    column's values over the rows satisfying the atom's constants.
-    """
-    if columnar.HAVE_NUMPY:
-        store = relation.column_store()
-        if store is not None:
-            constraints = []
-            usable = True
-            for c, v in const_checks:
-                dom = _id_domain((v,), store.dictionary)
-                if dom is None:
-                    usable = False  # unhashable constant: value-space scan
-                    break
-                if not dom:
-                    return frozenset()  # the constant occurs nowhere
-                constraints.append((c, dom))
-            if usable:
-                cols = store.columns()
-                if constraints:
-                    positions = columnar.select_positions(
-                        cols, len(store), constraints
-                    )
-                    ids = columnar.distinct_ids(cols[column], positions)
-                else:
-                    ids = columnar.distinct_ids(cols[column])
-                value_of = store.dictionary.value_of
-                return frozenset(value_of(i) for i in ids)
-    if const_checks:
-        return frozenset(
-            row[column]
-            for row in relation.rows
-            if all(row[c] == v for c, v in const_checks)
-        )
-    return frozenset(row[column] for row in relation.rows)
 
 
 def semijoin(left: Relation, right: Relation, on: Sequence[tuple[str, str]]) -> Relation:

@@ -17,12 +17,11 @@ into a :class:`CompiledPlan`:
   within-atom equality checks, and
 * precomputed **head projection** operations and the output schema object,
 
-so that :meth:`CompiledPlan.execute` is a tight probe loop with zero
-planning, schema lookup or term introspection per call.  The step's
-``key_cols`` are ordered exactly like the per-call evaluator's (join columns
-first, then constant columns), so compiled plans share the same persistent
-:class:`~repro.relational.index.HashIndex` objects through
-:meth:`~repro.relational.database.IndexedDatabase.index_for`.
+so that :meth:`CompiledPlan.execute` is a batch probe over interned id
+columns with zero planning, schema lookup or term introspection per call.
+A step's ``key_cols`` (join columns first, then constant columns) name the
+memoized :class:`~repro.relational.columnar.GroupIndex` it probes, so every
+plan joining a stable relation on the same columns shares one index.
 
 A plan's join order is only a heuristic — the *result set* is identical for
 any order — but it should track the statistics it was optimized against.
@@ -39,6 +38,8 @@ from __future__ import annotations
 
 from itertools import repeat
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.relational import columnar
 from repro.relational.conjunctive import (
@@ -86,15 +87,14 @@ class PlanStep:
         environment at execution time (witness relations are rebound per
         document).
     key_cols:
-        Probe-key columns for :meth:`IndexedDatabase.index_for` — join
-        columns followed by constant columns, matching the per-call
-        evaluator so persistent indexes are shared.
-    const_checks / const_key:
-        ``(column, value)`` constant constraints, and the values alone (the
-        key suffix for index probes).
-    join_cols / join_positions:
-        Columns joined against already-bound variables, and those variables'
-        positions in the partial-solution tuple.
+        The columns of the step's group index — join columns followed by
+        constant columns.
+    const_checks:
+        ``(column, value)`` constant constraints.
+    join_positions:
+        The positions, in the partial solution, of the already-bound
+        variables the join columns (the first ``key_cols``) are joined
+        against.
     new_var_cols:
         Columns whose values extend the solution tuple (fresh variables).
     within_eq:
@@ -105,8 +105,6 @@ class PlanStep:
         "relation_name",
         "key_cols",
         "const_checks",
-        "const_key",
-        "join_cols",
         "join_positions",
         "new_var_cols",
         "within_eq",
@@ -116,12 +114,10 @@ class PlanStep:
         const_checks, join_cols, new_vars, within_eq = _analyze_atom(atom, var_pos)
         self.relation_name = atom.relation
         self.const_checks = tuple(const_checks)
-        self.const_key = tuple(v for _, v in const_checks)
-        self.join_cols = tuple(c for c, _ in join_cols)
         self.join_positions = tuple(p for _, p in join_cols)
         self.new_var_cols = tuple(c for c, _ in new_vars)
         self.within_eq = tuple(within_eq)
-        self.key_cols = self.join_cols + tuple(c for c, _ in const_checks)
+        self.key_cols = tuple(c for c, _ in join_cols) + tuple(c for c, _ in const_checks)
         for _, name in new_vars:
             var_pos[name] = len(var_pos)
 
@@ -249,6 +245,15 @@ class CompiledPlan:
     ) -> Relation:
         """Evaluate the plan against ``relations`` and return the head relation.
 
+        ``relations`` is an environment with a value dictionary
+        (:class:`~repro.relational.database.IndexedDatabase`); any other
+        mapping is a :class:`TypeError`.  The partial-solution table is one
+        int64 id array per bound variable; each step batch-probes a
+        memoized :class:`~repro.relational.columnar.GroupIndex` over the
+        step relation's id columns, and the matches expand through
+        ``repeat``/``cumsum`` arithmetic.  Only the head is decoded back to
+        values.
+
         ``growth_limit`` (used by :class:`PlanCache` for cached plans)
         raises :class:`PlanBudgetExceeded` as soon as any step's
         intermediate solution set exceeds the limit, so a frozen order that
@@ -256,154 +261,22 @@ class CompiledPlan:
         re-planned instead of running to completion.
 
         ``step_relations`` (from :meth:`reduced_step_relations`) substitutes
-        a delta-reduced relation for individual steps; reduced steps run on
-        the ad-hoc path — the reduced relation is delta-sized, so hashing it
-        per call costs what one index probe pass would.
+        a delta-reduced relation for individual steps.
         """
+        dictionary = getattr(relations, "dictionary", None)
+        if dictionary is None:
+            raise TypeError(
+                "CompiledPlan.execute needs an IndexedDatabase environment, "
+                f"got {type(relations).__name__}"
+            )
         out = self.empty_head()
         if not self.steps:
             if self.const_row is not None:
                 out.rows.append(self.const_row)
             return out
 
-        dictionary = getattr(relations, "columnar_dictionary", None)
-        if dictionary is not None and columnar.HAVE_NUMPY:
-            result = self._execute_columnar(
-                relations, dictionary, growth_limit, step_relations, out
-            )
-            if result is not None:
-                return result
-            relations.execute_fallbacks += 1
-
         lookup = _lookup_of(relations)
-        index_for = getattr(relations, "index_for", None)
-        limited = growth_limit is not None
-        solutions: list[tuple] = [()]
-        for step_index, step in enumerate(self.steps):
-            override = (
-                step_relations[step_index] if step_relations is not None else None
-            )
-            new_vars = step.new_var_cols
-            eq = step.within_eq
-            positions = step.join_positions
-            index = (
-                index_for(step.relation_name, step.key_cols)
-                if (override is None and index_for is not None and step.key_cols)
-                else None
-            )
-            new_solutions: list[tuple] = []
-            if index is not None:
-                # Persistent-index path: probe prebuilt buckets directly.
-                const_key = step.const_key
-                lookup_key = index.lookup_key
-                if positions:
-                    for sol in solutions:
-                        if limited and len(new_solutions) > growth_limit:
-                            raise PlanBudgetExceeded(self._budget_message(step))
-                        key = tuple(sol[p] for p in positions) + const_key
-                        for row in lookup_key(key):
-                            if eq and not all(row[a] == row[b] for a, b in eq):
-                                continue
-                            new_solutions.append(
-                                sol + tuple(row[c] for c in new_vars)
-                            )
-                else:
-                    rows = lookup_key(const_key)
-                    if eq:
-                        rows = [
-                            r for r in rows if all(r[a] == r[b] for a, b in eq)
-                        ]
-                    if limited and len(solutions) * len(rows) > growth_limit:
-                        raise PlanBudgetExceeded(self._budget_message(step))
-                    extensions = [tuple(r[c] for c in new_vars) for r in rows]
-                    for sol in solutions:
-                        for extension in extensions:
-                            new_solutions.append(sol + extension)
-            else:
-                # Ad-hoc path (ephemeral witness/view relations, and
-                # delta-reduced state relations): hash the relation's rows
-                # per call, keyed on the join columns.
-                relation = override if override is not None else lookup(step.relation_name)
-                if relation is None:
-                    raise SchemaError(
-                        f"unknown relation {step.relation_name!r} in compiled plan"
-                    )
-                consts = step.const_checks
-                join_cols = step.join_cols
-                buckets: dict[tuple, list[tuple]] = {}
-                for row in relation.rows:
-                    if consts and not all(row[c] == v for c, v in consts):
-                        continue
-                    if eq and not all(row[a] == row[b] for a, b in eq):
-                        continue
-                    key = tuple(row[c] for c in join_cols)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = bucket = []
-                    bucket.append(row)
-                if positions:
-                    for sol in solutions:
-                        if limited and len(new_solutions) > growth_limit:
-                            raise PlanBudgetExceeded(self._budget_message(step))
-                        key = tuple(sol[p] for p in positions)
-                        for row in buckets.get(key, ()):
-                            new_solutions.append(
-                                sol + tuple(row[c] for c in new_vars)
-                            )
-                else:
-                    matched = buckets.get((), ())
-                    if limited and len(solutions) * len(matched) > growth_limit:
-                        raise PlanBudgetExceeded(self._budget_message(step))
-                    extensions = [tuple(r[c] for c in new_vars) for r in matched]
-                    for sol in solutions:
-                        for extension in extensions:
-                            new_solutions.append(sol + extension)
-            solutions = new_solutions
-            if not solutions:
-                return out
-
-        if self.head_ops is None:
-            # Mirrors the per-call evaluator: the unbound-head error is only
-            # raised when there are solutions to project.
-            raise SchemaError(self.head_error)
-        rows = out.rows
-        if self.distinct:
-            seen: set[tuple] = set()
-            for sol in solutions:
-                row = tuple(v if const else sol[v] for const, v in self.head_ops)
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-        else:
-            for sol in solutions:
-                rows.append(tuple(v if const else sol[v] for const, v in self.head_ops))
-        return out
-
-    def _execute_columnar(
-        self,
-        relations: Mapping[str, Relation],
-        dictionary,
-        growth_limit: Optional[int],
-        step_relations: Optional[Sequence],
-        out: Relation,
-    ) -> Optional[Relation]:
-        """Vectorized execution over packed id columns, or ``None``.
-
-        The partial-solution table is a list of per-variable int64 id
-        arrays; each step batch-probes a memoized
-        :class:`~repro.relational.columnar.GroupIndex` over the step
-        relation's id columns and the matches expand through
-        ``repeat``/``cumsum`` arithmetic instead of a per-solution Python
-        loop.  Returns ``None`` when any step lacks a usable sidecar or a
-        packed probe key cannot be formed — both are settled for every step
-        before the first probe, so the row path the caller falls back to
-        repeats no work.  The same growth budget applies as on the row path
-        (totals are checked per step, so a breach can trigger at slightly
-        different points; :class:`PlanCache` re-plans either way).
-        """
-        np = columnar._np
-        lookup = _lookup_of(relations)
-        resolved = []
+        stores = []
         for step_index, step in enumerate(self.steps):
             override = (
                 step_relations[step_index] if step_relations is not None else None
@@ -415,30 +288,20 @@ class CompiledPlan:
                 )
             store = relation.column_store()
             if store is None or store.dictionary is not dictionary:
-                return None
-            # Ids stay below len(dictionary): only a key of enough columns
-            # can pack past int64, and only those groups are built up front.
-            if (
-                step.join_positions
-                and len(dictionary) ** len(step.key_cols) > columnar._PACK_LIMIT
-                and store.group(step.key_cols) is None
-            ):
-                return None
-            resolved.append(store)
+                raise ValueError(
+                    f"relation {step.relation_name!r} is not bound in this environment"
+                )
+            stores.append(store)
 
         limited = growth_limit is not None
         sols: list = []  # one int64 id array per bound variable
         num_sols = 1     # starts at the single empty solution
-        for step, store in zip(self.steps, resolved):
+        for step, store in zip(self.steps, stores):
             cols = store.columns()
             const_ids: list[int] = []
             for _col, value in step.const_checks:
                 cid = dictionary.get_id(value)
                 if cid is None:
-                    try:
-                        hash(value)
-                    except TypeError:
-                        return None  # unhashable constant: row-path equality
                     return out  # the constant occurs nowhere in this state
                 const_ids.append(cid)
             eq = step.within_eq
@@ -448,10 +311,7 @@ class CompiledPlan:
                 probe_cols.extend(
                     np.full(num_sols, cid, dtype=np.int64) for cid in const_ids
                 )
-                hit = store.probe(step.key_cols, probe_cols)
-                if hit is None:
-                    return None  # packed key would overflow int64: row path
-                probe_idx, row_pos = hit
+                probe_idx, row_pos = store.probe(step.key_cols, probe_cols)
                 if eq and len(row_pos):
                     mask = None
                     for a, b in eq:
@@ -464,14 +324,11 @@ class CompiledPlan:
                 sols.extend(cols[c][row_pos] for c in step.new_var_cols)
                 num_sols = len(row_pos)
             else:
-                if const_ids:
-                    constraints = [
-                        (col, frozenset((cid,)))
-                        for (col, _v), cid in zip(step.const_checks, const_ids)
-                    ]
-                    matched = columnar.select_positions(cols, len(store), constraints)
-                else:
-                    matched = np.arange(len(store), dtype=np.int64)
+                constraints = [
+                    (col, frozenset((cid,)))
+                    for (col, _v), cid in zip(step.const_checks, const_ids)
+                ]
+                matched = columnar.select_positions(cols, len(store), constraints)
                 if eq and len(matched):
                     mask = None
                     for a, b in eq:
@@ -490,9 +347,11 @@ class CompiledPlan:
                 return out
 
         if self.head_ops is None:
+            # Mirrors the per-call evaluator: the unbound-head error is only
+            # raised when there are solutions to project.
             raise SchemaError(self.head_error)
         rows = out.rows
-        if not self.head_ops:  # zero-arity head: same dedup as the row path
+        if not self.head_ops:  # zero-arity head
             if self.distinct:
                 rows.append(())
             else:

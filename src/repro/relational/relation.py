@@ -289,19 +289,18 @@ class Relation:
         return len(self._indexes)
 
     # ------------------------------------------------------------------ #
-    # the columnar sidecar (see repro.relational.columnar)
+    # the id columns (see repro.relational.columnar)
     # ------------------------------------------------------------------ #
     def enable_columnar(self, dictionary) -> None:
-        """Attach a columnar sidecar interning through ``dictionary``.
+        """Attach a column store interning through ``dictionary``.
 
         Idempotent per dictionary; binding the same relation into a
-        different columnar environment re-homes the sidecar.  Enabling it
-        costs nothing until a columnar fast path asks :meth:`column_store`
-        for the columns; from that first sync on, appends are encoded
-        lazily (suffix only) and :meth:`swap_delete_at` /
-        :meth:`PartitionedRelation.drop_partitions` of a row prefix are
-        mirrored into the sidecar as they happen.  Every other delete
-        leaves it to re-encode all rows on its next use.
+        different environment re-homes the store.  Attaching it costs
+        nothing until :meth:`column_store` is asked for the columns; from
+        that first sync on, appends are encoded lazily (suffix only) and
+        :meth:`swap_delete_at` / :meth:`PartitionedRelation.drop_partitions`
+        of a row prefix are mirrored into the store as they happen.  Every
+        other delete leaves it to re-encode all rows on its next use.
         """
         from repro.relational.columnar import ColumnStore
 
@@ -310,23 +309,28 @@ class Relation:
             self._colstore = ColumnStore(len(self.schema), dictionary)
 
     def column_store(self):
-        """The synced columnar sidecar, or ``None`` when unavailable.
+        """The synced column store, or ``None`` when none is attached.
 
-        Returns ``None`` when no sidecar is attached (non-columnar
-        environments) or when it disabled itself (unhashable row values).
         The validity stamp is ``(version, len(rows), deletes)`` — the same
         trick the NDV cache uses to also catch direct ``rows``
         manipulation by legacy callers.  A stamp that moved by appends
-        alone costs the new suffix; a delete counter the sidecar was not
+        alone costs the new suffix; a delete counter the store was not
         told about (see :meth:`enable_columnar`) costs a full re-encode.
+        A row value that cannot be interned raises :class:`TypeError`.
         """
         store = self._colstore
-        if store is None or store.disabled:
+        if store is None:
             return None
         rows = self.rows
         stamp = (self._version, len(rows), self._deletes)
-        if store.stamp != stamp and not store.sync(rows, stamp):
-            return None
+        if store.stamp != stamp:
+            try:
+                store.sync(rows, stamp)
+            except TypeError as exc:
+                raise TypeError(
+                    f"relation {self.name or '<anonymous>'!r} holds an unhashable "
+                    f"value, which cannot be joined on: {exc}"
+                ) from None
         return store
 
     def _mirroring_store(self):
@@ -343,11 +347,11 @@ class Relation:
         return None
 
     def _attach_store(self, store) -> None:
-        """Adopt a precomputed (frozen) sidecar — derived-relation path."""
+        """Adopt a precomputed (frozen) store — derived-relation path."""
         self._colstore = store
 
     def _stamp(self) -> tuple[int, int, int]:
-        """The mutation stamp sidecars validate against."""
+        """The mutation stamp column stores validate against."""
         return (self._version, len(self.rows), self._deletes)
 
     @property
@@ -391,13 +395,9 @@ class Relation:
         if cached is not None and cached[0] == stamp:
             return cached[1]
         store = self._colstore
-        if (
-            store is not None
-            and not store.disabled
-            and store.stamp == (stamp[0], stamp[1], self._deletes)
-        ):
-            # Columnar fast path over an already-synced sidecar (a derived
-            # reduced relation, typically) — no new interning is forced.
+        if store is not None and store.stamp == (stamp[0], stamp[1], self._deletes):
+            # Over an already-synced column store (a derived reduced
+            # relation, typically) — no new interning is forced.
             from repro.relational.columnar import distinct_ids
 
             count = len(distinct_ids(store.columns()[column_index]))

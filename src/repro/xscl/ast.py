@@ -230,40 +230,3 @@ class XsclQuery:
             f"({len(self.join.predicates)} value joins, window={self.join.window})>"
         )
 
-
-def rename_variables_deepcopy(query: XsclQuery, mapping: dict[str, str]) -> XsclQuery:
-    """The historical deepcopy-based rename, kept as the benchmark baseline.
-
-    Identical result to :meth:`XsclQuery.rename_variables`; it clones the
-    frozen path layer too, which dominated subscribe latency.
-    """
-    import copy
-
-    def rename_block(block: Optional[QueryBlock]) -> Optional[QueryBlock]:
-        if block is None:
-            return None
-        pattern = copy.deepcopy(block.pattern)
-        for node in pattern.iter_nodes():
-            if node.variable is not None:
-                node.variable = mapping.get(node.variable, node.variable)
-        return QueryBlock(pattern=pattern)
-
-    new_join = None
-    if query.join is not None:
-        new_join = JoinSpec(
-            operator=query.join.operator,
-            predicates=tuple(
-                ValueJoinPredicate(
-                    mapping.get(p.left_var, p.left_var),
-                    mapping.get(p.right_var, p.right_var),
-                )
-                for p in query.join.predicates
-            ),
-            window=query.join.window,
-        )
-    return replace(
-        query,
-        left=rename_block(query.left),
-        right=rename_block(query.right),
-        join=new_join,
-    )

@@ -10,7 +10,6 @@ sets explicitly keeps its value.
 from __future__ import annotations
 
 import ast
-import contextlib
 import dataclasses
 import random
 from typing import Iterable
@@ -18,7 +17,6 @@ from typing import Iterable
 import pytest
 from hypothesis import strategies as st
 
-import repro.relational.columnar as columnar
 from repro.config import RuntimeConfig
 from repro.workloads.querygen import generate_query
 from repro.workloads.synthetic import build_document
@@ -169,26 +167,3 @@ def make_document(i: int, values) -> XmlDocument:
 def make_documents(specs) -> list[XmlDocument]:
     return [make_document(i, values) for i, values in enumerate(specs)]
 
-
-#: The two columnar kernels a test can run on in one process.
-COLUMNAR_KERNELS = ("numpy", "array")
-
-
-@contextlib.contextmanager
-def columnar_kernel(name: str):
-    """Run on the numpy kernels or force the stdlib-``array`` fallback.
-
-    ``HAVE_NUMPY`` is decided once at import, so both kernels in one run
-    means patching the module (forked shard workers inherit the patch).  A
-    context manager, not a fixture: hypothesis tests cannot take
-    function-scoped fixtures.
-    """
-    if name == "numpy" and not columnar.HAVE_NUMPY:
-        pytest.skip("numpy unavailable in this environment")
-    saved = columnar._np, columnar.HAVE_NUMPY
-    if name == "array":
-        columnar._np, columnar.HAVE_NUMPY = None, False
-    try:
-        yield
-    finally:
-        columnar._np, columnar.HAVE_NUMPY = saved

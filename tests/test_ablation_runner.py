@@ -42,7 +42,7 @@ def runs(docs: list) -> list:
 
 
 def test_flips_apply_only_where_the_spec_config_lets_them_act():
-    universal = ["columnar", "metrics"]
+    universal = ["metrics"]
     for name, spec in inputs.SPECS.items():
         applied = {flip[0] for flip in ablation.FLIPS if ablation.applies(flip, spec.config)}
         expected = set(universal)
@@ -53,13 +53,13 @@ def test_flips_apply_only_where_the_spec_config_lets_them_act():
         assert applied == expected, name
     assert ablation.applies(("executor", "threads"), (("shards", 2),))
     assert not ablation.applies(("executor", "threads"), (("shards", 1),))
-    assert ablation.parse_flip("columnar=False") == ("columnar", False)
+    assert ablation.parse_flip("auto_prune=False") == ("auto_prune", False)
     assert ablation.parse_flip("executor=threads") == ("executor", "threads")
     assert ablation.label(("executor", "threads")) == "executor=threads"
 
 
 def test_verdicts_and_ranking_from_fabricated_records():
-    flips = [("route_dispatch", False), ("columnar", False), ("metrics", True), ("durability", "relaxed")]
+    flips = [("route_dispatch", False), ("auto_prune", False), ("metrics", True), ("durability", "relaxed")]
     records = {}
     for workload in ("w1", "w2"):
         records[(workload, "default")] = runs(BASE_DOCS)
@@ -68,7 +68,7 @@ def test_verdicts_and_ranking_from_fabricated_records():
             [d / 2 for d in BASE_DOCS] if workload == "w1" else BASE_DOCS[::-1]
         )
         # a harmful default: turning it off wins every pair on w1
-        records[(workload, "columnar=False")] = runs(
+        records[(workload, "auto_prune=False")] = runs(
             [d * 1.3 for d in BASE_DOCS] if workload == "w1" else BASE_DOCS[1:] + BASE_DOCS[:1]
         )
         # priced at zero everywhere: the same values, in another order
@@ -88,10 +88,10 @@ def test_verdicts_and_ranking_from_fabricated_records():
     assert cells[("w2", "route_dispatch=False")]["metrics"]["docs_per_s"]["verdict"] == "unchanged"
 
     ranking = ablation.ranking(rows)
-    assert list(ranking["worst_docs_per_s_ratio"]) == ["route_dispatch", "columnar", "metrics"]
+    assert list(ranking["worst_docs_per_s_ratio"]) == ["route_dispatch", "auto_prune", "metrics"]
     assert ranking["worst_docs_per_s_ratio"]["route_dispatch"] == 0.5
     assert ranking["harmful_defaults"] == [
-        {"flip": "columnar=False", "workload": "w1", "improved": ["docs_per_s", "publish_p50_ms"]}
+        {"flip": "auto_prune=False", "workload": "w1", "improved": ["docs_per_s", "publish_p50_ms"]}
     ]
     assert ranking["deletion_candidates"] == ["metrics"]
 
@@ -99,18 +99,18 @@ def test_verdicts_and_ranking_from_fabricated_records():
 @pytest.mark.parametrize("broken", [None, record(100.0, 10.0, correct=False)], ids=["no-record", "incorrect"])
 def test_a_failed_or_incorrect_child_fails_its_cell_and_the_run(broken, monkeypatch, tmp_path, capsys):
     def launch(workload, flip, seed, args):
-        return broken if flip == ("columnar", False) else record(100.0, 10.0)
+        return broken if flip == ("auto_prune", False) else record(100.0, 10.0)
 
     monkeypatch.setattr(ablation, "launch", launch)
     out = tmp_path / "ablation.json"
     argv = ["--rounds", "2", "--workloads", "ingest_cites",
-            "--flip", "metrics=True", "--flip", "columnar=False", "--out", str(out)]
+            "--flip", "metrics=True", "--flip", "auto_prune=False", "--out", str(out)]
     assert ablation.main(argv) == 1
     written = json.loads(out.read_text())
     verdicts = {row["flip"]: row.get("verdict") for row in written["rows"]}
-    assert verdicts == {"metrics=True": None, "columnar=False": "failed"}
+    assert verdicts == {"metrics=True": None, "auto_prune=False": "failed"}
     assert written["meta"]["rounds"] == 2
-    assert "failed: ingest_cites columnar=False" in capsys.readouterr().out
+    assert "failed: ingest_cites auto_prune=False" in capsys.readouterr().out
     assert ablation.main(argv[:-4] + ["--out", str(out)]) == 0  # metrics alone
     assert "deleted" not in json.loads(out.read_text())
 
@@ -120,6 +120,6 @@ def test_a_rewrite_keeps_the_deleted_knobs_rows(monkeypatch, tmp_path):
     out = tmp_path / "ablation.json"
     old = {"meta": {"commit": "parent"}, "rows": [], "ranking": {}}
     out.write_text(json.dumps({"rows": [], "deleted": [old]}))
-    argv = ["--rounds", "1", "--workloads", "dblp_steady", "--flip", "columnar=False", "--out", str(out)]
+    argv = ["--rounds", "1", "--workloads", "dblp_steady", "--flip", "metrics=True", "--out", str(out)]
     assert ablation.main(argv) == 0
     assert json.loads(out.read_text())["deleted"] == [old]

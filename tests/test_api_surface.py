@@ -7,7 +7,10 @@ never happen by accident.  Every symbol in ``__all__`` must also resolve.
 
 from __future__ import annotations
 
+import importlib
 import os
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +175,19 @@ def test_every_public_symbol_resolves(module):
 def test_py_typed_marker_ships():
     marker = os.path.join(os.path.dirname(repro.__file__), "py.typed")
     assert os.path.exists(marker), "the py.typed marker must ship with the package"
+
+
+def test_pyproject_agrees_with_the_package_version():
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        pyproject = tomllib.load(f)
+    project = pyproject["project"]
+    # The version is written once, in the package, and read from there.
+    assert "version" not in project and "version" in project["dynamic"]
+    module, _, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert getattr(importlib.import_module(module), name) == repro.__version__
+    # numpy is required: Stage 2 has no kernel without it.
+    assert any(dep.startswith("numpy") for dep in project["dependencies"])
+    assert "fast" not in project["optional-dependencies"]
 
 
 def test_subscription_lifecycle_surface():

@@ -1,36 +1,30 @@
-"""Columnar storage: the interned-id sidecar, vectorized kernels and knob.
+"""The join state's layout: interned ids in column stores, and their kernels.
 
 Covers the :mod:`repro.relational.columnar` building blocks (dictionary,
-sidecar sync, group index), the columnar fast paths in the operators and the
-plan executor (always against their row-path results), and the ``columnar``
-knob's route through the config, the processors and the engines.
+store sync, group index and its three key packings), the plan executor
+against the row reference :func:`evaluate_conjunctive`, the delta pass's id
+domains, and a sliding-window broker session against ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
+import random
+from functools import partial
+
+import numpy as np
 import pytest
 
 import repro.relational.columnar as columnar
 from repro import RuntimeConfig, open_broker
-from repro.core.engine import make_engine
-from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
-from repro.relational.columnar import (
-    ColumnStore,
-    GroupIndex,
-    ValueDictionary,
-    distinct_ids,
-    select_positions,
-)
-from repro.relational.conjunctive import ConjunctiveQuery, DeltaContext
+from repro.relational.columnar import ColumnStore, ValueDictionary, distinct_ids, select_positions
+from repro.relational.conjunctive import ConjunctiveQuery, DeltaContext, evaluate_conjunctive
 from repro.relational.database import IndexedDatabase
-from repro.relational.operators import column_value_set, semijoin_in
-from repro.relational.plan import compile_plan
+from repro.relational.plan import PlanCache, compile_plan
 from repro.relational.relation import PartitionedRelation, Relation
 from repro.relational.terms import Const, Var
-
-numpy_only = pytest.mark.skipif(
-    not columnar.HAVE_NUMPY, reason="numpy unavailable in this environment"
-)
+from repro.xmlmodel import parse_document
+from tests import oracle
+from tests.test_oracle_agreement import run_script
 
 
 # --------------------------------------------------------------------------- #
@@ -107,32 +101,35 @@ def test_store_survives_retained_views_across_sync():
     retained = store.columns()
     rel.insert((3,))
     store = rel.column_store()
-    assert store is not None and not store.disabled
     assert _decode(store) == [(1,), (2,), (3,)]
-    if columnar.HAVE_NUMPY:
-        assert len(retained[0]) == 2  # the old view still sees the old prefix
+    assert len(retained[0]) == 2  # the old view still sees the old prefix
 
 
-def test_store_disables_on_unhashable_row_values():
-    rel = Relation(["a"], rows=[(1,)])
-    rel.enable_columnar(ValueDictionary())
-    assert rel.column_store() is not None
+def test_an_unhashable_value_is_a_type_error_naming_its_relation():
+    rel = Relation(["a"], rows=[(1,)], name="Rdoc")
+    env = IndexedDatabase()
+    env.bind("Rdoc", rel, indexed=True)
+    store = rel.column_store()
     rel.insert(([1, 2],))  # lists cannot be interned
-    assert rel.column_store() is None
+    with pytest.raises(TypeError, match="'Rdoc' holds an unhashable value"):
+        rel.column_store()
+    assert store.stamp != rel._stamp() and len(store) == 1  # left as it was
+    cq = ConjunctiveQuery("out", ["a"], [Var("a")])
+    cq.add_atom("Rdoc", [Var("a")])
+    with pytest.raises(TypeError, match="'Rdoc'"):
+        PlanCache().evaluate(cq, env)
 
 
-def test_frozen_store_disables_when_its_relation_mutates():
+def test_frozen_store_reencodes_when_its_relation_mutates():
     dictionary = ValueDictionary()
     ids = [dictionary.id_of(v) for v in ("x", "y")]
     derived = Relation(["a"], rows=[("x",), ("y",)])
     derived._attach_store(
-        ColumnStore.from_columns(
-            [columnar.array("q", ids)], dictionary, derived._stamp()
-        )
+        ColumnStore.from_columns([np.array(ids, dtype=np.int64)], dictionary, derived._stamp())
     )
-    assert derived.column_store() is not None
+    assert _decode(derived.column_store()) == [("x",), ("y",)]
     derived.insert(("z",))
-    assert derived.column_store() is None
+    assert _decode(derived.column_store()) == [("x",), ("y",), ("z",)]
 
 
 def test_enable_columnar_rehomes_on_new_dictionary():
@@ -229,13 +226,13 @@ def test_store_survives_retained_views_across_mirrored_deletes():
     retained.append(flat_store.columns())
     flat.swap_delete_at(0)
     assert _decode(flat.column_store()) == flat.rows == [(3,), (1,), (2,)]
-    if columnar.HAVE_NUMPY:  # the old views still see the old rows
-        assert [len(view[0]) for view in retained] == [6, 4, 4]
-        assert retained[2][0].tolist() == [flat_store.dictionary.get_id(i) for i in range(4)]
+    # the old views still see the old rows
+    assert [len(view[0]) for view in retained] == [6, 4, 4]
+    assert retained[2][0].tolist() == [flat_store.dictionary.get_id(i) for i in range(4)]
 
 
 # --------------------------------------------------------------------------- #
-# selection kernels (both modes)
+# selection kernels
 # --------------------------------------------------------------------------- #
 def test_select_positions_and_distinct_ids_match_bruteforce():
     rel = Relation(
@@ -260,27 +257,10 @@ def test_select_positions_and_distinct_ids_match_bruteforce():
     assert {d.value_of(i) for i in ids} == {0, 1, 2, 3}
 
 
-def test_kernels_pure_array_fallback(monkeypatch):
-    monkeypatch.setattr(columnar, "_np", None)
-    rel = Relation(["a"], rows=[(i % 5,) for i in range(20)])
-    d = ValueDictionary()
-    store = _stored(rel, d)
-    cols = store.columns()
-    assert isinstance(cols[0], columnar.array)
-    dom = frozenset({d.id_of(2), d.id_of(4)})
-    got = select_positions(cols, len(store), [(0, dom)])
-    assert list(got) == [i for i, row in enumerate(rel.rows) if row[0] in (2, 4)]
-    assert {d.value_of(i) for i in distinct_ids(cols[0], got)} == {2, 4}
-    assert store.group((0,)) is None  # vectorized joins report unavailable
-    assert store.probe((0,), [None]) is None
-
-
 # --------------------------------------------------------------------------- #
 # GroupIndex
 # --------------------------------------------------------------------------- #
-@numpy_only
 def test_group_probe_matches_bucket_semantics():
-    np = columnar._np
     rel = Relation(
         ["a", "b", "c"],
         rows=[(i % 3, i % 2, i) for i in range(30)],
@@ -302,9 +282,7 @@ def test_group_probe_matches_bucket_semantics():
     assert got == expected  # probe-major, original row order within a key
 
 
-@numpy_only
 def test_group_survives_appends_via_suffix_probe():
-    np = columnar._np
     rel = Relation(["a"], rows=[(i % 4,) for i in range(16)])
     d = ValueDictionary()
     store = _stored(rel, d)
@@ -323,7 +301,6 @@ def test_group_survives_appends_via_suffix_probe():
     assert got == sorted(got, key=lambda pr: (pr[0], pr[1]))
 
 
-@numpy_only
 def test_group_rebuilds_once_suffix_outgrows_prefix():
     rel = Relation(["a"], rows=[(i,) for i in range(8)])
     store = _stored(rel)
@@ -336,7 +313,6 @@ def test_group_rebuilds_once_suffix_outgrows_prefix():
 
 
 def _probe_pairs(store: ColumnStore, rel: Relation, values) -> list[tuple]:
-    np = columnar._np
     get_id = store.dictionary.get_id
     probe = [np.array([get_id(v) for v in values], dtype=np.int64)]
     probe_idx, row_pos = store.probe((1,), probe)
@@ -347,7 +323,6 @@ def _probe_pairs(store: ColumnStore, rel: Relation, values) -> list[tuple]:
     return got
 
 
-@numpy_only
 def test_group_survives_prefix_drops_by_masking_dead_rows():
     rows = [(f"d{d}", f"v{(d + i) % 5}") for d in range(40) for i in range(3)]
     rel = PartitionedRelation(["docid", "v"], rows=rows)
@@ -375,7 +350,6 @@ def test_group_survives_prefix_drops_by_masking_dead_rows():
     _probe_pairs(store, rel, values)
 
 
-@numpy_only
 def test_group_outlives_the_rows_it_was_built_over():
     rel = PartitionedRelation(["docid", "v"], rows=_docs(3, 3))
     store = _stored(rel)
@@ -388,7 +362,6 @@ def test_group_outlives_the_rows_it_was_built_over():
     assert _probe_pairs(store, rel, ["v0", "v1", "v2"]) == [(0, 0), (1, 1), (2, 2)]
 
 
-@numpy_only
 def test_swap_delete_discards_group_indexes():
     rel = Relation(["q", "v"], rows=[(f"q{i}", f"v{i % 3}") for i in range(9)])
     store = _stored(rel)
@@ -399,69 +372,51 @@ def test_swap_delete_discards_group_indexes():
     _probe_pairs(store, rel, ["v0", "v1", "v2"])
 
 
-@numpy_only
-def test_group_overflow_reports_unavailable():
-    np = columnar._np
-    rel = Relation(["a", "b"], rows=[(1, 2)])
-    store = _stored(rel)
-    huge = int(columnar._PACK_LIMIT)
-    cols = [
-        np.array([huge - 1], dtype=np.int64),
-        np.array([huge - 1], dtype=np.int64),
-    ]
-    assert columnar._build_group(cols) is None
+def _brute_pairs(cols, probes) -> list[tuple]:
+    keys = list(zip(*(c.tolist() for c in cols)))
+    return [(p, r) for p, probe in enumerate(probes) for r, key in enumerate(keys) if key == probe]
+
+
+def _probe_built(gi, probes) -> list[tuple]:
+    probe_cols = [np.array(column, dtype=np.int64) for column in zip(*probes)]
+    probe_idx, row_pos = gi.probe(probe_cols)
+    return list(zip(probe_idx.tolist(), row_pos.tolist()))
+
+
+def test_an_overflowing_key_packs_ranks_then_whole_keys():
+    # Ids past the pack limit, but few of them per column: ranks pack.
+    huge = columnar._PACK_LIMIT >> 1
+    cols = [np.array([huge, 3, huge, 3, 7]), np.array([huge, huge, 5, huge, 5])]
+    gi = columnar._build_group(cols)
+    assert gi.ranks is not None and gi.tuples is None
+    probes = [(huge, huge), (3, huge), (7, 5), (3, 5), (huge, 3), (4, 4), (3, 6)]
+    assert _probe_built(gi, probes) == _brute_pairs(cols, probes)
+    # Seven columns of a thousand distinct ids each: even the ranks
+    # overflow, so whole keys are ranked among the distinct keys.
+    rng = random.Random(7)
+    cols = [np.array(rng.sample(range(1000), 1000) * 2) for _ in range(7)]
+    gi = columnar._build_group(cols)
+    assert gi.ranks is None and gi.tuples is not None and len(gi.tuples) == 1000
+    rows = list(zip(*(c.tolist() for c in cols)))
+    probes = rows[:5] + [(1,) * 7, rows[3][:6] + (1000,)] + rows[990:995]
+    assert _probe_built(gi, probes) == _brute_pairs(cols, probes)
 
 
 # --------------------------------------------------------------------------- #
-# operator fast paths against the row path
+# the plan executor against the row reference
 # --------------------------------------------------------------------------- #
-def _operator_relation() -> Relation:
-    return Relation(
-        ["a", "b"], rows=[(i % 5, f"v{i % 3}") for i in range(30)]
-    )
+def _plan_relations() -> dict[str, Relation]:
+    return {
+        "R": Relation(["a", "b"], rows=[(i % 4, i % 6) for i in range(24)]),
+        "S": Relation(["b", "c"], rows=[(i % 6, f"c{i % 5}") for i in range(18)]),
+        "T": Relation(["c", "k"], rows=[(f"c{i % 5}", "k") for i in range(10)]),
+    }
 
 
-def test_semijoin_in_columnar_matches_row_path():
-    plain = _operator_relation()
-    stored = _operator_relation()
-    stored.enable_columnar(ValueDictionary())
-    values = {1, 4, "unseen"}
-    extra = ((1, frozenset({"v0", "v2"})),)
-    assert (
-        semijoin_in(stored, 0, values, extra=extra).rows
-        == semijoin_in(plain, 0, values, extra=extra).rows
-    )
-
-
-def test_semijoin_in_unhashable_value_falls_back():
-    stored = _operator_relation()
-    stored.enable_columnar(ValueDictionary())
-    out = semijoin_in(stored, 0, [1, [2]])  # unhashable member: row path
-    assert out.rows == [row for row in stored.rows if row[0] == 1]
-
-
-def test_column_value_set_columnar_matches_row_path():
-    plain = _operator_relation()
-    stored = _operator_relation()
-    stored.enable_columnar(ValueDictionary())
-    assert column_value_set(stored, 1) == column_value_set(plain, 1)
-    assert column_value_set(stored, 1, ((0, 2),)) == column_value_set(
-        plain, 1, ((0, 2),)
-    )
-    assert column_value_set(stored, 1, ((0, "nowhere"),)) == frozenset()
-
-
-# --------------------------------------------------------------------------- #
-# the vectorized plan executor
-# --------------------------------------------------------------------------- #
-def _plan_env(columnar_on: bool) -> IndexedDatabase:
-    env = IndexedDatabase(columnar=columnar_on)
-    r = Relation(["a", "b"], rows=[(i % 4, i % 6) for i in range(24)])
-    s = Relation(["b", "c"], rows=[(i % 6, f"c{i % 5}") for i in range(18)])
-    t = Relation(["c", "k"], rows=[(f"c{i % 5}", "k") for i in range(10)])
-    env.bind("R", r, indexed=True)
-    env.bind("S", s, indexed=True)
-    env.bind("T", t, indexed=True)
+def _plan_env(relations: dict[str, Relation]) -> IndexedDatabase:
+    env = IndexedDatabase()
+    for name, relation in relations.items():
+        env.bind(name, relation, indexed=True)
     return env
 
 
@@ -481,38 +436,36 @@ def _plan_query(distinct: bool) -> ConjunctiveQuery:
 @pytest.mark.parametrize("distinct", (False, True))
 def test_plan_execute_columnar_equals_row_path(distinct):
     cq = _plan_query(distinct)
-    row_env = _plan_env(False)
-    col_env = _plan_env(True)
-    expected = compile_plan(cq, row_env).execute(row_env)
-    actual = compile_plan(cq, col_env).execute(col_env)
+    relations = _plan_relations()
+    expected = evaluate_conjunctive(cq, relations)
+    env = _plan_env(relations)
+    actual = compile_plan(cq, env).execute(env)
     assert actual == expected  # multiset equality
     assert actual.rows == expected.rows  # and identical row order
 
 
 def test_plan_execute_columnar_unseen_constant_is_empty():
-    col_env = _plan_env(True)
+    env = _plan_env(_plan_relations())
     cq = ConjunctiveQuery(
         head_name="out", head_schema=["a"], head_terms=[Var("a")]
     )
     cq.add_atom("R", [Var("a"), Const("never-inserted")])
-    assert compile_plan(cq, col_env).execute(col_env).rows == []
+    assert compile_plan(cq, env).execute(env).rows == []
 
 
 # --------------------------------------------------------------------------- #
 # DeltaContext id-space memoization
 # --------------------------------------------------------------------------- #
-def test_delta_context_separates_id_and_value_domains():
-    rel = Relation(["a"], rows=[("x",), ("y",)])
+def test_delta_context_domains_are_memoized_id_sets():
+    rel = Relation(["a", "k"], rows=[("x", 1), ("y", 2), ("z", 1)])
     d = ValueDictionary()
     rel.enable_columnar(d)
     ctx = DeltaContext()
-    values = ctx.column_values(rel, 0)
-    ids = ctx.column_values(rel, 0, dictionary=d)
-    assert values == frozenset({"x", "y"})
-    assert ids == frozenset({d.get_id("x"), d.get_id("y")})
-    # Memoized under distinct keys: asking again returns the same objects.
-    assert ctx.column_values(rel, 0) is values
-    assert ctx.column_values(rel, 0, dictionary=d) is ids
+    ids = ctx.column_values(rel, 0)
+    assert ids == frozenset({d.get_id("x"), d.get_id("y"), d.get_id("z")})
+    assert ctx.column_values(rel, 0) is ids  # asking again returns the same object
+    assert ctx.column_values(rel, 0, ((1, 1),)) == frozenset({d.get_id("x"), d.get_id("z")})
+    assert ctx.column_values(rel, 0, ((1, "nowhere"),)) == frozenset()
 
 
 def test_delta_context_reduce_attaches_derived_store():
@@ -522,75 +475,39 @@ def test_delta_context_reduce_attaches_derived_store():
     assert rel.column_store() is not None
     ctx = DeltaContext()
     dom = frozenset({d.id_of(1), d.id_of(3)})
-    out = ctx.reduce("rel", rel, (), ((0, dom),), dictionary=d)
+    out = ctx.reduce("rel", rel, (), ((0, dom),))
     assert out.rows == [row for row in rel.rows if row[0] in (1, 3)]
-    assert out.column_store() is not None  # derived sidecar, no re-interning
+    assert out.column_store() is not None  # derived store, no re-interning
     # Equal constraints are shared (memoized by domain identity).
-    again = ctx.reduce("rel", rel, (), ((0, dom),), dictionary=d)
+    again = ctx.reduce("rel", rel, (), ((0, dom),))
     assert again is out
 
 
 # --------------------------------------------------------------------------- #
-# knob threading
+# end to end (every engine and topology: test_oracle_agreement.py)
 # --------------------------------------------------------------------------- #
-def test_config_columnar_knob_and_ablation():
-    assert RuntimeConfig.__dataclass_fields__["columnar"].default is True
-    assert RuntimeConfig(columnar=False).columnar is False
-    assert RuntimeConfig.ablation().columnar is False
-    with pytest.raises(ValueError):
-        RuntimeConfig(columnar="yes")
-
-
-def test_processor_and_engine_thread_the_knob():
-    from repro.templates.registry import TemplateRegistry
-
-    proc = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=True))
-    assert proc.columnar is True and proc.env.columnar is True
-    proc_off = MMQJPJoinProcessor(TemplateRegistry(), config=RuntimeConfig(columnar=False))
-    assert proc_off.columnar is False and proc_off.env.columnar is False
-    seq = SequentialJoinProcessor(config=RuntimeConfig(columnar=False))
-    assert seq.columnar is False
-    engine = make_engine(config=RuntimeConfig(columnar=True))
-    assert engine.columnar is True
-    engine.close()
-
-
-# --------------------------------------------------------------------------- #
-# end to end (what every engine delivers on and off: test_oracle_agreement.py)
-# --------------------------------------------------------------------------- #
-def _sliding_session(columnar_on: bool) -> tuple[list, dict, dict]:
-    """A run whose window slides many quarter-windows; ordered keys + counters."""
+def test_broker_agrees_with_the_oracle_while_the_window_slides():
     query = (
         "S//blog->b[.//author->a][.//title->t] FOLLOWED BY{{a=a AND t=t, {w}}} "
         "S//blog->b[.//author->a][.//title->t]"
     )
-    broker = open_broker(RuntimeConfig(columnar=columnar_on, construct_outputs=False))
-    try:
-        for i, window in enumerate((40, 25, 40)):
-            broker.subscribe(query.format(w=window), subscription_id=f"q{i}")
-        keys = []
-        filled = None
-        for i in range(240):
-            text = f"<blog><author>A{i % 7}</author><title>T{i % 3}</title></blog>"
-            keys.extend(
-                (d.subscription_id, d.match.lhs_timestamp, d.match.rhs_timestamp)
-                for d in broker.publish(text)
-            )
-            if i == 45:  # the window is full and has begun to slide
-                filled = dict(broker.stats()["columnar"])
-        return keys, filled, broker.stats()["columnar"]
-    finally:
-        broker.close()
-
-
-def test_broker_matches_identical_in_order_while_the_window_slides():
-    reference, _filled, row_counters = _sliding_session(False)
-    assert len(reference) > 500
-    assert not any(row_counters.values())  # row path: nothing to sync
-    keys, filled, final = _sliding_session(True)
-    assert keys == reference  # same matches, same delivery order
-    if not columnar.HAVE_NUMPY:
-        return  # the array kernels build no group indexes
+    texts = [
+        f"<blog><author>A{i % 7}</author><title>T{i % 3}</title></blog>" for i in range(240)
+    ]
+    script = [
+        ("subscribe", f"q{i}", query.format(w=window), None)
+        for i, window in enumerate((40, 25, 40))
+    ] + [
+        ("publish", partial(parse_document, text, f"d{i}", float(i + 1)))
+        for i, text in enumerate(texts)
+    ]
+    expected = run_script(oracle.Oracle(), script)
+    assert sum(map(len, expected)) > 500
+    with open_broker(RuntimeConfig(construct_outputs=False, executor="serial")) as broker:
+        assert run_script(broker, script[:49]) == expected[:46]
+        filled = dict(broker.stats()["columnar"])  # the window is full and sliding
+        assert run_script(broker, script[49:]) == expected[46:]
+        final = broker.stats()["columnar"]
     slid = final["prefix_drops"] - filled["prefix_drops"]
     argsorts = final["group_builds"] - filled["group_builds"]
     assert final["rebuilds"] == 0 and slid > 150

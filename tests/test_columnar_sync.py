@@ -5,7 +5,7 @@ column stores (join state and ``RT``).  These tests pin the counts — exact,
 independent of seeds and clocks — that make steady-state sync cost
 proportional to the delta: in-order window pruning and subscription churn
 never rebuild a store, an out-of-order prune takes the one fallback, and the
-block has the same keys on every broker, executor and kernel.
+block has the same keys on every broker and executor.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro import RuntimeConfig, open_broker
 from repro.relational.columnar import ColumnStore
-from tests.conftest import COLUMNAR_KERNELS, columnar_kernel
 
 WINDOW = 6
 ONE_JOIN = (
@@ -27,21 +26,13 @@ TWO_JOINS = (
 RUNTIMES = [(1, "serial"), (1, "processes"), (2, "serial"), (2, "processes")]
 
 
-@pytest.fixture(params=COLUMNAR_KERNELS)
-def kernel(request):
-    """Both kernels in one run (forked shard workers inherit the patch)."""
-    with columnar_kernel(request.param):
-        yield request.param
-
-
-def _open(shards: int, executor: str, columnar: bool = True, **knobs):
+def _open(shards: int, executor: str, **knobs):
     return open_broker(
         RuntimeConfig(
             shards=shards,
             executor=executor,
             partitioner="least-loaded",  # two templates -> one per shard
             construct_outputs=False,
-            columnar=columnar,
             **knobs,
         )
     )
@@ -54,8 +45,8 @@ def _blog(i: int) -> str:
 def _columnar(broker) -> dict:
     stats = broker.stats()
     block = stats["columnar"]
-    # one schema everywhere: the stores' counters, then the environment's
-    assert tuple(block) == ColumnStore.COUNTERS + ("execute_fallbacks",)
+    # one schema everywhere: the stores' counters
+    assert tuple(block) == ColumnStore.COUNTERS
     assert stats["engine_stats"]["columnar"] == block
     assert all(shard["num_queries"] for shard in stats["per_shard"])
     for counter in block:
@@ -69,17 +60,18 @@ def _fill(broker) -> tuple[dict, int]:
     for i in range(WINDOW + 4):
         broker.publish(_blog(i))
         seen.append(_columnar(broker)["rows_encoded"])
-    # Before the first prune a document's rows are encoded by the next
-    # publish; every document has the same shape, hence the same rows.
-    per_document = seen[3] - seen[2]
-    assert per_document > 0 and seen[4] - seen[3] == per_document
+    # Before the first prune, once the first documents have made every
+    # relation a publish reads sync, a document's rows are encoded by the
+    # next publish; every document has the same shape, hence the same rows.
+    per_document = seen[4] - seen[3]
+    assert per_document > 0 and seen[5] - seen[4] == per_document
     before = _columnar(broker)
     assert before["prefix_drops"] > 0 and before["rebuilds"] == 0
     return before, per_document
 
 
 @pytest.mark.parametrize("shards,executor", RUNTIMES)
-def test_in_order_pruning_encodes_only_the_appended_rows(kernel, shards, executor):
+def test_in_order_pruning_encodes_only_the_appended_rows(shards, executor):
     with _open(shards, executor) as broker:
         for text in (ONE_JOIN, TWO_JOINS, ONE_JOIN, TWO_JOINS):
             broker.subscribe(text.format(w=WINDOW))
@@ -105,7 +97,7 @@ def test_in_order_pruning_encodes_only_the_appended_rows(kernel, shards, executo
 
 
 @pytest.mark.parametrize("shards,executor", RUNTIMES)
-def test_subscription_churn_never_rebuilds_rt(kernel, shards, executor):
+def test_subscription_churn_never_rebuilds_rt(shards, executor):
     rounds, cycles = 5, 30
     with _open(shards, executor) as broker:
         # One anchor per template keeps every variable bound, so a cancel
@@ -132,13 +124,13 @@ def test_subscription_churn_never_rebuilds_rt(kernel, shards, executor):
         )
 
 
-def _out_of_order_session(**knobs) -> tuple[list, dict]:
+def _out_of_order_session() -> tuple[list, dict]:
     query = (
         "S//blog->b1[.//author->a1] FOLLOWED BY{{a1=a2, {w}}} "
         "T//blog->b2[.//author->a2]"
     )
     keys = []
-    with _open(1, "serial", **knobs) as broker:
+    with _open(1, "serial") as broker:
         broker.subscribe(query.format(w=3), subscription_id="q")
         # Per stream the timestamps ascend; across the two they do not, so
         # the document the window expires first was not inserted first.
@@ -153,10 +145,15 @@ def _out_of_order_session(**knobs) -> tuple[list, dict]:
         return keys, _columnar(broker)
 
 
-def test_out_of_order_prune_takes_the_fallback_rebuild(kernel):
+def test_out_of_order_prune_takes_the_fallback_rebuild():
     keys, counters = _out_of_order_session()
     assert counters["rebuilds"] > 0  # ("T", 9.0) expired from the middle
     assert counters["prefix_drops"] > 0  # later prunes are leading again
-    reference, idle = _out_of_order_session(engine="sequential", columnar=False)
-    assert keys == reference and len(keys) > 0
-    assert not any(idle.values())
+    # Every S document followed by a T document within 0 < Δ ≤ 3 (one author):
+    # window pruning never drops a document a later one still reaches.
+    assert keys == [
+        (10.0, 10.8), (10.5, 10.8),
+        (10.0, 12.6), (10.5, 12.6), (11.0, 12.6),
+        (10.5, 13.2), (11.0, 13.2), (12.8, 13.2),
+        (11.0, 13.9), (12.8, 13.9),
+    ]

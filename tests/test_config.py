@@ -43,7 +43,7 @@ def test_config_defaults_are_valid():
         {"construct_outputs": "no"},
         {"auto_prune": 0},
         {"auto_timestamp": None},
-        {"columnar": "yes"},
+        {"storage": "etcd"},
         {"metrics": 1},
         {"store_documents": "no"},
         {"store_documents": 1},
@@ -55,10 +55,12 @@ def test_config_validation_rejects_bad_values(kwargs):
 
 
 def test_stage_two_has_no_switch_for_how_it_evaluates():
-    assert len(dataclasses.fields(RuntimeConfig)) == 18
-    for removed in ("plan_cache", "prune_dispatch", "delta_join"):
+    assert len(dataclasses.fields(RuntimeConfig)) == 17
+    for removed in ("plan_cache", "prune_dispatch", "delta_join", "columnar"):
         with pytest.raises(TypeError):
             RuntimeConfig(**{removed: False})
+    engine = make_engine(RuntimeConfig())
+    assert not hasattr(engine, "columnar") and engine.processor.env.dictionary is not None
 
 
 def test_config_keyword_tuples_match_canonical_definitions():
@@ -86,8 +88,7 @@ def test_presets():
     t = RuntimeConfig.throughput()
     assert t.is_sharded and t.executor == "threads"
     assert not t.construct_outputs and t.store_documents is False
-    a = RuntimeConfig.ablation()
-    assert not a.columnar and not a.route_dispatch
+    assert RuntimeConfig.ablation() == RuntimeConfig(route_dispatch=False)
     # overrides re-validate
     assert RuntimeConfig.throughput(shards=8).shards == 8
     with pytest.raises(ValueError):
@@ -105,7 +106,7 @@ def test_replace_revalidates():
 # as_config: what every constructor accepts
 # --------------------------------------------------------------------------- #
 def test_as_config_accepts_config_engine_name_or_nothing():
-    config = RuntimeConfig(columnar=False)
+    config = RuntimeConfig(route_dispatch=False)
     assert as_config(config, "Broker") is config
     assert as_config("mmqjp-vm", "Broker").engine == "mmqjp-vm"
     assert as_config(None, "Broker") == RuntimeConfig()
@@ -116,20 +117,20 @@ def test_as_config_accepts_config_engine_name_or_nothing():
 @pytest.mark.parametrize("constructor", [Broker, MMQJPEngine, SequentialEngine, make_engine])
 def test_constructors_take_no_per_knob_keywords(constructor):
     with pytest.raises(TypeError):
-        constructor(columnar=False)
+        constructor(route_dispatch=False)
 
 
 def test_make_engine_accepts_config_and_selection_keyword():
-    config = RuntimeConfig(engine="sequential", columnar=False)
+    config = RuntimeConfig(engine="sequential", route_dispatch=False)
     engine = make_engine(config)
-    assert engine.config == config and engine.columnar is False
-    assert make_engine("sequential", RuntimeConfig(columnar=False)).registry is None
+    assert engine.config == config and engine.config.route_dispatch is False
+    assert make_engine("sequential", RuntimeConfig(route_dispatch=False)).registry is None
     # the selection keyword overrides the config's engine field
     assert make_engine("mmqjp-vm", RuntimeConfig()).processor.use_view_materialization
 
 
 def test_engines_carry_their_config():
-    config = RuntimeConfig(columnar=False, construct_outputs=False, executor="serial")
+    config = RuntimeConfig(metrics=True, construct_outputs=False, executor="serial")
     with open_broker(config) as broker:
-        assert broker.engine.config.columnar is False
-        assert broker.engine.columnar is False
+        assert broker.engine.config.metrics is True
+        assert broker.engine.metrics is not None

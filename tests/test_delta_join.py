@@ -2,7 +2,7 @@
 
 That the engines deliver what ``tests/oracle.py`` says is checked in
 ``test_oracle_agreement.py`` and ``test_properties_engine.py``; this file
-unit-tests the machinery underneath — the semi-join primitives, the
+unit-tests the machinery underneath — the semi-join primitive, the
 per-document :class:`~repro.relational.conjunctive.DeltaContext` memoization,
 the plan integration, the engine counters and the brokers' batched and
 sharded paths.
@@ -19,7 +19,6 @@ from repro.relational.conjunctive import (
     evaluate_conjunctive,
 )
 from repro.relational.database import IndexedDatabase
-from repro.relational.operators import column_value_set, semijoin_in
 from repro.relational.plan import PlanCache, compile_plan
 from repro.relational.relation import PartitionedRelation, Relation
 from repro.relational.terms import Var
@@ -34,35 +33,22 @@ CROSS = (
 
 
 # --------------------------------------------------------------------------- #
-# operators
+# the reduction primitive
 # --------------------------------------------------------------------------- #
-def test_semijoin_in_scan_path_keeps_multiplicity():
-    relation = Relation(["a", "b"], rows=[(1, "x"), (2, "y"), (1, "x"), (3, "x")])
-    out = semijoin_in(relation, 0, {1, 3})
-    assert out.rows == [(1, "x"), (1, "x"), (3, "x")]
-    assert out.schema == relation.schema
-
-
-def test_semijoin_in_with_extra_constraints():
-    relation = Relation(["a", "b"], rows=[(1, "x"), (1, "y"), (2, "x")])
-    out = semijoin_in(relation, 0, {1, 2}, extra=(((1, frozenset({"x"}))),))
-    assert out.rows == [(1, "x"), (2, "x")]
-
-
-def test_semijoin_in_index_path_matches_scan_path():
-    relation = Relation(["a", "b"], rows=[(i % 5, f"v{i % 3}") for i in range(30)])
-    index = relation.index_on((0,))
-    values = {1, 4}
-    extra = ((1, frozenset({"v0", "v2"})),)
-    probed = semijoin_in(relation, 0, values, extra=extra, index=index)
-    scanned = semijoin_in(relation, 0, values, extra=extra)
-    assert sorted(probed.rows) == sorted(scanned.rows)
-
-
-def test_column_value_set_with_const_checks():
-    relation = Relation(["a", "b"], rows=[(1, "x"), (2, "y"), (1, "z")])
-    assert column_value_set(relation, 1) == {"x", "y", "z"}
-    assert column_value_set(relation, 1, ((0, 1),)) == {"x", "z"}
+def test_reduce_keeps_multiplicity_under_every_constraint():
+    relation = Relation(["a", "b"], rows=[(1, "x"), (2, "y"), (1, "x"), (3, "x"), (1, "y")])
+    env = IndexedDatabase()
+    env.bind("R", relation, indexed=True)
+    ids = relation.column_store().dictionary.get_id  # the first sync interns the rows
+    ctx = DeltaContext()
+    a_in = frozenset({ids(1), ids(3)})
+    assert ctx.reduce("R", relation, (), ((0, a_in),)).rows == [
+        (1, "x"), (1, "x"), (3, "x"), (1, "y")
+    ]
+    # A constant and a second domain apply to every candidate row.
+    out = ctx.reduce("R", relation, ((1, "x"),), ((0, a_in),))
+    assert out.rows == [(1, "x"), (1, "x"), (3, "x")] and out.schema == relation.schema
+    assert ctx.reduce("R", relation, ((1, "nowhere"),), ()).rows == []
 
 
 # --------------------------------------------------------------------------- #

@@ -3,14 +3,11 @@
 ``test_delta_join.py`` covers the reduction machinery; this
 module pins what the pass does *not* do any more — join after an empty
 domain, keep domains for variables confined to one atom, re-estimate atoms
-nothing touched — and that none of it changes a result, on the row path and
-on both columnar kernels (the ``columnar-off`` and ``no-numpy`` CI legs
-replay it as well).
+nothing touched — and that none of it changes a result against the row
+reference :func:`~repro.relational.conjunctive.evaluate_conjunctive`.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,20 +30,6 @@ from repro.relational.plan import CompiledPlan, PlanCache
 from repro.relational.relation import PartitionedRelation, Relation
 from repro.relational.terms import Var
 from repro.templates.cqt import RELATION_SCHEMAS
-from tests.conftest import columnar_kernel
-
-#: The three kernel paths: no sidecars at all, numpy kernels, ``array`` fallback.
-MODES = ("rows", "numpy", "array")
-
-
-@contextlib.contextmanager
-def _mode(mode: str):
-    """Yield whether environments built inside should be columnar."""
-    if mode == "rows":
-        yield False
-    else:
-        with columnar_kernel(mode):
-            yield True
 
 
 def _template_query() -> ConjunctiveQuery:
@@ -64,8 +47,8 @@ def _template_query() -> ConjunctiveQuery:
     return cq
 
 
-def _environment(columnar_on: bool, rdoc=(), rbin=(), rt=(), rdocw=(), rbinw=()):
-    env = IndexedDatabase(columnar=columnar_on)
+def _environment(rdoc=(), rbin=(), rt=(), rdocw=(), rbinw=()):
+    env = IndexedDatabase()
     state_doc = PartitionedRelation(RELATION_SCHEMAS["Rdoc"], name="Rdoc")
     state_bin = PartitionedRelation(RELATION_SCHEMAS["Rbin"], name="Rbin")
     for row in rdoc:
@@ -114,34 +97,31 @@ rdocw_rows = st.lists(st.tuples(nodes, strings), max_size=4)
 rbinw_rows = st.lists(st.tuples(names, names, nodes, nodes), max_size=4)
 
 
-@pytest.mark.parametrize("mode", MODES)
 @given(rdoc_rows, rbin_rows, rt_rows, rdocw_rows, rbinw_rows)
 @example([("s0", 1, "a")], [("s0", "x", "y", 0, 1)], [("q1", "x", "y", 10.0)], [], [("x", "y", 0, 1)])
 @example([], [("s0", "x", "y", 0, 1)], [("q1", "x", "y", 10.0)], [(1, "a")], [("x", "y", 0, 1)])
 @example([("s0", 1, "a")], [("s0", "x", "y", 0, 1)], [], [(1, "a")], [("x", "y", 0, 1)])
 @example([("s0", 1, "a")], [("s0", "x", "y", 0, 1)], [("q1", "x", "y", 10.0)], [(1, "a")], [("x", "y", 0, 1)])
 @settings(max_examples=60, deadline=None)
-def test_delta_evaluation_equals_full_evaluation(mode, rdoc, rbin, rt, rdocw, rbinw):
+def test_delta_evaluation_equals_full_evaluation(rdoc, rbin, rt, rdocw, rbinw):
     cq = _template_query()
-    with _mode(mode) as columnar_on:
-        env = _environment(columnar_on, rdoc, rbin, rt, rdocw, rbinw)
-        expected = sorted(evaluate_conjunctive(cq, env).rows)
-        ctx = DeltaContext()
-        cache = PlanCache()
-        assert sorted(cache.evaluate(cq, env).rows) == expected
-        # The same context again: whatever the first pass memoized is reused.
-        assert sorted(cache.evaluate(cq, env, delta=ctx).rows) == expected
-        assert sorted(cache.evaluate(cq, env, delta=DeltaContext()).rows) == expected
-        assert ctx.executions_skipped == ctx.short_circuits
-        if not (rdoc and rbin and rt and rdocw and rbinw):
-            assert expected == [] and ctx.short_circuits == 1
+    env = _environment(rdoc, rbin, rt, rdocw, rbinw)
+    expected = sorted(evaluate_conjunctive(cq, env).rows)
+    ctx = DeltaContext()
+    cache = PlanCache()
+    assert sorted(cache.evaluate(cq, env).rows) == expected
+    # The same context again: whatever the first pass memoized is reused.
+    assert sorted(cache.evaluate(cq, env, delta=ctx).rows) == expected
+    assert sorted(cache.evaluate(cq, env, delta=DeltaContext()).rows) == expected
+    assert ctx.executions_skipped == ctx.short_circuits
+    if not (rdoc and rbin and rt and rdocw and rbinw):
+        assert expected == [] and ctx.short_circuits == 1
 
 
 # --------------------------------------------------------------------------- #
 # the empty short-circuit
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("mode", MODES)
-def test_empty_domain_skips_the_join(mode, monkeypatch):
+def test_empty_domain_skips_the_join(monkeypatch):
     rows = _matching_rows()
     rows["rdocw"] = [(1, "nowhere"), (2, "nowhere-else")]  # no state value matches
     executions = []
@@ -150,22 +130,21 @@ def test_empty_domain_skips_the_join(mode, monkeypatch):
         CompiledPlan, "execute", lambda self, *a, **k: executions.append(1) or execute(self, *a, **k)
     )
     cq = _template_query()
-    with _mode(mode) as columnar_on:
-        env = _environment(columnar_on, **rows)
-        ctx = DeltaContext()
-        out = PlanCache().evaluate(cq, env, delta=ctx)
-        assert out.rows == [] and out.schema.attributes == tuple(cq.head_schema)
-        assert (ctx.short_circuits, ctx.executions_skipped) == (1, 1)
-        # Rdoc by the witness values comes back empty, in the first pass at
-        # the latest: no stable atom is reduced twice.
-        assert 1 <= ctx.reductions_computed <= 3
+    env = _environment(**rows)
+    ctx = DeltaContext()
+    out = PlanCache().evaluate(cq, env, delta=ctx)
+    assert out.rows == [] and out.schema.attributes == tuple(cq.head_schema)
+    assert (ctx.short_circuits, ctx.executions_skipped) == (1, 1)
+    # Rdoc by the witness values comes back empty, in the first pass at
+    # the latest: no stable atom is reduced twice.
+    assert 1 <= ctx.reductions_computed <= 3
     assert executions == []
 
 
 def test_reduce_reports_the_empty_outcome_and_plan_passes_it_on():
     rows = _matching_rows()
     rows["rt"] = []
-    env = _environment(False, **rows)
+    env = _environment(**rows)
     cq = _template_query()
     ctx = DeltaContext()
     assert build_delta_program(cq.body, env).reduce(env, ctx) is EMPTY_DELTA
@@ -178,7 +157,7 @@ def test_reduce_reports_the_empty_outcome_and_plan_passes_it_on():
 def test_an_invalid_order_is_an_error_even_when_the_delta_is_empty():
     rows = _matching_rows()
     rows["rdocw"] = []
-    env = _environment(False, **rows)
+    env = _environment(**rows)
     with pytest.raises(ValueError):
         evaluate_conjunctive(_template_query(), env, order="sideways")
 
@@ -186,8 +165,7 @@ def test_an_invalid_order_is_an_error_even_when_the_delta_is_empty():
 # --------------------------------------------------------------------------- #
 # domains for join variables only
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("mode", MODES)
-def test_single_atom_variables_never_constrain_a_reduction(mode, monkeypatch):
+def test_single_atom_variables_never_constrain_a_reduction(monkeypatch):
     seen: dict[str, set] = {}
     reduce = DeltaContext.reduce
 
@@ -197,11 +175,10 @@ def test_single_atom_variables_never_constrain_a_reduction(mode, monkeypatch):
 
     monkeypatch.setattr(DeltaContext, "reduce", recording)
     cq = _template_query()
-    with _mode(mode) as columnar_on:
-        env = _environment(columnar_on, **_matching_rows())
-        ctx = DeltaContext()
-        out = PlanCache().evaluate(cq, env, delta=ctx)
-        assert sorted(out.rows) == sorted(evaluate_conjunctive(cq, env).rows) != []
+    env = _environment(**_matching_rows())
+    ctx = DeltaContext()
+    out = PlanCache().evaluate(cq, env, delta=ctx)
+    assert sorted(out.rows) == sorted(evaluate_conjunctive(cq, env).rows) != []
     assert set(seen) == {"Rdoc", "Rbin", "RT"}
     assert 3 not in seen["Rbin"]  # nr
     assert seen["RT"] <= {1, 2}  # neither qid nor wl
@@ -267,7 +244,7 @@ def test_incremental_estimates_keep_the_greedy_order(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# counters: delta_stats / stats()["delta"], execute_fallbacks, Match.key
+# counters: delta_stats / stats()["delta"], Match.key
 # --------------------------------------------------------------------------- #
 TRACKER = (
     "S//blog->b[.//author->a][.//title->t] FOLLOWED BY{a=a AND t=t, 50} "
@@ -296,27 +273,25 @@ def test_brokers_report_the_delta_counters(shards):
         else:
             for counter, value in delta.items():
                 assert value == sum(shard["delta"][counter] for shard in stats["per_shard"])
-        assert stats["columnar"]["execute_fallbacks"] == 0
         assert len(delivered) == 6  # each author's earlier articles, coauthor only
 
 
-@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the vectorized executor needs numpy")
-def test_unpackable_probe_key_falls_back_before_the_first_probe(monkeypatch):
+def test_an_overflowing_key_stays_vectorized(monkeypatch):
+    """A key too wide to pack its ids still probes, and agrees with the row reference."""
     cq = _template_query()
-    env = _environment(True, **_matching_rows())
-    expected = sorted(PlanCache().evaluate(cq, env).rows)
-    assert expected and env.execute_fallbacks == 0
-
-    env = _environment(True, **_matching_rows())  # no group index built yet
-    probes = []
+    env = _environment(**_matching_rows())  # no group index built yet
+    expected = sorted(evaluate_conjunctive(cq, env).rows)
+    assert expected
+    stores = []
     probe = columnar.ColumnStore.probe
     monkeypatch.setattr(
-        columnar.ColumnStore, "probe", lambda self, *a: probes.append(1) or probe(self, *a)
+        columnar.ColumnStore, "probe", lambda self, *a: stores.append(self) or probe(self, *a)
     )
-    monkeypatch.setattr(columnar, "_PACK_LIMIT", 4)  # no two-column key packs any more
+    monkeypatch.setattr(columnar, "_PACK_LIMIT", 4)  # no two-column key packs its ids any more
     assert sorted(PlanCache().evaluate(cq, env).rows) == expected
-    assert env.execute_fallbacks == 1 and probes == []
-    assert env.columnar_counters()["execute_fallbacks"] == 1
+    assert sorted(PlanCache().evaluate(cq, env, delta=DeltaContext()).rows) == expected
+    wide = [gi for store in stores for gi in store._groups.values() if len(gi.bases) > 1]
+    assert wide and all(gi.ranks is not None or gi.tuples is not None for gi in wide)
 
 
 def test_match_key_is_computed_once_per_match(monkeypatch):

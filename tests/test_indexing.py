@@ -6,8 +6,8 @@ Covers the three layers the live indexes touch:
   drops and rebuilds after a wholesale ``rows`` assignment;
   :class:`PartitionedRelation` semantics; the mutation-counter NDV cache (a
   prune followed by equal-size inserts must not serve stale estimates).
-* evaluator — :class:`IndexedDatabase` environments produce exactly the
-  same results as plain per-call hashing.
+* evaluator — compiled plans over an :class:`IndexedDatabase` produce
+  exactly what plain per-call hashing does.
 * engine/runtime — any interleaving of ``subscribe`` / ``publish`` /
   ``prune`` yields identical matches across both engines, and a
   register-first one what ``tests/oracle.py`` says on 1/2/4 shards
@@ -27,9 +27,11 @@ from repro.relational import (
     IndexedDatabase,
     PartitionedRelation,
     Relation,
+    PlanCache,
     Var,
     evaluate_conjunctive,
 )
+from repro.relational.conjunctive import DeltaContext
 from tests import oracle
 from tests.conftest import make_document, make_queries
 from tests.test_oracle_agreement import deliveries, run_script
@@ -167,8 +169,9 @@ def test_indexed_evaluation_matches_plain():
         env = IndexedDatabase()
         env.bind("edge", edges, indexed=True)
         env.bind("probe", probe)
-        indexed = evaluate_conjunctive(cq, env)
-        assert sorted(indexed.rows) == sorted(plain.rows)
+        for delta in (None, DeltaContext()):
+            indexed = PlanCache().evaluate(cq, env, delta=delta)
+            assert sorted(indexed.rows) == sorted(plain.rows)
 
 
 def test_indexed_database_mapping_protocol():
@@ -181,7 +184,6 @@ def test_indexed_database_mapping_protocol():
     assert env.is_stable("r")
     env.bind("r", rel, indexed=False)  # rebinding ephemerally clears the flag
     assert not env.is_stable("r")
-    assert env.index_for("r", (0,)) is None
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Every engine, shard count and kernel delivers what ``tests/oracle.py`` says.
+"""Every engine and shard count delivers what ``tests/oracle.py`` says.
 
 The oracle evaluates each subscription alone, by nested loops over the
 documents; the engine evaluates a template's queries together.  A *script*
@@ -7,8 +7,8 @@ is a list of steps — ``("subscribe", sid, query, window symbols)``,
 that :func:`run_script` plays against an :class:`~tests.oracle.Oracle` or a
 broker alike.  The four scripts below register first (the oracle's first
 condition) and then mix publishes with cancels and explicit prunes; each
-publish's deliveries are compared in every configuration that has a switch:
-engine × shards × ``columnar``.
+publish's deliveries are compared in every configuration that changes how a
+join is evaluated: engine × shards.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _paper():
 
 
 WORKLOADS = {"flat": _flat, "three-level": _three_level, "rss": _rss, "paper": _paper}
-CONFIGS = [(e, s, c) for e in ENGINES for s in (1, 2) for c in (True, False)]
+CONFIGS = [(e, s) for e in ENGINES for s in (1, 2)]
 
 
 @functools.cache
@@ -156,11 +156,9 @@ def _expected(name: str) -> tuple:
 
 
 @pytest.mark.parametrize("workload", list(WORKLOADS))
-@pytest.mark.parametrize(
-    "engine,shards,columnar", CONFIGS, ids=[f"{e}-{s}-{'col' if c else 'rows'}" for e, s, c in CONFIGS]
-)
-def test_deliveries_agree_with_the_oracle(workload, engine, shards, columnar):
-    config = RuntimeConfig(engine=engine, shards=shards, columnar=columnar, construct_outputs=False)
+@pytest.mark.parametrize("engine,shards", CONFIGS, ids=[f"{e}-{s}" for e, s in CONFIGS])
+def test_deliveries_agree_with_the_oracle(workload, engine, shards):
+    config = RuntimeConfig(engine=engine, shards=shards, construct_outputs=False)
     assert deliveries(config, _script(workload)) == list(_expected(workload))
 
 

@@ -139,22 +139,19 @@ def test_prune_state_clears_interleaved_with_processing():
     assert any(reference) and _run("sequential", script) == reference
     for engine in ENGINES:
         for shards in (1, 2):
-            for columnar in (True, False):
-                config = RuntimeConfig(
-                    engine=engine, shards=shards, columnar=columnar, construct_outputs=False
-                )
-                with open_broker(config) as broker:
-                    assert run_script(broker, script) == reference, config
-                    # The finite window pruned old documents along the way.
-                    assert broker.merged_engine_stats().state_documents < len(specs)
+            config = RuntimeConfig(engine=engine, shards=shards, construct_outputs=False)
+            with open_broker(config) as broker:
+                assert run_script(broker, script) == reference, config
+                # The finite window pruned old documents along the way.
+                assert broker.merged_engine_stats().state_documents < len(specs)
 
 
 def test_knobs_thread_through_brokers():
-    config = RuntimeConfig(construct_outputs=False, columnar=False, executor="serial")
+    config = RuntimeConfig(construct_outputs=False, executor="serial")
     with open_broker(config) as broker:
-        assert broker.engine.plan_cache is not None and broker.engine.columnar is False
+        assert broker.engine.plan_cache is not None
         assert broker.engine.processor.relevance is not None
-    with open_broker(config.replace(columnar=True, shards=2)) as sharded:
+    with open_broker(config.replace(shards=2)) as sharded:
         for shard in sharded.shards:
             assert shard.engine.plan_cache is not None
-            assert shard.engine.columnar is True
+            assert shard.engine.processor.env.dictionary is not None

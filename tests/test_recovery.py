@@ -383,8 +383,9 @@ def test_crash_on_one_shard_recovers(tmp_path):
 
 
 def test_resume_drops_a_snapshot_field_the_config_no_longer_has(tmp_path):
-    # Stores written when RuntimeConfig still had an ``ingest`` field, or
-    # the ``plan_cache`` / ``prune_dispatch`` / ``delta_join`` switches.
+    # Stores written when RuntimeConfig still had an ``ingest`` field, the
+    # ``plan_cache`` / ``prune_dispatch`` / ``delta_join`` switches, or
+    # ``columnar`` (a session persisted with the row kernel resumes on ids).
     from repro.storage.sqlite import SQLiteStore
 
     memory = RuntimeConfig(storage="memory", construct_outputs=False, auto_timestamp=False)
@@ -394,6 +395,7 @@ def test_resume_drops_a_snapshot_field_the_config_no_longer_has(tmp_path):
     stale_fields = [
         {"ingest": "tree"},
         {"plan_cache": False, "prune_dispatch": False, "delta_join": False},
+        {"columnar": False},
     ]
     for index, stale in enumerate(stale_fields):
         path = tmp_path / f"store{index}"

@@ -1,24 +1,20 @@
 """Cache invalidation under mutation: NDV counters, indexes, column stores.
 
 Satellite regression suite for the delete-path bookkeeping: the NDV
-(distinct-count) caches, live :class:`HashIndex` instances and the columnar
-sidecar must all stay consistent with ``rows`` across arbitrary interleavings
+(distinct-count) caches, live :class:`HashIndex` instances and the column
+store must all stay consistent with ``rows`` across arbitrary interleavings
 of ``insert_many`` / ``delete_rows`` / probes.  The second property drives the column store through every
 mutation it mirrors (appends, prefix drops, swap-deletes) and every one it
-does not (predicate deletes, clears, non-leading drops) in random order, on
-both kernels.
+does not (predicate deletes, clears, non-leading drops) in random order.
 """
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import repro.relational.columnar as columnar
 from repro.relational.columnar import ColumnStore, ValueDictionary
-from repro.relational.database import IndexedDatabase
 from repro.relational.relation import PartitionedRelation, Relation
-from tests.conftest import COLUMNAR_KERNELS, columnar_kernel
 
 
 def _check_index(relation: Relation, index) -> None:
@@ -41,14 +37,11 @@ def _check_ndv(relation: Relation) -> None:
 # deterministic regressions
 # --------------------------------------------------------------------------- #
 def test_delete_rows_keeps_live_index_consistent():
-    env = IndexedDatabase()
     rel = Relation(["a", "b"], rows=[(i % 3, i) for i in range(12)])
-    env.bind("R", rel, indexed=True)
-    index = env.index_for("R", ["a"])
-    assert index is not None
+    index = rel.index_on(["a"])
     assert len(index.lookup(0)) == 4
     rel.delete_rows(lambda row: row[1] < 6)
-    index = env.index_for("R", ["a"])
+    index = rel.index_on(["a"])
     _check_index(rel, index)
     assert index.lookup(0) == [(0, 6), (0, 9)]
 
@@ -110,9 +103,7 @@ def test_interleaved_mutation_keeps_all_caches_consistent(ops, partitioned):
     else:
         rel = Relation(["a", "b"], rows=list(model))
     rel.enable_columnar(ValueDictionary())
-    env = IndexedDatabase()
-    env.bind("R", rel, indexed=True)
-    env.index_for("R", ["a"])  # force a live index before the interleaving
+    rel.index_on(["a"])  # force a live index before the interleaving
 
     for op in ops:
         if op[0] == "insert":
@@ -123,7 +114,7 @@ def test_interleaved_mutation_keeps_all_caches_consistent(ops, partitioned):
             rel.delete_rows(lambda row: row[0] == target)
             model = [row for row in model if row[0] != target]
         else:
-            index = env.index_for("R", ["b"])
+            index = rel.index_on(["b"])
             expected = [row for row in model if row[1] == op[1]]
             # Partitioned relations keep rows partition-grouped, so probe
             # results match the model as a multiset, not positionally.
@@ -131,16 +122,15 @@ def test_interleaved_mutation_keeps_all_caches_consistent(ops, partitioned):
 
     assert sorted(rel.rows) == sorted(model)
     _check_ndv(rel)
-    _check_index(rel, env.index_for("R", ["a"]))
+    _check_index(rel, rel.index_on(["a"]))
     store = rel.column_store()
-    if store is not None:
-        d = store.dictionary
-        cols = [list(c) for c in store.columns()]
-        decoded = [
-            (d.value_of(int(cols[0][i])), d.value_of(int(cols[1][i])))
-            for i in range(len(store))
-        ]
-        assert decoded == rel.rows  # the sidecar mirrors the canonical order
+    d = store.dictionary
+    cols = [list(c) for c in store.columns()]
+    decoded = [
+        (d.value_of(int(cols[0][i])), d.value_of(int(cols[1][i])))
+        for i in range(len(store))
+    ]
+    assert decoded == rel.rows  # the store mirrors the canonical order
 
 
 # --------------------------------------------------------------------------- #
@@ -152,7 +142,6 @@ def _decoded(store: ColumnStore) -> list[tuple]:
 
 
 def _probe_pairs(store: ColumnStore, key_cols: tuple, probes: list[tuple]):
-    np = columnar._np
     probe_cols = [
         np.array([p[k] for p in probes], dtype=np.int64) for k in range(len(key_cols))
     ]
@@ -161,28 +150,25 @@ def _probe_pairs(store: ColumnStore, key_cols: tuple, probes: list[tuple]):
 
 
 def _check_store(rel: Relation) -> ColumnStore:
-    """The synced sidecar equals a store built from scratch over ``rel.rows``."""
+    """The synced store equals a store built from scratch over ``rel.rows``."""
     store = rel.column_store()
     assert store is not None and store.stamp == rel._stamp()
     rows = rel.rows
     assert len(store) == len(rows)
     assert _decoded(store) == (rows if rows else [])
     fresh = ColumnStore(len(rel.schema), store.dictionary)
-    assert fresh.sync(rows, (0, len(rows), 0))
-    if columnar.HAVE_NUMPY:
-        id_of = store.dictionary.id_of
-        ids = [id_of(v) for v in range(6)] + [id_of("never stored")]
-        for key_cols, probes in (
-            ((0,), [(i,) for i in ids]),
-            ((1,), [(i,) for i in ids]),
-            ((0, 1), [(a, b) for a in ids for b in ids]),
-        ):
-            # pair for pair, in the row path's order: probe-major, then position
-            got = _probe_pairs(store, key_cols, probes)
-            assert got == _probe_pairs(fresh, key_cols, probes)
-            assert got == sorted(got)
-    else:
-        assert store.probe((0,), [None]) is None
+    fresh.sync(rows, (0, len(rows), 0))
+    id_of = store.dictionary.id_of
+    ids = [id_of(v) for v in range(6)] + [id_of("never stored")]
+    for key_cols, probes in (
+        ((0,), [(i,) for i in ids]),
+        ((1,), [(i,) for i in ids]),
+        ((0, 1), [(a, b) for a in ids for b in ids]),
+    ):
+        # pair for pair: probe-major, then position
+        got = _probe_pairs(store, key_cols, probes)
+        assert got == _probe_pairs(fresh, key_cols, probes)
+        assert got == sorted(got)
     return store
 
 
@@ -200,89 +186,87 @@ _store_op = st.one_of(
 )
 
 
-@pytest.mark.parametrize("kernel", COLUMNAR_KERNELS)
 @settings(max_examples=80, deadline=None)
 @given(
     # (operation, whether the store is read — and so synced — right after it)
     ops=st.lists(st.tuples(_store_op, st.booleans()), max_size=16),
     partitioned=st.booleans(),
 )
-def test_column_store_follows_every_mutation(kernel, ops, partitioned):
-    with columnar_kernel(kernel):
-        model: list[tuple] = [(i // 2, i % 3) for i in range(8)]
-        if partitioned:
-            rel = PartitionedRelation(
-                ["a", "b"], rows=list(model), partition_attribute="a"
-            )
-        else:
-            rel = Relation(["a", "b"], rows=list(model))
-        rel.enable_columnar(ValueDictionary())
-        store = _check_store(rel)
-        retained = []  # columns() views kept alive across mutations
-        behind = False  # a delete the store could not mirror since its last sync
-        rebuilds = 0
+def test_column_store_follows_every_mutation(ops, partitioned):
+    model: list[tuple] = [(i // 2, i % 3) for i in range(8)]
+    if partitioned:
+        rel = PartitionedRelation(
+            ["a", "b"], rows=list(model), partition_attribute="a"
+        )
+    else:
+        rel = Relation(["a", "b"], rows=list(model))
+    rel.enable_columnar(ValueDictionary())
+    store = _check_store(rel)
+    retained = []  # columns() views kept alive across mutations
+    behind = False  # a delete the store could not mirror since its last sync
+    rebuilds = 0
 
-        for (name, arg), read in ops:
-            rows = list(rel)  # iteration leaves a pending re-stitch pending
-            mirrors = store.prefix_drops + store.swap_deletes
-            mirrorable = False
-            if name == "insert":
-                rel.insert_many(arg)
-                model.extend(arg)
-            elif name == "bulk":
-                new = [(arg, i % 4) for i in range(70)]
-                rel.insert_many(new)
-                model.extend(new)
-            elif name in ("drop_leading", "drop_keys"):
-                if not partitioned:
-                    continue
-                if name == "drop_leading":
-                    keys = set(list(dict.fromkeys(r[0] for r in rows))[:arg])
-                else:
-                    keys = set(arg)  # any mix of leading, inner and unknown keys
-                removed = sum(1 for r in rows if r[0] in keys)
-                assert rel.drop_partitions(keys) == removed
-                model = [r for r in model if r[0] not in keys]
-                if removed and all(r[0] in keys for r in rows[:removed]):
-                    mirrorable = True
-                    assert rel.rows == rows[removed:]  # sliced, not re-stitched
-                else:
-                    behind = behind or removed > 0
-            elif name == "swap":
-                if partitioned or not rows:
-                    continue
-                position = arg % len(rows)
-                assert rel.swap_delete_at(position) == rows[position]
-                model.remove(rows[position])
-                mirrorable = True
-            elif name == "delete":
-                removed = rel.delete_rows(lambda row: row[1] == arg)
-                model = [r for r in model if r[1] != arg]
-                behind = behind or removed > 0
-            elif name == "clear":
-                rel.clear()
-                model = []
-                behind = True
-            else:
-                retained.append(store.columns())
+    for (name, arg), read in ops:
+        rows = list(rel)  # iteration leaves a pending re-stitch pending
+        mirrors = store.prefix_drops + store.swap_deletes
+        mirrorable = False
+        if name == "insert":
+            rel.insert_many(arg)
+            model.extend(arg)
+        elif name == "bulk":
+            new = [(arg, i % 4) for i in range(70)]
+            rel.insert_many(new)
+            model.extend(new)
+        elif name in ("drop_leading", "drop_keys"):
+            if not partitioned:
                 continue
+            if name == "drop_leading":
+                keys = set(list(dict.fromkeys(r[0] for r in rows))[:arg])
+            else:
+                keys = set(arg)  # any mix of leading, inner and unknown keys
+            removed = sum(1 for r in rows if r[0] in keys)
+            assert rel.drop_partitions(keys) == removed
+            model = [r for r in model if r[0] not in keys]
+            if removed and all(r[0] in keys for r in rows[:removed]):
+                mirrorable = True
+                assert rel.rows == rows[removed:]  # sliced, not re-stitched
+            else:
+                behind = behind or removed > 0
+        elif name == "swap":
+            if partitioned or not rows:
+                continue
+            position = arg % len(rows)
+            assert rel.swap_delete_at(position) == rows[position]
+            model.remove(rows[position])
+            mirrorable = True
+        elif name == "delete":
+            removed = rel.delete_rows(lambda row: row[1] == arg)
+            model = [r for r in model if r[1] != arg]
+            behind = behind or removed > 0
+        elif name == "clear":
+            rel.clear()
+            model = []
+            behind = True
+        else:
+            retained.append(store.columns())
+            continue
 
-            # A mirrorable delete is applied to the store as it happens,
-            # pending appends included — unless the store was already behind.
-            mirrored = store.prefix_drops + store.swap_deletes - mirrors
-            assert mirrored == (1 if mirrorable and not behind else 0)
-            if mirrored:
-                assert store.stamp == rel._stamp()
-            if partitioned:  # every view of the rows agrees with the flat one
-                assert list(rel) == rel.rows and len(rel) == len(rel.rows)
-                for key in range(8):
-                    assert rel.partition(key) == [r for r in rel.rows if r[0] == key]
-            assert sorted(rel.rows) == sorted(model)
-            _check_ndv(rel)
-            if read:
-                store = _check_store(rel)
-                rebuilds += behind  # the one fallback, once per sync
-                behind = False
-                assert store.rebuilds == rebuilds
-        _check_store(rel)
-        assert all(len(view) == 2 for view in retained)
+        # A mirrorable delete is applied to the store as it happens,
+        # pending appends included — unless the store was already behind.
+        mirrored = store.prefix_drops + store.swap_deletes - mirrors
+        assert mirrored == (1 if mirrorable and not behind else 0)
+        if mirrored:
+            assert store.stamp == rel._stamp()
+        if partitioned:  # every view of the rows agrees with the flat one
+            assert list(rel) == rel.rows and len(rel) == len(rel.rows)
+            for key in range(8):
+                assert rel.partition(key) == [r for r in rel.rows if r[0] == key]
+        assert sorted(rel.rows) == sorted(model)
+        _check_ndv(rel)
+        if read:
+            store = _check_store(rel)
+            rebuilds += behind  # the one fallback, once per sync
+            behind = False
+            assert store.rebuilds == rebuilds
+    _check_store(rel)
+    assert all(len(view) == 2 for view in retained)

@@ -17,7 +17,10 @@ from repro.relational.terms import Const, Var
 
 
 def _db(**relations):
-    return dict(relations)
+    env = IndexedDatabase()
+    for name, relation in relations.items():
+        env.bind(name, relation, indexed=True)
+    return env
 
 
 def _rel(attrs, rows):
@@ -83,7 +86,7 @@ def test_cartesian_step():
 
 def test_empty_body_constant_head():
     cq = _query(["k"], [Const(7)], [])
-    result = compile_plan(cq, {}).execute({})
+    result = compile_plan(cq, _db()).execute(_db())
     assert result.rows == [(7,)]
     assert result.rows == evaluate_conjunctive(cq, {}).rows
 
@@ -133,6 +136,12 @@ def test_unknown_relation_raises_at_compile_time():
         compile_plan(cq, {"R": _rel(["a"], [])})
 
 
+def test_execute_needs_an_environment_with_a_dictionary():
+    cq = _query(["k"], [Const(7)], [])
+    with pytest.raises(TypeError, match="IndexedDatabase"):
+        compile_plan(cq, {}).execute({})
+
+
 # --------------------------------------------------------------------------- #
 # indexed environments
 # --------------------------------------------------------------------------- #
@@ -146,15 +155,16 @@ def test_compiled_plan_uses_persistent_indexes():
         [("W", [Var("b"), Var("c")]), ("R", [Var("a"), Var("b")])],
     )
     plan = compile_plan(cq, env)
-    before = state.num_indexes
     result = plan.execute(env)
     assert sorted(result.rows) == [(1, "x"), (2, "y")]
-    # The indexed relation is probed through a live index, built on demand.
-    assert state.num_indexes >= max(before, 1)
-    # The index stays current under inserts.
+    # The stable relation is probed through a group index, built on demand.
+    store = state.column_store()
+    assert store.group_builds == 1
+    # The index outlives inserts: the appended row is probed as a suffix.
     state.insert((3, 30))
     env.bind("W", _rel(["b", "c"], [(30, "z")]))
     assert plan.execute(env).rows == [(3, "z")]
+    assert store.group_builds == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -49,12 +49,12 @@ def test_a_bad_replay_is_a_usage_error(spec, restore_defaults):
 
 
 def test_explicit_values_beat_replayed_defaults(restore_defaults):
-    replay_defaults(["metrics=True", "columnar=False", "max_workers=2", "executor=threads"])
+    replay_defaults(["metrics=True", "route_dispatch=False", "max_workers=2", "executor=threads"])
     config = RuntimeConfig()
-    assert (config.metrics, config.columnar, config.max_workers) == (True, False, 2)
+    assert (config.metrics, config.route_dispatch, config.max_workers) == (True, False, 2)
     assert config.executor == "threads"
-    explicit = RuntimeConfig(metrics=False, columnar=True, executor="serial")
-    assert (explicit.metrics, explicit.columnar, explicit.executor) == (False, True, "serial")
+    explicit = RuntimeConfig(metrics=False, route_dispatch=True, executor="serial")
+    assert (explicit.metrics, explicit.route_dispatch, explicit.executor) == (False, True, "serial")
     assert explicit.replace(shards=2).executor == "serial"
     with open_broker(RuntimeConfig(construct_outputs=False)) as broker:
         assert broker.metrics is not None and broker.stats()["executor"] == "threads"
@@ -64,7 +64,7 @@ def test_presets_apply_their_own_values_over_a_replay(restore_defaults):
     replay_defaults(["metrics=True", "storage=sqlite", "engine=mmqjp-vm"])
     ablation = RuntimeConfig.ablation(engine="sequential")
     assert ablation.engine == "sequential"
-    assert not ablation.columnar and not ablation.route_dispatch
+    assert not ablation.route_dispatch
     assert ablation.metrics and ablation.storage == "sqlite"  # what it leaves alone
     assert RuntimeConfig.throughput().shards == 4
     assert RuntimeConfig.throughput().storage == "sqlite"

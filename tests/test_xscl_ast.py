@@ -1,9 +1,16 @@
 """Unit tests for XSCL AST helpers."""
 
+import copy
+import random
+from dataclasses import replace
+
 import pytest
 
+from repro.workloads.querygen import generate_query
+from repro.xmlmodel.schema import two_level_schema
 from repro.xscl import INFINITE_WINDOW, JoinOperator, JoinSpec, ValueJoinPredicate, parse_query
-from repro.xscl.ast import XsclQuery
+from repro.xscl.ast import QueryBlock, XsclQuery
+from repro.xscl.render import render_query
 from tests.conftest import PAPER_Q1, PAPER_WINDOWS
 
 
@@ -63,13 +70,34 @@ def test_repr_mentions_operator_and_blocks(q1):
     assert "2 value joins" in text
 
 
-def test_rename_variables_matches_deepcopy_baseline(q1):
-    from repro.xmlmodel.schema import two_level_schema
-    from repro.workloads.querygen import generate_query
-    from repro.xscl.ast import rename_variables_deepcopy
-    from repro.xscl.render import render_query
-    import random
+def rename_variables_deepcopy(query: XsclQuery, mapping: dict[str, str]) -> XsclQuery:
+    """The reference rename: deep-copy every pattern, then rename in place."""
 
+    def rename_block(block):
+        if block is None:
+            return None
+        pattern = copy.deepcopy(block.pattern)
+        for node in pattern.iter_nodes():
+            if node.variable is not None:
+                node.variable = mapping.get(node.variable, node.variable)
+        return QueryBlock(pattern=pattern)
+
+    join = query.join
+    if join is not None:
+        join = JoinSpec(
+            operator=join.operator,
+            predicates=tuple(
+                ValueJoinPredicate(
+                    mapping.get(p.left_var, p.left_var), mapping.get(p.right_var, p.right_var)
+                )
+                for p in join.predicates
+            ),
+            window=join.window,
+        )
+    return replace(query, left=rename_block(query.left), right=rename_block(query.right), join=join)
+
+
+def test_rename_variables_matches_deepcopy_baseline(q1):
     mapping = {"x2": "a", "x5": "b", "x6": "x6"}
     queries = [q1] + [
         generate_query(two_level_schema(4), k, random.Random(seed), window=9.0)
