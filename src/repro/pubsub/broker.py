@@ -59,13 +59,14 @@ from repro.pubsub.filters import FilterFrontEnd, deliver_filter_matches
 from repro.pubsub.stream import StreamRegistry
 from repro.pubsub.subscription import Callback, Subscription, SubscriptionResult
 from repro.runtime.executor import make_executor
-from repro.runtime.partition import make_partitioner
+from repro.runtime.partition import make_partitioner, template_key
 from repro.runtime.process import ProcessShardHandle, ShardWorkerGroup
-from repro.runtime.router import ShardRouter
+from repro.runtime.router import RoutedQuery, ShardRouter
 from repro.runtime.shard import EngineShard
 from repro.runtime.wire import WireBuffer, encode_document_batch
 from repro.storage import SubscriptionRecord, open_member_store, resolve_storage
 from repro.storage.recovery import config_snapshot
+from repro.templates.template import reduced_graph_signature
 from repro.xmlmodel.document import XmlDocument
 from repro.xmlmodel.parser import parse_document
 from repro.xscl.ast import XsclQuery
@@ -82,6 +83,9 @@ class _ParsedText(NamedTuple):
     key: Optional[Hashable]  # its key in Broker.texts (None: an AST was subscribed)
     query: XsclQuery
     rendered: Optional[str]  # what the store persists (None without a store)
+    # Sharded join queries only: the partitioner's key and the router's form.
+    template_key: Optional[tuple] = None
+    routed: Optional[RoutedQuery] = None
 
 
 class Broker:
@@ -304,7 +308,17 @@ class Broker:
         # The query is persisted as rendered text (windows numeric, so no
         # window-symbol table is needed to replay it).
         rendered = None if self._store is None else render_query(query)
-        return _ParsedText(key, query, rendered)
+        if self._partitioner is None or not query.is_join_query:
+            return _ParsedText(key, query, rendered)
+        # What placing and routing need is derived here, once per distinct
+        # text: the key is invariant under the router's renaming, so its
+        # reduced graph serves both.
+        if self._router is None:
+            return _ParsedText(key, query, rendered, template_key(query))
+        routed = self._router.derive(query)
+        return _ParsedText(
+            key, query, rendered, reduced_graph_signature(routed.reduced), routed
+        )
 
     def _register(
         self,
@@ -344,15 +358,17 @@ class Broker:
             self.shards[0].register(sid, query)
         else:
             if recorded_shard is None:
-                shard_id = self._partitioner.shard_for(query)
+                shard_id = self._partitioner.shard_for(query, parsed.template_key)
             else:
-                self._partitioner.restore_assignment(query, recorded_shard)
+                self._partitioner.restore_assignment(
+                    query, recorded_shard, parsed.template_key
+                )
                 shard_id = recorded_shard
             shard = self.shards[shard_id]
             shard.register(sid, query)
             self._shard_of[sid] = shard
             if self._router is not None:
-                self._router.register(sid, query, shard_id)
+                self._router.register(sid, query, shard_id, parsed.routed)
         self._subscriptions[sid] = subscription
         subscription._retract = self.cancel
         if parsed.key is not None:

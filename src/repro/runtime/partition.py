@@ -10,6 +10,11 @@ key their decisions on the :func:`template key
 <repro.templates.template.reduced_graph_signature>` of the query's reduced
 join graph, and remember the first placement of every key.
 
+Cohesion needs only that the key is *invariant*: isomorphic reduced graphs
+(one template) always have equal keys.  Two different templates may share
+a key — the degree signature does not separate every pair — and then they
+simply share a shard, which costs balance, never correctness.
+
 * :class:`HashTemplatePartitioner` — a deterministic digest of the template
   key modulo the shard count.  Stateless placement: two brokers with the
   same shard count agree on every assignment.
@@ -21,7 +26,7 @@ join graph, and remember the first placement of every key.
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Optional, Union
 
 from repro.templates.join_graph import JoinGraph
 from repro.templates.minor import reduce_join_graph
@@ -53,9 +58,14 @@ class Partitioner:
         self.loads = [0] * num_shards
         self._assigned: dict[tuple, int] = {}
 
-    def shard_for(self, query: XsclQuery) -> int:
-        """The shard that must own ``query`` (stable per template key)."""
-        key = template_key(query)
+    def shard_for(self, query: XsclQuery, key: Optional[tuple] = None) -> int:
+        """The shard that must own ``query`` (stable per template key).
+
+        ``key`` is the query's :func:`template_key`, when the caller already
+        derived it.
+        """
+        if key is None:
+            key = template_key(query)
         shard = self._assigned.get(key)
         if shard is None:
             shard = self._place(key)
@@ -77,7 +87,9 @@ class Partitioner:
         if self.loads[shard] > 0:
             self.loads[shard] -= 1
 
-    def restore_assignment(self, query: XsclQuery, shard: int) -> None:
+    def restore_assignment(
+        self, query: XsclQuery, shard: int, key: Optional[tuple] = None
+    ) -> None:
         """Force ``query``'s template onto ``shard`` (crash-recovery replay).
 
         Recovery must reproduce the crashed session's recorded placements —
@@ -85,13 +97,13 @@ class Partitioner:
         strategy replaying only the surviving subscriptions could place a
         template differently.  Updates the load accounting like a normal
         :meth:`shard_for` call, so post-recovery placements balance against
-        the true population.
+        the true population.  ``key`` is as in :meth:`shard_for`.
         """
         if not 0 <= shard < self.num_shards:
             raise ValueError(
                 f"recorded shard {shard} is out of range for {self.num_shards} shards"
             )
-        self._assigned[template_key(query)] = shard
+        self._assigned[template_key(query) if key is None else key] = shard
         self.loads[shard] += 1
 
     def _place(self, key: tuple) -> int:

@@ -44,18 +44,25 @@ attracting documents.
 
 from __future__ import annotations
 
-from typing import Hashable, Union
+from typing import Hashable, NamedTuple, Optional, Union
 
 from repro.core.relevance import RelevanceIndex
 from repro.templates.join_graph import JoinGraph, Side
-from repro.templates.minor import reduce_join_graph
+from repro.templates.minor import ReducedJoinGraph, reduce_join_graph
 from repro.xmlmodel.document import XmlDocument
 from repro.xpath.evaluator import Stage1Registrations, XPathEvaluator
 from repro.xscl.ast import XsclQuery
 from repro.xscl.normalize import VariableCatalog, canonicalize_query
 from repro.xscl.parser import parse_query
 
-__all__ = ["ShardRouter"]
+__all__ = ["RoutedQuery", "ShardRouter"]
+
+
+class RoutedQuery(NamedTuple):
+    """What the router derives from one join query (see :meth:`ShardRouter.derive`)."""
+
+    canonical: XsclQuery  # in the router's own canonical variable names
+    reduced: ReducedJoinGraph  # the reduced join graph of ``canonical``
 
 
 class ShardRouter:
@@ -77,14 +84,32 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
-    def register(
-        self, subscription_id: str, query: Union[str, XsclQuery], shard_id: Hashable
-    ) -> None:
-        """Index one join subscription under its owning shard."""
-        if isinstance(query, str):
-            query = parse_query(query)
+    def derive(self, query: XsclQuery) -> RoutedQuery:
+        """The canonical form and reduced join graph :meth:`register` indexes.
+
+        A pure function of the query while the router lives (its catalog
+        only grows), so a caller may derive once per distinct text and pass
+        the result to every :meth:`register` of that text.
+        """
         canonical = canonicalize_query(query, self._catalog)
-        reduced = reduce_join_graph(JoinGraph.from_query(canonical))
+        return RoutedQuery(canonical, reduce_join_graph(JoinGraph.from_query(canonical)))
+
+    def register(
+        self,
+        subscription_id: str,
+        query: Union[str, XsclQuery],
+        shard_id: Hashable,
+        routed: Optional[RoutedQuery] = None,
+    ) -> None:
+        """Index one join subscription under its owning shard.
+
+        ``routed`` is :meth:`derive` of the query, when the caller has it.
+        """
+        if routed is None:
+            if isinstance(query, str):
+                query = parse_query(query)
+            routed = self.derive(query)
+        canonical, reduced = routed
         patterns = {
             Side.LEFT: canonical.left.pattern,
             Side.RIGHT: canonical.right.pattern,

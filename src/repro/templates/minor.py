@@ -76,15 +76,26 @@ def _reduce_side(graph: JoinGraph, side: Side) -> tuple[set[NodeKey], list[tuple
     participants = graph.value_join_participants(side)
     if not participants:
         return set(), []
+    parents = graph.parents
 
     kept: set[NodeKey] = set(participants)
     # Pairwise LCAs of the participants are exactly the branching nodes of
     # the Steiner tree spanning them; rule 2 + rule 3 keep precisely those.
-    for i, a in enumerate(participants):
-        for b in participants[i + 1:]:
-            lca = graph.lca(a, b)
-            if lca is not None:
-                kept.add(lca)
+    # A node branches when participants reach it through two different
+    # children.  Each walk up stops at the first node an earlier walk
+    # reached, since everything above it is already recorded, so every node
+    # is visited once.
+    reached_via: dict[NodeKey, NodeKey] = {}
+    for participant in participants:
+        child, node = participant, parents.get(participant)
+        while node is not None:
+            via = reached_via.get(node)
+            if via is not None:
+                if via != child:
+                    kept.add(node)
+                break
+            reached_via[node] = child
+            child, node = node, parents.get(node)
 
     # Structural edge: each kept node links to its nearest kept proper ancestor.
     edges: list[tuple[NodeKey, NodeKey]] = []

@@ -19,7 +19,11 @@ from repro.relational.relation import Relation
 from repro.templates.cqt import build_cqt, build_cqt_materialized
 from repro.templates.join_graph import JoinGraph
 from repro.templates.minor import ReducedJoinGraph, reduce_join_graph
-from repro.templates.template import QueryTemplate, TemplateAssignment
+from repro.templates.template import (
+    QueryTemplate,
+    TemplateAssignment,
+    reduced_graph_signature,
+)
 from repro.xscl.ast import XsclQuery
 
 
@@ -204,15 +208,12 @@ class TemplateRegistry:
         return qid in self._queries
 
     def _match_or_create(self, reduced: ReducedJoinGraph) -> TemplateAssignment:
-        from repro.templates.template import _reduced_to_nx, _signature
-
         key = _graph_key(reduced)
         cached = self._assignment_memo.get(key)
         if cached is not None:
             return cached
 
-        signature = _signature(_reduced_to_nx(reduced))
-        for entry in self._by_signature.get(signature, ()):
+        for entry in self._by_signature.get(reduced_graph_signature(reduced), ()):
             assignment = entry.template.match(reduced)
             if assignment is not None:
                 self._assignment_memo[key] = assignment

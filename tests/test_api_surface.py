@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import importlib
 import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -185,9 +187,71 @@ def test_pyproject_agrees_with_the_package_version():
     assert "version" not in project and "version" in project["dynamic"]
     module, _, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
     assert getattr(importlib.import_module(module), name) == repro.__version__
-    # numpy is required: Stage 2 has no kernel without it.
-    assert any(dep.startswith("numpy") for dep in project["dependencies"])
     assert "fast" not in project["optional-dependencies"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    # numpy is required: Stage 2 has no kernel without it.  networkx serves
+    # only the matcher's reference test.
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "networkx>=3.0" in project["optional-dependencies"]["dev"]
+
+
+_WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None  # importing it now raises ImportError
+from repro import RuntimeConfig, open_broker
+from repro.xmlmodel.parser import parse_document
+from tests.conftest import (
+    PAPER_Q1, PAPER_Q2, PAPER_Q3, PAPER_WINDOWS, make_blog_article, make_book_announcement,
+)
+from tests.oracle import Oracle
+
+left, right = [5, 2, 7, 0, 3, 6, 1, 4], [1, 6, 0, 4, 7, 2, 5, 3]
+block = lambda order: "S//t7_root->r" + "".join(f"[.//t7_leaf{i}->v{i}]" for i in order)
+joins = " AND ".join(f"v{l}=v{r}" for l, r in zip(left, right))
+TOPIC7 = f"{block(left)} FOLLOWED BY{{{joins}, 100}} {block(right)}"
+topic = lambda docid, ts, value: parse_document(
+    "<t7_root>" + "".join(f"<t7_leaf{i}>{value}</t7_leaf{i}>" for i in range(8)) + "</t7_root>",
+    docid=docid, timestamp=ts,
+)
+documents = lambda: [
+    make_book_announcement("bk0", 1.0), make_blog_article("bl0", 2.0),
+    make_blog_article("bl1", 3.0), topic("td0", 4.0, "x"), topic("td1", 5.0, "x"),
+    topic("td2", 6.0, "y"),
+]
+for shards in (1, 2):
+    broker = open_broker(RuntimeConfig(shards=shards, executor="serial", auto_timestamp=False))
+    oracle = Oracle()
+    for sid, text in (("q1", PAPER_Q1), ("q2", PAPER_Q2), ("q3", PAPER_Q3), ("t7", TOPIC7)):
+        for target in (broker, oracle):
+            target.subscribe(text, subscription_id=sid, window_symbols=PAPER_WINDOWS)
+    delivered = set()
+    for document, twin in zip(documents(), documents()):
+        got = {
+            (d.subscription_id, d.match.lhs_docid, d.match.rhs_docid)
+            for d in broker.publish(document)
+        }
+        assert got == oracle.publish(twin), (shards, document.docid, got)
+        delivered |= got
+    broker.close()
+    assert {sid for sid, _, _ in delivered} == {"q1", "q2", "q3", "t7"}, delivered
+assert not [name for name in sys.modules if name.startswith("networkx.")]
+print("ok")
+"""
+
+
+def test_a_session_runs_without_networkx():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
 
 
 def test_subscription_lifecycle_surface():

@@ -11,10 +11,13 @@ names than the persisted state rows use.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import RecoveryError, RuntimeConfig, open_broker, to_xml
 from repro.pubsub import Broker
+from repro.xmlmodel.parser import parse_document
 from tests.conftest import make_blog_article, make_book_announcement
 
 Q_AUTHOR = (
@@ -149,6 +152,56 @@ def test_filter_subscriptions_recover(shards, tmp_path):
     resumed.close()
     assert _keys(out) == reference
     assert any(sid == "qf" for sid, _ in _keys(out))
+
+
+def _topic_text(topic: int, rng: random.Random) -> str:
+    """Leaves of one block joined to a permutation of the other's leaves."""
+    left, right = rng.sample(range(topic + 1), topic + 1), rng.sample(range(topic + 1), topic + 1)
+
+    def block(order) -> str:
+        return f"S//t{topic}->r{topic}" + "".join(f"[.//t{topic}_{i}->v{topic}_{i}]" for i in order)
+
+    joins = " AND ".join(f"v{topic}_{l}=v{topic}_{r}" for l, r in zip(left, right))
+    return f"{block(left)} FOLLOWED BY{{{joins}, 100}} {block(right)}"
+
+
+def _topic_document(sequence: int, value: str):
+    topic = sequence % 4
+    leaves = "".join(f"<t{topic}_{i}>{value}</t{topic}_{i}>" for i in range(topic + 1))
+    return parse_document(
+        f"<t{topic}>{leaves}</t{topic}>", docid=f"td{sequence}", timestamp=float(sequence + 1)
+    )
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_symmetric_templates_recover(shards, tmp_path):
+    """A topic-shaped template has a factorial automorphism group.
+
+    Which of the equally valid meta-variable assignments the matcher picks
+    decides each ``RT`` row; replay must rebuild rows that agree with the
+    persisted state, so the resumed session delivers what an uninterrupted
+    one does.
+    """
+    rng = random.Random(3)
+    queries = [(f"t{i}", _topic_text(i % 4, rng)) for i in range(24)]
+    documents = [_topic_document(i, f"val{rng.randrange(2)}") for i in range(24)]
+    config = RuntimeConfig(shards=shards, construct_outputs=False, auto_timestamp=False)
+    reference = _reference_run(config, documents, queries)
+
+    durable = config.replace(storage="sqlite", storage_path=str(tmp_path))
+    first = open_broker(durable)
+    for sid, query in queries:
+        first.subscribe(query, subscription_id=sid)
+    out = _publish_all(first, documents[:12])
+    first.close()
+
+    resumed = open_broker(resume_from=str(tmp_path))
+    out.extend(_publish_all(resumed, documents[12:]))
+    resumed.close()
+    assert _keys(out) == reference
+    # Joins fire across the restart: a stored document pairs with a new one.
+    before = {d.docid for d in documents[:12]}
+    assert any(key[1] in before and key[2] not in before for _, key in _keys(out))
 
 
 def test_auto_timestamp_clock_continues(tmp_path):

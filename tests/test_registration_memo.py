@@ -20,6 +20,7 @@ from repro import RuntimeConfig, open_broker
 from repro.core import engine as engine_module
 from repro.core.engine import make_engine
 from repro.pubsub import broker as broker_module
+from repro.runtime import template_key
 from repro.templates.join_graph import JoinGraph
 from tests.conftest import make_blog_article, make_book_announcement
 
@@ -109,6 +110,27 @@ def test_a_thousand_subscribes_over_three_texts_derive_three_times(monkeypatch):
         handle.cancel()
     assert len(broker.texts) == len(broker.engine.texts) == 0
     assert broker._text_of == {} and broker.engine._text_of == {}
+
+
+@pytest.mark.parametrize("route_dispatch", [True, False])
+def test_the_shard_parent_places_and_routes_from_the_memo(monkeypatch, route_dispatch):
+    """Placement key and router form are derived once per text, in the memo entry."""
+    graphs = _count_calls(monkeypatch, JoinGraph, "from_query")
+    broker = open_broker(CONFIG.replace(shards=2, route_dispatch=route_dispatch))
+    texts = (Q_AUTHOR, Q_CAT, Q_TITLE)
+    handles = [broker.subscribe(texts[i % 3]) for i in range(300)]
+    # once per text in the parent, once in the engine of the shard it lives on
+    assert len(graphs) == 2 * len(texts)
+    assert sum(broker.stats()["partition"]["loads"]) == 300
+    for text in texts:
+        parsed = broker.texts.get(text)
+        assert parsed.template_key == template_key(parsed.query)
+        assert (parsed.routed is not None) == route_dispatch
+    matched = {d.subscription_id for d in _publish(broker, _documents(0, 2))}
+    assert len(matched) == 300
+    for handle in handles:
+        handle.cancel()
+    assert len(broker.texts) == 0 and broker.stats()["partition"]["loads"] == [0, 0]
 
 
 def test_memo_size_follows_the_live_distinct_texts_under_churn():

@@ -38,9 +38,9 @@ def test_complex_schema_template_counts_match_table3(num_value_joins, expected_c
 
 @pytest.mark.slow
 def test_four_value_join_counts():
-    """Table 3's last row: 16 flat templates, fewer than 230 complex ones."""
+    """Table 3's last row: 16 flat templates; 146 complex ones (the paper: < 230)."""
     assert count_templates(4, "flat") == 16
-    assert count_templates(4, "complex") < 230
+    assert count_templates(4, "complex") == 146
 
 
 def test_template_count_table_shape():
