@@ -3,8 +3,10 @@
 The broker accepts documents as text; this parser covers the XML subset the
 paper's workloads use: elements, attributes, character data, comments,
 processing instructions/prolog, and entity references for the five
-predefined entities.  It does not support namespaces, DTDs or CDATA mixed
-content subtleties beyond simple concatenation.
+predefined entities and for the ``<!ENTITY name "literal">`` declarations
+of a DOCTYPE internal subset.  It does not support namespaces, other DTD
+declarations or CDATA mixed content subtleties beyond simple
+concatenation.
 
 :func:`parse_node` and :func:`parse_document` run on the single-pass
 event scanner of :mod:`repro.xmlmodel.stream` (one text walk, ids assigned
@@ -22,11 +24,13 @@ from repro.xmlmodel.document import XmlDocument
 from repro.xmlmodel.node import XmlNode
 from repro.xmlmodel.stream import (
     _ATTR_RE,
+    _ENTITY_CHARS,
     _TAG_RE,
     _unescape,
     XmlParseError,
     parse_document_streaming,
     parse_node_streaming,
+    skip_doctype,
 )
 
 __all__ = ["XmlParseError", "parse_document", "parse_node"]
@@ -38,6 +42,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.entities = _ENTITY_CHARS
 
     def error(self, message: str) -> XmlParseError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -59,10 +64,10 @@ class _Parser:
                     raise self.error("unterminated processing instruction")
                 self.pos = end + 2
             elif self.text.startswith("<!DOCTYPE", self.pos):
-                end = self.text.find(">", self.pos)
-                if end < 0:
+                doctype = skip_doctype(self.text, self.pos)
+                if doctype is None:
                     raise self.error("unterminated DOCTYPE")
-                self.pos = end + 1
+                self.pos, self.entities = doctype
             else:
                 return
 
@@ -81,7 +86,7 @@ class _Parser:
             m = _ATTR_RE.match(self.text, self.pos)
             if not m:
                 break
-            attributes[m.group(1)] = _unescape(m.group(2)[1:-1])
+            attributes[m.group(1)] = _unescape(m.group(2)[1:-1], self.entities)
             self.pos = m.end()
 
         # Self-closing?
@@ -126,7 +131,7 @@ class _Parser:
                 nxt = self.text.find("<", self.pos)
                 if nxt < 0:
                     raise self.error(f"unexpected end of input inside <{tag}>")
-                text_parts.append(_unescape(self.text[self.pos : nxt]))
+                text_parts.append(_unescape(self.text[self.pos : nxt], self.entities))
                 self.pos = nxt
         text = "".join(text_parts).strip()
         node.text = text if text else None

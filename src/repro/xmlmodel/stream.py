@@ -7,17 +7,25 @@ can build whatever they need in a single pass — a full node tree
 or Stage-1 witnesses directly (:mod:`repro.xpath.streaming`) without ever
 materializing :class:`~repro.xmlmodel.node.XmlNode` objects.
 
+Given a :func:`leaf_run_pattern`, a run of leaves whose tags the consumer
+never reads reaches it as one ``leaves`` call; :func:`validate_text` is the
+same scan with every leaf run inert and every event dropped.
+
 The scanner accepts exactly the XML subset of the original recursive
 parser (:class:`repro.xmlmodel.parser._Parser`, kept as the reference
 implementation for differential tests): elements, attributes, character
-data, CDATA, comments, a prolog/DOCTYPE before the root, and the five
-predefined entities.  Error messages and reported positions are identical
-— property tests assert parity on malformed inputs.
+data, CDATA, comments, a prolog/DOCTYPE before the root, the five
+predefined entities and the ``<!ENTITY name "literal">`` declarations of a
+DOCTYPE internal subset (undeclared names stay verbatim).  Error messages
+and reported positions are identical — property tests assert parity on
+malformed inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from types import SimpleNamespace
 
 from repro.xmlmodel.document import XmlDocument
 from repro.xmlmodel.node import XmlNode
@@ -25,17 +33,29 @@ from repro.xmlmodel.node import XmlNode
 _TAG_RE = re.compile(r"[A-Za-z_][\w.\-:]*")
 _ATTR_RE = re.compile(r"\s*([A-Za-z_][\w.\-:]*)\s*=\s*(\"[^\"]*\"|'[^']*')")
 #: A run of complete, attribute-free leaf elements (``<tag>text</tag>``),
-#: the dominant shape of element-dense documents.  Validation consumes a
+#: the dominant shape of element-dense documents.  The scanner consumes a
 #: whole run in one C-level match; the per-iteration backreference pins
 #: each end tag to its own start tag, and the possessive quantifiers keep
 #: a failed continuation from re-scanning the run.  Anything the pattern
 #: does not cover (attributes, children, markup in text) falls back to the
 #: general loop at the exact position the run ended.
-_LEAF_RUN_RE = re.compile(r"(?:\s*<([A-Za-z_][\w.\-:]*+)>[^<]*</\1>)++")
+_LEAF_RUN = r"(?:\s*<{}([A-Za-z_][\w.\-:]*+)>[^<]*</\1>)++"
+_LEAF_RUN_RE = re.compile(_LEAF_RUN.format(""))
+#: Over a matched run that starts at a ``<``, ``findall`` yields each
+#: leaf's raw text, alternating with the whitespace before the next leaf.
+_LEAF_TEXT_RE = re.compile(r">([^<]*)<")
+#: A DOCTYPE with an optional internal subset (quoted literals and comments
+#: may hold ``]`` or ``>``); group 1 is the subset.
+_DOCTYPE_RE = re.compile(
+    r"<!DOCTYPE[^\[>]*+"
+    r"(?:\[((?:<!--.*?-->|\"[^\"]*\"|'[^']*'|[^\]\"'])*+)\]\s*)?>",
+    re.DOTALL,
+)
+_ENTITY_DECL_RE = re.compile(r"<!ENTITY\s+([A-Za-z_][\w.\-:]*)\s+([\"'])(.*?)\2\s*>", re.S)
 #: Entity references are decoded in a single pass: ``&amp;quot;`` is one
 #: ``&amp;`` followed by literal ``quot;`` and must decode to ``&quot;``,
 #: never to ``"`` (the sequential str.replace implementation double-decoded).
-_ENTITY_RE = re.compile(r"&(lt|gt|amp|quot|apos);")
+_ENTITY_RE = re.compile(r"&([A-Za-z_][\w.\-:]*);")
 _ENTITY_CHARS = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
@@ -43,14 +63,37 @@ class XmlParseError(ValueError):
     """Raised when the input text is not well-formed (for the supported subset)."""
 
 
-def _entity_char(match: "re.Match[str]") -> str:
-    return _ENTITY_CHARS[match.group(1)]
-
-
-def _unescape(text: str) -> str:
+def _unescape(text: str, entities: dict[str, str] = _ENTITY_CHARS) -> str:
+    """Decode the references ``entities`` names; any other stays verbatim."""
     if "&" not in text:
         return text
-    return _ENTITY_RE.sub(_entity_char, text)
+    return _ENTITY_RE.sub(lambda m: entities.get(m.group(1), m.group(0)), text)
+
+
+def skip_doctype(text: str, pos: int) -> tuple[int, dict[str, str]] | None:
+    """``(end, entities)`` of the DOCTYPE at ``pos``; ``None`` if unterminated.
+
+    ``entities`` adds each ``<!ENTITY name "literal">`` of the internal
+    subset, as written, to the predefined five.
+    """
+    m = _DOCTYPE_RE.match(text, pos)
+    if not m:
+        return None
+    declared = {name: value for name, _, value in _ENTITY_DECL_RE.findall(m.group(1) or "")}
+    return m.end(), {**declared, **_ENTITY_CHARS} if declared else _ENTITY_CHARS
+
+
+@functools.lru_cache(maxsize=256)
+def leaf_run_pattern(named: frozenset[str]) -> "re.Pattern[str]":
+    """The leaf-run pattern for a consumer that reads the tags in ``named``.
+
+    A run stops before any leaf whose tag is in ``named``; cached, so a
+    consumer rebuilt with the same tag set gets the same compiled pattern.
+    """
+    if not named:
+        return _LEAF_RUN_RE
+    names = "|".join(sorted(re.escape(tag) for tag in named))
+    return re.compile(_LEAF_RUN.format(f"(?!(?:{names})>)"))
 
 
 class XmlScanner:
@@ -61,16 +104,20 @@ class XmlScanner:
         handler.start(tag, attributes)   # element start (attributes: dict)
         handler.text(data)               # one unescaped character-data part
         handler.end()                    # element end (matches the last open start)
+        handler.leaves(text, start, end, entities)  # text[start:end]: a leaf run
 
     A self-closing element emits ``start`` immediately followed by ``end``.
     Comments, processing instructions and DOCTYPE are skipped silently.
+    ``leaves`` comes only from a scan given a leaf-run pattern, at a child
+    start; ``entities`` is the document's entity table.
     """
 
-    __slots__ = ("text", "pos")
+    __slots__ = ("text", "pos", "entities")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.entities = _ENTITY_CHARS
 
     def error(self, message: str) -> XmlParseError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -92,16 +139,18 @@ class XmlScanner:
                     raise self.error("unterminated processing instruction")
                 self.pos = end + 2
             elif self.text.startswith("<!DOCTYPE", self.pos):
-                end = self.text.find(">", self.pos)
-                if end < 0:
+                doctype = skip_doctype(self.text, self.pos)
+                if doctype is None:
                     raise self.error("unterminated DOCTYPE")
-                self.pos = end + 1
+                self.pos, self.entities = doctype
             else:
                 return
 
-    def scan(self, handler) -> None:
+    def scan(self, handler, leaf_run: "re.Pattern[str] | None" = None) -> None:
         """Scan one element (with its subtree) starting at the cursor.
 
+        With a ``leaf_run`` pattern, every run of leaves it matches at a
+        child start goes to ``handler.leaves`` in one call.
         The loop body keeps the cursor in a local and dispatches on the
         character *after* a ``<`` (name start / ``/`` / ``!``): this is the
         per-event hot path of tree building and text scanning alike, so it
@@ -113,9 +162,12 @@ class XmlScanner:
         text = self.text
         length = len(text)
         pos = self.pos
+        entities = self.entities
         emit_start = handler.start
         emit_text = handler.text
         emit_end = handler.end
+        leaf_match = None if leaf_run is None else leaf_run.match
+        emit_leaves = None if leaf_run is None else handler.leaves
         tag_match = _TAG_RE.match
         attr_match = _ATTR_RE.match
         stack: list[str] = []
@@ -140,7 +192,7 @@ class XmlScanner:
                     m = attr_match(text, pos)
                     if not m:
                         break
-                    attributes[m.group(1)] = _unescape(m.group(2)[1:-1])
+                    attributes[m.group(1)] = _unescape(m.group(2)[1:-1], entities)
                     pos = m.end()
 
             while pos < length and text[pos].isspace():
@@ -174,7 +226,7 @@ class XmlScanner:
                         raise self.error(
                             f"unexpected end of input inside <{stack[-1]}>"
                         )
-                    emit_text(_unescape(text[pos:nxt]))
+                    emit_text(_unescape(text[pos:nxt], entities))
                     pos = nxt
                     continue
                 head = text[pos + 1] if pos + 1 < length else ""
@@ -202,6 +254,12 @@ class XmlScanner:
                     stack.pop()
                     emit_end()
                 elif head != "!":
+                    if leaf_match is not None:
+                        m = leaf_match(text, pos)
+                        if m:
+                            emit_leaves(text, pos, m.end(), entities)
+                            pos = m.end()
+                            continue
                     break  # a child element; the outer loop parses its start tag
                 elif text.startswith("<!--", pos):
                     end = text.find("-->", pos)
@@ -222,136 +280,36 @@ class XmlScanner:
                 self.pos = pos
                 return
 
-    def validate(self) -> None:
-        """Check well-formedness of one element without emitting events.
 
-        The same grammar and error messages as :meth:`scan`, minus every
-        piece of work that only matters to a consumer: no attribute dicts,
-        no entity decoding, no handler calls.  This is the ``matcher=None``
-        publish path — documents on streams nobody subscribes to must still
-        reject malformed input exactly like the tree path, but nothing
-        reads their content.
-        """
-        text = self.text
-        length = len(text)
-        pos = self.pos
-        tag_match = _TAG_RE.match
-        attr_match = _ATTR_RE.match
-        leaf_run = _LEAF_RUN_RE.match
-        stack: list[str] = []
-        while True:
-            if pos >= length or text[pos] != "<":
-                self.pos = pos
-                raise self.error("expected element start tag")
-            m = tag_match(text, pos + 1)
-            if not m:
-                self.pos = pos + 1
-                raise self.error("expected element name")
-            tag = m.group(0)
-            pos = m.end()
-            if pos < length and text[pos] in " \t\r\n":
-                while True:
-                    m = attr_match(text, pos)
-                    if not m:
-                        break
-                    pos = m.end()
-            while pos < length and text[pos].isspace():
-                pos += 1
-            head = text[pos] if pos < length else ""
-            if head == ">":
-                pos += 1
-                stack.append(tag)
-            elif head == "/" and text.startswith("/>", pos):
-                pos += 2
-                if not stack:
-                    self.pos = pos
-                    return
-            else:
-                self.pos = pos
-                raise self.error(f"malformed start tag for <{tag}>")
-
-            while stack:
-                m = leaf_run(text, pos)
-                if m:
-                    pos = m.end()
-                if pos >= length:
-                    self.pos = pos
-                    raise self.error(f"unexpected end of input inside <{stack[-1]}>")
-                if text[pos] != "<":
-                    nxt = text.find("<", pos)
-                    if nxt < 0:
-                        self.pos = pos
-                        raise self.error(
-                            f"unexpected end of input inside <{stack[-1]}>"
-                        )
-                    pos = nxt
-                    continue
-                head = text[pos + 1] if pos + 1 < length else ""
-                if head == "/":
-                    open_tag = stack[-1]
-                    end = pos + 2 + len(open_tag)
-                    if text.startswith(open_tag, pos + 2) and text.startswith(
-                        ">", end
-                    ):
-                        pos = end + 1
-                    else:
-                        end = text.find(">", pos)
-                        if end < 0:
-                            self.pos = pos
-                            raise self.error(
-                                f"unterminated end tag for <{open_tag}>"
-                            )
-                        closing = text[pos + 2 : end].strip()
-                        if closing != open_tag:
-                            self.pos = pos
-                            raise self.error(
-                                f"mismatched end tag </{closing}> for <{open_tag}>"
-                            )
-                        pos = end + 1
-                    stack.pop()
-                elif head != "!":
-                    break
-                elif text.startswith("<!--", pos):
-                    end = text.find("-->", pos)
-                    if end < 0:
-                        self.pos = pos
-                        raise self.error("unterminated comment")
-                    pos = end + 3
-                elif text.startswith("<![CDATA[", pos):
-                    end = text.find("]]>", pos)
-                    if end < 0:
-                        self.pos = pos
-                        raise self.error("unterminated CDATA section")
-                    pos = end + 3
-                else:
-                    break
-            if not stack:
-                self.pos = pos
-                return
+def _drop(*_args) -> None:
+    pass
 
 
-def scan_text(text: str, handler) -> None:
-    """Scan a whole document: prolog, one root element, trailing misc."""
+#: The handler of a validation-only scan: every event is dropped.
+_DISCARD = SimpleNamespace(start=_drop, text=_drop, end=_drop, leaves=_drop)
+
+
+def _scan_document(text: str, handler, leaf_run) -> None:
     scanner = XmlScanner(text)
     scanner.skip_misc()
-    scanner.scan(handler)
+    scanner.scan(handler, leaf_run)
     scanner.skip_misc()
     if scanner.pos != len(text):
         raise scanner.error("trailing content after the root element")
+
+
+def scan_text(text: str, handler, leaf_run: "re.Pattern[str] | None" = None) -> None:
+    """Scan a whole document: prolog, one root element, trailing misc."""
+    _scan_document(text, handler, leaf_run)
 
 
 def validate_text(text: str) -> None:
     """Validate a whole document without building anything.
 
-    Raises :class:`XmlParseError` with the same message :func:`scan_text`
-    would; returns nothing on success.
+    The scan of :func:`scan_text` with nothing live (not a call of it, so
+    the two never nest): raises the same :class:`XmlParseError`.
     """
-    scanner = XmlScanner(text)
-    scanner.skip_misc()
-    scanner.validate()
-    scanner.skip_misc()
-    if scanner.pos != len(text):
-        raise scanner.error("trailing content after the root element")
+    _scan_document(text, _DISCARD, _LEAF_RUN_RE)
 
 
 class TreeBuilder:
@@ -392,10 +350,7 @@ class TreeBuilder:
 
     def end(self) -> None:
         node = self._stack.pop()
-        parts = self._parts.pop()
-        if parts:
-            joined = "".join(parts).strip()
-            node.text = joined if joined else None
+        node.text = "".join(self._parts.pop()).strip() or None
         node.post_id = self._post
         self._post += 1
 

@@ -19,7 +19,11 @@ pass over the raw text, without ever materializing nodes: the scanner's
   event, and while any bound node's element is open every finalized
   ``(pre_id, text)`` is retained, so a bound node's XPath string value is
   re-assembled in pre-order at its end event — byte-identical to
-  :meth:`XmlNode.string_value`.
+  :meth:`XmlNode.string_value`;
+* tag projection: a run of leaves whose tags no NFA transition or edge
+  program tests arrives as one ``leaves`` event, which only advances
+  pre-order ids and, under an open capture, finalizes each leaf's text
+  (off while any test is ``*``).
 
 Pre-order ids are start-event counts, so all node ids agree with the tree
 path's :meth:`XmlDocument._assign_ids`.  Equivalence across randomized
@@ -30,7 +34,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.xmlmodel.stream import scan_text, validate_text
+from repro.xmlmodel.stream import (
+    _LEAF_TEXT_RE,
+    _unescape,
+    leaf_run_pattern,
+    scan_text,
+    validate_text,
+)
 from repro.xpath.ast import Axis, LocationPath
 from repro.xpath.nfa import PathNFA
 
@@ -57,10 +67,12 @@ class StreamMatcher:
 
     Built (and cached) by :meth:`XPathEvaluator.evaluate_text`; rebuilt
     after a variable of the stream, or an edge from one, is added or
-    removed.
+    removed.  ``leaf_run`` is the scanner's leaf-run pattern for the
+    matcher's alphabet (every tag an NFA transition or an edge program
+    tests), or ``None`` when one of those tests is ``*``.
     """
 
-    __slots__ = ("transitions", "accepting", "has_desc", "edges_by_anc")
+    __slots__ = ("transitions", "accepting", "has_desc", "edges_by_anc", "leaf_run")
 
     def __init__(
         self,
@@ -78,6 +90,11 @@ class StreamMatcher:
             if key[0] in stream_variables:
                 by_anc.setdefault(key[0], []).append(_EdgeProgram(key, path))
         self.edges_by_anc = by_anc
+        alphabet = {test for moves in self.transitions for _axis, test in moves}
+        for programs in by_anc.values():
+            for program in programs:
+                alphabet.update(program.tests)
+        self.leaf_run = None if "*" in alphabet else leaf_run_pattern(frozenset(alphabet))
 
 
 class WitnessBuilder:
@@ -199,14 +216,32 @@ class WitnessBuilder:
     def text(self, data: str) -> None:
         self._parts[-1].append(data)
 
+    def leaves(self, text: str, start: int, end: int, entities: dict[str, str]) -> None:
+        """A run of leaves no test names: what their start/text/end events would do.
+
+        None binds, advances an edge run or opens a capture.  Without an open
+        capture nothing reads the leaves' or the parent's text (a capture
+        that could would have opened at the parent or above, before the run).
+        """
+        if not self._open_captures:
+            self._pre += text.count("</", start, end)
+            return
+        found = _LEAF_TEXT_RE.findall(text, start, end)
+        spaces = "".join(found[1::2])
+        if spaces:
+            self._parts[-1].append(spaces)
+        raw = found[::2]
+        if text.find("&", start, end) >= 0:
+            raw = [_unescape(part, entities) for part in raw]
+        pre = self._pre
+        self._pre = pre + len(raw)
+        self._finalized.extend(
+            zip(range(pre, pre + len(raw)), [part.strip() or None for part in raw])
+        )
+
     def end(self) -> None:
         pre, runs_at_entry, capture = self._frames.pop()
-        parts = self._parts.pop()
-        if parts:
-            joined = "".join(parts).strip()
-            text = joined if joined else None
-        else:
-            text = None
+        text = "".join(self._parts.pop()).strip() or None
         self._active_stack.pop()
         runs = self._runs
         del runs[runs_at_entry:]  # runs anchored at this element die with it
@@ -217,7 +252,7 @@ class WitnessBuilder:
             if capture:
                 start = self._capture_start.pop(pre)
                 self.node_values[pre] = "".join(
-                    part for _, part in sorted(self._finalized[start:]) if part
+                    [part for _, part in sorted(self._finalized[start:]) if part]
                 )
                 self._open_captures -= 1
                 if not self._open_captures:
@@ -275,5 +310,5 @@ def scan_witness_sets(
         validate_text(text)
         return {}, {}, {}
     builder = WitnessBuilder(matcher)
-    scan_text(text, builder)
+    scan_text(text, builder, matcher.leaf_run)
     return builder.witness_sets()

@@ -4,9 +4,10 @@ Three equivalences pin the fast path to the tree-building baseline:
 
 * the streaming scanner produces the exact same indexed node tree as the
   recursive-descent reference parser, over hypothesis-generated documents
-  with attributes, entities, comments, PIs and CDATA sections;
+  with attributes, entities (predefined and DOCTYPE-declared), text between
+  siblings, comments, PIs and CDATA sections;
 * malformed input fails identically — same :class:`XmlParseError`
-  message from either parser;
+  message from either parser and from the validation-only scan;
 * a throughput-mode broker fed raw text (scanned without building a tree)
   delivers the exact same match sets as the same broker fed the parsed
   documents, for ``publish`` and ``publish_many`` alike.
@@ -21,7 +22,7 @@ from repro import RuntimeConfig
 from repro.pubsub.broker import Broker
 from repro.xmlmodel import XmlDocument, to_xml
 from repro.xmlmodel.parser import XmlParseError, _parse_node_reference, parse_document
-from repro.xmlmodel.stream import parse_node_streaming
+from repro.xmlmodel.stream import parse_node_streaming, validate_text
 
 from tests.conftest import (
     PAPER_Q1,
@@ -45,8 +46,18 @@ _text = st.sampled_from(
 # instructions are prolog-only for both parsers).
 _misc = st.sampled_from(["", "<!-- a comment -->", "<![CDATA[raw <&> text]]>"])
 _prolog = st.sampled_from(
-    ["", '<?xml version="1.0"?>', "<!-- lead -->", "<?pi data?>", "<!DOCTYPE a>"]
+    [
+        "",
+        '<?xml version="1.0"?>',
+        "<!-- lead -->",
+        "<?pi data?>",
+        "<!DOCTYPE a>",
+        '<!DOCTYPE a [ <!ENTITY e "\u00e9"> ]>',
+    ]
 )
+#: Raw content after a child element: text between siblings, whitespace and
+#: an entity reference that is declared only under the DOCTYPE prolog.
+_tail = st.sampled_from(["", " ", "\n  ", "tail", "&e;"])
 
 
 def _escape(text: str) -> str:
@@ -67,7 +78,10 @@ def xml_text(draw, depth: int = 0) -> str:
         if depth >= 2
         else draw(st.lists(xml_text(depth=depth + 1), max_size=3))
     )
-    body = draw(_misc) + _escape(draw(_text)) + "".join(children) + draw(_misc)
+    body = draw(_misc) + _escape(draw(_text))
+    for child in children:
+        body += child + draw(_tail)
+    body += draw(_misc)
     element = f"<{tag}{rendered_attrs}>{body}</{tag}>"
     if depth == 0:
         element = draw(_prolog) + element + draw(st.sampled_from(["", "<!-- tail -->"]))
@@ -119,6 +133,7 @@ def test_malformed_input_error_parity(text, cut):
             return ("rejected", str(exc))
 
     assert outcome(parse_node_streaming) == outcome(_parse_node_reference)
+    assert outcome(validate_text) == outcome(_parse_node_reference)
 
 
 @pytest.mark.parametrize(
