@@ -4,9 +4,12 @@ One engine body (:class:`_BaseEngine`) wires together Stage 1 (the shared
 :class:`~repro.xpath.evaluator.XPathEvaluator`) and Stage 2 (a join
 processor of :mod:`repro.core.processor`, chosen from ``config.engine``),
 maintains the join state and (optionally) the original documents so that
-output XML documents can be constructed.  Every input — a tree document,
-raw text, one at a time or in a batch, with or without a durable store —
-takes the same document path (:meth:`_BaseEngine._process_one`).
+output XML documents can be constructed.  Every input — raw text, a tree
+document or a record a broker stamped, one at a time or in a batch, with or
+without a durable store — becomes one ``(text, docid, timestamp, stream)``
+record and takes the same document path (:meth:`_BaseEngine._process_one`):
+Stage 1 scans the text, and a tree is parsed only when ``store_documents``
+keeps one and none was given.
 :class:`MMQJPEngine` and :class:`SequentialEngine` name the two Stage-2
 strategies behind that one interface, so they can be compared — and checked
 for result equivalence — on any workload.
@@ -379,16 +382,6 @@ class _BaseEngine:
     # ------------------------------------------------------------------ #
     # document processing
     # ------------------------------------------------------------------ #
-    def _stream_eligible(self) -> bool:
-        """Whether text input can skip tree construction entirely.
-
-        The streaming path produces witnesses, never a node tree — it is
-        only equivalent when nothing downstream needs the document object:
-        no stored documents (output construction) and no durable store
-        (which persists the serialized source inside the epoch).
-        """
-        return self.store is None and not self.store_documents
-
     def _stamp(self, timestamp: Optional[float], carried: float = 0.0) -> float:
         """The timestamp one input is processed under.
 
@@ -405,55 +398,62 @@ class _BaseEngine:
 
     def _prepare(
         self,
-        document: Union[str, XmlDocument],
+        document: Union[str, XmlDocument, tuple],
         timestamp: Optional[float],
         stream: str = "S",
-    ) -> Union[XmlDocument, tuple[str, str, float, str]]:
-        """Stamp one input and give it the form :meth:`_process_one` takes.
+        tree: Optional[XmlDocument] = None,
+    ) -> tuple[tuple, Optional[XmlDocument]]:
+        """Stamp one input and give it the record form Stage 1 scans.
 
-        Text stays text — ``(text, docid, timestamp, stream)`` — whenever
-        the engine may skip tree construction (:meth:`_stream_eligible`);
-        otherwise it is parsed.  Docids recur in every witness row, state
-        partition key and match: interning them here makes the hot-path
-        hashing and equality checks pointer comparisons.
+        Returns ``((text, docid, timestamp, stream), tree)``.  Text draws a
+        fresh docid; a tree is serialized once and kept as ``tree`` (the
+        document :attr:`documents` keeps when ``store_documents`` is on); a
+        record stamped upstream — what a broker passes — is taken as it is,
+        its own timestamp included, with the ``tree`` parsed upstream, if
+        any.  Docids recur in every witness row, state partition key and
+        match: interning them here makes the hot-path hashing and equality
+        checks pointer comparisons.
         """
+        if type(document) is tuple:
+            return document, tree
         if isinstance(document, str):
-            if self._stream_eligible():
-                return (document, sys.intern(_next_docid()), self._stamp(timestamp), stream)
-            document = parse_document(document, stream=stream)
-        document.timestamp = self._stamp(timestamp, document.timestamp)
+            return (document, sys.intern(_next_docid()), self._stamp(timestamp), stream), None
         if isinstance(document.docid, str):
             document.docid = sys.intern(document.docid)
-        return document
+        document.timestamp = self._stamp(timestamp, document.timestamp)
+        record = (
+            to_xml(document, pretty=False), document.docid, document.timestamp, document.stream
+        )
+        return record, document
 
-    def _witnesses(self, item: Union[XmlDocument, tuple]) -> WitnessRelations:
-        """Stage 1 on one prepared input; raw text is scanned without building a tree."""
-        if type(item) is tuple:
-            witnesses = self.evaluator.evaluate_text(*item)
-        else:
-            witnesses = self.evaluator.evaluate(item)
-        return WitnessRelations.from_witnesses(witnesses)
+    def _witnesses(self, record: tuple) -> WitnessRelations:
+        """Stage 1 on one record: the text is scanned without building a tree."""
+        metrics = self.metrics
+        if metrics is None:
+            return WitnessRelations.from_witnesses(self.evaluator.evaluate_text(*record))
+        with metrics.timer("stage:stage1"):
+            return WitnessRelations.from_witnesses(self.evaluator.evaluate_text(*record))
 
-    def _process_one(self, item: Union[XmlDocument, tuple]) -> list[Match]:
-        """The document path: run both stages on one prepared input.
+    def _process_one(self, record: tuple, tree: Optional[XmlDocument] = None) -> list[Match]:
+        """The document path: run both stages on one prepared record."""
+        return self._fold(self._witnesses(record), record, tree)
 
-        Stage 1, ``process``, ``maintain_state``, auto-prune, match
-        normalisation and the counters, in that order, for every input.
+    def _fold(
+        self, relations: WitnessRelations, record: tuple, tree: Optional[XmlDocument]
+    ) -> list[Match]:
+        """Stage 2 on one document whose Stage 1 witnesses are ``relations``.
+
+        ``process``, ``maintain_state``, auto-prune, match normalisation and
+        the counters, in that order, for every input.
         With a store attached the steps after ``process`` form one store
         *epoch*: the merged state partitions, any in-epoch pruning, the
-        serialized source document and the engine counters all land in a
-        single atomic commit, so a crash at any point leaves either the
-        whole document or none of it.  On failure the epoch is aborted —
+        document's text (when ``store_documents`` keeps it) and the engine
+        counters all land in a single atomic commit, so a crash at any
+        point leaves either the whole document or none of it.  On failure the epoch is aborted —
         the in-memory state may then be ahead of the store, which is
         exactly the situation recovery resolves by rebuilding from the
         store alone.
         """
-        metrics = self.metrics
-        if metrics is None:
-            relations = self._witnesses(item)
-        else:
-            with metrics.timer("stage:stage1"):
-                relations = self._witnesses(item)
         processor = self.processor
         raw_matches = processor.process(relations)
         docid = relations.docid
@@ -469,12 +469,10 @@ class _BaseEngine:
                 store.upsert_rows("RdocTS", docid, list(relations.rdoctsw.rows))
             self._auto_prune(relations.timestamp)
             if self.store_documents:
-                # Never raw text: storing documents rules the text path out.
-                self.documents[docid] = item
+                self.documents[docid] = tree if tree is not None else parse_document(*record)
                 if store is not None:
-                    store.put_document(
-                        docid, item.timestamp, item.stream, to_xml(item, pretty=False)
-                    )
+                    text, _, timestamp, stream = record
+                    store.put_document(docid, timestamp, stream, text)
             matches = self._normalize_matches(raw_matches)
             self.num_documents_processed += 1
             self.num_matches += len(matches)
@@ -487,10 +485,10 @@ class _BaseEngine:
                         "clock": self._clock_value,
                     },
                 )
-                if metrics is None:
+                if self.metrics is None:
                     store.commit_epoch()
                 else:
-                    with metrics.timer("stage:storage_commit"):
+                    with self.metrics.timer("stage:storage_commit"):
                         store.commit_epoch()
         except BaseException:
             if store is not None:
@@ -504,40 +502,56 @@ class _BaseEngine:
         timestamp: Optional[float] = None,
         stream: str = "S",
     ) -> list[Match]:
-        """Process one document given as raw XML text.
+        """Process one document given as raw XML text on ``stream``.
 
-        With no document state to keep (see :meth:`_stream_eligible`)
-        Stage 1 witnesses are produced in a single pass over the text
-        without building a node tree; otherwise this is
-        exactly ``process_document(parse_document(text, stream=...))``.
-        Matches are identical either way.
+        Stage 1 witnesses are produced in a single pass over the text; a
+        tree is built only when ``store_documents`` keeps one.
         """
-        return self._process_one(self._prepare(text, timestamp, stream))
+        return self._process_one(*self._prepare(text, timestamp, stream))
 
     def process_document(
         self,
-        document: Union[str, XmlDocument],
+        document: Union[str, XmlDocument, tuple],
         timestamp: Optional[float] = None,
+        tree: Optional[XmlDocument] = None,
     ) -> list[Match]:
-        """Run both stages on one incoming document and return its matches."""
-        return self._process_one(self._prepare(document, timestamp))
+        """Run both stages on one incoming document and return its matches.
+
+        ``document`` is XML text, a tree (serialized once, then the same
+        path) or a ``(text, docid, timestamp, stream)`` record stamped
+        upstream; for a record, ``tree`` is its parsed form, which
+        ``store_documents`` then keeps instead of parsing the text again.
+        """
+        return self._process_one(*self._prepare(document, timestamp, tree=tree))
 
     def process_batch(
         self,
-        documents: Iterable[Union[str, XmlDocument]],
+        documents: Iterable[Union[str, XmlDocument, tuple]],
         timestamp: Optional[float] = None,
+        trees: Optional[Sequence[Optional[XmlDocument]]] = None,
     ) -> list[list[Match]]:
         """Process a batch of documents; one match list per document.
 
-        The whole batch is stamped (and, where text cannot stay text,
-        parsed) up front, so docid and auto-timestamp assignment follow
-        arrival order whatever mix of text and trees the batch holds.
-        Documents are then evaluated and folded into the join state in
-        arrival order, so the matches are exactly those of a
-        :meth:`process_document` loop.
+        The whole batch is stamped (and trees serialized) up front, so
+        docid and auto-timestamp assignment follow arrival order whatever
+        mix of text, trees and records the batch holds; ``trees`` pairs
+        records with their parsed forms, as in :meth:`process_document`.
+        Every document is then scanned before any is folded into the join
+        state, so malformed input rejects the whole batch and leaves the
+        state as it was.  The folds run in arrival order, so the matches
+        are exactly those of a :meth:`process_document` loop.
         """
-        prepared = [self._prepare(document, timestamp) for document in documents]
-        return [self._process_one(item) for item in prepared]
+        prepared = [
+            self._prepare(document, timestamp, tree=tree)
+            for document, tree in zip(
+                documents, itertools.repeat(None) if trees is None else trees
+            )
+        ]
+        relations = [self._witnesses(record) for record, _ in prepared]
+        return [
+            self._fold(witnessed, record, tree)
+            for witnessed, (record, tree) in zip(relations, prepared)
+        ]
 
     def process_stream(self, documents: Iterable[Union[str, XmlDocument]]) -> list[Match]:
         """Process a sequence of documents; returns all matches in arrival order.

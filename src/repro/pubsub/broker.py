@@ -20,9 +20,7 @@ What differs by topology is derived from the config:
 
 * With **one in-process shard** there is nothing to place or route: no
   partitioner, no router, no subscription → shard map; ``broker.engine`` is
-  that shard's engine, and a text publish can go straight into
-  ``engine.process_text`` without building a node tree (see
-  :meth:`Broker._text_fast_path`).
+  that shard's engine, and a publish is one call into it.
 * With **several shards**, subscriptions are placed by a
   :class:`~repro.runtime.partition.Partitioner` that keeps all queries of
   one template (same CQT) on the same shard, so the paper's template sharing
@@ -35,11 +33,18 @@ What differs by topology is derived from the config:
   tuples re-materialized here, so callbacks and delivery sinks always fire
   in the parent process.
 
-Whatever the topology, the broker stamps documents from one central clock
-before the fan-out (shard engines never auto-stamp, so every shard sees the
-same timestamps), and results are merged in shard order: matches are unioned
-(shards own disjoint query ids), statistics via
-:func:`repro.core.engine.merge_engine_stats`.
+Whatever the topology, a publish takes one path: the broker stamps the
+document from one central clock and gives it its docid (shard engines never
+auto-stamp, so every shard sees the same timestamp and docid), routes,
+persists the clock, dispatches, records it on its stream and delivers.
+What crosses every boundary — to the engines, the router, the filter front
+end and the process wire — is the ``(text, docid, timestamp, stream)``
+record: Stage 1 scans the text, and a tree is parsed only where one is kept
+or delivered (``store_documents``, once per document for all in-process
+shards; a filter match; ``Stream.history``).  Every record is scanned
+before any engine folds one, so a malformed publish changes nothing.
+Results are merged in shard order: matches are unioned (shards own disjoint
+query ids), statistics via :func:`repro.core.engine.merge_engine_stats`.
 
 The blessed construction path is :func:`repro.open_broker`.
 """
@@ -47,6 +52,7 @@ The blessed construction path is :func:`repro.open_broker`.
 from __future__ import annotations
 
 import pickle
+import sys
 from itertools import chain
 from time import perf_counter
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -67,8 +73,10 @@ from repro.runtime.wire import WireBuffer, encode_document_batch
 from repro.storage import SubscriptionRecord, open_member_store, resolve_storage
 from repro.storage.recovery import config_snapshot
 from repro.templates.template import reduced_graph_signature
-from repro.xmlmodel.document import XmlDocument
-from repro.xmlmodel.parser import parse_document
+from repro.xmlmodel.document import XmlDocument, _next_docid
+from repro.xmlmodel.parser import XmlParseError, parse_document
+from repro.xmlmodel.serialize import to_xml
+from repro.xmlmodel.stream import validate_text
 from repro.xscl.ast import XsclQuery
 from repro.xscl.memo import TextMemo
 from repro.xscl.parser import parse_query
@@ -131,6 +139,8 @@ class Broker:
         # buffer and the same bytes go to every routed shard, so transport
         # cost is O(bytes), not O(shards x pickle).
         self._wire_enabled = self._executor.name == "processes"
+        # In-process shards keeping documents share one tree per document.
+        self._keeps_trees = shard_config.store_documents and not self._wire_enabled
         self._wire_buffer = WireBuffer()
         self._transport = {
             "encodes": 0,
@@ -468,19 +478,32 @@ class Broker:
         document: Union[str, XmlDocument],
         timestamp: Optional[float],
         stream: Optional[str],
-    ) -> XmlDocument:
-        """Parse and stamp one incoming document and record it on its stream."""
+    ) -> tuple[tuple, Optional[XmlDocument]]:
+        """Stamp one incoming document.
+
+        Returns the ``(text, docid, timestamp, stream)`` record every shard,
+        the router, the filter front end and the wire take, and the
+        published tree (``None`` for text).  Text draws its docid here,
+        once, so every shard sees the same one; a tree keeps its own, is
+        serialized once and stamped in place.
+        """
         if isinstance(document, str):
-            document = parse_document(document)
-        if self.metrics is not None:
-            document.publish_stamp = perf_counter()
-        if stream is not None:
-            document.stream = stream
-        if timestamp is not None:
-            document.timestamp = float(timestamp)
-        document.timestamp = self._stamp(document.timestamp)
-        self.streams.get_or_create(document.stream).record(document)
-        return document
+            text = document
+            docid = _next_docid()
+            name = stream if stream is not None else "S"
+            carried = 0.0
+            tree = None
+        else:
+            tree = document
+            text = to_xml(document, pretty=False)
+            docid = document.docid
+            name = document.stream = stream if stream is not None else document.stream
+            carried = document.timestamp
+        stamped = self._stamp(float(timestamp) if timestamp is not None else carried)
+        if tree is not None:
+            tree.timestamp = stamped
+        record = (text, sys.intern(docid) if type(docid) is str else docid, stamped, name)
+        return record, tree
 
     def _persist_clock(self) -> None:
         """Persist the central clock: one meta write per publish call.
@@ -492,49 +515,149 @@ class Broker:
         if self._store is not None:
             self._store.set_meta("clock", [self._clock_value, self._num_published])
 
-    def _dispatch_targets(self, document: XmlDocument, candidates: list) -> list:
-        """The shards one document must reach (routing, when enabled).
+    def _process(
+        self,
+        documents: Sequence[Union[str, XmlDocument]],
+        timestamp: Optional[float],
+        stream: Optional[str],
+        publish_stamp: Optional[float],
+        method: str,
+    ) -> tuple[list, list, list, list]:
+        """Stamp, route and process ``documents``; all or nothing.
 
-        ``candidates`` are the shards with at least one subscription (an
-        empty shard skips processing regardless — Stage 1 witnesses are
-        computed at arrival time, so a document processed before a query
-        registers can never join with it, and would only accumulate dead
-        ``RdocTS`` state).
+        Returns ``(records, trees, assignments, results)``: ``trees`` holds
+        each record's published or shared parsed tree (``None`` when nothing
+        keeps one), ``assignments`` is :meth:`_assign`'s output and
+        ``results`` :meth:`_dispatch`'s.  Every record is scanned before any
+        engine folds one, so malformed text raises with the join state,
+        the streams and the central clock (rewound) as they were; only
+        processed records are recorded on their streams.
         """
-        if self._router is None:
-            return candidates
-        relevant = self._router.route(document)
-        targets = [shard for shard in candidates if shard.shard_id in relevant]
-        self._router.account(len(targets), len(candidates))
-        return targets
+        clock = (self._clock_value, self._num_published)
+        try:
+            records: list[tuple] = []
+            trees: list[Optional[XmlDocument]] = []
+            for document in documents:
+                record, tree = self._prepare(document, timestamp, stream)
+                records.append(record)
+                trees.append(tree)
+            assignments = self._assign(records)
+            self._parse_kept(assignments, records, trees)
+            self._persist_clock()
+            results = self._dispatch(assignments, records, trees, publish_stamp, method)
+        except XmlParseError:
+            self._clock_value, self._num_published = clock
+            self._persist_clock()
+            raise
+        streams = self.streams
+        for record in records:
+            streams.get_or_create(record[3]).record(record)
+        return records, trees, assignments, results
 
-    def _dispatch(self, assignments: list, batch: Sequence[XmlDocument], method: str) -> list:
+    def _assign(self, records: Sequence[tuple]) -> list:
+        """Pair each shard a batch must reach with its selection of ``records``.
+
+        Only shards with at least one subscription are candidates (an empty
+        shard skips processing regardless — Stage 1 witnesses are computed
+        at arrival time, so a document processed before a query registers
+        can never join with it, and would only accumulate dead ``RdocTS``
+        state).  With routing, each record goes only to the shards hosting
+        a query it can bind; a selection is a list of indices into
+        ``records``, or ``None`` for all of them.
+
+        Every record is scanned before any engine folds one: by the router,
+        else by every shard it reaches (an engine scans a whole batch
+        before folding any of it), else — no shard to reach — by
+        ``validate_text`` here.  Malformed input is therefore rejected
+        before anything changes, in every topology.
+        """
+        router = self._router
+        if router is None:
+            assignments = [(shard, None) for shard in self.shards if shard.num_queries]
+            if not assignments:
+                for record in records:
+                    validate_text(record[0])
+            return assignments
+        candidates = [shard for shard in self.shards if shard.num_queries]
+        indices: dict[int, list[int]] = {shard.shard_id: [] for shard in candidates}
+        for index, record in enumerate(records):
+            relevant = router.route(record)
+            targets = [shard for shard in candidates if shard.shard_id in relevant]
+            router.account(len(targets), len(candidates))
+            for shard in targets:
+                indices[shard.shard_id].append(index)
+        return [
+            (shard, None if len(routed) == len(records) else routed)
+            for shard in candidates
+            if (routed := indices[shard.shard_id])
+        ]
+
+    def _parse_kept(self, assignments: list, records: Sequence[tuple], trees: list) -> None:
+        """Parse, in ``trees``, each text an in-process shard keeps a tree of.
+
+        With ``store_documents`` every engine a record reaches keeps its
+        tree: one parse here (none for a published tree) is shared by those
+        engines and the filter front end.  Process shards parse in their
+        workers.
+        """
+        if not self._keeps_trees or not assignments:
+            return
+        selections = [selection for _, selection in assignments]
+        if None in selections:
+            reached = range(len(records))
+        else:
+            reached = set(chain.from_iterable(selections))
+        for index in reached:
+            if trees[index] is None:
+                trees[index] = parse_document(*records[index])
+
+    def _dispatch(
+        self,
+        assignments: list,
+        records: Sequence[tuple],
+        trees: Sequence[Optional[XmlDocument]],
+        publish_stamp: Optional[float],
+        method: str,
+    ) -> list:
         """Run ``process_one`` / ``process_batch`` once per assigned shard.
 
-        ``assignments`` pairs each target shard with its document selection
-        (indices into ``batch``, or ``None`` for all); results come back in
-        assignment order.  Process shards get the batch as one encoded
-        payload: encoded once, the same bytes fanned out to every shard,
-        through a view into the reusable wire buffer that is released once
-        every send has been written.
+        ``assignments`` is :meth:`_assign`'s output; results come back in
+        assignment order.  One in-process shard is called directly, with no
+        executor hop.  Process shards get the batch as one encoded payload:
+        encoded once, the same bytes fanned out to every shard, through a
+        view into the reusable wire buffer that is released once every send
+        has been written.
         """
         if not assignments:
             return []
+        if self.engine is not None:
+            shard = self.shards[0]
+            if method == "process_one":
+                return [shard.process_one(records[0], trees[0])]
+            return [shard.process_batch(records, trees)]
         if not self._wire_enabled:
             if method == "process_one":
-                calls = [(shard, method, (batch[0],)) for shard, _ in assignments]
+                calls = [(shard, method, (records[0], trees[0])) for shard, _ in assignments]
             else:
                 calls = [
-                    (shard, method, (batch if indices is None else [batch[i] for i in indices],))
+                    (
+                        shard,
+                        method,
+                        (records, trees)
+                        if indices is None
+                        else ([records[i] for i in indices], [trees[i] for i in indices]),
+                    )
                     for shard, indices in assignments
                 ]
             return self._executor.invoke(calls)
         method = "wire_one" if method == "process_one" else "wire_batch"
         transport = self._transport
         start = perf_counter()
-        payload = self._wire_buffer.pack(encode_document_batch(batch))
+        payload = self._wire_buffer.pack(
+            encode_document_batch(records, [publish_stamp] * len(records))
+        )
         transport["encodes"] += 1
-        transport["documents_encoded"] += len(batch)
+        transport["documents_encoded"] += len(records)
         transport["encode_ms"] += (perf_counter() - start) * 1000.0
         transport["wire_bytes"] += len(payload)
         transport["shard_sends"] += len(assignments)
@@ -548,22 +671,21 @@ class Broker:
 
     def _deliver_document(
         self,
-        document: XmlDocument,
+        record: tuple,
+        tree: Optional[XmlDocument],
         matches: Iterable[Match],
         deliveries: list[SubscriptionResult],
         subscription_of: dict,
+        publish_stamp: Optional[float],
     ) -> None:
         """Deliver one document's filter results, then its join matches."""
-        filter_results = self._filters.deliver(document)
+        filter_results = self._filters.deliver(record, tree)
         deliveries.extend(filter_results)
-        stamp = None
-        if self.metrics is not None:
-            stamp = document.publish_stamp
-            if filter_results:
-                now = perf_counter()
-                for result in filter_results:
-                    self.metrics.record_delivery_lag(result.subscription_id, now - stamp)
-        self._deliver_matches(matches, deliveries, subscription_of, stamp)
+        if filter_results and publish_stamp is not None:
+            now = perf_counter()
+            for result in filter_results:
+                self.metrics.record_delivery_lag(result.subscription_id, now - publish_stamp)
+        self._deliver_matches(matches, deliveries, subscription_of, publish_stamp)
 
     def _deliver_matches(
         self,
@@ -607,47 +729,6 @@ class Broker:
                 if stamp is not None:
                     metrics.record_delivery_lag(qid, perf_counter() - stamp)
 
-    def _text_fast_path(self) -> bool:
-        """Whether a text publish can skip tree construction end to end.
-
-        Only one in-process shard can take raw text (there is no fan-out to
-        route or encode a document for).  Beyond the engine-side conditions
-        (no stored documents, no durable store) the
-        broker itself must not need the document object: no single-block
-        filter subscriptions to match against the tree, and no stream
-        history to append it to.
-        """
-        engine = self.engine
-        return (
-            engine is not None
-            and self._filters.num_subscriptions == 0
-            and self.config.stream_history == 0
-            and engine.store is None
-            and not engine.store_documents
-        )
-
-    def _publish_text(
-        self,
-        text: str,
-        timestamp: Optional[float],
-        stream: Optional[str],
-    ) -> list[SubscriptionResult]:
-        """The streaming twin of :meth:`publish` for raw-text documents."""
-        name = stream if stream is not None else "S"
-        metrics = self.metrics
-        publish_stamp = perf_counter() if metrics is not None else None
-        stamped = self._stamp(float(timestamp) if timestamp is not None else 0.0)
-        self.streams.get_or_create(name).record_stamp(stamped)
-        deliveries: list[SubscriptionResult] = []
-        if self.shards[0].num_queries:
-            matches = self.engine.process_text(text, timestamp=stamped, stream=name)
-            self._deliver_matches(matches, deliveries, {}, publish_stamp)
-        if metrics is not None:
-            metrics.histogram("publish_latency").record(perf_counter() - publish_stamp)
-            metrics.counter("documents_published").inc()
-            metrics.counter("results_delivered").inc(len(deliveries))
-        return deliveries
-
     def publish(
         self,
         document: Union[str, XmlDocument],
@@ -660,25 +741,22 @@ class Broker:
         routed shard, skipping the batch assembly, per-batch hooks and
         per-document result nesting that :meth:`publish_many` pays — the
         latency path for interactive publishes, while high-rate streams
-        should batch through :meth:`publish_many`.  Returns the deliveries
-        made for this document (also pushed to the subscriber sinks).
+        should batch through :meth:`publish_many`.  With one in-process
+        shard there is nothing to route: the record goes straight to its
+        engine.  Returns the deliveries made for this document (also pushed
+        to the subscriber sinks).
         """
-        if isinstance(document, str) and self._text_fast_path():
-            return self._publish_text(document, timestamp, stream)
-        document = self._prepare(document, timestamp, stream)
-        self._persist_clock()
-        candidates = [shard for shard in self.shards if shard.num_queries]
-        targets = self._dispatch_targets(document, candidates)
-        per_shard = self._dispatch(
-            [(shard, None) for shard in targets], [document], "process_one"
+        metrics = self.metrics
+        publish_stamp = perf_counter() if metrics is not None else None
+        records, trees, _, per_shard = self._process(
+            (document,), timestamp, stream, publish_stamp, "process_one"
         )
         deliveries: list[SubscriptionResult] = []
-        self._deliver_document(document, chain.from_iterable(per_shard), deliveries, {})
-        metrics = self.metrics
+        self._deliver_document(
+            records[0], trees[0], chain.from_iterable(per_shard), deliveries, {}, publish_stamp
+        )
         if metrics is not None:
-            metrics.histogram("publish_latency").record(
-                perf_counter() - document.publish_stamp
-            )
+            metrics.histogram("publish_latency").record(perf_counter() - publish_stamp)
             metrics.counter("documents_published").inc()
             metrics.counter("results_delivered").inc(len(deliveries))
         return deliveries
@@ -707,60 +785,50 @@ class Broker:
     ) -> list[SubscriptionResult]:
         """Publish a batch of documents with one fan-out per shard.
 
-        The batched ingestion fast path: the whole batch is prepared
-        (parsed, stamped, recorded on its streams) up front and routed per
-        document into per-shard sub-batches; each shard then processes its
-        sub-batch in one task through
+        The batched ingestion fast path: the whole batch is stamped up
+        front and routed per document into per-shard sub-batches; each
+        shard then processes its sub-batch in one task through
         :meth:`~repro.core.engine._BaseEngine.process_batch`, so the
-        per-document dispatch overhead is paid once per batch per shard.  Deliveries fire once the whole batch has
+        per-document dispatch overhead is paid once per batch per shard.
+        The batch is all or nothing: one malformed document rejects it
+        before any is folded, delivered or recorded on its stream (see
+        :meth:`_process`).  Deliveries fire once the whole batch has
         been processed, grouped per document in arrival order (a document's
         filter deliveries, then its join matches in shard order), and reuse
         one qid → subscription cache for the whole batch — every result
         still flows through the subscription's sinks, so a
         :class:`~repro.pubsub.sinks.BatchingSink` naturally fills and
-        flushes across the batch.  Use :meth:`publish_stream` when
-        per-document interleaving of processing and delivery matters.
+        flushes across the batch.  In metrics mode every document of the
+        batch carries the batch's publish stamp.  Use
+        :meth:`publish_stream` when per-document interleaving of processing
+        and delivery matters.
         """
-        batch = [self._prepare(document, timestamp, stream) for document in documents]
-        if not batch:
+        documents = list(documents)
+        if not documents:
             return []
-        self._persist_clock()
-
-        candidates = [shard for shard in self.shards if shard.num_queries]
-        if self._router is None:
-            assignments = [(shard, None) for shard in candidates]
-        else:
-            indices: dict[int, list[int]] = {
-                shard.shard_id: [] for shard in candidates
-            }
-            for index, document in enumerate(batch):
-                for shard in self._dispatch_targets(document, candidates):
-                    indices[shard.shard_id].append(index)
-            assignments = [
-                (shard, None if len(routed) == len(batch) else routed)
-                for shard in candidates
-                if (routed := indices[shard.shard_id])
-            ]
-        per_call = self._dispatch(assignments, batch, "process_batch")
+        metrics = self.metrics
+        publish_stamp = perf_counter() if metrics is not None else None
+        records, trees, assignments, per_call = self._process(
+            documents, timestamp, stream, publish_stamp, "process_batch"
+        )
 
         # Scatter the per-sub-batch results back to per-document, keeping
-        # shard order within each document (``assignments`` iterates
-        # ``candidates``, which preserves shard order).
-        matches_by_doc: list[list[Match]] = [[] for _ in batch]
+        # shard order within each document (``assignments`` iterates the
+        # shards in order).
+        matches_by_doc: list[list[Match]] = [[] for _ in records]
         for (shard, routed), rows in zip(assignments, per_call):
-            for index, matches in zip(range(len(batch)) if routed is None else routed, rows):
+            for index, matches in zip(range(len(records)) if routed is None else routed, rows):
                 matches_by_doc[index].extend(matches)
 
         deliveries: list[SubscriptionResult] = []
         subscription_of: dict = {}
-        for document, matches in zip(batch, matches_by_doc):
-            self._deliver_document(document, matches, deliveries, subscription_of)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.histogram("publish_batch_latency").record(
-                perf_counter() - batch[0].publish_stamp
+        for record, tree, matches in zip(records, trees, matches_by_doc):
+            self._deliver_document(
+                record, tree, matches, deliveries, subscription_of, publish_stamp
             )
-            metrics.counter("documents_published").inc(len(batch))
+        if metrics is not None:
+            metrics.histogram("publish_batch_latency").record(perf_counter() - publish_stamp)
+            metrics.counter("documents_published").inc(len(records))
             metrics.counter("results_delivered").inc(len(deliveries))
         return deliveries
 

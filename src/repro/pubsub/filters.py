@@ -2,7 +2,9 @@
 
 :class:`repro.pubsub.Broker` evaluates simple (non-join) subscriptions
 once, centrally, against a shared Stage 1 evaluator — only join
-subscriptions go to the engine shards.  This
+subscriptions go to the engine shards.  Matching scans the published text;
+a delivery carries the document as a tree — the published one, or the text
+parsed once, and only when some filter subscription matched.  This
 module owns that front end, including *retraction*: a cancelled filter
 subscription's pattern variables are reference-counted and withdrawn from
 the evaluator when their last subscription is gone, mirroring the engines'
@@ -15,6 +17,7 @@ from typing import Optional
 
 from repro.pubsub.subscription import Subscription, SubscriptionResult
 from repro.xmlmodel.document import XmlDocument
+from repro.xmlmodel.parser import parse_document
 from repro.xpath.evaluator import Stage1Registrations, XPathEvaluator
 
 __all__ = ["FilterFrontEnd", "deliver_filter_matches"]
@@ -23,16 +26,20 @@ __all__ = ["FilterFrontEnd", "deliver_filter_matches"]
 def deliver_filter_matches(
     evaluator: XPathEvaluator,
     filter_subscriptions: dict[str, Subscription],
-    document: XmlDocument,
+    record: tuple,
+    document: Optional[XmlDocument] = None,
 ) -> list[SubscriptionResult]:
     """Evaluate all single-block filter subscriptions against one document.
 
-    Deliveries go through :meth:`Subscription.deliver`, i.e. through the
-    subscription's sinks — the filter path and the join path are symmetric.
+    ``record`` is the document's ``(text, docid, timestamp, stream)`` form,
+    which is what is matched; ``document`` is its tree when one was
+    published, else the text is parsed at the first match.  Deliveries go
+    through :meth:`Subscription.deliver`, i.e. through the subscription's
+    sinks — the filter path and the join path are symmetric.
     """
     if not filter_subscriptions:
         return []
-    witnesses = evaluator.evaluate(document)
+    witnesses = evaluator.evaluate_text(*record)
     deliveries: list[SubscriptionResult] = []
     for sid, subscription in filter_subscriptions.items():
         if not subscription.active:
@@ -41,6 +48,8 @@ def deliver_filter_matches(
         block_vars = subscription.query.left.variables()
         matched_var = root_var if root_var is not None else (block_vars[0] if block_vars else None)
         if matched_var is not None and witnesses.var_nodes.get(matched_var):
+            if document is None:
+                document = parse_document(*record)
             result = SubscriptionResult(subscription_id=sid, document=document)
             subscription.deliver(result)
             deliveries.append(result)
@@ -85,9 +94,11 @@ class FilterFrontEnd:
     def __contains__(self, sid: str) -> bool:
         return sid in self.subscriptions
 
-    def deliver(self, document: XmlDocument) -> list[SubscriptionResult]:
+    def deliver(
+        self, record: tuple, document: Optional[XmlDocument] = None
+    ) -> list[SubscriptionResult]:
         """Deliver one document to every active filter subscription."""
-        return deliver_filter_matches(self.evaluator, self.subscriptions, document)
+        return deliver_filter_matches(self.evaluator, self.subscriptions, record, document)
 
     @property
     def num_subscriptions(self) -> int:

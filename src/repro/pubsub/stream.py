@@ -2,10 +2,11 @@
 
 Publishers publish into a named stream (``"S"`` by default — the paper's
 single-stream exposition).  A :class:`Stream` keeps light statistics and an
-optional bounded history of recent documents; the broker uses the
-:class:`StreamRegistry` to route incoming documents and to validate that
-subscriptions reference known streams (unknown streams are created lazily,
-as new publishers may appear at any time).
+optional bounded history of recent documents, held as the broker's
+``(text, docid, timestamp, stream)`` records and parsed when read; the
+broker uses the :class:`StreamRegistry` to route incoming documents and to
+validate that subscriptions reference known streams (unknown streams are
+created lazily, as new publishers may appear at any time).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Iterable, Optional
 
 from repro.xmlmodel.document import XmlDocument
+from repro.xmlmodel.parser import parse_document
 
 
 @dataclass
@@ -25,30 +27,23 @@ class Stream:
     history_size: int = 0
     num_documents: int = 0
     last_timestamp: Optional[float] = None
-    _history: Deque[XmlDocument] = field(default_factory=deque, repr=False)
+    _history: Deque[tuple] = field(default_factory=deque, repr=False)
 
-    def record(self, document: XmlDocument) -> None:
-        """Record one published document (updates stats and bounded history)."""
+    def record(self, record: tuple) -> None:
+        """Record one published ``(text, docid, timestamp, stream)`` record.
+
+        Updates the stats and, with ``history_size > 0``, the bounded history.
+        """
         self.num_documents += 1
-        self.last_timestamp = document.timestamp
+        self.last_timestamp = record[2]
         if self.history_size > 0:
-            self._history.append(document)
+            self._history.append(record)
             while len(self._history) > self.history_size:
                 self._history.popleft()
 
-    def record_stamp(self, timestamp: float) -> None:
-        """Record one published document by timestamp alone.
-
-        The streaming-ingest fast path never materializes a document
-        object; it only engages when ``history_size == 0``, so stats are
-        the whole record.
-        """
-        self.num_documents += 1
-        self.last_timestamp = timestamp
-
     def history(self) -> list[XmlDocument]:
-        """The most recent documents (up to ``history_size``)."""
-        return list(self._history)
+        """The most recent documents (up to ``history_size``), parsed on read."""
+        return [parse_document(*record) for record in self._history]
 
 
 class StreamRegistry:

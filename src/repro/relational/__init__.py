@@ -8,8 +8,6 @@ replacement with exactly the pieces the paper needs:
 * :class:`~repro.relational.schema.RelationSchema` and
   :class:`~repro.relational.relation.Relation` — named, typed-by-convention
   relations over Python tuples.
-* :mod:`~repro.relational.operators` — selection, projection, natural and
-  equi hash joins, semi/anti joins, set operations.
 * :class:`~repro.relational.index.HashIndex` — live hash indexes on
   attribute subsets, maintained incrementally by their owning relation;
   used by the Section 5 view materialization and its cache.
@@ -41,7 +39,6 @@ from repro.relational.database import Database, IndexedDatabase
 from repro.relational.terms import Var, Const, term
 from repro.relational.conjunctive import Atom, ConjunctiveQuery, evaluate_conjunctive
 from repro.relational.plan import CompiledPlan, PlanCache, compile_plan
-from repro.relational import operators
 from repro.relational.sql import render_sql
 
 __all__ = [
@@ -61,6 +58,5 @@ __all__ = [
     "CompiledPlan",
     "PlanCache",
     "compile_plan",
-    "operators",
     "render_sql",
 ]

@@ -146,7 +146,15 @@ class ProcessExecutor(ShardExecutor):
         return [fn(item) for item in items]
 
     def invoke(self, calls: Sequence[ShardCall]) -> list:
+        """Pipelined :meth:`ShardExecutor.invoke`.
+
+        A call that raises (say, a worker rejecting malformed input) stops
+        further submits, but every response already in flight is still
+        read, so no channel is left holding a stale reply; then the first
+        error is raised.
+        """
         results: list = [None] * len(calls)
+        error: Optional[Exception] = None
         waiting: dict[Any, list[tuple[int, ShardCall]]] = {}
         order: list[Any] = []
         for index, call in enumerate(calls):
@@ -166,11 +174,16 @@ class ProcessExecutor(ShardExecutor):
                 if entry is None:
                     continue
                 index, target = entry
-                results[index] = target.collect()
-                if waiting[channel]:
+                try:
+                    results[index] = target.collect()
+                except Exception as exc:
+                    error = error or exc
+                if waiting[channel] and error is None:
                     index, (target, method, args) = waiting[channel].pop(0)
                     target.submit(method, args)
                     active[channel] = (index, target)
+        if error is not None:
+            raise error
         return results
 
 

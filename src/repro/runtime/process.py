@@ -12,12 +12,14 @@ out, results merged in shard order — but moves every
   open their own ``shard-N.sqlite3`` in-worker, so neither engine state nor
   SQLite connections ever cross the process boundary.
 * A :class:`ProcessShardHandle` stands in for
-  :class:`~repro.runtime.shard.EngineShard` on the broker side: the same
-  method surface, implemented as commands over a duplex pipe.
+  :class:`~repro.runtime.shard.EngineShard` on the broker side, its
+  control plane implemented as commands over a duplex pipe.
   Registrations and cancellations are forwarded as commands (the worker
   engine replays the exact ``register_query``/``deregister_query`` code
-  path), documents cross as pickled batches reusing the engine's
-  ``process_batch`` fast path, and match rows come back in a columnar
+  path), documents cross only as the wire's framed
+  ``(text, docid, timestamp, stream)`` records (:mod:`repro.runtime.wire`)
+  that the worker engine scans through ``process_document`` /
+  ``process_batch``, and match rows come back in a columnar
   batch form — a shared value table plus per-match id tuples (see
   :func:`encode_match_batch`) — re-materialized broker-side, so delivery
   callbacks and :class:`~repro.pubsub.sinks.DeliverySink` objects fire in
@@ -199,24 +201,8 @@ def decode_match_batch(payload: tuple) -> list[list[Match]]:
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
-def _stamps_of(documents) -> Optional[list[Optional[float]]]:
-    """The batch's publish stamps, or ``None`` when the broker set none."""
-    stamps = [document.publish_stamp for document in documents]
-    return stamps if any(s is not None for s in stamps) else None
-
-
 def _dispatch(engine, method: str, args: tuple):
     """Apply one command to one in-worker engine."""
-    if method == "process_batch":
-        (documents,) = args
-        return encode_match_batch(
-            engine.process_batch(documents), _stamps_of(documents)
-        )
-    if method == "process_one":
-        (document,) = args
-        return encode_match_batch(
-            [engine.process_document(document)], _stamps_of([document])
-        )
     if method == "register":
         qid, query = args
         engine.register_query(query, qid=qid)
@@ -251,27 +237,26 @@ def _dispatch(engine, method: str, args: tuple):
     raise ValueError(f"unknown shard-worker command {method!r}")
 
 
-def _wire_documents(payload: bytes, cache: list, transport: dict) -> list:
+def _wire_documents(payload: bytes, cache: list, transport: dict) -> tuple:
     """Decode one wire payload, reusing the last decode when bytes repeat.
 
-    A worker hosting several shards receives the *same* payload once per
-    co-hosted shard (the broker encodes once and fans the bytes out per
-    shard, not per worker); the one-slot cache collapses those to a single
-    decode.  Sharing the decoded documents across co-hosted engines is
-    safe: the engines treat inbound documents as read-only (the only
-    mutation, batch docid interning, is idempotent).
+    Returns ``(records, publish stamps)``.  A worker hosting several shards
+    receives the *same* payload once per co-hosted shard (the broker
+    encodes once and fans the bytes out per shard, not per worker); the
+    one-slot cache collapses those to a single decode.  Co-hosted engines
+    share the decoded records, which are immutable tuples.
     """
     transport["payload_loads"] += 1
     transport["payload_bytes"] += len(payload)
     if cache[0] == payload:
         return cache[1]
     start = perf_counter()
-    documents = decode_document_batch(pickle.loads(payload))
+    decoded = decode_document_batch(pickle.loads(payload))
     transport["decodes"] += 1
     transport["decode_ms"] += (perf_counter() - start) * 1000.0
     cache[0] = payload
-    cache[1] = documents
-    return documents
+    cache[1] = decoded
+    return decoded
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -309,7 +294,7 @@ def _shard_worker_main(
         return
     conn.send((True, "ready"))
     transport = {"decodes": 0, "decode_ms": 0.0, "payload_loads": 0, "payload_bytes": 0}
-    wire_cache: list = [None, None]  # [payload bytes, decoded documents]
+    wire_cache: list = [None, None]  # [payload bytes, decoded (records, stamps)]
     while True:
         try:
             message = conn.recv()
@@ -327,15 +312,17 @@ def _shard_worker_main(
             except (EOFError, OSError):
                 break
             try:
-                documents = _wire_documents(payload, wire_cache, transport)
+                records, stamps = _wire_documents(payload, wire_cache, transport)
                 if indices is not None:
-                    documents = [documents[i] for i in indices]
+                    records = [records[i] for i in indices]
+                    if stamps is not None:
+                        stamps = [stamps[i] for i in indices]
                 engine = engines[shard_id]
                 if method == "wire_one":
-                    match_lists = [engine.process_document(documents[0])]
+                    match_lists = [engine.process_document(records[0])]
                 else:
-                    match_lists = engine.process_batch(documents)
-                response = (True, encode_match_batch(match_lists, _stamps_of(documents)))
+                    match_lists = engine.process_batch(records)
+                response = (True, encode_match_batch(match_lists, stamps))
             except BaseException as exc:
                 response = (False, _portable(exc))
         else:
@@ -463,10 +450,11 @@ class ShardWorkerGroup:
 class ProcessShardHandle:
     """The broker-side stand-in for an :class:`~repro.runtime.shard.EngineShard`.
 
-    Same surface (``register``/``deregister``/``process_one``/
-    ``process_batch``/``prune``/``stats``/``output_document``), delegating
-    every call to the engine living in :attr:`channel`'s worker process.
-    ``submit``/``collect`` expose the split halves of a call so
+    The control plane (``register``/``deregister``/``prune``/``stats``/
+    ``output_document``) delegates each call to the engine living in
+    :attr:`channel`'s worker process.  Documents reach it only over the
+    wire: ``submit``/``collect`` are the split halves of one
+    ``wire_one``/``wire_batch`` call, so
     :class:`~repro.runtime.executor.ProcessExecutor` can pipeline across
     workers; responses decode by the method name recorded at submit time
     (the channel is strictly FIFO with one request in flight).
@@ -512,33 +500,14 @@ class ProcessShardHandle:
 
     # -- data plane ------------------------------------------------------ #
     def submit(self, method: str, args: tuple) -> None:
-        if method == "wire_one" or method == "wire_batch":
-            indices, payload = args
-            self.channel.send_wire(self.shard_id, method, indices, payload)
-        else:
-            self.channel.send(self.shard_id, method, args)
+        """Send one ``wire_one``/``wire_batch`` request: ``args`` is ``(indices, payload)``."""
+        indices, payload = args
+        self.channel.send_wire(self.shard_id, method, indices, payload)
         self._pending.append(method)
 
     def collect(self):
-        method = self._pending.pop(0)
-        payload = self.channel.recv()
-        if method == "process_one" or method == "wire_one":
-            return decode_match_batch(payload)[0]
-        if method == "process_batch" or method == "wire_batch":
-            return decode_match_batch(payload)
-        return payload
-
-    def process_one(self, document) -> list[Match]:
-        if not self.num_queries:
-            return []
-        self.submit("process_one", (document,))
-        return self.collect()
-
-    def process_batch(self, documents) -> list[list[Match]]:
-        if not self.num_queries:
-            return [[] for _ in documents]
-        self.submit("process_batch", (documents,))
-        return self.collect()
+        match_lists = decode_match_batch(self.channel.recv())
+        return match_lists[0] if self._pending.pop(0) == "wire_one" else match_lists
 
     def close(self) -> None:
         """Nothing to do per shard; the broker closes the worker groups."""

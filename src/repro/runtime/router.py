@@ -17,8 +17,8 @@ level.  Per join subscription it posts two members under the owning shard:
   document could become the stored half of a future match there.
 
 Routing then asks ``relevant(bound)`` with the set of variables the
-document binds, computed by one shared NFA run
-(:meth:`~repro.xpath.evaluator.XPathEvaluator.match_variables`) over the
+document binds, computed by one scan of the published text
+(:meth:`~repro.xpath.evaluator.XPathEvaluator.evaluate_text`) over the
 router's own evaluator — its own :class:`~repro.xscl.normalize.VariableCatalog`
 too, which is safe because canonical names are a pure function of
 ``(stream, absolute path)``: the router's names are internally consistent
@@ -28,8 +28,8 @@ differently.
 One widening keeps this *exactly* faithful to what each shard's Stage 1
 would produce: the evaluator's structural-edge witnesses treat a
 descendant variable with no NFA binding of its own as bound through its
-ancestor (``evaluate`` accepts any edge target when ``desc_bound`` is
-empty), and the processors' relevance check counts those edge-bound
+ancestor (any edge target counts when the descendant has no binding of its
+own), and the processors' relevance check counts those edge-bound
 variables.  The router therefore widens the NFA-bound set with every
 registered edge's descendant whose ancestor is NFA-bound.  One level is
 exhaustive: an edge anchored at a variable with no NFA binding of its own
@@ -49,7 +49,6 @@ from typing import Hashable, NamedTuple, Optional, Union
 from repro.core.relevance import RelevanceIndex
 from repro.templates.join_graph import JoinGraph, Side
 from repro.templates.minor import ReducedJoinGraph, reduce_join_graph
-from repro.xmlmodel.document import XmlDocument
 from repro.xpath.evaluator import Stage1Registrations, XPathEvaluator
 from repro.xscl.ast import XsclQuery
 from repro.xscl.normalize import VariableCatalog, canonicalize_query
@@ -156,9 +155,12 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def route(self, document: XmlDocument) -> set:
-        """The shards hosting at least one query this document can bind."""
-        bound = self._evaluator.match_variables(document)
+    def route(self, record: tuple) -> set:
+        """The shards hosting at least one query this document can bind.
+
+        ``record`` is the broker's ``(text, docid, timestamp, stream)`` form.
+        """
+        bound = self._evaluator.evaluate_text(*record).bound_variables()
         if bound and self._edge_children:
             widened = set(bound)
             for variable in bound:

@@ -14,7 +14,7 @@ in a worker process.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.engine import EngineStats, _BaseEngine
 from repro.core.results import Match
@@ -47,8 +47,17 @@ class EngineShard:
         self.engine.deregister_query(qid)
         self.num_queries -= 1
 
-    def process_batch(self, documents: Sequence[XmlDocument]) -> list[list[Match]]:
+    def process_batch(
+        self,
+        documents: Sequence[tuple],
+        trees: Optional[Sequence[Optional[XmlDocument]]] = None,
+    ) -> list[list[Match]]:
         """Process a batch of documents in order; one match list per document.
+
+        The broker passes ``(text, docid, timestamp, stream)`` records and,
+        when the engines keep documents, the trees it parsed or was given
+        (shared by every in-process shard); the engine also takes text or
+        trees.
 
         This is the unit of work the executors schedule: batching amortizes
         one dispatch (and, for pool executors, one task handoff) over the
@@ -63,9 +72,11 @@ class EngineShard:
         """
         if not self.num_queries:
             return [[] for _ in documents]
-        return self.engine.process_batch(documents)
+        return self.engine.process_batch(documents, trees=trees)
 
-    def process_one(self, document: XmlDocument) -> list[Match]:
+    def process_one(
+        self, document: tuple, tree: Optional[XmlDocument] = None
+    ) -> list[Match]:
         """Process a single document (the broker's unbatched publish path).
 
         Skips batch assembly and the per-batch hooks entirely; an empty
@@ -73,7 +84,7 @@ class EngineShard:
         """
         if not self.num_queries:
             return []
-        return self.engine.process_document(document)
+        return self.engine.process_document(document, tree=tree)
 
     def prune(self, min_timestamp: float) -> int:
         """Prune this shard's join state; returns documents removed."""

@@ -41,15 +41,9 @@ class XmlDocument:
         FOLLOWED BY window constraint is evaluated against it.
     stream:
         The logical stream the document arrived on (default ``"S"``).
-
-    ``publish_stamp`` is observability metadata (not a constructor
-    parameter): when a broker runs with ``RuntimeConfig(metrics=True)`` it
-    records ``time.perf_counter()`` here at publish time, and delivery lag
-    is measured against it at the sinks — including in worker processes,
-    where the stamp travels inside the pickled document.
     """
 
-    __slots__ = ("root", "docid", "timestamp", "stream", "publish_stamp", "_nodes_by_id")
+    __slots__ = ("root", "docid", "timestamp", "stream", "_nodes_by_id")
 
     def __init__(
         self,
@@ -62,7 +56,6 @@ class XmlDocument:
         self.docid = docid if docid is not None else _next_docid()
         self.timestamp = float(timestamp)
         self.stream = stream
-        self.publish_stamp: Optional[float] = None
         self._nodes_by_id: list[XmlNode] = []
         self._assign_ids()
 
@@ -80,14 +73,13 @@ class XmlDocument:
         The caller guarantees that ``nodes_by_id`` lists the tree's nodes in
         pre-order and that every node already carries consistent
         ``node_id``/``post_id``/``depth``/``parent`` values (the streaming
-        parser and the wire decoder assign them while building the tree).
+        parser assigns them while building the tree).
         """
         document = cls.__new__(cls)
         document.root = root
         document.docid = docid if docid is not None else _next_docid()
         document.timestamp = float(timestamp)
         document.stream = stream
-        document.publish_stamp = None
         document._nodes_by_id = nodes_by_id
         return document
 

@@ -11,7 +11,9 @@ The evaluator maintains, across *all* registered queries:
 For each incoming document it produces a :class:`DocumentWitnesses` object:
 variable bindings (→ ``RvarW``), structural-edge bindings (→ ``RbinW``) and
 node string values (→ ``RdocW``), plus the document id and timestamp
-(→ ``RdocTSW``).
+(→ ``RdocTSW``).  Documents arrive as text and are scanned once
+(:meth:`XPathEvaluator.evaluate_text`); the tree walk
+(:meth:`XPathEvaluator.evaluate`) is the reference the scan is tested against.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ class XPathEvaluator:
         query is gone.  Each affected stream's NFA is rebuilt once from the
         surviving variables (unknown names are tolerated); a stream with no
         remaining variables drops its NFA entirely, so future documents on
-        it short-circuit in :meth:`evaluate`.  Only the streams touched
+        it short-circuit in :meth:`evaluate_text`.  Only the streams touched
         lose their compiled streaming matchers.
         """
         for key in edges:
@@ -266,25 +268,13 @@ class XPathEvaluator:
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
-    def match_variables(self, document: XmlDocument) -> set[str]:
-        """The registered variables with at least one binding in ``document``.
-
-        The cheap prefix of :meth:`evaluate`: one NFA run, no
-        structural-edge evaluation and no string-value extraction.  This is
-        what broker-level fan-out routing keys on — it only needs to know
-        *which* variables a document can bind, never where.
-        """
-        nfa = self._nfas.get(document.stream)
-        if nfa is None:
-            return set()
-        return {
-            variable
-            for variable, node_ids in nfa.match_document(document).items()
-            if node_ids
-        }
-
     def evaluate(self, document: XmlDocument) -> DocumentWitnesses:
-        """Produce the witnesses of ``document`` (Stage 1 of query processing)."""
+        """Produce the witnesses of a document tree: the tree reference of Stage 1.
+
+        Nothing at runtime calls this — every published document is scanned
+        as text by :meth:`evaluate_text`.  It stays as the reference the
+        witness-parity tests compare the scan against.
+        """
         witnesses = DocumentWitnesses(docid=document.docid, timestamp=document.timestamp)
         nfa = self._nfas.get(document.stream)
         if nfa is None:
@@ -331,8 +321,9 @@ class XPathEvaluator:
         The streaming counterpart of :meth:`evaluate`: one single pass over
         the text drives the shared NFA, edge matching and string-value
         capture directly (:mod:`repro.xpath.streaming`), without building a
-        node tree.  Witness sets are identical to parsing the text and
-        calling :meth:`evaluate`; malformed input raises the same
+        node tree.  This is the only Stage 1 path at runtime.  Witness sets
+        are identical to parsing the text and calling :meth:`evaluate`;
+        malformed input raises the same
         :class:`~repro.xmlmodel.parser.XmlParseError`.
         """
         try:

@@ -10,7 +10,7 @@ YFilter [Diao et al., TODS 2003], which the paper reuses for Stage 1.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.xmlmodel.document import XmlDocument
 from repro.xmlmodel.node import XmlNode
@@ -105,8 +105,3 @@ class PathNFA:
 
         visit(document.root, frozenset({0}))
         return dict(results)
-
-    def match_nodes(self, document: XmlDocument, keys: Iterable[Hashable]) -> dict[Hashable, set[int]]:
-        """Like :meth:`match_document`, restricted to the given keys."""
-        wanted = set(keys)
-        return {k: v for k, v in self.match_document(document).items() if k in wanted}

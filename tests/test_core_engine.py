@@ -211,7 +211,7 @@ def test_every_input_takes_one_document_path(monkeypatch, engine_name):
     _, by_document = run(lambda e: [e.process_document(parse_document(t)) for t in texts])
     store = MemoryStore()
     engine, durable = run(lambda e: [e.process_text(t) for t in texts], store=store)
-    assert parsed == texts  # the store persists the serialized source
+    assert parsed == []  # without store_documents a store persists no document
     assert by_text == by_batch == by_document == durable
     assert [len(matches) for matches in by_text[0]] == [0, 1, 0, 2]
     assert by_text[1:] == (4, 3, 4, 4)
@@ -232,3 +232,24 @@ def test_every_input_takes_one_document_path(monkeypatch, engine_name):
     assert len(store.state_docids()) == 4  # the faulted epoch left nothing behind
     engine.process_text(texts[2])  # ... and is not left open
     assert len(store.state_docids()) == 5
+
+
+@pytest.mark.parametrize("engine_name", ["mmqjp", "sequential"])
+def test_a_malformed_batch_folds_nothing(engine_name):
+    """Every document of a batch is scanned before any is folded."""
+    from repro.core.engine import make_engine
+    from repro.storage import MemoryStore
+    from repro.xmlmodel.parser import XmlParseError
+
+    good = "<blog><author>Ada</author><title>Streams</title></blog>"
+    store = MemoryStore()
+    engine = make_engine(RuntimeConfig(engine=engine_name), store=store)
+    engine.register_query(CROSS_POST)
+    engine.process_text(good)
+    with pytest.raises(XmlParseError):
+        engine.process_batch([good, "<blog><author>Ada</blog>"])
+    assert engine.num_documents_processed == 1
+    assert len(engine.documents) == 1
+    assert len(store.state_docids()) == 1
+    (matches,) = engine.process_batch([good])
+    assert [m.lhs_timestamp for m in matches] == [1.0]  # the rejected good one never joins

@@ -1,16 +1,16 @@
 """Encode-once document transport (`repro.runtime.wire`).
 
-The outbound counterpart of the columnar match wire format: a published
-batch is flattened into one value table plus per-document columns, packed
-into a reusable pickle buffer, and the *same* bytes are shipped to every
-routed shard.  These tests pin the codec round trip, the buffer-reuse
-semantics, and the parent/worker transport counters surfaced under
-``stats()["transport"]``.
+A published batch crosses to the workers as its ``(text, docid, timestamp,
+stream)`` records, framed once into a reusable pickle buffer, and the
+*same* bytes are shipped to every routed shard.  These tests pin the
+framing round trip, the buffer-reuse semantics, and the parent/worker
+transport counters surfaced under ``stats()["transport"]``.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 
@@ -32,77 +32,60 @@ CROSS_POST = (
 )
 
 
-def _attr_doc():
-    doc = parse_document(
-        '<feed lang="en"><entry id="1">first</entry><entry id="2"/>'
-        "<meta><tag>rss</tag></meta></feed>",
-        docid="attr-doc",
-        timestamp=3.5,
-        stream="T",
-    )
-    doc.publish_stamp = 123.25
-    return doc
+def _record(document):
+    """The ``(text, docid, timestamp, stream)`` record the broker encodes."""
+    return (to_xml(document, pretty=False), document.docid, document.timestamp, document.stream)
 
 
-def _assert_same_tree(left, right):
-    assert left.tag == right.tag
-    assert left.text == right.text
-    assert left.attributes == right.attributes
-    assert (left.node_id, left.post_id, left.depth) == (
-        right.node_id,
-        right.post_id,
-        right.depth,
-    )
-    assert len(left.children) == len(right.children)
-    for a, b in zip(left.children, right.children):
-        _assert_same_tree(a, b)
+ATTR_TEXT = (
+    '<feed lang="en"><entry id="1">first</entry><entry id="2"/>'
+    "<meta><tag>rss</tag></meta></feed>"
+)
+ATTR_RECORD = (ATTR_TEXT, "attr-doc", 3.5, "T")
 
 
 # --------------------------------------------------------------------------- #
 # codec round trip
 # --------------------------------------------------------------------------- #
 def test_document_batch_roundtrip():
-    originals = [make_book_announcement(), make_blog_article(), _attr_doc()]
-    decoded = decode_document_batch(encode_document_batch(originals))
-    assert len(decoded) == len(originals)
-    for original, copy in zip(originals, decoded):
-        assert copy is not original
-        assert copy.docid == original.docid
-        assert copy.timestamp == original.timestamp
-        assert copy.stream == original.stream
-        assert copy.publish_stamp == original.publish_stamp
-        assert len(copy) == len(original)
-        _assert_same_tree(copy.root, original.root)
-        # The pre-order index must be rebuilt too, not just the tree.
-        for i in range(len(original)):
-            assert copy.node(i).tag == original.node(i).tag
+    originals = [
+        _record(make_book_announcement()), _record(make_blog_article()), ATTR_RECORD
+    ]
+    records, stamps = decode_document_batch(
+        encode_document_batch(originals, [None, 7.0, 123.25])
+    )
+    assert records == originals
+    assert stamps == [None, 7.0, 123.25]
+    # Without stamps the decode says so once, not per record.
+    assert decode_document_batch(encode_document_batch(originals)) == (originals, None)
 
 
 def test_decode_indices_selects_documents():
-    batch = [make_book_announcement(docid="a"), make_blog_article(docid="b")]
-    payload = encode_document_batch(batch)
-    only_blog = decode_document_batch(payload, indices=[1])
-    assert [d.docid for d in only_blog] == ["b"]
-    both = decode_document_batch(payload, indices=[1, 0])
-    assert [d.docid for d in both] == ["b", "a"]
+    batch = [_record(make_book_announcement(docid="a")), _record(make_blog_article(docid="b"))]
+    payload = encode_document_batch(batch, [1.0, 2.0])
+    only_blog, stamps = decode_document_batch(payload, indices=[1])
+    assert [record[1] for record in only_blog] == ["b"] and stamps == [2.0]
+    both, _ = decode_document_batch(payload, indices=[1, 0])
+    assert [record[1] for record in both] == ["b", "a"]
 
 
-def test_batch_value_table_is_shared():
-    doc = make_blog_article()
-    table_one, _ = encode_document_batch([doc])
-    table_two, entries = encode_document_batch([doc, make_blog_article()])
-    # Identical documents add no new table values, only new column tuples.
-    assert len(table_two) == len(table_one)
-    assert len(entries) == 2
+def test_entries_frame_the_published_text():
+    # No tree crosses the wire: an entry is the identity, the stamp and the
+    # text exactly as published.
+    (entry,) = encode_document_batch([ATTR_RECORD], [9.5])
+    assert entry == ("attr-doc", 3.5, "T", 9.5, ATTR_TEXT)
 
 
 def test_roundtrip_survives_pickle():
     # The wire payload crosses a pipe as pickled bytes: decode after a
     # real pickle round trip, exactly as the worker sees it.
-    payload = pickle.loads(pickle.dumps(encode_document_batch([_attr_doc()])))
-    (copy,) = decode_document_batch(payload)
-    assert copy.root.attributes == {"lang": "en"}
-    assert copy.root.children[0].text == "first"
+    payload = pickle.loads(pickle.dumps(encode_document_batch([ATTR_RECORD])))
+    ((text, docid, timestamp, stream),), _ = decode_document_batch(payload)
+    assert (text, docid, timestamp, stream) == ATTR_RECORD
+    assert docid is sys.intern("attr-doc")  # the engines expect interned docids
+    document = parse_document(text)
+    assert document.root.attributes == {"lang": "en"}
+    assert document.root.children[0].text == "first"
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
-"""Property tests for the text fast path: a tree is built only when needed.
+"""Property tests for the one Stage-1 path: text is scanned, never built into a tree.
 
-Three equivalences pin the fast path to the tree-building baseline:
+Three equivalences pin the text path to the tree-building baseline:
 
 * the streaming scanner produces the exact same indexed node tree as the
   recursive-descent reference parser, over hypothesis-generated documents
@@ -8,9 +8,9 @@ Three equivalences pin the fast path to the tree-building baseline:
   siblings, comments, PIs and CDATA sections;
 * malformed input fails identically — same :class:`XmlParseError`
   message from either parser and from the validation-only scan;
-* a throughput-mode broker fed raw text (scanned without building a tree)
-  delivers the exact same match sets as the same broker fed the parsed
-  documents, for ``publish`` and ``publish_many`` alike.
+* a throughput-mode broker fed raw text delivers the exact same match sets
+  as the same broker fed the parsed documents (serialized once, then the
+  same path), for ``publish`` and ``publish_many`` alike.
 """
 
 from __future__ import annotations
@@ -253,20 +253,22 @@ def test_join_fires_on_stream_fast_path():
 
 
 # --------------------------------------------------------------------- #
-# knob plumbing and eligibility
+# no tree on the way in
 # --------------------------------------------------------------------- #
 
 
 def test_fast_path_skips_tree_construction(monkeypatch):
-    # Neither the broker's nor the engine's parse_document may run on the
-    # fast path: poisoning both proves no intermediate tree is ever built.
+    # No module that can build a tree may run on a publish that neither
+    # keeps nor delivers one: poisoning every parse_document a publish can
+    # reach proves no intermediate tree is ever built.
     def boom(*args, **kwargs):
-        raise AssertionError("tree parser called on the streaming fast path")
+        raise AssertionError("tree parser called on a text publish")
 
-    monkeypatch.setattr("repro.pubsub.broker.parse_document", boom)
-    monkeypatch.setattr("repro.core.engine.parse_document", boom)
+    for module in ("core.engine", "pubsub.broker", "pubsub.filters", "pubsub.stream"):
+        monkeypatch.setattr(f"repro.{module}.parse_document", boom)
     broker = Broker(_throughput_config())
     broker.subscribe(PAPER_Q1.replace("T1", "100"))
+    broker.subscribe("S//nothing->n")  # a filter that never matches
     broker.publish(to_xml(make_book_announcement(), pretty=False), timestamp=1.0)
     deliveries = broker.publish(
         to_xml(make_blog_article(), pretty=False), timestamp=2.0
@@ -275,10 +277,9 @@ def test_fast_path_skips_tree_construction(monkeypatch):
 
 
 def test_default_broker_keeps_tree_path():
-    # The default config stores documents, so the fast path must not engage:
-    # outputs need the stored trees.
+    # The default config stores documents: outputs need the stored trees,
+    # so each publish keeps one.
     broker = Broker()
-    assert not broker._text_fast_path()
     broker.subscribe(PAPER_Q1.replace("T1", "100"))
     broker.publish(to_xml(make_book_announcement(), pretty=False), timestamp=1.0)
     deliveries = broker.publish(
@@ -286,6 +287,8 @@ def test_default_broker_keeps_tree_path():
     )
     assert len(deliveries) == 1
     assert deliveries[0].output is not None
+    if broker.engine is not None:  # a process shard keeps its trees in its worker
+        assert len(broker.engine.documents) == 2
 
 
 @pytest.mark.parametrize(
@@ -296,23 +299,29 @@ def test_default_broker_keeps_tree_path():
     ],
 )
 def test_fast_path_eligibility_fallbacks(changes):
+    # A text publish still joins when the document is kept (by the engine or
+    # by the stream's history), and what is kept is the parsed tree.
     config = _throughput_config().replace(**changes)
     broker = Broker(config)
-    assert not broker._text_fast_path()
     broker.subscribe(PAPER_Q1.replace("T1", "100"))
     broker.publish(to_xml(make_book_announcement(), pretty=False), timestamp=1.0)
     assert len(broker.publish(to_xml(make_blog_article(), pretty=False), 2.0)) == 1
+    if changes.get("store_documents"):
+        kept = list(broker.engine.documents.values())
+    else:
+        kept = broker.streams.get_or_create("S").history()
+    assert [d.root.tag for d in kept] == ["book", "blog"]
+    assert [d.timestamp for d in kept] == [1.0, 2.0]
 
 
 def test_filter_subscription_disables_fast_path():
+    # Filter delivery hands over the parsed document of a text publish.
     broker = Broker(_throughput_config())
-    assert broker._text_fast_path()
     broker.subscribe("S//book->b")
-    assert not broker._text_fast_path()
-    # Filter delivery still works on the tree path.
     deliveries = broker.publish(to_xml(make_book_announcement(), pretty=False))
     assert len(deliveries) == 1
     assert deliveries[0].document is not None
+    assert deliveries[0].document.root.tag == "book"
 
 
 def test_timestamp_semantics_match_tree_path():

@@ -25,6 +25,7 @@ from repro.config import ENGINES
 from repro.workloads.querygen import QueryWorkloadConfig, generate_queries
 from repro.workloads.rss import RssStreamConfig, generate_rss_queries, generate_rss_stream
 from repro.workloads.synthetic import build_document
+from repro.xmlmodel import parse_document, to_xml
 from repro.xmlmodel.schema import three_level_schema, two_level_schema
 from tests import oracle
 from tests.conftest import (
@@ -196,3 +197,55 @@ def test_the_oracle_imports_nothing_it_checks():
     )
     assert offenders == []
     assert "repro.xscl.parse_query" in names  # subscription text goes through the real parser
+
+
+#: Two templates (two join predicates, one), which the least-loaded
+#: partitioner puts on different shards; the third document matches both.
+SPLIT = [
+    ("q1", PAPER_Q1),
+    ("by_author", "S//blog->b[.//author->a] FOLLOWED BY{a=a, 10} S//blog->b[.//author->a]"),
+]
+SPLIT_TEXTS = [
+    to_xml(make_book_announcement(), pretty=False),
+    to_xml(make_blog_article(), pretty=False),
+    to_xml(make_blog_article(), pretty=False),
+]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["publish", "publish_many"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
+def test_a_text_document_has_one_docid_on_every_shard(executor, batched):
+    config = RuntimeConfig(
+        shards=2,
+        executor=executor,
+        partitioner="least-loaded",
+        stream_history=len(SPLIT_TEXTS),
+        construct_outputs=False,
+    )
+    reference = oracle.Oracle()
+    with open_broker(config) as broker:
+        for sid, query in SPLIT:
+            broker.subscribe(query, subscription_id=sid, window_symbols=PAPER_WINDOWS)
+            reference.subscribe(query, sid, PAPER_WINDOWS)
+        shard_of = {sid: broker.shard_of(sid) for sid, _ in SPLIT}
+        if batched:
+            delivered = broker.publish_many(SPLIT_TEXTS)
+        else:
+            delivered = [d for text in SPLIT_TEXTS for d in broker.publish(text)]
+        docids = [d.docid for d in broker.streams.get_or_create("S").history()]
+    assert sorted(shard_of.values()) == [0, 1]
+    assert len(set(docids)) == len(SPLIT_TEXTS)
+
+    # The broker's docids, read as publish positions, are the oracle's.
+    position = {docid: i for i, docid in enumerate(docids)}
+    got = {
+        (d.subscription_id, position[d.match.lhs_docid], position[d.match.rhs_docid])
+        for d in delivered
+    }
+    want = set()
+    for i, text in enumerate(SPLIT_TEXTS):
+        document = parse_document(text, docid=str(i), timestamp=float(i + 1))
+        want |= {(sid, int(lhs), int(rhs)) for sid, lhs, rhs in reference.publish(document)}
+    assert got == want
+    # The last document matched on both shards under the one docid.
+    assert {shard_of[sid] for sid, _, rhs in got if rhs == 2} == {0, 1}

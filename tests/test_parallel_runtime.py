@@ -25,6 +25,7 @@ from repro.pubsub import Broker
 from repro.runtime import ShardRouter, ShardWorkerError, ThreadedExecutor
 from repro.workloads.querygen import generate_topic_queries
 from repro.workloads.synthetic import build_document, topic_schemas
+from repro.xmlmodel import to_xml
 from tests.conftest import (
     PAPER_Q1,
     PAPER_WINDOWS,
@@ -341,6 +342,11 @@ def test_config_knobs():
 # --------------------------------------------------------------------------- #
 # router unit tests
 # --------------------------------------------------------------------------- #
+def _record(document):
+    """The ``(text, docid, timestamp, stream)`` record a broker routes."""
+    return (to_xml(document, pretty=False), document.docid, document.timestamp, document.stream)
+
+
 def test_router_routes_by_topic_and_unroutes_on_cancel(topic_workload):
     schemas, queries, documents = topic_workload
     router = ShardRouter()
@@ -350,20 +356,20 @@ def test_router_routes_by_topic_and_unroutes_on_cancel(topic_workload):
     assert router.stats()["variables"] > 0
 
     for i, doc in enumerate(documents[:NUM_TOPICS]):
-        assert router.route(doc) == {i % NUM_TOPICS}
+        assert router.route(_record(doc)) == {i % NUM_TOPICS}
 
     # an off-stream document binds nothing and routes nowhere
     foreign = make_book_announcement(docid="bk-x", timestamp=1.0)
     foreign.stream = "other-stream"
-    assert router.route(foreign) == set()
+    assert router.route(_record(foreign)) == set()
 
     # cancelling every topic-0 query stops topic-0 documents entirely
     for i in range(len(queries)):
         if i % NUM_TOPICS == 0:
             assert router.cancel(f"q{i}")
     assert not router.cancel("q0"), "cancel is idempotent"
-    assert router.route(documents[0]) == set()
-    assert router.route(documents[1]) == {1}
+    assert router.route(_record(documents[0])) == set()
+    assert router.route(_record(documents[1])) == {1}
     assert router.num_queries == len(queries) - len(queries) // NUM_TOPICS
 
 
@@ -375,5 +381,5 @@ def test_router_edge_widening_keeps_paper_queries_routable():
     from repro.xscl.parser import parse_query
 
     router.register("q1", parse_query(PAPER_Q1, window_symbols=PAPER_WINDOWS), 0)
-    assert router.route(make_book_announcement(docid="b", timestamp=1.0)) == {0}
-    assert router.route(make_blog_article(docid="a", timestamp=2.0)) == {0}
+    assert router.route(_record(make_book_announcement(docid="b", timestamp=1.0))) == {0}
+    assert router.route(_record(make_blog_article(docid="a", timestamp=2.0))) == {0}

@@ -1,18 +1,15 @@
 """Property-based tests (hypothesis) for the relational substrate.
 
-These check algebraic laws of the operators and the equivalence of the
-conjunctive-query evaluator with a brute-force nested-loop reference
-implementation on random instances.
+These check the equivalence of the conjunctive-query evaluator with a
+brute-force nested-loop reference implementation on random instances, and
+the relations' cached distinct counts.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
 from repro.relational import ConjunctiveQuery, Relation, Var, evaluate_conjunctive
-from repro.relational import operators as ops
 
 # Small value domains keep the instances interesting (collisions happen).
 values = st.integers(min_value=0, max_value=4)
@@ -22,59 +19,6 @@ rows3 = st.lists(st.tuples(values, values, values), max_size=12)
 
 def _rel(schema, rows, name="r"):
     return Relation(schema, rows=rows, name=name)
-
-
-@given(rows2, rows2)
-def test_union_is_commutative_up_to_multiset(a_rows, b_rows):
-    a, b = _rel(["x", "y"], a_rows), _rel(["x", "y"], b_rows)
-    assert sorted(ops.union(a, b).rows) == sorted(ops.union(b, a).rows)
-
-
-@given(rows2, rows2)
-def test_difference_then_intersection_disjoint(a_rows, b_rows):
-    a, b = _rel(["x", "y"], a_rows), _rel(["x", "y"], b_rows)
-    diff = set(ops.difference(a, b).rows)
-    inter = set(ops.intersection(a, b).rows)
-    assert diff.isdisjoint(inter)
-    assert diff | inter == set(a.rows)
-
-
-@given(rows2)
-def test_project_distinct_idempotent(a_rows):
-    a = _rel(["x", "y"], a_rows)
-    once = ops.project(a, ["y"], distinct=True)
-    twice = ops.project(once, ["y"], distinct=True)
-    assert sorted(once.rows) == sorted(twice.rows)
-    assert len(once) <= len(a)
-
-
-@given(rows2, rows3)
-def test_equi_join_matches_nested_loop(a_rows, b_rows):
-    a = _rel(["x", "y"], a_rows, "a")
-    b = _rel(["u", "v", "w"], b_rows, "b")
-    joined = ops.equi_join(a, b, on=[("y", "u")])
-    expected = sorted(ar + br for ar in a_rows for br in b_rows if ar[1] == br[0])
-    assert sorted(joined.rows) == expected
-
-
-@given(rows2, rows3)
-def test_semijoin_antijoin_partition_left(a_rows, b_rows):
-    a = _rel(["x", "y"], a_rows, "a")
-    b = _rel(["u", "v", "w"], b_rows, "b")
-    semi = ops.semijoin(a, b, on=[("y", "u")])
-    anti = ops.antijoin(a, b, on=[("y", "u")])
-    assert sorted(semi.rows + anti.rows) == sorted(a.rows)
-
-
-@given(rows2, rows3)
-def test_natural_join_consistent_with_equi_join(a_rows, b_rows):
-    a = _rel(["x", "k"], a_rows, "a")
-    b = _rel(["k", "v", "w"], b_rows, "b")
-    natural = ops.natural_join(a, b)
-    expected = sorted(
-        ar + br[1:] for ar in a_rows for br in b_rows if ar[1] == br[0]
-    )
-    assert sorted(natural.rows) == expected
 
 
 def _brute_force_two_hop(edge_rows):

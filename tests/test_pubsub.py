@@ -6,6 +6,7 @@ from repro import RuntimeConfig
 from repro.pubsub import Broker
 from repro.pubsub.stream import Stream, StreamRegistry
 from repro.pubsub.subscription import Subscription, SubscriptionResult
+from repro.xmlmodel import to_xml
 from repro.xscl import parse_query
 from tests.conftest import make_blog_article, make_book_announcement, PAPER_Q1, PAPER_WINDOWS
 
@@ -22,7 +23,8 @@ CROSS_POST = (
 def test_stream_records_documents():
     stream = Stream(name="S", history_size=2)
     for i in range(3):
-        stream.record(make_blog_article(docid=f"b{i}", timestamp=float(i)))
+        doc = make_blog_article(docid=f"b{i}", timestamp=float(i))
+        stream.record((to_xml(doc, pretty=False), doc.docid, doc.timestamp, doc.stream))
     assert stream.num_documents == 3
     assert stream.last_timestamp == 2.0
     assert [d.docid for d in stream.history()] == ["b1", "b2"]

@@ -5,8 +5,8 @@ processes}``.  ``open_broker`` returns the same class with the same
 ``stats()`` key set for all six, and what a subscriber observes —
 deliveries, their order, their timestamps, the clock after a restart — is
 that of the one-shard serial run.  Only what is *derived* from the topology
-differs: the text fast path exists on one in-process shard, and process
-shards cannot take the broker's match filter across the pipe.
+differs: one in-process shard is called without an executor hop, and
+process shards cannot take the broker's match filter across the pipe.
 
 The workload is the topic-sharded one of ``test_parallel_runtime``: each
 topic's queries reduce to a template no other topic produces, so templates
@@ -271,37 +271,78 @@ def test_central_auto_timestamping(shards, executor):
 
 
 # --------------------------------------------------------------------------- #
-# the text fast path: derived from the topology, never an option
+# one Stage-1 path: a tree is parsed only where one is kept or delivered
 # --------------------------------------------------------------------------- #
 @pytest.fixture
 def parses(monkeypatch):
-    """Count ``parse_document`` calls made by the broker and by the engines."""
+    """Count the ``parse_document`` calls of every module a publish reaches."""
     import repro.core.engine as engine_module
     import repro.pubsub.broker as broker_module
+    import repro.pubsub.filters as filters_module
+    import repro.pubsub.stream as stream_module
 
     calls = []
-    original = broker_module.parse_document
+    original = engine_module.parse_document
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(broker_module, "parse_document", counted)
-    monkeypatch.setattr(engine_module, "parse_document", counted)
+    for module in (engine_module, broker_module, filters_module, stream_module):
+        monkeypatch.setattr(module, "parse_document", counted)
     return calls
 
 
 @topologies
-def test_text_publish_parses_only_where_the_topology_needs_a_document(shards, executor, parses):
-    config = _config(shards, executor, construct_outputs=False, storage="memory")
-    with open_broker(config) as broker:
+def test_text_publish_parses_only_where_the_topology_needs_a_document(
+    shards, executor, parses, tmp_path
+):
+    one_in_process_shard = shards == 1 and executor != "processes"
+    # One parse per document, shared by every in-process shard it reaches;
+    # process shards keep their trees in the worker, out of this count.
+    kept_here = 2 if executor != "processes" else 0
+    cells = [
+        # (cell, config fields, parses over two text publishes)
+        ("memory", {}, 0),
+        ("sqlite", {"storage": "sqlite", "storage_path": str(tmp_path / "db")}, 0),
+        ("stream-history", {"stream_history": 2}, 0),
+        ("stored-documents", {"construct_outputs": True}, kept_here),
+    ]
+    for cell, fields, expected in cells:
+        parses.clear()
+        fields = {"construct_outputs": False, "storage": "memory", **fields}
+        with open_broker(_config(shards, executor, **fields)) as broker:
+            assert (broker.engine is not None) == one_in_process_shard
+            broker.subscribe(CROSS_POST)
+            broker.subscribe("S//book->k")  # a filter subscription no blog matches
+            if one_in_process_shard:
+                broker._executor.invoke = None  # one engine call, no executor hop
+            broker.publish(BLOG_TEXT)
+            vars(broker._executor).pop("invoke", None)
+            deliveries = broker.publish_many([BLOG_TEXT])
+            assert len(deliveries) == 1
+            assert (deliveries[0].output is not None) == fields["construct_outputs"]
+            assert len(parses) == expected, cell
+
+    # Parses only for a filter match and a history read; a published tree
+    # is delivered as it is.
+    parses.clear()
+    with open_broker(
+        _config(shards, executor, construct_outputs=False, storage="memory", stream_history=2)
+    ) as broker:
         broker.subscribe(CROSS_POST)
-        broker.publish(BLOG_TEXT)
-        assert len(broker.publish(BLOG_TEXT)) == 1
-        one_in_process_shard = shards == 1 and executor != "processes"
-        assert broker._text_fast_path() == one_in_process_shard
-        assert (broker.engine is not None) == one_in_process_shard
-    assert len(parses) == (0 if one_in_process_shard else 2)
+        broker.subscribe("S//blog->b")
+        (filtered,) = broker.publish(BLOG_TEXT)
+        assert filtered.match is None and filtered.document.root.tag == "blog"
+        assert len(parses) == 1
+        tree = make_blog_article(author="A", title="T", timestamp=0.0)
+        delivered = broker.publish(tree)
+        assert [r.document for r in delivered if r.match is None] == [tree]
+        assert len(delivered) == 2 and len(parses) == 1
+        history = broker.streams.get_or_create("S").history()
+        assert [d.docid for d in history] == [filtered.document.docid, tree.docid]
+        assert [d.timestamp for d in history] == [1.0, 2.0]
+        assert len(parses) == 3
 
 
 @pytest.mark.parametrize(
@@ -318,6 +359,8 @@ def test_text_publish_parses_only_where_the_topology_needs_a_document(shards, ex
 def test_one_shard_fast_path_turns_off_when_the_document_is_needed(
     fields, subscribe_filter, parses, tmp_path
 ):
+    # One in-process shard: a text publish is parsed once for each consumer
+    # that keeps or delivers its tree, and not at all otherwise.
     if fields.get("storage") == "sqlite":
         fields = dict(fields, storage_path=str(tmp_path))
     base = {"construct_outputs": False, "executor": "serial", "storage": "memory"}
@@ -325,14 +368,28 @@ def test_one_shard_fast_path_turns_off_when_the_document_is_needed(
         broker.subscribe(CROSS_POST)
         if subscribe_filter:
             filter_sub = broker.subscribe("S//blog->b")
-        assert not broker._text_fast_path()
         broker.publish(BLOG_TEXT)
-        assert len(parses) == 1
+        deliveries = broker.publish(BLOG_TEXT)
+        joined = [r for r in deliveries if r.match is not None]
+        assert len(joined) == 1
+        keeps_tree = subscribe_filter or fields.get("construct_outputs") or fields.get(
+            "store_documents"
+        )
+        assert len(parses) == (2 if keeps_tree else 0)
         if subscribe_filter:
-            filter_sub.cancel()  # ... and back on once nothing needs the tree
-            assert broker._text_fast_path()
+            (filtered,) = [r for r in deliveries if r.match is None]
+            assert filtered.document.root.tag == "blog"
+            filter_sub.cancel()  # ... and no parse once nothing needs the tree
             broker.publish(BLOG_TEXT)
-            assert len(parses) == 1
+            assert len(parses) == 2
+        if fields.get("construct_outputs"):
+            assert joined[0].output is not None
+        if fields.get("store_documents"):
+            assert len(broker.engine.documents) == 2
+        if fields.get("stream_history"):
+            history = broker.streams.get_or_create("S").history()
+            assert [d.timestamp for d in history] == [1.0, 2.0]
+            assert len(parses) == 2  # parsed on the read, not on the publish
 
 
 # --------------------------------------------------------------------------- #
@@ -360,3 +417,77 @@ def test_clock_continues_at_n_plus_one_after_resume(shards, executor, tmp_path):
         stamps = sorted((r.match.lhs_timestamp, r.match.rhs_timestamp) for r in deliveries)
         assert stamps == [(1.0, 4.0), (3.0, 4.0)]
         assert resumed.stats()["num_documents_published"] == 4
+
+
+#: A second template; with ``least-loaded`` it lands on the shard CROSS_POST leaves free.
+BY_AUTHOR = "S//blog->b[.//author->a] FOLLOWED BY{a=a, 10} S//blog->b[.//author->a]"
+
+
+def test_in_process_shards_share_one_tree_per_document(parses):
+    """Stored documents: one parse per published text, whatever it reaches."""
+    config = RuntimeConfig(
+        shards=2, executor="serial", partitioner="least-loaded", construct_outputs=True
+    )
+    with open_broker(config) as broker:
+        joins = {broker.subscribe(query).subscription_id for query in (CROSS_POST, BY_AUTHOR)}
+        broker.subscribe("S//blog->b")  # a filter every blog matches
+        assert sorted(shard.num_queries for shard in broker.shards) == [1, 1]
+        broker.publish(BLOG_TEXT)
+        deliveries = broker.publish_many([BLOG_TEXT])
+        assert len(parses) == 2
+        (filtered,) = [d for d in deliveries if d.match is None]
+        kept = [shard.engine.documents[filtered.document.docid] for shard in broker.shards]
+        assert kept == [filtered.document, filtered.document]
+        assert all(tree is filtered.document for tree in kept)
+        assert {d.subscription_id for d in deliveries if d.match is not None} == joins
+
+        tree = make_blog_article(author="A", title="T", timestamp=0.0)
+        broker.publish(tree)
+        assert len(parses) == 2  # a published tree is kept as it is
+        assert all(shard.engine.documents[tree.docid] is tree for shard in broker.shards)
+
+
+MALFORMED = "<blog><author>A</author><title>T</blog>"
+
+
+@topologies
+def test_a_malformed_publish_changes_nothing(shards, executor, tmp_path):
+    """A rejected publish leaves clock, state, streams and deliveries as they were."""
+    from repro.xmlmodel.parser import XmlParseError
+
+    cells = [
+        ("joins", [CROSS_POST], {}),
+        ("joins-sqlite", [CROSS_POST], {"storage": "sqlite", "storage_path": str(tmp_path / "db")}),
+        ("joins-stored", [CROSS_POST], {"construct_outputs": True}),
+        # Both shards busy: a process worker's rejection must not strand the other's reply.
+        ("unrouted", [CROSS_POST, BY_AUTHOR], {"route_dispatch": False, "partitioner": "least-loaded"}),
+        ("filter-only", ["S//blog->b"], {}),
+        ("nothing", [], {}),
+    ]
+    for cell, queries, fields in cells:
+        fields = {"construct_outputs": False, "stream_history": 4, **fields}
+        with open_broker(_config(shards, executor, **fields)) as broker:
+            for query in queries:
+                broker.subscribe(query)
+            first = broker.publish(BLOG_TEXT)
+            before = broker.stats()
+            for attempt in (
+                lambda: broker.publish(MALFORMED),
+                lambda: broker.publish_many([BLOG_TEXT, MALFORMED]),
+            ):
+                with pytest.raises(XmlParseError):
+                    attempt()
+                assert broker.stats()["num_documents_published"] == 1, cell
+                assert broker.stats()["engine_stats"] == before["engine_stats"], cell
+                history = broker.streams.get_or_create("S").history()
+                assert [d.timestamp for d in history] == [1.0], cell
+            # Nothing of the rejected batch joins later, and the clock goes on at 2.
+            second = broker.publish(BLOG_TEXT)
+            pairs = [
+                (r.match.lhs_timestamp, r.match.rhs_timestamp)
+                for r in second
+                if r.match is not None
+            ]
+            joins = [query for query in queries if "FOLLOWED BY" in query]
+            assert pairs == [(1.0, 2.0)] * len(joins), cell
+            assert len(second) == len(first) + len(pairs), cell

@@ -11,6 +11,8 @@ call.  These tests pin that:
   with the same message;
 * the projection fires on an element-dense document, a ``*`` step switches
   it off, and a rebuilt matcher reuses its compiled pattern;
+* a builder-made tree, serialized once, scans to the witnesses of the tree
+  itself — except that surrounding whitespace in its text is stripped;
 * the validation-only scan is the same scanner, not a nested ``scan_text``;
 * DOCTYPE entity declarations (the real DBLP header) decode on every path,
   so ``H&uuml;tter`` joins ``Hütter``.
@@ -26,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import RuntimeConfig
 from repro.pubsub.broker import Broker
-from repro.xmlmodel import parse_document
+from repro.xmlmodel import XmlDocument, element, parse_document, to_xml
 from repro.xmlmodel import stream
 from repro.xmlmodel.parser import XmlParseError, _parse_node_reference
 from repro.xpath import XPathEvaluator, parse_path
@@ -164,6 +166,59 @@ def test_malformed_text_fails_like_the_tree_parser(text, evaluator, cut):
     expected = outcome(parse_document)
     assert outcome(lambda t: evaluator.evaluate_text(t, "d", 1.0)) == expected
     assert outcome(stream.validate_text) == expected
+
+
+# --------------------------------------------------------------------- #
+# a tree takes the text path: serialized once, then scanned
+# --------------------------------------------------------------------- #
+
+#: Text without surrounding whitespace (the parser strips it, see below),
+#: with every character the serializer escapes.
+_tree_text = st.sampled_from([None, "x", "a & b", "1 < 2 > 0", '"q" \'s\'', "H\u00fctter"])
+_tree_attrs = st.dictionaries(
+    st.sampled_from(["id", "k"]), st.sampled_from(["v", 'a&"<b>'])
+)
+
+
+@st.composite
+def _tree_node(draw, depth: int = 0):
+    children = (
+        draw(st.lists(_tree_node(depth=depth + 1), max_size=3)) if depth < 3 else []
+    )
+    return element(
+        draw(st.sampled_from(["a", "b", "c", "cite", "note"])),
+        *children,
+        text=draw(_tree_text),
+        attributes=draw(_tree_attrs),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=_tree_node(), evaluator=evaluators())
+def test_a_tree_scans_like_its_serialized_text(root, evaluator):
+    tree = XmlDocument(root, docid="d", timestamp=1.0)
+    from_tree = evaluator.evaluate(tree)
+    from_text = evaluator.evaluate_text(to_xml(tree, pretty=False), "d", 1.0)
+    assert _witnesses(from_text) == _witnesses(from_tree)
+
+
+def test_a_tree_joins_on_its_stripped_text():
+    # The one difference: text with surrounding whitespace, which only a
+    # programmatic tree can hold, scans to its stripped value.  That is what
+    # such a tree already joined on after close + resume_from, which parses
+    # the stored text.
+    tree = XmlDocument(element("blog", element("author", text="  Ada ")))
+    evaluator = XPathEvaluator()
+    evaluator.register_variable("a", "S", parse_path("//blog//author"))
+    assert evaluator.evaluate(tree).node_values == {1: "  Ada "}
+    scanned = evaluator.evaluate_text(to_xml(tree, pretty=False), "d", 1.0)
+    assert scanned.node_values == {1: "Ada"}
+    broker = Broker(RuntimeConfig(construct_outputs=False, executor="serial"))
+    broker.subscribe(
+        "S//blog->b[.//author->a] FOLLOWED BY{a=a, 10} S//blog->b[.//author->a]"
+    )
+    broker.publish(tree)
+    assert len(broker.publish("<blog><author>Ada</author></blog>")) == 1
 
 
 # --------------------------------------------------------------------- #

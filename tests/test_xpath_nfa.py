@@ -92,14 +92,6 @@ def test_relative_path_rejected():
         nfa.add_path("a", parse_path(".//book"))
 
 
-def test_match_nodes_restricted_to_keys(catalog_doc):
-    nfa = PathNFA()
-    nfa.add_path("books", parse_path("//book"))
-    nfa.add_path("titles", parse_path("//title"))
-    restricted = nfa.match_nodes(catalog_doc, ["books"])
-    assert set(restricted) == {"books"}
-
-
 def test_many_paths_one_pass(catalog_doc):
     nfa = PathNFA()
     for tag in ("book", "title", "author", "magazine", "box", "nothing"):
