@@ -28,6 +28,10 @@ delta-reduction pass touch state only through it:
   expand via ``repeat``/``cumsum`` arithmetic.  An index outlives appends
   and prefix drops (an unindexed suffix is scanned, a dead prefix masked)
   until the two together outgrow a quarter of it.
+* :meth:`ColumnStore.positions_of` serves the delta reduction's probes of
+  a handful of ids as dict hits: a one-column group index memoizes a dict
+  from each group's raw id to its run of row positions
+  (:meth:`GroupIndex.lookup`), built once per index build.
 """
 
 from __future__ import annotations
@@ -149,6 +153,7 @@ class GroupIndex:
         "positions",
         "built_n",
         "dropped",
+        "_lookup",
     )
 
     def __init__(self, bases, unique_keys, starts, counts, positions, ranks=None, tuples=None):
@@ -166,6 +171,7 @@ class GroupIndex:
         #: ``positions`` stay in build-time coordinates: :meth:`expand`
         #: shifts them down by this much and masks what falls below zero.
         self.dropped = 0
+        self._lookup = None
 
     def pack_probe(self, probe_cols):
         """Code probe-side id columns like the build side: ``(packed, valid)``.
@@ -218,6 +224,24 @@ class GroupIndex:
         counts = np.where(hit, self.counts[slot], 0)
         starts = np.where(hit, self.starts[slot], 0)
         return self.expand(starts, counts)
+
+    def lookup(self):
+        """``(slots, positions)`` for dict probes of a one-column index.
+
+        ``slots`` maps each group's raw id (not its packed code, which may
+        be a rank) to its ``(start, end)`` run in ``positions``, a list
+        form of :attr:`positions`.  Built on first use, once per index.
+        """
+        if self._lookup is None:
+            keys = self.unique_keys
+            if self.tuples is not None:
+                keys = self.tuples[keys, 0]
+            elif self.ranks is not None:
+                keys = self.ranks[0][keys]
+            starts = self.starts.tolist()
+            ends = (self.starts + self.counts).tolist()
+            self._lookup = (dict(zip(keys.tolist(), zip(starts, ends))), self.positions.tolist())
+        return self._lookup
 
     def expand(self, starts, counts):
         """Expand per-probe ``(start, count)`` runs into match pairs."""
@@ -488,6 +512,31 @@ class ColumnStore:
         self._groups[key_cols] = gi
         self.group_builds += 1
         return gi
+
+    def positions_of(self, column: int, ids) -> list:
+        """Ascending positions of the rows whose ``column`` id is in ``ids``.
+
+        The delta reduction's probe of a handful of ids: one dict hit per id
+        on the memoized :meth:`GroupIndex.lookup` of the column's group
+        index, shifted past the dropped prefix, plus a scan of the
+        unindexed suffix — no numpy call per id.
+        """
+        gi = self.group((column,))
+        slots, positions = gi.lookup()
+        out: list = []
+        for i in ids:
+            run = slots.get(i)
+            if run is not None:
+                out.extend(positions[run[0]:run[1]])
+        dropped = gi.dropped
+        if dropped:
+            out = [p - dropped for p in out if p >= dropped]
+        built = gi.built_n
+        if built < self._n:
+            suffix = self.columns()[column][built:].tolist()
+            out += [p for p, v in enumerate(suffix, built) if v in ids]
+        out.sort()
+        return out
 
     def probe(self, key_cols: tuple, probe_cols):
         """Batch-probe rows keyed on ``key_cols``: ``(probe_idx, row_pos)``.

@@ -229,7 +229,8 @@ class DeltaContext:
     that survived — the delta-connected state the main joins then run over.
     ``short_circuits`` counts reduction passes ended by an empty relation or
     domain, ``executions_skipped`` the main joins their callers then never
-    ran.
+    ran, and ``lookups`` the computed reductions served by id lookups on a
+    group index (the others were masked scans).
     """
 
     COUNTERS = (
@@ -239,6 +240,7 @@ class DeltaContext:
         "rows_kept",
         "short_circuits",
         "executions_skipped",
+        "lookups",
     )
 
     __slots__ = (
@@ -263,6 +265,7 @@ class DeltaContext:
         self.rows_kept = 0
         self.short_circuits = 0
         self.executions_skipped = 0
+        self.lookups = 0
 
     # ------------------------------------------------------------------ #
     # domains
@@ -348,12 +351,13 @@ class DeltaContext:
         ``constraints`` is a tuple of ``(column, id-domain frozenset)``
         membership constraints; ``const_checks`` contributes singleton
         domains.  Returns ``None`` when there is nothing to restrict by.
-        The restriction runs as batch kernels over the base's id columns —
-        a group-index probe over the most selective domain when it is small
-        against the base, so the cost is proportional to the matching rows,
-        else one masked scan — and the output relation carries a derived
-        column store, so later passes (and the plan executor) stay in id
-        space without re-interning.
+        The restriction runs over the base's id columns — dict hits on the
+        group index of the most selective domain when it is small against
+        the base (:meth:`~repro.relational.columnar.ColumnStore.positions_of`),
+        so the cost is proportional to the matching rows, else one masked
+        scan — and the output relation carries a derived column store, so
+        later passes (and the plan executor) stay in id space without
+        re-interning.
         """
         if not const_checks and not constraints:
             return None
@@ -398,37 +402,35 @@ class DeltaContext:
                 self.rows_scanned += len(base)
                 return out
             id_constraints.append((col, frozenset((vid,))))
-        for _col, dom in constraints:
-            self._domain_arr(dom)  # pre-register the sorted-array forms
         id_constraints.extend(constraints)
         cols = store.columns()
         n = len(store)
         probe_col, probe_dom = min(id_constraints, key=lambda cv: len(cv[1]))
-        if not probe_dom:
-            positions = np.empty(0, dtype=np.int64)
-        elif len(probe_dom) < max(8, n >> 3):
-            # An indexed probe over the most selective domain: cost is
+        if len(probe_dom) < max(8, n >> 3):
+            # Dict hits on the most selective domain's group index: cost is
             # proportional to the matching rows, not |base|.
-            arr = self._domain_arr(probe_dom)
-            if arr is None:
-                arr = columnar.domain_array(probe_dom)
-            row_pos = store.probe((probe_col,), [arr])[1]
+            self.lookups += 1
+            positions = store.positions_of(probe_col, probe_dom)
             rest = list(id_constraints)
             rest.remove((probe_col, probe_dom))
             for c, dom in rest:
-                if not len(row_pos):
+                if not positions:
                     break
-                row_pos = row_pos[columnar._isin(cols[c][row_pos], dom, self._domain_arr(dom))]
-            positions = np.sort(row_pos)
+                ids = cols[c][positions].tolist()
+                positions = [p for p, v in zip(positions, ids) if v in dom]
+            index = np.array(positions, dtype=np.int64)
             self.rows_scanned += len(positions) + len(probe_dom)
         else:
-            positions = columnar.select_positions(cols, n, id_constraints, self._domain_arrays)
+            for _col, dom in id_constraints:
+                self._domain_arr(dom)  # pre-register the sorted-array forms
+            index = columnar.select_positions(cols, n, id_constraints, self._domain_arrays)
+            positions = index.tolist()
             self.rows_scanned += n
         base_rows = base.rows
-        out.rows = [base_rows[i] for i in positions.tolist()]
+        out.rows = [base_rows[i] for i in positions]
         out._attach_store(
             columnar.ColumnStore.from_columns(
-                [c[positions] for c in cols], store.dictionary, out._stamp()
+                [c[index] for c in cols], store.dictionary, out._stamp()
             )
         )
         self.rows_kept += len(out.rows)

@@ -16,15 +16,19 @@ Two features support the incremental join pipeline:
   partition attribute (``docid`` for the join-state relations), so that
   window pruning can drop all rows of a document in one dictionary pop
   (:meth:`PartitionedRelation.drop_partitions`) instead of rewriting the
-  whole row list, and maintains per-column distinct-value counters so the
-  join-order optimizer's NDV estimates are O(1) instead of a full column
-  scan.
+  whole row list.
+
+Both keep per-column value counters once a column's distinct count has been
+asked for, and update them on every insert and delete, so the join-order
+optimizer's NDV estimates stay O(1) under churn instead of a column scan
+after each change.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.relational.schema import RelationSchema, SchemaError
@@ -50,7 +54,8 @@ class Relation:
         "schema",
         "rows",
         "name",
-        "_ndv_cache",
+        "_ndv_counters",
+        "_ndv_stamp",
         "_version",
         "_deletes",
         "_indexes",
@@ -67,7 +72,10 @@ class Relation:
             schema = RelationSchema(schema)
         self.schema = schema
         self.name = name
-        self._ndv_cache: dict[int, tuple[tuple[int, int], int]] = {}
+        #: column -> value -> occurrences, valid while ``_ndv_stamp`` is
+        #: the relation's stamp (see :meth:`distinct_count`).
+        self._ndv_counters: dict[int, dict[object, int]] = {}
+        self._ndv_stamp = None
         self._version = 0
         self._deletes = 0
         self._indexes: dict[tuple[int, ...], "HashIndex"] = {}
@@ -156,8 +164,12 @@ class Relation:
 
     def _append(self, t: tuple) -> None:
         """Append one validated tuple, keeping indexes and counters current."""
+        counting = self._counting()
         self.rows.append(t)
         self._row_added(t)
+        if counting:
+            self._count_in(t)
+            self._ndv_stamp = self._stamp()
 
     def delete_rows(self, predicate: Callable[[tuple], bool]) -> int:
         """Delete every row for which ``predicate`` (on the raw tuple) is true.
@@ -174,11 +186,14 @@ class Relation:
             (gone if predicate(row) else kept).append(row)
         if not gone:
             return 0
+        counting = self._counting()
         self.rows = kept
-        self._ndv_cache.clear()
         previous = self._version
         self._version += 1
         self._deletes += 1
+        if counting:
+            self._count_out(gone)
+            self._ndv_stamp = self._stamp()
         if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
@@ -197,14 +212,17 @@ class Relation:
         duplicated row is removed.  Bookkeeping matches :meth:`delete_rows`.
         """
         t = tuple(row)
+        counting = self._counting()
         try:
             self.rows.remove(t)
         except ValueError:
             return False
-        self._ndv_cache.clear()
         previous = self._version
         self._version += 1
         self._deletes += 1
+        if counting:
+            self._count_out((t,))
+            self._ndv_stamp = self._stamp()
         if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
@@ -227,13 +245,16 @@ class Relation:
         rows = self.rows
         t = rows[position]
         store = self._mirroring_store()
+        counting = self._counting()
         last = rows.pop()
         if position < len(rows):
             rows[position] = last
-        self._ndv_cache.clear()
         previous = self._version
         self._version += 1
         self._deletes += 1
+        if counting:
+            self._count_out((t,))
+            self._ndv_stamp = self._stamp()
         if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
@@ -382,29 +403,47 @@ class Relation:
         return row[self.schema.index_of(attribute)]
 
     def distinct_count(self, column_index: int) -> int:
-        """Number of distinct values in one column (cached per mutation).
+        """Number of distinct values in one column, O(1) once counted.
 
         Used by the conjunctive-query optimizer to estimate join fan-out.
-        The cache entry is keyed on the relation's mutation counter (plus
-        the row count, to also catch legacy direct ``rows`` manipulation),
-        so it survives any mix of inserts and prunes — a prune followed by
-        equal-size inserts invalidates it where a row-count key would not.
+        The first call per column counts its values; inserts and deletes
+        then update the counters in time proportional to the rows they
+        touch (a swap-deleted ``RT`` row costs one decrement per counted
+        column, not a recount).  The counters are trusted only while their
+        stamp is the relation's mutation stamp, which also catches legacy
+        direct ``rows`` manipulation: a mismatch recounts.
         """
-        stamp = (self._version, len(self.rows))
-        cached = self._ndv_cache.get(column_index)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        store = self._colstore
-        if store is not None and store.stamp == (stamp[0], stamp[1], self._deletes):
-            # Over an already-synced column store (a derived reduced
-            # relation, typically) — no new interning is forced.
-            from repro.relational.columnar import distinct_ids
+        stamp = self._stamp()
+        if self._ndv_stamp != stamp:
+            self._ndv_counters = {}
+            self._ndv_stamp = stamp
+        counter = self._ndv_counters.get(column_index)
+        if counter is None:
+            counter = self._ndv_counters[column_index] = Counter(
+                map(itemgetter(column_index), self.rows)
+            )
+        return len(counter)
 
-            count = len(distinct_ids(store.columns()[column_index]))
-        else:
-            count = len({row[column_index] for row in self.rows})
-        self._ndv_cache[column_index] = (stamp, count)
-        return count
+    def _counting(self) -> bool:
+        """Whether the value counters are current (call before a mutation)."""
+        return bool(self._ndv_counters) and self._ndv_stamp == self._stamp()
+
+    def _count_in(self, t: tuple) -> None:
+        """Count one added row into the value counters."""
+        for col, counter in self._ndv_counters.items():
+            v = t[col]
+            counter[v] = counter.get(v, 0) + 1
+
+    def _count_out(self, rows: Iterable[tuple]) -> None:
+        """Count removed rows out of the value counters."""
+        for col, counter in self._ndv_counters.items():
+            for row in rows:
+                v = row[col]
+                left = counter[v] - 1
+                if left:
+                    counter[v] = left
+                else:
+                    del counter[v]
 
     # ------------------------------------------------------------------ #
     # derived relations (non-mutating)
@@ -456,9 +495,8 @@ class PartitionedRelation(Relation):
     and re-stitched lazily from the surviving partitions after any other
     deletion.
 
-    Per-column distinct-value counters back :meth:`distinct_count` in O(1)
-    once a column has been asked about, surviving any interleaving of
-    inserts and partition drops.
+    Every mutation keeps the per-column value counters current, so
+    :meth:`distinct_count` needs no stamp check.
     """
 
     __slots__ = (
@@ -468,7 +506,6 @@ class PartitionedRelation(Relation):
         "_flat",
         "_flat_dirty",
         "_size",
-        "_ndv_counters",
     )
 
     def __init__(
@@ -486,7 +523,6 @@ class PartitionedRelation(Relation):
         self._flat: list[tuple] = []
         self._flat_dirty = False
         self._size = 0
-        self._ndv_counters: dict[int, dict[object, int]] = {}
         super().__init__(schema, rows, name)
 
     # ------------------------------------------------------------------ #
@@ -541,9 +577,8 @@ class PartitionedRelation(Relation):
         if not self._flat_dirty:
             self._flat.append(t)
         self._size += 1
-        for col, counter in self._ndv_counters.items():
-            v = t[col]
-            counter[v] = counter.get(v, 0) + 1
+        if self._ndv_counters:
+            self._count_in(t)
         self._row_added(t)
 
     def clear(self) -> None:
@@ -590,15 +625,7 @@ class PartitionedRelation(Relation):
         previous = self._version
         self._version += 1
         self._deletes += 1
-        if self._ndv_counters:
-            for row in gone:
-                for col, counter in self._ndv_counters.items():
-                    v = row[col]
-                    left = counter[v] - 1
-                    if left:
-                        counter[v] = left
-                    else:
-                        del counter[v]
+        self._count_out(gone)
         if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
@@ -636,13 +663,7 @@ class PartitionedRelation(Relation):
         previous = self._version
         self._version += 1
         self._deletes += 1
-        for col, counter in self._ndv_counters.items():
-            v = t[col]
-            left = counter[v] - 1
-            if left:
-                counter[v] = left
-            else:
-                del counter[v]
+        self._count_out((t,))
         if self._indexes:
             for index in self._indexes.values():
                 if index.version == previous:
@@ -689,16 +710,8 @@ class PartitionedRelation(Relation):
         self._deletes += 1
         if store is not None:
             store.drop_prefix(removed, self._stamp())
-        if self._ndv_counters:
-            for part in dropped:
-                for row in part:
-                    for col, counter in self._ndv_counters.items():
-                        v = row[col]
-                        left = counter[v] - 1
-                        if left:
-                            counter[v] = left
-                        else:
-                            del counter[v]
+        for part in dropped:
+            self._count_out(part)
         if self._indexes:
             for index in self._indexes.values():
                 if index.version != previous:
@@ -728,10 +741,7 @@ class PartitionedRelation(Relation):
         """O(1) NDV from an incrementally maintained per-column counter."""
         counter = self._ndv_counters.get(column_index)
         if counter is None:
-            counter = {}
-            for part in self._partitions.values():
-                for row in part:
-                    v = row[column_index]
-                    counter[v] = counter.get(v, 0) + 1
-            self._ndv_counters[column_index] = counter
+            counter = self._ndv_counters[column_index] = Counter(
+                map(itemgetter(column_index), self)
+            )
         return len(counter)

@@ -8,11 +8,14 @@ domains, and a sliding-window broker session against ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.relational.columnar as columnar
 from repro import RuntimeConfig, open_broker
@@ -370,6 +373,59 @@ def test_swap_delete_discards_group_indexes():
     store = rel.column_store()
     assert store.group((1,)) is not gi and store.group_builds == 2
     _probe_pairs(store, rel, ["v0", "v1", "v2"])
+
+
+#: The ``_PACK_LIMIT`` that makes a one-column key over row ids past 100
+#: pack as each of the three packings, and which of ``(ranks, tuples)`` it
+#: sets: the ids themselves, their ranks (a few distinct ids), whole keys.
+_PACKINGS = {
+    "ids": (columnar._PACK_LIMIT, (False, False)),
+    "ranks": (64, (True, False)),
+    "tuples": (0, (False, True)),
+}
+_lookup_op = st.one_of(
+    st.tuples(st.just("insert"), st.lists(st.integers(0, 7), max_size=4)),
+    st.tuples(st.just("bulk"), st.integers(0, 7)),  # trips the quarter rule
+    st.tuples(st.just("drop"), st.integers(1, 3)),  # the oldest documents
+    st.tuples(st.just("swap"), st.integers(0, 10_000)),
+)
+
+
+@pytest.mark.parametrize("packing", sorted(_PACKINGS))
+@settings(max_examples=40, deadline=None)
+@given(
+    # (mutation, the values looked up after it)
+    ops=st.lists(st.tuples(_lookup_op, st.sets(st.integers(0, 9), max_size=4)), max_size=12),
+    partitioned=st.booleans(),
+)
+def test_positions_of_equals_a_scan_of_the_rows(packing, ops, partitioned):
+    d = ValueDictionary()
+    for i in range(100):
+        d.id_of(("pad", i))
+    rows = [(f"d{i // 3}", i % 5) for i in range(12)]
+    rel = (PartitionedRelation if partitioned else Relation)(["docid", "v"], rows=rows)
+    rel.enable_columnar(d)
+    docs = itertools.count(4)
+    limit, packed = _PACKINGS[packing]
+    with mock.patch.object(columnar, "_PACK_LIMIT", limit):
+        for (name, arg), values in ops:
+            if name == "insert":
+                rel.insert_many((f"d{next(docs)}", v) for v in arg)
+            elif name == "bulk":
+                doc = f"d{next(docs)}"
+                rel.insert_many((doc, (arg + i) % 8) for i in range(70))
+            elif name == "drop" and partitioned:
+                rel.drop_partitions(rel.partition_keys()[:arg])
+            elif name == "swap" and not partitioned and len(rel):
+                rel.swap_delete_at(arg % len(rel))
+            store = rel.column_store()
+            for c, keys in ((0, [f"d{v}" for v in values]), (1, values)):
+                ids = frozenset(d.id_of(k) for k in keys)
+                expected = [i for i, row in enumerate(rel.rows) if d.get_id(row[c]) in ids]
+                assert store.positions_of(c, ids) == expected
+                gi = store._groups[(c,)]
+                if len(gi.positions):  # built over rows: packed as asked
+                    assert (gi.ranks is not None, gi.tuples is not None) == packed
 
 
 def _brute_pairs(cols, probes) -> list[tuple]:

@@ -268,6 +268,7 @@ def test_brokers_report_the_delta_counters(shards):
         assert delta == stats["engine_stats"]["delta"]
         assert delta["short_circuits"] == delta["executions_skipped"] > 0
         assert delta["rows_kept"] <= delta["rows_scanned"]
+        assert delta["lookups"] == delta["reductions_computed"] > 0  # a handful of ids each
         if shards == 1:
             assert delta == broker.engine.delta_stats
         else:

@@ -52,6 +52,16 @@ def test_delete_rows_refreshes_ndv_cache():
     rel.delete_rows(lambda row: row[0] in (2, 3))
     _check_ndv(rel)
     assert rel.distinct_count(0) == 2
+    # Inserts and swap-deletes (an ``RT`` under churn) update the counters
+    # in place: no recount.
+    counter = rel._ndv_counters[0]
+    rel.insert((7, 0))
+    assert rel.distinct_count(0) == 3
+    assert rel.swap_delete_at(len(rel) - 1) == (7, 0)
+    assert rel.distinct_count(0) == 2
+    assert rel.swap_delete_at(0) == (0, 0)
+    _check_ndv(rel)
+    assert rel._ndv_counters[0] is counter
 
 
 def test_partitioned_delete_rows_updates_ndv_counters():
