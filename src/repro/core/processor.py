@@ -16,14 +16,16 @@ written once.  The two public processors differ only in what a unit is:
 
 A strategy supplies ``add_query`` / ``remove_query`` and the units to
 evaluate for a set of relevant ids; everything else — state and evaluation
-environment, match filter, delta context, the ``process`` loop, the
-row → :class:`~repro.core.results.Match` conversion, state maintenance and
-pruning — is the skeleton's.  Both consume the same inputs and produce the
-same matches.
+environment, match filter, delta context, the ``process`` loop, Algorithm 3
+on the output rows, state maintenance and pruning — is the skeleton's.
+Both consume the same inputs and produce the same matches.
 
 Registration goes through the processor, which updates the relevance index
-at the point of change; a processor handed an already-populated registry
-indexes its records once, at construction.
+and records the query's :class:`~repro.core.results.MatchLayout` at the
+point of change; a processor handed an already-populated registry indexes
+its records once, at construction.  Algorithm 3 then costs a fixed amount
+per output row: one window comparison and, if it holds, one row-backed
+:class:`~repro.core.results.Match` whose bindings are built only when read.
 
 Every document is evaluated the same way, whatever the configuration:
 
@@ -48,7 +50,7 @@ deliver.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from repro.core.costs import CostBreakdown
 from repro.core.materialize import (
@@ -58,7 +60,7 @@ from repro.core.materialize import (
     maintain_view_cache,
 )
 from repro.core.relevance import RelevanceIndex
-from repro.core.results import Match
+from repro.core.results import Match, MatchLayout
 from repro.core.state import JoinState
 from repro.core.witnesses import WitnessRelations
 from repro.relational.conjunctive import ConjunctiveQuery, DeltaContext
@@ -83,21 +85,19 @@ def window_satisfied(operator: JoinOperator, delta: float, window: float) -> boo
 
 
 class _Unit(NamedTuple):
-    """One conjunctive query of Stage 2 and how its output rows read.
+    """One conjunctive query of Stage 2 and where its output rows hold what.
 
-    The layout is resolved once per unit from the query's head schema, so
-    Algorithm 3 is tuple indexing per row.  Both head shapes carry the
-    query id, the left document and the window as columns; what a row
-    cannot say — the operator and the variable names — comes from the
-    row's query record (``member(qid)``, which has ``.query`` and a
-    ``.names`` mapping from the layout's node keys to variable names).
+    The positions are resolved once per unit from the query's head schema.
+    Both head shapes carry the query id, the left document and the window
+    as columns; what a row cannot say — the operator and the variable
+    names — is in each query's :class:`~repro.core.results.MatchLayout`
+    (:meth:`_JoinProcessor._lay_out`), which shares the unit's node pairs.
     """
 
     cq: ConjunctiveQuery
     #: The one query id this unit can output, or ``None`` when each row
     #: names its own (a template): decides where the match filter applies.
     qid: Optional[str]
-    member: Callable[[str], object]
     qid_pos: int
     docid_pos: int
     window_pos: int
@@ -105,21 +105,14 @@ class _Unit(NamedTuple):
     rhs: tuple  # ... and of every right-block (current-document) node
 
 
-def _make_unit(
-    cq: ConjunctiveQuery,
-    qid: Optional[str],
-    member: Callable[[str], object],
-    nodes: Iterable[tuple],
-) -> _Unit:
-    """Resolve a unit's layout; ``nodes`` yields ``(key, head attribute, side)``."""
+def _make_unit(cq: ConjunctiveQuery, qid: Optional[str], nodes: Iterable[tuple]) -> _Unit:
+    """Resolve a unit's positions; ``nodes`` yields ``(key, head attribute, side)``."""
     index_of = cq.head_schema.index
     lhs, rhs = [], []
     for key, attribute, side in nodes:
         (lhs if side is Side.LEFT else rhs).append((index_of(attribute), key))
     return _Unit(
-        cq, qid, member,
-        index_of("qid"), index_of("docid1"), index_of("wl"),
-        tuple(lhs), tuple(rhs),
+        cq, qid, index_of("qid"), index_of("docid1"), index_of("wl"), tuple(lhs), tuple(rhs)
     )
 
 
@@ -153,6 +146,8 @@ class _JoinProcessor:
         self.relevance = RelevanceIndex()
         self.delta_stats = {"documents": 0, **dict.fromkeys(DeltaContext.COUNTERS, 0)}
         self.match_filter: Optional[Callable[[str], bool]] = None
+        #: qid -> its MatchLayout: every query's rows read without its record.
+        self._layouts: dict[str, MatchLayout] = {}
 
     @property
     def num_templates(self) -> Optional[int]:
@@ -164,11 +159,12 @@ class _JoinProcessor:
 
         The filter receives a query id and returns whether its matches are
         worth materializing (e.g. the broker's "subscription exists and is
-        active" check).  Rejected rows skip Algorithm 3 entirely — no
-        :class:`~repro.core.results.Match` object is ever built, and a unit
-        that can only output a rejected query id is not even evaluated —
-        so they also never appear in ``num_matches`` statistics.  ``None``
-        restores the build-everything behavior.
+        active" check), once per query id and document.  Rejected rows skip
+        Algorithm 3 entirely — no window check, no
+        :class:`~repro.core.results.Match`, and a unit that can only output
+        a rejected query id is not even evaluated — so they also never
+        appear in ``num_matches`` statistics.  ``None`` restores the
+        build-everything behavior.
         """
         self.match_filter = match_filter
 
@@ -206,11 +202,28 @@ class _JoinProcessor:
         """Drop what was compiled for a unit nothing can reach any more."""
         self.plan_cache.invalidate(unit.cq)
 
+    def _lay_out(self, qid: str, query: XsclQuery, unit: _Unit, names: Mapping) -> None:
+        """Record how ``qid``'s rows of ``unit`` read; ``names`` maps node keys to variables."""
+        self._layouts[qid] = MatchLayout(
+            query.join.operator is JoinOperator.FOLLOWED_BY, unit.lhs, unit.rhs, names
+        )
+
     # ------------------------------------------------------------------ #
-    # Algorithm 1 / Algorithm 4
+    # Algorithm 1 / Algorithm 4, with Algorithm 3 on every output row
     # ------------------------------------------------------------------ #
     def process(self, witnesses: WitnessRelations) -> list[Match]:
-        """Evaluate all registered queries against the current document's witnesses."""
+        """Evaluate all registered queries against the current document's witnesses.
+
+        Algorithm 3 runs on each output row: the window check (FOLLOWED BY
+        ``0 < Δ ≤ w``, JOIN ``0 ≤ Δ ≤ w``, as :func:`window_satisfied`),
+        then one row-backed :class:`Match`.  What a row does not change is
+        resolved once per document: each query id's layout and match
+        filter verdict, each left document's timestamp.  No match is
+        de-duplicated here: a query id belongs to one unit, whose head is
+        distinct over the query id, the left document and every node of
+        the layout, so rows and :meth:`Match.key` values correspond one to
+        one.
+        """
         env = self.env
         env.bind_all(witnesses.relations())
         relevant = self.relevance.relevant(witnesses.bound_variables())
@@ -219,68 +232,53 @@ class _JoinProcessor:
 
         evaluate = self.plan_cache.evaluate
         measure = self.costs.measure
-        match_filter = self.match_filter
-        row_to_match = self._row_to_match
+        layouts, match_filter = self._layouts, self.match_filter
+        # qid -> its layout, or None once the filter rejected it
+        admitted = layouts if match_filter is None else {}
+        timestamp_of = self.state.timestamp_of
+        lhs_timestamps: dict = {}
+        rhs_docid, rhs_timestamp = witnesses.docid, witnesses.timestamp
+        from_row = Match.from_row
         matches: list[Match] = []
-        seen: set[tuple] = set()
+        append = matches.append
         for unit in self._units(relevant):
-            row_filter = match_filter
             if unit.qid is not None and match_filter is not None:
                 if not match_filter(unit.qid):
                     continue  # undeliverable query: never run its plan
-                row_filter = None
+                admitted[unit.qid] = layouts[unit.qid]
             with measure("conjunctive_query"):
-                rout = evaluate(unit.cq, env, delta=delta)
-            if not rout.rows:
+                rows = evaluate(unit.cq, env, delta=delta).rows
+            if not rows:
                 continue
             with measure("window_check"):
-                qid_pos = unit.qid_pos
-                for row in rout.rows:
-                    if row_filter is not None and not row_filter(row[qid_pos]):
-                        continue  # undeliverable: never build the Match
-                    match = row_to_match(unit, row, witnesses)
-                    if match is not None:
-                        key = match.key()
-                        if key not in seen:
-                            seen.add(key)
-                            matches.append(match)
+                qid_pos, docid_pos, window_pos = unit.qid_pos, unit.docid_pos, unit.window_pos
+                for row in rows:
+                    qid = row[qid_pos]
+                    layout = admitted.get(qid)
+                    if layout is None:
+                        if qid in admitted:
+                            continue  # undeliverable: never build the Match
+                        layout = admitted[qid] = layouts[qid] if match_filter(qid) else None
+                        if layout is None:
+                            continue
+                    lhs_docid = row[docid_pos]
+                    lhs_timestamp = lhs_timestamps.get(lhs_docid)
+                    if lhs_timestamp is None:
+                        lhs_timestamp = lhs_timestamps[lhs_docid] = timestamp_of(lhs_docid)
+                    window = row[window_pos]
+                    delta_t = rhs_timestamp - lhs_timestamp
+                    if (0 < delta_t <= window) if layout.strict else (0 <= delta_t <= window):
+                        append(
+                            from_row(
+                                qid, lhs_docid, rhs_docid, lhs_timestamp, rhs_timestamp,
+                                window, row, layout,
+                            )
+                        )
         stats = self.delta_stats
         stats["documents"] += 1
         for counter, value in delta.stats().items():
             stats[counter] += value
         return matches
-
-    def _row_to_match(
-        self, unit: _Unit, row: tuple, witnesses: WitnessRelations
-    ) -> Optional[Match]:
-        """Algorithm 3: window check plus conversion of one output row to a Match."""
-        _cq, _qid, member, qid_pos, docid_pos, window_pos, lhs, rhs = unit
-        qid = row[qid_pos]
-        lhs_docid = row[docid_pos]
-        window = row[window_pos]
-        record = member(qid)
-        lhs_ts = self.state.timestamp_of(lhs_docid)
-        delta = witnesses.timestamp - lhs_ts
-        if not window_satisfied(record.query.join.operator, delta, window):
-            return None
-
-        names = record.names
-        lhs_bindings: dict[str, int] = {}
-        for position, key in lhs:
-            lhs_bindings[names[key]] = row[position]
-        rhs_bindings: dict[str, int] = {}
-        for position, key in rhs:
-            rhs_bindings[names[key]] = row[position]
-        return Match(
-            qid=qid,
-            lhs_docid=lhs_docid,
-            rhs_docid=witnesses.docid,
-            lhs_timestamp=lhs_ts,
-            rhs_timestamp=witnesses.timestamp,
-            lhs_bindings=lhs_bindings,
-            rhs_bindings=rhs_bindings,
-            window=window,
-        )
 
     # ------------------------------------------------------------------ #
     # Algorithm 2 / Algorithm 5, pruning and retraction of state
@@ -354,17 +352,18 @@ class MMQJPJoinProcessor(_JoinProcessor):
         return record.shape
 
     def _index(self, record: RegisteredQuery) -> None:
-        """Post one registry record: its template's unit and its relevance entry."""
+        """Post one registry record: its template's unit, its layout and its relevance entry."""
         template = record.template
         sides = template.node_sides
-        if template.template_id not in self._template_units:
-            self._template_units[template.template_id] = _make_unit(
+        unit = self._template_units.get(template.template_id)
+        if unit is None:
+            unit = self._template_units[template.template_id] = _make_unit(
                 self.registry.cqt(template, materialized=self.use_view_materialization),
                 None,
-                self.registry.query,
                 ((meta, f"node_{meta}", sides[meta]) for meta in template.meta_order),
             )
         names = record.names
+        self._lay_out(record.qid, record.query, unit, names)
         self.relevance.add(
             template.template_id,
             (names[meta] for meta in template.meta_order if sides[meta] is Side.RIGHT),
@@ -374,12 +373,13 @@ class MMQJPJoinProcessor(_JoinProcessor):
     def remove_query(self, qid: str) -> None:
         """Retract one registered query (engine-level ``deregister_query`` path).
 
-        Removes the query's ``RT`` tuple and relevance posting; when its
-        template is left with no member queries the template's unit and
+        Removes the query's ``RT`` tuple, layout and relevance posting; when
+        its template is left with no member queries the template's unit and
         compiled plan are dropped too (the template entry itself is retired
         in place and revived on re-registration).
         """
         record = self.registry.remove_query(qid)
+        del self._layouts[qid]
         self.relevance.remove(qid)
         if not self.registry.has_queries(record.template):
             self._retire(self._template_units.pop(record.template.template_id))
@@ -496,14 +496,6 @@ def build_per_query_cq(qid: str, query: XsclQuery, reduced: ReducedJoinGraph) ->
     return cq
 
 
-class _PerQuery(NamedTuple):
-    """One query of the baseline: its record (``query``, ``names``) and its unit."""
-
-    query: XsclQuery
-    names: dict[str, str]  # a per-query CQ names its own variables
-    unit: _Unit
-
-
 class SequentialJoinProcessor(_JoinProcessor):
     """The paper's baseline: evaluate every query's join operator separately.
 
@@ -522,7 +514,7 @@ class SequentialJoinProcessor(_JoinProcessor):
         plan_cache: Optional[PlanCache] = None,
     ):
         super().__init__(state, plan_cache)
-        self._queries: dict[str, _PerQuery] = {}
+        self._queries: dict[str, _Unit] = {}
 
     def add_query(
         self, qid: str, query: XsclQuery, shape: Optional[QueryShape] = None
@@ -532,13 +524,13 @@ class SequentialJoinProcessor(_JoinProcessor):
         if shape is None:
             shape = QueryShape(reduce_join_graph(JoinGraph.from_query(query)))
         reduced = shape.reduced
-        unit = _make_unit(
+        unit = self._queries[qid] = _make_unit(
             build_per_query_cq(qid, query, reduced),
             qid,
-            self._queries.__getitem__,
             ((var, f"node_{side.value}_{var}", side) for side, var in reduced.nodes),
         )
-        self._queries[qid] = _PerQuery(query, {var: var for _, var in reduced.nodes}, unit)
+        # A per-query CQ names its own variables: a node's key is its name.
+        self._lay_out(qid, query, unit, {var: var for _, var in reduced.nodes})
         self.relevance.add(
             qid, (var for side, var in reduced.nodes if side is Side.RIGHT), member=qid
         )
@@ -546,11 +538,12 @@ class SequentialJoinProcessor(_JoinProcessor):
 
     def remove_query(self, qid: str) -> None:
         try:
-            entry = self._queries.pop(qid)
+            unit = self._queries.pop(qid)
         except KeyError:
             raise KeyError(f"query id {qid!r} is not registered") from None
+        del self._layouts[qid]
         self.relevance.remove(qid)
-        self._retire(entry.unit)
+        self._retire(unit)
 
     def _units(self, relevant: set) -> list[_Unit]:
-        return [entry.unit for qid, entry in self._queries.items() if qid in relevant]
+        return [unit for qid, unit in self._queries.items() if qid in relevant]

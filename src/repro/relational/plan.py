@@ -150,6 +150,7 @@ class CompiledPlan:
         "_stable_stats",
         "delta_program",
         "_body_to_step",
+        "probe_rows",
     )
 
     def __init__(
@@ -181,6 +182,8 @@ class CompiledPlan:
         # maps its output onto this plan's frozen join order.
         self.delta_program = delta_program
         self._body_to_step = body_to_step
+        #: Intermediate solutions the steps produced, over every execution.
+        self.probe_rows = 0
 
     # ------------------------------------------------------------------ #
     # stats-epoch validity
@@ -343,6 +346,7 @@ class CompiledPlan:
                     np.tile(cols[c][matched], num_sols) for c in step.new_var_cols
                 )
                 num_sols *= r
+            self.probe_rows += num_sols
             if not num_sols:
                 return out
 
@@ -460,7 +464,10 @@ class PlanCache:
     first-time compilations, re-optimizations forced by stats-epoch drift,
     and cached executions abandoned mid-flight because the frozen order
     blew past ``growth_limit`` on the current statistics (each abort also
-    re-plans and re-executes, so results are never lost).
+    re-plans and re-executes, so results are never lost).  ``probe_rows`` /
+    ``head_rows`` sum, over the completed executions, the intermediate
+    solutions every join step produced and the head rows returned: their
+    ratio is the plans' blow-up over their output.
     """
 
     def __init__(self, growth_limit: Optional[int] = DEFAULT_GROWTH_LIMIT) -> None:
@@ -470,6 +477,8 @@ class PlanCache:
         self.misses = 0
         self.replans = 0
         self.aborts = 0
+        self.probe_rows = 0
+        self.head_rows = 0
 
     def _current_plan(
         self, query: ConjunctiveQuery, relations: Mapping[str, Relation]
@@ -530,7 +539,8 @@ class PlanCache:
             return plan.empty_head()
         if cached:
             try:
-                return plan.execute(
+                return self._execute(
+                    plan,
                     relations,
                     growth_limit=self.growth_limit,
                     step_relations=step_relations,
@@ -544,7 +554,15 @@ class PlanCache:
                     if delta is not None
                     else None
                 )
-        return plan.execute(relations, step_relations=step_relations)
+        return self._execute(plan, relations, step_relations=step_relations)
+
+    def _execute(self, plan: CompiledPlan, relations, **kwargs) -> Relation:
+        """``plan.execute``, counted into ``probe_rows`` and ``head_rows``."""
+        probed = plan.probe_rows
+        out = plan.execute(relations, **kwargs)
+        self.probe_rows += plan.probe_rows - probed
+        self.head_rows += len(out.rows)
+        return out
 
     def invalidate(self, query: ConjunctiveQuery) -> bool:
         """Drop the cached plan of ``query`` (query retraction path).
@@ -563,11 +581,13 @@ class PlanCache:
         return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/replan/abort counters plus the number of cached plans."""
+        """Hit/miss/replan/abort and row counters plus the number of cached plans."""
         return {
             "plans": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
             "replans": self.replans,
             "aborts": self.aborts,
+            "probe_rows": self.probe_rows,
+            "head_rows": self.head_rows,
         }

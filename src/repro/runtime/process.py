@@ -163,38 +163,48 @@ def encode_match_batch(
     return (table, tuple(counts), rows, publish_stamps)
 
 
+class _WireLayout:
+    """Builds a decoded match's bindings from its wire row and the batch's value table."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: list):
+        self.table = table
+
+    def lhs_bindings(self, wire: tuple) -> dict:
+        return self._bindings(wire[5])
+
+    def rhs_bindings(self, wire: tuple) -> dict:
+        return self._bindings(wire[6])
+
+    def _bindings(self, ids: tuple) -> dict:
+        table = self.table
+        return {table[ids[i]]: table[ids[i + 1]] for i in range(0, len(ids), 2)}
+
+
 def decode_match_batch(payload: tuple) -> list[list[Match]]:
-    """Re-materialize one batch response from its columnar wire form."""
+    """Re-materialize one batch response from its columnar wire form.
+
+    Each match is row-backed (:meth:`Match.from_row`): its binding dicts
+    are built from the wire row only when a sink reads them.
+    """
     table, counts, rows, publish_stamps = payload
+    layout = _WireLayout(table)
+    from_row = Match.from_row
     out: list[list[Match]] = []
     cursor = 0
     for doc_index, count in enumerate(counts):
         stamp = publish_stamps[doc_index] if publish_stamps is not None else None
-        matches = []
-        for wire in rows[cursor : cursor + count]:
-            lhs_ids = wire[5]
-            rhs_ids = wire[6]
-            matches.append(
-                Match(
-                    qid=table[wire[0]],
-                    lhs_docid=table[wire[1]],
-                    rhs_docid=table[wire[2]],
-                    lhs_timestamp=wire[3],
-                    rhs_timestamp=wire[4],
-                    lhs_bindings={
-                        table[lhs_ids[i]]: table[lhs_ids[i + 1]]
-                        for i in range(0, len(lhs_ids), 2)
-                    },
-                    rhs_bindings={
-                        table[rhs_ids[i]]: table[rhs_ids[i + 1]]
-                        for i in range(0, len(rhs_ids), 2)
-                    },
-                    window=table[wire[7]],
-                    publish_stamp=stamp,
+        out.append(
+            [
+                from_row(
+                    table[wire[0]], table[wire[1]], table[wire[2]], wire[3], wire[4],
+                    table[wire[7]], wire, layout, stamp,
                 )
-            )
+                for wire in rows[cursor : cursor + count]
+            ]
+        )
         cursor += count
-        out.append(matches)
     return out
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.config import RuntimeConfig
+from repro.core.results import Match
 from repro.workloads.querygen import generate_query
 from repro.workloads.synthetic import build_document
 from repro.xmlmodel import XmlDocument, element
@@ -167,3 +168,26 @@ def make_document(i: int, values) -> XmlDocument:
 def make_documents(specs) -> list[XmlDocument]:
     return [make_document(i, values) for i, values in enumerate(specs)]
 
+
+
+def count_match_constructions(monkeypatch) -> dict:
+    """Count every :class:`~repro.core.results.Match` built from here on.
+
+    A match is built by keyword construction or by :meth:`Match.from_row`
+    (Stage 2's output rows, decoded wire rows); both are counted in
+    ``"calls"``.
+    """
+    counter = {"calls": 0}
+    init, from_row = Match.__init__, Match.from_row
+
+    def counted_init(self, *args, **kwargs):
+        counter["calls"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_from_row(cls, *args, **kwargs):
+        counter["calls"] += 1
+        return from_row(*args, **kwargs)
+
+    monkeypatch.setattr(Match, "__init__", counted_init)
+    monkeypatch.setattr(Match, "from_row", classmethod(counted_from_row))
+    return counter

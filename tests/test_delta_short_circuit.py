@@ -296,6 +296,7 @@ def test_an_overflowing_key_stays_vectorized(monkeypatch):
 
 
 def test_match_key_is_computed_once_per_match(monkeypatch):
+    """At most once: never on a plain publish, once a match to undo a symmetric JOIN's swap."""
     calls = []
     key = Match.key
     monkeypatch.setattr(Match, "key", lambda self: calls.append(1) or key(self))
@@ -304,4 +305,11 @@ def test_match_key_is_computed_once_per_match(monkeypatch):
         broker.publish("<blog><author>A</author></blog>")
         calls.clear()
         delivered = broker.publish("<blog><author>A</author></blog>")
-        assert len(delivered) == 1 and len(calls) == 1
+        assert len(delivered) == 1 and calls == []
+    with open_broker(RuntimeConfig(construct_outputs=False)) as broker:
+        broker.subscribe(COAUTHOR.replace("FOLLOWED BY", "JOIN"))
+        broker.publish("<blog><author>A</author></blog>", timestamp=1.0)
+        calls.clear()
+        # Equal timestamps: the JOIN delivers both orders of the pair.
+        delivered = broker.publish("<blog><author>A</author></blog>", timestamp=1.0)
+        assert len(delivered) == 2 and 0 < len(calls) <= len(delivered)

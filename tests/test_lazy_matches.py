@@ -2,10 +2,11 @@
 
 The broker installs a match filter on every in-process shard engine so that
 rows whose subscription is missing, cancelled or paused are dropped *before*
-``_row_to_match`` runs — no Match object, no window check, no binding dicts.
-These tests count actual ``_row_to_match`` invocations to prove the work is
-skipped, and check that delivery contents and callback ordering are
-unchanged for live subscriptions.
+Algorithm 3 runs on them — no window check, no Match object.  These tests
+count actual :class:`~repro.core.results.Match` constructions
+(``tests.conftest.count_match_constructions``) to prove the work is skipped,
+and check that delivery contents and callback ordering are unchanged for
+live subscriptions.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro import RuntimeConfig, open_broker
-from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from tests.conftest import (
     PAPER_Q1,
     PAPER_WINDOWS,
+    count_match_constructions,
     make_blog_article,
     make_book_announcement,
 )
@@ -33,26 +34,12 @@ def _open(engine: str, **overrides):
     )
 
 
-def _count_materializations(monkeypatch):
-    """Patch both processors' ``_row_to_match`` to count invocations."""
-    counter = {"calls": 0}
-    for cls in (MMQJPJoinProcessor, SequentialJoinProcessor):
-        original = cls._row_to_match
-
-        def counted(self, *args, _original=original, **kwargs):
-            counter["calls"] += 1
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "_row_to_match", counted)
-    return counter
-
-
 def _paper_pair():
     return [make_book_announcement("d1", 1.0), make_blog_article("d2", 2.0)]
 
 
 def test_live_subscription_materializes_matches(monkeypatch, engine):
-    counter = _count_materializations(monkeypatch)
+    counter = count_match_constructions(monkeypatch)
     broker = _open(engine)
     try:
         broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)
@@ -64,20 +51,25 @@ def test_live_subscription_materializes_matches(monkeypatch, engine):
 
 
 def test_paused_subscription_builds_no_match_objects(monkeypatch, engine):
-    counter = _count_materializations(monkeypatch)
+    counter = count_match_constructions(monkeypatch)
     broker = _open(engine)
     try:
         sub = broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)
         sub.pause()
         deliveries = broker.publish_many(_paper_pair())
         assert all(d.match is None for d in deliveries)
-        assert counter["calls"] == 0  # suppressed before materialization
+        if broker.stats()["executor"] == "processes":
+            # The filter cannot cross the pipe: the worker ships the one
+            # match, the parent decodes it and drops it.
+            assert counter["calls"] == 1
+        else:
+            assert counter["calls"] == 0  # suppressed before materialization
     finally:
         broker.close()
 
 
 def test_cancelled_subscription_builds_no_match_objects(monkeypatch, engine):
-    counter = _count_materializations(monkeypatch)
+    counter = count_match_constructions(monkeypatch)
     broker = _open(engine)
     try:
         sub = broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)
@@ -89,7 +81,7 @@ def test_cancelled_subscription_builds_no_match_objects(monkeypatch, engine):
 
 
 def test_resume_restores_materialization(monkeypatch, engine):
-    counter = _count_materializations(monkeypatch)
+    counter = count_match_constructions(monkeypatch)
     broker = _open(engine)
     try:
         sub = broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)
@@ -164,7 +156,7 @@ def test_every_in_process_shard_gets_the_filter(monkeypatch, executor):
     """With several in-process shards a paused subscription still costs no
     Match construction (process shards are covered in test_session_contract:
     the callable cannot cross the pipe, so the parent drops post-hoc)."""
-    counter = _count_materializations(monkeypatch)
+    counter = count_match_constructions(monkeypatch)
     broker = _open("mmqjp", shards=2, executor=executor)
     try:
         sub = broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)

@@ -163,6 +163,49 @@ def test_deliveries_agree_with_the_oracle(workload, engine, shards):
     assert deliveries(config, _script(workload)) == list(_expected(workload))
 
 
+class _KeyRecorder:
+    """A broker whose publishes also record each delivery's ``match.key()``."""
+
+    def __init__(self, broker):
+        self.broker = broker
+        self.keys: list[list[tuple]] = []  # one list per publish
+
+    def __getattr__(self, name):
+        return getattr(self.broker, name)
+
+    def publish(self, document):
+        delivered = self.broker.publish(document)
+        self.keys.append([d.match.key() for d in delivered if d.match is not None])
+        return delivered
+
+
+DISTINCT_CONFIGS = [
+    (e, s, x) for e in ENGINES for s in (1, 2) for x in ("serial", "processes")
+]
+
+
+@pytest.mark.parametrize("workload", ["paper", "rss"])
+@pytest.mark.parametrize(
+    "engine,shards,executor", DISTINCT_CONFIGS, ids=["-".join(map(str, c)) for c in DISTINCT_CONFIGS]
+)
+def test_a_publish_never_delivers_one_match_twice(workload, engine, shards, executor):
+    """Stage 2 keeps no de-duplication set: its rows must already be distinct.
+
+    ``paper`` has a symmetric JOIN over equal timestamps (the engine's one
+    de-duplication, undoing the mirrored registration, runs there), ``rss``
+    a JOIN among FOLLOWED BY queries of one template.
+    """
+    config = RuntimeConfig(
+        engine=engine, shards=shards, executor=executor, construct_outputs=False
+    )
+    with open_broker(config) as broker:
+        recorder = _KeyRecorder(broker)
+        assert run_script(recorder, _script(workload)) == list(_expected(workload))
+    assert sum(map(len, recorder.keys)) > 5
+    for keys in recorder.keys:
+        assert len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize("workload", list(WORKLOADS))
 def test_each_script_delivers_and_its_cancels_and_prunes_bite(workload):
     script, expected = _script(workload), _expected(workload)

@@ -155,3 +155,18 @@ def test_knobs_thread_through_brokers():
         for shard in sharded.shards:
             assert shard.engine.plan_cache is not None
             assert shard.engine.processor.env.dictionary is not None
+
+
+def test_plan_cache_counts_probe_and_head_rows():
+    """``probe_rows`` / ``head_rows``: the plans' intermediate solutions and their output."""
+    coauthor = "S//blog->b[.//author->a] FOLLOWED BY{a=a, INF} S//blog->b[.//author->a]"
+    config = RuntimeConfig(construct_outputs=False, executor="serial")
+    with open_broker(config) as broker:
+        broker.subscribe(coauthor)
+        delivered = []
+        for i in range(4):
+            delivered += broker.publish(f"<blog><author>A</author><title>T{i}</title></blog>")
+        stats = broker.engine.plan_cache.stats()
+    # An unbounded window admits every head row: one delivery each.
+    assert stats["head_rows"] == len(delivered) == 1 + 2 + 3
+    assert stats["probe_rows"] >= stats["head_rows"]

@@ -26,6 +26,7 @@ from tests.conftest import (
     PAPER_Q2,
     PAPER_Q3,
     PAPER_WINDOWS,
+    count_match_constructions,
     make_blog_article,
     make_book_announcement,
 )
@@ -78,19 +79,6 @@ def _non_matching_query():
 
 def _keys(matches) -> set:
     return {m.key() for m in matches}
-
-
-def _count_row_conversions(monkeypatch, processor) -> dict:
-    """Count ``_row_to_match`` calls — every ``Match`` is built there."""
-    counter = {"calls": 0}
-    original = type(processor)._row_to_match
-
-    def counted(self, *args, **kwargs):
-        counter["calls"] += 1
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(type(processor), "_row_to_match", counted)
-    return counter
 
 
 # --------------------------------------------------------------------------- #
@@ -246,7 +234,7 @@ def test_filtered_qid_builds_no_match(strategy, data, monkeypatch):
     processor = STRATEGIES[strategy](data.fresh_state())
     processor.add_query("hit", matching_query())
     processor.add_query("other", matching_query(window=5.0))
-    counter = _count_row_conversions(monkeypatch, processor)
+    counter = count_match_constructions(monkeypatch)
     processor.set_match_filter(lambda qid: qid != "hit")
     assert [m.qid for m in processor.process(data.witness)] == ["other"]
     assert counter["calls"] == 1

@@ -189,7 +189,11 @@ def test_plan_cache_hits_on_unchanged_stats():
     first = cache.evaluate(CQ, env)
     second = cache.evaluate(CQ, env)
     assert sorted(first.rows) == sorted(second.rows) == [(1,)]
-    assert cache.stats() == {"plans": 1, "hits": 1, "misses": 1, "replans": 0, "aborts": 0}
+    # Each execution: one W row, then one R row probed for it; one head row.
+    assert cache.stats() == {
+        "plans": 1, "hits": 1, "misses": 1, "replans": 0, "aborts": 0,
+        "probe_rows": 4, "head_rows": 2,
+    }
 
 
 def test_plan_cache_survives_small_growth():
