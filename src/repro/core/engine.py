@@ -43,6 +43,9 @@ from repro.templates.join_graph import Side
 #: Suffix used internally for the mirrored registration of symmetric JOIN queries.
 _SWAP_SUFFIX = "::swap"
 
+#: The store's meta key of the template guard (see ``_persist_registration``).
+TEMPLATE_GUARD = "template_guard"
+
 
 class _DerivedKey(NamedTuple):
     """One processor-registration key's share of a :class:`_DerivedText`."""
@@ -146,7 +149,12 @@ class _BaseEngine:
         # and always the case for storage="memory" — keeps the processing
         # path free of any storage cost.  Attached via attach_store().
         self.store = None
+        # What the store holds of the registration metadata: the number of
+        # catalog entries persisted, and the registry's ``live_version`` the
+        # persisted template guard reflects (``None`` while recovery
+        # replays: the stored guard is what the replay is checked against).
         self._catalog_watermark = 0
+        self._guard_version: Optional[int] = 0
         self._registered: dict[str, XsclQuery] = {}
         self._root_vars: dict[str, tuple[Optional[str], Optional[str]]] = {}
         self._max_finite_window = 0.0
@@ -597,18 +605,16 @@ class _BaseEngine:
         return len(dropped)
 
     def _normalize_matches(self, matches: list[Match]) -> list[Match]:
-        """Strip the internal swap suffix and de-duplicate symmetric JOIN matches.
+        """Strip the internal swap suffix from mirrored symmetric-JOIN matches.
 
-        The processor returns matches already distinct by :meth:`Match.key`;
-        only un-swapping a mirrored registration's match can make it equal
-        another one, so a list without any is returned as it came.
+        Nothing needs de-duplicating: Stage 2 puts the current document on
+        the right of every match, so an un-swapped match has it on the left
+        and shares no :meth:`Match.key` with an original one (a document is
+        not in the join state while it is processed).
         """
-        out: list[Match] = []
-        swapped = False
-        for match in matches:
+        for i, match in enumerate(matches):
             if match.qid.endswith(_SWAP_SUFFIX):
-                swapped = True
-                match = Match(
+                matches[i] = Match(
                     qid=match.qid[: -len(_SWAP_SUFFIX)],
                     lhs_docid=match.rhs_docid,
                     rhs_docid=match.lhs_docid,
@@ -618,13 +624,7 @@ class _BaseEngine:
                     rhs_bindings=match.lhs_bindings,
                     window=match.window,
                 )
-            out.append(match)
-        if not swapped:
-            return out
-        distinct: dict[tuple, Match] = {}
-        for match in out:
-            distinct.setdefault(match.key(), match)
-        return list(distinct.values())
+        return matches
 
     # ------------------------------------------------------------------ #
     # durable storage
@@ -641,27 +641,28 @@ class _BaseEngine:
         if store is not None and self._registered:
             self._persist_registration()
 
-    def _persist_catalog(self) -> None:
-        """Persist canonical-name entries added since the last persist."""
-        entries = self.catalog.entries()
-        if len(entries) > self._catalog_watermark:
-            self.store.save_catalog_entries(entries[self._catalog_watermark :])
-            self._catalog_watermark = len(entries)
-
     def _persist_registration(self) -> None:
-        """Persist registration-derived facts: catalog entries + template refcounts.
+        """Persist what a registration changed of the catalog and the template guard.
 
-        The refcounts are stored as a sorted multiset (template ids are
-        assigned in registration order and churn under cancel/resubscribe,
-        so the ids themselves are not stable across a restart); recovery
-        cross-checks the replayed registry against this multiset.
+        Only the delta is written: catalog entries past the watermark, when
+        a registration minted canonical names, and the template guard — the
+        live templates' sorted keys, which recovery checks the replayed
+        registry against — when a template gained its first member or lost
+        its last.  A subscription joining or leaving a live template writes
+        nothing here.
         """
-        self._persist_catalog()
+        catalog = self.catalog
+        if len(catalog) > self._catalog_watermark:
+            self.store.save_catalog_entries(catalog.entries(self._catalog_watermark))
+            self._catalog_watermark = len(catalog)
         registry = self.processor.registry
-        if registry is not None:
-            self.store.set_meta(
-                "template_refcounts", sorted(registry.template_sizes().values())
-            )
+        if (
+            registry is not None
+            and self._guard_version is not None
+            and registry.live_version != self._guard_version
+        ):
+            self.store.set_meta(TEMPLATE_GUARD, registry.live_template_keys())
+            self._guard_version = registry.live_version
 
     def close(self) -> None:
         """Flush and close the attached state store (idempotent; no-op without one)."""

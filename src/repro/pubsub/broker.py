@@ -192,6 +192,7 @@ class Broker:
         self._filters = FilterFrontEnd()
         self._sub_counter = 1
         self._reg_seq = 0
+        self._newest_sid: Optional[str] = None  # the last persisted subscription
         self._clock_value = 0
         self._num_published = 0
         self._closed = False
@@ -295,9 +296,10 @@ class Broker:
                     query_text=parsed.rendered,
                     kind="join" if query.is_join_query else "filter",
                     shard=self.shard_of(subscription_id),
+                    id_counter=self._sub_counter,
                 )
             )
-            self._store.set_meta("sub_counter", self._sub_counter)
+            self._newest_sid = subscription_id
         return subscription
 
     def _parse(
@@ -417,7 +419,14 @@ class Broker:
         if key is not None:
             self.texts.release(key)
         if self._store is not None:
-            self._store.remove_subscription(subscription_id)
+            # The newest record is the one whose id_counter is the live
+            # counter; removing it keeps the counter in the same write.
+            newest = subscription_id == self._newest_sid
+            self._store.remove_subscription(
+                subscription_id, self._sub_counter if newest else None
+            )
+            if newest:
+                self._newest_sid = None
         return True
 
     def unsubscribe(self, subscription_id: str) -> None:

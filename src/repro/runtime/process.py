@@ -235,10 +235,10 @@ def _dispatch(engine, method: str, args: tuple):
         from repro.storage.recovery import recover_engine_catalog
 
         return recover_engine_catalog(engine)
-    if method == "registry_refcounts":
-        from repro.storage.recovery import engine_registry_refcounts
+    if method == "template_guard":
+        from repro.storage.recovery import engine_template_guard
 
-        return engine_registry_refcounts(engine)
+        return engine_template_guard(engine)
     if method == "recover_state":
         from repro.storage.recovery import docid_floor, restore_engine_state
 
@@ -502,8 +502,8 @@ class ProcessShardHandle:
     def recover_catalog(self):
         return self.channel.call(self.shard_id, "recover_catalog")
 
-    def registry_refcounts(self):
-        return self.channel.call(self.shard_id, "registry_refcounts")
+    def template_guard(self):
+        return self.channel.call(self.shard_id, "template_guard")
 
     def recover_state(self):
         return self.channel.call(self.shard_id, "recover_state")

@@ -96,12 +96,12 @@ class EngineShard:
 
     # -- recovery plane (see repro.storage.recovery) ---------------------- #
     def recover_catalog(self):
-        """Pin the persisted variable catalog; returns the expected refcounts."""
+        """Pin the persisted variable catalog; returns the persisted template guard."""
         return recovery.recover_engine_catalog(self.engine)
 
-    def registry_refcounts(self):
-        """The live template-refcount multiset (``None`` without a registry)."""
-        return recovery.engine_registry_refcounts(self.engine)
+    def template_guard(self):
+        """The live template keys after replay (``None`` without a registry)."""
+        return recovery.engine_template_guard(self.engine)
 
     def recover_state(self) -> int:
         """Load persisted join state and counters; returns the docid floor."""

@@ -17,8 +17,9 @@ a crash:
   pins them;
 * **documents** — the serialized source XML (only when the engine stores
   documents), so output construction works across a restart;
-* **metadata** — small counters (timestamp clock, id counters, template
-  refcounts) that must survive a restart.
+* **metadata** — small values that must survive a restart (the config
+  snapshot, the timestamp clock, engine counters, each engine's template
+  guard).
 
 Writes are grouped into *epochs*: one epoch per processed document,
 bracketed by :meth:`StateStore.begin_epoch` / :meth:`StateStore.commit_epoch`.
@@ -66,7 +67,9 @@ class SubscriptionRecord:
     ``seq`` is the broker-wide registration order (recovery replays in this
     order so per-engine canonicalization and template matching repeat
     deterministically); ``shard`` is the owning shard id for join
-    subscriptions (``None`` for filter subscriptions).
+    subscriptions (``None`` for filter subscriptions); ``id_counter`` is
+    the broker's auto-id counter as of this registration, written with the
+    record so a subscribe stays one write.
     """
 
     seq: int
@@ -74,6 +77,7 @@ class SubscriptionRecord:
     query_text: str
     kind: str  # "join" | "filter"
     shard: Optional[int] = None
+    id_counter: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -180,10 +184,18 @@ class StateStore:
         self._fault("save_subscription")
         self._do_save_subscription(record)
 
-    def remove_subscription(self, subscription_id: str) -> None:
-        """Remove one subscription registration (cancel path)."""
+    def remove_subscription(
+        self, subscription_id: str, id_counter: Optional[int] = None
+    ) -> None:
+        """Remove one subscription registration (cancel path).
+
+        ``id_counter``, when given, is kept as the ``sub_counter`` metadata
+        in the same transaction: the broker passes it when the removed
+        record is the newest, the one whose ``id_counter`` no other record
+        may reach.
+        """
         self._fault("remove_subscription")
-        self._do_remove_subscription(subscription_id)
+        self._do_remove_subscription(subscription_id, id_counter)
 
     def subscriptions(self) -> list[SubscriptionRecord]:
         """All persisted registrations, in ``seq`` order."""
@@ -269,7 +281,7 @@ class StateStore:
     def _do_save_subscription(self, record: SubscriptionRecord) -> None:
         raise NotImplementedError
 
-    def _do_remove_subscription(self, subscription_id: str) -> None:
+    def _do_remove_subscription(self, subscription_id: str, id_counter: Optional[int]) -> None:
         raise NotImplementedError
 
     def _do_subscriptions(self) -> list[SubscriptionRecord]:
@@ -391,8 +403,10 @@ class MemoryStore(StateStore):
     def _do_save_subscription(self, record: SubscriptionRecord) -> None:
         self._subscriptions[record.subscription_id] = record
 
-    def _do_remove_subscription(self, subscription_id: str) -> None:
+    def _do_remove_subscription(self, subscription_id: str, id_counter: Optional[int]) -> None:
         self._subscriptions.pop(subscription_id, None)
+        if id_counter is not None:
+            self._meta["sub_counter"] = id_counter
 
     def _do_subscriptions(self) -> list[SubscriptionRecord]:
         return list(self._subscriptions.values())

@@ -24,9 +24,16 @@ restarted:
    persisted counters (timestamp clock, id counters) so future stamps and
    auto-generated ids continue where the crashed session stopped.
 
-A persisted-vs-replayed template-refcount cross-check guards against a
+What a live session wrote is a delta per registration: a subscribe inserts
+one row into the broker store's ``subscriptions`` table (the auto-id counter
+travels in that row) and a cancel deletes it; a shard store gains catalog entries
+only when a registration mints a canonical name, and rewrites its *template
+guard* — the sorted keys of its live templates — only when a template gains
+its first member or loses its last.  After the replay each shard's live
+template keys are checked against its guard, which guards against a
 registry/state mismatch (e.g. resuming with an incompatible config);
 mismatches raise :class:`RecoveryError` rather than silently mis-joining.
+The replay itself writes no guard.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import os
 from typing import Any, Mapping, Optional
 
 from repro.config import RuntimeConfig
+from repro.core.engine import TEMPLATE_GUARD
 from repro.storage.base import STABLE_RELATIONS
 from repro.storage.sqlite import SQLiteStore
 
@@ -44,7 +52,7 @@ __all__ = [
     "resume_broker",
     "config_snapshot",
     "recover_engine_catalog",
-    "engine_registry_refcounts",
+    "engine_template_guard",
     "restore_engine_state",
     "docid_floor",
 ]
@@ -138,10 +146,9 @@ def _restore(broker) -> None:
     members = broker.shards
 
     # 1. Pin canonical variable names before any registration replays; the
-    # same round-trip captures the integrity expectations, because the
-    # replay below re-persists registration metadata through the live code
-    # path.
-    expected_refcounts = [member.recover_catalog() for member in members]
+    # same round-trip reads each shard's template guard and stops the
+    # engines writing theirs while the replay runs.
+    guards = [member.recover_catalog() for member in members]
 
     # 2. Replay the surviving registrations in their original order (texts
     # subscribed many times are parsed and derived once, as when live).
@@ -153,17 +160,13 @@ def _restore(broker) -> None:
             recorded_shard=record.shard,
         )
 
-    for member, expected in zip(members, expected_refcounts):
-        if expected is None:
-            continue
-        live = member.registry_refcounts()
-        if live is None:
-            continue
-        if live != sorted(expected):
+    for member, expected in zip(members, guards):
+        live = member.template_guard()
+        if expected is not None and live is not None and live != expected:
             raise RecoveryError(
-                f"template refcounts after replay {live} do not match the "
-                f"persisted refcounts {sorted(expected)}; the stores were "
-                "written by an incompatible session"
+                f"live templates after replay {live} do not match the persisted "
+                f"template guard {expected}; the stores were written by an "
+                "incompatible session"
             )
 
     # 3. Join state, documents, and counters.
@@ -176,24 +179,32 @@ def _restore(broker) -> None:
 
 
 def recover_engine_catalog(engine):
-    """Pin one engine's persisted catalog; returns the expected refcounts.
+    """Pin one engine's persisted catalog; returns its persisted template guard.
 
     Restoring the catalog *before* any registration replays is step 1 of
-    recovery (see the module docstring); the returned value is the
-    persisted ``template_refcounts`` multiset (or ``None``), captured in
-    the same round-trip for the post-replay cross-check.
+    recovery (see the module docstring).  The guard (``None`` when the
+    store has none) is read in the same round-trip for the post-replay
+    check, and the engine stops rewriting it until
+    :func:`engine_template_guard` re-arms it.
     """
     entries = engine.store.catalog_entries()
     engine.catalog.restore(entries)
-    engine._catalog_watermark = len(entries)
-    return engine.store.get_meta("template_refcounts")
+    engine._catalog_watermark = len(engine.catalog)
+    engine._guard_version = None
+    return engine.store.get_meta(TEMPLATE_GUARD)
 
 
-def engine_registry_refcounts(engine):
-    """One engine's live template-refcount multiset (``None`` without registry)."""
-    if engine.registry is None:
+def engine_template_guard(engine):
+    """One engine's live template keys after the replay (``None`` without registry).
+
+    The store's guard already holds these keys when the check passes, so
+    the engine resumes writing its guard from here, at the next change.
+    """
+    registry = engine.registry
+    if registry is None:
         return None
-    return sorted(engine.registry.template_sizes().values())
+    engine._guard_version = registry.live_version
+    return registry.live_template_keys()
 
 
 def docid_floor(engine) -> int:
@@ -234,6 +245,12 @@ def restore_engine_state(engine) -> None:
 
 def _restore_broker_counters(broker, records) -> None:
     store = broker._store
-    broker._sub_counter = int(store.get_meta("sub_counter", broker._sub_counter))
+    # Each row carries the auto-id counter as of its subscribe; a cancel of
+    # the newest row, whose counter no other row may reach, keeps it in meta.
+    broker._sub_counter = max(
+        [int(store.get_meta("sub_counter", broker._sub_counter))]
+        + [record.id_counter for record in records if record.id_counter is not None]
+    )
     broker._reg_seq = max((record.seq for record in records), default=0)
+    broker._newest_sid = records[-1].subscription_id if records else None
     broker._clock_value, broker._num_published = store.get_meta("clock", (0, 0))

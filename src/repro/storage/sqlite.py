@@ -9,6 +9,17 @@ the affected rows.  Alongside the state live the ``documents`` table (the
 serialized source XML), the ``subscriptions`` registry, the variable
 ``catalog`` and a small JSON ``meta`` key/value table.
 
+Registration writes are deltas, each durable when it returns (under
+``"relaxed"``, buffered epochs are committed first).  A subscribe is
+one ``INSERT`` into the broker store's ``subscriptions`` (the row carries
+the auto-id counter); a cancel is one ``DELETE`` (the cancel of the newest
+row keeps its counter in ``meta`` within the same transaction).  A shard
+store is written at a subscribe or a cancel only when something it keeps
+changed: ``catalog`` rows for newly minted canonical names, the
+``template_guard`` meta value when a template gains its first member or
+loses its last, and ``Rbin``/``Rvar`` deletions when a cancel's variables
+lose their last user.
+
 Write shape follows the engine's epoch protocol: one SQLite transaction per
 document epoch, rows written with ``executemany`` (one batched statement per
 relation per document).  The database runs in WAL mode with
@@ -119,8 +130,11 @@ class SQLiteStore(StateStore):
         conn.execute(
             "CREATE TABLE IF NOT EXISTS subscriptions ("
             "sid TEXT PRIMARY KEY, seq INTEGER NOT NULL, "
-            "query TEXT NOT NULL, kind TEXT NOT NULL, shard INTEGER)"
+            "query TEXT NOT NULL, kind TEXT NOT NULL, shard INTEGER, id_counter INTEGER)"
         )
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(subscriptions)")}
+        if "id_counter" not in columns:  # a store written before the column existed
+            conn.execute("ALTER TABLE subscriptions ADD COLUMN id_counter INTEGER")
         conn.execute(
             "CREATE TABLE IF NOT EXISTS catalog ("
             "name TEXT PRIMARY KEY, stream TEXT NOT NULL, path TEXT NOT NULL)"
@@ -211,6 +225,7 @@ class SQLiteStore(StateStore):
         self._autocommit()
 
     def _do_delete_variables(self, variables: set[str]) -> None:
+        self._commit_pending()
         conn = self._connection()
         dead = sorted(variables)
         for start in range(0, len(dead), _IN_CHUNK):
@@ -221,14 +236,13 @@ class SQLiteStore(StateStore):
                 chunk + chunk,
             )
             conn.execute(f'DELETE FROM "Rvar" WHERE var IN ({marks})', chunk)
-        self._autocommit()
 
     def _do_clear_state(self) -> None:
+        self._commit_pending()
         conn = self._connection()
         for relation in STABLE_RELATIONS:
             conn.execute(f'DELETE FROM "{relation}"')
         conn.execute("DELETE FROM documents")
-        self._autocommit()
 
     def _autocommit(self) -> None:
         """Commit a standalone (outside-epoch) write under ``"epoch"`` durability.
@@ -240,42 +254,55 @@ class SQLiteStore(StateStore):
             self._commit_transaction()
 
     # ------------------------------------------------------------------ #
-    # registry / catalog / meta (immediately durable)
+    # registry / catalog / meta (durable when they return)
     # ------------------------------------------------------------------ #
     def _do_save_subscription(self, record: SubscriptionRecord) -> None:
         self._commit_pending()
         self._connection().execute(
-            "INSERT OR REPLACE INTO subscriptions (sid, seq, query, kind, shard) "
-            "VALUES (?, ?, ?, ?, ?)",
+            "INSERT OR REPLACE INTO subscriptions (sid, seq, query, kind, shard, id_counter) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
             (
                 record.subscription_id,
                 record.seq,
                 record.query_text,
                 record.kind,
                 record.shard,
+                record.id_counter,
             ),
         )
 
-    def _do_remove_subscription(self, subscription_id: str) -> None:
+    def _do_remove_subscription(self, subscription_id: str, id_counter: Optional[int]) -> None:
         self._commit_pending()
-        self._connection().execute(
-            "DELETE FROM subscriptions WHERE sid = ?", (subscription_id,)
-        )
+        conn = self._connection()
+        if id_counter is None:
+            conn.execute("DELETE FROM subscriptions WHERE sid = ?", (subscription_id,))
+            return
+        conn.execute("BEGIN")
+        try:
+            conn.execute("DELETE FROM subscriptions WHERE sid = ?", (subscription_id,))
+            conn.execute(
+                "INSERT OR REPLACE INTO meta (key, value) VALUES ('sub_counter', ?)",
+                (json.dumps(id_counter),),
+            )
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
 
     def _do_subscriptions(self) -> list[SubscriptionRecord]:
         rows = self._connection().execute(
-            "SELECT seq, sid, query, kind, shard FROM subscriptions ORDER BY seq"
+            "SELECT seq, sid, query, kind, shard, id_counter FROM subscriptions ORDER BY seq"
         )
         return [SubscriptionRecord(*row) for row in rows]
 
     def _do_save_catalog_entries(self, entries: list[tuple[str, str, str]]) -> None:
         if not entries:
             return
+        self._commit_pending()
         self._connection().executemany(
             "INSERT OR REPLACE INTO catalog (name, stream, path) VALUES (?, ?, ?)",
             entries,
         )
-        self._autocommit()
 
     def _do_catalog_entries(self) -> list[tuple[str, str, str]]:
         return list(
@@ -285,11 +312,11 @@ class SQLiteStore(StateStore):
         )
 
     def _do_set_meta(self, key: str, value) -> None:
+        self._commit_pending()  # inside an epoch, the value joins it
         self._connection().execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             (key, json.dumps(value)),
         )
-        self._autocommit()
 
     def _do_get_meta(self, key: str, default):
         row = self._connection().execute(
@@ -298,10 +325,12 @@ class SQLiteStore(StateStore):
         return default if row is None else json.loads(row[0])
 
     def _commit_pending(self) -> None:
-        """Make buffered relaxed epochs durable before a registry write.
+        """Make buffered relaxed epochs durable before a write outside an epoch.
 
         Registration order must never run ahead of the state it refers to,
-        so registry writes first flush any open write-behind transaction.
+        and a registration is durable when it returns: registry, catalog,
+        meta and retraction writes first flush any open write-behind
+        transaction, then commit on their own.
         """
         if self._in_transaction and not self._epoch_open:
             self._commit_transaction()

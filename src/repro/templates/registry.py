@@ -23,6 +23,7 @@ from repro.templates.template import (
     QueryTemplate,
     TemplateAssignment,
     reduced_graph_signature,
+    signature_key,
 )
 from repro.xscl.ast import XsclQuery
 
@@ -142,6 +143,9 @@ class TemplateRegistry:
         # retired in place, not deleted, so a cached assignment stays
         # correct forever.
         self._assignment_memo: dict[tuple, TemplateAssignment] = {}
+        #: Bumped whenever a template gains its first member or loses its
+        #: last: the set of live templates changed (see :meth:`live_template_keys`).
+        self.live_version = 0
 
     # ------------------------------------------------------------------ #
     # registration
@@ -167,6 +171,8 @@ class TemplateRegistry:
         else:
             reduced, assignment = shape
         entry = self._entry_of(assignment.template)
+        if not entry.query_ids:
+            self.live_version += 1
         window = query.join.window
         entry.rt_pos[qid] = len(entry.rt.rows)
         entry.rt.insert(assignment.rt_values(qid, window))
@@ -195,6 +201,8 @@ class TemplateRegistry:
         record = self._queries.pop(qid)
         entry = self._entries[record.template.template_id]
         del entry.query_ids[qid]
+        if not entry.query_ids:
+            self.live_version += 1
         # O(1) RT removal: swap-delete at the tracked position, then repoint
         # the position map at whichever row was swapped into the hole.
         position = entry.rt_pos.pop(qid)
@@ -285,3 +293,13 @@ class TemplateRegistry:
     def template_sizes(self) -> dict[int, int]:
         """Mapping template id -> number of member queries."""
         return {e.template.template_id: len(e.query_ids) for e in self._entries}
+
+    def live_template_keys(self) -> list[str]:
+        """The sorted :func:`signature_key` of every live template.
+
+        Template ids follow creation order, which cancels and resubscribes
+        reshuffle; a template's degree signature is a function of its
+        members' reduced graph, so a replay of the live members derives the
+        same multiset of keys.
+        """
+        return sorted(signature_key(e.template.signature) for e in self._entries if e.query_ids)

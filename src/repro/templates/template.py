@@ -34,6 +34,7 @@ function of (template, reduced graph) under any hash seed.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
@@ -76,6 +77,11 @@ def reduced_graph_signature(reduced: ReducedJoinGraph) -> tuple:
             for (side, _), (s_out, s_in, v_out, v_in) in degrees.items()
         )
     )
+
+
+def signature_key(signature: tuple) -> str:
+    """A degree signature as compact JSON text: a template's key in a store."""
+    return json.dumps(signature, separators=(",", ":"))
 
 
 class _LabelledGraph:

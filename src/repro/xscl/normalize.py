@@ -17,6 +17,7 @@ implement assumption 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,16 +60,23 @@ class VariableCatalog:
         """The definition registered under a canonical name, if any."""
         return self._definitions.get(name)
 
-    def entries(self) -> list[tuple[str, str, str]]:
-        """All registrations as ``(name, stream, path)``, in registration order.
+    def __len__(self) -> int:
+        """Number of canonical names: a watermark for persisting :meth:`entries`."""
+        return len(self._by_definition)
+
+    def entries(self, start: int = 0) -> list[tuple[str, str, str]]:
+        """Registrations as ``(name, stream, path)``, in registration order.
 
         The persistence view: canonical names are assigned in registration
         order (collisions get ``_2``-style suffixes), so the order is part
         of the catalog's identity and must survive externalization.
+        ``start`` skips the first registrations (those already persisted).
         """
         return [
             (name, stream, path)
-            for (stream, path), name in self._by_definition.items()
+            for (stream, path), name in itertools.islice(
+                self._by_definition.items(), start, None
+            )
         ]
 
     def restore(self, entries: "list[tuple[str, str, str]]") -> None:

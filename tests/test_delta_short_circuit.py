@@ -295,8 +295,8 @@ def test_an_overflowing_key_stays_vectorized(monkeypatch):
     assert wide and all(gi.ranks is not None or gi.tuples is not None for gi in wide)
 
 
-def test_match_key_is_computed_once_per_match(monkeypatch):
-    """At most once: never on a plain publish, once a match to undo a symmetric JOIN's swap."""
+def test_match_key_is_never_computed_on_delivery(monkeypatch):
+    """Not on a plain publish, nor to undo a symmetric JOIN's swap (nothing is de-duplicated)."""
     calls = []
     key = Match.key
     monkeypatch.setattr(Match, "key", lambda self: calls.append(1) or key(self))
@@ -312,4 +312,5 @@ def test_match_key_is_computed_once_per_match(monkeypatch):
         calls.clear()
         # Equal timestamps: the JOIN delivers both orders of the pair.
         delivered = broker.publish("<blog><author>A</author></blog>", timestamp=1.0)
-        assert len(delivered) == 2 and 0 < len(calls) <= len(delivered)
+        assert len(delivered) == 2 and calls == []
+        assert len({d.match.key() for d in delivered}) == 2

@@ -169,13 +169,16 @@ class _KeyRecorder:
     def __init__(self, broker):
         self.broker = broker
         self.keys: list[list[tuple]] = []  # one list per publish
+        self.matches: list[tuple] = []  # one (published docid, matches) per publish
 
     def __getattr__(self, name):
         return getattr(self.broker, name)
 
     def publish(self, document):
         delivered = self.broker.publish(document)
-        self.keys.append([d.match.key() for d in delivered if d.match is not None])
+        matches = [d.match for d in delivered if d.match is not None]
+        self.keys.append([match.key() for match in matches])
+        self.matches.append((document.docid, matches))
         return delivered
 
 
@@ -204,6 +207,35 @@ def test_a_publish_never_delivers_one_match_twice(workload, engine, shards, exec
     assert sum(map(len, recorder.keys)) > 5
     for keys in recorder.keys:
         assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("workload", ["paper", "rss"])
+@pytest.mark.parametrize(
+    "engine,shards,executor", DISTINCT_CONFIGS, ids=["-".join(map(str, c)) for c in DISTINCT_CONFIGS]
+)
+def test_an_unswapped_match_never_shares_a_key_with_an_original(workload, engine, shards, executor):
+    """Why the engine de-duplicates nothing when it undoes a symmetric JOIN's mirror.
+
+    Stage 2 puts the published document on the right of every match, so a
+    match of the query itself has it as ``rhs_docid`` and a match of the
+    mirrored registration, un-swapped, as ``lhs_docid``.  Their keys can
+    only meet on a match pairing the document with itself, which never
+    occurs: the document is not in the join state while it is processed.
+    """
+    config = RuntimeConfig(
+        engine=engine, shards=shards, executor=executor, construct_outputs=False
+    )
+    with open_broker(config) as broker:
+        recorder = _KeyRecorder(broker)
+        assert run_script(recorder, _script(workload)) == list(_expected(workload))
+    unswapped_seen = 0
+    for docid, matches in recorder.matches:
+        original = {m.key() for m in matches if m.rhs_docid == docid}
+        unswapped = {m.key() for m in matches if m.lhs_docid == docid}
+        assert len(original) + len(unswapped) == len(matches)
+        assert not original & unswapped
+        unswapped_seen += len(unswapped)
+    assert unswapped_seen > 0  # the mirror delivered: the check is not vacuous
 
 
 @pytest.mark.parametrize("workload", list(WORKLOADS))
