@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -92,14 +93,20 @@ class EngineStats:
     #: <repro.relational.conjunctive.DeltaContext.COUNTERS>`); the broker
     #: reports them as ``stats()["delta"]``.
     delta: dict[str, int] = field(default_factory=dict)
+    #: The processor's plan-cache counters (:meth:`PlanCache.stats
+    #: <repro.relational.plan.PlanCache.stats>`: cached plans, hits, row
+    #: counts, indexed and scanned probes, one-to-one steps); the broker
+    #: reports them as ``stats()["plans"]``.
+    plans: dict[str, int] = field(default_factory=dict)
 
 
 def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> EngineStats:
     """Merge per-engine statistics into one aggregate :class:`EngineStats`.
 
     Query and match counts are summed (shards own disjoint query sets), and
-    the per-phase costs, column-store and delta-reduction counters are
-    accumulated (``delta["documents"]`` counts evaluations, so it sums).  With
+    the per-phase costs, column-store, delta-reduction and plan-cache
+    counters are accumulated (``delta["documents"]`` counts evaluations and
+    ``plans["plans"]`` each shard's own cached plans, so both sum).  With
     ``fanout=True`` (the sharded runtime's fan-out model, where every
     engine processes every document) ``num_documents_processed`` and
     ``state_documents`` take the maximum across engines instead of the
@@ -113,13 +120,13 @@ def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> Eng
     costs: dict[str, float] = {}
     columnar: dict[str, int] = {}
     delta: dict[str, int] = {}
+    plans: dict[str, int] = {}
     for s in stats:
         for phase, ms in s.costs.items():
             costs[phase] = round(costs.get(phase, 0.0) + ms, 3)
-        for counter, count in s.columnar.items():
-            columnar[counter] = columnar.get(counter, 0) + count
-        for counter, count in s.delta.items():
-            delta[counter] = delta.get(counter, 0) + count
+        for totals, counters in ((columnar, s.columnar), (delta, s.delta), (plans, s.plans)):
+            for counter, count in counters.items():
+                totals[counter] = totals.get(counter, 0) + count
     return EngineStats(
         num_queries=sum(s.num_queries for s in stats),
         num_templates=sum(templates) if templates else None,
@@ -129,6 +136,7 @@ def merge_engine_stats(stats: Sequence[EngineStats], fanout: bool = True) -> Eng
         costs=costs,
         columnar=columnar,
         delta=delta,
+        plans=plans,
     )
 
 
@@ -152,9 +160,12 @@ class _BaseEngine:
         # What the store holds of the registration metadata: the number of
         # catalog entries persisted, and the registry's ``live_version`` the
         # persisted template guard reflects (``None`` while recovery
-        # replays: the stored guard is what the replay is checked against).
+        # replays: the stored guard is what the replay is checked against)
+        # with the keys it holds, and the query id of the cancel it names.
         self._catalog_watermark = 0
         self._guard_version: Optional[int] = 0
+        self._guard_keys: Optional[list[str]] = []
+        self._guard_cancel: Optional[str] = None
         self._registered: dict[str, XsclQuery] = {}
         self._root_vars: dict[str, tuple[Optional[str], Optional[str]]] = {}
         self._max_finite_window = 0.0
@@ -259,7 +270,8 @@ class _BaseEngine:
             self.texts.hold(text, derived)
             self._text_of[qid] = text
         if self.store is not None:
-            self._persist_registration()
+            # Re-registering the id of the cancel the guard names unnames it.
+            self._persist_registration((qid, "add"), marks=self._guard_cancel == qid)
         return qid
 
     def register_queries(self, queries: Iterable[Union[str, XsclQuery]]) -> list[str]:
@@ -352,14 +364,19 @@ class _BaseEngine:
         if not self._registered:
             self.processor.clear_state()
             self.documents.clear()
-            if self.store is not None:
-                self.store.clear_state()
         elif dead_vars:
             self.processor.drop_variables(dead_vars)
-            if self.store is not None:
-                self.store.delete_variables(dead_vars)
         if self.store is not None:
-            self._persist_registration()
+            # A cancel that deletes join state names itself in the guard
+            # first: if a crash leaves the subscription's row in the broker
+            # store, recovery finishes the cancel instead of replaying a
+            # query whose state is gone.
+            drops = not self._registered or bool(dead_vars)
+            self._persist_registration((qid, "remove"), marks=drops)
+            if not self._registered:
+                self.store.clear_state()
+            elif dead_vars:
+                self.store.delete_variables(dead_vars)
 
     def _track_window(self, window: float) -> None:
         """Fold one registered query's window into the auto-prune horizon."""
@@ -641,28 +658,41 @@ class _BaseEngine:
         if store is not None and self._registered:
             self._persist_registration()
 
-    def _persist_registration(self) -> None:
+    def _persist_registration(
+        self, registration: Optional[tuple[str, str]] = None, marks: bool = False
+    ) -> None:
         """Persist what a registration changed of the catalog and the template guard.
 
         Only the delta is written: catalog entries past the watermark, when
         a registration minted canonical names, and the template guard — the
-        live templates' sorted keys, which recovery checks the replayed
-        registry against — when a template gained its first member or lost
-        its last.  A subscription joining or leaving a live template writes
-        nothing here.
+        live templates' sorted keys (``None`` without a registry), which
+        recovery checks the replayed registry against — when a template
+        gained its first member or lost its last, or the registration
+        ``marks`` it: a cancel that deletes join state, or a subscribe
+        under the id of the cancel the guard names.  A subscription joining
+        or leaving a live template otherwise writes nothing here.  The
+        guard names the ``(query id, "add" | "remove")`` ``registration``
+        that wrote it and the keys it moved, so recovery can tell a
+        registration the broker store never recorded (a crash between the
+        two files) from a store that disagrees.
         """
         catalog = self.catalog
         if len(catalog) > self._catalog_watermark:
             self.store.save_catalog_entries(catalog.entries(self._catalog_watermark))
             self._catalog_watermark = len(catalog)
+        if self._guard_version is None:  # recovery replays
+            return
         registry = self.processor.registry
-        if (
-            registry is not None
-            and self._guard_version is not None
-            and registry.live_version != self._guard_version
-        ):
-            self.store.set_meta(TEMPLATE_GUARD, registry.live_template_keys())
-            self._guard_version = registry.live_version
+        version = 0 if registry is None else registry.live_version
+        if version == self._guard_version and not marks:
+            return
+        keys = None if registry is None else registry.live_template_keys()
+        old, new = Counter(self._guard_keys or ()), Counter(keys or ())
+        moved = sorted(((new - old) + (old - new)).elements())
+        sid, op = registration if registration is not None else (None, None)
+        self.store.set_meta(TEMPLATE_GUARD, {"keys": keys, "sid": sid, "op": op, "moved": moved})
+        self._guard_version, self._guard_keys = version, keys
+        self._guard_cancel = sid if op == "remove" else None
 
     def close(self) -> None:
         """Flush and close the attached state store (idempotent; no-op without one)."""
@@ -768,6 +798,7 @@ class _BaseEngine:
             costs=self.costs.as_milliseconds(),
             columnar=self.processor.env.columnar_counters(),
             delta=self.delta_stats,
+            plans=self.plan_cache.stats(),
         )
 
 

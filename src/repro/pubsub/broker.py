@@ -922,6 +922,7 @@ class Broker:
             "transport": self.transport_stats(),
             "columnar": merged.columnar,
             "delta": merged.delta,
+            "plans": merged.plans,
             "engine_stats": merged.__dict__,
             "per_shard": [
                 {"shard": shard.shard_id, **stats.__dict__}

@@ -25,9 +25,14 @@ delta-reduction pass touch state only through it:
 * :class:`GroupIndex` groups a store's rows by a packed multi-column key
   (stable order) for batch hash-probe joins: probing N keys is one
   ``searchsorted`` instead of N dict lookups, and the matched row positions
-  expand via ``repeat``/``cumsum`` arithmetic.  An index outlives appends
-  and prefix drops (an unindexed suffix is scanned, a dead prefix masked)
-  until the two together outgrow a quarter of it.
+  expand via ``repeat``/``cumsum`` arithmetic (none when every key is
+  unique).  An index outlives appends and prefix drops (an unindexed
+  suffix is scanned, a dead prefix masked) until the two together outgrow
+  a quarter of it.
+* :meth:`ColumnStore.scan` answers the same probe by one broadcast
+  equality per key column over every row, with no index to build: what a
+  relation that lives for one document costs when its probe is small
+  (:data:`SCAN_LIMIT`).
 * :meth:`ColumnStore.positions_of` serves the delta reduction's probes of
   a handful of ids as dict hits: a one-column group index memoizes a dict
   from each group's raw id to its run of row positions
@@ -46,6 +51,7 @@ __all__ = [
     "ValueDictionary",
     "ColumnStore",
     "GroupIndex",
+    "SCAN_LIMIT",
     "select_positions",
     "distinct_ids",
     "domain_array",
@@ -53,6 +59,17 @@ __all__ = [
 
 #: Packed multi-column keys must stay well inside int64.
 _PACK_LIMIT = 1 << 62
+
+#: Largest probe rows × store rows that :meth:`ColumnStore.scan` answers
+#: by broadcast comparison; a larger probe of a per-document relation
+#: builds a group index instead.  ``benchmarks/scan_guard.py`` (2 CPUs,
+#: Python 3.11) puts a scan level with a fresh index build plus probe at
+#: 16 K cells on one key column, 8–16 K on two, 4–8 K on four and about
+#: 4 K on eight (one broadcast per key column): this limit is at or under
+#: break-even on every width the plans probe (one to eight).  Replaying
+#: the per-document probes of 300 ``topic_fanout`` publishes under a limit
+#: of 4 K, 16 K, or 16 K cells × key columns costs the same within 3%.
+SCAN_LIMIT = 4096
 
 #: Up to this many ids, a domain is matched by one equality pass per id:
 #: ``np.isin``'s fixed overhead costs more than a few of those.
@@ -153,6 +170,7 @@ class GroupIndex:
         "positions",
         "built_n",
         "dropped",
+        "unique",
         "_lookup",
     )
 
@@ -164,6 +182,9 @@ class GroupIndex:
         self.starts = starts
         self.counts = counts
         self.positions = positions
+        #: Every key names one row: group ``k`` is ``positions[k]``, and a
+        #: probe needs no run expansion.
+        self.unique = len(unique_keys) == len(positions)
         #: Number of leading store rows this index covers; rows appended
         #: since the build are probed separately (:meth:`ColumnStore.probe`).
         self.built_n = 0
@@ -212,7 +233,8 @@ class GroupIndex:
 
         Returns ``(probe_idx, row_pos)`` — parallel arrays pairing each
         probing row index with each matched store row position, probe-major
-        with store rows in original order.
+        with store rows in original order.  With :attr:`unique` keys the
+        hits are the pairs: nothing to expand.
         """
         uniques = self.unique_keys
         if len(uniques) == 0 or len(probe_cols[0]) == 0:
@@ -221,6 +243,9 @@ class GroupIndex:
         slot = np.searchsorted(uniques, packed)
         slot[slot == len(uniques)] = 0
         hit = valid & (uniques[slot] == packed)
+        if self.unique:
+            probe_idx = np.flatnonzero(hit)
+            return self._shift(probe_idx, self.positions[slot[probe_idx]])
         counts = np.where(hit, self.counts[slot], 0)
         starts = np.where(hit, self.starts[slot], 0)
         return self.expand(starts, counts)
@@ -252,6 +277,10 @@ class GroupIndex:
         offsets = np.repeat(np.cumsum(counts) - counts, counts)
         intra = np.arange(total, dtype=np.int64) - offsets
         row_pos = self.positions[np.repeat(starts, counts) + intra]
+        return self._shift(probe_idx, row_pos)
+
+    def _shift(self, probe_idx, row_pos):
+        """Build-time row positions to current ones, the dropped prefix masked."""
         if self.dropped:
             row_pos -= self.dropped
             live = row_pos >= 0
@@ -556,18 +585,38 @@ class ColumnStore:
             built, suffix = self._n, 0
         probe_idx, row_pos = gi.probe(probe_cols)
         if suffix:
-            cols = self.columns()
-            mask = None
-            for c, pc in zip(key_cols, probe_cols):
-                m = pc[:, None] == cols[c][built:][None, :]
-                mask = m if mask is None else (mask & m)
-            extra_probe, extra_pos = np.nonzero(mask)
+            extra_probe, extra_pos = self._compare(key_cols, probe_cols, built)
             if len(extra_probe):
                 probe_idx = np.concatenate([probe_idx, extra_probe])
-                row_pos = np.concatenate([row_pos, extra_pos + built])
+                row_pos = np.concatenate([row_pos, extra_pos])
                 order = np.argsort(probe_idx, kind="stable")
                 probe_idx = probe_idx[order]
                 row_pos = row_pos[order]
+        return probe_idx, row_pos
+
+    def scan(self, key_cols: tuple, probe_cols):
+        """:meth:`probe` without an index: the same pairs, in the same order.
+
+        One broadcast equality per key column over every row, so the cost
+        is probe rows × store rows and nothing is built or memoized — the
+        probe of a relation that dies with its document (a witness
+        relation, a delta-reduced copy), kept under :data:`SCAN_LIMIT`
+        cells by the caller.
+        """
+        if not self._n or not len(probe_cols[0]):
+            return _empty(), _empty()
+        return self._compare(key_cols, probe_cols, 0)
+
+    def _compare(self, key_cols: tuple, probe_cols, start: int):
+        """Pairs of probe rows and rows ``start:`` equal on every key column."""
+        cols = self.columns()
+        mask = None
+        for c, pc in zip(key_cols, probe_cols):
+            m = pc[:, None] == cols[c][start:][None, :]
+            mask = m if mask is None else np.logical_and(mask, m, out=mask)
+        probe_idx, row_pos = np.nonzero(mask)
+        if start:
+            row_pos += start
         return probe_idx, row_pos
 
 

@@ -489,17 +489,19 @@ class DeltaProgram:
     occurring in two or more atoms, decided here — and seeded from the
     delta (ephemeral witness) atoms; then every stable atom is restricted
     to the rows whose join-variable values fall inside those domains —
-    most selective atom first, with two propagation passes so a reduction
-    discovered late (e.g. the structural ``Rbin`` rows surviving the
-    template's variable names) tightens the atoms reduced before it (e.g.
-    ``Rdoc``'s value-matched rows shrink to the structurally alive
-    documents).  A reduction the document's context already holds, because
+    most selective atom first, with a second propagation pass so a
+    reduction discovered late (e.g. the structural ``Rbin`` rows surviving
+    the template's variable names) tightens the atoms reduced before it
+    (e.g. ``Rdoc``'s value-matched rows shrink to the structurally alive
+    documents).  That pass visits only the atoms whose domains narrowed
+    since their reduction and those the first pass found unconstrained.
+    A reduction the document's context already holds, because
     another query asked for it, is free and taken first.  An empty atom
     bounds the output at zero, so the first relation or domain that comes
     back empty ends the pass with :data:`EMPTY_DELTA`.
     """
 
-    __slots__ = ("num_atoms", "_delta", "_stable", "_watchers", "_peers")
+    __slots__ = ("num_atoms", "_delta", "_stable", "_positions", "_watchers", "_peers")
 
     def __init__(self, body: Sequence[Atom], is_stable):
         occurrences: dict[str, int] = {}
@@ -514,6 +516,7 @@ class DeltaProgram:
         self.num_atoms = len(atoms)
         self._delta = tuple(a for a in atoms if not a.stable)
         self._stable = tuple(a for a in atoms if a.stable)
+        self._positions = frozenset(a.position for a in self._stable)
         # join variable -> positions of the stable atoms whose estimate
         # reads its domain (and goes stale when that domain narrows).
         watchers: dict[str, list[int]] = {}
@@ -585,19 +588,28 @@ class DeltaProgram:
                 domains[var] = dom
 
         reduced: dict[int, Relation] = {}
-        sigs: dict[int, tuple] = {}
+        # Reduced atoms whose domains narrowed since their last reduction.
+        stale: set[int] = set()
         # position -> (estimate, constraints).  An entry is dropped when the
         # atom's base, one of its domains or what the memo may hold for it
         # changes, so the greedy pick re-estimates only those atoms and
         # still sees what a full re-estimation would.
         estimates: dict[int, tuple] = {}
-        for _pass in range(2):
-            remaining = list(self._stable)
-            while remaining:
+        pending = set(self._positions)
+        for revisit in (False, True):
+            if revisit:
+                # The second pass is a worklist: the atoms left stale by the
+                # first, those it found unconstrained, and each atom a
+                # reduction of this pass narrows before its own turn.
+                pending = stale | self._positions.difference(reduced)
+                picked: set[int] = set()
+            while pending:
                 best = best_est = None
                 best_constraints: tuple = ()
-                for atom in remaining:
+                for atom in self._stable:
                     pos = atom.position
+                    if pos not in pending:
+                        continue
                     entry = estimates.get(pos)
                     if entry is None:
                         constraints = tuple(
@@ -614,11 +626,11 @@ class DeltaProgram:
                     if est is not None and (best_est is None or est < best_est):
                         best, best_est, best_constraints = atom, est, entry[1]
                 if best is None:
-                    break  # every remaining atom is unconstrained (this pass)
-                remaining.remove(best)
+                    break  # every pending atom is unconstrained (this pass)
                 pos = best.position
-                if sigs.get(pos) == tuple(id(d) for _c, d in best_constraints):
-                    continue  # nothing tightened since this atom's last reduction
+                pending.discard(pos)
+                if revisit:
+                    picked.add(pos)
                 out = ctx.reduce(best.name, bases[pos], best.const_checks, best_constraints)
                 if not len(out):
                     return EMPTY_DELTA
@@ -634,11 +646,15 @@ class DeltaProgram:
                     if not dom:
                         return EMPTY_DELTA
                     domains[var] = dom
-                    for watcher in self._watchers[var]:
+                    watchers = self._watchers[var]
+                    for watcher in watchers:
                         estimates.pop(watcher, None)
+                    stale.update(watchers)
+                    if revisit:
+                        pending.update(w for w in watchers if w not in picked)
                 # The survivors satisfy the domains they just narrowed: only
                 # another atom's narrowing makes this one worth reducing again.
-                sigs[pos] = tuple(id(domains[var]) for _c, var in best.join_cols)
+                stale.discard(pos)
         if not reduced:
             return None
         return [reduced.get(i) for i in range(self.num_atoms)]

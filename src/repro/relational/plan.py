@@ -99,6 +99,11 @@ class PlanStep:
         Columns whose values extend the solution tuple (fresh variables).
     within_eq:
         Equal-column pairs for fresh variables repeated within the atom.
+    stable:
+        Whether the relation is a long-lived (state/``RT``) binding, probed
+        through its memoized group index; a per-document relation is
+        scanned (:meth:`ColumnStore.scan
+        <repro.relational.columnar.ColumnStore.scan>`).
     """
 
     __slots__ = (
@@ -108,11 +113,13 @@ class PlanStep:
         "join_positions",
         "new_var_cols",
         "within_eq",
+        "stable",
     )
 
-    def __init__(self, atom: Atom, var_pos: dict[str, int]):
+    def __init__(self, atom: Atom, var_pos: dict[str, int], stable: bool):
         const_checks, join_cols, new_vars, within_eq = _analyze_atom(atom, var_pos)
         self.relation_name = atom.relation
+        self.stable = stable
         self.const_checks = tuple(const_checks)
         self.join_positions = tuple(p for _, p in join_cols)
         self.new_var_cols = tuple(c for c, _ in new_vars)
@@ -138,6 +145,10 @@ class CompiledPlan:
     on the same environment, since the join order only affects cost.
     """
 
+    #: Per-plan execution counters, summed by :class:`PlanCache` over the
+    #: completed executions.
+    COUNTERS = ("probe_rows", "indexed_probes", "scanned_probes", "one_to_one_steps")
+
     __slots__ = (
         "query",
         "steps",
@@ -150,8 +161,7 @@ class CompiledPlan:
         "_stable_stats",
         "delta_program",
         "_body_to_step",
-        "probe_rows",
-    )
+    ) + COUNTERS
 
     def __init__(
         self,
@@ -184,6 +194,12 @@ class CompiledPlan:
         self._body_to_step = body_to_step
         #: Intermediate solutions the steps produced, over every execution.
         self.probe_rows = 0
+        #: Join steps that probed a group index / scanned a per-document
+        #: relation, and steps that matched every solution exactly once
+        #: (the solution columns were extended, not re-gathered).
+        self.indexed_probes = 0
+        self.scanned_probes = 0
+        self.one_to_one_steps = 0
 
     # ------------------------------------------------------------------ #
     # stats-epoch validity
@@ -251,11 +267,16 @@ class CompiledPlan:
         ``relations`` is an environment with a value dictionary
         (:class:`~repro.relational.database.IndexedDatabase`); any other
         mapping is a :class:`TypeError`.  The partial-solution table is one
-        int64 id array per bound variable; each step batch-probes a
-        memoized :class:`~repro.relational.columnar.GroupIndex` over the
-        step relation's id columns, and the matches expand through
-        ``repeat``/``cumsum`` arithmetic.  Only the head is decoded back to
-        values.
+        int64 id array per bound variable.  A step over a stable relation
+        batch-probes its memoized
+        :class:`~repro.relational.columnar.GroupIndex`; a step over a
+        relation that lives for this document only (a witness relation, a
+        delta-reduced override) is scanned by broadcast comparison while
+        probe rows × store rows stay within
+        :data:`~repro.relational.columnar.SCAN_LIMIT`, and indexed past it.
+        A step that matched every solution exactly once extends the
+        solution columns instead of re-gathering them.  Only the head is
+        decoded back to values.
 
         ``growth_limit`` (used by :class:`PlanCache` for cached plans)
         raises :class:`PlanBudgetExceeded` as soon as any step's
@@ -279,7 +300,7 @@ class CompiledPlan:
             return out
 
         lookup = _lookup_of(relations)
-        stores = []
+        stores = []  # (store, probed through its group index)
         for step_index, step in enumerate(self.steps):
             override = (
                 step_relations[step_index] if step_relations is not None else None
@@ -294,12 +315,13 @@ class CompiledPlan:
                 raise ValueError(
                     f"relation {step.relation_name!r} is not bound in this environment"
                 )
-            stores.append(store)
+            # A delta-reduced override lives for this document only.
+            stores.append((store, step.stable and override is None))
 
         limited = growth_limit is not None
         sols: list = []  # one int64 id array per bound variable
         num_sols = 1     # starts at the single empty solution
-        for step, store in zip(self.steps, stores):
+        for step, (store, indexed) in zip(self.steps, stores):
             cols = store.columns()
             const_ids: list[int] = []
             for _col, value in step.const_checks:
@@ -314,18 +336,31 @@ class CompiledPlan:
                 probe_cols.extend(
                     np.full(num_sols, cid, dtype=np.int64) for cid in const_ids
                 )
-                probe_idx, row_pos = store.probe(step.key_cols, probe_cols)
+                if indexed or num_sols * len(store) > columnar.SCAN_LIMIT:
+                    self.indexed_probes += 1
+                    probe_idx, row_pos = store.probe(step.key_cols, probe_cols)
+                else:
+                    self.scanned_probes += 1
+                    probe_idx, row_pos = store.scan(step.key_cols, probe_cols)
                 if eq and len(row_pos):
                     mask = None
                     for a, b in eq:
                         m = cols[a][row_pos] == cols[b][row_pos]
                         mask = m if mask is None else (mask & m)
                     probe_idx, row_pos = probe_idx[mask], row_pos[mask]
-                if limited and len(row_pos) > growth_limit:
+                matched = len(row_pos)
+                if limited and matched > growth_limit:
                     raise PlanBudgetExceeded(self._budget_message(step))
-                sols = [col[probe_idx] for col in sols]
+                # probe_idx ascends; n pairs without a repeat are 0..n-1:
+                # every solution kept its row, so the columns stay as they are.
+                if 0 < matched == num_sols and (
+                    matched == 1 or not (probe_idx[1:] == probe_idx[:-1]).any()
+                ):
+                    self.one_to_one_steps += 1
+                else:
+                    sols = [col[probe_idx] for col in sols]
                 sols.extend(cols[c][row_pos] for c in step.new_var_cols)
-                num_sols = len(row_pos)
+                num_sols = matched
             else:
                 constraints = [
                     (col, frozenset((cid,)))
@@ -341,7 +376,10 @@ class CompiledPlan:
                 r = len(matched)
                 if limited and num_sols * r > growth_limit:
                     raise PlanBudgetExceeded(self._budget_message(step))
-                sols = [np.repeat(col, r) for col in sols]
+                if r == 1:
+                    self.one_to_one_steps += 1
+                else:
+                    sols = [np.repeat(col, r) for col in sols]
                 sols.extend(
                     np.tile(cols[c][matched], num_sols) for c in step.new_var_cols
                 )
@@ -415,8 +453,12 @@ def compile_plan(
         rel_map[atom.relation] = relation
 
     ordered = _choose_order(query.body, rel_map)
+    is_stable = getattr(relations, "is_stable", None)
     var_pos: dict[str, int] = {}
-    steps = [PlanStep(atom, var_pos) for atom in ordered]
+    steps = [
+        PlanStep(atom, var_pos, is_stable is None or is_stable(atom.relation))
+        for atom in ordered
+    ]
 
     head_ops: Optional[tuple] = None
     head_error: Optional[str] = None
@@ -433,7 +475,6 @@ def compile_plan(
         else:
             head_ops = tuple(ops)
 
-    is_stable = getattr(relations, "is_stable", None)
     stable_stats: dict[str, list] = {}
     for name, relation in rel_map.items():
         if is_stable is not None and not is_stable(name):
@@ -467,18 +508,20 @@ class PlanCache:
     re-plans and re-executes, so results are never lost).  ``probe_rows`` /
     ``head_rows`` sum, over the completed executions, the intermediate
     solutions every join step produced and the head rows returned: their
-    ratio is the plans' blow-up over their output.
+    ratio is the plans' blow-up over their output.  ``indexed_probes`` /
+    ``scanned_probes`` count the join steps that probed a group index or
+    scanned a per-document relation, and ``one_to_one_steps`` those that
+    matched every solution exactly once.
     """
+
+    #: The keys of :meth:`stats` that sum across caches (``plans`` does not).
+    COUNTERS = ("hits", "misses", "replans", "aborts", "head_rows") + CompiledPlan.COUNTERS
 
     def __init__(self, growth_limit: Optional[int] = DEFAULT_GROWTH_LIMIT) -> None:
         self._entries: dict[int, tuple[ConjunctiveQuery, CompiledPlan]] = {}
         self.growth_limit = growth_limit
-        self.hits = 0
-        self.misses = 0
-        self.replans = 0
-        self.aborts = 0
-        self.probe_rows = 0
-        self.head_rows = 0
+        for counter in self.COUNTERS:
+            setattr(self, counter, 0)
 
     def _current_plan(
         self, query: ConjunctiveQuery, relations: Mapping[str, Relation]
@@ -557,10 +600,11 @@ class PlanCache:
         return self._execute(plan, relations, step_relations=step_relations)
 
     def _execute(self, plan: CompiledPlan, relations, **kwargs) -> Relation:
-        """``plan.execute``, counted into ``probe_rows`` and ``head_rows``."""
-        probed = plan.probe_rows
+        """``plan.execute``, its counters and ``head_rows`` added to the cache's."""
+        before = [getattr(plan, counter) for counter in CompiledPlan.COUNTERS]
         out = plan.execute(relations, **kwargs)
-        self.probe_rows += plan.probe_rows - probed
+        for counter, value in zip(CompiledPlan.COUNTERS, before):
+            setattr(self, counter, getattr(self, counter) + getattr(plan, counter) - value)
         self.head_rows += len(out.rows)
         return out
 
@@ -581,13 +625,8 @@ class PlanCache:
         return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/replan/abort and row counters plus the number of cached plans."""
+        """The number of cached plans and every counter of :attr:`COUNTERS`."""
         return {
             "plans": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "replans": self.replans,
-            "aborts": self.aborts,
-            "probe_rows": self.probe_rows,
-            "head_rows": self.head_rows,
+            **{counter: getattr(self, counter) for counter in self.COUNTERS},
         }

@@ -238,7 +238,7 @@ def _dispatch(engine, method: str, args: tuple):
     if method == "template_guard":
         from repro.storage.recovery import engine_template_guard
 
-        return engine_template_guard(engine)
+        return engine_template_guard(engine, *args)
     if method == "recover_state":
         from repro.storage.recovery import docid_floor, restore_engine_state
 
@@ -502,8 +502,8 @@ class ProcessShardHandle:
     def recover_catalog(self):
         return self.channel.call(self.shard_id, "recover_catalog")
 
-    def template_guard(self):
-        return self.channel.call(self.shard_id, "template_guard")
+    def template_guard(self, rewrite: bool = False):
+        return self.channel.call(self.shard_id, "template_guard", rewrite)
 
     def recover_state(self):
         return self.channel.call(self.shard_id, "recover_state")

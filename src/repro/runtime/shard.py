@@ -99,9 +99,9 @@ class EngineShard:
         """Pin the persisted variable catalog; returns the persisted template guard."""
         return recovery.recover_engine_catalog(self.engine)
 
-    def template_guard(self):
+    def template_guard(self, rewrite: bool = False):
         """The live template keys after replay (``None`` without a registry)."""
-        return recovery.engine_template_guard(self.engine)
+        return recovery.engine_template_guard(self.engine, rewrite)
 
     def recover_state(self) -> int:
         """Load persisted join state and counters; returns the docid floor."""

@@ -23,23 +23,37 @@ restarted:
    :class:`~repro.core.state.JoinState` and document map, and restore the
    persisted counters (timestamp clock, id counters) so future stamps and
    auto-generated ids continue where the crashed session stopped.
+4. **Finish an interrupted cancel**, if a shard store's guard names one
+   (below).
 
 What a live session wrote is a delta per registration: a subscribe inserts
 one row into the broker store's ``subscriptions`` table (the auto-id counter
 travels in that row) and a cancel deletes it; a shard store gains catalog entries
 only when a registration mints a canonical name, and rewrites its *template
 guard* — the sorted keys of its live templates — only when a template gains
-its first member or loses its last.  After the replay each shard's live
-template keys are checked against its guard, which guards against a
-registry/state mismatch (e.g. resuming with an incompatible config);
-mismatches raise :class:`RecoveryError` rather than silently mis-joining.
-The replay itself writes no guard.
+its first member or loses its last, or a cancel deletes join state.  After
+the replay each shard's live template keys are checked against its guard,
+which guards against a registry/state mismatch (e.g. resuming with an
+incompatible config); mismatches raise :class:`RecoveryError` rather than
+silently mis-joining.  The replay itself writes no guard.
+
+The shard store is written before the broker store, so a crash between
+the two leaves a guard one registration ahead of the replay.  The guard
+names that registration (subscription id, ``"add"`` or ``"remove"``, the
+template keys it moved), and a cancel that deletes join state names
+itself there before the deletion.  When the broker store shows the
+registration never finished and the replay differs from the guard by
+exactly those keys, recovery does not raise.  A subscribe with no
+row stays undone: the guard is rewritten to the replay.  A cancel whose
+row is still there is finished after the replay, since the state it
+deleted cannot come back: no subscription resumes without its join state.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from collections import Counter
 from typing import Any, Mapping, Optional
 
 from repro.config import RuntimeConfig
@@ -160,14 +174,26 @@ def _restore(broker) -> None:
             recorded_shard=record.shard,
         )
 
-    for member, expected in zip(members, guards):
+    placed = {record.subscription_id: record.shard for record in records}
+    cancels = []
+    for shard, (member, guard) in enumerate(zip(members, guards)):
         live = member.template_guard()
-        if expected is not None and live is not None and live != expected:
+        if guard is None:
+            continue
+        if isinstance(guard, list):  # a guard that names no registration
+            guard = {"keys": guard, "sid": None, "op": None, "moved": []}
+        if _unfinished_cancel(guard, live, placed, shard):
+            cancels.append(guard["sid"])
+            continue
+        if live is None or guard["keys"] is None or live == guard["keys"]:
+            continue
+        if not _unfinished_subscribe(guard, live, placed):
             raise RecoveryError(
                 f"live templates after replay {live} do not match the persisted "
-                f"template guard {expected}; the stores were written by an "
+                f"template guard {guard['keys']}; the stores were written by an "
                 "incompatible session"
             )
+        member.template_guard(rewrite=True)
 
     # 3. Join state, documents, and counters.
     floor = max(member.recover_state() for member in members)
@@ -176,6 +202,38 @@ def _restore(broker) -> None:
         from repro.xmlmodel.document import advance_docid_counter
 
         advance_docid_counter(floor)
+
+    # 4. Finish the cancel a crash interrupted, as if it had returned: the
+    # subscription leaves the engine, the router and the broker store, and
+    # no handle is kept (a resumed session lists no cancelled ones).
+    for sid in cancels:
+        broker.cancel(sid)
+        del broker._subscriptions[sid]
+
+
+def _unfinished_cancel(guard: dict, live: Optional[list], placed: dict, shard: int) -> bool:
+    """Whether ``guard`` names a cancel on ``shard`` whose broker row survived.
+
+    The replay brought back the ``moved`` keys that cancel retired.  A
+    guard naming a cancel that finished names an id with no row, or one
+    registered again elsewhere: a subscribe under that id on the same
+    shard rewrites the guard.
+    """
+    if guard["op"] != "remove" or placed.get(guard["sid"], -1) != shard:
+        return False
+    if live is None or guard["keys"] is None:
+        return True
+    return Counter(guard["keys"]) + Counter(guard["moved"]) == Counter(live)
+
+
+def _unfinished_subscribe(guard: dict, live: list, placed: dict) -> bool:
+    """Whether ``guard`` is ``live`` plus a subscribe the broker store never recorded.
+
+    That subscribe created the ``moved`` keys the replay lacks.
+    """
+    if guard["op"] != "add" or not guard["moved"] or guard["sid"] in placed:
+        return False
+    return Counter(live) + Counter(guard["moved"]) == Counter(guard["keys"])
 
 
 def recover_engine_catalog(engine):
@@ -191,20 +249,28 @@ def recover_engine_catalog(engine):
     engine.catalog.restore(entries)
     engine._catalog_watermark = len(engine.catalog)
     engine._guard_version = None
-    return engine.store.get_meta(TEMPLATE_GUARD)
+    guard = engine.store.get_meta(TEMPLATE_GUARD)
+    if isinstance(guard, dict) and guard["op"] == "remove":
+        engine._guard_cancel = guard["sid"]
+    return guard
 
 
-def engine_template_guard(engine):
+def engine_template_guard(engine, rewrite: bool = False):
     """One engine's live template keys after the replay (``None`` without registry).
 
     The store's guard already holds these keys when the check passes, so
     the engine resumes writing its guard from here, at the next change.
+    ``rewrite`` writes them as the guard now, naming no registration (the
+    guard was one unfinished registration ahead of the replay).
     """
     registry = engine.registry
-    if registry is None:
-        return None
-    engine._guard_version = registry.live_version
-    return registry.live_template_keys()
+    keys = None if registry is None else registry.live_template_keys()
+    engine._guard_version = 0 if registry is None else registry.live_version
+    engine._guard_keys = keys
+    if rewrite:
+        engine.store.set_meta(TEMPLATE_GUARD, {"keys": keys, "sid": None, "op": None, "moved": []})
+        engine._guard_cancel = None
+    return keys
 
 
 def docid_floor(engine) -> int:

@@ -3,8 +3,9 @@
 A live session writes registration metadata by delta: a subscribe is one
 row in the broker store (the auto-id counter rides in it), a cancel one
 deletion, and a shard store is touched only when a registration mints a
-canonical name (catalog rows) or changes the set of live templates (the
-template guard).  Statements and commits are counted on the SQLite
+canonical name (catalog rows), changes the set of live templates (the
+template guard), or is a cancel that deletes join state (the guard names
+it before the deletion).  Statements and commits are counted on the SQLite
 connections with ``sqlite3.Connection.set_trace_callback``; the recovery
 cases resume after a ``close()`` or after none (a crash), in any topology.
 """
@@ -162,7 +163,9 @@ def test_the_guard_is_rewritten_only_when_a_template_comes_or_goes(tmp_path):
         broker.cancel("sub3")
         assert len(guard()) == 3
         keys = broker.engine.registry.live_template_keys()
-        assert broker.engine.store.get_meta("template_guard") == keys and len(keys) == 1
+        guard = broker.engine.store.get_meta("template_guard")
+        assert guard["keys"] == keys and len(keys) == 1
+        assert (guard["sid"], guard["op"]) == ("sub3", "remove") and len(guard["moved"]) == 1
 
 
 # --------------------------------------------------------------------- #
@@ -190,10 +193,11 @@ def test_a_store_whose_guard_disagrees_with_the_replay_raises(shards, tmp_path):
         for document in _documents(2):
             broker.publish(document)
     guards = _guards(tmp_path, shards)
-    assert sum(len(guard) for guard in guards if guard) == 2
+    assert sum(len(guard["keys"]) for guard in guards if guard) == 2
     tampered = next(i for i, guard in enumerate(guards) if guard)
     store = SQLiteStore(str(tmp_path / f"shard-{tampered}.sqlite3"))
-    store.set_meta("template_guard", guards[tampered][1:])  # one template forgotten
+    guard = guards[tampered]
+    store.set_meta("template_guard", {**guard, "keys": guard["keys"][1:]})  # one template forgotten
     store.close()
     with pytest.raises(RecoveryError, match="template guard"):
         open_broker(resume_from=str(tmp_path))
@@ -236,9 +240,9 @@ class _Crash(Exception):
     pass
 
 
-def _crash_at(point: str):
+def _crash_at(*points: str):
     def hook(name: str) -> None:
-        if name == point:
+        if name in points:
             raise _Crash(name)
 
     return hook
@@ -266,6 +270,155 @@ def test_a_crash_between_the_shard_and_broker_writes_of_a_live_template_resumes(
             assert [s.subscription_id for s in resumed.subscriptions] == ["sub1", "sub2"]
     finally:
         crashed._store.fault_hook = None
+        crashed.close()
+
+
+def _crash_subscribing_a_template(config):
+    """A broker whose subscribe of ``sub2`` to a new template was cut off.
+
+    The shard store holds the guard naming it; the broker store never
+    recorded its row.
+    """
+    crashed = open_broker(config)
+    crashed.subscribe(Q_AUTHOR)
+    crashed._store.fault_hook = _crash_at("save_subscription")
+    with pytest.raises(_Crash):
+        crashed.subscribe(Q_TWO)
+    crashed._store.fault_hook = None
+    return crashed
+
+
+def _crash_config(tmp_path, shards: int) -> RuntimeConfig:
+    return RuntimeConfig(
+        shards=shards,
+        storage="sqlite",
+        storage_path=str(tmp_path),
+        construct_outputs=False,
+        auto_timestamp=False,
+    )
+
+
+def _ids(broker) -> list[str]:
+    return sorted(s.subscription_id for s in broker.subscriptions)
+
+
+def _deliveries(broker, documents) -> list:
+    return sorted(d.match.key() for document in documents for d in broker.publish(document))
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_crash_between_the_shard_and_broker_writes_of_a_template_resumes(shards, tmp_path):
+    """The guard moved with a subscribe, the broker row did not: resume without it.
+
+    The replay follows the broker store (``sub2`` is gone), and the guard
+    is rewritten to it, so a later registration under the reused id cannot
+    make it disagree.
+    """
+    crashed = _crash_subscribing_a_template(_crash_config(tmp_path, shards))
+    try:
+        with open_broker(resume_from=str(tmp_path)) as resumed:
+            assert _ids(resumed) == ["sub1"]
+            live = [shard.template_guard() for shard in resumed.shards]
+        rewritten = _guards(tmp_path, shards)
+        assert [g["keys"] if g else [] for g in rewritten] == live
+        assert not any(g["sid"] == "sub2" for g in rewritten if g)
+        with open_broker(resume_from=str(tmp_path)) as resumed:
+            # The id the crashed subscribe took, on a template already live:
+            # no guard is written, so only the rewrite keeps recovery sound.
+            assert resumed.subscribe(Q_AUTHOR).subscription_id == "sub2"
+        with open_broker(resume_from=str(tmp_path)) as resumed:
+            assert len(resumed.subscriptions) == 2
+    finally:
+        crashed.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("second", [Q_TWO, Q_CATEGORY], ids=["retires", "keeps"])
+@pytest.mark.parametrize("point", ["state", "remove_subscription"])
+def test_a_cancel_cut_off_by_a_crash_is_finished_on_resume(point, second, shards, tmp_path):
+    """A crash inside a cancel that deletes join state never resumes it half done.
+
+    ``sub2`` either retires its template (``Q_TWO``) or leaves it live
+    under ``sub1`` while its own variables die (``Q_CATEGORY``).  The
+    shard store's guard names the cancel before the state goes; the crash
+    comes before that deletion (``state``) or after it, at the broker
+    row's (``remove_subscription``).  Either way the broker row survived,
+    recovery finishes the cancel, and the documents published before the
+    crash join as in a session that never crashed.
+    """
+    config = _crash_config(tmp_path, shards)
+    if point == "state":  # the fault hook sits on an in-process shard store
+        config = config.replace(executor="serial")
+    documents = _documents(4)
+    with open_broker(config.replace(storage="memory", storage_path=None)) as reference:
+        reference.subscribe(Q_AUTHOR)
+        reference.subscribe(second)
+        for document in documents[:4]:
+            reference.publish(document)
+        reference.cancel("sub2")
+        want = _deliveries(reference, documents[4:])
+    assert want
+
+    crashed = open_broker(config)
+    crashed.subscribe(Q_AUTHOR)
+    crashed.subscribe(second)
+    for document in documents[:4]:
+        crashed.publish(document)
+    if point == "state":
+        store = crashed.shards[crashed.shard_of("sub2")].engine.store
+        store.fault_hook = _crash_at("delete_variables", "clear_state")
+    else:
+        store = crashed._store
+        store.fault_hook = _crash_at("remove_subscription")
+    try:
+        with pytest.raises(_Crash):
+            crashed.cancel("sub2")
+        with open_broker(resume_from=str(tmp_path)) as resumed:
+            assert _ids(resumed) == ["sub1"]
+            got = _deliveries(resumed, documents[4:])
+        with open_broker(resume_from=str(tmp_path)) as resumed:
+            assert _ids(resumed) == ["sub1"]
+    finally:
+        store.fault_hook = None
+        crashed.close()
+    assert got == want
+
+
+def test_a_finished_cancel_the_guard_names_does_not_cancel_its_id_reused(tmp_path):
+    """Subscribing again under the id the guard names as cancelled unnames it."""
+    with open_broker(_serial(tmp_path, 1)) as broker:
+        broker.subscribe(Q_AUTHOR)
+        broker.subscribe(Q_CATEGORY)
+        broker.cancel("sub2")  # the template stays, the category variables die
+        guard = broker.engine.store.get_meta("template_guard")
+        assert (guard["sid"], guard["op"], guard["moved"]) == ("sub2", "remove", [])
+    with open_broker(resume_from=str(tmp_path)) as resumed:
+        assert _ids(resumed) == ["sub1"]
+        resumed.subscribe(Q_CATEGORY, subscription_id="sub2")
+        guard = resumed.engine.store.get_meta("template_guard")
+        assert (guard["sid"], guard["op"]) == ("sub2", "add")
+    with open_broker(resume_from=str(tmp_path)) as resumed:
+        assert _ids(resumed) == ["sub1", "sub2"]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_an_unfinished_registration_does_not_excuse_another_key(shards, tmp_path):
+    """The guard is ahead of the replay by a key the crashed subscribe did not move."""
+    crashed = _crash_subscribing_a_template(_crash_config(tmp_path, shards))
+    try:
+        guards = _guards(tmp_path, shards)
+        index = next(i for i, g in enumerate(guards) if g and g["sid"] == "sub2")
+        guard = guards[index]
+        other = [k for k in guard["keys"] if k not in guard["moved"]]
+        store = SQLiteStore(str(tmp_path / f"shard-{index}.sqlite3"))
+        if other:  # one shard: sub1's template is the other key
+            store.set_meta("template_guard", {**guard, "moved": other})
+        else:  # two shards: sub1 lives elsewhere, so claim a key this shard never had
+            store.set_meta("template_guard", {**guard, "keys": guard["keys"] + ["x"]})
+        store.close()
+        with pytest.raises(RecoveryError, match="template guard"):
+            open_broker(resume_from=str(tmp_path))
+    finally:
         crashed.close()
 
 

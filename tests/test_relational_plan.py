@@ -189,10 +189,13 @@ def test_plan_cache_hits_on_unchanged_stats():
     first = cache.evaluate(CQ, env)
     second = cache.evaluate(CQ, env)
     assert sorted(first.rows) == sorted(second.rows) == [(1,)]
-    # Each execution: one W row, then one R row probed for it; one head row.
+    # Each execution: one W row, then one R row probed for it through R's
+    # index (R is stable); one head row.  Both steps keep one row per
+    # solution, so neither re-gathers.
     assert cache.stats() == {
         "plans": 1, "hits": 1, "misses": 1, "replans": 0, "aborts": 0,
         "probe_rows": 4, "head_rows": 2,
+        "indexed_probes": 2, "scanned_probes": 0, "one_to_one_steps": 4,
     }
 
 

@@ -44,7 +44,7 @@ STATS_KEYS = {
     "engine", "storage", "shards", "executor", "workers", "streams",
     "num_subscriptions", "num_filter_subscriptions", "num_cancelled_subscriptions",
     "num_documents_published", "routing", "transport", "columnar", "delta",
-    "engine_stats", "per_shard", "partition", "metrics",
+    "plans", "engine_stats", "per_shard", "partition", "metrics",
 }
 
 CROSS_POST = (
