@@ -31,7 +31,7 @@ sys.path.insert(0, str(ROOT))
 
 from perf import compare, inputs  # noqa: E402  (read-only; perf.run only in a child)
 
-FLIPS = (("metrics", True), ("route_dispatch", False), ("executor", "threads"),
+FLIPS = (("metrics", True), ("route_dispatch", False), ("executor", "serial"),
          ("durability", "relaxed"))
 QUIET = 0.05  # deletion candidates move docs_per_s and publish_p50_ms by at most this
 
@@ -49,8 +49,11 @@ def label(flip) -> str:
 
 
 def parse_flip(text: str) -> tuple:
-    """``"metrics=True"`` -> ``("metrics", True)``, ``"executor=threads"`` -> ``("executor", "threads")``."""
+    """``"metrics=True"`` -> ``("metrics", True)``, ``"shards=4"`` -> ``("shards", 4)``,
+    ``"executor=serial"`` -> ``("executor", "serial")``."""
     knob, _, value = text.partition("=")
+    if value.lstrip("-").isdigit():
+        return knob, int(value)
     return knob, {"True": True, "False": False}.get(value, value)
 
 

@@ -48,7 +48,6 @@ def main() -> None:
         construct_outputs=False,
         shards=4,
         partitioner="hash",
-        executor="threads",
         store_documents=False,
     )
     broker = open_broker(config)

@@ -9,7 +9,7 @@ one place for a knob — threaded through every layer of the stack
 
     from repro import RuntimeConfig, open_broker
 
-    config = RuntimeConfig(engine="mmqjp", shards=4, executor="threads")
+    config = RuntimeConfig(engine="mmqjp", shards=4, executor="processes")
     with open_broker(config) as broker:
         broker.subscribe(...)
 
@@ -17,10 +17,8 @@ Every constructor of the stack takes the config object (or an engine-name
 string as shorthand for ``RuntimeConfig(engine=...)``, resolved by
 :func:`as_config`); there is no per-knob keyword spelling.
 
-Presets capture the two configurations the evaluation section uses
-constantly: :meth:`RuntimeConfig.throughput` (sharded, thread-pooled, no
-output construction) and :meth:`RuntimeConfig.ablation` (``route_dispatch``
-off: replicate-to-every-shard fan-out).
+One preset remains: :meth:`RuntimeConfig.ablation` (``route_dispatch`` off:
+replicate-to-every-shard fan-out).
 """
 
 from __future__ import annotations
@@ -47,12 +45,12 @@ ENGINES = ("mmqjp", "mmqjp-vm", "sequential")
 #: :data:`repro.runtime.partition.PARTITIONERS`).
 PARTITIONERS = ("hash", "least-loaded")
 
-#: Built-in shard-executor keywords (must match
-#: :data:`repro.runtime.executor.EXECUTORS`).  ``"processes"`` runs each
-#: shard engine in a long-lived worker process (true CPU parallelism for
-#: the pure-Python engines); the shard engines are then constructed
-#: in-worker from the pickled config, so the config must be picklable.
-EXECUTORS = ("serial", "threads", "processes")
+#: Where the shard engines run.  ``"serial"`` keeps them in the broker's
+#: process, called one after another; ``"processes"`` runs each shard engine
+#: in its own long-lived worker process (true CPU parallelism for the
+#: pure-Python engines), constructed in-worker from the pickled config, so
+#: the config must be picklable.
+EXECUTORS = ("serial", "processes")
 
 #: State-storage backends (canonical definition; re-exported by
 #: :mod:`repro.storage`).  ``"memory"`` keeps all state in process —
@@ -69,6 +67,14 @@ DURABILITY_MODES = ("epoch", "relaxed")
 
 #: The fields that are plain switches (validated as ``bool`` in one loop).
 _BOOL_FIELDS = ("auto_prune", "auto_timestamp", "construct_outputs", "route_dispatch", "metrics")
+
+#: The integer fields (validated in one loop): (name, least value, ``None`` allowed).
+_INT_FIELDS = (
+    ("shards", 1, False),
+    ("view_cache_size", 1, True),
+    ("stream_history", 0, False),
+    ("result_limit", 1, True),
+)
 
 
 @dataclass(frozen=True)
@@ -107,18 +113,14 @@ class RuntimeConfig:
         How many recent documents each stream keeps for inspection.
     shards:
         Number of engine shards the broker drives; ``> 1`` brings in the
-        partitioner, the fan-out router and the shard executor.
+        partitioner and the fan-out router.
     partitioner:
         ``"hash"`` (default), ``"least-loaded"``, or a
         :class:`~repro.runtime.partition.Partitioner` instance.
     executor:
-        ``"serial"`` (default), ``"threads"``, ``"processes"`` (one
-        long-lived worker process per shard — true CPU parallelism), or a
-        :class:`~repro.runtime.executor.ShardExecutor` instance.
-    max_workers:
-        Worker cap for the ``"threads"`` and ``"processes"`` executors
-        (default: one per shard; fewer workers co-locate several shards
-        per thread/process).
+        ``"serial"`` (default: the shard engines live in the broker's
+        process and are called in a loop) or ``"processes"`` (one
+        long-lived worker process per shard — true CPU parallelism).
     route_dispatch:
         Relevance-aware fan-out routing in the sharded runtime (default):
         the broker maintains a variable→shard-set inverted index and only
@@ -160,8 +162,7 @@ class RuntimeConfig:
     stream_history: int = 0
     shards: int = 1
     partitioner: Union[str, Any] = "hash"
-    executor: Union[str, Any] = "serial"
-    max_workers: Optional[int] = None
+    executor: str = "serial"
     route_dispatch: bool = True
     result_limit: Optional[int] = 1024
     storage: str = "memory"
@@ -175,25 +176,20 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose one of {ENGINES}")
-        if self.shards < 1:
-            raise ValueError(f"need at least one shard, got {self.shards}")
-        if self.view_cache_size is not None and self.view_cache_size < 1:
-            raise ValueError(
-                f"view_cache_size must be positive or None, got {self.view_cache_size}"
-            )
-        if self.stream_history < 0:
-            raise ValueError(f"stream_history must be >= 0, got {self.stream_history}")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(f"max_workers must be positive or None, got {self.max_workers}")
-        if self.result_limit is not None and self.result_limit < 1:
-            raise ValueError(
-                f"result_limit must be positive or None, got {self.result_limit}"
-            )
+        for name, least, optional in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(
+                    f"{name} must be an integer >= {least}{' or None' if optional else ''}, "
+                    f"got {value!r}"
+                )
         if isinstance(self.partitioner, str) and self.partitioner not in PARTITIONERS:
             raise ValueError(
                 f"unknown partitioner {self.partitioner!r}; choose one of {PARTITIONERS}"
             )
-        if isinstance(self.executor, str) and self.executor not in EXECUTORS:
+        if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose one of {EXECUTORS}"
             )
@@ -255,23 +251,6 @@ class RuntimeConfig:
     # ------------------------------------------------------------------ #
     # presets
     # ------------------------------------------------------------------ #
-    @classmethod
-    def throughput(cls, **overrides) -> "RuntimeConfig":
-        """The throughput-measurement preset of the evaluation section.
-
-        Sharded, thread-pooled ingestion with output construction and
-        document storage off — the configuration of every events/second
-        number in the benchmarks.  Any field can be overridden.
-        """
-        base: dict = dict(
-            construct_outputs=False,
-            store_documents=False,
-            shards=4,
-            executor="threads",
-        )
-        base.update(overrides)
-        return cls(**base)
-
     @classmethod
     def ablation(cls, **overrides) -> "RuntimeConfig":
         """The switches-off baseline: replicated fan-out.

@@ -7,10 +7,10 @@ documents, and delivers matches to subscribers.
 * **Join (inter-document) subscriptions** go to the Stage 2 engines — MMQJP
   by default, MMQJP with view materialization, or the sequential baseline —
   selected through :class:`~repro.config.RuntimeConfig`.  The broker drives
-  ``config.shards`` engine shards (:class:`~repro.runtime.shard.EngineShard`
-  in process, :class:`~repro.runtime.process.ProcessShardHandle` for
-  ``executor="processes"``) through a
-  :class:`~repro.runtime.executor.ShardExecutor`.
+  ``config.shards`` engine shards: :class:`~repro.runtime.shard.EngineShard`
+  objects in process, called in a loop, or, for ``executor="processes"``,
+  one :class:`~repro.runtime.process.ProcessShardHandle` per worker process,
+  driven through :class:`~repro.runtime.executor.ProcessExecutor`.
 * **Filter (single-block) subscriptions** (``SELECT * FROM blog`` or a lone
   query block) are evaluated once, centrally, by the shared Stage 1
   evaluator of :class:`~repro.pubsub.filters.FilterFrontEnd`, like a classic
@@ -64,9 +64,9 @@ from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.pubsub.filters import FilterFrontEnd, deliver_filter_matches
 from repro.pubsub.stream import StreamRegistry
 from repro.pubsub.subscription import Callback, Subscription, SubscriptionResult
-from repro.runtime.executor import make_executor
+from repro.runtime.executor import ProcessExecutor
 from repro.runtime.partition import make_partitioner, template_key
-from repro.runtime.process import ProcessShardHandle, ShardWorkerGroup
+from repro.runtime.process import ProcessShardHandle
 from repro.runtime.router import RoutedQuery, ShardRouter
 from repro.runtime.shard import EngineShard
 from repro.runtime.wire import WireBuffer, encode_document_batch
@@ -104,8 +104,8 @@ class Broker:
     config:
         A :class:`~repro.config.RuntimeConfig` (or an engine-name string as
         shorthand for ``RuntimeConfig(engine=...)``).  ``shards``,
-        ``partitioner``, ``executor``, ``max_workers`` and ``route_dispatch``
-        select the runtime topology; the remaining fields configure every
+        ``partitioner``, ``executor`` and ``route_dispatch`` select the
+        runtime topology; the remaining fields configure every
         shard engine identically.
     """
 
@@ -130,15 +130,12 @@ class Broker:
             self.storage, self.storage_path, "broker", config.durability
         )
         sharded = config.is_sharded
-        self._executor = make_executor(
-            config.executor, max_workers=config.max_workers, num_shards=config.shards
-        )
-        self._worker_groups: list[ShardWorkerGroup] = []
         # Encode-once transport (process runtime only): each published
         # document/batch is serialized exactly once into the reusable wire
         # buffer and the same bytes go to every routed shard, so transport
         # cost is O(bytes), not O(shards x pickle).
-        self._wire_enabled = self._executor.name == "processes"
+        self._wire_enabled = config.executor == "processes"
+        self._executor = ProcessExecutor() if self._wire_enabled else None
         # In-process shards keeping documents share one tree per document.
         self._keeps_trees = shard_config.store_documents and not self._wire_enabled
         self._wire_buffer = WireBuffer()
@@ -205,12 +202,11 @@ class Broker:
             self._store.set_meta("config", config_snapshot(config))
 
     def _spawn_process_shards(self, shard_config: RuntimeConfig) -> list[ProcessShardHandle]:
-        """Start the worker processes and return one handle per shard.
+        """Start one worker process per shard and return their handles.
 
         The worker engines are built from the pickled shard config
         (executor and partitioner are broker-level concerns, so they are
-        normalized to plain keywords first); shards are assigned to
-        ``min(shards, max_workers)`` workers round-robin.
+        normalized to plain keywords first).
         """
         worker_config = shard_config.replace(executor="serial", partitioner="hash")
         try:
@@ -221,33 +217,23 @@ class Broker:
                 "processes, which requires a picklable RuntimeConfig; "
                 f"this one does not pickle: {exc}"
             ) from exc
-        num_shards = shard_config.shards
-        num_workers = min(num_shards, shard_config.max_workers or num_shards)
-        assignments = [
-            [s for s in range(num_shards) if s % num_workers == w]
-            for w in range(num_workers)
-        ]
-        group_of: dict[int, ShardWorkerGroup] = {}
+        handles: list[ProcessShardHandle] = []
         try:
-            for shard_ids in assignments:
-                group = ShardWorkerGroup(
-                    config_bytes,
-                    shard_ids,
-                    self.storage,
-                    self.storage_path,
-                    shard_config.durability,
+            for shard_id in range(shard_config.shards):
+                handles.append(
+                    ProcessShardHandle(
+                        shard_id,
+                        config_bytes,
+                        self.storage,
+                        self.storage_path,
+                        shard_config.durability,
+                    )
                 )
-                self._worker_groups.append(group)
-                for shard_id in shard_ids:
-                    group_of[shard_id] = group
         except BaseException:
-            for group in self._worker_groups:
-                group.close()
+            for handle in handles:
+                handle.close()
             raise
-        return [
-            ProcessShardHandle(shard_id, group_of[shard_id])
-            for shard_id in range(num_shards)
-        ]
+        return handles
 
     def _match_deliverable(self, qid: str) -> bool:
         """Whether matches of ``qid`` could currently be delivered."""
@@ -631,34 +617,25 @@ class Broker:
         """Run ``process_one`` / ``process_batch`` once per assigned shard.
 
         ``assignments`` is :meth:`_assign`'s output; results come back in
-        assignment order.  One in-process shard is called directly, with no
-        executor hop.  Process shards get the batch as one encoded payload:
-        encoded once, the same bytes fanned out to every shard, through a
-        view into the reusable wire buffer that is released once every send
-        has been written.
+        assignment order.  In-process shards are called one after another.
+        Process shards get the batch as one encoded payload: encoded once,
+        the same bytes fanned out to every shard, through a view into the
+        reusable wire buffer that is released once every send has been
+        written.
         """
         if not assignments:
             return []
-        if self.engine is not None:
-            shard = self.shards[0]
-            if method == "process_one":
-                return [shard.process_one(records[0], trees[0])]
-            return [shard.process_batch(records, trees)]
         if not self._wire_enabled:
             if method == "process_one":
-                calls = [(shard, method, (records[0], trees[0])) for shard, _ in assignments]
-            else:
-                calls = [
-                    (
-                        shard,
-                        method,
-                        (records, trees)
-                        if indices is None
-                        else ([records[i] for i in indices], [trees[i] for i in indices]),
-                    )
-                    for shard, indices in assignments
-                ]
-            return self._executor.invoke(calls)
+                return [shard.process_one(records[0], trees[0]) for shard, _ in assignments]
+            return [
+                shard.process_batch(records, trees)
+                if indices is None
+                else shard.process_batch(
+                    [records[i] for i in indices], [trees[i] for i in indices]
+                )
+                for shard, indices in assignments
+            ]
         method = "wire_one" if method == "process_one" else "wire_batch"
         transport = self._transport
         start = perf_counter()
@@ -866,26 +843,21 @@ class Broker:
         return merge_engine_stats([shard.stats() for shard in self.shards])
 
     def transport_stats(self) -> dict:
-        """Encode-once transport counters (broker side + merged workers).
+        """Encode-once transport counters (broker side + summed workers).
 
         Broker side: ``encodes`` / ``documents_encoded`` / ``encode_ms``
         count each batch's single serialization, ``wire_bytes`` the encoded
         payload bytes, and ``shard_sends`` / ``shipped_bytes`` the fan-out
         (same bytes written once per routed shard).  Worker side (summed
-        across workers, like ``stats()["routing"]``): ``payload_loads`` /
-        ``payload_bytes`` count received frames and ``decodes`` /
-        ``decode_ms`` the actual decodes — fewer than the loads whenever
-        co-hosted shards shared one payload.  All zero outside the process
-        runtime.
+        across workers, like ``stats()["routing"]``): ``decodes`` /
+        ``decode_ms`` count the payloads the workers decoded, one per
+        shard send.  All zero outside the process runtime.
         """
-        merged = dict(self._transport)
-        merged.update(
-            {"decodes": 0, "decode_ms": 0.0, "payload_loads": 0, "payload_bytes": 0}
-        )
-        for group in self._worker_groups:
-            worker = group.call(group.shard_ids[0], "transport")
-            for key, value in worker.items():
-                merged[key] += value
+        merged = dict(self._transport, decodes=0, decode_ms=0.0)
+        if self._wire_enabled:
+            for shard in self.shards:
+                for key, value in shard.transport_stats().items():
+                    merged[key] += value
         merged["encode_ms"] = round(merged["encode_ms"], 3)
         merged["decode_ms"] = round(merged["decode_ms"], 3)
         return merged
@@ -909,8 +881,8 @@ class Broker:
             "engine": self.engine_name,
             "storage": self.storage,
             "shards": self.num_shards,
-            "executor": self._executor.name,
-            "workers": len(self._worker_groups) or None,
+            "executor": self.config.executor,
+            "workers": self.num_shards if self._wire_enabled else None,
             "streams": self.streams.stats(),
             "num_subscriptions": len(self._subscriptions),
             "num_filter_subscriptions": self._filters.num_subscriptions,
@@ -955,7 +927,7 @@ class Broker:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """End the session (idempotent): sinks, shards, workers, registry, executor.
+        """End the session (idempotent): sinks, shards (and their workers), registry.
 
         Every subscription's sinks are flushed and closed (a
         :class:`~repro.pubsub.sinks.BatchingSink` holding a partial batch
@@ -975,11 +947,8 @@ class Broker:
                     first_error = exc
         for shard in self.shards:
             shard.close()
-        for group in self._worker_groups:
-            group.close()
         if self._store is not None:
             self._store.close()
-        self._executor.close()
         if first_error is not None:
             raise first_error
 
@@ -992,6 +961,6 @@ class Broker:
     def __repr__(self) -> str:
         return (
             f"<Broker engine={self.engine_name!r} shards={self.num_shards} "
-            f"executor={self._executor.name!r} "
+            f"executor={self.config.executor!r} "
             f"subscriptions={len(self._subscriptions)}>"
         )

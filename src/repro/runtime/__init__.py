@@ -5,32 +5,26 @@ pieces that take it from one core to many.  The broker partitions join
 subscriptions across N independent :class:`~repro.runtime.shard.EngineShard`
 instances (template-cohesively, so the CQT sharing of Section 4 survives
 inside every shard), fans each published document out to the shards that
-can bind it through a pluggable executor, and merges matches, statistics
-and cost breakdowns back into one broker-level view.
+can bind it, and merges matches, statistics and cost breakdowns back into
+one broker-level view.  Shards run in one of two topologies: in the
+broker's process, called in a loop, or one per worker process.
 
 * :mod:`~repro.runtime.shard` — one engine shard: the seam between the
   broker and an engine, in process or (same surface) in a worker.
 * :mod:`~repro.runtime.partition` — hash-by-template and least-loaded
   placement strategies.
-* :mod:`~repro.runtime.executor` — serial (deterministic), thread-pool and
-  process-pipelined execution of the per-shard tasks.
-* :mod:`~repro.runtime.process` — the process runtime: engines living in
-  long-lived worker processes behind pipe-command shard handles.
+* :mod:`~repro.runtime.executor` — pipelined dispatch to process shards:
+  every worker's request is written before any reply is read.
+* :mod:`~repro.runtime.process` — the process runtime: one engine per
+  long-lived worker process, behind a pipe-command shard handle.
 * :mod:`~repro.runtime.router` — relevance-aware fan-out routing: documents
   are dispatched only to the shards hosting templates they can bind.
 * ``ShardedBroker`` — import-compatible second name of the one broker
   (:mod:`~repro.runtime.sharded_broker`).
 """
 
-from repro.runtime.executor import (
-    EXECUTORS,
-    ProcessExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    ThreadedExecutor,
-    make_executor,
-)
-from repro.runtime.process import ProcessShardHandle, ShardWorkerError, ShardWorkerGroup
+from repro.runtime.executor import ProcessExecutor
+from repro.runtime.process import ProcessShardHandle, ShardWorkerError
 from repro.runtime.router import ShardRouter
 from repro.runtime.partition import (
     PARTITIONERS,
@@ -51,14 +45,8 @@ __all__ = [
     "PARTITIONERS",
     "make_partitioner",
     "template_key",
-    "ShardExecutor",
-    "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
-    "EXECUTORS",
-    "make_executor",
     "ProcessShardHandle",
-    "ShardWorkerGroup",
     "ShardWorkerError",
     "ShardRouter",
 ]

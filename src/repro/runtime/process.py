@@ -5,29 +5,27 @@ broker's sharded architecture — subscriptions partitioned, documents fanned
 out, results merged in shard order — but moves every
 :class:`~repro.core.engine._BaseEngine` out of the broker process:
 
-* A :class:`ShardWorkerGroup` owns one worker process hosting one or more
-  shard engines (``max_workers`` caps the process count; shards are
-  assigned round-robin).  The engines are constructed *in-worker* from the
-  pickled :class:`~repro.config.RuntimeConfig`, and storage-attached shards
-  open their own ``shard-N.sqlite3`` in-worker, so neither engine state nor
-  SQLite connections ever cross the process boundary.
-* A :class:`ProcessShardHandle` stands in for
-  :class:`~repro.runtime.shard.EngineShard` on the broker side, its
-  control plane implemented as commands over a duplex pipe.
-  Registrations and cancellations are forwarded as commands (the worker
-  engine replays the exact ``register_query``/``deregister_query`` code
-  path), documents cross only as the wire's framed
-  ``(text, docid, timestamp, stream)`` records (:mod:`repro.runtime.wire`)
-  that the worker engine scans through ``process_document`` /
-  ``process_batch``, and match rows come back in a columnar
-  batch form — a shared value table plus per-match id tuples (see
+* A :class:`ProcessShardHandle` starts one worker process hosting one shard
+  engine.  The engine is constructed *in-worker* from the pickled
+  :class:`~repro.config.RuntimeConfig`, and a storage-attached shard opens
+  its own ``shard-N.sqlite3`` in-worker, so neither engine state nor SQLite
+  connections ever cross the process boundary.
+* On the broker side the handle stands in for
+  :class:`~repro.runtime.shard.EngineShard`, its control plane implemented
+  as commands over a duplex pipe.  Registrations and cancellations are
+  forwarded as commands (the worker engine replays the exact
+  ``register_query``/``deregister_query`` code path), documents cross only
+  as the wire's framed ``(text, docid, timestamp, stream)`` records
+  (:mod:`repro.runtime.wire`) that the worker engine scans through
+  ``process_document`` / ``process_batch``, and match rows come back in a
+  columnar batch form — a shared value table plus per-match id tuples (see
   :func:`encode_match_batch`) — re-materialized broker-side, so delivery
   callbacks and :class:`~repro.pubsub.sinks.DeliverySink` objects fire in
   the parent and never need to be picklable.
-* Requests and responses are strictly ordered per channel, and
+* Requests and responses are strictly ordered on the pipe, and
   :class:`~repro.runtime.executor.ProcessExecutor` keeps at most one
-  request in flight per channel, so responses are matched to requests
-  positionally — no request ids, no response reordering.
+  request in flight per worker, so responses are matched to requests
+  positionally — no request ids, no shard ids, no response reordering.
 
 A worker that dies mid-conversation (crash, ``kill -9``) surfaces as a
 :class:`ShardWorkerError` on the next send or receive instead of a hang:
@@ -40,14 +38,13 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 from time import perf_counter
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.results import Match
 from repro.runtime.wire import decode_document_batch
 
 __all__ = [
     "ShardWorkerError",
-    "ShardWorkerGroup",
     "ProcessShardHandle",
     "encode_match",
     "decode_match",
@@ -212,7 +209,7 @@ def decode_match_batch(payload: tuple) -> list[list[Match]]:
 # worker side
 # --------------------------------------------------------------------- #
 def _dispatch(engine, method: str, args: tuple):
-    """Apply one command to one in-worker engine."""
+    """Apply one command to the worker's engine."""
     if method == "register":
         qid, query = args
         engine.register_query(query, qid=qid)
@@ -247,26 +244,21 @@ def _dispatch(engine, method: str, args: tuple):
     raise ValueError(f"unknown shard-worker command {method!r}")
 
 
-def _wire_documents(payload: bytes, cache: list, transport: dict) -> tuple:
-    """Decode one wire payload, reusing the last decode when bytes repeat.
-
-    Returns ``(records, publish stamps)``.  A worker hosting several shards
-    receives the *same* payload once per co-hosted shard (the broker
-    encodes once and fans the bytes out per shard, not per worker); the
-    one-slot cache collapses those to a single decode.  Co-hosted engines
-    share the decoded records, which are immutable tuples.
-    """
-    transport["payload_loads"] += 1
-    transport["payload_bytes"] += len(payload)
-    if cache[0] == payload:
-        return cache[1]
+def _process_wire(engine, method: str, indices, payload: bytes, transport: dict) -> tuple:
+    """Decode one wire payload, run its documents, and encode the matches."""
     start = perf_counter()
-    decoded = decode_document_batch(pickle.loads(payload))
+    records, stamps = decode_document_batch(pickle.loads(payload))
     transport["decodes"] += 1
     transport["decode_ms"] += (perf_counter() - start) * 1000.0
-    cache[0] = payload
-    cache[1] = decoded
-    return decoded
+    if indices is not None:
+        records = [records[i] for i in indices]
+        if stamps is not None:
+            stamps = [stamps[i] for i in indices]
+    if method == "wire_one":
+        match_lists = [engine.process_document(records[0])]
+    else:
+        match_lists = engine.process_batch(records)
+    return encode_match_batch(match_lists, stamps)
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -281,30 +273,25 @@ def _portable(exc: BaseException) -> BaseException:
 def _shard_worker_main(
     conn,
     config_bytes: bytes,
-    shard_ids: Sequence[int],
+    shard_id: int,
     storage: str,
     storage_path: Optional[str],
     durability: str,
 ) -> None:
-    """Entry point of one worker process: build the engines, serve commands."""
+    """Entry point of one worker process: build the engine, serve commands."""
     from repro.core.engine import make_engine
     from repro.storage import open_member_store
 
-    engines = {}
     try:
         config = pickle.loads(config_bytes)
-        for shard_id in shard_ids:
-            store = open_member_store(
-                storage, storage_path, f"shard-{shard_id}", durability
-            )
-            engines[shard_id] = make_engine(config=config, store=store)
+        store = open_member_store(storage, storage_path, f"shard-{shard_id}", durability)
+        engine = make_engine(config=config, store=store)
     except BaseException as exc:
         conn.send((False, _portable(exc)))
         conn.close()
         return
     conn.send((True, "ready"))
-    transport = {"decodes": 0, "decode_ms": 0.0, "payload_loads": 0, "payload_bytes": 0}
-    wire_cache: list = [None, None]  # [payload bytes, decoded (records, stamps)]
+    transport = {"decodes": 0, "decode_ms": 0.0}
     while True:
         try:
             message = conn.recv()
@@ -312,44 +299,28 @@ def _shard_worker_main(
             break
         if message is None:
             break
-        if message[0] == "__wire__":
-            # Two-frame data plane: this control frame names the shard,
-            # method and document selection; the payload bytes follow in
-            # their own frame (see ShardWorkerGroup.send_wire).
-            _sentinel, shard_id, method, indices = message
-            try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                break
-            try:
-                records, stamps = _wire_documents(payload, wire_cache, transport)
-                if indices is not None:
-                    records = [records[i] for i in indices]
-                    if stamps is not None:
-                        stamps = [stamps[i] for i in indices]
-                engine = engines[shard_id]
-                if method == "wire_one":
-                    match_lists = [engine.process_document(records[0])]
-                else:
-                    match_lists = engine.process_batch(records)
-                response = (True, encode_match_batch(match_lists, stamps))
-            except BaseException as exc:
-                response = (False, _portable(exc))
-        else:
-            shard_id, method, args = message
-            if method == "transport":
+        method, args = message
+        try:
+            if method in ("wire_one", "wire_batch"):
+                # Two-frame data plane: this control frame carries the
+                # document selection; the payload bytes follow in their own
+                # frame (see ProcessShardHandle.submit).
+                try:
+                    payload = conn.recv_bytes()
+                except (EOFError, OSError):
+                    break
+                response = (True, _process_wire(engine, method, args, payload, transport))
+            elif method == "transport":
                 response = (True, dict(transport))
             else:
-                try:
-                    response = (True, _dispatch(engines[shard_id], method, args))
-                except BaseException as exc:
-                    response = (False, _portable(exc))
+                response = (True, _dispatch(engine, method, args))
+        except BaseException as exc:
+            response = (False, _portable(exc))
         try:
             conn.send(response)
         except (BrokenPipeError, OSError):
             break
-    for engine in engines.values():
-        engine.close()
+    engine.close()
     conn.close()
 
 
@@ -364,25 +335,36 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else methods[0]
 
 
-class ShardWorkerGroup:
-    """One worker process hosting the engines of one or more shards."""
+class ProcessShardHandle:
+    """The broker-side stand-in for an :class:`~repro.runtime.shard.EngineShard`.
+
+    Construction starts the worker process that hosts this shard's engine.
+    The control plane (``register``/``deregister``/``prune``/``stats``/
+    ``output_document``) is one synchronous command round-trip each.
+    Documents reach the engine only over the wire: ``submit``/``collect``
+    are the split halves of one ``wire_one``/``wire_batch`` call, so
+    :class:`~repro.runtime.executor.ProcessExecutor` can pipeline across
+    workers; a response decodes by the method recorded at submit time.
+    """
 
     def __init__(
         self,
+        shard_id: int,
         config_bytes: bytes,
-        shard_ids: Sequence[int],
         storage: str,
         storage_path: Optional[str],
         durability: str,
     ):
+        self.shard_id = shard_id
+        self.num_queries = 0
+        self._pending: Optional[str] = None
         ctx = multiprocessing.get_context(_start_method())
         parent_conn, child_conn = ctx.Pipe()
-        self.shard_ids = tuple(shard_ids)
         self.process = ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, config_bytes, list(shard_ids), storage, storage_path, durability),
+            args=(child_conn, config_bytes, shard_id, storage, storage_path, durability),
             daemon=True,
-            name="repro-shards-" + "-".join(str(s) for s in shard_ids),
+            name=f"repro-shard-{shard_id}",
         )
         self.process.start()
         # With the child's copy closed here, a dead worker turns recv() into
@@ -390,35 +372,22 @@ class ShardWorkerGroup:
         child_conn.close()
         self._conn = parent_conn
         self._closed = False
-        self.recv()  # readiness handshake; construction errors re-raise here
+        self._recv()  # readiness handshake; construction errors re-raise here
 
-    def send(self, shard_id: int, method: str, args: tuple) -> None:
+    # -- pipe ------------------------------------------------------------ #
+    def _gone(self, method: str) -> ShardWorkerError:
+        return ShardWorkerError(
+            f"shard worker {self.process.name!r} is gone "
+            f"(exit code {self.process.exitcode}); {method!r} was not sent"
+        )
+
+    def _send(self, method: str, args: tuple) -> None:
         try:
-            self._conn.send((shard_id, method, args))
+            self._conn.send((method, args))
         except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerError(
-                f"shard worker {self.process.name!r} is gone "
-                f"(exit code {self.process.exitcode}); {method!r} was not sent"
-            ) from exc
+            raise self._gone(method) from exc
 
-    def send_wire(self, shard_id: int, method: str, indices, payload) -> None:
-        """Send one two-frame data-plane request (control frame + raw bytes).
-
-        ``payload`` is a bytes-like view of the already-encoded document
-        batch; sending it with ``send_bytes`` writes the same buffer to the
-        pipe without pickling it again, so a fan-out to N shards costs one
-        encode and N buffer writes.
-        """
-        try:
-            self._conn.send(("__wire__", shard_id, method, indices))
-            self._conn.send_bytes(payload)
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise ShardWorkerError(
-                f"shard worker {self.process.name!r} is gone "
-                f"(exit code {self.process.exitcode}); {method!r} was not sent"
-            ) from exc
-
-    def recv(self):
+    def _recv(self):
         try:
             ok, payload = self._conn.recv()
         except (EOFError, OSError) as exc:
@@ -432,10 +401,68 @@ class ShardWorkerGroup:
             raise ShardWorkerError(str(payload))
         return payload
 
-    def call(self, shard_id: int, method: str, *args):
+    def call(self, method: str, *args):
         """One synchronous command round-trip (the control plane)."""
-        self.send(shard_id, method, args)
-        return self.recv()
+        self._send(method, args)
+        return self._recv()
+
+    # -- control plane -------------------------------------------------- #
+    def register(self, qid: str, query) -> None:
+        self.call("register", qid, query)
+        self.num_queries += 1
+
+    def deregister(self, qid: str) -> None:
+        self.call("deregister", qid)
+        self.num_queries -= 1
+
+    def prune(self, min_timestamp: float) -> int:
+        return self.call("prune", min_timestamp)
+
+    def stats(self):
+        return self.call("stats")
+
+    def metrics_snapshot(self):
+        """The worker engine's metrics snapshot (``None`` when disabled)."""
+        return self.call("metrics")
+
+    def transport_stats(self) -> dict:
+        """The worker's decode counters: ``decodes`` and ``decode_ms``."""
+        return self.call("transport")
+
+    def output_document(self, match: Match):
+        return self.call("output_document", encode_match(match))
+
+    # -- recovery plane (see repro.storage.recovery) --------------------- #
+    def recover_catalog(self):
+        return self.call("recover_catalog")
+
+    def template_guard(self, rewrite: bool = False):
+        return self.call("template_guard", rewrite)
+
+    def recover_state(self):
+        return self.call("recover_state")
+
+    # -- data plane ------------------------------------------------------ #
+    def submit(self, method: str, args: tuple) -> None:
+        """Send one ``wire_one``/``wire_batch`` request: ``args`` is ``(indices, payload)``.
+
+        ``payload`` is a bytes-like view of the already-encoded document
+        batch; ``send_bytes`` writes that buffer to the pipe without
+        pickling it again, so a fan-out to N shards costs one encode and N
+        buffer writes.
+        """
+        indices, payload = args
+        try:
+            self._conn.send((method, indices))
+            self._conn.send_bytes(payload)
+        except (BrokenPipeError, OSError, ValueError) as exc:
+            raise self._gone(method) from exc
+        self._pending = method
+
+    def collect(self):
+        method, self._pending = self._pending, None
+        match_lists = decode_match_batch(self._recv())
+        return match_lists[0] if method == "wire_one" else match_lists
 
     def close(self) -> None:
         """Shut the worker down (idempotent); terminate if it won't exit."""
@@ -456,74 +483,8 @@ class ShardWorkerGroup:
             self.process.terminate()
             self.process.join(timeout=10)
 
-
-class ProcessShardHandle:
-    """The broker-side stand-in for an :class:`~repro.runtime.shard.EngineShard`.
-
-    The control plane (``register``/``deregister``/``prune``/``stats``/
-    ``output_document``) delegates each call to the engine living in
-    :attr:`channel`'s worker process.  Documents reach it only over the
-    wire: ``submit``/``collect`` are the split halves of one
-    ``wire_one``/``wire_batch`` call, so
-    :class:`~repro.runtime.executor.ProcessExecutor` can pipeline across
-    workers; responses decode by the method name recorded at submit time
-    (the channel is strictly FIFO with one request in flight).
-    """
-
-    def __init__(self, shard_id: int, group: ShardWorkerGroup):
-        self.shard_id = shard_id
-        self.channel = group
-        self.num_queries = 0
-        self._pending: list[str] = []
-
-    # -- control plane -------------------------------------------------- #
-    def register(self, qid: str, query) -> None:
-        self.channel.call(self.shard_id, "register", qid, query)
-        self.num_queries += 1
-
-    def deregister(self, qid: str) -> None:
-        self.channel.call(self.shard_id, "deregister", qid)
-        self.num_queries -= 1
-
-    def prune(self, min_timestamp: float) -> int:
-        return self.channel.call(self.shard_id, "prune", min_timestamp)
-
-    def stats(self):
-        return self.channel.call(self.shard_id, "stats")
-
-    def metrics_snapshot(self):
-        """The worker engine's metrics snapshot (``None`` when disabled)."""
-        return self.channel.call(self.shard_id, "metrics")
-
-    def output_document(self, match: Match):
-        return self.channel.call(self.shard_id, "output_document", encode_match(match))
-
-    # -- recovery plane (see repro.storage.recovery) --------------------- #
-    def recover_catalog(self):
-        return self.channel.call(self.shard_id, "recover_catalog")
-
-    def template_guard(self, rewrite: bool = False):
-        return self.channel.call(self.shard_id, "template_guard", rewrite)
-
-    def recover_state(self):
-        return self.channel.call(self.shard_id, "recover_state")
-
-    # -- data plane ------------------------------------------------------ #
-    def submit(self, method: str, args: tuple) -> None:
-        """Send one ``wire_one``/``wire_batch`` request: ``args`` is ``(indices, payload)``."""
-        indices, payload = args
-        self.channel.send_wire(self.shard_id, method, indices, payload)
-        self._pending.append(method)
-
-    def collect(self):
-        match_lists = decode_match_batch(self.channel.recv())
-        return match_lists[0] if self._pending.pop(0) == "wire_one" else match_lists
-
-    def close(self) -> None:
-        """Nothing to do per shard; the broker closes the worker groups."""
-
     def __repr__(self) -> str:
         return (
             f"<ProcessShardHandle {self.shard_id} queries={self.num_queries} "
-            f"worker={self.channel.process.name!r}>"
+            f"worker={self.process.name!r}>"
         )

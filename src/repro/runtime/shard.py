@@ -59,9 +59,8 @@ class EngineShard:
         (shared by every in-process shard); the engine also takes text or
         trees.
 
-        This is the unit of work the executors schedule: batching amortizes
-        one dispatch (and, for pool executors, one task handoff) over the
-        whole batch, which the engine
+        This is the unit of work the broker dispatches: batching amortizes
+        one dispatch over the whole batch, which the engine
         (:meth:`~repro.core.engine._BaseEngine.process_batch`) stamps up
         front and then runs document by document.
 

@@ -10,7 +10,8 @@ overrides, or nothing) and returns a context-managed
 
     import repro
 
-    with repro.open_broker(repro.RuntimeConfig.throughput(shards=8)) as broker:
+    config = repro.RuntimeConfig(shards=8, executor="processes", construct_outputs=False)
+    with repro.open_broker(config) as broker:
         sub = broker.subscribe("...", sink=repro.QueueSink())
         broker.publish_many(documents)
         sub.cancel()          # true retraction: engine state shrinks
@@ -51,8 +52,8 @@ def open_broker(
 
     Returns a :class:`repro.pubsub.Broker`, which supports the
     context-manager protocol (``close()`` flushes every subscription's
-    delivery sinks, flushes and closes the state stores, and shuts down the
-    shard executor and any worker processes).
+    delivery sinks, flushes and closes the state stores, and shuts down any
+    worker processes).
     """
     if resume_from is not None:
         from repro.storage.recovery import resume_broker

@@ -81,7 +81,7 @@ def config_snapshot(config: RuntimeConfig) -> dict:
 
     ``storage_path`` is omitted (the snapshot lives *inside* that
     directory; recovery re-supplies it), and pluggable instances
-    (partitioner/executor objects) degrade to their keyword names.
+    (partitioner objects) degrade to their keyword names.
     """
     out: dict = {}
     for field in dataclasses.fields(config):
@@ -127,8 +127,13 @@ def resume_broker(
         )
 
     if config is None:
+        # Fields a later config dropped are ignored; the thread-pool
+        # executor is gone, and its sessions resume on in-process shards.
         known = {f.name for f in dataclasses.fields(RuntimeConfig)}
-        config = RuntimeConfig(**{k: v for k, v in stored.items() if k in known})
+        fields = {k: v for k, v in stored.items() if k in known}
+        if fields.get("executor") == "threads":
+            fields["executor"] = "serial"
+        config = RuntimeConfig(**fields)
     elif not isinstance(config, RuntimeConfig):
         raise TypeError(
             f"resume_from expects a RuntimeConfig, an engine name, or None; "

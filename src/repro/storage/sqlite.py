@@ -30,10 +30,10 @@ keeps one transaction open across epochs and commits every
 bounded window of recent epochs for near-memory ingest speed; a crash still
 never tears an epoch, because the whole open transaction rolls back.
 
-Connections are opened with ``check_same_thread=False``: the sharded
-runtime's thread-pool executor may run one shard's tasks on different pool
-threads over time, but accesses to one shard's store are serialized by the
-executor, never concurrent.
+Connections are opened with ``check_same_thread=False`` so that a session
+opened on one thread may be driven from another (a broker handed to a
+consumer thread, say).  The broker is not thread-safe: its caller
+serializes the calls, so a store is never used concurrently.
 """
 
 from __future__ import annotations

@@ -51,11 +51,15 @@ def test_flips_apply_only_where_the_spec_config_lets_them_act():
         if name == "durable_churn":
             expected.add("durability")
         assert applied == expected, name
-    assert ablation.applies(("executor", "threads"), (("shards", 2),))
-    assert not ablation.applies(("executor", "threads"), (("shards", 1),))
+    assert ("executor", "serial") in ablation.FLIPS
+    assert ablation.applies(("executor", "serial"), (("shards", 2),))
+    assert not ablation.applies(("executor", "serial"), (("shards", 1),))
     assert ablation.parse_flip("auto_prune=False") == ("auto_prune", False)
-    assert ablation.parse_flip("executor=threads") == ("executor", "threads")
-    assert ablation.label(("executor", "threads")) == "executor=threads"
+    assert ablation.parse_flip("executor=serial") == ("executor", "serial")
+    assert ablation.label(("executor", "serial")) == "executor=serial"
+    # integer knobs parse as integers, not as the strings a config rejects
+    assert ablation.parse_flip("shards=4") == ("shards", 4)
+    assert ablation.parse_flip("stream_history=0") == ("stream_history", 0)
 
 
 def test_verdicts_and_ranking_from_fabricated_records():

@@ -86,14 +86,8 @@ RUNTIME_ALL = {
     "PARTITIONERS",
     "make_partitioner",
     "template_key",
-    "ShardExecutor",
-    "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
-    "EXECUTORS",
-    "make_executor",
     "ProcessShardHandle",
-    "ShardWorkerGroup",
     "ShardWorkerError",
     "ShardRouter",
 }

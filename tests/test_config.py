@@ -34,8 +34,18 @@ def test_config_defaults_are_valid():
         {"shards": 0},
         {"view_cache_size": 0},
         {"stream_history": -1},
-        {"max_workers": 0},
         {"result_limit": 0},
+        # integer fields take an int, not a float, a string or a bool
+        {"shards": 2.5},
+        {"shards": True},
+        {"shards": "2"},
+        {"view_cache_size": "8"},
+        {"view_cache_size": 1.0},
+        {"stream_history": "2"},
+        {"stream_history": False},
+        {"result_limit": "16"},
+        {"result_limit": True},
+        {"executor": "threads"},
         {"partitioner": "round-robin"},
         {"executor": "fibers"},
         {"route_dispatch": 1},
@@ -50,13 +60,13 @@ def test_config_defaults_are_valid():
     ],
 )
 def test_config_validation_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         RuntimeConfig(**kwargs)
 
 
 def test_stage_two_has_no_switch_for_how_it_evaluates():
-    assert len(dataclasses.fields(RuntimeConfig)) == 17
-    for removed in ("plan_cache", "prune_dispatch", "delta_join", "columnar"):
+    assert len(dataclasses.fields(RuntimeConfig)) == 16
+    for removed in ("plan_cache", "prune_dispatch", "delta_join", "columnar", "max_workers"):
         with pytest.raises(TypeError):
             RuntimeConfig(**{removed: False})
     engine = make_engine(RuntimeConfig())
@@ -65,13 +75,10 @@ def test_stage_two_has_no_switch_for_how_it_evaluates():
 
 def test_config_keyword_tuples_match_canonical_definitions():
     from repro.core.engine import ENGINES as ENGINE_NAMES
-    from repro.runtime.executor import EXECUTORS as EXEC_NAMES
     from repro.runtime.partition import PARTITIONERS as PART_NAMES
 
     assert tuple(ENGINES) == tuple(ENGINE_NAMES)
-    assert tuple(EXECUTORS) == tuple(sorted(EXEC_NAMES, key=list(EXECUTORS).index)) or set(
-        EXECUTORS
-    ) == set(EXEC_NAMES)
+    assert EXECUTORS == ("serial", "processes")
     assert set(PARTITIONERS) == set(PART_NAMES)
 
 
@@ -85,12 +92,10 @@ def test_store_documents_resolution_rule():
 
 
 def test_presets():
-    t = RuntimeConfig.throughput()
-    assert t.is_sharded and t.executor == "threads"
-    assert not t.construct_outputs and t.store_documents is False
+    assert not hasattr(RuntimeConfig, "throughput")
     assert RuntimeConfig.ablation() == RuntimeConfig(route_dispatch=False)
     # overrides re-validate
-    assert RuntimeConfig.throughput(shards=8).shards == 8
+    assert RuntimeConfig.ablation(shards=8).shards == 8
     with pytest.raises(ValueError):
         RuntimeConfig.ablation(executor="fibers")
 

@@ -125,8 +125,6 @@ _TRANSPORT_KEYS = {
     "shipped_bytes",
     "decodes",
     "decode_ms",
-    "payload_loads",
-    "payload_bytes",
 }
 
 
@@ -148,10 +146,9 @@ def _texts(n=6):
     return docs
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
-def test_in_process_executors_report_zero_transport(executor):
+def test_in_process_shards_report_zero_transport():
     with open_broker(
-        RuntimeConfig(shards=2, executor=executor, construct_outputs=False)
+        RuntimeConfig(shards=2, executor="serial", construct_outputs=False)
     ) as broker:
         _subscribe_all(broker)
         for text in _texts():
@@ -164,9 +161,7 @@ def test_in_process_executors_report_zero_transport(executor):
 @pytest.mark.slow
 def test_process_transport_encodes_once_per_publish():
     with open_broker(
-        RuntimeConfig(
-            shards=4, executor="processes", max_workers=1, construct_outputs=False
-        )
+        RuntimeConfig(shards=4, executor="processes", construct_outputs=False)
     ) as broker:
         _subscribe_all(broker)
         texts = _texts()
@@ -180,20 +175,14 @@ def test_process_transport_encodes_once_per_publish():
     assert transport["documents_encoded"] == transport["encodes"]
     assert transport["shard_sends"] >= transport["encodes"]
     assert transport["shipped_bytes"] >= transport["wire_bytes"] > 0
-    # All shards live on one worker: every distinct payload is decoded
-    # exactly once and re-served from the one-slot cache to co-hosted
-    # shards, so decodes tracks encodes, not shard fan-out.
-    assert transport["payload_loads"] == transport["shard_sends"]
-    assert transport["decodes"] == transport["encodes"]
-    assert transport["payload_bytes"] == transport["shipped_bytes"]
+    # Each worker hosts one shard and decodes what it is sent, once.
+    assert transport["decodes"] == transport["shard_sends"]
 
 
 @pytest.mark.slow
 def test_process_transport_batches_encode_once():
     with open_broker(
-        RuntimeConfig(
-            shards=4, executor="processes", max_workers=2, construct_outputs=False
-        )
+        RuntimeConfig(shards=4, executor="processes", construct_outputs=False)
     ) as broker:
         _subscribe_all(broker)
         broker.publish_many(_texts())
@@ -203,7 +192,7 @@ def test_process_transport_batches_encode_once():
     assert transport["encodes"] == 1
     assert transport["documents_encoded"] == len(_texts())
     assert transport["shard_sends"] >= 1
-    assert transport["decodes"] <= transport["payload_loads"]
+    assert transport["decodes"] == transport["shard_sends"]
 
 
 @pytest.mark.slow

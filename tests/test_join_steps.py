@@ -267,5 +267,4 @@ def test_every_runtime_reports_the_same_exact_plan_counters(shards):
     assert serial["scanned_probes"] > 0
     assert serial["one_to_one_steps"] > 0
     assert _plan_stats(shards, "serial") == serial  # repeatable
-    for executor in ("threads", "processes"):
-        assert _plan_stats(shards, executor) == serial
+    assert _plan_stats(shards, "processes") == serial

@@ -151,13 +151,12 @@ def test_match_counts_exclude_suppressed_matches(engine):
         paused.close()
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
-def test_every_in_process_shard_gets_the_filter(monkeypatch, executor):
+def test_every_in_process_shard_gets_the_filter(monkeypatch):
     """With several in-process shards a paused subscription still costs no
     Match construction (process shards are covered in test_session_contract:
     the callable cannot cross the pipe, so the parent drops post-hoc)."""
     counter = count_match_constructions(monkeypatch)
-    broker = _open("mmqjp", shards=2, executor=executor)
+    broker = _open("mmqjp", shards=2, executor="serial")
     try:
         sub = broker.subscribe(PAPER_Q1, window_symbols=PAPER_WINDOWS)
         sub.pause()

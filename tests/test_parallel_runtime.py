@@ -1,7 +1,7 @@
 """Process-parallel shards and relevance-aware routing.
 
 The oracle throughout is *dispatch equivalence*: the match set a document
-stream produces must be byte-identical across executors (serial / threads /
+stream produces must be byte-identical across executors (serial /
 processes), shard counts, partitioners, the default/ablation knob matrix,
 and routing on/off — routing and process placement change which shards see
 a document and where its engine lives, never what matches.
@@ -22,7 +22,7 @@ import pytest
 
 from repro import RuntimeConfig, open_broker
 from repro.pubsub import Broker
-from repro.runtime import ShardRouter, ShardWorkerError, ThreadedExecutor
+from repro.runtime import ShardRouter, ShardWorkerError
 from repro.workloads.querygen import generate_topic_queries
 from repro.workloads.synthetic import build_document, topic_schemas
 from repro.xmlmodel import to_xml
@@ -92,7 +92,7 @@ def topic_baseline(topic_workload):
 # --------------------------------------------------------------------------- #
 # equivalence matrix
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
 def test_executor_equivalence(executor, shards, topic_workload, topic_baseline):
     _, queries, documents = topic_workload
@@ -101,14 +101,12 @@ def test_executor_equivalence(executor, shards, topic_workload, topic_baseline):
         auto_timestamp=False,
         shards=shards,
         executor=executor,
-        # two workers co-locate shards, exercising the grouped channels
-        max_workers=2 if executor == "processes" and shards > 2 else None,
     )
     keys, stats = _run(config, queries, documents)
     assert keys == topic_baseline
     if executor == "processes":
         assert stats["executor"] == "processes"
-        assert stats["workers"] == min(shards, 2 if shards > 2 else shards)
+        assert stats["workers"] == shards  # one engine per worker process
 
 
 @pytest.mark.parametrize("partitioner", ["hash", "least-loaded"])
@@ -159,7 +157,7 @@ def test_routing_equivalence(
 # --------------------------------------------------------------------------- #
 # register -> publish -> cancel -> publish interleavings
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_cancel_unroutes_retracted_templates(executor, topic_workload):
     schemas, queries, documents = topic_workload
     half = len(documents) // 2
@@ -258,7 +256,7 @@ def test_worker_death_raises_cleanly_and_close_does_not_hang(topic_workload):
     try:
         _subscribe_all(broker, queries)
         broker.publish(documents[0])
-        victim = broker._shard_of["q0"].channel
+        victim = broker._shard_of["q0"]
         victim.process.kill()
         victim.process.join(timeout=10)
         with pytest.raises(ShardWorkerError):
@@ -314,23 +312,6 @@ def test_restart_equivalence_under_processes(tmp_path, topic_workload):
 # --------------------------------------------------------------------------- #
 # executor plumbing (satellites)
 # --------------------------------------------------------------------------- #
-def test_threaded_pool_sizes_from_configured_shard_count():
-    # Regression: the pool used to freeze at len(items) of the *first* map;
-    # with routing, that first dispatch may touch a single shard, and every
-    # later full fan-out would serialize on a one-thread pool.
-    with ThreadedExecutor() as executor:
-        executor.configure(6)
-        assert executor.map(len, [()]) == [0]  # first map: one task
-        assert executor._pool._max_workers == 6
-    with ThreadedExecutor(max_workers=3) as executor:
-        executor.configure(6)
-        executor.map(len, [()])
-        assert executor._pool._max_workers == 3  # explicit cap wins
-    with ThreadedExecutor() as executor:
-        executor.map(len, [(), ()])  # unconfigured: size from the task list
-        assert executor._pool._max_workers == 2
-
-
 def test_config_knobs():
     assert RuntimeConfig(executor="processes").executor == "processes"
     assert RuntimeConfig.ablation().route_dispatch is False

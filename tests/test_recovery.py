@@ -466,6 +466,33 @@ def test_resume_drops_a_snapshot_field_the_config_no_longer_has(tmp_path):
         assert _keys(out) == reference
 
 
+def test_a_thread_pool_session_resumes_on_in_process_shards(tmp_path):
+    # Stores written when RuntimeConfig still had executor="threads" and a
+    # max_workers cap: the pool is gone, so the session resumes serial.
+    from repro.storage.sqlite import SQLiteStore
+
+    memory = RuntimeConfig(
+        storage="memory", construct_outputs=False, auto_timestamp=False, shards=2
+    )
+    queries = [("qa", Q_AUTHOR), ("qc", Q_CAT)]
+    documents = _docs(4)
+    reference = _reference_run(memory, documents, queries)
+    config = memory.replace(storage="sqlite", storage_path=str(tmp_path))
+    with open_broker(config) as broker:
+        for sid, query in queries:
+            broker.subscribe(query, subscription_id=sid)
+        out = _publish_all(broker, documents[:4])
+    with SQLiteStore(str(tmp_path / "broker.sqlite3")) as store:
+        stale = {"executor": "threads", "max_workers": 2}
+        store.set_meta("config", dict(store.get_meta("config"), **stale))
+
+    with open_broker(resume_from=str(tmp_path)) as resumed:
+        assert resumed.config.executor == "serial" and resumed.num_shards == 2
+        assert not hasattr(resumed.config, "max_workers")
+        out.extend(_publish_all(resumed, documents[4:]))
+    assert _keys(out) == reference
+
+
 # --------------------------------------------------------------------- #
 # lifecycle (satellite: idempotent close, store release on context exit)
 # --------------------------------------------------------------------- #

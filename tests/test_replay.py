@@ -39,7 +39,10 @@ def restore_defaults():
 
 @pytest.mark.parametrize(
     "spec",
-    ["ingest=tree", "metrics", "shards=0", "executor=fibers", "columnar=maybe", "storage=etcd"],
+    [
+        "ingest=tree", "metrics", "shards=0", "executor=fibers", "columnar=maybe", "storage=etcd",
+        "executor=threads", "max_workers=2",
+    ],
 )
 def test_a_bad_replay_is_a_usage_error(spec, restore_defaults):
     before = RuntimeConfig()
@@ -49,15 +52,15 @@ def test_a_bad_replay_is_a_usage_error(spec, restore_defaults):
 
 
 def test_explicit_values_beat_replayed_defaults(restore_defaults):
-    replay_defaults(["metrics=True", "route_dispatch=False", "max_workers=2", "executor=threads"])
+    replay_defaults(["metrics=True", "route_dispatch=False", "stream_history=2", "executor=processes"])
     config = RuntimeConfig()
-    assert (config.metrics, config.route_dispatch, config.max_workers) == (True, False, 2)
-    assert config.executor == "threads"
+    assert (config.metrics, config.route_dispatch, config.stream_history) == (True, False, 2)
+    assert config.executor == "processes"
     explicit = RuntimeConfig(metrics=False, route_dispatch=True, executor="serial")
     assert (explicit.metrics, explicit.route_dispatch, explicit.executor) == (False, True, "serial")
     assert explicit.replace(shards=2).executor == "serial"
     with open_broker(RuntimeConfig(construct_outputs=False)) as broker:
-        assert broker.metrics is not None and broker.stats()["executor"] == "threads"
+        assert broker.metrics is not None and broker.stats()["executor"] == "processes"
 
 
 def test_presets_apply_their_own_values_over_a_replay(restore_defaults):
@@ -66,5 +69,4 @@ def test_presets_apply_their_own_values_over_a_replay(restore_defaults):
     assert ablation.engine == "sequential"
     assert not ablation.route_dispatch
     assert ablation.metrics and ablation.storage == "sqlite"  # what it leaves alone
-    assert RuntimeConfig.throughput().shards == 4
-    assert RuntimeConfig.throughput().storage == "sqlite"
+    assert RuntimeConfig.ablation(shards=4).storage == "sqlite"

@@ -16,9 +16,7 @@ from repro.runtime import (
     EngineShard,
     HashTemplatePartitioner,
     LeastLoadedPartitioner,
-    SerialExecutor,
-    ThreadedExecutor,
-    make_executor,
+    ProcessExecutor,
     make_partitioner,
     template_key,
 )
@@ -141,28 +139,49 @@ def test_make_partitioner_validation():
 # --------------------------------------------------------------------------- #
 # executors
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("spec", ["serial", "threads", "processes"])
-def test_executors_preserve_order(spec):
-    # ProcessExecutor.map is its in-parent fallback path (worker processes
-    # only serve the invoke() shard-call plane), so the lambda is fine here.
-    with make_executor(spec) as executor:
-        assert executor.map(lambda x: x * x, list(range(8))) == [x * x for x in range(8)]
+class _FakeHandle:
+    """A process-shard stand-in: ``submit`` records, ``collect`` replies or raises."""
+
+    def __init__(self, log, name, fail_on=None):
+        self.log, self.name, self.fail_on = log, name, fail_on
+
+    def submit(self, method, args):
+        if self.fail_on == "submit":
+            raise RuntimeError(f"submit {self.name}")
+        self.log.append(("submit", self.name))
+
+    def collect(self):
+        self.log.append(("collect", self.name))
+        if self.fail_on == "collect":
+            raise RuntimeError(f"collect {self.name}")
+        return self.name * 2
 
 
-def test_threaded_executor_propagates_exceptions():
-    def boom(x):
-        raise RuntimeError(f"task {x}")
+def test_process_executor_submits_to_every_worker_before_reading_a_reply():
+    log = []
+    handles = [_FakeHandle(log, n) for n in (1, 2, 3)]
+    results = ProcessExecutor().invoke([(h, "wire_batch", (None, b"")) for h in handles])
+    assert results == [2, 4, 6]
+    assert log == [("submit", 1), ("submit", 2), ("submit", 3),
+                   ("collect", 1), ("collect", 2), ("collect", 3)]
 
-    with ThreadedExecutor(max_workers=2) as executor:
-        with pytest.raises(RuntimeError):
-            executor.map(boom, [1, 2])
+
+@pytest.mark.parametrize("fail_on", ["submit", "collect"])
+def test_process_executor_reads_every_reply_in_flight_before_raising(fail_on):
+    log = []
+    handles = [_FakeHandle(log, 1), _FakeHandle(log, 2, fail_on), _FakeHandle(log, 3)]
+    with pytest.raises(RuntimeError, match=f"{fail_on} 2"):
+        ProcessExecutor().invoke([(h, "wire_one", (None, b"")) for h in handles])
+    submitted = [name for step, name in log if step == "submit"]
+    collected = [name for step, name in log if step == "collect"]
+    # a failed submit stops the submits; whatever was sent is read back
+    assert submitted == ([1] if fail_on == "submit" else [1, 2, 3])
+    assert collected == submitted
 
 
-def test_make_executor_validation():
-    with pytest.raises(ValueError):
-        make_executor("fibers")
-    inst = SerialExecutor()
-    assert make_executor(inst) is inst
+def test_the_thread_pool_executor_is_gone():
+    with pytest.raises(ValueError, match="executor"):
+        RuntimeConfig(executor="threads")
 
 
 # --------------------------------------------------------------------------- #
@@ -178,7 +197,7 @@ def rss_baseline(rss_workload):
     return keys
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
+@pytest.mark.parametrize("executor", ["serial", "processes"])
 @pytest.mark.parametrize("partitioner", ["hash", "least-loaded"])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_equivalence_on_rss(shards, partitioner, executor, rss_workload, rss_baseline):
@@ -216,9 +235,7 @@ def test_sharded_equivalence_on_synthetic(shards, engine, synthetic_workload):
     baseline = _broker_match_keys(
         Broker(RuntimeConfig(engine=engine, construct_outputs=False)), queries, make_documents()
     )
-    config = RuntimeConfig(
-        engine=engine, construct_outputs=False, shards=shards, executor="threads"
-    )
+    config = RuntimeConfig(engine=engine, construct_outputs=False, shards=shards)
     with Broker(config) as broker:
         keys = _broker_match_keys(broker, queries, make_documents())
     assert keys == baseline
