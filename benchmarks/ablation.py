@@ -145,10 +145,10 @@ def commit() -> str:
 
 
 def dump(doc: dict) -> str:
-    """``doc`` as JSON with one line per row, so that a diff shows which cells moved."""
+    """``doc`` as JSON with one line per row or claim, so that a diff shows which cells moved."""
     def field(key: str, value) -> str:
-        if key in ("rows", "deleted"):
-            return "[\n" + ",\n".join(map(json.dumps if key == "rows" else dump, value)) + "\n]"
+        if key in ("rows", "claims", "deleted"):
+            return "[\n" + ",\n".join(map(dump if key == "deleted" else json.dumps, value)) + "\n]"
         return json.dumps(value, indent=1)
 
     return "{\n" + ",\n".join(f"{json.dumps(k)}: {field(k, v)}" for k, v in doc.items()) + "\n}"

@@ -16,10 +16,10 @@ Run with::
     python examples/template_explorer.py
 """
 
-from repro.bench.harness import register_mmqjp
 from repro.relational import render_sql
 from repro.templates.cqt import RELATION_SCHEMAS
 from repro.templates.enumerate import template_count_table
+from repro.templates.registry import TemplateRegistry
 from repro.workloads.querygen import QueryWorkloadConfig, generate_queries
 from repro.xmlmodel.schema import two_level_schema
 from repro.xscl import parse_query
@@ -44,7 +44,9 @@ def show_paper_queries() -> None:
         qid: canonicalize_query(parse_query(text), catalog)
         for qid, text in PAPER_QUERIES.items()
     }
-    registry = register_mmqjp(list(queries.values()))
+    registry = TemplateRegistry()
+    for qid, query in queries.items():
+        registry.add_query(qid, query)
     for template in registry.templates:
         print(f"\ntemplate #{template.template_id}")
         print(f"  meta variables   : {template.meta_order}")
@@ -69,7 +71,9 @@ def show_random_workload() -> None:
     print("=" * 72)
     schema = two_level_schema(6)
     queries = generate_queries(QueryWorkloadConfig(schema=schema, num_queries=1000))
-    registry = register_mmqjp(queries)
+    registry = TemplateRegistry()
+    for i, query in enumerate(queries):
+        registry.add_query(f"q{i}", query)
     print(f"  queries registered : {registry.num_queries}")
     print(f"  distinct templates : {registry.num_templates}")
     for template_id, size in sorted(registry.template_sizes().items()):

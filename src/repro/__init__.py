@@ -29,9 +29,8 @@ User-facing entry points:
 * :class:`repro.core.MMQJPEngine` / :class:`repro.core.SequentialEngine` —
   the two engines compared throughout the paper's evaluation.
 * :mod:`repro.workloads` — the synthetic benchmark workloads of Section 6
-  and a simulated RSS feed stream.
-* :mod:`repro.bench` — the experiment harness regenerating every figure and
-  table of the evaluation section.
+  and a simulated RSS feed stream; ``benchmarks/paper.py``, outside the
+  package, runs the evaluation section on them.
 * :mod:`repro.metrics` — the observability layer behind
   ``RuntimeConfig(metrics=True)``: counters, latency histograms with
   p50/p95/p99 tails, per-stage timers and per-subscription delivery lag.

@@ -126,3 +126,17 @@ def test_no_common_values_yields_empty_views(state):
     assert len(views.rvj) == 0
     assert len(views.rl) == 0
     assert len(views.rr) == 0
+
+
+def test_cost_breakdown_merge_and_reset():
+    a = CostBreakdown()
+    with a.measure("phase1"):
+        pass
+    b = CostBreakdown()
+    b.add("phase2", 0.5)
+    a.merge(b)
+    assert set(a.seconds) == {"phase1", "phase2"}
+    assert a.total >= 0.5
+    assert a.as_milliseconds()["phase2"] == 500.0
+    a.reset()
+    assert a.total == 0.0

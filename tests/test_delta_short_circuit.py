@@ -193,7 +193,7 @@ def _delta_scaling_orders(monkeypatch, full_reestimation: bool):
     """Reduction order and estimate count over the delta_scaling fixture."""
     import random
 
-    from repro.bench.harness import register_mmqjp
+    from repro.templates.registry import TemplateRegistry
     from repro.workloads.querygen import generate_query
     from repro.workloads.synthetic import build_delta_scaling_data
     from repro.xmlmodel.schema import two_level_schema
@@ -227,7 +227,10 @@ def _delta_scaling_orders(monkeypatch, full_reestimation: bool):
             patch.setattr(DeltaProgram, "__init__", everyone_is_a_peer)
         state = JoinState()
         data.load_state(state)
-        processor = MMQJPJoinProcessor(register_mmqjp(queries), state=state)
+        registry = TemplateRegistry()
+        for i, query in enumerate(queries):
+            registry.add_query(f"q{i}", query)
+        processor = MMQJPJoinProcessor(registry, state=state)
         keys = set()
         for witness in data.probes:
             keys.update(match.key() for match in processor.process(witness))
