@@ -28,7 +28,7 @@ from repro.core.costs import CostBreakdown
 from repro.core.materialize import ViewCache
 from repro.metrics import MetricsRegistry
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
-from repro.core.results import Match, build_output_document
+from repro.core.results import Match, MatchLayout, build_output_document
 from repro.core.witnesses import WitnessRelations
 from repro.templates.registry import QueryShape, TemplateRegistry
 from repro.xmlmodel.document import XmlDocument, _next_docid
@@ -168,6 +168,10 @@ class _BaseEngine:
         self._guard_cancel: Optional[str] = None
         self._registered: dict[str, XsclQuery] = {}
         self._root_vars: dict[str, tuple[Optional[str], Optional[str]]] = {}
+        # ``::swap`` key -> (its public qid, its layout with the blocks
+        # exchanged): how an un-swapped mirror match reads, built on the
+        # key's first match and dropped at deregistration.
+        self._mirrors: dict[str, tuple[str, MatchLayout]] = {}
         self._max_finite_window = 0.0
         self._has_infinite_window = False
         # Window refcounts backing the horizon: finite windows by value plus
@@ -350,6 +354,7 @@ class _BaseEngine:
         keys = [qid]
         if canonical.join.operator is JoinOperator.JOIN:
             keys.append(qid + _SWAP_SUFFIX)
+            self._mirrors.pop(keys[1], None)
         dead_vars: set[str] = set()
         dead_edges: set[tuple[str, str]] = set()
         for key in keys:
@@ -622,24 +627,27 @@ class _BaseEngine:
         return len(dropped)
 
     def _normalize_matches(self, matches: list[Match]) -> list[Match]:
-        """Strip the internal swap suffix from mirrored symmetric-JOIN matches.
+        """Un-swap mirrored symmetric-JOIN matches: public qid, blocks exchanged.
 
-        Nothing needs de-duplicating: Stage 2 puts the current document on
-        the right of every match, so an un-swapped match has it on the left
-        and shares no :meth:`Match.key` with an original one (a document is
-        not in the join state while it is processed).
+        An un-swapped match stays row-backed: it keeps the mirror's head
+        row and reads it through the mirror's layout with ``lhs`` and
+        ``rhs`` exchanged, resolved once per ``::swap`` key.  Nothing needs
+        de-duplicating: Stage 2 puts the current document on the right of
+        every match, so an un-swapped match has it on the left and shares
+        no :meth:`Match.key` with an original one (a document is not in
+        the join state while it is processed).
         """
+        mirrors = self._mirrors
         for i, match in enumerate(matches):
-            if match.qid.endswith(_SWAP_SUFFIX):
-                matches[i] = Match(
-                    qid=match.qid[: -len(_SWAP_SUFFIX)],
-                    lhs_docid=match.rhs_docid,
-                    rhs_docid=match.lhs_docid,
-                    lhs_timestamp=match.rhs_timestamp,
-                    rhs_timestamp=match.lhs_timestamp,
-                    lhs_bindings=match.rhs_bindings,
-                    rhs_bindings=match.lhs_bindings,
-                    window=match.window,
+            key = match.qid
+            if key.endswith(_SWAP_SUFFIX):
+                mirror = mirrors.get(key)
+                if mirror is None:
+                    mirror = mirrors[key] = (key[: -len(_SWAP_SUFFIX)], match.layout.swapped())
+                qid, layout = mirror
+                matches[i] = Match.from_row(
+                    qid, match.rhs_docid, match.lhs_docid, match.rhs_timestamp,
+                    match.lhs_timestamp, match.window, match.row, layout,
                 )
         return matches
 

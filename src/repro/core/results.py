@@ -46,6 +46,10 @@ class MatchLayout(NamedTuple):
         names = self.names
         return {names[key]: row[position] for position, key in self.rhs}
 
+    def swapped(self) -> "MatchLayout":
+        """The same rows read with the two blocks exchanged (an un-swapped JOIN mirror)."""
+        return self._replace(lhs=self.rhs, rhs=self.lhs)
+
 
 class Match:
     """One query match (an output event of an inter-document query).
@@ -130,7 +134,8 @@ class Match:
 
         ``layout`` is anything with ``lhs_bindings(row)`` and
         ``rhs_bindings(row)`` — a :class:`MatchLayout` on Stage 2's output
-        path; the two dicts are built once, then kept.
+        path and on the process pipe; the two dicts are built once, then
+        kept.
         """
         match = _new(cls)
         match._qid = qid
@@ -152,6 +157,10 @@ class Match:
     rhs_timestamp = property(attrgetter("_rhs_timestamp"))
     window = property(attrgetter("_window"))
     publish_stamp = property(attrgetter("_publish_stamp"))
+    #: The plan's head row and the layout that reads it (both ``None`` for a
+    #: match built from binding dicts).
+    row = property(attrgetter("_row"))
+    layout = property(attrgetter("_layout"))
 
     @property
     def lhs_bindings(self) -> dict[str, int]:

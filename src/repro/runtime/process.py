@@ -17,11 +17,13 @@ out, results merged in shard order — but moves every
   ``register_query``/``deregister_query`` code path), documents cross only
   as the wire's framed ``(text, docid, timestamp, stream)`` records
   (:mod:`repro.runtime.wire`) that the worker engine scans through
-  ``process_document`` / ``process_batch``, and match rows come back in a
-  columnar batch form — a shared value table plus per-match id tuples (see
-  :func:`encode_match_batch`) — re-materialized broker-side, so delivery
-  callbacks and :class:`~repro.pubsub.sinks.DeliverySink` objects fire in
-  the parent and never need to be picklable.
+  ``process_document`` / ``process_batch``.  Each match comes back as
+  the plan's head row it was built from (see :func:`encode_match_batch`),
+  with its query's :class:`~repro.core.results.MatchLayout` shipped once
+  per worker, and is re-materialized broker-side as a row-backed match,
+  so the worker builds no binding dicts, and delivery callbacks and
+  :class:`~repro.pubsub.sinks.DeliverySink` objects fire in the parent
+  and never need to be picklable.
 * Requests and responses are strictly ordered on the pipe, and
   :class:`~repro.runtime.executor.ProcessExecutor` keeps at most one
   request in flight per worker, so responses are matched to requests
@@ -46,8 +48,7 @@ from repro.runtime.wire import decode_document_batch
 __all__ = [
     "ShardWorkerError",
     "ProcessShardHandle",
-    "encode_match",
-    "decode_match",
+    "LayoutTable",
     "encode_match_batch",
     "decode_match_batch",
 ]
@@ -60,65 +61,52 @@ class ShardWorkerError(RuntimeError):
 # --------------------------------------------------------------------- #
 # wire format
 # --------------------------------------------------------------------- #
-def encode_match(match: Match) -> tuple:
-    """Compact wire form of a :class:`Match` (plain tuples, no dataclass)."""
-    return (
-        match.qid,
-        match.lhs_docid,
-        match.rhs_docid,
-        match.lhs_timestamp,
-        match.rhs_timestamp,
-        tuple(match.lhs_bindings.items()),
-        tuple(match.rhs_bindings.items()),
-        match.window,
-    )
+class LayoutTable:
+    """The ``(qid, MatchLayout)`` pairs one worker has shipped to its parent.
 
-
-def decode_match(wire: tuple) -> Match:
-    """Re-materialize a :class:`Match` from its wire form (broker side)."""
-    return Match(
-        qid=wire[0],
-        lhs_docid=wire[1],
-        rhs_docid=wire[2],
-        lhs_timestamp=wire[3],
-        rhs_timestamp=wire[4],
-        lhs_bindings=dict(wire[5]),
-        rhs_bindings=dict(wire[6]),
-        window=wire[7],
-    )
-
-
-def _intern(value, table: list, index: dict) -> int:
-    """Index of ``value`` in the batch value table (appending if new).
-
-    Keys include the concrete type so ``1``/``1.0``/``True`` round-trip
-    exactly; an unhashable value is appended without deduplication.
+    Both ends of a pipe keep one.  The worker keys its entries by
+    ``id(layout)``, each entry ``(slot, layout)``: a layout serves one
+    query id, and holding it keeps its id from being reused while the
+    entry lives.  The parent keys its entries by slot, each entry
+    ``(qid, layout)``.  Slots count up from 0 and are never reused.
+    :meth:`forget` drops a query's entries when it deregisters — its own
+    layout and, for a symmetric JOIN, its mirror's.
     """
-    try:
-        key = (value.__class__, value)
-        slot = index.get(key)
-    except TypeError:
-        table.append(value)
-        return len(table) - 1
-    if slot is None:
-        slot = index[key] = len(table)
-        table.append(value)
-    return slot
+
+    __slots__ = ("entries", "added", "_keys_of")
+
+    def __init__(self):
+        self.entries: dict = {}
+        self.added = 0  # entries ever added: the worker's next slot
+        self._keys_of: dict[str, list] = {}
+
+    def add(self, key, qid: str, entry: tuple) -> None:
+        self.entries[key] = entry
+        self.added += 1
+        self._keys_of.setdefault(qid, []).append(key)
+
+    def forget(self, qid: str) -> None:
+        for key in self._keys_of.pop(qid, ()):
+            del self.entries[key]
 
 
 def encode_match_batch(
     match_lists: Sequence[Sequence[Match]],
     publish_stamps: Optional[Sequence[Optional[float]]] = None,
+    shipped: Optional[LayoutTable] = None,
 ) -> tuple:
-    """Columnar wire form of one batch response (one inner list per document).
+    """Wire form of one batch response (one inner list per document).
 
-    Instead of pickling each match as a self-contained tuple of values
-    (the per-match :func:`encode_match` form), the whole batch shares a
-    single value table: every qid, docid, binding key/value, and window
-    is interned once, and each match becomes a tuple of small integer
-    ids (timestamps stay raw floats).  Because the same qids, docids,
-    and binding keys recur across the matches of a batch, the pickled
-    payload shrinks and the parent re-materializes shared strings once.
+    A row-backed match (:meth:`Match.from_row`) crosses as its plan head
+    row, ``(slot, lhs_docid, rhs_docid, lhs_timestamp, rhs_timestamp,
+    window, row)``, so the worker never builds its binding dicts.  ``slot``
+    names the match's ``(qid, MatchLayout)`` pair; a pair that ``shipped``
+    (the worker's :class:`LayoutTable`) does not hold yet rides inline in
+    this response, once, as ``(slot, qid, layout)``.  Without a table every
+    pair rides inline.  A match built from dicts has no layout: it crosses
+    with slot ``None`` and ``(qid, lhs_bindings, rhs_bindings)`` for a
+    row.  Pickle writes a repeated string object (a qid, a docid) once
+    per payload and keeps ``1``/``1.0``/``True`` exact.
 
     ``publish_stamps`` (metrics mode) carries one broker-side publish
     timestamp per document; :func:`decode_match_batch` re-attaches each
@@ -126,81 +114,74 @@ def encode_match_batch(
     measured at the parent's sinks includes the full worker round-trip.
     A batch processed with metrics off ships ``None`` — zero extra bytes.
     """
-    table: list = []
-    index: dict = {}
+    if shipped is None:
+        shipped = LayoutTable()
+    known = shipped.entries
+    new = []
     counts = []
     rows = []
+    append = rows.append
     for matches in match_lists:
         counts.append(len(matches))
         for m in matches:
-            lhs = m.lhs_bindings
-            rhs = m.rhs_bindings
-            rows.append(
-                (
-                    _intern(m.qid, table, index),
-                    _intern(m.lhs_docid, table, index),
-                    _intern(m.rhs_docid, table, index),
-                    m.lhs_timestamp,
-                    m.rhs_timestamp,
-                    tuple(
-                        _intern(x, table, index)
-                        for kv in lhs.items()
-                        for x in kv
-                    ),
-                    tuple(
-                        _intern(x, table, index)
-                        for kv in rhs.items()
-                        for x in kv
-                    ),
-                    _intern(m.window, table, index),
-                )
-            )
+            layout = m.layout
+            if layout is None:
+                append((
+                    None, m.lhs_docid, m.rhs_docid, m.lhs_timestamp, m.rhs_timestamp,
+                    m.window, (m.qid, m.lhs_bindings, m.rhs_bindings),
+                ))
+                continue
+            entry = known.get(id(layout))
+            if entry is None:
+                entry = (shipped.added, layout)
+                shipped.add(id(layout), m.qid, entry)
+                new.append((entry[0], m.qid, layout))
+            append((
+                entry[0], m.lhs_docid, m.rhs_docid, m.lhs_timestamp, m.rhs_timestamp,
+                m.window, m.row,
+            ))
     if publish_stamps is not None:
         publish_stamps = tuple(publish_stamps)
-    return (table, tuple(counts), rows, publish_stamps)
+    return (new, counts, rows, publish_stamps)
 
 
-class _WireLayout:
-    """Builds a decoded match's bindings from its wire row and the batch's value table."""
+def decode_match_batch(
+    payload: tuple, layouts: Optional[LayoutTable] = None
+) -> list[list[Match]]:
+    """Re-materialize one batch response from its wire form (broker side).
 
-    __slots__ = ("table",)
-
-    def __init__(self, table: list):
-        self.table = table
-
-    def lhs_bindings(self, wire: tuple) -> dict:
-        return self._bindings(wire[5])
-
-    def rhs_bindings(self, wire: tuple) -> dict:
-        return self._bindings(wire[6])
-
-    def _bindings(self, ids: tuple) -> dict:
-        table = self.table
-        return {table[ids[i]]: table[ids[i + 1]] for i in range(0, len(ids), 2)}
-
-
-def decode_match_batch(payload: tuple) -> list[list[Match]]:
-    """Re-materialize one batch response from its columnar wire form.
-
-    Each match is row-backed (:meth:`Match.from_row`): its binding dicts
-    are built from the wire row only when a sink reads them.
+    ``layouts`` is the parent's :class:`LayoutTable` for the worker that
+    sent ``payload``; the layouts riding inline are added to it first.
+    A match that crossed as a row is row-backed (:meth:`Match.from_row`):
+    its binding dicts are built from the row only when a sink reads them.
     """
-    table, counts, rows, publish_stamps = payload
-    layout = _WireLayout(table)
+    new, counts, rows, publish_stamps = payload
+    if layouts is None:
+        layouts = LayoutTable()
+    for slot, qid, layout in new:
+        layouts.add(slot, qid, (qid, layout))
+    known = layouts.entries
     from_row = Match.from_row
     out: list[list[Match]] = []
     cursor = 0
     for doc_index, count in enumerate(counts):
         stamp = publish_stamps[doc_index] if publish_stamps is not None else None
-        out.append(
-            [
-                from_row(
-                    table[wire[0]], table[wire[1]], table[wire[2]], wire[3], wire[4],
-                    table[wire[7]], wire, layout, stamp,
+        matches = []
+        for wire in rows[cursor : cursor + count]:
+            slot, lhs_docid, rhs_docid, lhs_timestamp, rhs_timestamp, window, row = wire
+            if slot is None:  # built from dicts
+                qid, lhs, rhs = row
+                matches.append(
+                    Match(qid, lhs_docid, rhs_docid, lhs_timestamp, rhs_timestamp,
+                          lhs, rhs, window, stamp)
                 )
-                for wire in rows[cursor : cursor + count]
-            ]
-        )
+            else:
+                qid, layout = known[slot]
+                matches.append(
+                    from_row(qid, lhs_docid, rhs_docid, lhs_timestamp, rhs_timestamp,
+                             window, row, layout, stamp)
+                )
+        out.append(matches)
         cursor += count
     return out
 
@@ -208,7 +189,7 @@ def decode_match_batch(payload: tuple) -> list[list[Match]]:
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
-def _dispatch(engine, method: str, args: tuple):
+def _dispatch(engine, method: str, args: tuple, shipped: LayoutTable):
     """Apply one command to the worker's engine."""
     if method == "register":
         qid, query = args
@@ -217,6 +198,7 @@ def _dispatch(engine, method: str, args: tuple):
     if method == "deregister":
         (qid,) = args
         engine.deregister_query(qid)
+        shipped.forget(qid)  # as the handle does once this call returns
         return None
     if method == "prune":
         (min_timestamp,) = args
@@ -226,8 +208,8 @@ def _dispatch(engine, method: str, args: tuple):
     if method == "metrics":
         return engine.metrics_snapshot()
     if method == "output_document":
-        (wire,) = args
-        return engine.output_document(decode_match(wire))
+        (match,) = args
+        return engine.output_document(match)
     if method == "recover_catalog":
         from repro.storage.recovery import recover_engine_catalog
 
@@ -244,7 +226,9 @@ def _dispatch(engine, method: str, args: tuple):
     raise ValueError(f"unknown shard-worker command {method!r}")
 
 
-def _process_wire(engine, method: str, indices, payload: bytes, transport: dict) -> tuple:
+def _process_wire(
+    engine, method: str, indices, payload: bytes, transport: dict, shipped: LayoutTable
+) -> tuple:
     """Decode one wire payload, run its documents, and encode the matches."""
     start = perf_counter()
     records, stamps = decode_document_batch(pickle.loads(payload))
@@ -258,7 +242,7 @@ def _process_wire(engine, method: str, indices, payload: bytes, transport: dict)
         match_lists = [engine.process_document(records[0])]
     else:
         match_lists = engine.process_batch(records)
-    return encode_match_batch(match_lists, stamps)
+    return encode_match_batch(match_lists, stamps, shipped)
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -292,6 +276,7 @@ def _shard_worker_main(
         return
     conn.send((True, "ready"))
     transport = {"decodes": 0, "decode_ms": 0.0}
+    shipped = LayoutTable()
     while True:
         try:
             message = conn.recv()
@@ -309,11 +294,13 @@ def _shard_worker_main(
                     payload = conn.recv_bytes()
                 except (EOFError, OSError):
                     break
-                response = (True, _process_wire(engine, method, args, payload, transport))
+                response = (
+                    True, _process_wire(engine, method, args, payload, transport, shipped)
+                )
             elif method == "transport":
                 response = (True, dict(transport))
             else:
-                response = (True, _dispatch(engine, method, args))
+                response = (True, _dispatch(engine, method, args, shipped))
         except BaseException as exc:
             response = (False, _portable(exc))
         try:
@@ -358,6 +345,7 @@ class ProcessShardHandle:
         self.shard_id = shard_id
         self.num_queries = 0
         self._pending: Optional[str] = None
+        self._layouts = LayoutTable()  # what the worker has shipped, by slot
         ctx = multiprocessing.get_context(_start_method())
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
@@ -413,6 +401,7 @@ class ProcessShardHandle:
 
     def deregister(self, qid: str) -> None:
         self.call("deregister", qid)
+        self._layouts.forget(qid)  # the worker forgot it too
         self.num_queries -= 1
 
     def prune(self, min_timestamp: float) -> int:
@@ -430,7 +419,7 @@ class ProcessShardHandle:
         return self.call("transport")
 
     def output_document(self, match: Match):
-        return self.call("output_document", encode_match(match))
+        return self.call("output_document", match)
 
     # -- recovery plane (see repro.storage.recovery) --------------------- #
     def recover_catalog(self):
@@ -461,7 +450,7 @@ class ProcessShardHandle:
 
     def collect(self):
         method, self._pending = self._pending, None
-        match_lists = decode_match_batch(self._recv())
+        match_lists = decode_match_batch(self._recv(), self._layouts)
         return match_lists[0] if method == "wire_one" else match_lists
 
     def close(self) -> None:
