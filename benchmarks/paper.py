@@ -5,8 +5,8 @@
     python benchmarks/paper.py --smoke          # tiny sizes, timing claims not evaluated
     python benchmarks/paper.py --only fig08,table3
 
-Table 3, figures 8-16 and the graph-minor, view-cache, witness and window
-ablations, one function each; every function returns plain row dicts.
+Table 3, figures 8-16 and the graph-minor, witness and window ablations,
+one function each; every function returns plain row dicts.
 
 * The technical benchmark (Section 6.1: figures 8-15, graph-minor ablation)
   times Stage 2 only.  The witness relations of the two fixed documents are
@@ -15,9 +15,9 @@ ablations, one function each; every function returns plain row dicts.
   :data:`CALLS` calls.  ``process`` does not fold the document into the
   state, so the calls are identical.  The per-phase ``*_ms`` columns are
   means over the timed calls.
-* The RSS benchmark (Section 6.3: figure 16, view-cache and window
-  ablations) streams feed items through a full two-stage engine.  The items
-  are serialized and the queries registered before the clock starts.
+* The RSS benchmark (Section 6.3: figure 16 and the window ablation)
+  streams feed items through a full two-stage engine.  The items are
+  serialized and the queries registered before the clock starts.
 
 Each experiment's shape is stated as claims over its rows (:data:`CLAIMS`),
 each threshold in the claim's text.  An exact claim (Table 3's counts, the
@@ -109,10 +109,9 @@ def feed(num_items: int) -> list[tuple]:
             for doc in generate_rss_stream(RssStreamConfig(num_items=num_items))]
 
 
-def rss(point: dict, approach: str, queries, items: list, view_cache_size=4096) -> dict:
+def rss(point: dict, approach: str, queries, items: list) -> dict:
     """One row: ``items`` streamed through a two-stage engine with ``queries`` registered."""
-    engine = make_engine(config=RuntimeConfig(engine=approach, view_cache_size=view_cache_size,
-                                              store_documents=False, auto_timestamp=False))
+    engine = make_engine(config=RuntimeConfig(engine=approach, store_documents=False, auto_timestamp=False))
     for i, query in enumerate(queries):
         engine.register_query(query, qid=f"q{i}")
     start = time.perf_counter()
@@ -198,14 +197,6 @@ def ablation_graph_minor(num_queries: int = 2000) -> list[dict]:
                                approaches=("mmqjp",), graph_minor=minor)]
 
 
-def ablation_view_cache(cache_sizes=(0, 16, 64, 256, 1024), num_queries: int = 500,
-                        num_items: int = 200) -> list[dict]:
-    """View-cache size sweep on the RSS stream (0: no cache)."""
-    items, queries = feed(num_items), generate_rss_queries(num_queries)
-    return [rss({"cache_size": size}, "mmqjp-vm", queries, items, view_cache_size=size or None)
-            for size in cache_sizes]
-
-
 def ablation_witness(num_queries_list=(10, 100, 1000, 5000)) -> list[dict]:
     """Witness rows shared by every query (binary edges of the document) vs. one
     flat tuple per query per bound variable."""
@@ -229,14 +220,13 @@ def ablation_window(windows=(5.0, 20.0, 80.0, None), num_queries: int = 500, num
 
 EXPERIMENTS = {f.__name__: f for f in (
     table3, fig08, fig09, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
-    ablation_graph_minor, ablation_view_cache, ablation_witness, ablation_window)}
+    ablation_graph_minor, ablation_witness, ablation_window)}
 SMOKE = {
     "fig08": dict(num_queries_list=(5, 20)), "fig09": dict(num_leaves_list=(4, 6), num_queries=20),
     "fig10": dict(zipf_list=(0.0, 1.6), num_queries=20), "fig11": dict(num_queries_list=(5, 20)),
     "fig12": dict(max_value_joins_list=(2, 3), num_queries=20), "fig13": dict(zipf_list=(0.0, 1.6), num_queries=20),
     "fig14": dict(num_queries=50), "fig15": dict(num_queries=50),
     "fig16": dict(num_queries_list=(5, 20), num_items=12), "ablation_graph_minor": dict(num_queries=40),
-    "ablation_view_cache": dict(cache_sizes=(0, 8), num_queries=10, num_items=12),
     "ablation_witness": dict(num_queries_list=(10, 50)),
     "ablation_window": dict(windows=(2.0, None), num_queries=10, num_items=12),
 }
@@ -337,12 +327,6 @@ def minor_no_slower(rows):
     return t[True] <= t[False], {"with/without": ratio(t[True], t[False])}
 
 
-def cache_helps(rows):
-    rate = {r["cache_size"]: r["events_per_s"] for r in rows}
-    gain = ratio(rate[max(rate)], rate[0])
-    return gain > 1, {f"events/s cache {max(rate)} / no cache": gain}
-
-
 def witness_shared(rows):
     shared, flat = {r["shared_rows"] for r in rows}, [r["flat_rows"] for r in rows]
     return len(shared) == 1 and flat == sorted(flat) and flat[-1] > flat[0], {"shared": sorted(shared), "flat": flat}
@@ -366,7 +350,7 @@ CLAIMS = [
     *(Claim((f,), AGREE, True, agreement(key)) for f, key in (
         ("fig08", "num_queries"), ("fig09", "num_leaves"), ("fig10", "zipf"), ("fig11", "num_queries"),
         ("fig12", "max_value_joins"), ("fig13", "zipf"), ("fig14", None), ("fig15", None),
-        ("fig16", "num_queries"), ("ablation_view_cache", None))),
+        ("fig16", "num_queries"))),
     *(Claim((f,), "MMQJP and Sequential are within 3x of each other at the smallest query count, "
               "and MMQJP is at least 10x faster at the top of the sweep", False, sharing_wins)
       for f in ("fig08", "fig11")),
@@ -386,8 +370,6 @@ CLAIMS = [
           "matches", True, minor_shares_more),
     Claim(("ablation_graph_minor",), "with the graph-minor reduction Stage 2 takes no longer than without",
           False, minor_no_slower),
-    Claim(("ablation_view_cache",), "the largest view cache gives more events per second than no cache",
-          False, cache_helps),
     Claim(("ablation_witness",), "the shared witness rows do not grow with the query count; the flat "
           "tuples do", True, witness_shared),
     Claim(("ablation_window",), "a longer window never finds fewer matches", True, window_bounds_matches),

@@ -44,7 +44,6 @@ BATCH_SIZE = 25
 def main() -> None:
     config = RuntimeConfig(
         engine="mmqjp-vm",
-        view_cache_size=1024,
         construct_outputs=False,
         shards=4,
         partitioner="hash",

@@ -71,7 +71,6 @@ _BOOL_FIELDS = ("auto_prune", "auto_timestamp", "construct_outputs", "route_disp
 #: The integer fields (validated in one loop): (name, least value, ``None`` allowed).
 _INT_FIELDS = (
     ("shards", 1, False),
-    ("view_cache_size", 1, True),
     ("stream_history", 0, False),
     ("result_limit", 1, True),
 )
@@ -106,9 +105,6 @@ class RuntimeConfig:
     construct_outputs:
         Build the output XML document for every join match (slower; disable
         for throughput measurements).
-    view_cache_size:
-        Size of the ``RL``-slice view cache for ``"mmqjp-vm"``; ``None``
-        recomputes the views per document without caching.
     stream_history:
         How many recent documents each stream keeps for inspection.
     shards:
@@ -158,7 +154,6 @@ class RuntimeConfig:
     auto_timestamp: bool = True
     store_documents: Optional[bool] = None
     construct_outputs: bool = True
-    view_cache_size: Optional[int] = None
     stream_history: int = 0
     shards: int = 1
     partitioner: Union[str, Any] = "hash"

@@ -18,7 +18,7 @@ from repro.core.costs import CostBreakdown
 from repro.core.state import JoinState
 from repro.core.witnesses import WitnessRelations
 from repro.core.results import Match
-from repro.core.materialize import ViewCache, MaterializedViews, compute_materialized_views
+from repro.core.materialize import MaterializedViews, compute_materialized_views
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from repro.core.relevance import RelevanceIndex
 from repro.core.engine import (
@@ -39,7 +39,6 @@ __all__ = [
     "JoinState",
     "WitnessRelations",
     "Match",
-    "ViewCache",
     "MaterializedViews",
     "compute_materialized_views",
     "MMQJPJoinProcessor",

@@ -25,7 +25,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro.config import ENGINES, RuntimeConfig, as_config
 from repro.core.costs import CostBreakdown
-from repro.core.materialize import ViewCache
 from repro.metrics import MetricsRegistry
 from repro.core.processor import MMQJPJoinProcessor, SequentialJoinProcessor
 from repro.core.results import Match, MatchLayout, build_output_document
@@ -202,14 +201,8 @@ class _BaseEngine:
         if config.engine == "sequential":
             self.processor = SequentialJoinProcessor()
         else:
-            materialize = config.engine == "mmqjp-vm"
-            view_cache = None
-            if materialize and config.view_cache_size is not None:
-                view_cache = ViewCache(max_entries=config.view_cache_size)
             self.processor = MMQJPJoinProcessor(
-                TemplateRegistry(),
-                use_view_materialization=materialize,
-                view_cache=view_cache,
+                TemplateRegistry(), use_view_materialization=config.engine == "mmqjp-vm"
             )
         if self.metrics is not None:
             self.processor.costs.attach_metrics(self.metrics)
@@ -836,29 +829,18 @@ class MMQJPEngine(_BaseEngine):
     Parameters
     ----------
     config:
-        A :class:`~repro.config.RuntimeConfig` carrying every knob
-        (``auto_prune``, ``auto_timestamp``, ``store_documents``,
-        ``view_cache_size``).
-    use_view_materialization:
-        Evaluate the per-template conjunctive queries over the materialized
-        views ``RL`` / ``RR`` (Section 5) instead of the raw witness
-        relations.  Defaults to ``True`` when the config selects the
-        ``"mmqjp-vm"`` engine or sets a ``view_cache_size``.
+        A :class:`~repro.config.RuntimeConfig` carrying every knob.  Its
+        ``engine`` decides whether the per-template conjunctive queries run
+        over the materialized views ``RL`` / ``RR`` (Section 5,
+        ``"mmqjp-vm"``) or the raw witness relations (``"mmqjp"``; a
+        ``"sequential"`` selection also builds this).
     """
 
-    def __init__(
-        self,
-        config: Optional[RuntimeConfig] = None,
-        use_view_materialization: Optional[bool] = None,
-    ):
+    def __init__(self, config: Optional[RuntimeConfig] = None):
         config = as_config(config, "MMQJPEngine")
-        if use_view_materialization is None:
-            use_view_materialization = (
-                config.engine == "mmqjp-vm" or config.view_cache_size is not None
-            )
-        super().__init__(
-            config.replace(engine="mmqjp-vm" if use_view_materialization else "mmqjp")
-        )
+        if config.engine == "sequential":
+            config = config.replace(engine="mmqjp")
+        super().__init__(config)
 
 
 class SequentialEngine(_BaseEngine):
@@ -882,10 +864,9 @@ def make_engine(
     The canonical form is ``make_engine(config)`` (or
     ``make_engine("mmqjp-vm", config)`` to override the selection keyword —
     see :data:`ENGINES`): ``"mmqjp"`` is the paper's system, ``"mmqjp-vm"``
-    adds the Section 5 view materialization (with an optional ``RL``-slice
-    cache), and ``"sequential"`` is the one-query-at-a-time baseline.  This
-    is the single factory behind every shard of :class:`repro.pubsub.Broker`,
-    in process or in a worker.
+    adds the Section 5 view materialization, and ``"sequential"`` is the
+    one-query-at-a-time baseline.  This is the single factory behind every
+    shard of :class:`repro.pubsub.Broker`, in process or in a worker.
 
     ``store`` optionally attaches a :class:`~repro.storage.StateStore` (the
     broker opens one per engine when ``config.storage == "sqlite"``; each
@@ -902,9 +883,7 @@ def make_engine(
     if config.engine == "sequential":
         built = SequentialEngine(config)
     else:
-        # The selection keyword decides view materialization: a plain
-        # "mmqjp" ignores any view_cache_size, "mmqjp-vm" enables it.
-        built = MMQJPEngine(config, use_view_materialization=config.engine == "mmqjp-vm")
+        built = MMQJPEngine(config)
     if store is not None:
         built.attach_store(store)
     return built

@@ -3,7 +3,7 @@
 The paper's Stage 2 is one loop per document — bind the witnesses, pick
 the relevant *units*, evaluate one conjunctive query per unit (Algorithm
 1/4), window-check and convert its rows (Algorithm 3), fold the document
-into the state (Algorithm 2/5) — and :class:`_JoinProcessor` is that loop,
+into the state (Algorithm 2) — and :class:`_JoinProcessor` is that loop,
 written once.  The two public processors differ only in what a unit is:
 
 * :class:`MMQJPJoinProcessor` — a unit is a *query template*: one
@@ -53,12 +53,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from repro.core.costs import CostBreakdown
-from repro.core.materialize import (
-    MaterializedViews,
-    ViewCache,
-    compute_materialized_views,
-    maintain_view_cache,
-)
+from repro.core.materialize import compute_materialized_views
 from repro.core.relevance import RelevanceIndex
 from repro.core.results import Match, MatchLayout
 from repro.core.state import JoinState
@@ -281,7 +276,7 @@ class _JoinProcessor:
         return matches
 
     # ------------------------------------------------------------------ #
-    # Algorithm 2 / Algorithm 5, pruning and retraction of state
+    # Algorithm 2, pruning and retraction of state
     # ------------------------------------------------------------------ #
     def maintain_state(self, witnesses: WitnessRelations) -> None:
         """Fold the current document into the join state."""
@@ -316,9 +311,9 @@ class MMQJPJoinProcessor(_JoinProcessor):
         The :class:`~repro.templates.registry.TemplateRegistry` to evaluate;
         queries it already holds are indexed here, later ones register
         through :meth:`add_query`.
-    use_view_materialization / view_cache:
-        Evaluate over the Section 5 views ``RL`` / ``RR``, optionally
-        caching ``RL`` slices in a :class:`~repro.core.materialize.ViewCache`.
+    use_view_materialization:
+        Evaluate over the Section 5 views ``RL`` / ``RR``, computed for
+        every document a template is relevant to.
     state / plan_cache:
         As for :class:`_JoinProcessor`.
     """
@@ -327,15 +322,12 @@ class MMQJPJoinProcessor(_JoinProcessor):
         self,
         registry: TemplateRegistry,
         state: Optional[JoinState] = None,
-        use_view_materialization: Optional[bool] = None,
-        view_cache: Optional[ViewCache] = None,
+        use_view_materialization: bool = False,
         plan_cache: Optional[PlanCache] = None,
     ):
         super().__init__(state, plan_cache)
         self.registry = registry
         self.use_view_materialization = bool(use_view_materialization)
-        self.view_cache = view_cache
-        self._last_views: Optional[MaterializedViews] = None
         self.templates_skipped = 0
         self._template_units: dict[int, _Unit] = {}
         for record in registry.queries():
@@ -399,53 +391,14 @@ class MMQJPJoinProcessor(_JoinProcessor):
         return out
 
     # ------------------------------------------------------------------ #
-    # Section 5: materialized views and their cache
+    # Section 5: materialized views
     # ------------------------------------------------------------------ #
     def _before_units(self, witnesses: WitnessRelations, relevant: set) -> None:
-        if self.use_view_materialization and (relevant or self.view_cache is not None):
-            # With a view cache the views must be computed even when no
-            # template is relevant: Algorithm 5 folds the current document's
-            # RR slices into cached RL slices, and skipping that would leave
-            # the cache missing this document's rows for future lookups.
+        if self.use_view_materialization and relevant:
             views = compute_materialized_views(
-                self.state, witnesses, view_cache=self.view_cache, costs=self.costs
+                self.state, witnesses, self.env.dictionary, costs=self.costs
             )
-            self._last_views = views
             self.env.bind_all(views.relations())
-
-    def maintain_state(self, witnesses: WitnessRelations) -> None:
-        """Fold the current document into the join state (and the view cache)."""
-        super().maintain_state(witnesses)
-        views, self._last_views = self._last_views, None
-        if self.view_cache is not None and views is not None:
-            with self.costs.measure("state_maintenance"):
-                maintain_view_cache(self.view_cache, views, witnesses.docid)
-
-    def prune_state(self, min_timestamp: float) -> set[str]:
-        """Drop state older than ``min_timestamp`` (documents and cached slices)."""
-        stale = super().prune_state(min_timestamp)
-        if stale and self.view_cache is not None:
-            self.view_cache.remove_documents(stale)
-        return stale
-
-    def drop_variables(self, variables: set[str]) -> int:
-        """Reclaim join-state rows of variables no longer used by any query.
-
-        The view cache (if any) is cleared outright: its ``RL`` slices are
-        value-keyed aggregations over the state rows being dropped, and a
-        stale slice would resurrect retracted rows on a future cache hit.
-        """
-        removed = super().drop_variables(variables)
-        if self.view_cache is not None:
-            self.view_cache.clear()
-        return removed
-
-    def clear_state(self) -> None:
-        """Drop all join state and cached views (last query deregistered)."""
-        super().clear_state()
-        if self.view_cache is not None:
-            self.view_cache.clear()
-        self._last_views = None
 
 
 # --------------------------------------------------------------------------- #

@@ -9,15 +9,15 @@ registered window can never contribute to a future match and may be dropped.
 The state relations are :class:`~repro.relational.relation.PartitionedRelation`
 instances partitioned on ``docid``, so :meth:`JoinState.prune` drops whole
 documents in one dictionary pop per document instead of rewriting every row
-list, and they carry live hash indexes (see
-:meth:`~repro.relational.relation.Relation.index_on`), updated inline on
-every merge and prune.
+list.  Every probe of the state — the compiled plans, the delta reduction
+and the Section 5 views — goes through the id columns and group indexes of
+the relations' column stores (:mod:`repro.relational.columnar`), which the
+processor's evaluation environment attaches.
 """
 
 from __future__ import annotations
 
 from repro.core.witnesses import WitnessRelations
-from repro.relational.index import HashIndex
 from repro.relational.relation import PartitionedRelation, Relation
 from repro.templates.cqt import RELATION_SCHEMAS
 
@@ -106,9 +106,8 @@ class JoinState:
         """Documents with ``timestamp < min_timestamp`` (what :meth:`prune` drops).
 
         Public accessor so the processors can learn which documents a prune
-        is about to remove (e.g. to evict view-cache slices) without
-        reaching into the state relations' rows; pair with
-        :meth:`drop_documents` to avoid computing the set twice.
+        is about to remove without reaching into the state relations' rows;
+        pair with :meth:`drop_documents` to avoid computing the set twice.
         """
         return {d for d, ts in self._timestamps.items() if ts < min_timestamp}
 
@@ -164,14 +163,6 @@ class JoinState:
             "Rvar": self.rvar,
             "RdocTS": self.rdocts,
         }
-
-    def index_on(self, relation_name: str, columns) -> HashIndex:
-        """The live index on ``columns`` of one state relation.
-
-        Consumers outside the conjunctive evaluator (e.g. the Section 5 view
-        materialization) use this to share the state's persistent indexes.
-        """
-        return self.relations()[relation_name].index_on(columns)
 
     def clear(self) -> None:
         """Remove all state (used between benchmark runs)."""

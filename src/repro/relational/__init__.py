@@ -8,11 +8,9 @@ replacement with exactly the pieces the paper needs:
 * :class:`~repro.relational.schema.RelationSchema` and
   :class:`~repro.relational.relation.Relation` — named, typed-by-convention
   relations over Python tuples.
-* :class:`~repro.relational.index.HashIndex` — live hash indexes on
-  attribute subsets, maintained incrementally by their owning relation;
-  used by the Section 5 view materialization and its cache.
 * :mod:`~repro.relational.columnar` — the interned id columns and group
-  indexes every Stage 2 join runs over.
+  indexes every probe of a relation goes through: the compiled plans, the
+  delta reduction and the Section 5 views.
 * :class:`~repro.relational.relation.PartitionedRelation` — a relation
   whose rows are grouped by a partition attribute (``docid`` for the join
   state) so pruning drops whole documents at once.
@@ -34,7 +32,6 @@ replacement with exactly the pieces the paper needs:
 
 from repro.relational.schema import RelationSchema, SchemaError
 from repro.relational.relation import Relation, PartitionedRelation
-from repro.relational.index import HashIndex
 from repro.relational.database import Database, IndexedDatabase
 from repro.relational.terms import Var, Const, term
 from repro.relational.conjunctive import Atom, ConjunctiveQuery, evaluate_conjunctive
@@ -46,7 +43,6 @@ __all__ = [
     "SchemaError",
     "Relation",
     "PartitionedRelation",
-    "HashIndex",
     "Database",
     "IndexedDatabase",
     "Var",

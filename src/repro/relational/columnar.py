@@ -33,10 +33,10 @@ delta-reduction pass touch state only through it:
   equality per key column over every row, with no index to build: what a
   relation that lives for one document costs when its probe is small
   (:data:`SCAN_LIMIT`).
-* :meth:`ColumnStore.positions_of` serves the delta reduction's probes of
-  a handful of ids as dict hits: a one-column group index memoizes a dict
-  from each group's raw id to its run of row positions
-  (:meth:`GroupIndex.lookup`), built once per index build.
+* :meth:`ColumnStore.positions_of` serves the probes of a handful of keys
+  (the delta reduction's, the Section 5 views') as dict hits: a group
+  index memoizes a dict from each group's raw key to its run of row
+  positions (:meth:`GroupIndex.lookup`), built once per index build.
 """
 
 from __future__ import annotations
@@ -251,21 +251,30 @@ class GroupIndex:
         return self.expand(starts, counts)
 
     def lookup(self):
-        """``(slots, positions)`` for dict probes of a one-column index.
+        """``(slots, positions)`` for dict probes of the index.
 
-        ``slots`` maps each group's raw id (not its packed code, which may
-        be a rank) to its ``(start, end)`` run in ``positions``, a list
-        form of :attr:`positions`.  Built on first use, once per index.
+        ``slots`` maps each group's raw key — its id on one column, its
+        tuple of ids on several, never its packed code (which may hold
+        ranks) — to its ``(start, end)`` run in ``positions``, a list form
+        of :attr:`positions`.  Built on first use, once per index.
         """
         if self._lookup is None:
-            keys = self.unique_keys
+            codes = self.unique_keys
             if self.tuples is not None:
-                keys = self.tuples[keys, 0]
-            elif self.ranks is not None:
-                keys = self.ranks[0][keys]
+                cols = [self.tuples[codes, c] for c in range(self.tuples.shape[1])]
+            else:
+                cols = []
+                for c in range(len(self.bases) - 1, 0, -1):  # undo _pack, last column first
+                    codes, digit = np.divmod(codes, self.bases[c])
+                    cols.append(digit)
+                cols.append(codes)
+                cols.reverse()
+                if self.ranks is not None:
+                    cols = [distinct[col] for distinct, col in zip(self.ranks, cols)]
+            keys = cols[0].tolist() if len(cols) == 1 else list(zip(*(col.tolist() for col in cols)))
             starts = self.starts.tolist()
             ends = (self.starts + self.counts).tolist()
-            self._lookup = (dict(zip(keys.tolist(), zip(starts, ends))), self.positions.tolist())
+            self._lookup = (dict(zip(keys, zip(starts, ends))), self.positions.tolist())
         return self._lookup
 
     def expand(self, starts, counts):
@@ -542,19 +551,22 @@ class ColumnStore:
         self.group_builds += 1
         return gi
 
-    def positions_of(self, column: int, ids) -> list:
-        """Ascending positions of the rows whose ``column`` id is in ``ids``.
+    def positions_of(self, columns, keys) -> list:
+        """Ascending positions of the rows whose key on ``columns`` is in ``keys``.
 
-        The delta reduction's probe of a handful of ids: one dict hit per id
-        on the memoized :meth:`GroupIndex.lookup` of the column's group
-        index, shifted past the dropped prefix, plus a scan of the
-        unindexed suffix — no numpy call per id.
+        ``columns`` is one column index, and ``keys`` a set of its ids, or a
+        tuple of column indices, and ``keys`` a set of id tuples.  The probe
+        of a handful of keys (the delta reduction's, the Section 5 views'):
+        one dict hit per key on the memoized :meth:`GroupIndex.lookup` of
+        the columns' group index, shifted past the dropped prefix, plus a
+        scan of the unindexed suffix — no numpy call per key.
         """
-        gi = self.group((column,))
+        key_cols = (columns,) if isinstance(columns, int) else tuple(columns)
+        gi = self.group(key_cols)
         slots, positions = gi.lookup()
         out: list = []
-        for i in ids:
-            run = slots.get(i)
+        for key in keys:
+            run = slots.get(key)
             if run is not None:
                 out.extend(positions[run[0]:run[1]])
         dropped = gi.dropped
@@ -562,8 +574,12 @@ class ColumnStore:
             out = [p - dropped for p in out if p >= dropped]
         built = gi.built_n
         if built < self._n:
-            suffix = self.columns()[column][built:].tolist()
-            out += [p for p, v in enumerate(suffix, built) if v in ids]
+            # the backing buffers, sliced without a numpy call (a frozen
+            # store has only its arrays)
+            cols = self._cols if self._cols is not None else self.columns()
+            cols = [cols[c][built:].tolist() for c in key_cols]
+            suffix = cols[0] if len(cols) == 1 else zip(*cols)
+            out += [p for p, key in enumerate(suffix, built) if key in keys]
         out.sort()
         return out
 

@@ -1,4 +1,4 @@
-"""Relations: a schema plus a bag of tuples, with live hash indexes.
+"""Relations: a schema plus a bag of tuples, mirrored as id columns.
 
 Relations are deliberately simple — a list of plain Python tuples — because
 the join state of the MMQJP engine (``Rbin``, ``Rdoc``, ``RdocTS`` and the
@@ -7,11 +7,12 @@ tuples keep that cheap and keep hashing (for joins and distinct) trivial.
 
 Two features support the incremental join pipeline:
 
-* Every relation carries a **mutation counter** and an attached registry of
-  :class:`~repro.relational.index.HashIndex` objects (:meth:`Relation.index_on`).
-  Indexes are built once per key-column set and then updated inline on
-  every insert and drop.  Wholesale assignment to ``rows`` still leaves
-  them stale until their next :meth:`Relation.index_on`, which rebuilds.
+* Every relation carries a **mutation stamp** and, once bound into an
+  evaluation environment, a column store
+  (:class:`~repro.relational.columnar.ColumnStore`): the interned id
+  columns and group indexes every probe of the relation goes through.  The
+  store encodes appends lazily, mirrors prefix drops and swap-deletes, and
+  re-encodes after any other mutation (:meth:`Relation.column_store`).
 * :class:`PartitionedRelation` additionally groups its rows by one
   partition attribute (``docid`` for the join-state relations), so that
   window pruning can drop all rows of a document in one dictionary pop
@@ -58,7 +59,6 @@ class Relation:
         "_ndv_stamp",
         "_version",
         "_deletes",
-        "_indexes",
         "_colstore",
     )
 
@@ -78,7 +78,6 @@ class Relation:
         self._ndv_stamp = None
         self._version = 0
         self._deletes = 0
-        self._indexes: dict[tuple[int, ...], "HashIndex"] = {}
         self._colstore = None
         self.rows: list[tuple] = []
         for row in rows:
@@ -148,9 +147,6 @@ class Relation:
         self.rows.clear()
         self._version += 1
         self._deletes += 1
-        for index in self._indexes.values():
-            index.clear()
-            index.version = self._version
 
     def extend(self, other: "Relation") -> None:
         """Append all rows of ``other`` (schemas must match exactly)."""
@@ -163,10 +159,10 @@ class Relation:
             self._append(row)
 
     def _append(self, t: tuple) -> None:
-        """Append one validated tuple, keeping indexes and counters current."""
+        """Append one validated tuple, keeping the counters current."""
         counting = self._counting()
         self.rows.append(t)
-        self._row_added(t)
+        self._version += 1
         if counting:
             self._count_in(t)
             self._ndv_stamp = self._stamp()
@@ -174,11 +170,8 @@ class Relation:
     def delete_rows(self, predicate: Callable[[tuple], bool]) -> int:
         """Delete every row for which ``predicate`` (on the raw tuple) is true.
 
-        Returns the number of rows removed.  Indexes that were in sync
-        before the deletion are updated inline (bucket removals
-        proportional to the rows deleted); a stale one keeps relying on the
-        version bump to rebuild on next use.  A deletion that removes nothing leaves the version (and
-        every derived artifact) untouched.
+        Returns the number of rows removed.  A deletion that removes
+        nothing leaves the version (and every derived artifact) untouched.
         """
         kept: list[tuple] = []
         gone: list[tuple] = []
@@ -188,17 +181,11 @@ class Relation:
             return 0
         counting = self._counting()
         self.rows = kept
-        previous = self._version
         self._version += 1
         self._deletes += 1
         if counting:
             self._count_out(gone)
             self._ndv_stamp = self._stamp()
-        if self._indexes:
-            for index in self._indexes.values():
-                if index.version == previous:
-                    index.remove_rows(gone)
-                    index.version = self._version
         return len(gone)
 
     def delete_row(self, row: Sequence) -> bool:
@@ -217,17 +204,11 @@ class Relation:
             self.rows.remove(t)
         except ValueError:
             return False
-        previous = self._version
         self._version += 1
         self._deletes += 1
         if counting:
             self._count_out((t,))
             self._ndv_stamp = self._stamp()
-        if self._indexes:
-            for index in self._indexes.values():
-                if index.version == previous:
-                    index.remove_rows([t])
-                    index.version = self._version
         return True
 
     def swap_delete_at(self, position: int) -> tuple:
@@ -249,65 +230,14 @@ class Relation:
         last = rows.pop()
         if position < len(rows):
             rows[position] = last
-        previous = self._version
         self._version += 1
         self._deletes += 1
         if counting:
             self._count_out((t,))
             self._ndv_stamp = self._stamp()
-        if self._indexes:
-            for index in self._indexes.values():
-                if index.version == previous:
-                    index.remove_row(t)
-                    index.version = self._version
         if store is not None:
             store.swap_delete(position, self._stamp())
         return t
-
-    def _row_added(self, t: tuple) -> None:
-        previous = self._version
-        self._version += 1
-        if self._indexes:
-            for index in self._indexes.values():
-                # Only indexes that were in sync before this mutation are
-                # updated inline; an already-stale index (after a wholesale
-                # ``rows`` assignment) stays stale so index_on() rebuilds it.
-                if index.version == previous:
-                    index.add_row(t)
-                    index.version = self._version
-
-    # ------------------------------------------------------------------ #
-    # live indexes
-    # ------------------------------------------------------------------ #
-    def _resolve_columns(self, columns: Sequence) -> tuple[int, ...]:
-        return tuple(
-            self.schema.index_of(c) if isinstance(c, str) else int(c) for c in columns
-        )
-
-    def index_on(self, columns: Sequence) -> "HashIndex":
-        """Return the live hash index on ``columns`` (names or positions).
-
-        The index is built on first use, memoized per key-column set, and
-        updated inline by subsequent mutations; one left stale by a
-        wholesale ``rows`` assignment is rebuilt here.
-        """
-        from repro.relational.index import HashIndex
-
-        key_cols = self._resolve_columns(columns)
-        index = self._indexes.get(key_cols)
-        if index is None:
-            index = HashIndex(self, key_cols)
-            index.version = self._version
-            self._indexes[key_cols] = index
-        elif index.version != self._version:
-            index.rebuild(self.rows)
-            index.version = self._version
-        return index
-
-    @property
-    def num_indexes(self) -> int:
-        """Number of attached live indexes (stats/tests)."""
-        return len(self._indexes)
 
     # ------------------------------------------------------------------ #
     # the id columns (see repro.relational.columnar)
@@ -379,8 +309,8 @@ class Relation:
     def version(self) -> int:
         """The mutation counter (bumped on every insert/drop/clear).
 
-        Consumers that cache derived artifacts — live indexes, NDV counts,
-        compiled query plans — key their validity checks on this counter.
+        Consumers that cache derived artifacts — NDV counts, compiled query
+        plans — key their validity checks on this counter.
         """
         return self._version
 
@@ -541,8 +471,7 @@ class PartitionedRelation(Relation):
     @rows.setter
     def rows(self, new_rows: list[tuple]) -> None:
         # Wholesale replacement (base-class init and legacy callers): rebuild
-        # the partitions; attached indexes catch up on their next use via the
-        # version bump.
+        # the partitions; a column store re-encodes on its next use.
         self._partitions = {}
         self._flat = []
         self._flat_dirty = False
@@ -579,7 +508,7 @@ class PartitionedRelation(Relation):
         self._size += 1
         if self._ndv_counters:
             self._count_in(t)
-        self._row_added(t)
+        self._version += 1
 
     def clear(self) -> None:
         self._partitions.clear()
@@ -589,9 +518,6 @@ class PartitionedRelation(Relation):
         self._ndv_counters = {}
         self._version += 1
         self._deletes += 1
-        for index in self._indexes.values():
-            index.clear()
-            index.version = self._version
 
     def delete_rows(self, predicate: Callable[[tuple], bool]) -> int:
         """Delete matching rows across all partitions; returns rows removed.
@@ -600,8 +526,7 @@ class PartitionedRelation(Relation):
         partitions emptied by the deletion are dropped and the flat view is
         re-stitched lazily.  NDV counters are decremented per deleted row
         (O(removed), like :meth:`drop_partitions`) instead of being thrown
-        away, and in-sync indexes are updated inline —
-        a probe right after a retraction no longer pays a full rebuild.
+        away.
         """
         removed = 0
         gone: list[tuple] = []
@@ -622,15 +547,9 @@ class PartitionedRelation(Relation):
             del self._partitions[key]
         self._size -= removed
         self._flat_dirty = True
-        previous = self._version
         self._version += 1
         self._deletes += 1
         self._count_out(gone)
-        if self._indexes:
-            for index in self._indexes.values():
-                if index.version == previous:
-                    index.remove_rows(gone)
-                    index.version = self._version
         return removed
 
     def swap_delete_at(self, position: int) -> tuple:
@@ -660,23 +579,16 @@ class PartitionedRelation(Relation):
             del self._partitions[key]
         self._size -= 1
         self._flat_dirty = True
-        previous = self._version
         self._version += 1
         self._deletes += 1
         self._count_out((t,))
-        if self._indexes:
-            for index in self._indexes.values():
-                if index.version == previous:
-                    index.remove_rows([t])
-                    index.version = self._version
         return True
 
     def drop_partitions(self, keys: Iterable[object]) -> int:
         """Drop every row of the given partitions; returns rows removed.
 
-        The cost is proportional to the rows *dropped* (plus their index
-        bucket updates); surviving rows are not
-        touched.  When the dropped rows are exactly the leading rows of the
+        The cost is proportional to the rows *dropped*; surviving rows are
+        not touched.  When the dropped rows are exactly the leading rows of the
         flat view — the oldest documents, as in every in-order window prune
         — the view is sliced in place and an attached columnar sidecar
         drops the same prefix.  Otherwise the view is re-stitched lazily on
@@ -705,20 +617,12 @@ class PartitionedRelation(Relation):
             del self._flat[:removed]
         else:
             self._flat_dirty = True
-        previous = self._version
         self._version += 1
         self._deletes += 1
         if store is not None:
             store.drop_prefix(removed, self._stamp())
         for part in dropped:
             self._count_out(part)
-        if self._indexes:
-            for index in self._indexes.values():
-                if index.version != previous:
-                    continue  # stale already; index_on() will rebuild it
-                for part in dropped:
-                    index.remove_rows(part)
-                index.version = self._version
         return removed
 
     # ------------------------------------------------------------------ #

@@ -125,7 +125,6 @@ CORE_ALL = {
     "JoinState",
     "WitnessRelations",
     "Match",
-    "ViewCache",
     "MaterializedViews",
     "compute_materialized_views",
     "MMQJPJoinProcessor",

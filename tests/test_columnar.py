@@ -426,6 +426,12 @@ def test_positions_of_equals_a_scan_of_the_rows(packing, ops, partitioned):
                 gi = store._groups[(c,)]
                 if len(gi.positions):  # built over rows: packed as asked
                     assert (gi.ranks is not None, gi.tuples is not None) == packed
+            # both columns: keys are id pairs, however the pair packs
+            pairs = frozenset((d.id_of(f"d{a}"), d.id_of(b)) for a in values for b in values)
+            expected = [
+                i for i, row in enumerate(rel.rows) if (d.get_id(row[0]), d.get_id(row[1])) in pairs
+            ]
+            assert store.positions_of((0, 1), pairs) == expected
 
 
 def _brute_pairs(cols, probes) -> list[tuple]:

@@ -32,19 +32,18 @@ def test_config_defaults_are_valid():
         {"engine": "turbo"},
         {"durability": "sometimes"},
         {"shards": 0},
-        {"view_cache_size": 0},
         {"stream_history": -1},
         {"result_limit": 0},
         # integer fields take an int, not a float, a string or a bool
         {"shards": 2.5},
         {"shards": True},
         {"shards": "2"},
-        {"view_cache_size": "8"},
-        {"view_cache_size": 1.0},
         {"stream_history": "2"},
         {"stream_history": False},
+        {"stream_history": 1.5},
         {"result_limit": "16"},
         {"result_limit": True},
+        {"result_limit": 2.0},
         {"executor": "threads"},
         {"partitioner": "round-robin"},
         {"executor": "fibers"},
@@ -54,6 +53,8 @@ def test_config_defaults_are_valid():
         {"auto_prune": 0},
         {"auto_timestamp": None},
         {"storage": "etcd"},
+        # a store path without the SQLite backend would be silently ignored
+        {"storage_path": "broker.sqlite3"},
         {"metrics": 1},
         {"store_documents": "no"},
         {"store_documents": 1},
@@ -65,8 +66,10 @@ def test_config_validation_rejects_bad_values(kwargs):
 
 
 def test_stage_two_has_no_switch_for_how_it_evaluates():
-    assert len(dataclasses.fields(RuntimeConfig)) == 16
-    for removed in ("plan_cache", "prune_dispatch", "delta_join", "columnar", "max_workers"):
+    assert len(dataclasses.fields(RuntimeConfig)) == 15
+    for removed in (
+        "plan_cache", "prune_dispatch", "delta_join", "columnar", "max_workers", "view_cache_size"
+    ):
         with pytest.raises(TypeError):
             RuntimeConfig(**{removed: False})
     engine = make_engine(RuntimeConfig())
@@ -132,6 +135,11 @@ def test_make_engine_accepts_config_and_selection_keyword():
     assert make_engine("sequential", RuntimeConfig(route_dispatch=False)).registry is None
     # the selection keyword overrides the config's engine field
     assert make_engine("mmqjp-vm", RuntimeConfig()).processor.use_view_materialization
+    # the config's engine field alone decides whether MMQJP runs over the views
+    assert MMQJPEngine(RuntimeConfig(engine="mmqjp-vm")).processor.use_view_materialization
+    assert not MMQJPEngine().processor.use_view_materialization
+    with pytest.raises(TypeError):
+        MMQJPEngine(RuntimeConfig(), use_view_materialization=True)
 
 
 def test_engines_carry_their_config():

@@ -53,7 +53,6 @@ def test_equivalence_of_view_materialization_variants():
         generated_script(schema, workload, num_docs=8, pool=3),
         RuntimeConfig(),
         RuntimeConfig(engine="mmqjp-vm"),
-        RuntimeConfig(engine="mmqjp-vm", view_cache_size=32),
     )
 
 

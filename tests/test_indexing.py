@@ -1,11 +1,12 @@
 """The incremental indexed join pipeline.
 
-Covers the three layers the live indexes touch:
+Covers three layers:
 
-* relational — live :class:`HashIndex` maintenance under inserts, partition
-  drops and rebuilds after a wholesale ``rows`` assignment;
-  :class:`PartitionedRelation` semantics; the mutation-counter NDV cache (a
-  prune followed by equal-size inserts must not serve stale estimates).
+* relational — the one state index, a relation's column store probed by
+  :meth:`ColumnStore.positions_of`, live under inserts, partition drops,
+  clears and a wholesale ``rows`` assignment; :class:`PartitionedRelation`
+  semantics; the mutation-counter NDV cache (a prune followed by
+  equal-size inserts must not serve stale estimates).
 * evaluator — compiled plans over an :class:`IndexedDatabase` produce
   exactly what plain per-call hashing does.
 * engine/runtime — any interleaving of ``subscribe`` / ``publish`` /
@@ -31,60 +32,83 @@ from repro.relational import (
     Var,
     evaluate_conjunctive,
 )
+from repro.relational.columnar import ValueDictionary
 from repro.relational.conjunctive import DeltaContext
 from tests import oracle
 from tests.conftest import make_document, make_queries
 from tests.test_oracle_agreement import deliveries, run_script
 
+
 # --------------------------------------------------------------------------- #
-# live indexes on relations
+# the state index: a relation's column store, probed by positions_of
 # --------------------------------------------------------------------------- #
-def test_index_on_is_memoized_and_live_under_inserts():
-    rel = Relation(["docid", "var", "node"], name="Rvar")
+def _bound(rel: Relation) -> Relation:
+    rel.enable_columnar(ValueDictionary())
+    return rel
+
+
+def _rows_with(rel: Relation, column: int, value) -> list[tuple]:
+    """The rows ``positions_of`` finds for ``value`` on ``column``, in row order."""
+    store = rel.column_store()
+    value_id = store.dictionary.get_id(value)
+    if value_id is None:
+        return []
+    return [rel.rows[p] for p in store.positions_of(column, {value_id})]
+
+
+def test_positions_of_is_memoized_and_live_under_inserts():
+    rel = _bound(Relation(["docid", "var", "node"], name="Rvar"))
     rel.insert(("d1", "a", 1))
-    index = rel.index_on(("var",))
-    assert index is rel.index_on(("var",))
-    assert index is rel.index_on(["var"])  # names or positions, same key
-    assert index.lookup("a") == [("d1", "a", 1)]
+    assert _rows_with(rel, 1, "a") == [("d1", "a", 1)]
+    store = rel.column_store()
+    index = store.group((1,))
+    assert store.group((1,)) is index
     rel.insert(("d2", "a", 2))
     rel.insert(("d2", "b", 3))
-    assert index.lookup("a") == [("d1", "a", 1), ("d2", "a", 2)]
-    assert index.lookup("b") == [("d2", "b", 3)]
+    assert rel.column_store() is store
+    assert _rows_with(rel, 1, "a") == [("d1", "a", 1), ("d2", "a", 2)]
+    assert _rows_with(rel, 1, "b") == [("d2", "b", 3)]
+    # the appended rows were scanned, not re-indexed
+    assert store.group((1,)) is index and store.group_builds == 1
 
 
 def test_wholesale_rows_assignment_leaves_index_stale_until_next_use():
-    # A wholesale ``rows`` assignment bypasses incremental maintenance; a
-    # subsequent eager insert must not re-stamp the stale index as current.
-    rel = PartitionedRelation(["docid", "v"], name="p")
+    # A wholesale ``rows`` assignment bypasses incremental maintenance; the
+    # next use must re-encode it, and a later eager insert must not
+    # re-stamp the stale columns as current.
+    rel = _bound(PartitionedRelation(["docid", "v"], name="p"))
     rel.insert(("d1", "a"))
-    index = rel.index_on(("v",))
+    assert _rows_with(rel, 1, "a") == [("d1", "a")]
     rel.rows = [("d1", "a"), ("d2", "b")]
     rel.insert(("d3", "c"))
-    refreshed = rel.index_on(("v",))
-    assert refreshed is index
-    assert index.lookup("b") == [("d2", "b")]
-    assert index.lookup("c") == [("d3", "c")]
+    assert _rows_with(rel, 1, "b") == [("d2", "b")]
+    assert _rows_with(rel, 1, "c") == [("d3", "c")]
+    assert rel.column_store().rebuilds == 1
     rel.drop_partitions({"d2"})
-    assert rel.index_on(("v",)).lookup("b") == []
+    assert _rows_with(rel, 1, "b") == []
+    assert _rows_with(rel, 1, "c") == [("d3", "c")]
 
 
 def test_index_bulk_removal_with_duplicate_rows():
-    rel = PartitionedRelation(["docid", "v"], name="p")
+    rel = _bound(PartitionedRelation(["docid", "v"], name="p"))
     rel.insert_many([("d1", "x"), ("d1", "x"), ("d2", "x"), ("d2", "y")])
-    index = rel.index_on(("v",))
+    assert len(_rows_with(rel, 1, "x")) == 3
     rel.drop_partitions({"d1"})
-    assert index.lookup("x") == [("d2", "x")]
-    assert index.lookup("y") == [("d2", "y")]
+    assert _rows_with(rel, 1, "x") == [("d2", "x")]
+    assert _rows_with(rel, 1, "y") == [("d2", "y")]
+    assert rel.column_store().prefix_drops == 1  # mirrored, not re-encoded
 
 
 def test_index_survives_clear():
-    rel = Relation(["x"], name="r")
+    rel = _bound(Relation(["x"], name="r"))
     rel.insert((1,))
-    index = rel.index_on((0,))
+    assert _rows_with(rel, 0, 1) == [(1,)]
     rel.clear()
-    assert index.lookup(1) == []
+    assert _rows_with(rel, 0, 1) == []
     rel.insert((1,))
-    assert rel.index_on((0,)).lookup(1) == [(1,)]
+    rel.insert((2,))
+    assert _rows_with(rel, 0, 1) == [(1,)]
+    assert _rows_with(rel, 0, 2) == [(2,)]
 
 
 # --------------------------------------------------------------------------- #
@@ -110,14 +134,16 @@ def test_partitioned_relation_flat_view_and_drop():
 
 
 def test_partitioned_drop_updates_live_indexes():
-    rel = PartitionedRelation(["docid", "v"], name="p")
+    rel = _bound(PartitionedRelation(["docid", "v"], name="p"))
     rel.insert_many([("d1", "x"), ("d2", "x"), ("d2", "y")])
-    index = rel.index_on(("v",))
-    assert index.lookup("x") == [("d1", "x"), ("d2", "x")]
+    assert _rows_with(rel, 1, "x") == [("d1", "x"), ("d2", "x")]
+    index = rel.column_store().group((1,))
     rel.drop_partitions({"d1"})
-    assert index.lookup("x") == [("d2", "x")]
+    assert _rows_with(rel, 1, "x") == [("d2", "x")]
     rel.insert(("d3", "x"))
-    assert index.lookup("x") == [("d2", "x"), ("d3", "x")]
+    assert _rows_with(rel, 1, "x") == [("d2", "x"), ("d3", "x")]
+    # the dropped prefix is masked and the appended row scanned: one build
+    assert rel.column_store().group((1,)) is index
 
 
 def test_ndv_cache_keyed_on_mutation_counter():

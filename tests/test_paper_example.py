@@ -21,8 +21,8 @@ from tests.conftest import (
 )
 
 
-def _engine_with_paper_queries(engine_cls, config=None, **kwargs):
-    engine = engine_cls(config, **kwargs)
+def _engine_with_paper_queries(engine_cls, config=None):
+    engine = engine_cls(config)
     from tests.conftest import PAPER_Q1, PAPER_Q2, PAPER_Q3
 
     for qid, text in (("Q1", PAPER_Q1), ("Q2", PAPER_Q2), ("Q3", PAPER_Q3)):
@@ -46,8 +46,9 @@ def test_running_example_matches(engine_cls):
     "engine_kwargs",
     [
         {},
-        {"use_view_materialization": True},
-        {"config": RuntimeConfig(view_cache_size=64)},
+        {"config": RuntimeConfig(engine="mmqjp-vm")},
+        # the throughput setting the paper runner uses: no documents kept
+        {"config": RuntimeConfig(engine="mmqjp-vm", store_documents=False)},
     ],
 )
 def test_running_example_mmqjp_variants(engine_kwargs):

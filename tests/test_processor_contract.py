@@ -1,9 +1,10 @@
 """The Stage 2 processor contract, checked once for every strategy.
 
-``mmqjp`` (templates), ``mmqjp-vm`` (templates over the Section 5 views,
-with and without a view cache) and ``sequential`` (per-query graphs) share
-one skeleton; whatever the engine relies on must hold for all of them, and
-all of them must produce the same matches.
+``mmqjp`` (templates), ``mmqjp-vm`` (templates over the Section 5 views)
+and ``sequential`` (per-query graphs) share one skeleton; whatever the
+engine relies on must hold for all of them, and all of them must produce
+the same matches.  ``mmqjp-vm-ranks`` runs the views with no group index
+packing raw ids, so every state lookup decodes ranks or whole keys.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import pytest
 
 from repro import RuntimeConfig
 from repro.core import MMQJPJoinProcessor, SequentialJoinProcessor, make_engine
-from repro.core.materialize import ViewCache
 from repro.core.state import JoinState
+from repro.relational import columnar
 from repro.templates import TemplateRegistry
 from repro.workloads.querygen import generate_query
 from repro.workloads.synthetic import build_technical_benchmark_data, leaf_variable
@@ -38,18 +39,18 @@ STRATEGIES = {
     "mmqjp-vm": lambda state: MMQJPJoinProcessor(
         TemplateRegistry(), state=state, use_view_materialization=True
     ),
-    "mmqjp-vm-cache": lambda state: MMQJPJoinProcessor(
-        TemplateRegistry(),
-        state=state,
-        use_view_materialization=True,
-        view_cache=ViewCache(max_entries=8),
+    "mmqjp-vm-ranks": lambda state: MMQJPJoinProcessor(
+        TemplateRegistry(), state=state, use_view_materialization=True
     ),
     "sequential": lambda state: SequentialJoinProcessor(state=state),
 }
 
 
 @pytest.fixture(params=list(STRATEGIES))
-def strategy(request):
+def strategy(request, monkeypatch):
+    if request.param == "mmqjp-vm-ranks":
+        # no key of two or more ids packs them raw any more
+        monkeypatch.setattr(columnar, "_PACK_LIMIT", 4)
     return request.param
 
 
@@ -88,7 +89,7 @@ def _keys(matches) -> set:
 ENGINE_CONFIGS = {
     "mmqjp": RuntimeConfig(engine="mmqjp"),
     "mmqjp-vm": RuntimeConfig(engine="mmqjp-vm"),
-    "mmqjp-vm-cache": RuntimeConfig(engine="mmqjp-vm", view_cache_size=8),
+    "mmqjp-vm-ranks": RuntimeConfig(engine="mmqjp-vm"),
     "sequential": RuntimeConfig(engine="sequential"),
 }
 

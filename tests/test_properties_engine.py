@@ -54,10 +54,7 @@ def test_view_materialization_equivalent_to_plain(q_specs, d_specs):
     queries = make_queries(q_specs)
     plain = _run(MMQJPEngine(RuntimeConfig(store_documents=False)), queries, d_specs)
     materialized = _run(
-        MMQJPEngine(
-            RuntimeConfig(view_cache_size=16, store_documents=False),
-            use_view_materialization=True,
-        ),
+        MMQJPEngine(RuntimeConfig(engine="mmqjp-vm", store_documents=False)),
         queries,
         d_specs,
     )

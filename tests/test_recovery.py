@@ -467,8 +467,9 @@ def test_resume_drops_a_snapshot_field_the_config_no_longer_has(tmp_path):
 
 
 def test_a_thread_pool_session_resumes_on_in_process_shards(tmp_path):
-    # Stores written when RuntimeConfig still had executor="threads" and a
-    # max_workers cap: the pool is gone, so the session resumes serial.
+    # Stores written when RuntimeConfig still had executor="threads", a
+    # max_workers cap and a view_cache_size: the pool and the view cache
+    # are gone, so the session resumes serial and the dead fields drop.
     from repro.storage.sqlite import SQLiteStore
 
     memory = RuntimeConfig(
@@ -483,12 +484,13 @@ def test_a_thread_pool_session_resumes_on_in_process_shards(tmp_path):
             broker.subscribe(query, subscription_id=sid)
         out = _publish_all(broker, documents[:4])
     with SQLiteStore(str(tmp_path / "broker.sqlite3")) as store:
-        stale = {"executor": "threads", "max_workers": 2}
+        stale = {"executor": "threads", "max_workers": 2, "view_cache_size": 4096}
         store.set_meta("config", dict(store.get_meta("config"), **stale))
 
     with open_broker(resume_from=str(tmp_path)) as resumed:
         assert resumed.config.executor == "serial" and resumed.num_shards == 2
         assert not hasattr(resumed.config, "max_workers")
+        assert not hasattr(resumed.config, "view_cache_size")
         out.extend(_publish_all(resumed, documents[4:]))
     assert _keys(out) == reference
 

@@ -1,9 +1,10 @@
-"""Cache invalidation under mutation: NDV counters, indexes, column stores.
+"""Cache invalidation under mutation: NDV counters and column stores.
 
 Satellite regression suite for the delete-path bookkeeping: the NDV
-(distinct-count) caches, live :class:`HashIndex` instances and the column
-store must all stay consistent with ``rows`` across arbitrary interleavings
-of ``insert_many`` / ``delete_rows`` / probes.  The second property drives the column store through every
+(distinct-count) caches and the column store (its id columns and the group
+index behind :meth:`ColumnStore.positions_of`) must stay consistent with
+``rows`` across arbitrary interleavings of ``insert_many`` /
+``delete_rows`` / probes.  The second property drives the column store through every
 mutation it mirrors (appends, prefix drops, swap-deletes) and every one it
 does not (predicate deletes, clears, non-leading drops) in random order.
 """
@@ -17,17 +18,6 @@ from repro.relational.columnar import ColumnStore, ValueDictionary
 from repro.relational.relation import PartitionedRelation, Relation
 
 
-def _check_index(relation: Relation, index) -> None:
-    """The index must agree with a from-scratch bucket build over rows."""
-    expected: dict[tuple, list[tuple]] = {}
-    for row in relation.rows:
-        expected.setdefault(index._key(row), []).append(row)
-    for key, rows in expected.items():
-        assert index.lookup_key(key) == rows
-    for key in list(index.keys()):
-        assert index.lookup_key(key) == expected.get(key, [])
-
-
 def _check_ndv(relation: Relation) -> None:
     for c in range(len(relation.schema)):
         assert relation.distinct_count(c) == len({r[c] for r in relation.rows})
@@ -36,14 +26,24 @@ def _check_ndv(relation: Relation) -> None:
 # --------------------------------------------------------------------------- #
 # deterministic regressions
 # --------------------------------------------------------------------------- #
+def _check_positions(relation: Relation, column: int) -> None:
+    """``positions_of`` on ``column`` must agree with a scan of ``rows`` for every value."""
+    store = relation.column_store()
+    d = store.dictionary
+    for value in {row[column] for row in relation.rows}:
+        expected = [p for p, row in enumerate(relation.rows) if row[column] == value]
+        assert store.positions_of(column, {d.get_id(value)}) == expected
+
+
 def test_delete_rows_keeps_live_index_consistent():
     rel = Relation(["a", "b"], rows=[(i % 3, i) for i in range(12)])
-    index = rel.index_on(["a"])
-    assert len(index.lookup(0)) == 4
+    dictionary = ValueDictionary()
+    rel.enable_columnar(dictionary)
+    assert len(rel.column_store().positions_of(0, {dictionary.id_of(0)})) == 4
     rel.delete_rows(lambda row: row[1] < 6)
-    index = rel.index_on(["a"])
-    _check_index(rel, index)
-    assert index.lookup(0) == [(0, 6), (0, 9)]
+    _check_positions(rel, 0)
+    positions = rel.column_store().positions_of(0, {dictionary.id_of(0)})
+    assert [rel.rows[p] for p in positions] == [(0, 6), (0, 9)]
 
 
 def test_delete_rows_refreshes_ndv_cache():
@@ -112,8 +112,9 @@ def test_interleaved_mutation_keeps_all_caches_consistent(ops, partitioned):
         )
     else:
         rel = Relation(["a", "b"], rows=list(model))
-    rel.enable_columnar(ValueDictionary())
-    rel.index_on(["a"])  # force a live index before the interleaving
+    dictionary = ValueDictionary()
+    rel.enable_columnar(dictionary)
+    rel.column_store().positions_of(1, set())  # a group index before the interleaving
 
     for op in ops:
         if op[0] == "insert":
@@ -124,15 +125,14 @@ def test_interleaved_mutation_keeps_all_caches_consistent(ops, partitioned):
             rel.delete_rows(lambda row: row[0] == target)
             model = [row for row in model if row[0] != target]
         else:
-            index = rel.index_on(["b"])
+            positions = rel.column_store().positions_of(1, {dictionary.id_of(op[1])})
             expected = [row for row in model if row[1] == op[1]]
             # Partitioned relations keep rows partition-grouped, so probe
             # results match the model as a multiset, not positionally.
-            assert sorted(index.lookup(op[1])) == sorted(expected)
+            assert sorted(rel.rows[p] for p in positions) == sorted(expected)
 
     assert sorted(rel.rows) == sorted(model)
     _check_ndv(rel)
-    _check_index(rel, rel.index_on(["a"]))
     store = rel.column_store()
     d = store.dictionary
     cols = [list(c) for c in store.columns()]

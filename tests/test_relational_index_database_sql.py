@@ -1,61 +1,78 @@
-"""Unit tests for hash indexes, the catalog and SQL rendering."""
+"""Unit tests for the state index (a relation's column store), the catalog and SQL rendering."""
 
+import numpy as np
 import pytest
 
 from repro.relational import (
     ConjunctiveQuery,
     Const,
     Database,
-    HashIndex,
     Relation,
     SchemaError,
     Var,
     render_sql,
     term,
 )
+from repro.relational.columnar import ValueDictionary
 
 
 # --------------------------------------------------------------------------- #
-# HashIndex
+# the column store as an index: positions_of, probe, group
 # --------------------------------------------------------------------------- #
 @pytest.fixture
 def rdoc() -> Relation:
-    return Relation(
+    rel = Relation(
         ["docid", "node", "strVal"],
         rows=[("d1", 1, "Ada"), ("d1", 2, "Streams"), ("d2", 1, "Ada")],
         name="Rdoc",
     )
+    rel.enable_columnar(ValueDictionary())
+    return rel
+
+
+def _ids(rel: Relation, *values) -> tuple:
+    return tuple(rel.column_store().dictionary.get_id(v) for v in values)
 
 
 def test_index_lookup(rdoc):
-    index = HashIndex(rdoc, ["strVal"])
-    assert len(index.lookup("Ada")) == 2
-    assert index.lookup("nothing") == []
+    store = rdoc.column_store()
+    assert store.positions_of(2, set(_ids(rdoc, "Ada"))) == [0, 2]
+    # a value no row holds was never interned: there is nothing to probe
+    assert _ids(rdoc, "nothing") == (None,)
 
 
 def test_index_composite_key(rdoc):
-    index = HashIndex(rdoc, ["docid", "node"])
-    assert index.lookup("d1", 2) == [("d1", 2, "Streams")]
+    store = rdoc.column_store()
+    assert store.positions_of((0, 1), {_ids(rdoc, "d1", 2)}) == [1]
+    assert store.positions_of((0, 1), {_ids(rdoc, "d2", 2)}) == []
+    assert store.positions_of((0, 1), {_ids(rdoc, "d1", 1), _ids(rdoc, "d2", 1)}) == [0, 2]
 
 
 def test_index_lookup_relation(rdoc):
-    index = HashIndex(rdoc, ["docid"])
-    subset = index.lookup_relation("d1", name="d1-only")
-    assert isinstance(subset, Relation)
-    assert len(subset) == 2
+    # a batch probe pairs each probing row with every row holding its key;
+    # "Ada" is interned but no docid, so its probe row pairs with nothing
+    store = rdoc.column_store()
+    probe = [np.array(_ids(rdoc, "d2", "d1", "Ada"), dtype=np.int64)]
+    probe_idx, row_pos = store.probe((0,), probe)
+    assert list(zip(probe_idx.tolist(), row_pos.tolist())) == [(0, 2), (1, 0), (1, 1)]
 
 
 def test_index_add_row_and_contains(rdoc):
-    index = HashIndex(rdoc, ["strVal"])
-    index.add_row(("d3", 5, "Joins"))
-    assert ("Joins",) in index
-    assert "Ada" in index  # scalar keys are wrapped automatically
-    assert len(index) == 3
+    store = rdoc.column_store()
+    index = store.group((2,))
+    rdoc.insert(("d3", 5, "Joins"))
+    assert rdoc.column_store() is store
+    assert store.positions_of(2, set(_ids(rdoc, "Joins"))) == [3]
+    assert store.positions_of(2, set(_ids(rdoc, "Ada", "Joins"))) == [0, 2, 3]
+    assert store.group((2,)) is index  # the appended row is scanned, not re-indexed
 
 
 def test_index_keys(rdoc):
-    index = HashIndex(rdoc, ["docid"])
-    assert sorted(index.keys()) == [("d1",), ("d2",)]
+    slots, positions = rdoc.column_store().group((0,)).lookup()
+    d1, d2 = _ids(rdoc, "d1", "d2")
+    assert sorted(slots) == sorted([d1, d2])
+    start, end = slots[d1]
+    assert positions[start:end] == [0, 1]
 
 
 # --------------------------------------------------------------------------- #
