@@ -31,17 +31,13 @@ sys.path.insert(0, str(ROOT))
 
 from perf import compare, inputs  # noqa: E402  (read-only; perf.run only in a child)
 
-FLIPS = (("metrics", True), ("route_dispatch", False), ("executor", "serial"),
-         ("durability", "relaxed"))
+FLIPS = (("metrics", True), ("route_dispatch", False), ("executor", "serial"))
 QUIET = 0.05  # deletion candidates move docs_per_s and publish_p50_ms by at most this
 
 
 def applies(flip: tuple, config: tuple) -> bool:
     """Whether ``flip`` changes anything under a workload's own ``config``."""
-    config = dict(config)
-    if flip[0] in ("route_dispatch", "executor"):
-        return config.get("shards", 1) > 1
-    return flip[0] != "durability" or config.get("storage") == "sqlite"
+    return flip[0] not in ("route_dispatch", "executor") or dict(config).get("shards", 1) > 1
 
 
 def label(flip) -> str:

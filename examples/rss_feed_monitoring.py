@@ -46,7 +46,6 @@ def main() -> None:
         engine="mmqjp-vm",
         construct_outputs=False,
         shards=4,
-        partitioner="hash",
         store_documents=False,
     )
     broker = open_broker(config)

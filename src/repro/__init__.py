@@ -34,15 +34,11 @@ User-facing entry points:
 * :mod:`repro.metrics` — the observability layer behind
   ``RuntimeConfig(metrics=True)``: counters, latency histograms with
   p50/p95/p99 tails, per-stage timers and per-subscription delivery lag.
-* :mod:`repro.stress` — the million-user stress harness
-  (:func:`repro.stress.run_stress`) driving ramp/steady/burst/churn phases
-  over the DBLP-style workload of :mod:`repro.workloads.dblp`.
 """
 
 from repro.config import ENGINES, RuntimeConfig
 from repro.core import MMQJPEngine, SequentialEngine, Match
 from repro.metrics import MetricsRegistry
-from repro.stress import StressConfig, run_stress
 from repro.pubsub import (
     BatchingSink,
     Broker,
@@ -83,10 +79,8 @@ __all__ = [
     "MemoryStore",
     "SQLiteStore",
     "RecoveryError",
-    # observability and stress
+    # observability
     "MetricsRegistry",
-    "StressConfig",
-    "run_stress",
     # engines and matches
     "MMQJPEngine",
     "SequentialEngine",

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 __all__ = [
     "ENGINES",
-    "PARTITIONERS",
     "EXECUTORS",
     "STORAGE_BACKENDS",
-    "DURABILITY_MODES",
     "RuntimeConfig",
     "as_config",
 ]
@@ -41,15 +39,10 @@ __all__ = [
 #: :mod:`repro.core.engine` for backward compatibility).
 ENGINES = ("mmqjp", "mmqjp-vm", "sequential")
 
-#: Built-in partitioner keywords (must match
-#: :data:`repro.runtime.partition.PARTITIONERS`).
-PARTITIONERS = ("hash", "least-loaded")
-
 #: Where the shard engines run.  ``"serial"`` keeps them in the broker's
 #: process, called one after another; ``"processes"`` runs each shard engine
 #: in its own long-lived worker process (true CPU parallelism for the
-#: pure-Python engines), constructed in-worker from the pickled config, so
-#: the config must be picklable.
+#: pure-Python engines), constructed in-worker from the pickled config.
 EXECUTORS = ("serial", "processes")
 
 #: State-storage backends (canonical definition; re-exported by
@@ -58,12 +51,6 @@ EXECUTORS = ("serial", "processes")
 #: subscription registry and documents to per-member SQLite files so a
 #: session can be resumed after a crash (``open_broker(resume_from=...)``).
 STORAGE_BACKENDS = ("memory", "sqlite")
-
-#: Durability modes for the ``"sqlite"`` backend: ``"epoch"`` commits every
-#: document epoch before the next document starts; ``"relaxed"`` batches
-#: commits (write-behind) — a crash may lose the most recent epochs but
-#: never tears one.
-DURABILITY_MODES = ("epoch", "relaxed")
 
 #: The fields that are plain switches (validated as ``bool`` in one loop).
 _BOOL_FIELDS = ("auto_prune", "auto_timestamp", "construct_outputs", "route_dispatch", "metrics")
@@ -109,10 +96,8 @@ class RuntimeConfig:
         How many recent documents each stream keeps for inspection.
     shards:
         Number of engine shards the broker drives; ``> 1`` brings in the
-        partitioner and the fan-out router.
-    partitioner:
-        ``"hash"`` (default), ``"least-loaded"``, or a
-        :class:`~repro.runtime.partition.Partitioner` instance.
+        partitioner (all queries of one template on one shard) and the
+        fan-out router.
     executor:
         ``"serial"`` (default: the shard engines live in the broker's
         process and are called in a loop) or ``"processes"`` (one
@@ -129,12 +114,8 @@ class RuntimeConfig:
     storage:
         State-storage backend: ``"memory"`` (default, all state in
         process) or ``"sqlite"`` (durable join state, registry and
-        documents; resumable via ``open_broker(resume_from=...)``).
-    durability:
-        Commit policy of the ``"sqlite"`` backend: ``"epoch"`` (default,
-        one durable commit per document) or ``"relaxed"`` (write-behind
-        batched commits — faster ingest, a crash may lose the most recent
-        epochs but never tears one).
+        documents, one commit per processed document; resumable via
+        ``open_broker(resume_from=...)``).
     storage_path:
         Directory holding the ``"sqlite"`` backend's database files (one
         per broker member: ``broker.sqlite3``, ``shard-N.sqlite3``).
@@ -156,12 +137,10 @@ class RuntimeConfig:
     construct_outputs: bool = True
     stream_history: int = 0
     shards: int = 1
-    partitioner: Union[str, Any] = "hash"
     executor: str = "serial"
     route_dispatch: bool = True
     result_limit: Optional[int] = 1024
     storage: str = "memory"
-    durability: str = "epoch"
     storage_path: Optional[str] = None
     metrics: bool = False
 
@@ -180,10 +159,6 @@ class RuntimeConfig:
                     f"{name} must be an integer >= {least}{' or None' if optional else ''}, "
                     f"got {value!r}"
                 )
-        if isinstance(self.partitioner, str) and self.partitioner not in PARTITIONERS:
-            raise ValueError(
-                f"unknown partitioner {self.partitioner!r}; choose one of {PARTITIONERS}"
-            )
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose one of {EXECUTORS}"
@@ -199,10 +174,6 @@ class RuntimeConfig:
         if self.storage not in STORAGE_BACKENDS:
             raise ValueError(
                 f"unknown storage backend {self.storage!r}; choose one of {STORAGE_BACKENDS}"
-            )
-        if self.durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"unknown durability mode {self.durability!r}; choose one of {DURABILITY_MODES}"
             )
         if self.storage_path is not None and self.storage != "sqlite":
             raise ValueError(

@@ -367,9 +367,8 @@ def snapshot_delta(prev: Optional[dict], cur: dict) -> dict:
     """The metrics accumulated between two snapshots (``cur`` minus ``prev``).
 
     Counters subtract, and histograms subtract bucket-for-bucket with the
-    quantiles recomputed from the difference buckets — this is how the
-    stress harness reports per-phase p50/p95/p99 from one cumulative
-    registry.  ``min_ms``/``max_ms`` cannot be un-merged and are carried
+    quantiles recomputed from the difference buckets — per-phase
+    p50/p95/p99 from one cumulative registry.  ``min_ms``/``max_ms`` cannot be un-merged and are carried
     from ``cur`` (a conservative envelope over the interval).  Gauges and
     the subscription-lag summary are instantaneous views and carried from
     ``cur`` unchanged.  ``prev=None`` returns ``cur`` as-is.

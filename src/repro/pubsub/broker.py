@@ -24,7 +24,8 @@ What differs by topology is derived from the config:
 * With **several shards**, subscriptions are placed by a
   :class:`~repro.runtime.partition.Partitioner` that keeps all queries of
   one template (same CQT) on the same shard, so the paper's template sharing
-  survives inside every shard; by default a
+  survives inside every shard, and puts a new template on the least-loaded
+  shard; by default a
   :class:`~repro.runtime.router.ShardRouter` dispatches each document only
   to the shards hosting templates it can bind (``route_dispatch=False``
   replicates to every shard; the match set is identical either way).
@@ -65,7 +66,7 @@ from repro.pubsub.filters import FilterFrontEnd, deliver_filter_matches
 from repro.pubsub.stream import StreamRegistry
 from repro.pubsub.subscription import Callback, Subscription, SubscriptionResult
 from repro.runtime.executor import ProcessExecutor
-from repro.runtime.partition import make_partitioner, template_key
+from repro.runtime.partition import Partitioner, template_key
 from repro.runtime.process import ProcessShardHandle
 from repro.runtime.router import RoutedQuery, ShardRouter
 from repro.runtime.shard import EngineShard
@@ -104,9 +105,8 @@ class Broker:
     config:
         A :class:`~repro.config.RuntimeConfig` (or an engine-name string as
         shorthand for ``RuntimeConfig(engine=...)``).  ``shards``,
-        ``partitioner``, ``executor`` and ``route_dispatch`` select the
-        runtime topology; the remaining fields configure every
-        shard engine identically.
+        ``executor`` and ``route_dispatch`` select the runtime topology;
+        the remaining fields configure every shard engine identically.
     """
 
     def __init__(self, config: Union[RuntimeConfig, str, None] = None):
@@ -126,9 +126,7 @@ class Broker:
         # Durable storage: one registry store for the broker plus one state
         # store per shard ("memory" attaches nothing anywhere).
         self.storage, self.storage_path = resolve_storage(config)
-        self._store = open_member_store(
-            self.storage, self.storage_path, "broker", config.durability
-        )
+        self._store = open_member_store(self.storage, self.storage_path, "broker")
         sharded = config.is_sharded
         # Encode-once transport (process runtime only): each published
         # document/batch is serialized exactly once into the reusable wire
@@ -156,10 +154,7 @@ class Broker:
                     make_engine(
                         shard_config,
                         store=open_member_store(
-                            self.storage,
-                            self.storage_path,
-                            f"shard-{shard_id}",
-                            config.durability,
+                            self.storage, self.storage_path, f"shard-{shard_id}"
                         ),
                     ),
                 )
@@ -173,9 +168,7 @@ class Broker:
                 shard.engine.set_match_filter(self._match_deliverable)
         #: The engine of the one in-process shard; ``None`` in any other topology.
         self.engine = None if sharded or self._wire_enabled else self.shards[0].engine
-        self._partitioner = (
-            make_partitioner(config.partitioner, config.shards) if sharded else None
-        )
+        self._partitioner = Partitioner(config.shards) if sharded else None
         self._router = ShardRouter() if sharded and config.route_dispatch else None
         self._shard_of: Optional[dict[str, Union[EngineShard, ProcessShardHandle]]] = (
             {} if sharded else None
@@ -204,30 +197,15 @@ class Broker:
     def _spawn_process_shards(self, shard_config: RuntimeConfig) -> list[ProcessShardHandle]:
         """Start one worker process per shard and return their handles.
 
-        The worker engines are built from the pickled shard config
-        (executor and partitioner are broker-level concerns, so they are
-        normalized to plain keywords first).
+        The worker engines are built from the pickled shard config (the
+        executor is a broker-level concern, so the workers see ``"serial"``).
         """
-        worker_config = shard_config.replace(executor="serial", partitioner="hash")
-        try:
-            config_bytes = pickle.dumps(worker_config)
-        except Exception as exc:
-            raise ValueError(
-                "executor='processes' builds the shard engines in worker "
-                "processes, which requires a picklable RuntimeConfig; "
-                f"this one does not pickle: {exc}"
-            ) from exc
+        config_bytes = pickle.dumps(shard_config.replace(executor="serial"))
         handles: list[ProcessShardHandle] = []
         try:
             for shard_id in range(shard_config.shards):
                 handles.append(
-                    ProcessShardHandle(
-                        shard_id,
-                        config_bytes,
-                        self.storage,
-                        self.storage_path,
-                        shard_config.durability,
-                    )
+                    ProcessShardHandle(shard_id, config_bytes, self.storage, self.storage_path)
                 )
         except BaseException:
             for handle in handles:
@@ -334,7 +312,7 @@ class Broker:
         built.  Replay passes the ``recorded_shard``: each shard's persisted
         join state reflects the queries it owned, so a join subscription
         must return to its recorded placement rather than re-run the
-        partitioner (a load-sensitive strategy could choose differently
+        partitioner (its load-sensitive rule could choose differently
         after churn); the partitioner's template map and load accounting
         are restored alongside, so later placements stay cohesive.
         Callbacks and sinks are process-local and cannot be recovered;

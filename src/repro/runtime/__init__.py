@@ -11,8 +11,8 @@ broker's process, called in a loop, or one per worker process.
 
 * :mod:`~repro.runtime.shard` — one engine shard: the seam between the
   broker and an engine, in process or (same surface) in a worker.
-* :mod:`~repro.runtime.partition` — hash-by-template and least-loaded
-  placement strategies.
+* :mod:`~repro.runtime.partition` — template-cohesive placement: a new
+  template goes to the least-loaded shard.
 * :mod:`~repro.runtime.executor` — pipelined dispatch to process shards:
   every worker's request is written before any reply is read.
 * :mod:`~repro.runtime.process` — the process runtime: one engine per
@@ -26,24 +26,13 @@ broker's process, called in a loop, or one per worker process.
 from repro.runtime.executor import ProcessExecutor
 from repro.runtime.process import ProcessShardHandle, ShardWorkerError
 from repro.runtime.router import ShardRouter
-from repro.runtime.partition import (
-    PARTITIONERS,
-    HashTemplatePartitioner,
-    LeastLoadedPartitioner,
-    Partitioner,
-    make_partitioner,
-    template_key,
-)
+from repro.runtime.partition import Partitioner, template_key
 from repro.runtime.shard import EngineShard
 
 __all__ = [
     "ShardedBroker",
     "EngineShard",
     "Partitioner",
-    "HashTemplatePartitioner",
-    "LeastLoadedPartitioner",
-    "PARTITIONERS",
-    "make_partitioner",
     "template_key",
     "ProcessExecutor",
     "ProcessShardHandle",

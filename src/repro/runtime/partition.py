@@ -1,32 +1,26 @@
-"""Subscription partitioning strategies for the sharded runtime.
+"""Template-cohesive placement of join subscriptions on engine shards.
 
 A :class:`Partitioner` decides which engine shard owns a newly registered
-join subscription.  The one invariant every strategy must uphold is
-*template cohesion*: queries that canonicalize to the same CQT (the same
-query template, Section 4 of the paper) must land on the same shard —
-otherwise the massive sharing that makes MMQJP fast is destroyed by the
-sharding that was meant to scale it.  Both built-in strategies therefore
-key their decisions on the :func:`template key
+join subscription.  The one invariant it upholds is *template cohesion*:
+queries that canonicalize to the same CQT (the same query template,
+Section 4 of the paper) land on the same shard — otherwise the massive
+sharing that makes MMQJP fast is destroyed by the sharding that was meant
+to scale it.  Placement is therefore keyed on the :func:`template key
 <repro.templates.template.reduced_graph_signature>` of the query's reduced
-join graph, and remember the first placement of every key.
+join graph, and the first placement of every key is remembered.
 
 Cohesion needs only that the key is *invariant*: isomorphic reduced graphs
 (one template) always have equal keys.  Two different templates may share
 a key — the degree signature does not separate every pair — and then they
 simply share a shard, which costs balance, never correctness.
 
-* :class:`HashTemplatePartitioner` — a deterministic digest of the template
-  key modulo the shard count.  Stateless placement: two brokers with the
-  same shard count agree on every assignment.
-* :class:`LeastLoadedPartitioner` — a new template goes to the shard with
-  the fewest subscriptions so far; balances skewed template populations
-  (Zipf workloads concentrate most queries in few templates).
+A new key goes to the shard with the fewest subscriptions so far (the
+lowest shard id on a tie), so templates of equal population spread evenly.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Optional, Union
+from typing import Optional
 
 from repro.templates.join_graph import JoinGraph
 from repro.templates.minor import reduce_join_graph
@@ -45,10 +39,7 @@ def template_key(query: XsclQuery) -> tuple:
 
 
 class Partitioner:
-    """Base class: template-cohesive placement of subscriptions on shards."""
-
-    #: Keyword under which the strategy is selectable (``partitioner=...``).
-    name = "base"
+    """Template-cohesive placement: a new template goes to the least-loaded shard."""
 
     def __init__(self, num_shards: int):
         if num_shards < 1:
@@ -68,7 +59,7 @@ class Partitioner:
             key = template_key(query)
         shard = self._assigned.get(key)
         if shard is None:
-            shard = self._place(key)
+            shard = min(range(self.num_shards), key=self.loads.__getitem__)
             self._assigned[key] = shard
         self.loads[shard] += 1
         return shard
@@ -76,8 +67,8 @@ class Partitioner:
     def release(self, shard: int) -> None:
         """Account for one retracted subscription that lived on ``shard``.
 
-        Decrements that shard's load so load-balancing strategies see the
-        true population under subscribe/cancel churn.  Takes the shard, which
+        Decrements that shard's load so later placements see the true
+        population under subscribe/cancel churn.  Takes the shard, which
         the broker already remembers per subscription, rather than the
         query: re-deriving the template key would reduce the join graph
         again on every cancel.  The template → shard assignment itself is
@@ -93,11 +84,11 @@ class Partitioner:
         """Force ``query``'s template onto ``shard`` (crash-recovery replay).
 
         Recovery must reproduce the crashed session's recorded placements —
-        per-shard join state is placement-dependent, and a load-sensitive
-        strategy replaying only the surviving subscriptions could place a
-        template differently.  Updates the load accounting like a normal
-        :meth:`shard_for` call, so post-recovery placements balance against
-        the true population.  ``key`` is as in :meth:`shard_for`.
+        per-shard join state is placement-dependent, and replaying only the
+        surviving subscriptions could place a template differently.
+        Updates the load accounting like a normal :meth:`shard_for` call,
+        so post-recovery placements balance against the true population.
+        ``key`` is as in :meth:`shard_for`.
         """
         if not 0 <= shard < self.num_shards:
             raise ValueError(
@@ -106,9 +97,6 @@ class Partitioner:
         self._assigned[template_key(query) if key is None else key] = shard
         self.loads[shard] += 1
 
-    def _place(self, key: tuple) -> int:
-        raise NotImplementedError
-
     @property
     def num_template_keys(self) -> int:
         """Distinct template keys seen so far."""
@@ -116,51 +104,4 @@ class Partitioner:
 
     def stats(self) -> dict:
         """Placement statistics for broker dashboards."""
-        return {
-            "partitioner": self.name,
-            "loads": list(self.loads),
-            "num_template_keys": self.num_template_keys,
-        }
-
-
-class HashTemplatePartitioner(Partitioner):
-    """Deterministic hash of the template key modulo the shard count."""
-
-    name = "hash"
-
-    def _place(self, key: tuple) -> int:
-        digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.num_shards
-
-
-class LeastLoadedPartitioner(Partitioner):
-    """New templates go to the currently least-subscribed shard."""
-
-    name = "least-loaded"
-
-    def _place(self, key: tuple) -> int:
-        return min(range(self.num_shards), key=lambda s: self.loads[s])
-
-
-#: Keyword -> strategy class.
-PARTITIONERS = {
-    HashTemplatePartitioner.name: HashTemplatePartitioner,
-    LeastLoadedPartitioner.name: LeastLoadedPartitioner,
-}
-
-
-def make_partitioner(spec: Union[str, Partitioner], num_shards: int) -> Partitioner:
-    """Resolve a partitioner keyword (or pass through an instance)."""
-    if isinstance(spec, Partitioner):
-        if spec.num_shards != num_shards:
-            raise ValueError(
-                f"partitioner is configured for {spec.num_shards} shards, "
-                f"the broker has {num_shards}"
-            )
-        return spec
-    cls = PARTITIONERS.get(spec)
-    if cls is None:
-        raise ValueError(
-            f"unknown partitioner {spec!r}; choose one of {sorted(PARTITIONERS)}"
-        )
-    return cls(num_shards)
+        return {"loads": list(self.loads), "num_template_keys": self.num_template_keys}

@@ -260,7 +260,6 @@ def _shard_worker_main(
     shard_id: int,
     storage: str,
     storage_path: Optional[str],
-    durability: str,
 ) -> None:
     """Entry point of one worker process: build the engine, serve commands."""
     from repro.core.engine import make_engine
@@ -268,7 +267,7 @@ def _shard_worker_main(
 
     try:
         config = pickle.loads(config_bytes)
-        store = open_member_store(storage, storage_path, f"shard-{shard_id}", durability)
+        store = open_member_store(storage, storage_path, f"shard-{shard_id}")
         engine = make_engine(config=config, store=store)
     except BaseException as exc:
         conn.send((False, _portable(exc)))
@@ -340,7 +339,6 @@ class ProcessShardHandle:
         config_bytes: bytes,
         storage: str,
         storage_path: Optional[str],
-        durability: str,
     ):
         self.shard_id = shard_id
         self.num_queries = 0
@@ -350,7 +348,7 @@ class ProcessShardHandle:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, config_bytes, shard_id, storage, storage_path, durability),
+            args=(child_conn, config_bytes, shard_id, storage, storage_path),
             daemon=True,
             name=f"repro-shard-{shard_id}",
         )

@@ -116,7 +116,7 @@ class EngineShard:
         return self.engine.metrics_snapshot()
 
     def close(self) -> None:
-        """Close this shard's engine (flushes an attached state store)."""
+        """Close this shard's engine (and its attached state store)."""
         self.engine.close()
 
     def __repr__(self) -> str:

@@ -52,7 +52,7 @@ def open_broker(
 
     Returns a :class:`repro.pubsub.Broker`, which supports the
     context-manager protocol (``close()`` flushes every subscription's
-    delivery sinks, flushes and closes the state stores, and shuts down any
+    delivery sinks, closes the state stores, and shuts down any
     worker processes).
     """
     if resume_from is not None:

@@ -1,6 +1,6 @@
 """repro.storage — durable, pluggable state backends.
 
-The subsystem behind ``RuntimeConfig(storage=..., durability=...)``:
+The subsystem behind ``RuntimeConfig(storage=...)``:
 
 * :class:`StateStore` — the protocol every backend implements: atomic
   per-document *epochs* over the stable join-state relations, a persisted
@@ -28,7 +28,6 @@ import tempfile
 from typing import Optional
 
 from repro.storage.base import (
-    DURABILITY_MODES,
     STABLE_RELATIONS,
     STORAGE_BACKENDS,
     MemoryStore,
@@ -40,7 +39,6 @@ from repro.storage.sqlite import SQLiteStore
 
 __all__ = [
     "STORAGE_BACKENDS",
-    "DURABILITY_MODES",
     "STABLE_RELATIONS",
     "StateStore",
     "MemoryStore",
@@ -65,12 +63,7 @@ def resolve_storage(config) -> tuple[str, Optional[str]]:
     return storage, path
 
 
-def open_member_store(
-    storage: str,
-    path: Optional[str],
-    member: str,
-    durability: str = "epoch",
-) -> Optional[StateStore]:
+def open_member_store(storage: str, path: Optional[str], member: str) -> Optional[StateStore]:
     """Open the state store of one broker member, or ``None`` for memory.
 
     ``member`` names the database file inside the storage directory:
@@ -88,4 +81,4 @@ def open_member_store(
     if path is None:
         raise ValueError("storage='sqlite' needs a storage directory")
     os.makedirs(path, exist_ok=True)
-    return SQLiteStore(os.path.join(path, f"{member}.sqlite3"), durability=durability)
+    return SQLiteStore(os.path.join(path, f"{member}.sqlite3"))

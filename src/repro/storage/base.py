@@ -24,14 +24,8 @@ a crash:
 Writes are grouped into *epochs*: one epoch per processed document,
 bracketed by :meth:`StateStore.begin_epoch` / :meth:`StateStore.commit_epoch`.
 An epoch is atomic — a crash between ``begin`` and ``commit`` leaves no
-trace of the document (no torn state across the four relations).  The
-``durability`` mode decides when an epoch becomes durable:
-
-* ``"epoch"`` — every commit is durable before the next document starts;
-* ``"relaxed"`` — commits are write-behind: epochs accumulate in one open
-  transaction and are made durable every few epochs and on
-  :meth:`StateStore.flush` / :meth:`StateStore.close`.  A crash can lose
-  the most recent epochs but never tears one.
+trace of the document (no torn state across the four relations), and
+every commit is durable before the next document starts.
 
 Every store carries a **fault-injection hook** (:attr:`StateStore.fault_hook`)
 called at each named write point; a hook that raises simulates a crash
@@ -43,11 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from repro.config import DURABILITY_MODES, STORAGE_BACKENDS
+from repro.config import STORAGE_BACKENDS
 
 __all__ = [
     "STORAGE_BACKENDS",
-    "DURABILITY_MODES",
     "STABLE_RELATIONS",
     "SubscriptionRecord",
     "StoredDocument",
@@ -105,9 +98,6 @@ class StateStore:
     #: executes.  Raising from the hook simulates a crash at that point; the
     #: open epoch is rolled back.
     fault_hook: Optional[Callable[[str], None]] = None
-
-    #: Durability mode of this store (``"epoch"`` or ``"relaxed"``).
-    durability: str = "epoch"
 
     def _fault(self, point: str) -> None:
         if self.fault_hook is not None:
@@ -239,11 +229,8 @@ class StateStore:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def flush(self) -> None:
-        """Make every buffered write durable (no-op under ``"epoch"``)."""
-
     def close(self) -> None:
-        """Flush and release the store.  Idempotent."""
+        """Release the store (an open epoch is aborted).  Idempotent."""
 
     def __enter__(self) -> "StateStore":
         return self
@@ -313,12 +300,7 @@ class MemoryStore(StateStore):
     without touching disk.
     """
 
-    def __init__(self, durability: str = "epoch"):
-        if durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"unknown durability mode {durability!r}; choose one of {DURABILITY_MODES}"
-            )
-        self.durability = durability
+    def __init__(self):
         #: Committed partitions: relation -> docid -> list of rows.
         self._state: dict[str, dict[str, list[tuple]]] = {
             name: {} for name in STABLE_RELATIONS

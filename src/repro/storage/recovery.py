@@ -79,19 +79,11 @@ class RecoveryError(RuntimeError):
 def config_snapshot(config: RuntimeConfig) -> dict:
     """The JSON-serializable view of a config persisted in the broker store.
 
-    ``storage_path`` is omitted (the snapshot lives *inside* that
-    directory; recovery re-supplies it), and pluggable instances
-    (partitioner objects) degrade to their keyword names.
+    ``storage_path`` is omitted: the snapshot lives *inside* that
+    directory, and recovery re-supplies it.
     """
-    out: dict = {}
-    for field in dataclasses.fields(config):
-        if field.name == "storage_path":
-            continue
-        value = getattr(config, field.name)
-        if value is None or isinstance(value, (str, int, float, bool)):
-            out[field.name] = value
-        else:
-            out[field.name] = getattr(value, "name", str(value))
+    out = dataclasses.asdict(config)
+    del out["storage_path"]
     return out
 
 

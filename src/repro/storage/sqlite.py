@@ -9,9 +9,8 @@ the affected rows.  Alongside the state live the ``documents`` table (the
 serialized source XML), the ``subscriptions`` registry, the variable
 ``catalog`` and a small JSON ``meta`` key/value table.
 
-Registration writes are deltas, each durable when it returns (under
-``"relaxed"``, buffered epochs are committed first).  A subscribe is
-one ``INSERT`` into the broker store's ``subscriptions`` (the row carries
+Registration writes are deltas, each durable when it returns.  A subscribe
+is one ``INSERT`` into the broker store's ``subscriptions`` (the row carries
 the auto-id counter); a cancel is one ``DELETE`` (the cancel of the newest
 row keeps its counter in ``meta`` within the same transaction).  A shard
 store is written at a subscribe or a cancel only when something it keeps
@@ -24,11 +23,8 @@ Write shape follows the engine's epoch protocol: one SQLite transaction per
 document epoch, rows written with ``executemany`` (one batched statement per
 relation per document).  The database runs in WAL mode with
 ``synchronous=NORMAL`` — readers never block the writer, and an OS-level
-crash preserves every committed transaction.  ``durability="relaxed"``
-keeps one transaction open across epochs and commits every
-:data:`RELAXED_COMMIT_EVERY` documents (and on flush/close), trading a
-bounded window of recent epochs for near-memory ingest speed; a crash still
-never tears an epoch, because the whole open transaction rolls back.
+crash preserves every committed transaction.  A crash inside an epoch
+rolls its transaction back, so it never tears a document.
 
 Connections are opened with ``check_same_thread=False`` so that a session
 opened on one thread may be driven from another (a broker handed to a
@@ -44,7 +40,6 @@ import sqlite3
 from typing import Iterable, Optional
 
 from repro.storage.base import (
-    DURABILITY_MODES,
     STABLE_RELATIONS,
     StateStore,
     StoredDocument,
@@ -52,11 +47,7 @@ from repro.storage.base import (
 )
 from repro.templates.cqt import RELATION_SCHEMAS
 
-__all__ = ["SQLiteStore", "RELAXED_COMMIT_EVERY", "sql_type_of"]
-
-#: Under ``durability="relaxed"``, commit the open transaction every this
-#: many document epochs (and on flush/close).
-RELAXED_COMMIT_EVERY = 32
+__all__ = ["SQLiteStore", "sql_type_of"]
 
 
 def sql_type_of(column: str) -> str:
@@ -89,13 +80,8 @@ _IN_CHUNK = 500
 class SQLiteStore(StateStore):
     """A :class:`~repro.storage.base.StateStore` on one SQLite database file."""
 
-    def __init__(self, path: str, durability: str = "epoch"):
-        if durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"unknown durability mode {durability!r}; choose one of {DURABILITY_MODES}"
-            )
+    def __init__(self, path: str):
         self.path = path
-        self.durability = durability
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -106,9 +92,7 @@ class SQLiteStore(StateStore):
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._in_transaction = False
         self._epoch_open = False
-        self._epochs_pending = 0
         self.epochs_committed = 0
         self._create_tables()
 
@@ -159,36 +143,18 @@ class SQLiteStore(StateStore):
     def _do_begin_epoch(self, docid: str) -> None:
         if self._epoch_open:
             raise RuntimeError("an epoch is already open; commit or abort it first")
-        if not self._in_transaction:
-            self._connection().execute("BEGIN")
-            self._in_transaction = True
+        self._connection().execute("BEGIN")
         self._epoch_open = True
 
     def _do_commit_epoch(self) -> None:
+        self._connection().execute("COMMIT")
         self._epoch_open = False
         self.epochs_committed += 1
-        if self.durability == "epoch":
-            self._commit_transaction()
-        else:
-            self._epochs_pending += 1
-            if self._epochs_pending >= RELAXED_COMMIT_EVERY:
-                self._commit_transaction()
 
     def _do_abort_epoch(self) -> None:
-        # Rolls back the whole open transaction: under "relaxed" this also
-        # discards earlier not-yet-committed epochs, which is exactly the
-        # mode's contract (recent epochs may be lost, none is ever torn).
-        self._epoch_open = False
-        if self._in_transaction:
+        if self._epoch_open:
+            self._epoch_open = False
             self._connection().execute("ROLLBACK")
-            self._in_transaction = False
-            self._epochs_pending = 0
-
-    def _commit_transaction(self) -> None:
-        if self._in_transaction:
-            self._connection().execute("COMMIT")
-            self._in_transaction = False
-            self._epochs_pending = 0
 
     # ------------------------------------------------------------------ #
     # join state
@@ -222,10 +188,8 @@ class SQLiteStore(StateStore):
                     f'DELETE FROM "{relation}" WHERE docid IN ({marks})', chunk
                 )
             conn.execute(f"DELETE FROM documents WHERE docid IN ({marks})", chunk)
-        self._autocommit()
 
     def _do_delete_variables(self, variables: set[str]) -> None:
-        self._commit_pending()
         conn = self._connection()
         dead = sorted(variables)
         for start in range(0, len(dead), _IN_CHUNK):
@@ -238,26 +202,15 @@ class SQLiteStore(StateStore):
             conn.execute(f'DELETE FROM "Rvar" WHERE var IN ({marks})', chunk)
 
     def _do_clear_state(self) -> None:
-        self._commit_pending()
         conn = self._connection()
         for relation in STABLE_RELATIONS:
             conn.execute(f'DELETE FROM "{relation}"')
         conn.execute("DELETE FROM documents")
 
-    def _autocommit(self) -> None:
-        """Commit a standalone (outside-epoch) write under ``"epoch"`` durability.
-
-        Inside an open epoch/relaxed transaction the write simply joins it —
-        deletions issued mid-epoch (auto-prune) stay atomic with the epoch.
-        """
-        if self._in_transaction and not self._epoch_open and self.durability == "epoch":
-            self._commit_transaction()
-
     # ------------------------------------------------------------------ #
     # registry / catalog / meta (durable when they return)
     # ------------------------------------------------------------------ #
     def _do_save_subscription(self, record: SubscriptionRecord) -> None:
-        self._commit_pending()
         self._connection().execute(
             "INSERT OR REPLACE INTO subscriptions (sid, seq, query, kind, shard, id_counter) "
             "VALUES (?, ?, ?, ?, ?, ?)",
@@ -272,7 +225,6 @@ class SQLiteStore(StateStore):
         )
 
     def _do_remove_subscription(self, subscription_id: str, id_counter: Optional[int]) -> None:
-        self._commit_pending()
         conn = self._connection()
         if id_counter is None:
             conn.execute("DELETE FROM subscriptions WHERE sid = ?", (subscription_id,))
@@ -298,7 +250,6 @@ class SQLiteStore(StateStore):
     def _do_save_catalog_entries(self, entries: list[tuple[str, str, str]]) -> None:
         if not entries:
             return
-        self._commit_pending()
         self._connection().executemany(
             "INSERT OR REPLACE INTO catalog (name, stream, path) VALUES (?, ?, ?)",
             entries,
@@ -312,7 +263,7 @@ class SQLiteStore(StateStore):
         )
 
     def _do_set_meta(self, key: str, value) -> None:
-        self._commit_pending()  # inside an epoch, the value joins it
+        # Inside an epoch the value joins it; outside, it commits on its own.
         self._connection().execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             (key, json.dumps(value)),
@@ -323,17 +274,6 @@ class SQLiteStore(StateStore):
             "SELECT value FROM meta WHERE key = ?", (key,)
         ).fetchone()
         return default if row is None else json.loads(row[0])
-
-    def _commit_pending(self) -> None:
-        """Make buffered relaxed epochs durable before a write outside an epoch.
-
-        Registration order must never run ahead of the state it refers to,
-        and a registration is durable when it returns: registry, catalog,
-        meta and retraction writes first flush any open write-behind
-        transaction, then commit on their own.
-        """
-        if self._in_transaction and not self._epoch_open:
-            self._commit_transaction()
 
     # ------------------------------------------------------------------ #
     # recovery readers
@@ -362,19 +302,10 @@ class SQLiteStore(StateStore):
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def flush(self) -> None:
-        if self._conn is None:
-            return
-        if self._epoch_open:
-            raise RuntimeError("cannot flush with an open epoch")
-        self._commit_transaction()
-
     def close(self) -> None:
         if self._conn is None:
             return
-        if self._epoch_open:
-            self.abort_epoch()
-        self._commit_transaction()
+        self.abort_epoch()
         self._conn.close()
         self._conn = None
 
@@ -384,4 +315,4 @@ class SQLiteStore(StateStore):
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
-        return f"<SQLiteStore {self.path!r} durability={self.durability!r} {state}>"
+        return f"<SQLiteStore {self.path!r} {state}>"

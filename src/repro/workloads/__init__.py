@@ -10,8 +10,7 @@
 * :mod:`~repro.workloads.rss` — a simulated RSS/Atom feed stream standing in
   for the proprietary crawl used in Section 6.3.
 * :mod:`~repro.workloads.dblp` — a DBLP-style bibliography stream (venues as
-  streams, Zipf entity reuse) driving the million-user stress harness
-  (:mod:`repro.stress`).
+  streams, Zipf entity reuse) with a large subscription population.
 """
 
 from repro.workloads.zipf import ZipfSampler

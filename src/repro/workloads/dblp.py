@@ -1,8 +1,8 @@
-"""A DBLP-style publication stream for the million-user stress harness.
+"""A DBLP-style publication stream with a large subscription population.
 
 DBLP is the classic bibliography corpus: articles carrying authors, a
 title and a venue.  This module generates a synthetic stand-in with the
-statistical properties the stress workload depends on:
+statistical properties a many-subscriber workload depends on:
 
 * **venues as streams** — each article is published on its venue's stream
   (``venue0``, ``venue1``, ...), and subscriptions name venue streams in
@@ -18,7 +18,7 @@ Subscriptions come in a small number of *shapes* (structural classes) —
 coauthor alerts, cross-venue title echoes, author+title trackers — so the
 template registry collapses the whole population onto a handful of
 templates no matter how many subscriptions are live, which is precisely
-the paper's scaling claim the stress harness exercises.
+the paper's scaling claim.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.xmlmodel.document import XmlDocument
 class DblpWorkloadConfig:
     """Parameters of the synthetic DBLP stream and subscription population.
 
-    The defaults are sized for the stress harness: enough venues that
+    The defaults are sized for a large population: enough venues that
     per-venue routing matters, enough authors that author joins are
     selective, and Zipf skews (``theta``) matching the heavy-tailed reuse
     a real bibliography shows.
@@ -170,9 +170,8 @@ def generate_dblp_subscription(
 ) -> str:
     """Generate one subscription query string (shape cycles, venues Zipf).
 
-    Returns query *text*: the stress harness registers hundreds of
-    thousands of these, and the broker parses them on subscribe exactly as
-    real subscribers would submit them.
+    Returns query *text*: the broker parses it on subscribe exactly as a
+    real subscriber's submission.
     """
     shape = index % NUM_SHAPES
     venue = config.venue_stream(venue_sampler.sample() - 1)

@@ -14,9 +14,10 @@ same scan with every leaf run inert and every event dropped.
 The scanner accepts exactly the XML subset of the original recursive
 parser (:class:`repro.xmlmodel.parser._Parser`, kept as the reference
 implementation for differential tests): elements, attributes, character
-data, CDATA, comments, a prolog/DOCTYPE before the root, the five
-predefined entities and the ``<!ENTITY name "literal">`` declarations of a
-DOCTYPE internal subset (undeclared names stay verbatim).  Error messages
+data, CDATA, comments, a prolog/DOCTYPE before the root, decimal and hex
+character references, the five predefined entities and the ``<!ENTITY name
+"literal">`` declarations of a DOCTYPE internal subset (undeclared names
+stay verbatim).  Error messages
 and reported positions are identical — property tests assert parity on
 malformed inputs.
 """
@@ -52,10 +53,12 @@ _DOCTYPE_RE = re.compile(
     re.DOTALL,
 )
 _ENTITY_DECL_RE = re.compile(r"<!ENTITY\s+([A-Za-z_][\w.\-:]*)\s+([\"'])(.*?)\2\s*>", re.S)
-#: Entity references are decoded in a single pass: ``&amp;quot;`` is one
-#: ``&amp;`` followed by literal ``quot;`` and must decode to ``&quot;``,
-#: never to ``"`` (the sequential str.replace implementation double-decoded).
-_ENTITY_RE = re.compile(r"&([A-Za-z_][\w.\-:]*);")
+#: Entity and character references are decoded in a single pass:
+#: ``&amp;quot;`` is one ``&amp;`` followed by literal ``quot;`` and must
+#: decode to ``&quot;``, never to ``"`` (the sequential str.replace
+#: implementation double-decoded).  Group 1 is a decimal code point, group 2
+#: a hex one, group 3 an entity name.
+_ENTITY_RE = re.compile(r"&(?:#([0-9]+)|#x([0-9A-Fa-f]+)|([A-Za-z_][\w.\-:]*));")
 _ENTITY_CHARS = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
@@ -63,11 +66,34 @@ class XmlParseError(ValueError):
     """Raised when the input text is not well-formed (for the supported subset)."""
 
 
+def _is_xml_char(code: int) -> bool:
+    """Whether ``code`` is in XML 1.0's ``Char`` production (section 2.2)."""
+    return (
+        code in (0x9, 0xA, 0xD)
+        or 0x20 <= code <= 0xD7FF
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    )
+
+
 def _unescape(text: str, entities: dict[str, str] = _ENTITY_CHARS) -> str:
-    """Decode the references ``entities`` names; any other stays verbatim."""
+    """Decode character references and the entities ``entities`` names.
+
+    Any other entity reference stays verbatim; a character reference to a
+    code point XML does not allow raises :class:`XmlParseError`.
+    """
     if "&" not in text:
         return text
-    return _ENTITY_RE.sub(lambda m: entities.get(m.group(1), m.group(0)), text)
+
+    def decode(m: "re.Match[str]") -> str:
+        if m.group(3) is not None:
+            return entities.get(m.group(3), m.group(0))
+        code = int(m.group(1)) if m.group(1) is not None else int(m.group(2), 16)
+        if not _is_xml_char(code):
+            raise XmlParseError(f"character reference {m.group(0)} is not an XML character")
+        return chr(code)
+
+    return _ENTITY_RE.sub(decode, text)
 
 
 def skip_doctype(text: str, pos: int) -> tuple[int, dict[str, str]] | None:
@@ -257,8 +283,12 @@ class XmlScanner:
                     if leaf_match is not None:
                         m = leaf_match(text, pos)
                         if m:
-                            emit_leaves(text, pos, m.end(), entities)
-                            pos = m.end()
+                            end = m.end()
+                            if text.find("&#", pos, end) >= 0:
+                                # a run's text may go unread, not unchecked
+                                _unescape(text[pos:end])
+                            emit_leaves(text, pos, end, entities)
+                            pos = end
                             continue
                     break  # a child element; the outer loop parses its start tag
                 elif text.startswith("<!--", pos):

@@ -48,8 +48,6 @@ def test_flips_apply_only_where_the_spec_config_lets_them_act():
         expected = set(universal)
         if name == "topic_fanout_proc2":
             expected |= {"route_dispatch", "executor"}
-        if name == "durable_churn":
-            expected.add("durability")
         assert applied == expected, name
     assert ("executor", "serial") in ablation.FLIPS
     assert ablation.applies(("executor", "serial"), (("shards", 2),))
@@ -63,7 +61,7 @@ def test_flips_apply_only_where_the_spec_config_lets_them_act():
 
 
 def test_verdicts_and_ranking_from_fabricated_records():
-    flips = [("route_dispatch", False), ("auto_prune", False), ("metrics", True), ("durability", "relaxed")]
+    flips = [("route_dispatch", False), ("auto_prune", False), ("metrics", True), ("executor", "serial")]
     records = {}
     for workload in ("w1", "w2"):
         records[(workload, "default")] = runs(BASE_DOCS)
@@ -77,13 +75,13 @@ def test_verdicts_and_ranking_from_fabricated_records():
         )
         # priced at zero everywhere: the same values, in another order
         records[(workload, "metrics=True")] = runs(BASE_DOCS[2:] + BASE_DOCS[:2])
-        # durability=relaxed applies to neither: no runs, so n/a
+        # executor=serial applies to neither: no runs, so n/a
 
     rows = ablation.rows_of(records, ["w1", "w2"], flips, METRICS)
     cells = {(row["workload"], row["flip"]): row for row in rows}
     assert len(rows) == 8
-    assert cells[("w1", "durability=relaxed")] == {
-        "workload": "w1", "flip": "durability=relaxed", "verdict": "n/a"
+    assert cells[("w1", "executor=serial")] == {
+        "workload": "w1", "flip": "executor=serial", "verdict": "n/a"
     }
     slow = cells[("w1", "route_dispatch=False")]["metrics"]
     assert slow["docs_per_s"]["verdict"] == "regressed"

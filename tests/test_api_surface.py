@@ -44,10 +44,8 @@ REPRO_ALL = {
     "MemoryStore",
     "SQLiteStore",
     "RecoveryError",
-    # observability and stress
+    # observability
     "MetricsRegistry",
-    "StressConfig",
-    "run_stress",
     # engines and matches
     "MMQJPEngine",
     "SequentialEngine",
@@ -81,10 +79,6 @@ RUNTIME_ALL = {
     "ShardedBroker",
     "EngineShard",
     "Partitioner",
-    "HashTemplatePartitioner",
-    "LeastLoadedPartitioner",
-    "PARTITIONERS",
-    "make_partitioner",
     "template_key",
     "ProcessExecutor",
     "ProcessShardHandle",
@@ -95,17 +89,14 @@ RUNTIME_ALL = {
 #: The config names no environment variable: no resolver helpers.
 CONFIG_ALL = {
     "ENGINES",
-    "PARTITIONERS",
     "EXECUTORS",
     "STORAGE_BACKENDS",
-    "DURABILITY_MODES",
     "RuntimeConfig",
     "as_config",
 }
 
 STORAGE_ALL = {
     "STORAGE_BACKENDS",
-    "DURABILITY_MODES",
     "STABLE_RELATIONS",
     "StateStore",
     "MemoryStore",

@@ -29,9 +29,8 @@ RUNTIMES = [(1, "serial"), (1, "processes"), (2, "serial"), (2, "processes")]
 def _open(shards: int, executor: str, **knobs):
     return open_broker(
         RuntimeConfig(
-            shards=shards,
+            shards=shards,  # two templates -> one per shard
             executor=executor,
-            partitioner="least-loaded",  # two templates -> one per shard
             construct_outputs=False,
             **knobs,
         )

@@ -10,7 +10,6 @@ from repro import Broker, MMQJPEngine, RuntimeConfig, SequentialEngine, open_bro
 from repro.config import (
     ENGINES,
     EXECUTORS,
-    PARTITIONERS,
     as_config,
 )
 from repro.core.engine import make_engine
@@ -30,7 +29,6 @@ def test_config_defaults_are_valid():
     "kwargs",
     [
         {"engine": "turbo"},
-        {"durability": "sometimes"},
         {"shards": 0},
         {"stream_history": -1},
         {"result_limit": 0},
@@ -45,7 +43,6 @@ def test_config_defaults_are_valid():
         {"result_limit": True},
         {"result_limit": 2.0},
         {"executor": "threads"},
-        {"partitioner": "round-robin"},
         {"executor": "fibers"},
         {"route_dispatch": 1},
         # every switch is type-checked, store_documents included
@@ -66,9 +63,10 @@ def test_config_validation_rejects_bad_values(kwargs):
 
 
 def test_stage_two_has_no_switch_for_how_it_evaluates():
-    assert len(dataclasses.fields(RuntimeConfig)) == 15
+    assert len(dataclasses.fields(RuntimeConfig)) == 13
     for removed in (
-        "plan_cache", "prune_dispatch", "delta_join", "columnar", "max_workers", "view_cache_size"
+        "plan_cache", "prune_dispatch", "delta_join", "columnar", "max_workers", "view_cache_size",
+        "durability", "partitioner",
     ):
         with pytest.raises(TypeError):
             RuntimeConfig(**{removed: False})
@@ -78,11 +76,9 @@ def test_stage_two_has_no_switch_for_how_it_evaluates():
 
 def test_config_keyword_tuples_match_canonical_definitions():
     from repro.core.engine import ENGINES as ENGINE_NAMES
-    from repro.runtime.partition import PARTITIONERS as PART_NAMES
 
     assert tuple(ENGINES) == tuple(ENGINE_NAMES)
     assert EXECUTORS == ("serial", "processes")
-    assert set(PARTITIONERS) == set(PART_NAMES)
 
 
 def test_store_documents_resolution_rule():

@@ -258,7 +258,7 @@ COAUTHOR = "S//blog->b[.//author->a] FOLLOWED BY{a=a, 50} S//blog->b[.//author->
 
 @pytest.mark.parametrize("shards", (1, 2))
 def test_brokers_report_the_delta_counters(shards):
-    config = RuntimeConfig(shards=shards, partitioner="least-loaded", construct_outputs=False)
+    config = RuntimeConfig(shards=shards, construct_outputs=False)
     with open_broker(config) as broker:
         broker.subscribe(TRACKER)
         broker.subscribe(COAUTHOR)

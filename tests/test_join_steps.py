@@ -243,7 +243,7 @@ TRACKER = (
 
 def _plan_stats(shards: int, executor: str) -> dict:
     config = RuntimeConfig(
-        shards=shards, executor=executor, partitioner="least-loaded", construct_outputs=False
+        shards=shards, executor=executor, construct_outputs=False
     )
     with open_broker(config) as broker:
         broker.subscribe(TRACKER)

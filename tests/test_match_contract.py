@@ -199,7 +199,7 @@ def test_wire_round_trip_of_engine_matches():
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_output_documents_are_those_of_eager_matches(shards):
-    config = RuntimeConfig(shards=shards, partitioner="least-loaded", construct_outputs=True)
+    config = RuntimeConfig(shards=shards, construct_outputs=True)
     with open_broker(config) as broker:
         for qid, text in QUERIES.items():
             broker.subscribe(text, subscription_id=qid, window_symbols=PAPER_WINDOWS)

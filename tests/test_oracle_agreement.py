@@ -274,8 +274,9 @@ def test_the_oracle_imports_nothing_it_checks():
     assert "repro.xscl.parse_query" in names  # subscription text goes through the real parser
 
 
-#: Two templates (two join predicates, one), which the least-loaded
-#: partitioner puts on different shards; the third document matches both.
+#: Two templates (two join predicates, one), which the partitioner puts on
+#: different shards (a new template goes to the least-loaded one); the
+#: third document matches both.
 SPLIT = [
     ("q1", PAPER_Q1),
     ("by_author", "S//blog->b[.//author->a] FOLLOWED BY{a=a, 10} S//blog->b[.//author->a]"),
@@ -293,7 +294,6 @@ def test_a_text_document_has_one_docid_on_every_shard(executor, batched):
     config = RuntimeConfig(
         shards=2,
         executor=executor,
-        partitioner="least-loaded",
         stream_history=len(SPLIT_TEXTS),
         construct_outputs=False,
     )

@@ -3,7 +3,7 @@
 The oracle throughout is *restart equivalence*: a broker that publishes,
 closes (or crashes), and resumes must produce exactly the same match set on
 the remaining documents as a broker that never restarted — across engines,
-shard counts, the default/ablation knob matrix and relaxed durability.  The PR-4 retraction
+shard counts and the default/ablation knob matrix.  The retraction
 machinery supplies the adversarial case: cancel-before-crash leaves a
 registry whose naive replay would re-derive *different* canonical variable
 names than the persisted state rows use.
@@ -36,8 +36,8 @@ Q_FILTER = "S//book->x1[.//publisher->x9]"
 CONFIG_MATRIX = [
     RuntimeConfig(construct_outputs=False, auto_timestamp=False),
     RuntimeConfig.ablation(construct_outputs=False, auto_timestamp=False, shards=1),
-    # write-behind commits: the durable run must still match the memory one
-    RuntimeConfig(construct_outputs=False, auto_timestamp=False, durability="relaxed"),
+    # outputs are built from stored documents, which the resumed session reloads
+    RuntimeConfig(auto_timestamp=False),
 ]
 
 
@@ -55,6 +55,11 @@ def _keys(deliveries):
         (d.subscription_id, d.match.key() if d.match is not None else d.document.docid)
         for d in deliveries
     )
+
+
+def _outputs(deliveries):
+    """The constructed output documents, order-insensitive."""
+    return sorted(to_xml(d.output) for d in deliveries if d.output is not None)
 
 
 def _publish_all(broker, documents):
@@ -75,12 +80,17 @@ def _reference_run(config, documents, queries):
 
 @pytest.mark.parametrize("engine", ["mmqjp", "mmqjp-vm", "sequential"])
 @pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("base", CONFIG_MATRIX, ids=["default", "ablation", "relaxed"])
+@pytest.mark.parametrize("base", CONFIG_MATRIX, ids=["default", "ablation", "outputs"])
 def test_restart_equivalence(engine, shards, base, tmp_path):
     config = base.replace(engine=engine, shards=shards)
     queries = [("qa", Q_AUTHOR), ("qc", Q_CAT)]
     documents = _docs(4)
-    reference = _reference_run(config, documents, queries)
+    with open_broker(config) as broker:
+        for sid, query in queries:
+            broker.subscribe(query, subscription_id=sid)
+        delivered = _publish_all(broker, documents)
+    reference, outputs = _keys(delivered), _outputs(delivered)
+    assert bool(outputs) == config.construct_outputs
 
     durable = config.replace(storage="sqlite", storage_path=str(tmp_path))
     first = open_broker(durable)
@@ -95,6 +105,7 @@ def test_restart_equivalence(engine, shards, base, tmp_path):
     resumed.close()
 
     assert _keys(out) == reference
+    assert _outputs(out) == outputs
 
 
 def test_recovery_after_cancellation_churn(tmp_path):
@@ -468,8 +479,12 @@ def test_resume_drops_a_snapshot_field_the_config_no_longer_has(tmp_path):
 
 def test_a_thread_pool_session_resumes_on_in_process_shards(tmp_path):
     # Stores written when RuntimeConfig still had executor="threads", a
-    # max_workers cap and a view_cache_size: the pool and the view cache
-    # are gone, so the session resumes serial and the dead fields drop.
+    # max_workers cap, a view_cache_size, a durability mode and a
+    # partitioner: the pool, the view cache, the write-behind mode and the
+    # hash rule are gone, so the session resumes serial and the dead
+    # fields drop.
+    import dataclasses
+
     from repro.storage.sqlite import SQLiteStore
 
     memory = RuntimeConfig(
@@ -483,14 +498,31 @@ def test_a_thread_pool_session_resumes_on_in_process_shards(tmp_path):
         for sid, query in queries:
             broker.subscribe(query, subscription_id=sid)
         out = _publish_all(broker, documents[:4])
+        placed = {sid: broker.shard_of(sid) for sid, _ in queries}
+    assert placed == {"qa": 0, "qc": 0}  # one template, on the least-loaded shard
+    # A placement the least-loaded rule would not make (as the hash rule
+    # could): swap the two shard stores and their recorded shard ids.
+    for suffix in ("", "-wal", "-shm"):
+        zero, one = (tmp_path / f"shard-{i}.sqlite3{suffix}" for i in (0, 1))
+        if zero.exists():
+            zero.rename(tmp_path / "swap")
+            one.rename(zero)
+            (tmp_path / "swap").rename(one)
     with SQLiteStore(str(tmp_path / "broker.sqlite3")) as store:
-        stale = {"executor": "threads", "max_workers": 2, "view_cache_size": 4096}
+        stale = {
+            "executor": "threads", "max_workers": 2, "view_cache_size": 4096,
+            "durability": "relaxed", "partitioner": "hash",
+        }
         store.set_meta("config", dict(store.get_meta("config"), **stale))
+        for record in store.subscriptions():
+            store.save_subscription(dataclasses.replace(record, shard=1 - record.shard))
 
     with open_broker(resume_from=str(tmp_path)) as resumed:
         assert resumed.config.executor == "serial" and resumed.num_shards == 2
-        assert not hasattr(resumed.config, "max_workers")
-        assert not hasattr(resumed.config, "view_cache_size")
+        assert not any(hasattr(resumed.config, field) for field in stale if field != "executor")
+        assert {sid: resumed.shard_of(sid) for sid in placed} == {
+            sid: 1 - shard for sid, shard in placed.items()
+        }
         out.extend(_publish_all(resumed, documents[4:]))
     assert _keys(out) == reference
 

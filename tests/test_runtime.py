@@ -1,7 +1,7 @@
 """Tests for the parallel runtime (`repro.runtime`) under the broker.
 
 The central property mirrors the engine-equivalence suite: partitioning the
-subscription workload across shards — any shard count, any partitioner, any
+subscription workload across shards — any shard count, any
 executor — must not change the match set produced for a document stream.
 """
 
@@ -14,10 +14,8 @@ from repro.core import EngineStats, CostBreakdown, SequentialEngine, merge_engin
 from repro.pubsub import Broker
 from repro.runtime import (
     EngineShard,
-    HashTemplatePartitioner,
-    LeastLoadedPartitioner,
+    Partitioner,
     ProcessExecutor,
-    make_partitioner,
     template_key,
 )
 from repro.workloads.querygen import QueryWorkloadConfig, generate_queries
@@ -76,10 +74,9 @@ def test_template_key_invariant_under_variable_renaming():
     assert template_key(a) == template_key(b)
 
 
-@pytest.mark.parametrize("strategy", ["hash", "least-loaded"])
-def test_partitioners_keep_templates_together(strategy, rss_workload):
+def test_partitioner_keeps_templates_together(rss_workload):
     queries, _ = rss_workload
-    partitioner = make_partitioner(strategy, 4)
+    partitioner = Partitioner(4)
     by_key: dict[tuple, set[int]] = {}
     for query in queries:
         shard = partitioner.shard_for(query)
@@ -91,15 +88,15 @@ def test_partitioners_keep_templates_together(strategy, rss_workload):
     assert partitioner.num_template_keys == len(by_key)
 
 
-def test_hash_partitioner_is_deterministic(rss_workload):
+def test_partitioner_is_deterministic(rss_workload):
     queries, _ = rss_workload
-    a = HashTemplatePartitioner(4)
-    b = HashTemplatePartitioner(4)
+    a = Partitioner(4)
+    b = Partitioner(4)
     assert [a.shard_for(q) for q in queries] == [b.shard_for(q) for q in queries]
 
 
-def test_least_loaded_partitioner_balances():
-    partitioner = LeastLoadedPartitioner(3)
+def test_partitioner_puts_a_new_template_on_the_least_loaded_shard():
+    partitioner = Partitioner(3)
     # Three structurally different RSS queries -> three distinct templates.
     texts = [
         "S//item->i[.//title->t] FOLLOWED BY{t=t, 5} S//item->i[.//title->t]",
@@ -115,7 +112,7 @@ def test_least_loaded_partitioner_balances():
 
 
 def test_partitioner_release_takes_the_shard_not_the_query():
-    partitioner = LeastLoadedPartitioner(2)
+    partitioner = Partitioner(2)
     query = parse_query(CROSS_POST)
     shard = partitioner.shard_for(query)
     assert partitioner.loads[shard] == 1
@@ -127,13 +124,11 @@ def test_partitioner_release_takes_the_shard_not_the_query():
     assert partitioner.shard_for(query) == shard
 
 
-def test_make_partitioner_validation():
-    with pytest.raises(ValueError):
-        make_partitioner("round-robin", 2)
-    with pytest.raises(ValueError):
-        make_partitioner(HashTemplatePartitioner(2), 4)  # shard-count mismatch
-    inst = LeastLoadedPartitioner(2)
-    assert make_partitioner(inst, 2) is inst
+def test_partitioner_validation():
+    with pytest.raises(ValueError, match="at least one shard"):
+        Partitioner(0)
+    with pytest.raises(ValueError, match="out of range"):
+        Partitioner(2).restore_assignment(parse_query(CROSS_POST), 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -198,15 +193,13 @@ def rss_baseline(rss_workload):
 
 
 @pytest.mark.parametrize("executor", ["serial", "processes"])
-@pytest.mark.parametrize("partitioner", ["hash", "least-loaded"])
 @pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_equivalence_on_rss(shards, partitioner, executor, rss_workload, rss_baseline):
+def test_sharded_equivalence_on_rss(shards, executor, rss_workload, rss_baseline):
     queries, documents = rss_workload
     config = RuntimeConfig(
         engine="mmqjp",
         construct_outputs=False,
         shards=shards,
-        partitioner=partitioner,
         executor=executor,
     )
     with Broker(config) as broker:
@@ -341,7 +334,6 @@ def test_sharded_broker_stats_shape(rss_workload):
     merged = stats["engine_stats"]
     assert merged["num_queries"] == len(queries)
     assert merged["num_matches"] == sum(s["num_matches"] for s in stats["per_shard"])
-    assert stats["partition"]["partitioner"] == "hash"
     assert sum(stats["partition"]["loads"]) == len(queries)
 
 

@@ -417,14 +417,14 @@ def test_clock_continues_at_n_plus_one_after_resume(shards, executor, tmp_path):
         assert resumed.stats()["num_documents_published"] == 4
 
 
-#: A second template; with ``least-loaded`` it lands on the shard CROSS_POST leaves free.
+#: A second template; it lands on the shard CROSS_POST leaves free (the least-loaded one).
 BY_AUTHOR = "S//blog->b[.//author->a] FOLLOWED BY{a=a, 10} S//blog->b[.//author->a]"
 
 
 def test_in_process_shards_share_one_tree_per_document(parses):
     """Stored documents: one parse per published text, whatever it reaches."""
     config = RuntimeConfig(
-        shards=2, executor="serial", partitioner="least-loaded", construct_outputs=True
+        shards=2, executor="serial", construct_outputs=True
     )
     with open_broker(config) as broker:
         joins = {broker.subscribe(query).subscription_id for query in (CROSS_POST, BY_AUTHOR)}
@@ -458,7 +458,7 @@ def test_a_malformed_publish_changes_nothing(shards, executor, tmp_path):
         ("joins-sqlite", [CROSS_POST], {"storage": "sqlite", "storage_path": str(tmp_path / "db")}),
         ("joins-stored", [CROSS_POST], {"construct_outputs": True}),
         # Both shards busy: a process worker's rejection must not strand the other's reply.
-        ("unrouted", [CROSS_POST, BY_AUTHOR], {"route_dispatch": False, "partitioner": "least-loaded"}),
+        ("unrouted", [CROSS_POST, BY_AUTHOR], {"route_dispatch": False}),
         ("filter-only", ["S//blog->b"], {}),
         ("nothing", [], {}),
     ]

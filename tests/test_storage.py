@@ -3,13 +3,14 @@
 Both backends are driven through the same scenarios where the protocol is
 backend-agnostic (epoch atomicity, partition-replace upserts, registry /
 catalog / meta round-trips, fault-injection aborts); SQLite-specific
-behavior (WAL mode, typed schemas, durability across close/reopen, relaxed
-write-behind) gets its own cases.
+behavior (WAL mode, typed schemas, durability across close/reopen) gets
+its own cases.
 """
 
 from __future__ import annotations
 
 import os
+import sqlite3
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.storage import (
     open_member_store,
     resolve_storage,
 )
-from repro.storage.sqlite import RELAXED_COMMIT_EVERY, sql_type_of
+from repro.storage.sqlite import sql_type_of
 from repro.templates.cqt import RELATION_SCHEMAS
 
 
@@ -116,6 +117,108 @@ def test_fault_hook_at_commit_aborts_epoch(store):
     assert store.state_docids() == {"d1"}
     _commit_doc(store, "d3")
     assert store.state_docids() == {"d1", "d3"}
+
+
+def test_abort_outside_an_epoch_discards_nothing(store):
+    _commit_doc(store, "d1")
+    store.save_subscription(SubscriptionRecord(1, "sub1", "q1", "join", 0))
+    store.abort_epoch()  # nothing is open: a no-op, not a rollback
+    assert store.state_docids() == {"d1"}
+    assert [r.subscription_id for r in store.subscriptions()] == ["sub1"]
+    _commit_doc(store, "d2")
+    assert store.state_docids() == {"d1", "d2"}
+
+
+def test_an_abort_keeps_the_writes_made_before_its_epoch(store):
+    store.save_subscription(SubscriptionRecord(1, "sub1", "q1", "join", 0))
+    store.save_catalog_entries([("x1", "S", "//book")])
+    store.set_meta("clock", 4)
+    store.begin_epoch("d1")
+    store.upsert_rows("Rbin", "d1", [_rbin_row("d1")])
+    store.abort_epoch()
+    assert store.state_docids() == set()
+    assert [r.subscription_id for r in store.subscriptions()] == ["sub1"]
+    assert store.catalog_entries() == [("x1", "S", "//book")]
+    assert store.get_meta("clock") == 4
+
+
+def _reader(path):
+    """A second connection: it sees only what the store has committed."""
+    return sqlite3.connect(path, isolation_level=None)
+
+
+def test_sqlite_epoch_is_invisible_to_other_connections_until_commit(tmp_path):
+    path = str(tmp_path / "epoch.sqlite3")
+    s = SQLiteStore(path)
+    reader = _reader(path)
+    try:
+        s.begin_epoch("d1")
+        s.upsert_rows("Rbin", "d1", [_rbin_row("d1")])
+        s.put_document("d1", 1.0, "S", "<a/>")
+        assert reader.execute('SELECT COUNT(*) FROM "Rbin"').fetchone() == (0,)
+        assert reader.execute("SELECT COUNT(*) FROM documents").fetchone() == (0,)
+        s.commit_epoch()
+        assert reader.execute('SELECT docid FROM "Rbin"').fetchall() == [("d1",)]
+        assert reader.execute("SELECT docid FROM documents").fetchall() == [("d1",)]
+    finally:
+        reader.close()
+        s.close()
+
+
+def test_sqlite_writes_outside_an_epoch_are_durable_at_once(tmp_path):
+    path = str(tmp_path / "autocommit.sqlite3")
+    s = SQLiteStore(path)
+    reader = _reader(path)
+    try:
+        s.save_subscription(SubscriptionRecord(1, "sub1", "q1", "join", 0))
+        s.save_catalog_entries([("x1", "S", "//book")])
+        s.set_meta("clock", 3)
+        assert reader.execute("SELECT sid FROM subscriptions").fetchall() == [("sub1",)]
+        assert reader.execute("SELECT name FROM catalog").fetchall() == [("x1",)]
+        assert reader.execute("SELECT value FROM meta WHERE key = 'clock'").fetchone() == ("3",)
+        s.remove_subscription("sub1")
+        assert reader.execute("SELECT COUNT(*) FROM subscriptions").fetchone() == (0,)
+    finally:
+        reader.close()
+        s.close()
+
+
+class _FailingCommit:
+    """Wraps a connection; its first ``COMMIT`` raises as a full disk would."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.failed = False
+
+    def execute(self, sql, *args):
+        if sql == "COMMIT" and not self.failed:
+            self.failed = True
+            raise sqlite3.OperationalError("database or disk is full")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_sqlite_failed_commit_leaves_the_epoch_to_roll_back(tmp_path):
+    s = SQLiteStore(str(tmp_path / "failed.sqlite3"))
+    try:
+        _commit_doc(s, "d1")
+        real = s._conn
+        s._conn = _FailingCommit(real)
+        s.begin_epoch("d2")
+        s.upsert_rows("Rbin", "d2", [_rbin_row("d2")])
+        with pytest.raises(sqlite3.OperationalError):
+            s.commit_epoch()
+        assert s.epochs_committed == 1
+        s.abort_epoch()  # the epoch is still open: this rolls it back
+        s._conn = real
+        assert not real.in_transaction
+        assert s.state_docids() == {"d1"}
+        _commit_doc(s, "d3")
+        assert s.state_docids() == {"d1", "d3"}
+    finally:
+        s.close()
 
 
 # --------------------------------------------------------------------- #
@@ -250,51 +353,6 @@ def test_sqlite_state_survives_reopen(tmp_path):
         assert s.get_meta("clock") == 9
 
 
-def test_relaxed_durability_buffers_epochs(tmp_path):
-    s = SQLiteStore(str(tmp_path / "relaxed.sqlite3"), durability="relaxed")
-    try:
-        for i in range(3):
-            _commit_doc(s, f"d{i}")
-        # commits are write-behind: the transaction is still open
-        assert s._in_transaction and s._epochs_pending == 3
-        s.flush()
-        assert not s._in_transaction and s._epochs_pending == 0
-        for i in range(RELAXED_COMMIT_EVERY):
-            _commit_doc(s, f"e{i}")
-        # the RELAXED_COMMIT_EVERY-th epoch forced a durable commit
-        assert not s._in_transaction
-    finally:
-        s.close()
-
-
-def test_relaxed_abort_discards_only_buffered_epochs(tmp_path):
-    s = SQLiteStore(str(tmp_path / "relaxed2.sqlite3"), durability="relaxed")
-    try:
-        _commit_doc(s, "d1")
-        s.flush()
-        _commit_doc(s, "d2")  # buffered, not yet durable
-        s.begin_epoch("d3")
-        s.upsert_rows("Rbin", "d3", [_rbin_row("d3")])
-        s.abort_epoch()
-        # the rollback discarded the torn epoch *and* the buffered one —
-        # exactly the relaxed contract (recent epochs lost, none torn)
-        assert s.state_docids() == {"d1"}
-    finally:
-        s.close()
-
-
-def test_registry_write_flushes_relaxed_buffer(tmp_path):
-    s = SQLiteStore(str(tmp_path / "relaxed3.sqlite3"), durability="relaxed")
-    try:
-        _commit_doc(s, "d1")
-        assert s._in_transaction
-        s.save_subscription(SubscriptionRecord(1, "sub1", "q1", "join", 0))
-        # registration order must never run ahead of the state it refers to
-        assert not s._in_transaction
-    finally:
-        s.close()
-
-
 def test_closed_store_rejects_writes(tmp_path):
     s = SQLiteStore(str(tmp_path / "closed.sqlite3"))
     s.close()
@@ -316,11 +374,10 @@ def test_resolve_storage_sqlite_materializes_tempdir():
 
 def test_open_member_store(tmp_path):
     assert open_member_store("memory", None, "broker") is None
-    s = open_member_store("sqlite", str(tmp_path), "shard-0", durability="relaxed")
+    s = open_member_store("sqlite", str(tmp_path), "shard-0")
     try:
         assert isinstance(s, SQLiteStore)
         assert s.path == str(tmp_path / "shard-0.sqlite3")
-        assert s.durability == "relaxed"
     finally:
         s.close()
     with pytest.raises(ValueError):
@@ -335,7 +392,5 @@ def test_open_member_store(tmp_path):
 def test_config_rejects_unknown_storage():
     with pytest.raises(ValueError, match="storage"):
         RuntimeConfig(storage="etcd")
-    with pytest.raises(ValueError, match="durability"):
-        RuntimeConfig(durability="eventually")
     with pytest.raises(ValueError, match="storage_path"):
         RuntimeConfig(storage="memory", storage_path="/tmp/x")  # requires storage="sqlite"

@@ -15,7 +15,10 @@ call.  These tests pin that:
   itself — except that surrounding whitespace in its text is stripped;
 * the validation-only scan is the same scanner, not a nested ``scan_text``;
 * DOCTYPE entity declarations (the real DBLP header) decode on every path,
-  so ``H&uuml;tter`` joins ``Hütter``.
+  so ``H&uuml;tter`` joins ``Hütter``;
+* decimal and hex character references decode on every path, so
+  ``Ren&#233;`` joins ``René``, and one to a code point XML does not allow
+  is rejected.
 """
 
 from __future__ import annotations
@@ -406,3 +409,52 @@ def test_declared_entity_joins_its_literal_spelling(store_documents):
         "<inproceedings><author>Willi H&uuml;tter</author></inproceedings>", 3.0
     )
     assert broker.publish("<article><author>Willi Hütter</author></article>", 4.0) == []
+
+
+# --------------------------------------------------------------------- #
+# character references (XML 1.0 section 4.1)
+# --------------------------------------------------------------------- #
+
+
+def test_character_references_decode_in_text_attributes_and_projected_leaves():
+    # one pass, as for named entities: &#38;amp; is "&amp;", never "&"
+    text = '<r k="&#x41;&#66;&#x1F600;"><a>Ren&#233;<cite>&#38;amp;</cite></a></r>'
+    document = parse_document(text)
+    assert document.root.attributes == {"k": "AB\U0001F600"}
+    assert document.string_value(1) == "René&amp;"
+    assert _parse_node_reference(text).children[0].text == "René"
+    evaluator = XPathEvaluator()
+    evaluator.register_variable("v", "S", parse_path("//a"))
+    assert evaluator.evaluate_text(text, "d", 1.0).node_values == {1: "René&amp;"}
+
+
+@pytest.mark.parametrize("ref", ["&#0;", "&#x1F;", "&#xD800;", "&#xFFFE;", "&#1114112;"])
+def test_a_reference_to_a_non_xml_character_is_rejected(ref):
+    # in text, in an attribute, and in a leaf run nothing reads
+    for text in (f"<a>x{ref}</a>", f'<a k="{ref}"/>', f"<a><b>x{ref}</b></a>"):
+        for parse in (parse_document, _parse_node_reference, stream.validate_text):
+            with pytest.raises(XmlParseError, match="not an XML character"):
+                parse(text)
+
+
+_BOOK_BLOG = "S//book->x1[.//author->x2] FOLLOWED BY{x2=x5, 10} S//blog->x4[.//author->x5]"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RuntimeConfig(engine="mmqjp"),
+        RuntimeConfig(engine="sequential"),
+        RuntimeConfig(engine="mmqjp-vm"),
+        RuntimeConfig(shards=2, executor="processes"),
+    ],
+    ids=["mmqjp", "sequential", "mmqjp-vm", "processes"],
+)
+@pytest.mark.parametrize(
+    "book, blog", [("Ren&#233;", "René"), ("Ren&#233;", "Ren&#xE9;"), ("A&amp;B", "A&#38;B")]
+)
+def test_a_character_reference_joins_its_character(config, book, blog):
+    with Broker(config) as broker:
+        broker.subscribe(_BOOK_BLOG)
+        broker.publish(f"<book><author>{book}</author><title>t</title></book>", timestamp=1.0)
+        assert len(broker.publish(f"<blog><author>{blog}</author></blog>", timestamp=2.0)) == 1
